@@ -9,7 +9,6 @@ from .baselines import (
     bs_closed_form,
     default_bump_size,
     fd_greek,
-    fd_quotient,
 )
 from .config import (
     DEFAULTS,
@@ -24,15 +23,11 @@ from .engine import (
     PathSeries,
     Perturbation,
     SimConfig,
-    first_variation_closed_forms,
-    read_accumulators,
     simulate_paths,
     simulate_series,
-    simulate_y12_y13,
     stable_mean_se,
     stable_sum,
     standard_draws,
-    write_accumulators,
 )
 from .errors import (
     DegenerateModel,
@@ -68,8 +63,6 @@ from .models import (
     Payoff,
     black_scholes_degenerate,
     check_derivative_consistency,
-    diffusion_matrix,
-    ellipticity_lower_bound,
     evaluate_payoff,
     heston_vasicek_model,
     mixing_from_correlations,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "FD_TARGETS",
     "FD_SCHEMES",
     "fd_greek",
-    "fd_quotient",
     "default_bump_size",
     "bs_closed_form",
     "norm_cdf",
@@ -81,21 +79,6 @@ def default_bump_size(target: str, init: InitialState) -> float:
     if target == "v0":
         return 0.01 * init.v0
     return 1e-4
-
-
-def fd_quotient(evaluator: Callable[[float], float], x: float, h: float, scheme: str) -> float:
-    """Scalar difference quotient with a pluggable evaluator.
-
-    ``central`` is exact for quadratics up to rounding; used as the
-    machinery self-test and for differentiating closed forms.
-    """
-    if scheme == "central":
-        return (evaluator(x + h) - evaluator(x - h)) / (2.0 * h)
-    if scheme == "forward":
-        return (evaluator(x + h) - evaluator(x)) / h
-    if scheme == "backward":
-        return (evaluator(x) - evaluator(x - h)) / h
-    raise InvalidBump(f"scheme must be one of {FD_SCHEMES}, got {scheme!r}")
 
 
 def _discounted_samples(
@@ -223,12 +206,13 @@ class BsClosedForm:
     digital_delta: float
 
 
-def bs_closed_form(s0: float, strike: float, r: float, sigma: float, maturity: float) -> BsClosedForm:
+def bs_closed_form(s0: float, strike: float, r: float, sigma: float, maturity: float,
+                   level: float = 1.0) -> BsClosedForm:
     """Black–Scholes call price, Delta, Vega, Rho, and digital-call Delta.
 
-    ``digital_delta`` is the spot sensitivity e^{-rT} phi(d2)/(s0 sigma
-    sqrt(T)) of the cash-or-nothing call, the oracle for the non-smooth
-    payoff checks.
+    ``digital_delta`` is the spot sensitivity level * e^{-rT} phi(d2)/(s0
+    sigma sqrt(T)) of the cash-or-nothing call paying ``level``, the oracle
+    for the non-smooth payoff checks.
     """
     for name, val in (("s0", s0), ("strike", strike), ("sigma", sigma), ("maturity", maturity)):
         if not (math.isfinite(val) and val > 0.0):
@@ -244,7 +228,7 @@ def bs_closed_form(s0: float, strike: float, r: float, sigma: float, maturity: f
         delta=norm_cdf(d1),
         vega=s0 * sq_t * norm_pdf(d1),
         rho=strike * maturity * df * norm_cdf(d2),
-        digital_delta=df * norm_pdf(d2) / (s0 * sigma * sq_t),
+        digital_delta=level * (df * norm_pdf(d2) / (s0 * sigma * sq_t)),
     )
 
 

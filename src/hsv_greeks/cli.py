@@ -35,6 +35,7 @@ from .config import (
 from .engine import simulate_paths
 from .errors import HsvGreeksError, InvalidConfig, NumericalBlowup
 from .greeks import (
+    _GREEKS,
     GreekEstimate,
     bismut_vector,
     delta,
@@ -91,10 +92,8 @@ class _SizeRun:
             return rho(self.accumulators(), payoff, self.sim.maturity)
         if greek == "vega":
             return vega(self.accumulators(), payoff, self.sim.maturity)
-        if greek == "vega_v0":
-            return self.bismut()[1]
-        if greek == "rho_r0":
-            return self.bismut()[2]
+        if greek in ("vega_v0", "rho_r0"):
+            return self.bismut()[1 if greek == "vega_v0" else 2]
         kind = "kappa" if greek == "kappa" else "reversion_speed"
         return drift_sensitivity(self.accumulators(), payoff, kind)
 
@@ -107,11 +106,9 @@ class _SizeRun:
     def analytic(self, greek: str) -> GreekEstimate:
         rc = self.config
         closed = bs_closed_form(rc.init.s0, rc.payoff.strike, rc.init.r0,
-                                rc.model.bs_params.sigma, self.sim.maturity)
-        if rc.payoff.kind == "digital_call":
-            value = rc.payoff.level * closed.digital_delta
-        else:
-            value = getattr(closed, greek)
+                                rc.model.bs_params.sigma, self.sim.maturity,
+                                level=rc.payoff.level)
+        value = getattr(closed, _GREEKS[greek].closed_form[rc.payoff.kind])
         return GreekEstimate(value=value, std_error=0.0,
                              n_paths=self.sim.n_paths, estimator="analytic")
 

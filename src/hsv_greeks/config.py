@@ -27,37 +27,14 @@ from .models import (
     heston_vasicek_model,
 )
 from .engine import SimConfig
+from .greeks import _GREEKS
 
 MODEL_NAMES = ("heston_vasicek", "black_scholes")
 
-#: Greeks a run can request.  ``price`` is the plain discounted payoff mean.
-GREEK_TOKENS = ("price", "delta", "rho", "vega", "vega_v0", "rho_r0",
-                "kappa", "reversion")
-
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
-#: Which bump-and-revalue target realises the finite-difference version of
-#: each Greek.  ``delta`` bumps the spot; ``rho``/``vega`` re-simulate the
-#: shifted dynamics; the rest bump an initial state or a drift parameter.
-FD_TARGET_BY_GREEK = {
-    "delta": "s0",
-    "rho": "rho_shift_epsilon",
-    "vega": "vega_shift_epsilon",
-    "vega_v0": "v0",
-    "rho_r0": "r0",
-    "kappa": "kappa_epsilon",
-    "reversion": "reversion_epsilon",
-}
-
-# Greeks whose Malliavin weights need the variance/rate first-variation
-# machinery, which the constant-coefficient model cannot supply.
-_HV_ONLY_GREEKS = frozenset({"vega_v0", "rho_r0", "kappa", "reversion"})
-
-# (payoff kind -> Greeks with a closed form) for ``analytic`` estimators.
-_ANALYTIC_GREEKS = {
-    "call": frozenset({"price", "delta", "vega", "rho"}),
-    "digital_call": frozenset({"delta"}),
-}
+# SimConfig field -> the config key that sets it, where the two differ.
+_SIM_KEYS = {"worker_hint": "sim.workers"}
 
 _COMMON_DEFAULTS = {
     "payoff.kind": "call",
@@ -143,7 +120,7 @@ class RunConfig:
     def wants_drift_extras(self) -> bool:
         """True when any requested Malliavin Greek needs the drift-derivative
         accumulators (kappa / reversion-speed sensitivities)."""
-        return any(m == "malliavin" and g in ("kappa", "reversion")
+        return any(m == "malliavin" and _GREEKS[g].drift_extras
                    for m, g in self.estimators)
 
 
@@ -214,11 +191,11 @@ def _parse_estimators(value: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for token in tokens:
         method, sep, greek = token.partition(":")
-        if not sep or method not in ESTIMATOR_METHODS or greek not in GREEK_TOKENS:
+        if not sep or method not in ESTIMATOR_METHODS or greek not in _GREEKS:
             raise InvalidConfig(
                 "estimators",
                 f"bad token {token!r}; expected method:greek with method in "
-                f"{ESTIMATOR_METHODS} and greek in {GREEK_TOKENS}")
+                f"{ESTIMATOR_METHODS} and greek in {tuple(_GREEKS)}")
         pair = (method, greek)
         if pair in pairs:
             raise InvalidConfig("estimators", f"duplicate token {token!r}")
@@ -244,9 +221,10 @@ def _split_bump_key(key: str) -> tuple[str, str]:
     parts = key.split(".")
     if len(parts) != 3 or parts[2] not in ("scheme", "h", "crn"):
         raise InvalidConfig(key, "expected bump.<greek>.scheme|h|crn")
-    if parts[1] not in FD_TARGET_BY_GREEK:
+    if parts[1] not in _GREEKS or _GREEKS[parts[1]].fd_target is None:
+        fd_greeks = tuple(g for g, spec in _GREEKS.items() if spec.fd_target)
         raise InvalidConfig(key, f"no finite-difference form for greek {parts[1]!r}; "
-                            f"expected one of {tuple(FD_TARGET_BY_GREEK)}")
+                            f"expected one of {fd_greeks}")
     return parts[1], parts[2]
 
 
@@ -321,6 +299,9 @@ def build_run_config(overrides=None) -> RunConfig:
 
     # --- simulation ------------------------------------------------------
     n_paths = _as_int("sim.n_paths", merged["sim.n_paths"])
+    if n_paths < 2:
+        raise InvalidConfig("sim.n_paths", "a standard error needs at least "
+                            f"2 paths, got {n_paths}")
     n_steps = _as_int("sim.n_steps", merged["sim.n_steps"])
     maturity = _as_float("sim.maturity", merged["sim.maturity"])
     seed = _as_int("sim.seed", merged["sim.seed"])
@@ -335,29 +316,30 @@ def build_run_config(overrides=None) -> RunConfig:
                         seed=seed, variance_floor=variance_floor,
                         sigma_floor=sigma_floor, worker_hint=workers)
     except InvalidConfig as exc:
-        raise InvalidConfig(f"sim.{exc.key}", str(exc)) from exc
+        raise InvalidConfig(_SIM_KEYS.get(exc.key, f"sim.{exc.key}"),
+                            exc.message) from exc
 
     # --- estimators and degeneracy rules ---------------------------------
     estimators = _parse_estimators(merged["estimators"])
     for method, greek in estimators:
         token = f"{method}:{greek}"
-        if greek in _HV_ONLY_GREEKS and model.degenerate:
+        spec = _GREEKS[greek]
+        if spec.hybrid_only and model.degenerate:
             raise InvalidConfig(
                 "estimators",
                 f"{token!r} needs stochastic variance/rate dynamics; "
                 "the constant-coefficient model has none")
-        if method == "fd" and greek == "price":
+        if method == "fd" and spec.fd_target is None:
             raise InvalidConfig("estimators",
-                                "'fd:price' is not a finite-difference target; "
-                                "use 'malliavin:price' for the plain mean")
+                                f"{token!r} is not a finite-difference target; "
+                                f"use 'malliavin:{greek}'")
         if method == "analytic":
             if not model.degenerate:
                 raise InvalidConfig(
                     "estimators",
                     f"{token!r} has a closed form only for the "
                     "constant-coefficient model")
-            allowed = _ANALYTIC_GREEKS.get(payoff.kind, frozenset())
-            if greek not in allowed:
+            if payoff.kind not in spec.closed_form:
                 raise InvalidConfig(
                     "estimators",
                     f"{token!r}: no closed form for payoff kind {payoff.kind!r}")
@@ -369,7 +351,7 @@ def build_run_config(overrides=None) -> RunConfig:
         fields = bump_entries.get(greek, {})
         scheme = _as_choice(f"bump.{greek}.scheme",
                             fields.get("scheme", "central"), FD_SCHEMES)
-        target = FD_TARGET_BY_GREEK[greek]
+        target = _GREEKS[greek].fd_target
         if "h" in fields:
             h = _as_float(f"bump.{greek}.h", fields["h"])
             if h <= 0.0:
@@ -390,7 +372,7 @@ def build_run_config(overrides=None) -> RunConfig:
     entries = {}
     for key in base:
         entries[key] = _canonical_value(key, merged[key], workers)
-    for greek in sorted(bumps, key=GREEK_TOKENS.index):
+    for greek in (g for g in _GREEKS if g in bumps):
         spec = bumps[greek]
         entries[f"bump.{greek}.scheme"] = spec.scheme
         entries[f"bump.{greek}.h"] = repr(spec.h)

@@ -39,7 +39,6 @@ Monte Carlo reductions use exactly-rounded compensated summation
 from __future__ import annotations
 
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -61,16 +60,10 @@ __all__ = [
     "SimConfig",
     "Perturbation",
     "PathAccumulators",
-    "ACCUMULATOR_DUMP_FIELDS",
-    "ACCUMULATOR_MAGIC",
     "standard_draws",
     "simulate_paths",
     "simulate_series",
     "PathSeries",
-    "first_variation_closed_forms",
-    "simulate_y12_y13",
-    "write_accumulators",
-    "read_accumulators",
     "stable_sum",
     "stable_mean_se",
 ]
@@ -140,13 +133,11 @@ class Perturbation:
             raise InvalidParams(f"perturbation delta must be finite, got {self.delta!r}")
 
 
-# Field order of the binary accumulator dump (record-per-path, little-endian
-# float64).  Do not reorder.
-ACCUMULATOR_DUMP_FIELDS = (
+# The per-path arrays every simulation fills (the drift extras aside).
+_ACCUMULATOR_FIELDS = (
     "s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q", "w1_T",
     "P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T",
 )
-ACCUMULATOR_MAGIC = b"HSVACC1\x00"
 
 
 @dataclass
@@ -432,15 +423,23 @@ def _run_block(
     return out, clamps, n_evals, series
 
 
-def _finite_check(acc: PathAccumulators) -> None:
+def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
+                  cfg: SimConfig, clamps: int, evals: int) -> PathAccumulators:
+    """Attach the run metadata to per-path arrays; refuse non-finite ones."""
+    acc = PathAccumulators(
+        **arrays, p23_valid=not model.degenerate, clamp_count=clamps,
+        n_integrand_evals=evals, model=model, s0=init.s0, v0=init.v0,
+        r0=init.r0, maturity=cfg.maturity, n_steps=cfg.n_steps, seed=cfg.seed,
+    )
     skip = () if acc.p23_valid else ("P2", "P3")
-    for name in ACCUMULATOR_DUMP_FIELDS:
+    for name in _ACCUMULATOR_FIELDS:
         if name in skip:
             continue
         arr = getattr(acc, name)
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))
             raise NumericalBlowup(idx, acc.n_steps, f"non-finite accumulator {name}")
+    return acc
 
 
 def simulate_paths(
@@ -483,10 +482,9 @@ def simulate_paths(
     blocks = [(start, min(start + _BLOCK_PATHS, n)) for start in range(0, n, _BLOCK_PATHS)]
 
     alloc = lambda: np.empty(n)  # noqa: E731
-    arrays = {name: alloc() for name in ACCUMULATOR_DUMP_FIELDS}
+    arrays = {name: alloc() for name in _ACCUMULATOR_FIELDS}
     if drift_extras:
         arrays.update(j2=alloc(), j3=alloc(), g3=alloc())
-    totals = {"clamps": 0, "evals": 0}
 
     def work(span):
         start, stop = span
@@ -506,30 +504,12 @@ def simulate_paths(
     else:
         results = [work(b) for b in blocks]
 
-    for start, stop, out, clamps, evals in results:
+    for start, stop, out, _, _ in results:
         for name, arr in out.items():
             arrays[name][start:stop] = arr
-        totals["clamps"] += clamps
-        totals["evals"] += evals
-
-    acc = PathAccumulators(
-        **{name: arrays[name] for name in ACCUMULATOR_DUMP_FIELDS},
-        p23_valid=not model.degenerate,
-        clamp_count=totals["clamps"],
-        n_integrand_evals=totals["evals"],
-        j2=arrays.get("j2"),
-        j3=arrays.get("j3"),
-        g3=arrays.get("g3"),
-        model=model,
-        s0=init.s0,
-        v0=init.v0,
-        r0=init.r0,
-        maturity=cfg.maturity,
-        n_steps=n_steps,
-        seed=cfg.seed,
-    )
-    _finite_check(acc)
-    return acc
+    return _accumulators(arrays, model, init, cfg,
+                         clamps=sum(r[3] for r in results),
+                         evals=sum(r[4] for r in results))
 
 
 def simulate_series(
@@ -560,132 +540,8 @@ def simulate_series(
     out, clamps, evals, series = _run_block(
         model, init, cfg, z, None, False, want_series=True
     )
-    acc = PathAccumulators(
-        **out,
-        p23_valid=not model.degenerate,
-        clamp_count=clamps,
-        n_integrand_evals=evals,
-        model=model,
-        s0=init.s0,
-        v0=init.v0,
-        r0=init.r0,
-        maturity=cfg.maturity,
-        n_steps=cfg.n_steps,
-        seed=cfg.seed,
-    )
-    _finite_check(acc)
-    series.accumulators = acc
+    series.accumulators = _accumulators(out, model, init, cfg, clamps, evals)
     return series
-
-
-def first_variation_closed_forms(
-    increments: np.ndarray,
-    model: ModelSpec,
-    init: InitialState,
-    cfg: SimConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form first-variation diagonal from given increments.
-
-    Returns ``(y11_series, y22_T, y33_T)`` where ``y11_series`` has shape
-    (n_paths, n_steps+1) and equals S_t/S_0 on the grid (log-space stepping
-    makes the exponential form and the price ratio the same recursion), and
-    y22_T, y33_T are the terminal exponentials of the left-Riemann drift
-    sums plus Ito sums in the rebuilt correlated increments dZ^2, dZ^3.
-
-    For a degenerate component (v or g identically zero) the corresponding
-    exponential collapses to its drift-only form and is still returned.
-    """
-    series = simulate_series(model, init, cfg, increments=increments)
-    return series.y11, series.y22[:, -1], series.y33[:, -1]
-
-
-def simulate_y12_y13(
-    increments: np.ndarray,
-    model: ModelSpec,
-    s_series: np.ndarray,
-    v_series: np.ndarray,
-    r_series: np.ndarray,
-    y22_series: np.ndarray,
-    y33_series: np.ndarray,
-    cfg: SimConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler recursion for the off-diagonal variation entries.
-
-        dY^12 = r Y^12 dt + [sigma(V) Y^12 + S sigma'(V) Y^22] dW^1
-        dY^13 = [r Y^13 + S Y^33] dt + sigma(V) Y^13 dW^1
-
-    both from zero initial conditions, driven by the supplied state and
-    diagonal-variation series on the same grid.  Returns terminal values
-    (y12_T, y13_T).
-    """
-    increments = np.asarray(increments, dtype=float)
-    n_paths, n_steps = increments.shape[0], increments.shape[1]
-    if s_series.shape != (n_paths, n_steps + 1):
-        raise InvalidParams(
-            f"state series shape {s_series.shape} does not match increments grid "
-            f"({n_paths} paths, {n_steps} steps)"
-        )
-    dt = cfg.maturity / n_steps
-    y12 = np.zeros(n_paths)
-    y13 = np.zeros(n_paths)
-    for n in range(n_steps):
-        S = s_series[:, n]
-        Vp = np.maximum(v_series[:, n], cfg.variance_floor)
-        r = r_series[:, n]
-        sig = model.sigma(Vp)
-        sp = model.sigma_prime(Vp)
-        dW1 = increments[:, n, 0]
-        y12, y13 = (
-            y12 + r * y12 * dt + (sig * y12 + S * sp * y22_series[:, n]) * dW1,
-            y13 + (r * y13 + S * y33_series[:, n]) * dt + sig * y13 * dW1,
-        )
-    return y12, y13
-
-
-def write_accumulators(path, acc: PathAccumulators) -> None:
-    """Dump accumulators to ``path`` in the binary record-per-path format.
-
-    Layout: 16-byte header (magic ``HSVACC1\\0`` + uint64 LE record count),
-    then one record per path of 16 little-endian float64 fields in
-    :data:`ACCUMULATOR_DUMP_FIELDS` order.  NaN sentinels (degenerate P2/P3)
-    round-trip bit-exactly.
-    """
-    n = len(acc)
-    table = np.empty((n, len(ACCUMULATOR_DUMP_FIELDS)), dtype="<f8")
-    for col, name in enumerate(ACCUMULATOR_DUMP_FIELDS):
-        table[:, col] = getattr(acc, name)
-    with open(path, "wb") as fh:
-        fh.write(ACCUMULATOR_MAGIC)
-        fh.write(struct.pack("<Q", n))
-        fh.write(table.tobytes())
-
-
-def read_accumulators(path, **metadata) -> PathAccumulators:
-    """Load a binary accumulator dump written by :func:`write_accumulators`.
-
-    Estimator metadata that is not part of the record format (s0, maturity,
-    seed, ...) may be reattached via keyword arguments.  ``p23_valid`` is
-    inferred from NaN sentinels in the P2/P3 columns.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head = len(ACCUMULATOR_MAGIC)
-    if blob[:head] != ACCUMULATOR_MAGIC:
-        raise InvalidParams(f"{path}: not an accumulator dump (bad magic)")
-    (n,) = struct.unpack("<Q", blob[head:head + 8])
-    body = blob[head + 8:]
-    expect = n * len(ACCUMULATOR_DUMP_FIELDS) * 8
-    if len(body) != expect:
-        raise InvalidParams(
-            f"{path}: truncated or oversized dump ({len(body)} payload bytes, expected {expect})"
-        )
-    table = np.frombuffer(body, dtype="<f8").reshape(n, len(ACCUMULATOR_DUMP_FIELDS))
-    fields = {
-        name: np.ascontiguousarray(table[:, col])
-        for col, name in enumerate(ACCUMULATOR_DUMP_FIELDS)
-    }
-    valid = not (np.isnan(fields["P2"]).any() or np.isnan(fields["P3"]).any())
-    return PathAccumulators(**fields, p23_valid=valid, **metadata)
 
 
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:

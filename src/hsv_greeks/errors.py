@@ -60,6 +60,7 @@ class InvalidConfig(HsvGreeksError, ValueError):
 
     def __init__(self, key: str, message: str):
         self.key = key
+        self.message = message
         super().__init__(f"config key '{key}': {message}")
 
 

@@ -5,27 +5,19 @@ Every sensitivity here has the form
     Greek = E[ e^{-D} * Phi(S_T) * weight ]
 
 with a payoff-independent random weight assembled from the path
-accumulators.  The central combination is
+accumulators (Fournié et al., "Applications of Malliavin calculus to Monte
+Carlo methods in finance", 1999).  The central combination is
 
     C = I1 - (rho12/mu1) * I2 + ((rho12*mu2 - rho13*mu1)/(mu1*mu3)) * I3
 
 with Ii = int_0^T (1/sigma(V_t)) dW^i_t, and with the maturity-only
 weighting alpha(t) = 1/T throughout (European payoffs priced at T).  The
-implemented weights:
+other accumulators are A = int sigma dt, Q = int (1/sigma) dt, the Bismut
+integrals P2 and P3, Ji = int (1/v(V_t)) dW^i_t and G3 = int (1/g(r_t)) dW^3_t.
 
-    Delta:        e^{-D} * C / (s0 * T)
-    Rho:          e^{-D} * (C - T^2) / T                (stock-drift +
-                  discount shift; identical to the stock_shift drift kind)
-    Vega:         (e^{-D}/T) * [(W^1_T - A) * C - Q],  A = int sigma dt,
-                  Q = int (1/sigma) dt  (diffusion row scaled by epsilon)
-    Vega^{V_0}:   e^{-D} * P2 / T     (Bismut vector, second component)
-    Rho^{r_0}:    e^{-D} * P3 / T     (third component)
-    kappa:        (e^{-D}/T) * kappa * [(1/mu1) J2 - (mu2/(mu1*mu3)) J3],
-                  Ji = int (1/v(V_t)) dW^i_t; no discount term (r is
-                  unaffected by the V drift)
-    reversion:    (e^{-D}/T) * (a/mu3) * G3  minus the deterministic
-                  discount correction e^{-D} * (T - (1-e^{-aT})/a),
-                  G3 = int (1/g(r_t)) dW^3_t
+:data:`_GREEKS` writes each weight exactly once, next to the other facts
+the configuration and the command line need about its Greek.  The public
+estimators check their arguments and evaluate one entry of that table.
 
 Estimators are pure folds over the accumulator arrays using the engine's
 exactly-rounded reduction, so results are independent of worker count.
@@ -37,7 +29,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -124,8 +117,7 @@ def _combination(paths: PathAccumulators) -> np.ndarray:
     """The weight combination C built from I1..I3 and the mixing loadings."""
     if paths.model is None:
         raise InvalidParams(
-            "paths carry no model metadata (replayed dump?); reattach a model "
-            "via read_accumulators(..., model=...)"
+            "paths carry no model metadata; simulate them with simulate_paths"
         )
     rho_c = paths.model.correlations
     mu = paths.model.mixing
@@ -134,10 +126,78 @@ def _combination(paths: PathAccumulators) -> np.ndarray:
     return paths.I1 + c2 * paths.I2 + c3 * paths.I3
 
 
+def _kappa_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
+    # Ito weight from the 1/v(V_t) integrals; no discount term, because the
+    # short rate does not feel the V drift.
+    mu = p.model.mixing
+    ito = p.model.hv_params.kappa * (p.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * p.j3)
+    return phi * np.exp(-p.D) * ito / T
+
+
+def _reversion_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
+    # Ito weight from the 1/g(r_t) integral minus the deterministic discount
+    # correction T - (1 - e^{-aT})/a, the time integral of the pathwise
+    # derivative 1 - e^{-at} of the Vasicek rate.
+    a = p.model.hv_params.a
+    correction = T - (1.0 - math.exp(-a * T)) / a
+    return phi * np.exp(-p.D) * ((a / p.model.mixing.mu3) * p.g3 / T - correction)
+
+
+@dataclass(frozen=True)
+class _Greek:
+    """What the package knows about one Greek token."""
+
+    # samples(paths, phi, s0, T) -> per-path Phi * e^{-D} * weight.  Each
+    # keeps its own evaluation order, which fixes the printed digits.
+    samples: Callable[..., np.ndarray]
+    drift_extras: bool = False    # needs the drift integrals J2, J3, G3
+    hybrid_only: bool = False     # refused on the constant-coefficient model
+    fd_target: str | None = None  # bump target of the finite-difference form
+    # payoff kind -> the BsClosedForm field that holds the closed form
+    closed_form: dict[str, str] = field(default_factory=dict)
+
+
+# Token order is the canonical order of config output.
+_GREEKS = {
+    # Plain discounted payoff mean (weight identically 1).
+    "price": _Greek(
+        lambda p, phi, s0, T: np.exp(-p.D) * phi,
+        closed_form={"call": "price"}),
+    # Initial spot.
+    "delta": _Greek(
+        lambda p, phi, s0, T: phi * (np.exp(-p.D) * _combination(p) / (s0 * T)),
+        fd_target="s0",
+        closed_form={"call": "delta", "digital_call": "digital_delta"}),
+    # Parallel shift of the stock drift and the discount rate.
+    "rho": _Greek(
+        lambda p, phi, s0, T: phi * (np.exp(-p.D) * (_combination(p) - T * T) / T),
+        fd_target="rho_shift_epsilon",
+        closed_form={"call": "rho"}),
+    # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
+    "vega": _Greek(
+        lambda p, phi, s0, T: phi * ((np.exp(-p.D) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
+        fd_target="vega_shift_epsilon",
+        closed_form={"call": "vega"}),
+    # Initial variance: second component of the Bismut vector.
+    "vega_v0": _Greek(
+        lambda p, phi, s0, T: phi * np.exp(-p.D) * p.P2 / T,
+        hybrid_only=True, fd_target="v0"),
+    # Initial short rate: third component of the Bismut vector.
+    "rho_r0": _Greek(
+        lambda p, phi, s0, T: phi * np.exp(-p.D) * p.P3 / T,
+        hybrid_only=True, fd_target="r0"),
+    "kappa": _Greek(_kappa_samples, drift_extras=True, hybrid_only=True,
+                    fd_target="kappa_epsilon"),
+    "reversion": _Greek(_reversion_samples, drift_extras=True, hybrid_only=True,
+                        fd_target="reversion_epsilon"),
+}
+
+
 def weight_bundle(paths: PathAccumulators, s0: float, maturity: float) -> WeightBundle:
     """Assemble all per-path weights for the given initial spot and maturity.
 
-    The Delta and Rho entries satisfy the pathwise identity
+    The weights are the table's samples at a unit payoff, ``phi = 1``.  The
+    Delta and Rho entries satisfy the pathwise identity
     ``rho = s0*delta - T*discount`` up to rounding, since both are affine in
     the same combination C.
     """
@@ -147,22 +207,15 @@ def weight_bundle(paths: PathAccumulators, s0: float, maturity: float) -> Weight
         raise InvalidParams(f"s0 must be > 0, got {s0!r}")
     if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    T = maturity
-    C = _combination(paths)
-    disc = np.exp(-paths.D)
-    delta_w = disc * C / (s0 * T)
-    rho_w = disc * (C - T * T) / T
-    vega_w = (disc / T) * ((paths.w1_T - paths.A) * C - paths.Q)
-    if paths.p23_valid:
-        vega_v0_w = disc * paths.P2 / T
-        rho_r0_w = disc * paths.P3 / T
-    else:
-        vega_v0_w = None
-        rho_r0_w = None
+
+    def weight(greek):
+        return _GREEKS[greek].samples(paths, 1.0, s0, maturity)
+
     return WeightBundle(
-        delta=delta_w, rho=rho_w, vega=vega_w,
-        vega_v0=vega_v0_w, rho_r0=rho_r0_w,
-        discount=disc, C=C,
+        delta=weight("delta"), rho=weight("rho"), vega=weight("vega"),
+        vega_v0=weight("vega_v0") if paths.p23_valid else None,
+        rho_r0=weight("rho_r0") if paths.p23_valid else None,
+        discount=weight("price"), C=_combination(paths),
     )
 
 
@@ -208,25 +261,27 @@ def _estimate(samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
     )
 
 
+def _weighted(greek: str, paths: PathAccumulators, payoff, s0: float, T: float) -> GreekEstimate:
+    """Estimate ``greek`` from its table entry; the caller checks arguments."""
+    phi = _payoff_values(payoff, paths.s_T)
+    return _estimate(_GREEKS[greek].samples(paths, phi, s0, T), paths)
+
+
 def price(paths: PathAccumulators, payoff) -> GreekEstimate:
     """Discounted payoff mean E[e^{-D} Phi(S_T)] (weight identically 1)."""
     _require_paths(paths)
-    phi = _payoff_values(payoff, paths.s_T)
-    return _estimate(np.exp(-paths.D) * phi, paths)
+    return _weighted("price", paths, payoff, paths.s0, paths.maturity)
 
 
 def delta(paths: PathAccumulators, payoff, s0: float) -> GreekEstimate:
     """Sensitivity to the initial spot: E[Phi * e^{-D} C/(s0 T)]."""
     _require_paths(paths)
     _flag_clamps(paths)
-    T = paths.maturity
-    if not (T > 0.0):
+    if not (paths.maturity > 0.0):
         raise InvalidParams("paths carry no maturity metadata")
     if not (s0 > 0.0):
         raise InvalidParams(f"s0 must be > 0, got {s0!r}")
-    phi = _payoff_values(payoff, paths.s_T)
-    w = np.exp(-paths.D) * _combination(paths) / (s0 * T)
-    return _estimate(phi * w, paths)
+    return _weighted("delta", paths, payoff, s0, paths.maturity)
 
 
 def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, GreekEstimate, GreekEstimate]:
@@ -251,12 +306,11 @@ def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, Greek
     if not (paths.s0 > 0.0) or not (paths.maturity > 0.0):
         raise InvalidParams("paths carry no s0/maturity metadata")
     _flag_clamps(paths)
-    T = paths.maturity
     phi = _payoff_values(payoff, paths.s_T)
-    disc = np.exp(-paths.D)
     d = delta(paths, payoff, paths.s0)
-    v0_est = _estimate(phi * disc * paths.P2 / T, paths)
-    r0_est = _estimate(phi * disc * paths.P3 / T, paths)
+    v0_est, r0_est = (
+        _estimate(_GREEKS[g].samples(paths, phi, paths.s0, paths.maturity), paths)
+        for g in ("vega_v0", "rho_r0"))
     return d, v0_est, r0_est
 
 
@@ -265,12 +319,9 @@ def rho(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
     discount rate simultaneously: E[Phi * e^{-D} (C - T^2)/T]."""
     _require_paths(paths)
     _flag_clamps(paths)
-    T = maturity
-    if not (T > 0.0):
+    if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    phi = _payoff_values(payoff, paths.s_T)
-    w = np.exp(-paths.D) * (_combination(paths) - T * T) / T
-    return _estimate(phi * w, paths)
+    return _weighted("rho", paths, payoff, paths.s0, maturity)
 
 
 def vega(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
@@ -278,25 +329,17 @@ def vega(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
     E[Phi * (e^{-D}/T) ((W^1_T - A) C - Q)]."""
     _require_paths(paths)
     _flag_clamps(paths)
-    T = maturity
-    if not (T > 0.0):
+    if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    phi = _payoff_values(payoff, paths.s_T)
-    w = (np.exp(-paths.D) / T) * ((paths.w1_T - paths.A) * _combination(paths) - paths.Q)
-    return _estimate(phi * w, paths)
+    return _weighted("vega", paths, payoff, paths.s0, maturity)
 
 
 def drift_sensitivity(paths: PathAccumulators, payoff, gamma_kind: str) -> GreekEstimate:
     """Drift-perturbation sensitivities for the three supported gamma vectors.
 
     * ``stock_shift``  — gamma = (S, 0, 0): identical to :func:`rho`.
-    * ``kappa``        — gamma = (0, kappa, 0): Ito weight built from the
-      1/v(V_t) integrals; the discount derivative is zero because the short
-      rate does not feel the V drift.
-    * ``reversion_speed`` — gamma = (0, 0, a): Ito weight from the 1/g(r_t)
-      integral plus the deterministic discount correction
-      -(T - (1 - e^{-aT})/a), the time integral of the pathwise derivative
-      1 - e^{-at} of the Vasicek rate with respect to the perturbation.
+    * ``kappa``        — gamma = (0, kappa, 0): the ``kappa`` weight.
+    * ``reversion_speed`` — gamma = (0, 0, a): the ``reversion`` weight.
 
     ``kappa``/``reversion_speed`` require Heston–Vasicek paths simulated
     with ``drift_extras=True``.
@@ -319,16 +362,5 @@ def drift_sensitivity(paths: PathAccumulators, payoff, gamma_kind: str) -> Greek
             "drift_extras=True"
         )
     _flag_clamps(paths)
-    T = paths.maturity
-    mu = model.mixing
-    phi = _payoff_values(payoff, paths.s_T)
-    disc = np.exp(-paths.D)
-    if gamma_kind == "kappa":
-        kappa = model.hv_params.kappa
-        ito = kappa * (paths.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * paths.j3)
-        samples = phi * disc * ito / T
-    else:
-        a = model.hv_params.a
-        correction = T - (1.0 - math.exp(-a * T)) / a
-        samples = phi * disc * ((a / mu.mu3) * paths.g3 / T - correction)
-    return _estimate(samples, paths)
+    greek = "kappa" if gamma_kind == "kappa" else "reversion"
+    return _weighted(greek, paths, payoff, paths.s0, paths.maturity)

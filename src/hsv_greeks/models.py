@@ -47,8 +47,6 @@ __all__ = [
     "black_scholes_degenerate",
     "evaluate_payoff",
     "check_derivative_consistency",
-    "diffusion_matrix",
-    "ellipticity_lower_bound",
 ]
 
 logger = logging.getLogger(__name__)
@@ -433,41 +431,6 @@ def black_scholes_degenerate(sigma: float, rate: float) -> ModelSpec:
     return model
 
 
-def diffusion_matrix(model: ModelSpec, s: float, v: float, r: float) -> np.ndarray:
-    """Lower-triangular diffusion a(x) of the merged system at state (s, v, r).
-
-    Rows correspond to (S, V, r) against columns (W^1, W^2, W^3):
-
-        [ s*sigma(v)        0              0        ]
-        [ rho12*v(v)        mu1*v(v)       0        ]
-        [ rho13*g(r)        mu2*g(r)       mu3*g(r) ]
-    """
-    rho = model.correlations
-    mu = model.mixing
-    sig = float(np.asarray(model.sigma(np.asarray(v, dtype=float))))
-    vv = float(np.asarray(model.v(np.asarray(v, dtype=float))))
-    gg = float(np.asarray(model.g(np.asarray(r, dtype=float))))
-    return np.array(
-        [
-            [s * sig, 0.0, 0.0],
-            [rho.rho12 * vv, mu.mu1 * vv, 0.0],
-            [rho.rho13 * gg, mu.mu2 * gg, mu.mu3 * gg],
-        ]
-    )
-
-
-def ellipticity_lower_bound(model: ModelSpec, s: float, v: float, r: float) -> float:
-    """Smallest eigenvalue of a(x) a(x)^T at the given state.
-
-    A positive value bounds zeta^T a a^T zeta >= lam_min * |zeta|^2 at this
-    point.  This is an advisory pointwise check, not a proof of uniform
-    ellipticity: for square-root variance models the bound degrades to zero
-    as v -> 0.
-    """
-    a = diffusion_matrix(model, s, v, r)
-    return float(np.linalg.eigvalsh(a @ a.T)[0])
-
-
 PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
 
 
@@ -475,8 +438,9 @@ PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
 class Payoff:
     """Terminal payoff Phi(S_T).
 
-    kind: one of ``call``, ``put``, ``digital_call`` (strike-based),
-    ``constant`` (returns ``level``), ``identity`` (returns S_T).
+    kind: one of ``call``, ``put`` (strike-based), ``digital_call``
+    (cash-or-nothing: pays ``level`` when S_T > strike), ``constant``
+    (returns ``level``), ``identity`` (returns S_T).
     """
 
     kind: str
@@ -491,7 +455,7 @@ class Payoff:
         if self.kind in ("call", "put", "digital_call"):
             if not (math.isfinite(self.strike) and self.strike >= 0.0):
                 raise InvalidParams(f"strike must be >= 0, got {self.strike!r}")
-        if self.kind == "constant" and not math.isfinite(self.level):
+        if self.kind in ("constant", "digital_call") and not math.isfinite(self.level):
             raise InvalidParams(f"level must be finite, got {self.level!r}")
 
 
@@ -503,7 +467,7 @@ def evaluate_payoff(payoff: Payoff, s_t: np.ndarray) -> np.ndarray:
     if payoff.kind == "put":
         return np.maximum(payoff.strike - s_t, 0.0)
     if payoff.kind == "digital_call":
-        return (s_t > payoff.strike).astype(float)
+        return np.where(s_t > payoff.strike, payoff.level, 0.0)
     if payoff.kind == "constant":
         return np.full_like(s_t, payoff.level)
     return s_t.copy()

@@ -12,27 +12,6 @@ from conftest import BS_DELTA, BS_PRICE, BS_RHO, BS_VEGA
 
 
 # ---------------------------------------------------------------------------
-# difference quotients on a pluggable evaluator
-
-def test_central_quotient_exact_for_quadratic():
-    # central differences have no second-order error term on x^2
-    got = hg.fd_quotient(lambda x: x * x, 3.0, 0.01, "central")
-    assert abs(got - 6.0) < 1e-10
-
-
-def test_one_sided_quotients_carry_h_bias():
-    assert hg.fd_quotient(lambda x: x * x, 3.0, 0.01, "forward") == \
-        pytest.approx(6.01, abs=1e-9)
-    assert hg.fd_quotient(lambda x: x * x, 3.0, 0.01, "backward") == \
-        pytest.approx(5.99, abs=1e-9)
-
-
-def test_quotient_rejects_unknown_scheme():
-    with pytest.raises(hg.InvalidBump):
-        hg.fd_quotient(lambda x: x, 1.0, 0.1, "five_point")
-
-
-# ---------------------------------------------------------------------------
 # bump specification
 
 def test_bump_spec_validation():

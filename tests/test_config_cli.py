@@ -13,8 +13,8 @@ import sys
 import pytest
 
 import hsv_greeks as hg
-from hsv_greeks.cli import CSV_HEADER
-from conftest import BS_DELTA
+from hsv_greeks.cli import CSV_HEADER, main
+from conftest import BS_DELTA, BS_DIGITAL_DELTA
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +93,14 @@ def test_drift_extras_requested_only_when_needed():
     ({"output.format": "xml"}, "output.format"),
     ({"output.timing": "fast"}, "output.timing"),
     ({"sim.workers": "many"}, "sim.workers"),
+    ({"sim.workers": "0"}, "sim.workers"),
+    ({"sim.n_paths": "1"}, "sim.n_paths"),
 ])
 def test_invalid_entries_name_the_key(overrides, key_fragment):
     with pytest.raises(hg.InvalidConfig) as err:
         hg.build_run_config(overrides)
     assert key_fragment in str(err.value)
+    assert str(err.value).count("config key") == 1
 
 
 @pytest.mark.parametrize("value", [
@@ -329,6 +332,36 @@ def test_compare_without_fd_estimator_exits_2(tmp_path):
     proc = run_cli("compare", "--config", cfg)
     assert proc.returncode == 2
     assert "estimators" in proc.stderr
+
+
+def test_zero_worker_environment_names_sim_workers(tmp_path):
+    cfg = write_cfg(tmp_path, HV_SMALL)
+    proc = run_cli("greeks", "--config", cfg,
+                   env_extra={"HSV_GREEKS_WORKERS": "0"})
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("hsv-greeks: config key 'sim.workers': ")
+    assert "worker_hint" not in proc.stderr
+
+
+def test_digital_level_scales_weighted_and_analytic_delta(tmp_path, capsys):
+    """A digital call pays ``payoff.level``: the weighted delta doubles
+    exactly with the level and still agrees with the closed form."""
+    deltas = {}
+    for level in ("1.0", "2.0"):
+        cfg = write_cfg(tmp_path, "model.name=black_scholes\n"
+                        "payoff.kind=digital_call\n"
+                        f"payoff.level={level}\n"
+                        "sim.n_paths=20000\nsim.n_steps=16\n"
+                        "estimators=malliavin:delta,analytic:delta\n")
+        assert main(["greeks", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        deltas[level] = [(float(r.split(",")[5]), float(r.split(",")[6]))
+                         for r in rows]
+    (w1, se1), (a1, _) = deltas["1.0"]
+    (w2, se2), (a2, _) = deltas["2.0"]
+    assert (w2, se2) == (2.0 * w1, 2.0 * se1)
+    assert a1 == BS_DIGITAL_DELTA and a2 == 2.0 * BS_DIGITAL_DELTA
+    assert abs(w2 - a2) <= 3.0 * se2
 
 
 def test_bad_worker_environment_exits_2(tmp_path):

@@ -1,8 +1,7 @@
-"""Path simulation: accumulators, first variations, determinism, dump I/O."""
+"""Path simulation: accumulators, first variations, determinism."""
 
 import dataclasses
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -214,11 +213,54 @@ def test_closed_forms_match_series(hv_model, hv_init):
     series = hg.simulate_series(hv_model, hv_init, cfg)
     dt = cfg.maturity / cfg.n_steps
     dW = math.sqrt(dt) * hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
-    y11, y22_T, y33_T = hg.first_variation_closed_forms(
-        dW, hv_model, hv_init, cfg)
+    rebuilt = hg.simulate_series(hv_model, hv_init, cfg, increments=dW)
+    y11, y22_T, y33_T = rebuilt.y11, rebuilt.y22[:, -1], rebuilt.y33[:, -1]
     assert np.max(np.abs(y11 - series.y11) / np.abs(series.y11)) < 1e-12
     assert np.max(np.abs(y22_T - series.y22[:, -1]) / series.y22[:, -1]) < 1e-12
     assert np.max(np.abs(y33_T - series.y33[:, -1]) / series.y33[:, -1]) < 1e-12
+
+
+def simulate_y12_y13(
+    increments: np.ndarray,
+    model: hg.ModelSpec,
+    s_series: np.ndarray,
+    v_series: np.ndarray,
+    r_series: np.ndarray,
+    y22_series: np.ndarray,
+    y33_series: np.ndarray,
+    cfg: hg.SimConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Euler recursion for the off-diagonal variation entries.
+
+        dY^12 = r Y^12 dt + [sigma(V) Y^12 + S sigma'(V) Y^22] dW^1
+        dY^13 = [r Y^13 + S Y^33] dt + sigma(V) Y^13 dW^1
+
+    both from zero initial conditions, driven by the supplied state and
+    diagonal-variation series on the same grid.  Returns terminal values
+    (y12_T, y13_T).
+    """
+    increments = np.asarray(increments, dtype=float)
+    n_paths, n_steps = increments.shape[0], increments.shape[1]
+    if s_series.shape != (n_paths, n_steps + 1):
+        raise hg.InvalidParams(
+            f"state series shape {s_series.shape} does not match increments grid "
+            f"({n_paths} paths, {n_steps} steps)"
+        )
+    dt = cfg.maturity / n_steps
+    y12 = np.zeros(n_paths)
+    y13 = np.zeros(n_paths)
+    for n in range(n_steps):
+        S = s_series[:, n]
+        Vp = np.maximum(v_series[:, n], cfg.variance_floor)
+        r = r_series[:, n]
+        sig = model.sigma(Vp)
+        sp = model.sigma_prime(Vp)
+        dW1 = increments[:, n, 0]
+        y12, y13 = (
+            y12 + r * y12 * dt + (sig * y12 + S * sp * y22_series[:, n]) * dW1,
+            y13 + (r * y13 + S * y33_series[:, n]) * dt + sig * y13 * dW1,
+        )
+    return y12, y13
 
 
 def test_standalone_y12_y13_recursion_matches_engine(hv_model, hv_init):
@@ -226,8 +268,8 @@ def test_standalone_y12_y13_recursion_matches_engine(hv_model, hv_init):
     series = hg.simulate_series(hv_model, hv_init, cfg)
     dt = cfg.maturity / cfg.n_steps
     dW = math.sqrt(dt) * hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
-    y12_T, y13_T = hg.simulate_y12_y13(dW, hv_model, series.s, series.v,
-                                       series.r, series.y22, series.y33, cfg)
+    y12_T, y13_T = simulate_y12_y13(dW, hv_model, series.s, series.v,
+                                    series.r, series.y22, series.y33, cfg)
     scale12 = np.maximum(np.abs(series.y12[:, -1]), 1.0)
     scale13 = np.maximum(np.abs(series.y13[:, -1]), 1.0)
     assert np.max(np.abs(y12_T - series.y12[:, -1]) / scale12) < 1e-12
@@ -242,50 +284,6 @@ def test_grid_refinement_insensitivity(hv_model, hv_init, hv_paths_100k,
     fine_paths = hg.simulate_paths(hv_model, hv_init, cfg)
     fine = hg.price(fine_paths, call_100)
     assert hg.agrees(coarse, fine, n_se=3.0)
-
-
-# ---------------------------------------------------------------------------
-# binary dump
-
-def test_dump_round_trip(tmp_path, hv_paths_10k):
-    target = tmp_path / "acc.bin"
-    hg.write_accumulators(target, hv_paths_10k)
-    back = hg.read_accumulators(target)
-    for name in ("s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q",
-                 "w1_T", "P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"):
-        assert np.array_equal(getattr(back, name),
-                              getattr(hv_paths_10k, name)), name
-    assert back.p23_valid
-
-
-def test_dump_header_layout(tmp_path, deg_model, deg_init):
-    acc = hg.simulate_paths(deg_model, deg_init, small_cfg(n_paths=5))
-    target = tmp_path / "acc.bin"
-    hg.write_accumulators(target, acc)
-    raw = target.read_bytes()
-    assert raw[:8] == b"HSVACC1\x00"
-    (count,) = struct.unpack("<Q", raw[8:16])
-    assert count == 5
-    assert len(raw) == 16 + 5 * 16 * 8  # header + records of 16 doubles
-    # first record, first field: little-endian s_T of path 0
-    (s0_field,) = struct.unpack("<d", raw[16:24])
-    assert s0_field == acc.s_T[0]
-
-
-def test_dump_restores_degenerate_sentinel(tmp_path, deg_model, deg_init):
-    acc = hg.simulate_paths(deg_model, deg_init, small_cfg(n_paths=5))
-    target = tmp_path / "acc.bin"
-    hg.write_accumulators(target, acc)
-    back = hg.read_accumulators(target)
-    assert not back.p23_valid
-    assert np.all(np.isnan(back.P2))
-
-
-def test_dump_rejects_bad_magic(tmp_path):
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-    with pytest.raises(hg.HsvGreeksError):
-        hg.read_accumulators(bad)
 
 
 # ---------------------------------------------------------------------------

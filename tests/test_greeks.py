@@ -101,6 +101,23 @@ def test_pathwise_rho_identity(hv_paths_10k):
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
 
+def test_bundle_weights_reproduce_the_estimators(hv_paths_10k, call_100):
+    """The bundle holds each Greek's weight at a unit payoff, so weighting
+    the payoff by it gives the estimator back."""
+    paths = hv_paths_10k
+    b = hg.weight_bundle(paths, s0=100.0, maturity=1.0)
+    phi = hg.evaluate_payoff(call_100, paths.s_T)
+    _, vega_v0, rho_r0 = hg.bismut_vector(paths, call_100)
+    for est, w in ((hg.price(paths, call_100), b.discount),
+                   (hg.delta(paths, call_100, 100.0), b.delta),
+                   (hg.rho(paths, call_100, 1.0), b.rho),
+                   (hg.vega(paths, call_100, 1.0), b.vega)):
+        assert est.value == hg.stable_mean_se(phi * w)[0]
+    for est, w in ((vega_v0, b.vega_v0), (rho_r0, b.rho_r0)):
+        assert est.value == pytest.approx(hg.stable_mean_se(phi * w)[0],
+                                          rel=1e-12)
+
+
 def test_stock_shift_is_rho_bitwise(hv_paths_10k, call_100):
     via_rho = hg.rho(hv_paths_10k, call_100, maturity=1.0)
     via_drift = hg.drift_sensitivity(hv_paths_10k, call_100, "stock_shift")

@@ -170,13 +170,6 @@ def test_degenerate_model_rejects_bad_sigma():
         hg.black_scholes_degenerate(0.0, 0.05)
 
 
-def test_ellipticity_bound_positive_for_hybrid_zero_for_degenerate(
-        hv_model, deg_model):
-    state = (100.0, 0.04, 0.02)
-    assert hg.ellipticity_lower_bound(hv_model, *state) > 0.0
-    assert hg.ellipticity_lower_bound(deg_model, *state) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # state and payoff types
 
@@ -199,6 +192,10 @@ def test_payoff_evaluation_table():
     # strict inequality at the kink: s_T = K pays nothing
     dig = hg.evaluate_payoff(hg.Payoff("digital_call", strike=100.0), s)
     assert list(dig) == [0.0, 0.0, 1.0]
+    # cash-or-nothing: a digital pays its level
+    dig2 = hg.evaluate_payoff(
+        hg.Payoff("digital_call", strike=100.0, level=2.5), s)
+    assert list(dig2) == [0.0, 0.0, 2.5]
     const = hg.evaluate_payoff(hg.Payoff("constant", level=1.5), s)
     assert list(const) == [1.5, 1.5, 1.5]
     ident = hg.evaluate_payoff(hg.Payoff("identity"), s)
@@ -210,3 +207,5 @@ def test_payoff_rejects_unknown_kind_and_negative_strike():
         hg.Payoff("straddle", strike=100.0)
     with pytest.raises(hg.InvalidParams):
         hg.Payoff("call", strike=-1.0)
+    with pytest.raises(hg.InvalidParams):
+        hg.Payoff("digital_call", strike=100.0, level=float("inf"))
