@@ -22,7 +22,7 @@ CRN each evaluation uses an independent sub-stream and the variances add.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "FD_SCHEMES",
     "fd_greek",
     "default_bump_size",
+    "check_bump_size",
     "bs_closed_form",
     "norm_cdf",
     "norm_pdf",
@@ -67,18 +68,33 @@ class BumpSpec:
         if self.target not in FD_TARGETS:
             raise InvalidBump(f"target must be one of {FD_TARGETS}, got {self.target!r}")
         if self.scheme not in FD_SCHEMES:
-            raise InvalidBump(f"scheme must be one of {FD_SCHEMES}, got {self.scheme!r}")
+            raise InvalidBump(f"scheme must be one of {FD_SCHEMES}, got {self.scheme!r}",
+                              field="scheme")
         if not (math.isfinite(self.h) and self.h > 0.0):
-            raise InvalidBump(f"h must be > 0, got {self.h!r}")
+            raise InvalidBump(f"h must be > 0, got {self.h!r}", field="h")
+
+
+def _state_base(target: str, init: InitialState) -> float | None:
+    """The initial-state value a bump along ``target`` moves, or None when
+    ``target`` perturbs the dynamics instead of the initial state."""
+    return getattr(init, target) if target in ("s0", "v0", "r0") else None
 
 
 def default_bump_size(target: str, init: InitialState) -> float:
     """House bump sizes: 1% relative for s0/v0, 1e-4 absolute otherwise."""
-    if target == "s0":
-        return 0.01 * init.s0
-    if target == "v0":
-        return 0.01 * init.v0
+    if target in ("s0", "v0"):
+        return 0.01 * _state_base(target, init)
     return 1e-4
+
+
+def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
+    """Refuse a bump of s0, v0 or r0 whose size is not below half the
+    magnitude of a nonzero base value."""
+    base = _state_base(bump.target, init)
+    if base and bump.h >= 0.5 * abs(base):
+        raise InvalidBump(
+            f"h = {bump.h!r} too large for target {bump.target!r} with base "
+            f"value {base!r} (need h < 0.5*|base|)", field="h")
 
 
 def _discounted_samples(
@@ -97,11 +113,10 @@ def _discounted_samples(
     """
     perturbation = None
     extra_discount = 0.0
-    if target in ("s0", "v0", "r0"):
-        values = {"s0": init.s0, "v0": init.v0, "r0": init.r0}
-        values[target] += offset
+    base = _state_base(target, init)
+    if base is not None:
         try:
-            init = InitialState(**values)
+            init = replace(init, **{target: base + offset})
         except InvalidParams as exc:
             raise InvalidBump(f"bumped initial state invalid: {exc}") from None
     elif offset != 0.0:
@@ -144,13 +159,7 @@ def fd_greek(
         If the bump size violates h < 0.5*|base| for a nonzero base value,
         or the bumped configuration is invalid.
     """
-    base = {"s0": init.s0, "v0": init.v0, "r0": init.r0}.get(bump.target, 0.0)
-    if base != 0.0 and bump.h >= 0.5 * abs(base):
-        raise InvalidBump(
-            f"h = {bump.h!r} too large for target {bump.target!r} with base "
-            f"value {base!r} (need h < 0.5*|base|)"
-        )
-
+    check_bump_size(bump, init)
     if bump.scheme == "central":
         offsets = (bump.h, -bump.h)
         denom = 2.0 * bump.h

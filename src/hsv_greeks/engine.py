@@ -337,9 +337,9 @@ def _run_block(
         sI3 += z3 * inv_sig
         sW1 += z1
 
+        vv = model.v(Vp)
+        gg = model.g(r)
         if want_p23 or drift_extras:
-            vv = model.v(Vp)
-            gg = model.g(r)
             clamps += int(np.count_nonzero(vv < cfg.sigma_floor))
             clamps += int(np.count_nonzero(gg < cfg.sigma_floor))
             n_evals += 2 * nb
@@ -377,11 +377,10 @@ def _run_block(
         f_eval = model.f(r)
         if pert_target == "r_drift":
             f_eval = f_eval + pert_delta
-        g_state = model.g(r)
 
         logS += (rate_s - 0.5 * sig_s * sig_s) * dt + sig_s * dW1
-        V = V + u_eval * dt + model.v(Vp) * dZ2
-        r = r + f_eval * dt + g_state * dZ3
+        V = V + u_eval * dt + vv * dZ2
+        r = r + f_eval * dt + gg * dZ3
         S = np.exp(logS)
         y22 = np.exp(L22)
         y33 = np.exp(L33)

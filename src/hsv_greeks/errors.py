@@ -8,7 +8,14 @@ class HsvGreeksError(Exception):
 
 
 class InvalidParams(HsvGreeksError, ValueError):
-    """A model parameter, state value, or argument violates its contract."""
+    """A model parameter, state value, or argument violates its contract.
+
+    ``field`` names the dataclass field that was refused, when there is one.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class NonPositiveSemiDefinite(InvalidParams):
@@ -51,7 +58,7 @@ class EmptyInput(HsvGreeksError, ValueError):
     """An estimator was handed zero paths."""
 
 
-class InvalidBump(HsvGreeksError, ValueError):
+class InvalidBump(InvalidParams):
     """A finite-difference bump specification violates its contract."""
 
 

@@ -305,7 +305,6 @@ def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, Greek
         )
     if not (paths.s0 > 0.0) or not (paths.maturity > 0.0):
         raise InvalidParams("paths carry no s0/maturity metadata")
-    _flag_clamps(paths)
     phi = _payoff_values(payoff, paths.s_T)
     d = delta(paths, payoff, paths.s0)
     v0_est, r0_est = (

@@ -74,7 +74,8 @@ class CorrelationTriple:
         for name in ("rho12", "rho13", "rho23"):
             val = getattr(self, name)
             if not (math.isfinite(val) and -1.0 < val < 1.0):
-                raise InvalidParams(f"{name} must lie strictly in (-1, 1), got {val!r}")
+                raise InvalidParams(f"{name} must lie strictly in (-1, 1), got {val!r}",
+                                    field=name)
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,9 @@ class HestonVasicekParams:
         for name in ("kappa", "theta", "sigma_vol", "a", "k"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
-                raise InvalidParams(f"{name} must be > 0, got {val!r}")
+                raise InvalidParams(f"{name} must be > 0, got {val!r}", field=name)
         if not math.isfinite(self.b):
-            raise InvalidParams(f"b must be finite, got {self.b!r}")
+            raise InvalidParams(f"b must be finite, got {self.b!r}", field="b")
 
 
 @dataclass(frozen=True)
@@ -212,9 +213,9 @@ class BlackScholesParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise InvalidParams(f"sigma must be > 0, got {self.sigma!r}")
+            raise InvalidParams(f"sigma must be > 0, got {self.sigma!r}", field="sigma")
         if not math.isfinite(self.rate):
-            raise InvalidParams(f"rate must be finite, got {self.rate!r}")
+            raise InvalidParams(f"rate must be finite, got {self.rate!r}", field="rate")
 
 
 @dataclass(frozen=True)
@@ -227,11 +228,11 @@ class InitialState:
 
     def __post_init__(self):
         if not (math.isfinite(self.s0) and self.s0 > 0.0):
-            raise InvalidParams(f"s0 must be > 0, got {self.s0!r}")
+            raise InvalidParams(f"s0 must be > 0, got {self.s0!r}", field="s0")
         if not (math.isfinite(self.v0) and self.v0 > 0.0):
-            raise InvalidParams(f"v0 must be > 0, got {self.v0!r}")
+            raise InvalidParams(f"v0 must be > 0, got {self.v0!r}", field="v0")
         if not math.isfinite(self.r0):
-            raise InvalidParams(f"r0 must be finite, got {self.r0!r}")
+            raise InvalidParams(f"r0 must be finite, got {self.r0!r}", field="r0")
 
 
 @dataclass(frozen=True)
@@ -450,13 +451,15 @@ class Payoff:
     def __post_init__(self):
         if self.kind not in PAYOFF_KINDS:
             raise InvalidParams(
-                f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}"
-            )
+                f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}",
+                field="kind")
         if self.kind in ("call", "put", "digital_call"):
             if not (math.isfinite(self.strike) and self.strike >= 0.0):
-                raise InvalidParams(f"strike must be >= 0, got {self.strike!r}")
+                raise InvalidParams(f"strike must be >= 0, got {self.strike!r}",
+                                    field="strike")
         if self.kind in ("constant", "digital_call") and not math.isfinite(self.level):
-            raise InvalidParams(f"level must be finite, got {self.level!r}")
+            raise InvalidParams(f"level must be finite, got {self.level!r}",
+                                field="level")
 
 
 def evaluate_payoff(payoff: Payoff, s_t: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 The expected text below was produced by the command line before the
 per-Greek estimators were folded into one table.  Each weighted estimator
 keeps its own floating-point evaluation order, so every digit must still
-match; a reordered product shows up here as a changed last digit.
+match; a reordered product shows up here as a changed last digit.  The two
+non-default ``dump-config`` cases were recorded before the config keys moved
+into one schema; between them they pin the canonical text of every kind of
+value (numbers, integers, switches, ``auto``, lists and plain text).
 """
 
 import pytest
@@ -46,6 +49,41 @@ HYBRID_BUMPS = {
     "bump.reversion.h": "0.0002",
     "bump.vega_v0.scheme": "forward",
     "bump.rho.crn": "off",
+}
+
+BS_NON_DEFAULT = {
+    "model.name": "black_scholes",
+    "model.sigma": "0.25",
+    "init.s0": "90",
+    "init.r0": "0.03",
+    "payoff.kind": "digital_call",
+    "payoff.strike": "95",
+    "payoff.level": "2.0",
+    "sim.n_paths": "2048",
+    "sim.n_steps": "32",
+    "sim.maturity": "0.5",
+    "sim.seed": "7",
+    "sim.sigma_floor": "1e-6",
+    "estimators": "analytic:delta,malliavin:delta,fd:delta",
+    "sweep": "100,1000",
+    "output.path": "o.csv",
+    "output.format": "json-lines",
+    "output.timing": "clock",
+    "bump.delta.crn": "off",
+}
+
+# 2*kappa*theta = 0.15 < sigma_vol^2 = 0.25: only accepted with enforcement off.
+HYBRID_FELLER = {
+    "model.kappa": "1.5",
+    "model.theta": "0.05",
+    "model.sigma_vol": "0.5",
+    "model.positivity": "feller",
+    "model.enforce_positivity": "off",
+    "model.rho13": "-0.25",
+    "init.v0": "0.09",
+    "sim.workers": "3",
+    "sim.variance_floor": "0.001",
+    "estimators": "malliavin:kappa,fd:kappa,malliavin:rho_r0",
 }
 
 EXPECTED = {
@@ -138,6 +176,72 @@ EXPECTED = {
         "bump.reversion.scheme=central\n"
         "bump.reversion.h=0.0002\n"
         "bump.reversion.crn=on\n"
+        ),
+    ),
+    "dump_config_black_scholes_non_default": (
+        "dump-config", BS_NON_DEFAULT,
+        (
+        "model.name=black_scholes\n"
+        "model.sigma=0.25\n"
+        "init.s0=90.0\n"
+        "init.v0=0.04\n"
+        "init.r0=0.03\n"
+        "payoff.kind=digital_call\n"
+        "payoff.strike=95.0\n"
+        "payoff.level=2.0\n"
+        "sim.n_paths=2048\n"
+        "sim.n_steps=32\n"
+        "sim.maturity=0.5\n"
+        "sim.seed=7\n"
+        "sim.variance_floor=0.0\n"
+        "sim.sigma_floor=1e-06\n"
+        "sim.workers=auto\n"
+        "estimators=analytic:delta,malliavin:delta,fd:delta\n"
+        "sweep=100,1000\n"
+        "output.path=o.csv\n"
+        "output.format=json-lines\n"
+        "output.timing=clock\n"
+        "bump.delta.scheme=central\n"
+        "bump.delta.h=0.9\n"
+        "bump.delta.crn=off\n"
+        ),
+    ),
+    "dump_config_hybrid_feller": (
+        "dump-config", HYBRID_FELLER,
+        (
+        "model.name=heston_vasicek\n"
+        "model.kappa=1.5\n"
+        "model.theta=0.05\n"
+        "model.sigma_vol=0.5\n"
+        "model.a=0.02\n"
+        "model.b=0.08\n"
+        "model.k=0.002\n"
+        "model.rho12=-0.8\n"
+        "model.rho13=-0.25\n"
+        "model.rho23=0.02\n"
+        "model.positivity=feller\n"
+        "model.enforce_positivity=off\n"
+        "init.s0=100.0\n"
+        "init.v0=0.09\n"
+        "init.r0=0.02\n"
+        "payoff.kind=call\n"
+        "payoff.strike=100.0\n"
+        "payoff.level=1.0\n"
+        "sim.n_paths=10000\n"
+        "sim.n_steps=252\n"
+        "sim.maturity=1.0\n"
+        "sim.seed=12345\n"
+        "sim.variance_floor=0.001\n"
+        "sim.sigma_floor=1e-08\n"
+        "sim.workers=3\n"
+        "estimators=malliavin:kappa,fd:kappa,malliavin:rho_r0\n"
+        "sweep=250,500,1000,2000,5000,10000\n"
+        "output.path=\n"
+        "output.format=csv\n"
+        "output.timing=off\n"
+        "bump.kappa.scheme=central\n"
+        "bump.kappa.h=0.0001\n"
+        "bump.kappa.crn=on\n"
         ),
     ),
 }

@@ -11,6 +11,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hsv_greeks as hg
 from hsv_greeks.cli import CSV_HEADER, main
@@ -73,7 +74,7 @@ def test_drift_extras_requested_only_when_needed():
     assert rc.wants_drift_extras
 
 
-@pytest.mark.parametrize("overrides,key_fragment", [
+@pytest.mark.parametrize("overrides,key", [
     ({"tpyo": "1"}, "tpyo"),
     ({"model.sigma": "0.2"}, "model.sigma"),                     # hv model
     ({"model.name": "black_scholes", "model.kappa": "2"}, "model.kappa"),
@@ -86,8 +87,8 @@ def test_drift_extras_requested_only_when_needed():
     ({"init.v0": "0"}, "init.v0"),
     ({"payoff.strike": "0"}, "payoff.strike"),
     ({"payoff.kind": "asian"}, "payoff.kind"),
-    ({"model.kappa": "-1"}, "model"),
-    ({"model.rho12": "1.5"}, "model"),
+    ({"model.kappa": "-1"}, "model.kappa"),
+    ({"model.rho12": "1.5"}, "model.rho12"),
     ({"model.positivity": "sometimes"}, "model.positivity"),
     ({"model.enforce_positivity": "maybe"}, "model.enforce_positivity"),
     ({"output.format": "xml"}, "output.format"),
@@ -95,11 +96,12 @@ def test_drift_extras_requested_only_when_needed():
     ({"sim.workers": "many"}, "sim.workers"),
     ({"sim.workers": "0"}, "sim.workers"),
     ({"sim.n_paths": "1"}, "sim.n_paths"),
+    ({"model.name": "black_scholes", "model.sigma": "-1"}, "model.sigma"),
 ])
-def test_invalid_entries_name_the_key(overrides, key_fragment):
+def test_invalid_entries_name_the_key(overrides, key):
     with pytest.raises(hg.InvalidConfig) as err:
         hg.build_run_config(overrides)
-    assert key_fragment in str(err.value)
+    assert err.value.key == key
     assert str(err.value).count("config key") == 1
 
 
@@ -161,10 +163,13 @@ def test_bump_entries_resolve_into_specs():
     ("bump.delta.scheme", "five_point"),
     ("bump.gamma.h", "1"),
     ("bump.delta.width", "1"),
+    ("bump.delta.h", "50"),        # h must stay below half of s0 = 100
+    ("bump.vega_v0.h", "0.02"),    # ... and below half of v0 = 0.04
 ])
 def test_bad_bump_entries(key, value):
-    with pytest.raises(hg.InvalidConfig):
+    with pytest.raises(hg.InvalidConfig) as err:
         hg.build_run_config({key: value})
+    assert err.value.key == key
 
 
 @pytest.mark.parametrize("overrides", [
@@ -177,6 +182,51 @@ def test_bad_bump_entries(key, value):
 ])
 def test_effective_config_round_trips(overrides):
     rc = hg.build_run_config(overrides)
+    text = hg.effective_config_text(rc)
+    rc2 = hg.build_run_config(hg.parse_config_text(text))
+    assert rc2.entries == rc.entries
+    assert hg.effective_config_text(rc2) == text
+
+
+# Every schema key with its default, a few bump keys, and texts of each
+# value kind (valid for some keys, refused by others).
+_KEY_DEFAULTS = {
+    **hg.config.defaults_for("black_scholes"), **hg.DEFAULTS,
+    **{f"bump.{g}.{f}": v for g in ("delta", "vega_v0", "rho_r0", "kappa")
+       for f, v in (("scheme", "backward"), ("h", "0.001"), ("crn", "off"))},
+}
+_TEXTS = ["0.5", "3", "+2", "1_0", "1e-3", "-0.0", "0.07", "64", "007", "on",
+          "off", "auto", "black_scholes", "feller", "put", "digital_call",
+          "identity", "json-lines", "clock", "forward", "analytic:delta",
+          "fd:delta,malliavin:kappa", "2,64", "o.csv", "", "abc", "-1"]
+
+
+def _text_for(key):
+    """Three draws in four: the default or a text the key accepts alone."""
+    context = {"model.name": "black_scholes"} if key == "model.sigma" else {}
+    accepted = [_KEY_DEFAULTS[key]]
+    for text in _TEXTS:
+        try:
+            hg.build_run_config({**context, key: text})
+            accepted.append(text)
+        except hg.InvalidConfig:
+            pass
+    return st.one_of(*3 * [st.sampled_from(accepted)], st.sampled_from(_TEXTS))
+
+
+_TEXT_FOR = {key: _text_for(key) for key in _KEY_DEFAULTS}
+_OVERRIDES = st.lists(st.sampled_from(sorted(_KEY_DEFAULTS)), unique=True,
+                      max_size=4).flatmap(lambda keys: st.fixed_dictionaries(
+                          {k: _TEXT_FOR[k] for k in keys}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OVERRIDES)
+def test_accepted_overrides_round_trip_through_the_dump(overrides):
+    try:
+        rc = hg.build_run_config(overrides)
+    except hg.InvalidConfig:
+        return
     text = hg.effective_config_text(rc)
     rc2 = hg.build_run_config(hg.parse_config_text(text))
     assert rc2.entries == rc.entries

@@ -257,3 +257,12 @@ def test_clamp_warning_when_floor_dominates(deg_init, call_100):
         est = hg.delta(paths, call_100, deg_init.s0)
     assert math.isfinite(est.value)
     assert est.clamp_count == paths.clamp_count
+
+
+def test_bismut_vector_warns_once_per_call(hv_model, hv_init, call_100):
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=2,
+                       sigma_floor=0.5)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    with pytest.warns(hg.DegenerateWeightWarning) as record:
+        hg.bismut_vector(paths, call_100)
+    assert len(record) == 1
