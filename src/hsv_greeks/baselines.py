@@ -88,13 +88,13 @@ def default_bump_size(target: str, init: InitialState) -> float:
 
 
 def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
-    """Refuse a bump of s0, v0 or r0 whose size is not below half the
-    magnitude of a nonzero base value."""
+    """Refuse a bump of s0 or v0, which must stay positive, whose size is
+    not below half the base value.  r0 has no sign constraint."""
     base = _state_base(bump.target, init)
-    if base and bump.h >= 0.5 * abs(base):
+    if bump.target in ("s0", "v0") and bump.h >= 0.5 * base:
         raise InvalidBump(
             f"h = {bump.h!r} too large for target {bump.target!r} with base "
-            f"value {base!r} (need h < 0.5*|base|)", field="h")
+            f"value {base!r} (need h < 0.5*base)", field="h")
 
 
 def _discounted_samples(

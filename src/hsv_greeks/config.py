@@ -35,20 +35,24 @@ ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
 # --- parsers: text -> typed value, ValueError(message) on bad text ---------
 
-def _number(text: str) -> float:
+def _number(text: str | float) -> float:
+    if isinstance(text, bool):
+        raise ValueError(f"expected a number, got {text!r}")
     try:
         value = float(text)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
 
 
-def _integer(text: str) -> int:
+def _integer(text: str | int) -> int:
+    if isinstance(text, int) and not isinstance(text, bool):
+        return text
     try:
         return int(text, 10)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
@@ -266,6 +270,8 @@ def _split_bump_key(key: str) -> tuple[str, str]:
 def build_run_config(overrides=None) -> RunConfig:
     """Merge ``overrides`` over the defaults and validate everything.
 
+    Values are text, as in a config file; an integer key also takes an
+    ``int`` and a number key any real number (``bool`` is refused).
     Raises :class:`InvalidConfig` naming the offending key on any problem,
     including estimator requests the chosen model cannot honour.
     """

@@ -30,10 +30,13 @@ function of those four indices: path ``p`` owns the counter range
 ``[p*stride, (p+1)*stride)`` of the stream keyed by (seed, stream).  Draws
 are therefore independent of block sizes, worker counts, and execution
 order, and bumped re-simulations with the same seed reuse identical draws
-(exact common random numbers).
+(exact common random numbers).  A block of draws is stored step-major, as
+one contiguous (n_steps*3, n_paths) array, so the step loop reads each
+step's increments for all paths as contiguous rows.
 
-Monte Carlo reductions use exactly-rounded compensated summation
-(:func:`stable_sum`), so estimates are independent of worker count too.
+Monte Carlo reductions are exactly rounded (:func:`stable_sum` adds the
+mantissas per binary exponent in exact arithmetic and rounds once), so
+estimates are independent of the order of the paths and of worker count.
 """
 
 from __future__ import annotations
@@ -76,6 +79,13 @@ _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
 # Philox emits 4 uint64 words per counter tick; advance() counts ticks.
 _PHILOX_WORDS = 4
+# Paths whose uniforms are drawn and mapped at once (bounds the scratch
+# buffer of standard_draws; the draws do not depend on it).
+_DRAW_CHUNK = 1024
+# stable_sum sums exactly below 2**26 values (each bin total of 27-bit
+# halves stays below 2**53) and when no partial sum of fsum can overflow.
+_EXACT_SUM_MAX_N = 2**26
+_EXACT_SUM_MAX_TOTAL = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -232,15 +242,27 @@ def standard_draws(
     are mapped through the inverse normal CDF.  Identical indices always
     yield identical draws, which is what makes common-random-number bumping
     and worker-count independence exact.
+
+    The result is a view of one step-major (n_steps*3, n_paths) array, so
+    ``z[:, step, driver]`` is a contiguous row.  The uniforms are drawn
+    ``_DRAW_CHUNK`` paths at a time into one reused buffer and mapped in
+    place; Philox is counter-based, so the chunks continue one stream.
     """
     stride = _stride(n_steps)
+    width = 3 * n_steps
     bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
     bg.advance(first_path * stride // _PHILOX_WORDS)
-    u = Generator(bg).random((n_paths, stride))
-    u = u[:, : 3 * n_steps]
-    # random() yields [0,1); floor away exact zeros before the inverse CDF.
-    z = ndtri(np.maximum(u, 1e-300))
-    return z.reshape(n_paths, n_steps, 3)
+    gen = Generator(bg)
+    z = np.empty((width, n_paths))
+    buf = np.empty((min(_DRAW_CHUNK, n_paths), stride))
+    for start in range(0, n_paths, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, n_paths)
+        u = gen.random(out=buf[: stop - start])[:, :width]
+        # random() yields [0,1); floor away exact zeros before the inverse CDF.
+        np.maximum(u, 1e-300, out=u)
+        ndtri(u, out=u)
+        z[:, start:stop] = u.T
+    return z.reshape(n_steps, 3, n_paths).transpose(2, 0, 1)
 
 
 def _run_block(
@@ -544,12 +566,41 @@ def simulate_series(
 
 
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:
-    """Exactly rounded sum (compensated); independent of accumulation order."""
-    return math.fsum(np.asarray(x, dtype=float))
+    """Exactly rounded sum, the value :func:`math.fsum` returns.
+
+    Each value is m * 2**e with a 53-bit integer mantissa m.  m is cut into
+    a 27-bit and a 26-bit half; the halves are summed per exponent e, where
+    every bin total stays an integer below 2**53 and so is exact in float64.
+    The bins are combined in a Python int and rounded once.  The result
+    does not depend on the order of ``x``; an exact zero is +0.0, as from
+    fsum.  Inputs this cannot take exactly (empty, non-finite, large enough
+    for fsum to overflow, 2**26 values or more) go to fsum itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        return math.fsum(x)
+    n = x.shape[0]
+    if not (0 < n < _EXACT_SUM_MAX_N
+            and max(x.max(), -x.min()) < _EXACT_SUM_MAX_TOTAL / n):
+        return math.fsum(x.tolist())
+    frac, exp = np.frexp(x)
+    frac *= 2.0**27
+    hi = np.trunc(frac)
+    frac -= hi
+    frac *= 2.0**26
+    low = int(exp.min())
+    exp -= low
+    bins = zip(np.bincount(exp, weights=hi).tolist(),
+               np.bincount(exp, weights=frac).tolist())
+    total = sum((int(h) << (b + 26)) + (int(lo) << b)
+                for b, (h, lo) in enumerate(bins))
+    # x sums to total * 2**(low-53); int true division rounds correctly.
+    scale = low - 53
+    return total / (1 << -scale) if scale < 0 else float(total << scale)
 
 
 def stable_mean_se(x: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error (sample std / sqrt(n)) via compensated sums.
+    """Mean and standard error (sample std / sqrt(n)) via exactly rounded sums.
 
     Returns (mean, 0.0) for n < 2.
     """

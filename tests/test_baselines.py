@@ -1,5 +1,6 @@
 """Finite-difference machinery and the closed-form pricing oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,14 @@ def test_relative_bump_cap(hv_model, hv_init, call_100):
     big = hg.BumpSpec("v0", h=0.03)  # 75% of v0=0.04
     with pytest.raises(hg.InvalidBump):
         hg.fd_greek(hv_model, hv_init, cfg, call_100, big)
+
+
+def test_r0_bump_size_is_not_capped(hv_model, hv_init, call_100):
+    """r0 has no sign to protect: h may exceed half of |r0|."""
+    init = dataclasses.replace(hv_init, r0=-0.02)
+    cfg = hg.SimConfig(n_paths=16, n_steps=4, maturity=1.0, seed=0)
+    est = hg.fd_greek(hv_model, init, cfg, call_100, hg.BumpSpec("r0", h=0.01))
+    assert math.isfinite(est.value)
 
 
 # ---------------------------------------------------------------------------

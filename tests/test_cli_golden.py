@@ -6,7 +6,10 @@ keeps its own floating-point evaluation order, so every digit must still
 match; a reordered product shows up here as a changed last digit.  The two
 non-default ``dump-config`` cases were recorded before the config keys moved
 into one schema; between them they pin the canonical text of every kind of
-value (numbers, integers, switches, ``auto``, lists and plain text).
+value (numbers, integers, switches, ``auto``, lists and plain text).  The
+two-block ``compare`` and ``greeks`` cases were recorded before the draws
+were stored step-major and the exact sum was vectorised: their 16,385 paths
+cross the engine's 16,384-path block edge and every chunk edge of the draws.
 """
 
 import pytest
@@ -86,6 +89,13 @@ HYBRID_FELLER = {
     "estimators": "malliavin:kappa,fd:kappa,malliavin:rho_r0",
 }
 
+# One path more than a block: the engine simulates 16,384 paths, then one.
+TWO_BLOCKS = {
+    "sim.n_paths": "16385",
+    "sim.n_steps": "2",
+    "estimators": "malliavin:delta,fd:delta",
+}
+
 EXPECTED = {
     "hybrid_all_weighted_and_fd": (
         "greeks", HYBRID,
@@ -126,6 +136,23 @@ EXPECTED = {
         "malliavin,rho,512,16,12345,1.4044818895735391,0.11521444661183676,0,0.0\n"
         "malliavin,vega,512,16,12345,-0.5349197173658806,0.21795521726971379,0,0.0\n"
         "analytic,delta,512,16,12345,0.018762017345846895,0.0,0,0.0\n"
+        ),
+    ),
+    "compare_two_blocks": (
+        "compare", TWO_BLOCKS,
+        (
+        "greek       n_paths estimator               value     std_error agree    wall_ms n_sims\n"
+        "---------------------------------------------------------------------------------------\n"
+        "delta         16385 malliavin        0.5926536817     0.0231757 -          0.000      1\n"
+        "delta         16385 fd_central       0.5828588864      0.004539 yes        0.000      2\n"
+        ),
+    ),
+    "greeks_two_blocks": (
+        "greeks", TWO_BLOCKS,
+        (
+        "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
+        "malliavin,delta,16385,2,12345,0.5926536817154627,0.023175746374866524,0,0.0\n"
+        "fd_central,delta,16385,2,12345,0.582858886419027,0.004539002131744035,0,0.0\n"
         ),
     ),
     "dump_config": (

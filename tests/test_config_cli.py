@@ -172,6 +172,37 @@ def test_bad_bump_entries(key, value):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("overrides,h", [
+    # the default h = 1e-4 is not below half of r0 = 1e-4, and need not be
+    ({"init.r0": "0.0001", "estimators": "malliavin:delta,fd:rho_r0"}, 1e-4),
+    # r0 may be negative, and a bump larger than half of it moves no sign
+    ({"init.r0": "-0.02", "bump.rho_r0.h": "0.01"}, 0.01),
+], ids=["default_h_at_tiny_r0", "large_h_at_negative_r0"])
+def test_r0_bumps_have_no_size_cap(overrides, h):
+    assert hg.build_run_config(overrides).bumps["rho_r0"].h == h
+
+
+def test_integer_keys_accept_python_ints():
+    text = hg.build_run_config({"sim.n_paths": "500", "sim.seed": "7"})
+    ints = hg.build_run_config({"sim.n_paths": 500, "sim.seed": 7})
+    assert ints.sim == text.sim
+    assert ints.entries == text.entries
+
+
+@pytest.mark.parametrize("key,value", [
+    ("sim.n_paths", True),
+    ("sim.n_steps", 16.0),
+    ("sim.seed", None),
+    ("sim.workers", [2]),
+    ("sim.maturity", None),
+    ("payoff.strike", False),
+])
+def test_other_value_types_are_refused_under_their_key(key, value):
+    with pytest.raises(hg.InvalidConfig) as err:
+        hg.build_run_config({key: value})
+    assert err.value.key == key
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {"model.name": "black_scholes",

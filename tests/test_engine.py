@@ -1,10 +1,17 @@
 """Path simulation: accumulators, first variations, determinism."""
 
 import dataclasses
+import functools
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.random import Generator, Philox
+from scipy.special import ndtri
 
 import hsv_greeks as hg
 from conftest import SEED_HV
@@ -61,6 +68,58 @@ def test_draw_streams_are_distinct():
 def test_draws_depend_on_seed():
     assert not np.array_equal(hg.standard_draws(1, 4, 8),
                               hg.standard_draws(2, 4, 8))
+
+
+def _path_major_draws(seed, n_paths, n_steps):
+    """The draws as first defined: one Philox block of path-major rows,
+    each row padded to whole counter ticks of four words."""
+    stride = 4 * -(-3 * n_steps // 4)
+    bg = Philox(key=np.array([seed, 0], dtype=np.uint64))
+    u = Generator(bg).random((n_paths, stride))[:, : 3 * n_steps]
+    return ndtri(np.maximum(u, 1e-300)).reshape(n_paths, n_steps, 3)
+
+
+@pytest.mark.parametrize("n_steps", [1, 5, 16])
+def test_draws_are_the_path_major_draws_stored_step_major(n_steps):
+    n_paths = 2 * hg.engine._DRAW_CHUNK + 3
+    z = hg.standard_draws(11, n_paths, n_steps)
+    assert z.shape == (n_paths, n_steps, 3)
+    assert np.array_equal(z, _path_major_draws(11, n_paths, n_steps))
+    assert z[:, n_steps - 1, 2].flags.c_contiguous
+
+
+_CHUNK = hg.engine._DRAW_CHUNK
+_BLOCK = hg.engine._BLOCK_PATHS
+_SPAN = _BLOCK + 2 * _CHUNK
+_NEAR_EDGE = st.sampled_from((_CHUNK, 2 * _CHUNK, _BLOCK)).flatmap(
+    lambda edge: st.integers(edge - 3, edge + 3))
+_PATH_INDEX = st.one_of(st.integers(0, _SPAN - 1), _NEAR_EDGE)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_large_draw(n_steps):
+    return hg.standard_draws(99, _SPAN, n_steps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_PATH_INDEX, b=_PATH_INDEX, n_steps=st.integers(1, 3))
+def test_draws_are_pure_under_any_split(a, b, n_steps):
+    """Paths first..last of any draw are rows first..last of one large draw,
+    across the chunk edges of the draw and the block edge of the engine."""
+    first, stop = min(a, b), max(a, b) + 1
+    part = hg.standard_draws(99, stop - first, n_steps, first_path=first)
+    assert np.array_equal(part, _one_large_draw(n_steps)[first:stop])
+
+
+def test_draws_allocate_little_beyond_their_output():
+    """The inverse CDF runs in place on one small reused buffer."""
+    tracemalloc.start()
+    try:
+        z = hg.standard_draws(3, 16384, 252)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * z.nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +356,47 @@ def test_stable_sum_is_order_independent():
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(x.size)
         assert hg.stable_sum(x[perm]) == total
+
+
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+            -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+            math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def _samples(draw):
+    """Normal draws scaled by 2**e, e from a drawn range that reaches the
+    subnormals and 1e300; optionally cancelling in pairs; in one case of
+    two, a few awkward values (signed zeros, subnormals, huge values, inf,
+    nan) dropped in."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 50) | st.integers(1000, 5000))
+    low = draw(st.integers(-1080, 997))
+    high = draw(st.integers(low, 997))
+    x = np.ldexp(rng.standard_normal(n), rng.integers(low, high + 1, n))
+    if draw(st.booleans()):
+        x[n // 2: 2 * (n // 2)] = -x[: n // 2]
+        rng.shuffle(x)
+    if n and draw(st.booleans()):
+        extra = draw(st.lists(st.sampled_from(_AWKWARD) | st.floats(),
+                              min_size=1, max_size=4))
+        x[rng.integers(0, n, len(extra))] = extra
+    return x
+
+
+def _outcome(total, x):
+    try:
+        return struct.pack("<d", total(x))
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_samples(), hnp.arrays(
+    np.float64, st.integers(0, 40), elements=st.sampled_from(_AWKWARD) | st.floats())))
+def test_stable_sum_is_fsum_bit_for_bit(x):
+    """Same bits as math.fsum, or the same exception type."""
+    assert _outcome(hg.stable_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
 
 
 def test_stable_mean_se_against_reference():
