@@ -2,6 +2,8 @@
 models via Malliavin-calculus weights, with finite-difference and
 closed-form baselines."""
 
+import logging
+
 from .baselines import (
     BsClosedForm,
     BumpSpec,
@@ -70,3 +72,8 @@ from .models import (
 )
 
 __version__ = "0.1.0"
+
+# The library is silent unless the application configures logging: without
+# a handler of its own, logging's last-resort handler would print warnings
+# (such as the Black–Scholes degeneracy notice) to stderr.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -17,6 +17,8 @@ With ``crn=True`` every evaluation reuses the identical draws (same seed,
 path, step, driver — the engine's counter-based streams make this exact)
 and the standard error comes from per-path differenced samples; without
 CRN each evaluation uses an independent sub-stream and the variances add.
+Each re-simulation steps the state only (``weights=False``): a price reads
+S_T and D, never a weight integral or a first variation.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def _discounted_samples(
                 raise UnsupportedModel("reversion_epsilon bumps need the Heston–Vasicek instance")
             perturbation = Perturbation("r_drift", offset * model.hv_params.a)
 
-    paths = simulate_paths(model, init, cfg, perturbation=perturbation, stream=stream)
+    paths = simulate_paths(model, init, cfg, perturbation=perturbation,
+                           stream=stream, weights=False)
     phi = _payoff_values(payoff, paths.s_T)
     samples = np.exp(-paths.D - extra_discount) * phi
     return samples, paths.clamp_count

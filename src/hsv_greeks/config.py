@@ -56,6 +56,12 @@ def _integer(text: str | int) -> int:
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
+def _text(text: str) -> str:
+    if not isinstance(text, str):
+        raise ValueError(f"expected text, got {text!r}")
+    return text
+
+
 def _choice(*choices: str):
     def parse(text: str) -> str:
         if text not in choices:
@@ -69,7 +75,7 @@ def _switch(text: str) -> bool:
 
 
 def _estimators(text: str) -> tuple[tuple[str, str], ...]:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    tokens = [t.strip() for t in _text(text).split(",") if t.strip()]
     if not tokens:
         raise ValueError("at least one method:greek token required")
     pairs = []
@@ -86,7 +92,7 @@ def _estimators(text: str) -> tuple[tuple[str, str], ...]:
 
 
 def _sweep(text: str) -> tuple[int, ...]:
-    sizes = tuple(_integer(p.strip()) for p in text.split(",") if p.strip())
+    sizes = tuple(_integer(p.strip()) for p in _text(text).split(",") if p.strip())
     if not sizes:
         raise ValueError("at least one path count required")
     if min(sizes) < 2:
@@ -111,7 +117,7 @@ def _canonical(value) -> str:
 # --- the schema: key -> (default text, parser), in canonical order ---------
 
 _COMMON = {
-    "payoff.kind": ("call", str),
+    "payoff.kind": ("call", _text),
     "payoff.strike": ("100.0", _number),
     "payoff.level": ("1.0", _number),
     "sim.n_paths": ("10000", _integer),
@@ -123,14 +129,14 @@ _COMMON = {
     "sim.workers": ("auto", lambda t: None if t == "auto" else _integer(t)),
     "estimators": ("malliavin:delta,malliavin:rho,malliavin:vega", _estimators),
     "sweep": ("250,500,1000,2000,5000,10000", _sweep),
-    "output.path": ("", str),
+    "output.path": ("", _text),
     "output.format": ("csv", _choice("csv", "json-lines")),
     "output.timing": ("off", _choice("off", "clock")),
 }
 
 
 def _model_schema(name: str, model_keys: dict, r0: str) -> dict:
-    return {"model.name": (name, str), **model_keys,
+    return {"model.name": (name, _text), **model_keys,
             "init.s0": ("100.0", _number), "init.v0": ("0.04", _number),
             "init.r0": (r0, _number), **_COMMON}
 
@@ -156,7 +162,7 @@ _SCHEMAS = {
 
 # bump.<greek>.<field> -> parser.  A missing scheme or crn takes the
 # BumpSpec default, a missing h the house size for the greek's target.
-_BUMP_PARSERS = {"scheme": str, "h": _number, "crn": _switch}
+_BUMP_PARSERS = {"scheme": _text, "h": _number, "crn": _switch}
 
 
 def defaults_for(model_name: str) -> dict[str, str]:
@@ -271,12 +277,14 @@ def build_run_config(overrides=None) -> RunConfig:
     """Merge ``overrides`` over the defaults and validate everything.
 
     Values are text, as in a config file; an integer key also takes an
-    ``int`` and a number key any real number (``bool`` is refused).
+    ``int`` and a number key any real number (``bool`` is refused).  Any
+    other value is refused under its key.
     Raises :class:`InvalidConfig` naming the offending key on any problem,
     including estimator requests the chosen model cannot honour.
     """
     overrides = dict(overrides or {})
-    model_name = overrides.get("model.name", DEFAULTS["model.name"])
+    model_name = _parse("model.name", _text,
+                        overrides.get("model.name", DEFAULTS["model.name"]))
     defaults = defaults_for(model_name)
     schema = _SCHEMAS[model_name]
 

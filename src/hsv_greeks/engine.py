@@ -8,7 +8,10 @@ Simulates
 
 on a uniform grid together with the first-variation entries
 Y^11, Y^12, Y^13, Y^22, Y^33, accumulating per path every integral the
-Malliavin-weight estimators consume.
+Malliavin-weight estimators consume.  A bump-and-revalue price reads only
+S_T and the discount integral D, so a state-only run
+(``simulate_paths(..., weights=False)``) steps S, V and r and accumulates D
+alone: same draws, same clamp counts and the same S_T/D bits as the full run.
 
 Scheme choices
 --------------
@@ -143,9 +146,11 @@ class Perturbation:
             raise InvalidParams(f"perturbation delta must be finite, got {self.delta!r}")
 
 
-# The per-path arrays every simulation fills (the drift extras aside).
-_ACCUMULATOR_FIELDS = (
-    "s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q", "w1_T",
+# The per-path arrays every simulation fills, and those only a weighted
+# run fills (the drift extras aside).
+_STATE_FIELDS = ("s_T", "v_T", "r_T", "D")
+_ACCUMULATOR_FIELDS = _STATE_FIELDS + (
+    "I1", "I2", "I3", "A", "Q", "w1_T",
     "P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T",
 )
 
@@ -158,25 +163,27 @@ class PathAccumulators:
     (``p23_valid`` False) when the model is degenerate and the Bismut
     integrands 1/v(V_t) or 1/g(r_t) are undefined.  ``j2``, ``j3``, ``g3``
     are the optional drift-sensitivity integrals ∫(1/v)dW^2, ∫(1/v)dW^3,
-    ∫(1/g)dW^3, present only when requested.
+    ∫(1/g)dW^3, present only when requested.  A state-only run
+    (``simulate_paths(..., weights=False)``) fills ``s_T``, ``v_T``, ``r_T``
+    and ``D`` and leaves every weight field, ``I1`` to ``y33_T``, None.
     """
 
     s_T: np.ndarray
     v_T: np.ndarray
     r_T: np.ndarray
     D: np.ndarray
-    I1: np.ndarray
-    I2: np.ndarray
-    I3: np.ndarray
-    A: np.ndarray
-    Q: np.ndarray
-    w1_T: np.ndarray
-    P2: np.ndarray
-    P3: np.ndarray
-    y12_T: np.ndarray
-    y13_T: np.ndarray
-    y22_T: np.ndarray
-    y33_T: np.ndarray
+    I1: np.ndarray | None = None
+    I2: np.ndarray | None = None
+    I3: np.ndarray | None = None
+    A: np.ndarray | None = None
+    Q: np.ndarray | None = None
+    w1_T: np.ndarray | None = None
+    P2: np.ndarray | None = None
+    P3: np.ndarray | None = None
+    y12_T: np.ndarray | None = None
+    y13_T: np.ndarray | None = None
+    y22_T: np.ndarray | None = None
+    y33_T: np.ndarray | None = None
     p23_valid: bool = True
     clamp_count: int = 0
     n_integrand_evals: int = 0
@@ -273,11 +280,14 @@ def _run_block(
     perturbation: Perturbation | None,
     drift_extras: bool,
     want_series: bool,
+    weights: bool = True,
 ):
     """Advance one block of paths through all steps.
 
     Returns (dict of accumulator arrays, clamp_count, n_evals, series or None).
-    ``z`` has shape (nb, n_steps, 3).
+    ``z`` has shape (nb, n_steps, 3).  With ``weights`` False only the state
+    and D are carried: no weight integral and no first variation is formed,
+    while the clamps and integrand evaluations are counted as in a full run.
     """
     nb, n_steps, _ = z.shape
     dt = cfg.maturity / cfg.n_steps
@@ -297,7 +307,8 @@ def _run_block(
     pert_target = perturbation.target if perturbation is not None else None
     pert_delta = perturbation.delta if perturbation is not None else 0.0
 
-    want_p23 = not model.degenerate
+    hybrid = not model.degenerate
+    want_p23 = weights and hybrid
     if drift_extras and model.degenerate:
         raise DegenerateModel(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
@@ -349,22 +360,23 @@ def _run_block(
         sig = model.sigma(Vp)
         clamps += int(np.count_nonzero(sig < cfg.sigma_floor))
         n_evals += nb
-        inv_sig = 1.0 / np.maximum(sig, cfg.sigma_floor)
-
         sum_r += r
-        sum_sig += sig
-        sum_invsig += inv_sig
-        sI1 += z1 * inv_sig
-        sI2 += z2 * inv_sig
-        sI3 += z3 * inv_sig
-        sW1 += z1
+        if weights:
+            inv_sig = 1.0 / np.maximum(sig, cfg.sigma_floor)
+            sum_sig += sig
+            sum_invsig += inv_sig
+            sI1 += z1 * inv_sig
+            sI2 += z2 * inv_sig
+            sI3 += z3 * inv_sig
+            sW1 += z1
 
         vv = model.v(Vp)
         gg = model.g(r)
-        if want_p23 or drift_extras:
+        if hybrid:
             clamps += int(np.count_nonzero(vv < cfg.sigma_floor))
             clamps += int(np.count_nonzero(gg < cfg.sigma_floor))
             n_evals += 2 * nb
+        if want_p23 or drift_extras:
             inv_vv = 1.0 / np.maximum(vv, cfg.sigma_floor)
             inv_gg = 1.0 / np.maximum(gg, cfg.sigma_floor)
         if want_p23:
@@ -379,16 +391,17 @@ def _run_block(
             sJ3 += z3 * inv_vv
             sG3 += z3 * inv_gg
 
-        # First-variation updates, all from left-point values.
-        sp = model.sigma_prime(Vp)
-        vp = model.v_prime(Vp)
-        up = model.u_prime(Vp)
-        fp = model.f_prime(r)
-        gp = model.g_prime(r)
-        y12_new = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
-        y13_new = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
-        L22 += (up - 0.5 * vp * vp) * dt + vp * dZ2
-        L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3
+        if weights:
+            # First-variation updates, all from left-point values.
+            sp = model.sigma_prime(Vp)
+            vp = model.v_prime(Vp)
+            up = model.u_prime(Vp)
+            fp = model.f_prime(r)
+            gp = model.g_prime(r)
+            y12_new = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
+            y13_new = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
+            L22 += (up - 0.5 * vp * vp) * dt + vp * dZ2
+            L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3
 
         # State updates (log-Euler / full truncation / Euler).
         sig_s = sig + pert_delta if pert_target == "stock_vol" else sig
@@ -403,10 +416,11 @@ def _run_block(
         logS += (rate_s - 0.5 * sig_s * sig_s) * dt + sig_s * dW1
         V = V + u_eval * dt + vv * dZ2
         r = r + f_eval * dt + gg * dZ3
-        S = np.exp(logS)
-        y22 = np.exp(L22)
-        y33 = np.exp(L33)
-        y12, y13 = y12_new, y13_new
+        if weights:
+            S = np.exp(logS)
+            y22 = np.exp(L22)
+            y33 = np.exp(L33)
+            y12, y13 = y12_new, y13_new
 
         for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
             peak = np.abs(arr).max()
@@ -426,6 +440,9 @@ def _run_block(
             series.y12[:, j] = y12
             series.y13[:, j] = y13
 
+    if not weights:
+        out = {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
+        return out, clamps, n_evals, None
     nan = np.full(nb, math.nan)
     out = {
         "s_T": S, "v_T": V, "r_T": r,
@@ -446,7 +463,8 @@ def _run_block(
 
 def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
                   cfg: SimConfig, clamps: int, evals: int) -> PathAccumulators:
-    """Attach the run metadata to per-path arrays; refuse non-finite ones."""
+    """Attach the run metadata to per-path arrays; refuse non-finite ones
+    among those present."""
     acc = PathAccumulators(
         **arrays, p23_valid=not model.degenerate, clamp_count=clamps,
         n_integrand_evals=evals, model=model, s0=init.s0, v0=init.v0,
@@ -454,9 +472,9 @@ def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
     )
     skip = () if acc.p23_valid else ("P2", "P3")
     for name in _ACCUMULATOR_FIELDS:
-        if name in skip:
-            continue
         arr = getattr(acc, name)
+        if name in skip or arr is None:
+            continue
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))
             raise NumericalBlowup(idx, acc.n_steps, f"non-finite accumulator {name}")
@@ -470,6 +488,7 @@ def simulate_paths(
     drift_extras: bool = False,
     perturbation: Perturbation | None = None,
     stream: int = 0,
+    weights: bool = True,
 ) -> PathAccumulators:
     """Simulate ``cfg.n_paths`` paths and return their accumulator arrays.
 
@@ -485,11 +504,18 @@ def simulate_paths(
     stream : int
         RNG sub-stream selector; distinct values give independent draws for
         the same seed (used by FD without common random numbers).
+    weights : bool
+        Accumulate the weight integrals and first variations.  With False
+        the run steps the state only, as a bump-and-revalue price needs: it
+        returns ``s_T``, ``v_T``, ``r_T``, ``D``, ``clamp_count`` and
+        ``n_integrand_evals`` bit-identical to the full run's and leaves
+        the weight fields None, so the weighted estimators refuse it.
 
     Notes
     -----
     Results are bit-identical for a given (model, init, cfg, drift_extras,
-    perturbation, stream) regardless of ``worker_hint`` and block layout.
+    perturbation, stream, weights) regardless of ``worker_hint`` and block
+    layout.
 
     Raises
     ------
@@ -498,12 +524,16 @@ def simulate_paths(
         non-finite (reports path and step index).
     DegenerateModel
         If ``drift_extras`` is requested on a degenerate model.
+    InvalidParams
+        If ``drift_extras`` is requested with ``weights=False``.
     """
+    if drift_extras and not weights:
+        raise InvalidParams("drift_extras=True needs weights=True")
     n, n_steps = cfg.n_paths, cfg.n_steps
     blocks = [(start, min(start + _BLOCK_PATHS, n)) for start in range(0, n, _BLOCK_PATHS)]
 
     alloc = lambda: np.empty(n)  # noqa: E731
-    arrays = {name: alloc() for name in _ACCUMULATOR_FIELDS}
+    arrays = {name: alloc() for name in (_ACCUMULATOR_FIELDS if weights else _STATE_FIELDS)}
     if drift_extras:
         arrays.update(j2=alloc(), j3=alloc(), g3=alloc())
 
@@ -512,7 +542,8 @@ def simulate_paths(
         z = standard_draws(cfg.seed, stop - start, n_steps, first_path=start, stream=stream)
         try:
             out, clamps, evals, _ = _run_block(
-                model, init, cfg, z, perturbation, drift_extras, want_series=False
+                model, init, cfg, z, perturbation, drift_extras,
+                want_series=False, weights=weights,
             )
         except NumericalBlowup as exc:
             raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None

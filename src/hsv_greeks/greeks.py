@@ -201,8 +201,7 @@ def weight_bundle(paths: PathAccumulators, s0: float, maturity: float) -> Weight
     ``rho = s0*delta - T*discount`` up to rounding, since both are affine in
     the same combination C.
     """
-    if len(paths) == 0:
-        raise EmptyInput("no paths")
+    _require_weights(paths)
     if not (s0 > 0.0):
         raise InvalidParams(f"s0 must be > 0, got {s0!r}")
     if not (maturity > 0.0):
@@ -233,6 +232,15 @@ def _payoff_values(payoff, s_T: np.ndarray) -> np.ndarray:
 def _require_paths(paths: PathAccumulators) -> None:
     if len(paths) == 0:
         raise EmptyInput("estimator received zero paths")
+
+
+def _require_weights(paths: PathAccumulators) -> None:
+    """Refuse state-only paths, which carry no weight integrals."""
+    _require_paths(paths)
+    if paths.I1 is None:
+        raise InvalidParams(
+            "paths carry no weight integrals (state only); simulate them "
+            "with weights=True")
 
 
 def _flag_clamps(paths: PathAccumulators) -> None:
@@ -275,7 +283,7 @@ def price(paths: PathAccumulators, payoff) -> GreekEstimate:
 
 def delta(paths: PathAccumulators, payoff, s0: float) -> GreekEstimate:
     """Sensitivity to the initial spot: E[Phi * e^{-D} C/(s0 T)]."""
-    _require_paths(paths)
+    _require_weights(paths)
     _flag_clamps(paths)
     if not (paths.maturity > 0.0):
         raise InvalidParams("paths carry no maturity metadata")
@@ -297,7 +305,7 @@ def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, Greek
         If P2/P3 are sentinel-invalid (degenerate model: the weights would
         divide by v(V_t) or g(r_t) which are identically zero).
     """
-    _require_paths(paths)
+    _require_weights(paths)
     if not paths.p23_valid:
         raise DegenerateModel(
             "initial-volatility/initial-rate weights need non-degenerate "
@@ -316,7 +324,7 @@ def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, Greek
 def rho(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to a parallel shift added to the stock drift and the
     discount rate simultaneously: E[Phi * e^{-D} (C - T^2)/T]."""
-    _require_paths(paths)
+    _require_weights(paths)
     _flag_clamps(paths)
     if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
@@ -326,7 +334,7 @@ def rho(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
 def vega(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to epsilon in the diffusion perturbation a + eps*diag(S,0,0):
     E[Phi * (e^{-D}/T) ((W^1_T - A) C - Q)]."""
-    _require_paths(paths)
+    _require_weights(paths)
     _flag_clamps(paths)
     if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
@@ -345,7 +353,7 @@ def drift_sensitivity(paths: PathAccumulators, payoff, gamma_kind: str) -> Greek
     """
     if gamma_kind not in GAMMA_KINDS:
         raise InvalidParams(f"gamma_kind must be one of {GAMMA_KINDS}, got {gamma_kind!r}")
-    _require_paths(paths)
+    _require_weights(paths)
     if gamma_kind == "stock_shift":
         return rho(paths, payoff, paths.maturity)
 

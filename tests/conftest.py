@@ -6,6 +6,8 @@ S0=K=100, T=1) and are frozen here so regressions cannot hide behind a
 drifting reference.
 """
 
+import os
+
 import pytest
 
 import hsv_greeks as hg
@@ -34,6 +36,22 @@ def within_se(estimate, target, n_se=3.0):
 
 def combined_agree(a, b, n_se=3.0):
     return hg.agrees(a, b, n_se=n_se)
+
+
+# The directory the package was imported from, for child interpreters.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
+
+
+def cli_env(extra=None):
+    """Environment for a ``python -m hsv_greeks.cli`` child process: this
+    one's without HSV_GREEKS_WORKERS, plus ``extra``, with the imported
+    package's directory first on PYTHONPATH so the child imports the same
+    code whether or not PYTHONPATH was set."""
+    env = {k: v for k, v in os.environ.items() if k != "HSV_GREEKS_WORKERS"}
+    env.update(extra or {})
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
 
 
 @pytest.fixture(scope="session")

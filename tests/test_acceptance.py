@@ -22,6 +22,7 @@ from conftest import (
     BS_RHO,
     BS_VEGA,
     SEED_HV,
+    cli_env,
     within_se,
 )
 
@@ -153,12 +154,9 @@ def test_criterion_08_zero_mean_building_blocks(hv_paths_100k):
 
 
 def _run_cli(*args, workers=None):
-    import os
-    env = {k: v for k, v in os.environ.items() if k != "HSV_GREEKS_WORKERS"}
-    if workers is not None:
-        env["HSV_GREEKS_WORKERS"] = str(workers)
+    extra = None if workers is None else {"HSV_GREEKS_WORKERS": str(workers)}
     return subprocess.run([sys.executable, "-m", "hsv_greeks.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env(extra))
 
 
 def test_criterion_09_byte_identical_output(tmp_path):

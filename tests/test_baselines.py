@@ -178,6 +178,19 @@ def test_fd_agrees_with_weighted_estimator_on_same_draws(
         assert hg.agrees(weighted, fd), target
 
 
+def test_fd_prices_do_not_read_the_first_variations(hv_model, hv_init, call_100):
+    """A bumped price steps the state only: a sigma' that overflows Y12 (and
+    fails any weighted run) leaves every FD estimate as it was."""
+    wild = dataclasses.replace(
+        hv_model, sigma_prime=lambda V: np.full_like(V, 1e308))
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=61)
+    for target in ("s0", "vega_shift_epsilon", "kappa_epsilon"):
+        bump = hg.BumpSpec(target, h=hg.default_bump_size(target, hv_init))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fd = hg.fd_greek(wild, hv_init, cfg, call_100, bump)
+        assert fd == hg.fd_greek(hv_model, hv_init, cfg, call_100, bump), target
+
+
 def test_agrees_helper():
     a = hg.GreekEstimate(1.0, 0.1, 100, "malliavin")
     b = hg.GreekEstimate(1.2, 0.1, 100, "fd_central")

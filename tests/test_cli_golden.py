@@ -10,6 +10,10 @@ value (numbers, integers, switches, ``auto``, lists and plain text).  The
 two-block ``compare`` and ``greeks`` cases were recorded before the draws
 were stored step-major and the exact sum was vectorised: their 16,385 paths
 cross the engine's 16,384-path block edge and every chunk edge of the draws.
+The ``compare`` case with every finite-difference target was recorded while
+each bumped re-simulation still filled every weight integral and first
+variation; it pins the bumped prices, and their clamp counts, of the
+state-only runs that replaced them.
 """
 
 import pytest
@@ -282,3 +286,68 @@ def test_cli_bytes_match_the_recorded_output(case, tmp_path, capsys):
                       encoding="utf-8")
     assert main([command, "--config", str(config)]) == 0
     assert capsys.readouterr().out == expected
+
+
+# Every finite-difference target beside its weighted form, over two blocks,
+# with a sigma floor above every volatility so each run clamps: the CSV's
+# clamp column counts the clamps of both bumped re-simulations.  One bump
+# draws independent sub-streams (crn=off), one is forward and one backward.
+ALL_FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
+ALL_FD = {
+    "sim.n_paths": "16385",
+    "sim.n_steps": "2",
+    "sim.sigma_floor": "0.5",
+    "estimators": ",".join(f"{m}:{g}" for g in ALL_FD_GREEKS
+                           for m in ("malliavin", "fd")),
+    "bump.rho.crn": "off",
+    "bump.vega_v0.scheme": "forward",
+    "bump.kappa.scheme": "backward",
+}
+
+ALL_FD_TABLE = (
+    "greek       n_paths estimator               value     std_error agree    wall_ms n_sims\n"
+    "---------------------------------------------------------------------------------------\n"
+    "delta         16385 malliavin        0.2327412255    0.00893251 -          0.000      1\n"
+    "delta         16385 fd_central       0.5828588864      0.004539 NO         0.000      2\n"
+    "rho           16385 malliavin         14.40393369      0.851972 -          0.000      0\n"
+    "rho           16385 fd_central        97.62792817       741.017 yes        0.000      2\n"
+    "vega          16385 malliavin         15.21174058       1.50529 -          0.000      0\n"
+    "vega          16385 fd_central        38.57913309      0.579539 NO         0.000      2\n"
+    "vega_v0       16385 malliavin         9.605628617       1.39449 -          0.000      0\n"
+    "vega_v0       16385 fd_forward         48.5817291       1.06907 NO         0.000      2\n"
+    "rho_r0        16385 malliavin         5.342826567      0.408664 -          0.000      0\n"
+    "rho_r0        16385 fd_central        49.23104055      0.380674 NO         0.000      2\n"
+    "kappa         16385 malliavin         1.667208184       1.43014 -          0.000      0\n"
+    "kappa         16385 fd_backward       47.91915018       1.15402 NO         0.000      2\n"
+    "reversion     16385 malliavin      -0.08840404742    0.00995974 -          0.000      0\n"
+    "reversion     16385 fd_central       0.2473947811    0.00191341 NO         0.000      2\n"
+)
+
+ALL_FD_CSV = (
+    "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
+    "malliavin,delta,16385,2,12345,0.2327412254688634,0.008932510845881989,98310,0.0\n"
+    "fd_central,delta,16385,2,12345,0.582858886419027,0.004539002131744035,196620,0.0\n"
+    "malliavin,rho,16385,2,12345,14.403933687775568,0.8519718109521058,98310,0.0\n"
+    "fd_central,rho,16385,2,12345,97.62792816640165,741.01741386111,196620,0.0\n"
+    "malliavin,vega,16385,2,12345,15.211740583748432,1.5052890393504328,98310,0.0\n"
+    "fd_central,vega,16385,2,12345,38.57913309087421,0.5795390389936734,196620,0.0\n"
+    "malliavin,vega_v0,16385,2,12345,9.60562861748252,1.3944911663905724,98310,0.0\n"
+    "fd_forward,vega_v0,16385,2,12345,48.58172910254026,1.0690677493133334,196620,0.0\n"
+    "malliavin,rho_r0,16385,2,12345,5.342826566933144,0.4086640150871307,98310,0.0\n"
+    "fd_central,rho_r0,16385,2,12345,49.231040551699394,0.38067437291135836,196620,0.0\n"
+    "malliavin,kappa,16385,2,12345,1.6672081839077841,1.4301383825744556,98310,0.0\n"
+    "fd_backward,kappa,16385,2,12345,47.91915017650974,1.1540196357944474,196620,0.0\n"
+    "malliavin,reversion,16385,2,12345,-0.08840404741953638,0.009959743686069836,98310,0.0\n"
+    "fd_central,reversion,16385,2,12345,0.24739478105723703,0.0019134062910646566,196620,0.0\n"
+)
+
+
+@pytest.mark.filterwarnings("ignore::hsv_greeks.DegenerateWeightWarning")
+def test_compare_pins_every_fd_target_and_its_clamps(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in ALL_FD.items()),
+                      encoding="utf-8")
+    out = tmp_path / "compare.csv"
+    assert main(["compare", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ALL_FD_TABLE
+    assert out.read_text(encoding="utf-8") == ALL_FD_CSV

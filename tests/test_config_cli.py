@@ -6,7 +6,7 @@ and byte-level output stability.
 """
 
 import json
-import os
+import logging
 import subprocess
 import sys
 
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import hsv_greeks as hg
 from hsv_greeks.cli import CSV_HEADER, main
-from conftest import BS_DELTA, BS_DIGITAL_DELTA
+from conftest import BS_DELTA, BS_DIGITAL_DELTA, cli_env
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +196,12 @@ def test_integer_keys_accept_python_ints():
     ("sim.workers", [2]),
     ("sim.maturity", None),
     ("payoff.strike", False),
+    ("sweep", (250, 500)),
+    ("estimators", ("malliavin:delta",)),
+    ("output.path", 7),
+    ("payoff.kind", None),
+    ("model.name", ["heston_vasicek"]),
+    ("bump.delta.scheme", 1),
 ])
 def test_other_value_types_are_refused_under_their_key(key, value):
     with pytest.raises(hg.InvalidConfig) as err:
@@ -281,11 +287,8 @@ sim.n_steps=16
 
 
 def run_cli(*args, env_extra=None):
-    env = {k: v for k, v in os.environ.items() if k != "HSV_GREEKS_WORKERS"}
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hsv_greeks.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=cli_env(env_extra))
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -309,6 +312,19 @@ def test_greeks_subcommand_emits_exact_csv(tmp_path):
     assert analytic[5] == repr(BS_DELTA)      # exact closed-form bytes
     assert analytic[6] == "0.0"
     assert analytic[8] == "0.0"               # timing off by default
+
+
+def test_black_scholes_run_writes_nothing_to_stderr(tmp_path):
+    proc = run_cli("greeks", "--config", write_cfg(tmp_path, BS_SMALL))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_degeneracy_warning_still_reaches_configured_logging(caplog):
+    with caplog.at_level(logging.WARNING, logger="hsv_greeks"):
+        hg.build_run_config({"model.name": "black_scholes"})
+    assert any(rec.name == "hsv_greeks.models" and "degenerate" in rec.message
+               for rec in caplog.records)
 
 
 def test_price_subcommand_ignores_estimator_list(tmp_path):

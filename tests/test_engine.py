@@ -227,6 +227,88 @@ def test_series_mode_matches_fast_mode(hv_model, hv_init):
 
 
 # ---------------------------------------------------------------------------
+# state-only runs (weights=False), as the finite-difference prices use
+
+_STATE_ONLY_FIELDS = ("s_T", "v_T", "r_T", "D")
+_WEIGHT_FIELDS = ("I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3",
+                  "y12_T", "y13_T", "y22_T", "y33_T")
+
+
+@pytest.mark.parametrize("target", [None, "stock_drift", "stock_vol",
+                                    "v_drift", "r_drift"])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+def test_state_only_run_matches_the_full_run_bit_for_bit(
+        model_name, target, hv_model, hv_init, deg_model, deg_init):
+    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
+                   else (deg_model, deg_init))
+    pert = None if target is None else hg.Perturbation(target, 0.01)
+    for n_paths in (1, 16385):
+        for workers in (1, 2):
+            # a floor near sigma(V_0) = 0.2 clamps part of the evaluations
+            cfg = small_cfg(n_paths=n_paths, n_steps=3, sigma_floor=0.2,
+                            worker_hint=workers)
+            full = hg.simulate_paths(model, init, cfg, perturbation=pert)
+            state = hg.simulate_paths(model, init, cfg, perturbation=pert,
+                                      weights=False)
+            for name in _STATE_ONLY_FIELDS:
+                assert np.array_equal(getattr(full, name),
+                                      getattr(state, name)), name
+            assert state.clamp_count == full.clamp_count
+            assert state.n_integrand_evals == full.n_integrand_evals
+            assert all(getattr(state, name) is None for name in _WEIGHT_FIELDS)
+            if model is hv_model and n_paths > 1:
+                assert 0 < full.clamp_count < full.n_integrand_evals
+
+
+def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
+    with pytest.raises(hg.InvalidParams, match="weights=True"):
+        hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
+                          drift_extras=True, weights=False)
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda p, pay: hg.delta(p, pay, p.s0),
+    lambda p, pay: hg.rho(p, pay, p.maturity),
+    lambda p, pay: hg.vega(p, pay, p.maturity),
+    hg.bismut_vector,
+    lambda p, pay: hg.drift_sensitivity(p, pay, "stock_shift"),
+    lambda p, pay: hg.drift_sensitivity(p, pay, "kappa"),
+    lambda p, pay: hg.drift_sensitivity(p, pay, "reversion_speed"),
+    lambda p, pay: hg.weight_bundle(p, p.s0, p.maturity),
+], ids=["delta", "rho", "vega", "bismut_vector", "stock_shift", "kappa",
+        "reversion_speed", "weight_bundle"])
+def test_weighted_estimators_refuse_state_only_paths(estimate, hv_model, hv_init):
+    cfg = small_cfg(n_paths=64, n_steps=4)
+    state = hg.simulate_paths(hv_model, hv_init, cfg, weights=False)
+    with pytest.raises(hg.InvalidParams, match="weights=True"):
+        estimate(state, hg.Payoff("call", strike=100.0))
+
+
+def test_price_reads_state_only_paths(hv_model, hv_init):
+    cfg = small_cfg(n_paths=64, n_steps=4)
+    payoff = hg.Payoff("call", strike=100.0)
+    full = hg.price(hg.simulate_paths(hv_model, hv_init, cfg), payoff)
+    state = hg.price(hg.simulate_paths(hv_model, hv_init, cfg, weights=False),
+                     payoff)
+    assert state == full
+
+
+def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init):
+    # S * sigma'(V) overflows, so Y12 (and P2 with it) turns non-finite;
+    # the state never reads sigma', so a state-only run is unaffected.
+    wild = dataclasses.replace(
+        hv_model, sigma_prime=lambda V: np.full_like(V, 1e308))
+    cfg = small_cfg(n_paths=64, n_steps=4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(hg.NumericalBlowup):
+            hg.simulate_paths(wild, hv_init, cfg)
+        state = hg.simulate_paths(wild, hv_init, cfg, weights=False)
+    sane = hg.simulate_paths(hv_model, hv_init, cfg)
+    assert np.array_equal(state.s_T, sane.s_T)
+    assert np.array_equal(state.D, sane.D)
+
+
+# ---------------------------------------------------------------------------
 # first-variation processes
 
 def test_y11_identity_along_the_whole_path(hv_model, hv_init):
