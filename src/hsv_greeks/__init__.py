@@ -22,11 +22,9 @@ from .config import (
 )
 from .engine import (
     PathAccumulators,
-    PathSeries,
     Perturbation,
     SimConfig,
     simulate_paths,
-    simulate_series,
     stable_mean_se,
     stable_sum,
     standard_draws,
@@ -45,14 +43,12 @@ from .errors import (
 )
 from .greeks import (
     GreekEstimate,
-    WeightBundle,
     bismut_vector,
     delta,
     drift_sensitivity,
     price,
     rho,
     vega,
-    weight_bundle,
 )
 from .models import (
     PAYOFF_KINDS,
@@ -68,7 +64,6 @@ from .models import (
     evaluate_payoff,
     heston_vasicek_model,
     mixing_from_correlations,
-    reconstruct_correlations,
 )
 
 __version__ = "0.1.0"

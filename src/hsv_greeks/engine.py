@@ -7,16 +7,17 @@ Simulates
     dr_t = f(r_t) dt + g(r_t) dZ^3_t
 
 on a uniform grid together with the first-variation entries
-Y^11, Y^12, Y^13, Y^22, Y^33, accumulating per path every integral the
-Malliavin-weight estimators consume.  A bump-and-revalue price reads only
-S_T and the discount integral D, so a state-only run
+Y^12, Y^13, Y^22, Y^33 (Y^11 is S_t/S_0, see below), accumulating per path
+every integral the Malliavin-weight estimators consume.  A bump-and-revalue
+price reads only S_T and the discount integral D, so a state-only run
 (``simulate_paths(..., weights=False)``) steps S, V and r and accumulates D
 alone: same draws, same clamp counts and the same S_T/D bits as the full run.
 
 Scheme choices
 --------------
-* S is stepped in log space (log-Euler), which makes the discrete identity
-  Y^11_t = S_t / S_0 hold to rounding and keeps S positive.
+* S is stepped in log space (log-Euler), which keeps S positive and makes
+  the discrete identity Y^11_t = S_t / S_0 hold to rounding, so the engine
+  carries S and no Y^11.
 * V uses full-truncation Euler: the state may go negative, but drift and
   diffusion are evaluated at max(V, variance_floor).
 * r uses plain Euler.
@@ -68,8 +69,6 @@ __all__ = [
     "PathAccumulators",
     "standard_draws",
     "simulate_paths",
-    "simulate_series",
-    "PathSeries",
     "stable_sum",
     "stable_mean_se",
 ]
@@ -201,30 +200,6 @@ class PathAccumulators:
     def __len__(self) -> int:
         return int(self.s_T.shape[0])
 
-    @property
-    def n_paths(self) -> int:
-        return len(self)
-
-
-@dataclass
-class PathSeries:
-    """Full state and first-variation series on the grid (validation runs).
-
-    Arrays have shape (n_paths, n_steps+1); column 0 is the initial point.
-    ``accumulators`` holds the same per-path integrals the fast engine
-    produces from identical increments.
-    """
-
-    s: np.ndarray
-    v: np.ndarray
-    r: np.ndarray
-    y11: np.ndarray
-    y22: np.ndarray
-    y33: np.ndarray
-    y12: np.ndarray
-    y13: np.ndarray
-    accumulators: PathAccumulators | None = None
-
 
 def _stride(n_steps: int) -> int:
     """uint64 words reserved per path: 3 doubles per step, padded to a
@@ -279,12 +254,11 @@ def _run_block(
     z: np.ndarray,
     perturbation: Perturbation | None,
     drift_extras: bool,
-    want_series: bool,
-    weights: bool = True,
+    weights: bool,
 ):
     """Advance one block of paths through all steps.
 
-    Returns (dict of accumulator arrays, clamp_count, n_evals, series or None).
+    Returns (dict of accumulator arrays, clamp_count, n_evals).
     ``z`` has shape (nb, n_steps, 3).  With ``weights`` False only the state
     and D are carried: no weight integral and no first variation is formed,
     while the clamps and integrand evaluations are counted as in a full run.
@@ -309,10 +283,6 @@ def _run_block(
 
     hybrid = not model.degenerate
     want_p23 = weights and hybrid
-    if drift_extras and model.degenerate:
-        raise DegenerateModel(
-            "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
-        )
 
     log_s0 = math.log(init.s0)
     logS = np.full(nb, log_s0)
@@ -333,20 +303,6 @@ def _run_block(
     sJ2, sJ3, sG3 = (zeros(), zeros(), zeros()) if drift_extras else (None, None, None)
     clamps = 0
     n_evals = 0
-
-    if want_series:
-        shape = (nb, n_steps + 1)
-        series = PathSeries(
-            s=np.empty(shape), v=np.empty(shape), r=np.empty(shape),
-            y11=np.empty(shape), y22=np.empty(shape), y33=np.empty(shape),
-            y12=np.empty(shape), y13=np.empty(shape), accumulators=None,
-        )
-        for arr, val in ((series.s, S), (series.v, V), (series.r, r),
-                         (series.y11, 1.0), (series.y22, y22), (series.y33, y33),
-                         (series.y12, 0.0), (series.y13, 0.0)):
-            arr[:, 0] = val
-    else:
-        series = None
 
     for n in range(n_steps):
         z1 = z[:, n, 0]
@@ -429,20 +385,9 @@ def _run_block(
                 idx = int(np.argmax(bad))
                 raise NumericalBlowup(idx, n, f"state {name}")
 
-        if want_series:
-            j = n + 1
-            series.s[:, j] = S
-            series.v[:, j] = V
-            series.r[:, j] = r
-            series.y11[:, j] = S / init.s0
-            series.y22[:, j] = y22
-            series.y33[:, j] = y33
-            series.y12[:, j] = y12
-            series.y13[:, j] = y13
-
     if not weights:
         out = {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
-        return out, clamps, n_evals, None
+        return out, clamps, n_evals
     nan = np.full(nb, math.nan)
     out = {
         "s_T": S, "v_T": V, "r_T": r,
@@ -458,7 +403,7 @@ def _run_block(
         out["j2"] = sqdt * sJ2
         out["j3"] = sqdt * sJ3
         out["g3"] = sqdt * sG3
-    return out, clamps, n_evals, series
+    return out, clamps, n_evals
 
 
 def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
@@ -529,6 +474,10 @@ def simulate_paths(
     """
     if drift_extras and not weights:
         raise InvalidParams("drift_extras=True needs weights=True")
+    if drift_extras and model.degenerate:
+        raise DegenerateModel(
+            "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
+        )
     n, n_steps = cfg.n_paths, cfg.n_steps
     blocks = [(start, min(start + _BLOCK_PATHS, n)) for start in range(0, n, _BLOCK_PATHS)]
 
@@ -541,10 +490,8 @@ def simulate_paths(
         start, stop = span
         z = standard_draws(cfg.seed, stop - start, n_steps, first_path=start, stream=stream)
         try:
-            out, clamps, evals, _ = _run_block(
-                model, init, cfg, z, perturbation, drift_extras,
-                want_series=False, weights=weights,
-            )
+            out, clamps, evals = _run_block(
+                model, init, cfg, z, perturbation, drift_extras, weights)
         except NumericalBlowup as exc:
             raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
         return start, stop, out, clamps, evals
@@ -562,38 +509,6 @@ def simulate_paths(
     return _accumulators(arrays, model, init, cfg,
                          clamps=sum(r[3] for r in results),
                          evals=sum(r[4] for r in results))
-
-
-def simulate_series(
-    model: ModelSpec,
-    init: InitialState,
-    cfg: SimConfig,
-    increments: np.ndarray | None = None,
-) -> PathSeries:
-    """Simulate retaining the full state / first-variation series.
-
-    ``increments`` are physical Brownian increments dW of shape
-    (n_paths, n_steps, 3); when omitted they are drawn from ``cfg.seed``
-    exactly as :func:`simulate_paths` would.  Intended for validation runs
-    (memory grows with n_paths * n_steps).
-    """
-    if increments is None:
-        z = standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
-    else:
-        increments = np.asarray(increments, dtype=float)
-        if increments.ndim != 3 or increments.shape[2] != 3:
-            raise InvalidParams(
-                f"increments must have shape (n_paths, n_steps, 3), got {increments.shape}"
-            )
-        dt = cfg.maturity / cfg.n_steps
-        z = increments / math.sqrt(dt)
-    if z.shape[1] != cfg.n_steps:
-        raise InvalidConfig("n_steps", "increments grid disagrees with cfg.n_steps")
-    out, clamps, evals, series = _run_block(
-        model, init, cfg, z, None, False, want_series=True
-    )
-    series.accumulators = _accumulators(out, model, init, cfg, clamps, evals)
-    return series
 
 
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:

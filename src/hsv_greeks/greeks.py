@@ -46,8 +46,6 @@ from .models import Payoff, evaluate_payoff
 
 __all__ = [
     "GreekEstimate",
-    "WeightBundle",
-    "weight_bundle",
     "price",
     "delta",
     "bismut_vector",
@@ -86,31 +84,15 @@ class GreekEstimate:
             )
         if not math.isfinite(self.value):
             raise InvalidParams(f"estimate value must be finite, got {self.value!r}")
-        if not (self.std_error >= 0.0):
-            raise InvalidParams(f"std_error must be >= 0, got {self.std_error!r}")
+        if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
+            raise InvalidParams(
+                f"std_error must be finite and >= 0, got {self.std_error!r}")
         if self.n_paths < 1:
             raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths!r}")
         if self.std_error > 0.0 and self.n_paths < 2:
             raise InvalidParams(
                 "a nonzero std_error needs at least two paths, got "
                 f"n_paths={self.n_paths!r}")
-
-
-@dataclass
-class WeightBundle:
-    """Per-path Malliavin weights plus the shared pieces they are built from.
-
-    ``vega_v0`` / ``rho_r0`` are None when the model is degenerate (the
-    Bismut integrands 1/v, 1/g are undefined there).
-    """
-
-    delta: np.ndarray
-    rho: np.ndarray
-    vega: np.ndarray
-    vega_v0: np.ndarray | None
-    rho_r0: np.ndarray | None
-    discount: np.ndarray
-    C: np.ndarray
 
 
 def _combination(paths: PathAccumulators) -> np.ndarray:
@@ -191,31 +173,6 @@ _GREEKS = {
     "reversion": _Greek(_reversion_samples, drift_extras=True, hybrid_only=True,
                         fd_target="reversion_epsilon"),
 }
-
-
-def weight_bundle(paths: PathAccumulators, s0: float, maturity: float) -> WeightBundle:
-    """Assemble all per-path weights for the given initial spot and maturity.
-
-    The weights are the table's samples at a unit payoff, ``phi = 1``.  The
-    Delta and Rho entries satisfy the pathwise identity
-    ``rho = s0*delta - T*discount`` up to rounding, since both are affine in
-    the same combination C.
-    """
-    _require_weights(paths)
-    if not (s0 > 0.0):
-        raise InvalidParams(f"s0 must be > 0, got {s0!r}")
-    if not (maturity > 0.0):
-        raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-
-    def weight(greek):
-        return _GREEKS[greek].samples(paths, 1.0, s0, maturity)
-
-    return WeightBundle(
-        delta=weight("delta"), rho=weight("rho"), vega=weight("vega"),
-        vega_v0=weight("vega_v0") if paths.p23_valid else None,
-        rho_r0=weight("rho_r0") if paths.p23_valid else None,
-        discount=weight("price"), C=_combination(paths),
-    )
 
 
 def _payoff_values(payoff, s_T: np.ndarray) -> np.ndarray:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateModel, InvalidParams, NonPositiveSemiDefinite
+from .errors import InvalidParams, NonPositiveSemiDefinite
 
 __all__ = [
     "CorrelationTriple",
@@ -42,7 +42,6 @@ __all__ = [
     "Payoff",
     "PAYOFF_KINDS",
     "mixing_from_correlations",
-    "reconstruct_correlations",
     "heston_vasicek_model",
     "black_scholes_degenerate",
     "evaluate_payoff",
@@ -133,51 +132,6 @@ def mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
     mu2 = (r23 - r12 * r13) / mu1
     mu3 = math.sqrt(radicand) / mu1
     return MixingCoefficients(mu1, mu2, mu3)
-
-
-def reconstruct_correlations(
-    mu: MixingCoefficients,
-    rho12: float,
-    rho13_sign: float = 1.0,
-) -> CorrelationTriple:
-    """Invert :func:`mixing_from_correlations` given rho12.
-
-    The loading rows satisfy rho13^2 = 1 - mu2^2 - mu3^2 and
-    rho23 = rho12*rho13 + mu1*mu2.  The magnitude of rho13 is determined by
-    ``mu`` but its sign is not: both signs of rho13 (with rho23 adjusted
-    accordingly) produce identical mixing coefficients.  ``rho13_sign``
-    selects the branch; the default takes rho13 >= 0.
-
-    The subtraction ``1 - mu2^2 - mu3^2`` cancels catastrophically when
-    rho13 is near zero, so it is evaluated in extended precision to keep the
-    round trip tight.
-
-    Raises
-    ------
-    InvalidParams
-        If ``rho12`` is inconsistent with ``mu1`` or the implied rho13
-        magnitude exceeds 1.
-    """
-    if not (math.isfinite(rho12) and -1.0 < rho12 < 1.0):
-        raise InvalidParams(f"rho12 must lie strictly in (-1, 1), got {rho12!r}")
-    if abs(mu.mu1 * mu.mu1 + rho12 * rho12 - 1.0) > 1e-9:
-        raise InvalidParams(
-            f"rho12={rho12!r} inconsistent with mu1={mu.mu1!r}: "
-            "mu1^2 + rho12^2 must equal 1"
-        )
-    m2 = np.longdouble(mu.mu2)
-    m3 = np.longdouble(mu.mu3)
-    sq = np.longdouble(1.0) - m2 * m2 - m3 * m3
-    if sq < 0:
-        if sq < -1e-12:
-            raise InvalidParams(
-                f"mu2^2 + mu3^2 = {float(m2 * m2 + m3 * m3)!r} exceeds 1; "
-                "no correlation triple reproduces these loadings"
-            )
-        sq = np.longdouble(0.0)
-    rho13 = float(math.copysign(1.0, rho13_sign) * np.sqrt(sq))
-    rho23 = rho12 * rho13 + mu.mu1 * mu.mu2
-    return CorrelationTriple(rho12, rho13, rho23)
 
 
 @dataclass(frozen=True)

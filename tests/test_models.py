@@ -61,28 +61,26 @@ def test_unit_row_identities():
         assert abs(rho.rho13**2 + mu.mu2**2 + mu.mu3**2 - 1.0) < 1e-12
 
 
-def test_reconstruct_identity_case():
-    rho = hg.reconstruct_correlations(hg.MixingCoefficients(1.0, 0.0, 1.0),
-                                      rho12=0.0)
-    assert (rho.rho12, rho.rho13, rho.rho23) == (0.0, 0.0, 0.0)
+def correlations_of(mu, rho12, rho13):
+    """The correlation triple of L*L^T for the loading rows (1, 0, 0),
+    (rho12, mu1, 0) and (rho13, mu2, mu3), with the diagonal checked to be 1."""
+    L = np.array([[1.0, 0.0, 0.0], [rho12, mu.mu1, 0.0], [rho13, mu.mu2, mu.mu3]])
+    R = L @ L.T
+    assert np.max(np.abs(np.diag(R) - 1.0)) < 1e-12
+    return hg.CorrelationTriple(R[1, 0], R[2, 0], R[2, 1])
 
 
 def test_reconstruct_reference_triple():
-    mu = hg.mixing_from_correlations(HV_CORR)
-    rho = hg.reconstruct_correlations(mu, rho12=-0.8, rho13_sign=1.0)
-    assert abs(rho.rho12 - (-0.8)) < 1e-12
-    assert abs(rho.rho13 - 0.5) < 1e-12
-    assert abs(rho.rho23 - 0.02) < 1e-12
+    back = correlations_of(hg.mixing_from_correlations(HV_CORR), -0.8, 0.5)
+    assert abs(back.rho23 - 0.02) < 1e-12
 
 
 def test_round_trip_both_directions():
-    # correlations -> mu -> correlations, and mu -> correlations -> mu.
+    # correlations -> mu -> L*L^T, and mu -> L*L^T -> mu.  With mu1, mu3 > 0
+    # the lower-triangular L with L*L^T = R is unique, so this pins the mixing.
     for rho in random_valid_triples(300, seed=11):
         mu = hg.mixing_from_correlations(rho)
-        back = hg.reconstruct_correlations(
-            mu, rho.rho12, rho13_sign=math.copysign(1.0, rho.rho13))
-        assert abs(back.rho12 - rho.rho12) < 1e-12
-        assert abs(back.rho13 - rho.rho13) < 1e-12
+        back = correlations_of(mu, rho.rho12, rho.rho13)
         assert abs(back.rho23 - rho.rho23) < 1e-12
         mu2 = hg.mixing_from_correlations(back)
         assert abs(mu2.mu1 - mu.mu1) < 1e-12

@@ -1,0 +1,66 @@
+"""The public API: what ``hsv_greeks`` exports, and what its users call."""
+
+import ast
+import importlib
+import pkgutil
+import types
+from pathlib import Path
+
+
+import hsv_greeks as hg
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PUBLIC = {
+    # baselines
+    "BsClosedForm", "BumpSpec", "agrees", "bs_closed_form",
+    "default_bump_size", "fd_greek",
+    # config
+    "DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
+    "load_config_file", "parse_config_text",
+    # engine
+    "PathAccumulators", "Perturbation", "SimConfig", "simulate_paths",
+    "stable_mean_se", "stable_sum", "standard_draws",
+    # errors
+    "DegenerateModel", "DegenerateWeightWarning", "EmptyInput",
+    "HsvGreeksError", "InvalidBump", "InvalidConfig", "InvalidParams",
+    "NonPositiveSemiDefinite", "NumericalBlowup", "UnsupportedModel",
+    # greeks
+    "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
+    "rho", "vega",
+    # models
+    "PAYOFF_KINDS", "BlackScholesParams", "CorrelationTriple",
+    "HestonVasicekParams", "InitialState", "MixingCoefficients", "ModelSpec",
+    "Payoff", "black_scholes_degenerate", "check_derivative_consistency",
+    "evaluate_payoff", "heston_vasicek_model", "mixing_from_correlations",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    exported = {name for name, value in vars(hg).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC
+
+
+def test_every_name_in_a_module_all_exists():
+    missing = {}
+    for info in pkgutil.iter_modules(hg.__path__):
+        module = importlib.import_module(f"hsv_greeks.{info.name}")
+        names = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if names:
+            missing[info.name] = names
+    assert missing == {}
+
+
+def test_every_name_the_demos_and_the_benchmark_call_exists():
+    """Each ``hg.<name>`` in demos/*.py and perfbench/workloads.py."""
+    missing = {}
+    for script in [*ROOT.glob("demos/*.py"), ROOT / "perfbench" / "workloads.py"]:
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        used = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "hg"}
+        assert used, script
+        if used - set(dir(hg)):
+            missing[script.name] = sorted(used - set(dir(hg)))
+    assert missing == {}
