@@ -37,6 +37,7 @@ from .errors import (
     InvalidBump,
     InvalidConfig,
     InvalidParams,
+    NonFiniteEstimate,
     NonPositiveSemiDefinite,
     NumericalBlowup,
     UnsupportedModel,

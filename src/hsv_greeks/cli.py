@@ -33,7 +33,7 @@ from .config import (
     load_config_file,
 )
 from .engine import simulate_paths
-from .errors import HsvGreeksError, InvalidConfig, NumericalBlowup
+from .errors import HsvGreeksError, InvalidConfig, NonFiniteEstimate, NumericalBlowup
 from .greeks import (
     _GREEKS,
     GreekEstimate,
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         _write_text(_render_rows(rows, config.output_format),
                     config.output_path)
         return 0
-    except NumericalBlowup as exc:
+    except (NumericalBlowup, NonFiniteEstimate) as exc:
         print(f"hsv-greeks: numerical failure: {exc}", file=sys.stderr)
         return 3
     except HsvGreeksError as exc:

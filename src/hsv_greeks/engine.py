@@ -38,6 +38,15 @@ order, and bumped re-simulations with the same seed reuse identical draws
 one contiguous (n_steps*3, n_paths) array, so the step loop reads each
 step's increments for all paths as contiguous rows.
 
+Threads
+-------
+Blocks are simulated one at a time, so one block of draws is in memory at
+a time.  The worker count (``SimConfig.worker_hint``; None means the CPUs
+in the process's affinity mask) splits each block's draws into contiguous
+ranges of paths, one thread each: the Philox uniforms and the inverse CDF
+release the GIL, and each range draws its own counter range, so the draws
+are the same bits for any split.  The step loop runs on the calling thread.
+
 Monte Carlo reductions are exactly rounded (:func:`stable_sum` adds the
 mantissas per binary exponent in exact arithmetic and rounds once), so
 estimates are independent of the order of the paths and of worker count.
@@ -46,6 +55,7 @@ estimates are independent of the order of the paths and of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,16 +83,17 @@ __all__ = [
     "stable_mean_se",
 ]
 
-# Paths are simulated in fixed-size blocks regardless of worker count; the
-# RNG mapping makes results independent of this constant, it only bounds
-# per-block memory.
+# Paths are simulated one fixed-size block at a time, whatever the worker
+# count: threads split a block's draws, so one block of draws is in memory
+# at a time.  The RNG mapping makes results independent of this constant.
 _BLOCK_PATHS = 16384
 _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
 # Philox emits 4 uint64 words per counter tick; advance() counts ticks.
 _PHILOX_WORDS = 4
-# Paths whose uniforms are drawn and mapped at once (bounds the scratch
-# buffer of standard_draws; the draws do not depend on it).
+# Paths whose uniforms are drawn and mapped at once, summed over the draw
+# threads (bounds the scratch buffer of standard_draws and the threads it
+# starts; the draws do not depend on it).
 _DRAW_CHUNK = 1024
 # stable_sum sums exactly below 2**26 values (each bin total of 27-bit
 # halves stays below 2**53) and when no partial sum of fsum can overflow.
@@ -92,7 +103,11 @@ _EXACT_SUM_MAX_TOTAL = 2.0**1000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation grid, seed, safeguarding floors, and worker hint."""
+    """Simulation grid, seed, safeguarding floors, and worker hint.
+
+    ``worker_hint`` caps the threads that draw each block; None means the
+    CPUs in the process's affinity mask.
+    """
 
     n_paths: int = 10000
     n_steps: int = 252
@@ -209,12 +224,22 @@ def _stride(n_steps: int) -> int:
     return _PHILOX_WORDS * ((need + _PHILOX_WORDS - 1) // _PHILOX_WORDS)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def standard_draws(
     seed: int,
     n_paths: int,
     n_steps: int,
     first_path: int = 0,
     stream: int = 0,
+    workers: int | None = None,
 ) -> np.ndarray:
     """Standard-normal draws z[path, step, driver], shape (n_paths, n_steps, 3).
 
@@ -226,25 +251,55 @@ def standard_draws(
     and worker-count independence exact.
 
     The result is a view of one step-major (n_steps*3, n_paths) array, so
-    ``z[:, step, driver]`` is a contiguous row.  The uniforms are drawn
-    ``_DRAW_CHUNK`` paths at a time into one reused buffer and mapped in
-    place; Philox is counter-based, so the chunks continue one stream.
+    ``z[:, step, driver]`` is a contiguous row.  The paths are split into
+    contiguous ranges, one per thread: at most ``workers`` (None: every
+    available CPU), the available CPUs, and one per ``_DRAW_CHUNK`` paths.
+    Each range is drawn from its own Philox advanced to its first path, a
+    few paths at a time into its share of one ``_DRAW_CHUNK``-path buffer,
+    and mapped in place; the threads change wall time, never the draws.
     """
     stride = _stride(n_steps)
-    width = 3 * n_steps
-    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance(first_path * stride // _PHILOX_WORDS)
-    gen = Generator(bg)
-    z = np.empty((width, n_paths))
+    z = np.empty((3 * n_steps, n_paths))
+    # Every thread's scratch is carved from this one buffer: a large
+    # allocation inside a pool thread would stay resident in that thread's
+    # malloc arena after the call.
     buf = np.empty((min(_DRAW_CHUNK, n_paths), stride))
-    for start in range(0, n_paths, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, n_paths)
+    cpus = _available_cpus()
+    # len(buf) keeps at least one buffer row per thread.
+    threads = min(workers or cpus, cpus, -(-n_paths // _DRAW_CHUNK), len(buf))
+    rows = len(buf) // threads
+    edges = [n_paths * i // threads for i in range(threads + 1)]
+    tasks = [(z, buf[i * rows:(i + 1) * rows], seed, stream, first_path,
+              edges[i], edges[i + 1]) for i in range(threads)]
+    if threads == 1:
+        _draw_range(*tasks[0])
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            for future in [pool.submit(_draw_range, *task) for task in tasks]:
+                future.result()
+    return z.reshape(n_steps, 3, n_paths).transpose(2, 0, 1)
+
+
+def _draw_range(z: np.ndarray, buf: np.ndarray, seed: int, stream: int,
+                first_path: int, lo: int, hi: int) -> None:
+    """Fill columns lo..hi-1 of the step-major ``z`` with the draws of paths
+    first_path+lo .. first_path+hi-1, ``len(buf)`` paths at a time.
+
+    Each chunk is a whole number of counter ticks, so the chunks continue
+    one stream.  Allocates nothing large: it may run on a pool thread.
+    """
+    stride = buf.shape[1]
+    width = z.shape[0]
+    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg.advance((first_path + lo) * stride // _PHILOX_WORDS)
+    gen = Generator(bg)
+    for start in range(lo, hi, len(buf)):
+        stop = min(start + len(buf), hi)
         u = gen.random(out=buf[: stop - start])[:, :width]
         # random() yields [0,1); floor away exact zeros before the inverse CDF.
         np.maximum(u, 1e-300, out=u)
         ndtri(u, out=u)
         z[:, start:stop] = u.T
-    return z.reshape(n_steps, 3, n_paths).transpose(2, 0, 1)
 
 
 def _run_block(
@@ -478,37 +533,31 @@ def simulate_paths(
         raise DegenerateModel(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
         )
-    n, n_steps = cfg.n_paths, cfg.n_steps
-    blocks = [(start, min(start + _BLOCK_PATHS, n)) for start in range(0, n, _BLOCK_PATHS)]
-
+    n = cfg.n_paths
     alloc = lambda: np.empty(n)  # noqa: E731
     arrays = {name: alloc() for name in (_ACCUMULATOR_FIELDS if weights else _STATE_FIELDS)}
     if drift_extras:
         arrays.update(j2=alloc(), j3=alloc(), g3=alloc())
 
-    def work(span):
-        start, stop = span
-        z = standard_draws(cfg.seed, stop - start, n_steps, first_path=start, stream=stream)
+    clamps = evals = 0
+    for start in range(0, n, _BLOCK_PATHS):
+        stop = min(start + _BLOCK_PATHS, n)
+        z = standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
+                           stream=stream, workers=cfg.worker_hint)
         try:
-            out, clamps, evals = _run_block(
+            out, block_clamps, block_evals = _run_block(
                 model, init, cfg, z, perturbation, drift_extras, weights)
         except NumericalBlowup as exc:
             raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
-        return start, stop, out, clamps, evals
-
-    workers = cfg.worker_hint or 1
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, blocks))
-    else:
-        results = [work(b) for b in blocks]
-
-    for start, stop, out, _, _ in results:
+        # The copies below first touch the pages of the run's arrays: free
+        # the draws before them, and the block's outputs after them.
+        del z
         for name, arr in out.items():
             arrays[name][start:stop] = arr
-    return _accumulators(arrays, model, init, cfg,
-                         clamps=sum(r[3] for r in results),
-                         evals=sum(r[4] for r in results))
+        del out
+        clamps += block_clamps
+        evals += block_evals
+    return _accumulators(arrays, model, init, cfg, clamps=clamps, evals=evals)
 
 
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:
@@ -557,5 +606,8 @@ def stable_mean_se(x: np.ndarray) -> tuple[float, float]:
     mean = stable_sum(x) / n
     if n < 2:
         return mean, 0.0
-    var = stable_sum((x - mean) ** 2) / (n - 1)
+    # Huge finite samples may overflow the squares: the standard error is
+    # then inf, which the caller refuses, and numpy need not warn about it.
+    with np.errstate(over="ignore"):
+        var = stable_sum((x - mean) ** 2) / (n - 1)
     return mean, math.sqrt(var / n)

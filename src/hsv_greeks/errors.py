@@ -54,6 +54,18 @@ class NumericalBlowup(HsvGreeksError, ArithmeticError):
         super().__init__(msg)
 
 
+class NonFiniteEstimate(InvalidParams):
+    """A weighted estimate's samples, value or standard error is not finite,
+    as when clamped paths blow its weights up.  ``estimator`` names the
+    estimator token, such as ``malliavin:vega_v0``.  It is an
+    :class:`InvalidParams` because :class:`GreekEstimate` refuses such a
+    value or standard error as one."""
+
+    def __init__(self, estimator: str, detail: str):
+        self.estimator = estimator
+        super().__init__(f"{estimator} estimate is not finite: {detail}")
+
+
 class EmptyInput(HsvGreeksError, ValueError):
     """An estimator was handed zero paths."""
 

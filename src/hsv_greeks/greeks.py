@@ -40,6 +40,7 @@ from .errors import (
     DegenerateWeightWarning,
     EmptyInput,
     InvalidParams,
+    NonFiniteEstimate,
     UnsupportedModel,
 )
 from .models import Payoff, evaluate_payoff
@@ -212,11 +213,17 @@ def _flag_clamps(paths: PathAccumulators) -> None:
         )
 
 
-def _estimate(samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
+def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
+    token = f"malliavin:{greek}"
     if not np.isfinite(samples).all():
         bad = int(np.argmin(np.isfinite(samples)))
-        raise InvalidParams(f"non-finite estimator sample at path {bad}")
-    mean, se = stable_mean_se(samples)
+        raise NonFiniteEstimate(token, f"sample at path {bad} is {float(samples[bad])!r}")
+    try:
+        mean, se = stable_mean_se(samples)
+    except OverflowError:  # math.fsum's intermediate overflow
+        raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NonFiniteEstimate(token, f"value {mean!r}, std_error {se!r}")
     return GreekEstimate(
         value=mean,
         std_error=se,
@@ -229,7 +236,7 @@ def _estimate(samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
 def _weighted(greek: str, paths: PathAccumulators, payoff, s0: float, T: float) -> GreekEstimate:
     """Estimate ``greek`` from its table entry; the caller checks arguments."""
     phi = _payoff_values(payoff, paths.s_T)
-    return _estimate(_GREEKS[greek].samples(paths, phi, s0, T), paths)
+    return _estimate(greek, _GREEKS[greek].samples(paths, phi, s0, T), paths)
 
 
 def price(paths: PathAccumulators, payoff) -> GreekEstimate:
@@ -273,7 +280,7 @@ def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, Greek
     phi = _payoff_values(payoff, paths.s_T)
     d = delta(paths, payoff, paths.s0)
     v0_est, r0_est = (
-        _estimate(_GREEKS[g].samples(paths, phi, paths.s0, paths.maturity), paths)
+        _estimate(g, _GREEKS[g].samples(paths, phi, paths.s0, paths.maturity), paths)
         for g in ("vega_v0", "rho_r0"))
     return d, v0_est, r0_est
 

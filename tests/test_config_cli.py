@@ -476,6 +476,27 @@ def test_numerical_blowup_exits_3(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+@pytest.mark.parametrize("level,detail", [
+    # squared deviations overflow: std_error inf
+    ("1e160", "std_error inf"),
+    # the sample sum itself overflows
+    ("1e307", "the sum of its samples overflows"),
+])
+def test_non_finite_weighted_estimate_exits_3(tmp_path, level, detail):
+    """A weighted estimate that is not finite is a numerical failure that
+    names its estimator token, with no numpy warning on stderr."""
+    cfg = write_cfg(tmp_path, "payoff.kind=digital_call\n"
+                    f"payoff.level={level}\n"
+                    "sim.n_paths=64\nsim.n_steps=4\n"
+                    "estimators=malliavin:price\n")
+    proc = run_cli("greeks", "--config", cfg)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(
+        "hsv-greeks: numerical failure: malliavin:price estimate is not finite: ")
+    assert detail in proc.stderr
+    assert proc.stderr.count("\n") == 1  # no warning, no traceback
+
+
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli("greeks", "--config", str(tmp_path / "absent.cfg"))
     assert proc.returncode == 2

@@ -1,5 +1,6 @@
 """Path simulation: accumulators, first variations, determinism."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import math
@@ -103,24 +104,91 @@ def _one_large_draw(n_steps):
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=_PATH_INDEX, b=_PATH_INDEX, n_steps=st.integers(1, 3))
-def test_draws_are_pure_under_any_split(a, b, n_steps):
+@given(a=_PATH_INDEX, b=_PATH_INDEX, n_steps=st.integers(1, 3),
+       workers=st.sampled_from((None, 1, 2, 3, 8)))
+def test_draws_are_pure_under_any_split(a, b, n_steps, workers):
     """Paths first..last of any draw are rows first..last of one large draw,
-    across the chunk edges of the draw and the block edge of the engine."""
+    across the chunk edges of the draw, the block edge of the engine and
+    the ranges the draw's threads split the paths into."""
     first, stop = min(a, b), max(a, b) + 1
-    part = hg.standard_draws(99, stop - first, n_steps, first_path=first)
+    part = hg.standard_draws(99, stop - first, n_steps, first_path=first,
+                             workers=workers)
     assert np.array_equal(part, _one_large_draw(n_steps)[first:stop])
 
 
-def test_draws_allocate_little_beyond_their_output():
-    """The inverse CDF runs in place on one small reused buffer."""
+def test_draws_allocate_little_beyond_their_output(monkeypatch):
+    """The inverse CDF runs in place on one small reused buffer, which the
+    draw's threads share out between them."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
+    for workers in (1, 2, 4):
+        tracemalloc.start()
+        try:
+            z = hg.standard_draws(3, 16384, 252, workers=workers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * z.nbytes, workers
+        del z
+
+
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
+    each task on the calling thread, so no thread is started."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("hint", [None, 10**6])
+def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
+                                                     hv_init, hint, cpus):
+    """No hint means every available CPU; a huge hint starts no more threads
+    than CPUs or chunks of draws in the block; a block of one chunk needs no
+    pool."""
+    sizes = []
+    monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
+                        lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
+    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=2, worker_hint=hint)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    # The first block has 16 chunks; the second, one path.
+    assert sizes == ([] if cpus == 1 else [min(cpus, _BLOCK // _CHUNK)])
+    reference = hg.simulate_paths(hv_model, hv_init,
+                                  dataclasses.replace(cfg, worker_hint=1))
+    assert np.array_equal(paths.s_T, reference.s_T)
+    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=250, worker_hint=hint))
+    assert len(sizes) == (0 if cpus == 1 else 1)
+
+
+def test_two_block_run_holds_one_block_of_draws(hv_model, hv_init):
+    """Blocks run one at a time, also with two workers: the run holds one
+    block of draws, never two."""
+    n_steps = 64
+    cfg = small_cfg(n_paths=2 * _BLOCK, n_steps=n_steps, worker_hint=2)
     tracemalloc.start()
     try:
-        z = hg.standard_draws(3, 16384, 252)
+        hg.simulate_paths(hv_model, hv_init, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * z.nbytes
+    block_draws = _BLOCK * n_steps * 3 * 8
+    accumulators = len(_STATE_ONLY_FIELDS + _WEIGHT_FIELDS) * cfg.n_paths * 8
+    # Allowance for one block's step-loop state and temporaries: 64 arrays
+    # of one value per path.
+    step_loop = 64 * _BLOCK * 8
+    assert peak < block_draws + accumulators + step_loop
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +273,29 @@ def test_blowup_reports_path_and_step(hv_init):
 
 # ---------------------------------------------------------------------------
 # determinism
+
+@pytest.mark.parametrize("weights", [True, False])
+@pytest.mark.parametrize("stream", [0, 1])
+def test_two_block_runs_are_bitwise_identical_across_worker_counts(
+        monkeypatch, hv_model, hv_init, stream, weights):
+    """Two blocks (16,385 paths), each block's draws split across 1 to 8
+    threads: every array, clamp and evaluation count is the same."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
+    runs = []
+    for hint in (None, 1, 2, 3, 8):
+        cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=2, sigma_floor=0.2,
+                        worker_hint=hint)
+        runs.append(hg.simulate_paths(hv_model, hv_init, cfg, stream=stream,
+                                      drift_extras=weights, weights=weights))
+    first = runs[0]
+    names = (_STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3")
+             if weights else _STATE_ONLY_FIELDS)
+    for other in runs[1:]:
+        for name in names:
+            assert np.array_equal(getattr(first, name), getattr(other, name)), name
+        assert other.clamp_count == first.clamp_count > 0
+        assert other.n_integrand_evals == first.n_integrand_evals
+
 
 def test_bitwise_determinism_across_worker_counts(hv_model, hv_init):
     runs = []

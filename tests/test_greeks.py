@@ -243,8 +243,10 @@ def test_non_finite_std_error_is_refused(hv_model, hv_init):
     # finite samples whose squared deviations overflow the variance
     paths = hg.simulate_paths(hv_model, hv_init, hg.SimConfig(n_paths=64, n_steps=4))
     phi = np.where(np.arange(64) % 2 == 0, 1e160, -1e160)
-    with np.errstate(over="ignore"), pytest.raises(hg.InvalidParams, match="std_error"):
+    with np.errstate(over="raise"), pytest.raises(hg.InvalidParams, match="std_error") as info:
         hg.price(paths, phi)
+    assert isinstance(info.value, hg.NonFiniteEstimate)
+    assert info.value.estimator == "malliavin:price"
 
 
 def test_empty_input_is_rejected(hv_paths_10k, call_100):

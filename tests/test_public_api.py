@@ -24,7 +24,8 @@ PUBLIC = {
     # errors
     "DegenerateModel", "DegenerateWeightWarning", "EmptyInput",
     "HsvGreeksError", "InvalidBump", "InvalidConfig", "InvalidParams",
-    "NonPositiveSemiDefinite", "NumericalBlowup", "UnsupportedModel",
+    "NonFiniteEstimate", "NonPositiveSemiDefinite", "NumericalBlowup",
+    "UnsupportedModel",
     # greeks
     "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
     "rho", "vega",
