@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
-from .errors import InvalidBump, InvalidParams, UnsupportedModel
-from .greeks import GreekEstimate, _payoff_values
+from .errors import InvalidBump, InvalidParams, NonFiniteEstimate, UnsupportedModel
+from .greeks import _GREEKS, GreekEstimate, _finite_samples, _payoff_values, _require_finite
 from .models import InitialState, ModelSpec
 
 __all__ = [
@@ -161,6 +161,10 @@ def fd_greek(
     InvalidBump
         If the bump size violates h < 0.5*|base| for a nonzero base value,
         or the bumped configuration is invalid.
+    NonFiniteEstimate
+        If a sample, the value or the standard error is not finite; it
+        names the estimator as ``fd:<greek>``, the Greek whose FD target
+        ``bump.target`` is.
     """
     check_bump_size(bump, init)
     if bump.scheme == "central":
@@ -182,13 +186,18 @@ def fd_greek(
         clamps += c
 
     hi, lo = runs
-    if bump.crn:
-        value, se = stable_mean_se((hi - lo) / denom)
-    else:
-        m_hi, se_hi = stable_mean_se(hi)
-        m_lo, se_lo = stable_mean_se(lo)
-        value = (m_hi - m_lo) / denom
-        se = math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
+    token = "fd:" + next(g for g, spec in _GREEKS.items() if spec.fd_target == bump.target)
+    try:
+        if bump.crn:
+            value, se = stable_mean_se(_finite_samples(token, (hi - lo) / denom))
+        else:
+            m_hi, se_hi = stable_mean_se(_finite_samples(token, hi))
+            m_lo, se_lo = stable_mean_se(_finite_samples(token, lo))
+            value = (m_hi - m_lo) / denom
+            se = math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
+    except OverflowError:  # math.fsum's intermediate overflow
+        raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
+    _require_finite(token, value, se)
     return GreekEstimate(
         value=value,
         std_error=se,

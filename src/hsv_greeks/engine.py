@@ -47,9 +47,14 @@ ranges of paths, one thread each: the Philox uniforms and the inverse CDF
 release the GIL, and each range draws its own counter range, so the draws
 are the same bits for any split.  The step loop runs on the calling thread.
 
-Monte Carlo reductions are exactly rounded (:func:`stable_sum` adds the
-mantissas per binary exponent in exact arithmetic and rounds once), so
-estimates are independent of the order of the paths and of worker count.
+Monte Carlo reductions are exactly rounded, so estimates are independent
+of the order of the paths and of worker count.  :func:`stable_sum` splits
+the values by error-free extraction (Rump, Ogita & Oishi, "Accurate
+floating-point summation part I", SIAM J. Sci. Comput. 31, 2008): adding
+and subtracting a power of two rounds every value to a common grid coarse
+enough that numpy sums the rounded parts exactly, and the exact remainders
+go to the next, finer level.  The few level totals are rounded once by
+:func:`math.fsum`.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -95,10 +100,13 @@ _PHILOX_WORDS = 4
 # threads (bounds the scratch buffer of standard_draws and the threads it
 # starts; the draws do not depend on it).
 _DRAW_CHUNK = 1024
-# stable_sum sums exactly below 2**26 values (each bin total of 27-bit
-# halves stays below 2**53) and when no partial sum of fsum can overflow.
+# stable_sum extracts exactly below 2**26 values (each level then takes
+# 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
+# Its sigma = 2**k needs k >= -1021, where the grid ulp(sigma)/2 is still
+# a multiple of the smallest subnormal, 2**-1074.
 _EXACT_SUM_MAX_N = 2**26
 _EXACT_SUM_MAX_TOTAL = 2.0**1000
+_MIN_SIGMA_EXP = -1021
 
 
 @dataclass(frozen=True)
@@ -169,17 +177,21 @@ _ACCUMULATOR_FIELDS = _STATE_FIELDS + (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathAccumulators:
     """Per-path terminal states and integrals, stored as parallel arrays.
 
-    One entry per path in every array.  ``P2``/``P3`` hold NaN sentinels
-    (``p23_valid`` False) when the model is degenerate and the Bismut
-    integrands 1/v(V_t) or 1/g(r_t) are undefined.  ``j2``, ``j3``, ``g3``
+    One entry per path in every array; :func:`simulate_paths` returns the
+    arrays read-only, and the fields are frozen.  ``P2``/``P3`` hold NaN
+    sentinels (``p23_valid`` False) when the model is degenerate and the
+    Bismut integrands 1/v(V_t) or 1/g(r_t) are undefined.  ``j2``, ``j3``, ``g3``
     are the optional drift-sensitivity integrals ∫(1/v)dW^2, ∫(1/v)dW^3,
     ∫(1/g)dW^3, present only when requested.  A state-only run
     (``simulate_paths(..., weights=False)``) fills ``s_T``, ``v_T``, ``r_T``
     and ``D`` and leaves every weight field, ``I1`` to ``y33_T``, None.
+    ``factors`` holds the payoff-independent per-path factors the
+    estimators compute on first use; a ``dataclasses.replace`` copy starts
+    with none.
     """
 
     s_T: np.ndarray
@@ -211,6 +223,7 @@ class PathAccumulators:
     maturity: float = math.nan
     n_steps: int = 0
     seed: int = 0
+    factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return int(self.s_T.shape[0])
@@ -463,8 +476,10 @@ def _run_block(
 
 def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
                   cfg: SimConfig, clamps: int, evals: int) -> PathAccumulators:
-    """Attach the run metadata to per-path arrays; refuse non-finite ones
-    among those present."""
+    """Attach the run metadata to per-path arrays, made read-only; refuse
+    non-finite ones among those present."""
+    for arr in arrays.values():
+        arr.flags.writeable = False
     acc = PathAccumulators(
         **arrays, p23_valid=not model.degenerate, clamp_count=clamps,
         n_integrand_evals=evals, model=model, s0=init.s0, v0=init.v0,
@@ -563,35 +578,48 @@ def simulate_paths(
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:
     """Exactly rounded sum, the value :func:`math.fsum` returns.
 
-    Each value is m * 2**e with a 53-bit integer mantissa m.  m is cut into
-    a 27-bit and a 26-bit half; the halves are summed per exponent e, where
-    every bin total stays an integer below 2**53 and so is exact in float64.
-    The bins are combined in a Python int and rounded once.  The result
-    does not depend on the order of ``x``; an exact zero is +0.0, as from
-    fsum.  Inputs this cannot take exactly (empty, non-finite, large enough
-    for fsum to overflow, 2**26 values or more) go to fsum itself.
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31, 2008): with 2**M >= n+2,
+    max|p| < 2**e and sigma = 2**(M+e), ``q = (sigma + p) - sigma`` is p
+    rounded to a multiple of ulp(sigma)/2, computed exactly, and so is the
+    remainder ``p - q``.  Every sum of the n values q is a multiple of that
+    grid below sigma in magnitude, hence exact in any order.  Each level
+    sums its q and keeps p - q, with sigma shrunk by 2**(M-52), until p is
+    all zero; fsum of the few level totals, an exact split of the sum,
+    rounds it once.  The result does not depend on the order of ``x``; an
+    exact zero is +0.0, as from fsum.  Inputs this cannot take exactly
+    (empty, non-1-D, non-finite, all zero, large enough for fsum to
+    overflow, 2**26 values or more) go to fsum itself, and so does what is
+    left once sigma would leave the normal range.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         return math.fsum(x)
     n = x.shape[0]
-    if not (0 < n < _EXACT_SUM_MAX_N
-            and max(x.max(), -x.min()) < _EXACT_SUM_MAX_TOTAL / n):
+    if not 0 < n < _EXACT_SUM_MAX_N:
         return math.fsum(x.tolist())
-    frac, exp = np.frexp(x)
-    frac *= 2.0**27
-    hi = np.trunc(frac)
-    frac -= hi
-    frac *= 2.0**26
-    low = int(exp.min())
-    exp -= low
-    bins = zip(np.bincount(exp, weights=hi).tolist(),
-               np.bincount(exp, weights=frac).tolist())
-    total = sum((int(h) << (b + 26)) + (int(lo) << b)
-                for b, (h, lo) in enumerate(bins))
-    # x sums to total * 2**(low-53); int true division rounds correctly.
-    scale = low - 53
-    return total / (1 << -scale) if scale < 0 else float(total << scale)
+    top = max(x.max(), -x.min())
+    # Also refuses nan, inf, and the all-zero sum whose sign fsum sets.
+    if not 0.0 < top < _EXACT_SUM_MAX_TOTAL / n:
+        return math.fsum(x.tolist())
+    m = (n + 1).bit_length()
+    k = m + math.frexp(top)[1]
+    totals = []
+    p = x.copy()
+    q = np.empty_like(p)
+    while True:
+        if k < _MIN_SIGMA_EXP:
+            totals += p.tolist()
+            break
+        sigma = math.ldexp(1.0, k)
+        np.add(p, sigma, out=q)
+        q -= sigma
+        totals.append(float(q.sum()))
+        p -= q
+        if not p.any():
+            break
+        k += m - 52
+    return math.fsum(totals)
 
 
 def stable_mean_se(x: np.ndarray) -> tuple[float, float]:

@@ -96,6 +96,22 @@ class GreekEstimate:
                 f"n_paths={self.n_paths!r}")
 
 
+def _factor(paths: PathAccumulators, name: str, compute) -> np.ndarray:
+    """The payoff-independent per-path factor ``name`` of ``paths``,
+    computed on first use and kept, read-only, in ``paths.factors``."""
+    value = paths.factors.get(name)
+    if value is None:
+        value = compute(paths)
+        value.flags.writeable = False
+        paths.factors[name] = value
+    return value
+
+
+def _discount(paths: PathAccumulators) -> np.ndarray:
+    """The per-path discount factor e^{-D}."""
+    return _factor(paths, "discount", lambda p: np.exp(-p.D))
+
+
 def _combination(paths: PathAccumulators) -> np.ndarray:
     """The weight combination C built from I1..I3 and the mixing loadings."""
     if paths.model is None:
@@ -106,7 +122,7 @@ def _combination(paths: PathAccumulators) -> np.ndarray:
     mu = paths.model.mixing
     c2 = -rho_c.rho12 / mu.mu1
     c3 = (rho_c.rho12 * mu.mu2 - rho_c.rho13 * mu.mu1) / (mu.mu1 * mu.mu3)
-    return paths.I1 + c2 * paths.I2 + c3 * paths.I3
+    return _factor(paths, "C", lambda p: p.I1 + c2 * p.I2 + c3 * p.I3)
 
 
 def _kappa_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
@@ -114,7 +130,7 @@ def _kappa_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
     # short rate does not feel the V drift.
     mu = p.model.mixing
     ito = p.model.hv_params.kappa * (p.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * p.j3)
-    return phi * np.exp(-p.D) * ito / T
+    return phi * _discount(p) * ito / T
 
 
 def _reversion_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
@@ -123,7 +139,7 @@ def _reversion_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndar
     # derivative 1 - e^{-at} of the Vasicek rate.
     a = p.model.hv_params.a
     correction = T - (1.0 - math.exp(-a * T)) / a
-    return phi * np.exp(-p.D) * ((a / p.model.mixing.mu3) * p.g3 / T - correction)
+    return phi * _discount(p) * ((a / p.model.mixing.mu3) * p.g3 / T - correction)
 
 
 @dataclass(frozen=True)
@@ -144,30 +160,30 @@ class _Greek:
 _GREEKS = {
     # Plain discounted payoff mean (weight identically 1).
     "price": _Greek(
-        lambda p, phi, s0, T: np.exp(-p.D) * phi,
+        lambda p, phi, s0, T: _discount(p) * phi,
         closed_form={"call": "price"}),
     # Initial spot.
     "delta": _Greek(
-        lambda p, phi, s0, T: phi * (np.exp(-p.D) * _combination(p) / (s0 * T)),
+        lambda p, phi, s0, T: phi * (_discount(p) * _combination(p) / (s0 * T)),
         fd_target="s0",
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
-        lambda p, phi, s0, T: phi * (np.exp(-p.D) * (_combination(p) - T * T) / T),
+        lambda p, phi, s0, T: phi * (_discount(p) * (_combination(p) - T * T) / T),
         fd_target="rho_shift_epsilon",
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
-        lambda p, phi, s0, T: phi * ((np.exp(-p.D) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
+        lambda p, phi, s0, T: phi * ((_discount(p) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
         fd_target="vega_shift_epsilon",
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
-        lambda p, phi, s0, T: phi * np.exp(-p.D) * p.P2 / T,
+        lambda p, phi, s0, T: phi * _discount(p) * p.P2 / T,
         hybrid_only=True, fd_target="v0"),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
-        lambda p, phi, s0, T: phi * np.exp(-p.D) * p.P3 / T,
+        lambda p, phi, s0, T: phi * _discount(p) * p.P3 / T,
         hybrid_only=True, fd_target="r0"),
     "kappa": _Greek(_kappa_samples, drift_extras=True, hybrid_only=True,
                     fd_target="kappa_epsilon"),
@@ -213,17 +229,27 @@ def _flag_clamps(paths: PathAccumulators) -> None:
         )
 
 
-def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
-    token = f"malliavin:{greek}"
+def _finite_samples(token: str, samples: np.ndarray) -> np.ndarray:
+    """``samples``, refused as a :class:`NonFiniteEstimate` naming
+    ``token`` when one is not finite."""
     if not np.isfinite(samples).all():
         bad = int(np.argmin(np.isfinite(samples)))
         raise NonFiniteEstimate(token, f"sample at path {bad} is {float(samples[bad])!r}")
+    return samples
+
+
+def _require_finite(token: str, value: float, se: float) -> None:
+    if not (math.isfinite(value) and math.isfinite(se)):
+        raise NonFiniteEstimate(token, f"value {value!r}, std_error {se!r}")
+
+
+def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
+    token = f"malliavin:{greek}"
     try:
-        mean, se = stable_mean_se(samples)
+        mean, se = stable_mean_se(_finite_samples(token, samples))
     except OverflowError:  # math.fsum's intermediate overflow
         raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise NonFiniteEstimate(token, f"value {mean!r}, std_error {se!r}")
+    _require_finite(token, mean, se)
     return GreekEstimate(
         value=mean,
         std_error=se,

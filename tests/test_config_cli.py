@@ -497,6 +497,23 @@ def test_non_finite_weighted_estimate_exits_3(tmp_path, level, detail):
     assert proc.stderr.count("\n") == 1  # no warning, no traceback
 
 
+@pytest.mark.parametrize("level,crn", [("1e160", "on"), ("1e307", "on"),
+                                       ("1e160", "off")])
+def test_non_finite_fd_estimate_exits_3(tmp_path, level, crn):
+    """A finite-difference estimate whose standard error overflows, from
+    differenced or from independent runs, is a numerical failure naming its
+    estimator token, not a usage error."""
+    cfg = write_cfg(tmp_path, "payoff.kind=digital_call\n"
+                    f"payoff.level={level}\n"
+                    "sim.n_paths=64\nsim.n_steps=4\n"
+                    f"estimators=fd:delta\nbump.delta.crn={crn}\n")
+    proc = run_cli("greeks", "--config", cfg)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(
+        "hsv-greeks: numerical failure: fd:delta estimate is not finite: ")
+    assert proc.stderr.count("\n") == 1  # no warning, no traceback
+
+
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli("greeks", "--config", str(tmp_path / "absent.cfg"))
     assert proc.returncode == 2

@@ -194,6 +194,20 @@ def test_two_block_run_holds_one_block_of_draws(hv_model, hv_init):
 # ---------------------------------------------------------------------------
 # accumulator contracts
 
+@pytest.mark.parametrize("weights", [True, False])
+def test_simulated_arrays_are_read_only(hv_model, hv_init, weights):
+    paths = hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8, n_steps=4),
+                              drift_extras=weights, weights=weights)
+    arrays = [f.name for f in dataclasses.fields(paths)
+              if isinstance(getattr(paths, f.name), np.ndarray)]
+    assert len(arrays) == (19 if weights else 4)
+    for name in arrays:
+        with pytest.raises(ValueError):
+            getattr(paths, name)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        paths.D = np.zeros(8)
+
+
 def test_record_count_and_finiteness(hv_paths_10k):
     acc = hv_paths_10k
     assert acc.s_T.shape == (10_000,)
@@ -492,18 +506,25 @@ _AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
 
 @st.composite
 def _samples(draw):
-    """Normal draws scaled by 2**e, e from a drawn range that reaches the
-    subnormals and 1e300; optionally cancelling in pairs; in one case of
-    two, a few awkward values (signed zeros, subnormals, huge values, inf,
-    nan) dropped in."""
+    """Normal draws scaled by 2**e, e from a drawn range, narrow or wide,
+    that reaches the subnormals and 1e300: cancelling in pairs, of mixed
+    sign or all nonnegative; or near-equal values in [2**e, 2**(e+1)).  In
+    one case of two, a few awkward values (signed zeros, subnormals, huge
+    values, inf, nan) dropped in."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(0, 50) | st.integers(1000, 5000))
+    # 16,000 to 20,000 straddles 16,384, where stable_sum's 2**M >= n+2 grows.
+    n = draw(st.integers(0, 50) | st.integers(1000, 5000) | st.integers(16_000, 20_000))
     low = draw(st.integers(-1080, 997))
-    high = draw(st.integers(low, 997))
+    high = min(997, low + draw(st.integers(0, 8) | st.integers(0, 2077)))
     x = np.ldexp(rng.standard_normal(n), rng.integers(low, high + 1, n))
-    if draw(st.booleans()):
+    form = draw(st.sampled_from(("cancel", "mixed", "nonnegative", "level")))
+    if form == "cancel":
         x[n // 2: 2 * (n // 2)] = -x[: n // 2]
         rng.shuffle(x)
+    elif form == "nonnegative":  # as payoffs and squared deviations are
+        np.abs(x, out=x)
+    elif form == "level":  # near-equal, as a digital payoff's nonzero samples
+        x = np.ldexp(1.0 + rng.random(n), high)
     if n and draw(st.booleans()):
         extra = draw(st.lists(st.sampled_from(_AWKWARD) | st.floats(),
                               min_size=1, max_size=4))
@@ -524,6 +545,25 @@ def _outcome(total, x):
 def test_stable_sum_is_fsum_bit_for_bit(x):
     """Same bits as math.fsum, or the same exception type."""
     assert _outcome(hg.stable_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
+
+
+def _fsum_mean_se(x):
+    mean = math.fsum(x.tolist()) / x.size
+    if x.size < 2:
+        return mean, 0.0
+    with np.errstate(over="ignore"):
+        squares = (x - mean) ** 2
+    return mean, math.sqrt(math.fsum(squares.tolist()) / (x.size - 1) / x.size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_samples().filter(lambda x: x.size and np.isfinite(x).all()))
+def test_stable_mean_se_is_the_fsum_reference_bit_for_bit(x):
+    """mean = fsum(x)/n and se = sqrt(fsum((x-mean)**2)/(n-1)/n) to the
+    bit, or the same exception type."""
+    def bits(mean_se):
+        return lambda v: struct.pack("<2d", *mean_se(v))
+    assert _outcome(bits(hg.stable_mean_se), x) == _outcome(bits(_fsum_mean_se), x)
 
 
 def test_stable_mean_se_against_reference():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hsv_greeks as hg
 from conftest import (
@@ -282,3 +283,50 @@ def test_bismut_vector_warns_once_per_call(hv_model, hv_init, call_100):
     with pytest.warns(hg.DegenerateWeightWarning) as record:
         hg.bismut_vector(paths, call_100)
     assert len(record) == 1
+
+
+# ---------------------------------------------------------------------------
+# per-path factors computed once per path set
+
+_WEIGHTED = {
+    "price": lambda p, f: hg.price(p, f),
+    "delta": lambda p, f: hg.delta(p, f, p.s0),
+    "rho": lambda p, f: hg.rho(p, f, p.maturity),
+    "vega": lambda p, f: hg.vega(p, f, p.maturity),
+    "vega_v0": lambda p, f: hg.bismut_vector(p, f)[1],
+    "rho_r0": lambda p, f: hg.bismut_vector(p, f)[2],
+    "kappa": lambda p, f: hg.drift_sensitivity(p, f, "kappa"),
+    "reversion": lambda p, f: hg.drift_sensitivity(p, f, "reversion_speed"),
+}
+
+
+def _bits(est):
+    return est.value.hex(), est.std_error.hex()
+
+
+@pytest.mark.parametrize("kind", ["call", "put", "digital_call"])
+@settings(max_examples=4, deadline=None)
+@given(order=st.permutations(sorted(_WEIGHTED)))
+def test_cached_factors_give_the_bits_of_a_fresh_copy(hv_paths_10k, kind, order):
+    """Every weighted Greek has the same bits whichever estimates ran
+    before it on the same paths, as on a copy with nothing cached."""
+    payoff = hg.Payoff(kind, strike=100.0)
+    shared = dataclasses.replace(hv_paths_10k)
+    for greek in order:
+        fresh = dataclasses.replace(hv_paths_10k)
+        assert not fresh.factors
+        assert _bits(_WEIGHTED[greek](shared, payoff)) == _bits(
+            _WEIGHTED[greek](fresh, payoff))
+    assert set(shared.factors) == {"discount", "C"}
+
+
+def test_a_replaced_copy_prices_with_its_own_discount(hv_paths_10k, call_100):
+    paths = dataclasses.replace(hv_paths_10k)
+    base = hg.price(paths, call_100)
+    shifted = dataclasses.replace(paths, D=paths.D + 0.01)
+    assert not shifted.factors
+    est = hg.price(shifted, call_100)
+    phi = hg.evaluate_payoff(call_100, paths.s_T)
+    assert (est.value, est.std_error) == hg.stable_mean_se(np.exp(-(paths.D + 0.01)) * phi)
+    assert est.value < base.value
+    assert _bits(hg.price(paths, call_100)) == _bits(base)
