@@ -30,8 +30,8 @@ import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidBump, InvalidParams, NonFiniteEstimate, UnsupportedModel
-from .greeks import _GREEKS, GreekEstimate, _finite_samples, _payoff_values, _require_finite
-from .models import InitialState, ModelSpec
+from .greeks import _GREEKS, GreekEstimate, _finite_samples, _require_finite
+from .models import InitialState, ModelSpec, Payoff, evaluate_payoff
 
 __all__ = [
     "BumpSpec",
@@ -103,7 +103,7 @@ def _discounted_samples(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
-    payoff,
+    payoff: Payoff,
     target: str,
     offset: float,
     stream: int,
@@ -138,7 +138,7 @@ def _discounted_samples(
 
     paths = simulate_paths(model, init, cfg, perturbation=perturbation,
                            stream=stream, weights=False)
-    phi = _payoff_values(payoff, paths.s_T)
+    phi = evaluate_payoff(payoff, paths.s_T)
     samples = np.exp(-paths.D - extra_discount) * phi
     return samples, paths.clamp_count
 
@@ -147,7 +147,7 @@ def fd_greek(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
-    payoff,
+    payoff: Payoff,
     bump: BumpSpec,
 ) -> GreekEstimate:
     """Bump-and-revalue sensitivity along ``bump.target``.
@@ -158,6 +158,8 @@ def fd_greek(
 
     Raises
     ------
+    InvalidParams
+        If ``payoff`` is not a :class:`~hsv_greeks.models.Payoff`.
     InvalidBump
         If the bump size violates h < 0.5*|base| for a nonzero base value,
         or the bumped configuration is invalid.

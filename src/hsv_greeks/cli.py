@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -260,16 +259,6 @@ def _gather_entries(args) -> dict[str, str]:
         entries["output.path"] = args.out
     if args.format is not None:
         entries["output.format"] = args.format
-    workers_env = os.environ.get("HSV_GREEKS_WORKERS")
-    if workers_env is not None:
-        try:
-            int(workers_env, 10)
-        except ValueError:
-            raise InvalidConfig(
-                "sim.workers",
-                f"environment override HSV_GREEKS_WORKERS must be an "
-                f"integer, got {workers_env!r}") from None
-        entries["sim.workers"] = workers_env
     return entries
 
 

@@ -168,32 +168,28 @@ class Perturbation:
             raise InvalidParams(f"perturbation delta must be finite, got {self.delta!r}")
 
 
-# The per-path arrays every simulation fills, and those only a weighted
-# run fills (the drift extras aside).
-_STATE_FIELDS = ("s_T", "v_T", "r_T", "D")
-_ACCUMULATOR_FIELDS = _STATE_FIELDS + (
-    "I1", "I2", "I3", "A", "Q", "w1_T",
-    "P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T",
-)
-
-
 @dataclass(frozen=True)
 class PathAccumulators:
-    """Per-path terminal states and integrals, stored as parallel arrays.
+    """Per-path terminal states and integrals, stored as parallel arrays,
+    with the run they came from.
 
     One entry per path in every array; :func:`simulate_paths` returns the
-    arrays read-only, and the fields are frozen.  ``P2``/``P3`` hold NaN
-    sentinels (``p23_valid`` False) when the model is degenerate and the
-    Bismut integrands 1/v(V_t) or 1/g(r_t) are undefined.  ``j2``, ``j3``, ``g3``
-    are the optional drift-sensitivity integrals ∫(1/v)dW^2, ∫(1/v)dW^3,
-    ∫(1/g)dW^3, present only when requested.  A state-only run
+    arrays read-only, and the fields are frozen.  A state-only run
     (``simulate_paths(..., weights=False)``) fills ``s_T``, ``v_T``, ``r_T``
-    and ``D`` and leaves every weight field, ``I1`` to ``y33_T``, None.
-    ``factors`` holds the payoff-independent per-path factors the
-    estimators compute on first use; a ``dataclasses.replace`` copy starts
-    with none.
+    and ``D`` and leaves every weight field, ``I1`` to ``y33_T``, None.  On
+    a degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
+    undefined, so ``P2`` and ``P3`` are None.  ``j2``, ``j3``, ``g3`` are
+    the drift-sensitivity integrals ∫(1/v)dW^2, ∫(1/v)dW^3, ∫(1/g)dW^3,
+    present only when requested.  ``factors`` holds the payoff-independent
+    per-path factors the estimators compute on first use; a
+    ``dataclasses.replace`` copy starts with none.
     """
 
+    model: ModelSpec
+    s0: float
+    maturity: float
+    clamp_count: int
+    n_integrand_evals: int
     s_T: np.ndarray
     v_T: np.ndarray
     r_T: np.ndarray
@@ -210,19 +206,9 @@ class PathAccumulators:
     y13_T: np.ndarray | None = None
     y22_T: np.ndarray | None = None
     y33_T: np.ndarray | None = None
-    p23_valid: bool = True
-    clamp_count: int = 0
-    n_integrand_evals: int = 0
     j2: np.ndarray | None = None
     j3: np.ndarray | None = None
     g3: np.ndarray | None = None
-    model: ModelSpec | None = None
-    s0: float = math.nan
-    v0: float = math.nan
-    r0: float = math.nan
-    maturity: float = math.nan
-    n_steps: int = 0
-    seed: int = 0
     factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -367,7 +353,7 @@ def _run_block(
     zeros = lambda: np.zeros(nb)  # noqa: E731
     sum_r, sum_sig, sum_invsig = zeros(), zeros(), zeros()
     sI1, sI2, sI3, sW1 = zeros(), zeros(), zeros(), zeros()
-    sP2, sP3 = zeros(), zeros()
+    sP2, sP3 = (zeros(), zeros()) if want_p23 else (None, None)
     sJ2, sJ3, sG3 = (zeros(), zeros(), zeros()) if drift_extras else (None, None, None)
     clamps = 0
     n_evals = 0
@@ -456,44 +442,22 @@ def _run_block(
     if not weights:
         out = {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
         return out, clamps, n_evals
-    nan = np.full(nb, math.nan)
     out = {
         "s_T": S, "v_T": V, "r_T": r,
         "D": dt * sum_r,
         "I1": sqdt * sI1, "I2": sqdt * sI2, "I3": sqdt * sI3,
         "A": dt * sum_sig, "Q": dt * sum_invsig,
         "w1_T": sqdt * sW1,
-        "P2": sqdt * sP2 if want_p23 else nan,
-        "P3": sqdt * sP3 if want_p23 else nan.copy(),
-        "y12_T": y12, "y13_T": y13, "y22_T": y22, "y33_T": y33,
     }
+    if want_p23:
+        out["P2"] = sqdt * sP2
+        out["P3"] = sqdt * sP3
+    out.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
     if drift_extras:
         out["j2"] = sqdt * sJ2
         out["j3"] = sqdt * sJ3
         out["g3"] = sqdt * sG3
     return out, clamps, n_evals
-
-
-def _accumulators(arrays: dict, model: ModelSpec, init: InitialState,
-                  cfg: SimConfig, clamps: int, evals: int) -> PathAccumulators:
-    """Attach the run metadata to per-path arrays, made read-only; refuse
-    non-finite ones among those present."""
-    for arr in arrays.values():
-        arr.flags.writeable = False
-    acc = PathAccumulators(
-        **arrays, p23_valid=not model.degenerate, clamp_count=clamps,
-        n_integrand_evals=evals, model=model, s0=init.s0, v0=init.v0,
-        r0=init.r0, maturity=cfg.maturity, n_steps=cfg.n_steps, seed=cfg.seed,
-    )
-    skip = () if acc.p23_valid else ("P2", "P3")
-    for name in _ACCUMULATOR_FIELDS:
-        arr = getattr(acc, name)
-        if name in skip or arr is None:
-            continue
-        if not np.isfinite(arr).all():
-            idx = int(np.argmin(np.isfinite(arr)))
-            raise NumericalBlowup(idx, acc.n_steps, f"non-finite accumulator {name}")
-    return acc
 
 
 def simulate_paths(
@@ -525,6 +489,7 @@ def simulate_paths(
         returns ``s_T``, ``v_T``, ``r_T``, ``D``, ``clamp_count`` and
         ``n_integrand_evals`` bit-identical to the full run's and leaves
         the weight fields None, so the weighted estimators refuse it.
+        On a degenerate model a weighted run leaves ``P2`` and ``P3`` None.
 
     Notes
     -----
@@ -549,11 +514,7 @@ def simulate_paths(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
         )
     n = cfg.n_paths
-    alloc = lambda: np.empty(n)  # noqa: E731
-    arrays = {name: alloc() for name in (_ACCUMULATOR_FIELDS if weights else _STATE_FIELDS)}
-    if drift_extras:
-        arrays.update(j2=alloc(), j3=alloc(), g3=alloc())
-
+    arrays = {}
     clamps = evals = 0
     for start in range(0, n, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, n)
@@ -567,12 +528,20 @@ def simulate_paths(
         # The copies below first touch the pages of the run's arrays: free
         # the draws before them, and the block's outputs after them.
         del z
+        if not arrays:
+            arrays = {name: np.empty(n) for name in out}
         for name, arr in out.items():
             arrays[name][start:stop] = arr
         del out
         clamps += block_clamps
         evals += block_evals
-    return _accumulators(arrays, model, init, cfg, clamps=clamps, evals=evals)
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            idx = int(np.argmin(np.isfinite(arr)))
+            raise NumericalBlowup(idx, cfg.n_steps, f"non-finite accumulator {name}")
+        arr.flags.writeable = False
+    return PathAccumulators(model=model, s0=init.s0, maturity=cfg.maturity,
+                            clamp_count=clamps, n_integrand_evals=evals, **arrays)
 
 
 def stable_sum(x: np.ndarray | Sequence[float]) -> float:

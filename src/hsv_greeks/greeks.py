@@ -16,13 +16,13 @@ other accumulators are A = int sigma dt, Q = int (1/sigma) dt, the Bismut
 integrals P2 and P3, Ji = int (1/v(V_t)) dW^i_t and G3 = int (1/g(r_t)) dW^3_t.
 
 :data:`_GREEKS` writes each weight exactly once, next to the other facts
-the configuration and the command line need about its Greek.  The public
-estimators check their arguments and evaluate one entry of that table.
+the configuration and the command line need about its Greek, including
+the integrals its paths must carry.  The public estimators check their own
+arguments; the paths are checked against the table entry they evaluate.
 
-Estimators are pure folds over the accumulator arrays using the engine's
-exactly-rounded reduction, so results are independent of worker count.
-For testing convenience every estimator also accepts a precomputed
-per-path payoff array in place of a :class:`~hsv_greeks.models.Payoff`.
+Estimators take a :class:`~hsv_greeks.models.Payoff` and are pure folds
+over the accumulator arrays using the engine's exactly-rounded reduction,
+so results are independent of worker count.
 """
 
 from __future__ import annotations
@@ -114,10 +114,6 @@ def _discount(paths: PathAccumulators) -> np.ndarray:
 
 def _combination(paths: PathAccumulators) -> np.ndarray:
     """The weight combination C built from I1..I3 and the mixing loadings."""
-    if paths.model is None:
-        raise InvalidParams(
-            "paths carry no model metadata; simulate them with simulate_paths"
-        )
     rho_c = paths.model.correlations
     mu = paths.model.mixing
     c2 = -rho_c.rho12 / mu.mu1
@@ -149,6 +145,7 @@ class _Greek:
     # samples(paths, phi, s0, T) -> per-path Phi * e^{-D} * weight.  Each
     # keeps its own evaluation order, which fixes the printed digits.
     samples: Callable[..., np.ndarray]
+    weighted: bool = True         # reads weight integrals, not S_T and D only
     drift_extras: bool = False    # needs the drift integrals J2, J3, G3
     hybrid_only: bool = False     # refused on the constant-coefficient model
     fd_target: str | None = None  # bump target of the finite-difference form
@@ -161,7 +158,7 @@ _GREEKS = {
     # Plain discounted payoff mean (weight identically 1).
     "price": _Greek(
         lambda p, phi, s0, T: _discount(p) * phi,
-        closed_form={"call": "price"}),
+        weighted=False, closed_form={"call": "price"}),
     # Initial spot.
     "delta": _Greek(
         lambda p, phi, s0, T: phi * (_discount(p) * _combination(p) / (s0 * T)),
@@ -192,40 +189,38 @@ _GREEKS = {
 }
 
 
-def _payoff_values(payoff, s_T: np.ndarray) -> np.ndarray:
-    if isinstance(payoff, Payoff):
-        return evaluate_payoff(payoff, s_T)
-    arr = np.asarray(payoff, dtype=float)
-    if arr.shape != s_T.shape:
-        raise InvalidParams(
-            f"payoff array shape {arr.shape} does not match paths {s_T.shape}"
-        )
-    return arr
-
-
-def _require_paths(paths: PathAccumulators) -> None:
+def _check_paths(greek: str, paths: PathAccumulators) -> None:
+    """Refuse ``paths`` that lack an integral the weight of ``greek`` reads."""
+    spec = _GREEKS[greek]
     if len(paths) == 0:
         raise EmptyInput("estimator received zero paths")
-
-
-def _require_weights(paths: PathAccumulators) -> None:
-    """Refuse state-only paths, which carry no weight integrals."""
-    _require_paths(paths)
-    if paths.I1 is None:
+    if spec.weighted and paths.I1 is None:
         raise InvalidParams(
             "paths carry no weight integrals (state only); simulate them "
             "with weights=True")
+    if spec.drift_extras and paths.model.hv_params is None:
+        raise UnsupportedModel(
+            f"malliavin:{greek} is defined for the Heston–Vasicek instance only")
+    if spec.drift_extras and paths.j2 is None:
+        raise InvalidParams(
+            "paths lack the drift-sensitivity integrals; simulate with "
+            "drift_extras=True")
+    if spec.hybrid_only and paths.P2 is None:
+        raise DegenerateModel(
+            f"malliavin:{greek} needs non-degenerate v(V) and g(r); these "
+            "paths carry no P2/P3")
 
 
 def _flag_clamps(paths: PathAccumulators) -> None:
     if paths.n_integrand_evals > 0 and (
         paths.clamp_count > _CLAMP_FLAG_RATIO * paths.n_integrand_evals
     ):
+        # stacklevel: _weighted, then the public estimator, then its caller.
         warnings.warn(
             f"{paths.clamp_count} of {paths.n_integrand_evals} integrand "
             "evaluations were clamped; Malliavin weights are unreliable",
             DegenerateWeightWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -259,79 +254,70 @@ def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> Greek
     )
 
 
-def _weighted(greek: str, paths: PathAccumulators, payoff, s0: float, T: float) -> GreekEstimate:
-    """Estimate ``greek`` from its table entry; the caller checks arguments."""
-    phi = _payoff_values(payoff, paths.s_T)
-    return _estimate(greek, _GREEKS[greek].samples(paths, phi, s0, T), paths)
+def _weighted(greeks: tuple[str, ...], paths: PathAccumulators, payoff: Payoff,
+              s0: float, T: float) -> list[GreekEstimate]:
+    """Estimate each of ``greeks`` from its table entry and one evaluation
+    of ``payoff``.  Refuses paths that lack an integral one of them reads,
+    then flags clamps once; the caller checks its own arguments."""
+    for greek in greeks:
+        _check_paths(greek, paths)
+    if any(_GREEKS[greek].weighted for greek in greeks):
+        _flag_clamps(paths)
+    phi = evaluate_payoff(payoff, paths.s_T)
+    return [_estimate(g, _GREEKS[g].samples(paths, phi, s0, T), paths) for g in greeks]
 
 
-def price(paths: PathAccumulators, payoff) -> GreekEstimate:
+def price(paths: PathAccumulators, payoff: Payoff) -> GreekEstimate:
     """Discounted payoff mean E[e^{-D} Phi(S_T)] (weight identically 1)."""
-    _require_paths(paths)
-    return _weighted("price", paths, payoff, paths.s0, paths.maturity)
+    return _weighted(("price",), paths, payoff, paths.s0, paths.maturity)[0]
 
 
-def delta(paths: PathAccumulators, payoff, s0: float) -> GreekEstimate:
+def delta(paths: PathAccumulators, payoff: Payoff, s0: float) -> GreekEstimate:
     """Sensitivity to the initial spot: E[Phi * e^{-D} C/(s0 T)]."""
-    _require_weights(paths)
-    _flag_clamps(paths)
-    if not (paths.maturity > 0.0):
-        raise InvalidParams("paths carry no maturity metadata")
     if not (s0 > 0.0):
         raise InvalidParams(f"s0 must be > 0, got {s0!r}")
-    return _weighted("delta", paths, payoff, s0, paths.maturity)
+    return _weighted(("delta",), paths, payoff, s0, paths.maturity)[0]
 
 
-def bismut_vector(paths: PathAccumulators, payoff) -> tuple[GreekEstimate, GreekEstimate, GreekEstimate]:
+def bismut_vector(paths: PathAccumulators, payoff: Payoff) -> tuple[GreekEstimate, GreekEstimate, GreekEstimate]:
     """All three components of the Bismut weight vector pi = (C/s0, P2, P3)/T.
 
-    Returns (delta, vega_v0, rho_r0) estimates; the first is computed by
-    :func:`delta` on the same paths (bitwise identical).  Initial spot and
-    maturity come from the accumulator metadata.
+    Returns (delta, vega_v0, rho_r0) estimates; the first is bitwise the
+    :func:`delta` estimate at ``paths.s0``.  Initial spot and maturity
+    come from the accumulator metadata.
 
     Raises
     ------
     DegenerateModel
-        If P2/P3 are sentinel-invalid (degenerate model: the weights would
-        divide by v(V_t) or g(r_t) which are identically zero).
+        If the paths carry no P2/P3 (degenerate model: the weights would
+        divide by v(V_t) or g(r_t), which are identically zero).
     """
-    _require_weights(paths)
-    if not paths.p23_valid:
-        raise DegenerateModel(
-            "initial-volatility/initial-rate weights need non-degenerate "
-            "v(V) and g(r); P2/P3 are sentinel-invalid on these paths"
-        )
-    if not (paths.s0 > 0.0) or not (paths.maturity > 0.0):
-        raise InvalidParams("paths carry no s0/maturity metadata")
-    phi = _payoff_values(payoff, paths.s_T)
-    d = delta(paths, payoff, paths.s0)
-    v0_est, r0_est = (
-        _estimate(g, _GREEKS[g].samples(paths, phi, paths.s0, paths.maturity), paths)
-        for g in ("vega_v0", "rho_r0"))
+    s0, T = paths.s0, paths.maturity
+    v0_est, r0_est = _weighted(("vega_v0", "rho_r0"), paths, payoff, s0, T)
+    # Delta takes its own payoff evaluation and reduction, as a separate
+    # delta() call would; the benchmark's tests pin both counts.
+    phi = evaluate_payoff(payoff, paths.s_T)
+    d = _estimate("delta", _GREEKS["delta"].samples(paths, phi, s0, T), paths)
     return d, v0_est, r0_est
 
 
-def rho(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
+def rho(paths: PathAccumulators, payoff: Payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to a parallel shift added to the stock drift and the
     discount rate simultaneously: E[Phi * e^{-D} (C - T^2)/T]."""
-    _require_weights(paths)
-    _flag_clamps(paths)
     if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    return _weighted("rho", paths, payoff, paths.s0, maturity)
+    return _weighted(("rho",), paths, payoff, paths.s0, maturity)[0]
 
 
-def vega(paths: PathAccumulators, payoff, maturity: float) -> GreekEstimate:
+def vega(paths: PathAccumulators, payoff: Payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to epsilon in the diffusion perturbation a + eps*diag(S,0,0):
     E[Phi * (e^{-D}/T) ((W^1_T - A) C - Q)]."""
-    _require_weights(paths)
-    _flag_clamps(paths)
     if not (maturity > 0.0):
         raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    return _weighted("vega", paths, payoff, paths.s0, maturity)
+    return _weighted(("vega",), paths, payoff, paths.s0, maturity)[0]
 
 
-def drift_sensitivity(paths: PathAccumulators, payoff, gamma_kind: str) -> GreekEstimate:
+def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) -> GreekEstimate:
     """Drift-perturbation sensitivities for the three supported gamma vectors.
 
     * ``stock_shift``  — gamma = (S, 0, 0): identical to :func:`rho`.
@@ -343,21 +329,5 @@ def drift_sensitivity(paths: PathAccumulators, payoff, gamma_kind: str) -> Greek
     """
     if gamma_kind not in GAMMA_KINDS:
         raise InvalidParams(f"gamma_kind must be one of {GAMMA_KINDS}, got {gamma_kind!r}")
-    _require_weights(paths)
-    if gamma_kind == "stock_shift":
-        return rho(paths, payoff, paths.maturity)
-
-    model = paths.model
-    if model is None or model.hv_params is None:
-        raise UnsupportedModel(
-            f"gamma_kind {gamma_kind!r} is defined for the Heston–Vasicek "
-            "instance only"
-        )
-    if paths.j2 is None or paths.g3 is None:
-        raise InvalidParams(
-            "paths lack the drift-sensitivity integrals; simulate with "
-            "drift_extras=True"
-        )
-    _flag_clamps(paths)
-    greek = "kappa" if gamma_kind == "kappa" else "reversion"
-    return _weighted(greek, paths, payoff, paths.s0, paths.maturity)
+    greek = {"stock_shift": "rho", "kappa": "kappa", "reversion_speed": "reversion"}[gamma_kind]
+    return _weighted((greek,), paths, payoff, paths.s0, paths.maturity)[0]

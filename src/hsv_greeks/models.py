@@ -194,9 +194,9 @@ class ModelSpec:
     """Full description of one three-factor model instance.
 
     The five field functions and their derivatives are plain callables taking
-    and returning numpy arrays (elementwise).  ``degenerate_v`` / ``degenerate_g``
-    flag diffusion coefficients that are identically zero; operations that
-    would divide by v(V_t) or g(r_t) must refuse such models.
+    and returning numpy arrays (elementwise).  ``degenerate`` flags diffusion
+    coefficients v and g that are identically zero; operations that would
+    divide by v(V_t) or g(r_t) must refuse such models.
     """
 
     name: str
@@ -212,14 +212,9 @@ class ModelSpec:
     g_prime: Callable[[np.ndarray], np.ndarray]
     correlations: CorrelationTriple
     mixing: MixingCoefficients
-    degenerate_v: bool = False
-    degenerate_g: bool = False
+    degenerate: bool = False
     hv_params: HestonVasicekParams | None = None
     bs_params: BlackScholesParams | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.degenerate_v or self.degenerate_g
 
 
 def check_derivative_consistency(
@@ -336,8 +331,6 @@ def heston_vasicek_model(
         g_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
         correlations=correlations,
         mixing=mixing,
-        degenerate_v=False,
-        degenerate_g=False,
         hv_params=params,
     )
     check_derivative_consistency(model)
@@ -351,7 +344,7 @@ def black_scholes_degenerate(sigma: float, rate: float) -> ModelSpec:
     S follows geometric Brownian motion with volatility ``sigma`` and the
     short rate stays at ``rate``.  The diffusion matrix is singular in the
     V and r directions; weights that divide by v(V_t) or g(r_t) are refused
-    downstream via the degeneracy flags.
+    downstream via the degeneracy flag.
     """
     bs = BlackScholesParams(sigma, rate)
     correlations = CorrelationTriple(0.0, 0.0, 0.0)
@@ -374,8 +367,7 @@ def black_scholes_degenerate(sigma: float, rate: float) -> ModelSpec:
         g_prime=_const(0.0),
         correlations=correlations,
         mixing=mixing,
-        degenerate_v=True,
-        degenerate_g=True,
+        degenerate=True,
         bs_params=bs,
     )
     logger.warning(
@@ -417,7 +409,16 @@ class Payoff:
 
 
 def evaluate_payoff(payoff: Payoff, s_t: np.ndarray) -> np.ndarray:
-    """Evaluate Phi elementwise on terminal prices ``s_t``."""
+    """Evaluate Phi elementwise on terminal prices ``s_t``.
+
+    Raises
+    ------
+    InvalidParams
+        If ``payoff`` is not a :class:`Payoff`.
+    """
+    if not isinstance(payoff, Payoff):
+        raise InvalidParams(
+            f"payoff must be a Payoff, got {type(payoff).__name__}", field="payoff")
     s_t = np.asarray(s_t, dtype=float)
     if payoff.kind == "call":
         return np.maximum(s_t - payoff.strike, 0.0)

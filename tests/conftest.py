@@ -42,13 +42,11 @@ def combined_agree(a, b, n_se=3.0):
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hg.__file__)))
 
 
-def cli_env(extra=None):
+def cli_env():
     """Environment for a ``python -m hsv_greeks.cli`` child process: this
-    one's without HSV_GREEKS_WORKERS, plus ``extra``, with the imported
-    package's directory first on PYTHONPATH so the child imports the same
-    code whether or not PYTHONPATH was set."""
-    env = {k: v for k, v in os.environ.items() if k != "HSV_GREEKS_WORKERS"}
-    env.update(extra or {})
+    one's, with the imported package's directory first on PYTHONPATH so the
+    child imports the same code whether or not PYTHONPATH was set."""
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (_PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return env

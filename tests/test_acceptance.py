@@ -152,19 +152,20 @@ def test_criterion_08_zero_mean_building_blocks(hv_paths_100k):
             "at 1e5 paths", not bad, "; ".join(bad) or "all within 3 SE")
 
 
-def _run_cli(*args, workers=None):
-    extra = None if workers is None else {"HSV_GREEKS_WORKERS": str(workers)}
+def _run_cli(*args):
     return subprocess.run([sys.executable, "-m", "hsv_greeks.cli", *args],
-                          capture_output=True, text=True, env=cli_env(extra))
+                          capture_output=True, text=True, env=cli_env())
 
 
 def test_criterion_09_byte_identical_output(tmp_path):
-    cfg = tmp_path / "det.cfg"
-    cfg.write_text("sim.n_paths=2000\nsim.n_steps=64\n", encoding="utf-8")
-    runs = [_run_cli("greeks", "--config", str(cfg)),
-            _run_cli("greeks", "--config", str(cfg)),
-            _run_cli("greeks", "--config", str(cfg), workers=1),
-            _run_cli("greeks", "--config", str(cfg), workers=4)]
+    def config(workers):
+        cfg = tmp_path / f"det_{workers}.cfg"
+        cfg.write_text(f"sim.n_paths=2000\nsim.n_steps=64\nsim.workers={workers}\n",
+                       encoding="utf-8")
+        return str(cfg)
+
+    runs = [_run_cli("greeks", "--config", config(workers))
+            for workers in ("auto", "auto", "1", "4")]
     codes = [p.returncode for p in runs]
     outputs = {p.stdout for p in runs}
     ok = codes == [0, 0, 0, 0] and len(outputs) == 1

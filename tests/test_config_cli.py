@@ -286,9 +286,9 @@ sim.n_steps=16
 """
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "hsv_greeks.cli", *args],
-                          capture_output=True, text=True, env=cli_env(env_extra))
+                          capture_output=True, text=True, env=cli_env())
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -341,8 +341,10 @@ def test_output_is_byte_stable_across_runs_and_workers(tmp_path):
     cfg = write_cfg(tmp_path, HV_SMALL)
     first = run_cli("greeks", "--config", cfg)
     again = run_cli("greeks", "--config", cfg)
-    w1 = run_cli("greeks", "--config", cfg, env_extra={"HSV_GREEKS_WORKERS": "1"})
-    w3 = run_cli("greeks", "--config", cfg, env_extra={"HSV_GREEKS_WORKERS": "3"})
+    w1 = run_cli("greeks", "--config",
+                 write_cfg(tmp_path, HV_SMALL + "sim.workers=1\n", "w1.cfg"))
+    w3 = run_cli("greeks", "--config",
+                 write_cfg(tmp_path, HV_SMALL + "sim.workers=3\n", "w3.cfg"))
     assert first.returncode == 0, first.stderr
     assert again.stdout == first.stdout
     assert w1.stdout == first.stdout
@@ -431,15 +433,6 @@ def test_compare_without_fd_estimator_exits_2(tmp_path):
     assert "estimators" in proc.stderr
 
 
-def test_zero_worker_environment_names_sim_workers(tmp_path):
-    cfg = write_cfg(tmp_path, HV_SMALL)
-    proc = run_cli("greeks", "--config", cfg,
-                   env_extra={"HSV_GREEKS_WORKERS": "0"})
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("hsv-greeks: config key 'sim.workers': ")
-    assert "worker_hint" not in proc.stderr
-
-
 def test_digital_level_scales_weighted_and_analytic_delta(tmp_path, capsys):
     """A digital call pays ``payoff.level``: the weighted delta doubles
     exactly with the level and still agrees with the closed form."""
@@ -459,14 +452,6 @@ def test_digital_level_scales_weighted_and_analytic_delta(tmp_path, capsys):
     assert (w2, se2) == (2.0 * w1, 2.0 * se1)
     assert a1 == BS_DIGITAL_DELTA and a2 == 2.0 * BS_DIGITAL_DELTA
     assert abs(w2 - a2) <= 3.0 * se2
-
-
-def test_bad_worker_environment_exits_2(tmp_path):
-    cfg = write_cfg(tmp_path, HV_SMALL)
-    proc = run_cli("greeks", "--config", cfg,
-                   env_extra={"HSV_GREEKS_WORKERS": "abc"})
-    assert proc.returncode == 2
-    assert "HSV_GREEKS_WORKERS" in proc.stderr
 
 
 def test_numerical_blowup_exits_3(tmp_path):

@@ -237,8 +237,8 @@ def test_first_variation_terminals_positive(hv_paths_10k):
 
 def test_degenerate_p23_sentinel(deg_model, deg_init):
     acc = hg.simulate_paths(deg_model, deg_init, small_cfg())
-    assert not acc.p23_valid
-    assert np.all(np.isnan(acc.P2)) and np.all(np.isnan(acc.P3))
+    assert all(getattr(acc, name) is None
+               for name in ("P2", "P3", "j2", "j3", "g3"))
 
 
 def test_drift_extras_refused_on_degenerate(deg_model, deg_init, monkeypatch):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,19 +158,18 @@ def test_drift_kinds_refused_without_extras_or_model(
 # linearity and put-call structure
 
 def test_estimators_are_linear_in_the_payoff(hv_paths_10k):
-    phi1 = hg.evaluate_payoff(hg.Payoff("call", strike=100.0),
-                              hv_paths_10k.s_T)
-    phi2 = hg.evaluate_payoff(hg.Payoff("digital_call", strike=95.0),
-                              hv_paths_10k.s_T)
-    a, b = 2.0, -0.5
-    combo = a * phi1 + b * phi2
+    """call - put = identity - K * constant pathwise, and every weight
+    multiplies the payoff, so each estimate keeps the relation (up to the
+    rounding of the per-path payoffs and products)."""
+    strike = 100.0
+    call, put = (hg.Payoff(kind, strike=strike) for kind in ("call", "put"))
     for fn in (lambda p: hg.price(hv_paths_10k, p),
                lambda p: hg.delta(hv_paths_10k, p, 100.0),
                lambda p: hg.rho(hv_paths_10k, p, 1.0),
                lambda p: hg.vega(hv_paths_10k, p, 1.0)):
-        lhs = fn(combo).value
-        rhs = a * fn(phi1).value + b * fn(phi2).value
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+        lhs = fn(call).value - fn(put).value
+        rhs = fn(IDENTITY).value - strike * fn(CONST_1).value
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
 def test_put_call_delta_consistency(hv_paths_10k):
@@ -243,9 +243,9 @@ def test_non_finite_std_error_is_refused(hv_model, hv_init):
         hg.GreekEstimate(1.0, math.inf, 2, "malliavin")
     # finite samples whose squared deviations overflow the variance
     paths = hg.simulate_paths(hv_model, hv_init, hg.SimConfig(n_paths=64, n_steps=4))
-    phi = np.where(np.arange(64) % 2 == 0, 1e160, -1e160)
+    huge = hg.Payoff("digital_call", strike=100.0, level=1e160)
     with np.errstate(over="raise"), pytest.raises(hg.InvalidParams, match="std_error") as info:
-        hg.price(paths, phi)
+        hg.price(paths, huge)
     assert isinstance(info.value, hg.NonFiniteEstimate)
     assert info.value.estimator == "malliavin:price"
 
@@ -330,3 +330,68 @@ def test_a_replaced_copy_prices_with_its_own_discount(hv_paths_10k, call_100):
     assert (est.value, est.std_error) == hg.stable_mean_se(np.exp(-(paths.D + 0.01)) * phi)
     assert est.value < base.value
     assert _bits(hg.price(paths, call_100)) == _bits(base)
+
+
+# ---------------------------------------------------------------------------
+# what the estimators refuse, and where their warning points
+
+def test_per_path_payoff_arrays_are_refused(hv_model, hv_init):
+    """An array of payoffs carries no strike to move with a bumped s0: the
+    finite-difference delta read it as 0.0 +- 0.0.  Every estimator and
+    fd_greek take a Payoff and refuse anything else."""
+    cfg = hg.SimConfig(n_paths=4096, n_steps=16, maturity=1.0, seed=3)
+    call = hg.Payoff("call", strike=100.0)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    phi = hg.evaluate_payoff(call, paths.s_T)
+    bump = hg.BumpSpec("s0", h=1.0)
+    with pytest.raises(hg.InvalidParams, match="Payoff"):
+        hg.fd_greek(hv_model, hv_init, cfg, phi, bump)
+    with pytest.raises(hg.InvalidParams, match="Payoff"):
+        hg.price(paths, phi)
+    with pytest.raises(hg.InvalidParams, match="Payoff"):
+        hg.delta(paths, phi, hv_init.s0)
+    fd = hg.fd_greek(hv_model, hv_init, cfg, call, bump)
+    assert fd.std_error > 0.0 and within_se(fd, 0.584)
+
+
+def _refusals(paths):
+    """Token -> exception class for every estimator that refuses ``paths``."""
+    refused = {}
+    for greek, estimate in _WEIGHTED.items():
+        try:
+            estimate(paths, hg.Payoff("call", strike=100.0))
+        except hg.HsvGreeksError as exc:
+            refused[greek] = type(exc)
+    return refused
+
+
+def test_each_token_refuses_paths_without_its_integrals(
+        hv_model, hv_init, deg_model, deg_init):
+    table = hg.greeks._GREEKS
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=5)
+    state_only = hg.simulate_paths(hv_model, hv_init, cfg, weights=False)
+    assert _refusals(state_only) == {
+        g: hg.InvalidParams for g in table if g != "price"}
+    constant = hg.simulate_paths(deg_model, deg_init, cfg)
+    assert _refusals(constant) == {
+        g: hg.UnsupportedModel if spec.drift_extras else hg.DegenerateModel
+        for g, spec in table.items() if spec.hybrid_only}
+    no_extras = hg.simulate_paths(hv_model, hv_init, cfg)
+    assert _refusals(no_extras) == {
+        g: hg.InvalidParams for g, spec in table.items() if spec.drift_extras}
+
+
+def test_clamp_warning_points_at_the_caller(hv_model, hv_init):
+    """Each weighted estimator warns once, at the line that called it (here,
+    its lambda in _WEIGHTED); the price's weight is 1, so it never warns."""
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=2,
+                       sigma_floor=0.5)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+    for greek, estimate in _WEIGHTED.items():
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            estimate(paths, hg.Payoff("call", strike=100.0))
+        flagged = [w for w in record
+                   if issubclass(w.category, hg.DegenerateWeightWarning)]
+        assert len(flagged) == (0 if greek == "price" else 1), greek
+        assert all(w.filename == __file__ for w in flagged), greek

@@ -156,7 +156,6 @@ def test_hv_novikov_margin_of_reference_params():
 
 def test_degenerate_model_flags(deg_model):
     assert deg_model.degenerate
-    assert deg_model.degenerate_v and deg_model.degenerate_g
     v = np.linspace(0.0, 2.0, 5)
     assert np.all(deg_model.sigma(v) == 0.2)
     assert np.all(deg_model.v(v) == 0.0)
