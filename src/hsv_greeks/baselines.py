@@ -31,7 +31,7 @@ import numpy as np
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidBump, InvalidParams, NonFiniteEstimate, UnsupportedModel
 from .greeks import _GREEKS, GreekEstimate, _finite_samples, _require_finite
-from .models import InitialState, ModelSpec, Payoff, evaluate_payoff
+from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
 __all__ = [
     "BumpSpec",
@@ -159,7 +159,8 @@ def fd_greek(
     Raises
     ------
     InvalidParams
-        If ``payoff`` is not a :class:`~hsv_greeks.models.Payoff`.
+        If ``payoff`` is not a :class:`~hsv_greeks.models.Payoff`; refused
+        before any path is simulated.
     InvalidBump
         If the bump size violates h < 0.5*|base| for a nonzero base value,
         or the bumped configuration is invalid.
@@ -168,6 +169,7 @@ def fd_greek(
         names the estimator as ``fd:<greek>``, the Greek whose FD target
         ``bump.target`` is.
     """
+    _require_payoff(payoff)
     check_bump_size(bump, init)
     if bump.scheme == "central":
         offsets = (bump.h, -bump.h)

@@ -42,10 +42,14 @@ Threads
 -------
 Blocks are simulated one at a time, so one block of draws is in memory at
 a time.  The worker count (``SimConfig.worker_hint``; None means the CPUs
-in the process's affinity mask) splits each block's draws into contiguous
-ranges of paths, one thread each: the Philox uniforms and the inverse CDF
-release the GIL, and each range draws its own counter range, so the draws
-are the same bits for any split.  The step loop runs on the calling thread.
+in the process's affinity mask) caps the threads that draw each block, in
+two phases.  First the Philox uniforms: the block's paths are split into
+contiguous ranges, one thread each, and each range draws its own counter
+range, so the draws are the same bits for any split.  Then the inverse
+normal CDF maps the uniforms in place, one run of a few steps at a time,
+and the step loop runs on the calling thread beside it: the threads map
+the runs in step order, and the loop steps each run as soon as it is
+mapped.  The Philox uniforms and the inverse CDF release the GIL.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
@@ -61,9 +65,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -100,6 +105,10 @@ _PHILOX_WORDS = 4
 # threads (bounds the scratch buffer of standard_draws and the threads it
 # starts; the draws do not depend on it).
 _DRAW_CHUNK = 1024
+# Steps per run: standard_draws maps its uniforms to normals, and hands
+# them to its consumer, this many steps at a time (the last run may be
+# shorter; the draws do not depend on it).
+_MAP_STEPS = 8
 # stable_sum extracts exactly below 2**26 values (each level then takes
 # 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
 # Its sigma = 2**k needs k >= -1021, where the grid ulp(sigma)/2 is still
@@ -239,6 +248,7 @@ def standard_draws(
     first_path: int = 0,
     stream: int = 0,
     workers: int | None = None,
+    consume: Callable[[int, np.ndarray], object] | None = None,
 ) -> np.ndarray:
     """Standard-normal draws z[path, step, driver], shape (n_paths, n_steps, 3).
 
@@ -250,12 +260,27 @@ def standard_draws(
     and worker-count independence exact.
 
     The result is a view of one step-major (n_steps*3, n_paths) array, so
-    ``z[:, step, driver]`` is a contiguous row.  The paths are split into
-    contiguous ranges, one per thread: at most ``workers`` (None: every
-    available CPU), the available CPUs, and one per ``_DRAW_CHUNK`` paths.
-    Each range is drawn from its own Philox advanced to its first path, a
-    few paths at a time into its share of one ``_DRAW_CHUNK``-path buffer,
-    and mapped in place; the threads change wall time, never the draws.
+    ``z[:, step, driver]`` is a contiguous row.  It is filled in two phases
+    by the same threads: at most ``workers`` (None: every available CPU),
+    the available CPUs, and one per ``_DRAW_CHUNK`` paths.
+
+    * Uniforms.  The paths are split into contiguous ranges, one per
+      thread.  Each range is drawn from its own Philox advanced to its
+      first path, a few paths at a time into its share of one
+      ``_DRAW_CHUNK``-path buffer, and written step-major into ``z``.  The
+      buffer is freed when every range is drawn.
+    * Normals.  The inverse CDF maps ``z`` in place one run of
+      ``_MAP_STEPS`` steps at a time.  The threads claim the runs in step
+      order; the calling thread is one of them, and claims a run whenever
+      the next run it needs is not yet mapped.
+
+    The threads change wall time, never the draws.  ``consume``, if given,
+    is called on the calling thread as ``consume(first_step, run)`` for each
+    run once it is mapped, in step order: ``run`` is the (steps, 3, n_paths)
+    band of ``z`` for steps first_step, first_step+1, ...  The caller can
+    so step its paths while the later runs are mapped.  If ``consume``
+    raises, no further run is claimed, and the exception propagates once
+    the threads have stopped.
     """
     stride = _stride(n_steps)
     z = np.empty((3 * n_steps, n_paths))
@@ -268,21 +293,34 @@ def standard_draws(
     threads = min(workers or cpus, cpus, -(-n_paths // _DRAW_CHUNK), len(buf))
     rows = len(buf) // threads
     edges = [n_paths * i // threads for i in range(threads + 1)]
+    # The tasks hold the only references to the buffer once it is carved.
     tasks = [(z, buf[i * rows:(i + 1) * rows], seed, stream, first_path,
               edges[i], edges[i + 1]) for i in range(threads)]
+    del buf
+    runs = _NormalRuns(z.reshape(n_steps, 3, n_paths))
     if threads == 1:
-        _draw_range(*tasks[0])
+        _draw_range(*tasks.pop())
+        runs.feed(consume)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for future in [pool.submit(_draw_range, *task) for task in tasks]:
                 future.result()
+            tasks.clear()
+            # The calling thread maps runs too, while it waits for one.
+            helpers = [pool.submit(runs.help) for _ in range(threads - 1)]
+            try:
+                runs.feed(consume)
+            finally:
+                runs.stop()
+                for future in helpers:
+                    future.result()
     return z.reshape(n_steps, 3, n_paths).transpose(2, 0, 1)
 
 
 def _draw_range(z: np.ndarray, buf: np.ndarray, seed: int, stream: int,
                 first_path: int, lo: int, hi: int) -> None:
-    """Fill columns lo..hi-1 of the step-major ``z`` with the draws of paths
-    first_path+lo .. first_path+hi-1, ``len(buf)`` paths at a time.
+    """Fill columns lo..hi-1 of the step-major ``z`` with the uniforms of
+    paths first_path+lo .. first_path+hi-1, ``len(buf)`` paths at a time.
 
     Each chunk is a whole number of counter ticks, so the chunks continue
     one stream.  Allocates nothing large: it may run on a pool thread.
@@ -297,29 +335,92 @@ def _draw_range(z: np.ndarray, buf: np.ndarray, seed: int, stream: int,
         u = gen.random(out=buf[: stop - start])[:, :width]
         # random() yields [0,1); floor away exact zeros before the inverse CDF.
         np.maximum(u, 1e-300, out=u)
-        ndtri(u, out=u)
         z[:, start:stop] = u.T
+
+
+class _NormalRuns:
+    """The runs of ``_MAP_STEPS`` steps of a (n_steps, 3, n_paths) block of
+    uniforms, each mapped to normals in place by the thread that claims it.
+
+    Runs are claimed in step order under a lock.  A run's event is set once
+    it is mapped, which also publishes its normals to the thread that waits
+    on it.
+    """
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        self.starts = range(0, len(z), _MAP_STEPS)
+        self.mapped = [threading.Event() for _ in self.starts]
+        self.lock = threading.Lock()
+        self.claimed = 0
+
+    def _run(self, k: int) -> np.ndarray:
+        return self.z[self.starts[k]:self.starts[k] + self.starts.step]
+
+    def _map_next(self) -> bool:
+        """Claim the next run and map it; False if none is left."""
+        with self.lock:
+            k = self.claimed
+            if k == len(self.starts):
+                return False
+            self.claimed = k + 1
+        run = self._run(k)
+        try:
+            ndtri(run, out=run)
+        finally:
+            self.mapped[k].set()
+        return True
+
+    def help(self) -> None:
+        """Map runs until none is left to claim (on a pool thread)."""
+        while self._map_next():
+            pass
+
+    def stop(self) -> None:
+        """Leave every unclaimed run unclaimed for good."""
+        with self.lock:
+            self.claimed = len(self.starts)
+
+    def feed(self, consume) -> None:
+        """Hand each run to ``consume`` in step order once it is mapped.
+
+        While the next run is not ready, this thread maps the next unclaimed
+        run, which is that run itself if no thread has claimed it yet.
+        """
+        for k, start in enumerate(self.starts):
+            while not self.mapped[k].is_set() and self._map_next():
+                pass
+            self.mapped[k].wait()
+            if consume is not None:
+                consume(start, self._run(k))
 
 
 def _run_block(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
-    z: np.ndarray,
+    nb: int,
     perturbation: Perturbation | None,
     drift_extras: bool,
     weights: bool,
 ):
-    """Advance one block of paths through all steps.
+    """Advance one block of ``nb`` paths through all steps, as a coroutine.
 
-    Returns (dict of accumulator arrays, clamp_count, n_evals).
-    ``z`` has shape (nb, n_steps, 3).  With ``weights`` False only the state
-    and D are carried: no weight integral and no first variation is formed,
-    while the clamps and integrand evaluations are counted as in a full run.
+    Prime it with ``next``, then ``send`` it the runs of draws that
+    :func:`standard_draws` hands to ``consume``, in step order, each of
+    shape (steps, 3, nb).  After the last run, ``send(None)`` returns
+    (dict of accumulator arrays, clamp_count, n_evals).  With ``weights``
+    False only the state and D are carried: no weight integral and no first
+    variation is formed, while the clamps and integrand evaluations are
+    counted as in a full run.
+
+    Each step runs through ``out=`` ufuncs into buffers allocated once per
+    block: the same operations in the same order as the expressions quoted
+    beside them, so the same bits.
     """
-    nb, n_steps, _ = z.shape
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
+    floor = cfg.sigma_floor
     rho = model.correlations
     mu = model.mixing
     r12, r13 = rho.rho12, rho.rho13
@@ -358,90 +459,175 @@ def _run_block(
     clamps = 0
     n_evals = 0
 
-    for n in range(n_steps):
-        z1 = z[:, n, 0]
-        z2 = z[:, n, 1]
-        z3 = z[:, n, 2]
-        dW1 = sqdt * z1
-        dZ2 = r12 * dW1 + (m1 * sqdt) * z2
-        dZ3 = r13 * dW1 + (m2 * sqdt) * z2 + (m3 * sqdt) * z3
+    # Step scratch.  V_next and r_next receive the new V and r, and then
+    # swap with them, as y12_next and y13_next do: a model function may
+    # return its own argument.
+    empty = lambda: np.empty(nb)  # noqa: E731
+    dW1, dZ2, dZ3, Vp, tmp, tmp2, V_next, r_next = (empty() for _ in range(8))
+    low = np.empty(nb, dtype=bool)
+    bumped = empty() if perturbation is not None else None
+    if weights:
+        inv_sig, y12_next, y13_next = empty(), empty(), empty()
+    if want_p23 or drift_extras:
+        inv_vv, inv_gg = empty(), empty()
+    if want_p23:
+        t1, t2, q, w, acc = (empty() for _ in range(5))
 
-        Vp = np.maximum(V, cfg.variance_floor)
-        sig = model.sigma(Vp)
-        clamps += int(np.count_nonzero(sig < cfg.sigma_floor))
-        n_evals += nb
-        sum_r += r
-        if weights:
-            inv_sig = 1.0 / np.maximum(sig, cfg.sigma_floor)
-            sum_sig += sig
-            sum_invsig += inv_sig
-            sI1 += z1 * inv_sig
-            sI2 += z2 * inv_sig
-            sI3 += z3 * inv_sig
-            sW1 += z1
+    n = 0
+    run = yield
+    while run is not None:
+        for z1, z2, z3 in run:
+            np.multiply(sqdt, z1, out=dW1)
+            # dZ2 = r12 * dW1 + (m1 * sqdt) * z2
+            np.multiply(r12, dW1, out=dZ2)
+            dZ2 += np.multiply(m1 * sqdt, z2, out=tmp)
+            # dZ3 = r13 * dW1 + (m2 * sqdt) * z2 + (m3 * sqdt) * z3
+            np.multiply(r13, dW1, out=dZ3)
+            dZ3 += np.multiply(m2 * sqdt, z2, out=tmp)
+            dZ3 += np.multiply(m3 * sqdt, z3, out=tmp)
 
-        vv = model.v(Vp)
-        gg = model.g(r)
-        if hybrid:
-            clamps += int(np.count_nonzero(vv < cfg.sigma_floor))
-            clamps += int(np.count_nonzero(gg < cfg.sigma_floor))
-            n_evals += 2 * nb
-        if want_p23 or drift_extras:
-            inv_vv = 1.0 / np.maximum(vv, cfg.sigma_floor)
-            inv_gg = 1.0 / np.maximum(gg, cfg.sigma_floor)
-        if want_p23:
-            t1 = y12 * inv_sig / S
-            t2 = y13 * inv_sig / S
-            q = y22 * inv_vv
-            w = y33 * inv_gg
-            sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
-            sP3 += t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3
-        if drift_extras:
-            sJ2 += z2 * inv_vv
-            sJ3 += z3 * inv_vv
-            sG3 += z3 * inv_gg
+            np.maximum(V, cfg.variance_floor, out=Vp)
+            sig = model.sigma(Vp)
+            clamps += int(np.count_nonzero(np.less(sig, floor, out=low)))
+            n_evals += nb
+            sum_r += r
+            if weights:
+                np.divide(1.0, np.maximum(sig, floor, out=inv_sig), out=inv_sig)
+                sum_sig += sig
+                sum_invsig += inv_sig
+                sI1 += np.multiply(z1, inv_sig, out=tmp)
+                sI2 += np.multiply(z2, inv_sig, out=tmp)
+                sI3 += np.multiply(z3, inv_sig, out=tmp)
+                sW1 += z1
 
-        if weights:
-            # First-variation updates, all from left-point values.
-            sp = model.sigma_prime(Vp)
-            vp = model.v_prime(Vp)
-            up = model.u_prime(Vp)
-            fp = model.f_prime(r)
-            gp = model.g_prime(r)
-            y12_new = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
-            y13_new = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
-            L22 += (up - 0.5 * vp * vp) * dt + vp * dZ2
-            L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3
+            vv = model.v(Vp)
+            gg = model.g(r)
+            if hybrid:
+                clamps += int(np.count_nonzero(np.less(vv, floor, out=low)))
+                clamps += int(np.count_nonzero(np.less(gg, floor, out=low)))
+                n_evals += 2 * nb
+            if want_p23 or drift_extras:
+                np.divide(1.0, np.maximum(vv, floor, out=inv_vv), out=inv_vv)
+                np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
+            if want_p23:
+                # t1 = y12 * inv_sig / S, t2 = y13 * inv_sig / S,
+                # q = y22 * inv_vv, w = y33 * inv_gg
+                np.divide(np.multiply(y12, inv_sig, out=t1), S, out=t1)
+                np.divide(np.multiply(y13, inv_sig, out=t2), S, out=t2)
+                np.multiply(y22, inv_vv, out=q)
+                np.multiply(y33, inv_gg, out=w)
+                # sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
+                np.multiply(t1, z1, out=acc)
+                np.multiply(cA, t1, out=tmp)
+                tmp += np.multiply(cB, q, out=tmp2)
+                tmp *= z2
+                acc += tmp
+                np.multiply(cC, t1, out=tmp)
+                tmp += np.multiply(cD, q, out=tmp2)
+                tmp *= z3
+                acc += tmp
+                sP2 += acc
+                # sP3 += t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3
+                np.multiply(t2, z1, out=acc)
+                np.multiply(cA, t2, out=tmp)
+                tmp *= z2
+                acc += tmp
+                np.multiply(cC, t2, out=tmp)
+                tmp += np.multiply(cE, w, out=tmp2)
+                tmp *= z3
+                acc += tmp
+                sP3 += acc
+            if drift_extras:
+                sJ2 += np.multiply(z2, inv_vv, out=tmp)
+                sJ3 += np.multiply(z3, inv_vv, out=tmp)
+                sG3 += np.multiply(z3, inv_gg, out=tmp)
 
-        # State updates (log-Euler / full truncation / Euler).
-        sig_s = sig + pert_delta if pert_target == "stock_vol" else sig
-        rate_s = r + pert_delta if pert_target == "stock_drift" else r
-        u_eval = model.u(Vp)
-        if pert_target == "v_drift":
-            u_eval = u_eval + pert_delta
-        f_eval = model.f(r)
-        if pert_target == "r_drift":
-            f_eval = f_eval + pert_delta
+            if weights:
+                # First-variation updates, all from left-point values.
+                sp = model.sigma_prime(Vp)
+                vp = model.v_prime(Vp)
+                up = model.u_prime(Vp)
+                fp = model.f_prime(r)
+                gp = model.g_prime(r)
+                # y12_next = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
+                np.multiply(r, y12, out=y12_next)
+                y12_next *= dt
+                y12_next += y12
+                np.multiply(sig, y12, out=tmp)
+                tmp += np.multiply(np.multiply(S, sp, out=tmp2), y22, out=tmp2)
+                tmp *= dW1
+                y12_next += tmp
+                # y13_next = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
+                np.multiply(r, y13, out=y13_next)
+                y13_next += np.multiply(S, y33, out=tmp)
+                y13_next *= dt
+                y13_next += y13
+                np.multiply(sig, y13, out=tmp)
+                tmp *= dW1
+                y13_next += tmp
+                # L22 += (up - 0.5 * vp * vp) * dt + vp * dZ2
+                np.multiply(0.5, vp, out=tmp)
+                tmp *= vp
+                np.subtract(up, tmp, out=tmp)
+                tmp *= dt
+                tmp += np.multiply(vp, dZ2, out=tmp2)
+                L22 += tmp
+                # L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3
+                np.multiply(0.5, gp, out=tmp)
+                tmp *= gp
+                np.subtract(fp, tmp, out=tmp)
+                tmp *= dt
+                tmp += np.multiply(gp, dZ3, out=tmp2)
+                L33 += tmp
 
-        logS += (rate_s - 0.5 * sig_s * sig_s) * dt + sig_s * dW1
-        V = V + u_eval * dt + vv * dZ2
-        r = r + f_eval * dt + gg * dZ3
-        if weights:
-            S = np.exp(logS)
-            y22 = np.exp(L22)
-            y33 = np.exp(L33)
-            y12, y13 = y12_new, y13_new
+            # State updates (log-Euler / full truncation / Euler).
+            sig_s = np.add(sig, pert_delta, out=bumped) if pert_target == "stock_vol" else sig
+            rate_s = np.add(r, pert_delta, out=bumped) if pert_target == "stock_drift" else r
+            u_eval = model.u(Vp)
+            if pert_target == "v_drift":
+                u_eval = np.add(u_eval, pert_delta, out=bumped)
+            f_eval = model.f(r)
+            if pert_target == "r_drift":
+                f_eval = np.add(f_eval, pert_delta, out=bumped)
 
-        for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
-            peak = np.abs(arr).max()
-            if not (peak <= limit):  # also catches NaN
-                bad = ~(np.abs(arr) <= limit)
-                idx = int(np.argmax(bad))
-                raise NumericalBlowup(idx, n, f"state {name}")
+            # logS += (rate_s - 0.5 * sig_s * sig_s) * dt + sig_s * dW1
+            np.multiply(0.5, sig_s, out=tmp)
+            tmp *= sig_s
+            np.subtract(rate_s, tmp, out=tmp)
+            tmp *= dt
+            tmp += np.multiply(sig_s, dW1, out=tmp2)
+            logS += tmp
+            # V_next = V + u_eval * dt + vv * dZ2
+            np.multiply(u_eval, dt, out=V_next)
+            V_next += V
+            V_next += np.multiply(vv, dZ2, out=tmp)
+            # r_next = r + f_eval * dt + gg * dZ3
+            np.multiply(f_eval, dt, out=r_next)
+            r_next += r
+            r_next += np.multiply(gg, dZ3, out=tmp)
+            V, V_next = V_next, V
+            r, r_next = r_next, r
+            if weights:
+                np.exp(logS, out=S)
+                np.exp(L22, out=y22)
+                np.exp(L33, out=y33)
+                y12, y12_next = y12_next, y12
+                y13, y13_next = y13_next, y13
+
+            for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
+                if not (np.abs(arr, out=tmp).max() <= limit):  # also catches NaN
+                    bad = ~(np.abs(arr) <= limit)
+                    raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
+            n += 1
+        run = yield
+    # The last rows are views of the draws: let the draws go before the
+    # outputs are formed.
+    del z1, z2, z3
 
     if not weights:
         out = {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
-        return out, clamps, n_evals
+        yield out, clamps, n_evals
+        return
     out = {
         "s_T": S, "v_T": V, "r_T": r,
         "D": dt * sum_r,
@@ -457,7 +643,7 @@ def _run_block(
         out["j2"] = sqdt * sJ2
         out["j3"] = sqdt * sJ3
         out["g3"] = sqdt * sG3
-    return out, clamps, n_evals
+    yield out, clamps, n_evals
 
 
 def simulate_paths(
@@ -518,16 +704,21 @@ def simulate_paths(
     clamps = evals = 0
     for start in range(0, n, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, n)
-        z = standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
-                           stream=stream, workers=cfg.worker_hint)
+        block = _run_block(model, init, cfg, stop - start, perturbation,
+                           drift_extras, weights)
+        next(block)
+        # The block steps each run of draws as soon as it is mapped.  The
+        # copies below first touch the pages of the run's arrays: the draws
+        # are freed before them, once this call returns, and the block's
+        # outputs after them.
         try:
-            out, block_clamps, block_evals = _run_block(
-                model, init, cfg, z, perturbation, drift_extras, weights)
+            standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
+                           stream=stream, workers=cfg.worker_hint,
+                           consume=lambda _, run: block.send(run))
         except NumericalBlowup as exc:
             raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
-        # The copies below first touch the pages of the run's arrays: free
-        # the draws before them, and the block's outputs after them.
-        del z
+        out, block_clamps, block_evals = block.send(None)
+        del block
         if not arrays:
             arrays = {name: np.empty(n) for name in out}
         for name, arr in out.items():

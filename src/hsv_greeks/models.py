@@ -408,6 +408,13 @@ class Payoff:
                                 field="level")
 
 
+def _require_payoff(payoff) -> None:
+    """Refuse anything but a :class:`Payoff` with :class:`InvalidParams`."""
+    if not isinstance(payoff, Payoff):
+        raise InvalidParams(
+            f"payoff must be a Payoff, got {type(payoff).__name__}", field="payoff")
+
+
 def evaluate_payoff(payoff: Payoff, s_t: np.ndarray) -> np.ndarray:
     """Evaluate Phi elementwise on terminal prices ``s_t``.
 
@@ -416,9 +423,7 @@ def evaluate_payoff(payoff: Payoff, s_t: np.ndarray) -> np.ndarray:
     InvalidParams
         If ``payoff`` is not a :class:`Payoff`.
     """
-    if not isinstance(payoff, Payoff):
-        raise InvalidParams(
-            f"payoff must be a Payoff, got {type(payoff).__name__}", field="payoff")
+    _require_payoff(payoff)
     s_t = np.asarray(s_t, dtype=float)
     if payoff.kind == "call":
         return np.maximum(s_t - payoff.strike, 0.0)

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import math
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,55 @@ def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
     assert len(sizes) == (0 if cpus == 1 else 1)
 
 
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize("n_steps", [1, 9, 17])
+@pytest.mark.parametrize("workers", [None, 1, 2, 3])
+def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
+                                                  n_steps, inline):
+    """Each run of steps reaches ``consume`` once, on the calling thread and
+    in step order, already mapped: together the runs are every row of the
+    returned draws and of a draw without ``consume``, bit for bit."""
+    sizes = []
+    if inline:
+        monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
+                            lambda max_workers: _InlinePool(sizes, max_workers))
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
+    n_paths = 2 * _CHUNK + 3
+    seen = []
+    caller = threading.get_ident()
+
+    def consume(first_step, run):
+        assert threading.get_ident() == caller
+        seen.append((first_step, run.copy()))
+
+    z = hg.standard_draws(7, n_paths, n_steps, workers=workers, consume=consume)
+    run_steps = hg.engine._MAP_STEPS
+    assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))
+    assert [len(run) for _, run in seen] == [
+        min(run_steps, n_steps - first) for first, _ in seen]
+    rows = np.concatenate([run for _, run in seen])
+    assert np.array_equal(rows, z.transpose(1, 2, 0))
+    assert np.array_equal(z, hg.standard_draws(7, n_paths, n_steps, workers=workers))
+    if inline:
+        assert sizes == ([] if workers == 1 else [3, 3] if workers is None
+                         else [workers, workers])
+
+
+@pytest.mark.parametrize("run_steps", [1, 5, None])
+def test_simulation_does_not_depend_on_the_run_length(monkeypatch, hv_model,
+                                                      hv_init, run_steps):
+    """Runs of one step, of a length that leaves a short last run, and of
+    the whole block step the same paths as the default length."""
+    cfg = small_cfg(n_paths=2 * _CHUNK + 1, n_steps=12, sigma_floor=0.2,
+                    worker_hint=2)
+    reference = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+    monkeypatch.setattr(hg.engine, "_MAP_STEPS", run_steps or cfg.n_steps)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
+        assert np.array_equal(getattr(paths, name), getattr(reference, name)), name
+    assert paths.clamp_count == reference.clamp_count > 0
+
+
 def test_two_block_run_holds_one_block_of_draws(hv_model, hv_init):
     """Blocks run one at a time, also with two workers: the run holds one
     block of draws, never two."""
@@ -274,15 +324,36 @@ def test_ito_integrals_have_zero_mean(hv_paths_10k):
         assert abs(mean) <= 3 * se, f"{name}: mean {mean}, se {se}"
 
 
-def test_blowup_reports_path_and_step(hv_init):
+def _wild_model():
     # enormous constant rate volatility: r random-walks past the 1e12 limit
-    wild = hg.heston_vasicek_model(
+    return hg.heston_vasicek_model(
         hg.HestonVasicekParams(2.0, 0.04, 0.04, 0.02, 0.08, 1e14),
         hg.CorrelationTriple(-0.8, 0.5, 0.02))
+
+
+def test_blowup_reports_path_and_step(hv_init):
     with pytest.raises(hg.NumericalBlowup) as info:
-        hg.simulate_paths(wild, hv_init, small_cfg(n_paths=16))
+        hg.simulate_paths(_wild_model(), hv_init, small_cfg(n_paths=16))
     assert info.value.path_index is not None
     assert info.value.step_index is not None
+
+
+def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init):
+    """A blow-up raised by the step loop while draw threads still map later
+    runs: the same path and step as on one thread, and every thread the
+    block started has ended when the error arrives."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+    found = []
+    for hint in (1, 2):
+        before = threading.active_count()
+        with pytest.raises(hg.NumericalBlowup) as info:
+            hg.simulate_paths(_wild_model(), hv_init,
+                              small_cfg(n_paths=2048, worker_hint=hint))
+        assert threading.active_count() == before
+        found.append((info.value.path_index, info.value.step_index))
+    assert found[0] == found[1]
+    # In the first run of steps: the later runs are still to be consumed.
+    assert found[0][1] < hg.engine._MAP_STEPS < small_cfg().n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +487,19 @@ def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init
 @pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
 def test_reference_stepper_matches_simulate_paths_bit_for_bit(
         model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
-    """The terminal state and first variations equal those of a stepper
-    that keeps every grid point; at sigma_floor=0.2 part of sigma clamps."""
+    """The terminal state, first variations and integrals equal those of a
+    stepper that keeps every grid point; at sigma_floor=0.2 part of sigma
+    clamps."""
     model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
                    else (deg_model, deg_init))
     cfg = small_cfg(n_paths=300, sigma_floor=sigma_floor)
-    paths = hg.simulate_paths(model, init, cfg)
+    paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
     series = reference_series(model, init, cfg)
     for name in ("s", "v", "r", "y12", "y13", "y22", "y33"):
         assert np.array_equal(getattr(paths, name + "_T"),
                               getattr(series, name)[:, -1]), name
+    for name, values in series.integrals.items():
+        assert np.array_equal(getattr(paths, name), values), name
     if model is hv_model and sigma_floor == 0.2:
         assert 0 < paths.clamp_count < paths.n_integrand_evals
 

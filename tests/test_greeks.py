@@ -335,17 +335,24 @@ def test_a_replaced_copy_prices_with_its_own_discount(hv_paths_10k, call_100):
 # ---------------------------------------------------------------------------
 # what the estimators refuse, and where their warning points
 
-def test_per_path_payoff_arrays_are_refused(hv_model, hv_init):
+def test_per_path_payoff_arrays_are_refused(hv_model, hv_init, monkeypatch):
     """An array of payoffs carries no strike to move with a bumped s0: the
     finite-difference delta read it as 0.0 +- 0.0.  Every estimator and
-    fd_greek take a Payoff and refuse anything else."""
+    fd_greek take a Payoff and refuse anything else; fd_greek refuses it
+    before the first block is drawn."""
     cfg = hg.SimConfig(n_paths=4096, n_steps=16, maturity=1.0, seed=3)
     call = hg.Payoff("call", strike=100.0)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
     phi = hg.evaluate_payoff(call, paths.s_T)
     bump = hg.BumpSpec("s0", h=1.0)
-    with pytest.raises(hg.InvalidParams, match="Payoff"):
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
+    with pytest.raises(hg.InvalidParams, match="Payoff") as info:
         hg.fd_greek(hv_model, hv_init, cfg, phi, bump)
+    assert info.value.field == "payoff"
+    assert calls == []
     with pytest.raises(hg.InvalidParams, match="Payoff"):
         hg.price(paths, phi)
     with pytest.raises(hg.InvalidParams, match="Payoff"):
