@@ -184,14 +184,14 @@ def compare(config: RunConfig, sizes=None) -> list[dict]:
 def _comparison_table(records) -> str:
     header = (f"{'greek':<10} {'n_paths':>8} {'estimator':<12} "
               f"{'value':>16} {'std_error':>13} {'agree':<5} "
-              f"{'wall_ms':>10} {'n_sims':>6}")
+              f"{'wall_ms':>10} {'n_sims':>6} {'clamps':>10}")
     lines = [header, "-" * len(header)]
     for r in records:
         agree = "-" if r["agree"] is None else ("yes" if r["agree"] else "NO")
         lines.append(
             f"{r['greek']:<10} {r['n_paths']:>8} {r['estimator']:<12} "
             f"{r['value']:>16.10g} {r['std_error']:>13.6g} {agree:<5} "
-            f"{r['wall_time_ms']:>10.3f} {r['n_sims']:>6}")
+            f"{r['wall_time_ms']:>10.3f} {r['n_sims']:>6} {r['clamp_count']:>10}")
     return "\n".join(lines) + "\n"
 
 

@@ -28,28 +28,30 @@ Scheme choices
 
 Randomness
 ----------
-Draws come from a counter-based generator (Philox) with the counter laid
-out so that the normal draw for (seed, path, step, driver) is a pure
-function of those four indices: path ``p`` owns the counter range
-``[p*stride, (p+1)*stride)`` of the stream keyed by (seed, stream).  Draws
-are therefore independent of block sizes, worker counts, and execution
-order, and bumped re-simulations with the same seed reuse identical draws
-(exact common random numbers).  A block of draws is stored step-major, as
-one contiguous (n_steps*3, n_paths) array, so the step loop reads each
-step's increments for all paths as contiguous rows.
+Draws come from a counter-based generator (Philox) with the counters laid
+out step-major, so that the normal draw for (seed, path, step, driver) is
+a pure function of those four indices: the uniform of path ``p`` at step
+``s`` and driver ``d`` is word ``p`` of the stream keyed by (seed, stream)
+that starts at counter ``(3*s + d) << 62``.  Draws are therefore
+independent of block sizes, worker counts, and execution order, and bumped
+re-simulations with the same seed reuse identical draws (exact common
+random numbers).  Each (step, driver) row of a block is one contiguous run
+of Philox words, drawn by one call straight into the row the step loop
+reads, so no block of draws need be held.  The CLI bytes changed once,
+when this layout replaced a path-major one.
 
 Threads
 -------
-Blocks are simulated one at a time, so one block of draws is in memory at
-a time.  The worker count (``SimConfig.worker_hint``; None means the CPUs
-in the process's affinity mask) caps the threads that draw each block, in
-two phases.  First the Philox uniforms: the block's paths are split into
-contiguous ranges, one thread each, and each range draws its own counter
-range, so the draws are the same bits for any split.  Then the inverse
-normal CDF maps the uniforms in place, one run of a few steps at a time,
-and the step loop runs on the calling thread beside it: the threads map
-the runs in step order, and the loop steps each run as soon as it is
-mapped.  The Philox uniforms and the inverse CDF release the GIL.
+Blocks are simulated one at a time.  A block's draws are made one run of
+a few steps at a time into a small ring of run buffers, one run per thread
+plus one, and the step loop, on the calling thread, steps each run as soon
+as it is drawn; so a block holds a few runs of draws, never all of them.
+The worker count (``SimConfig.worker_hint``; None means the CPUs in the
+process's affinity mask) caps the threads that draw: they claim the runs
+in step order, each with its own Philox moved from row to row, and the
+calling thread draws runs itself while the next one it needs is not
+ready.  Every draw is the same bits whichever thread makes it.  The Philox
+draws and the inverse normal CDF release the GIL.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
@@ -94,20 +96,20 @@ __all__ = [
 ]
 
 # Paths are simulated one fixed-size block at a time, whatever the worker
-# count: threads split a block's draws, so one block of draws is in memory
-# at a time.  The RNG mapping makes results independent of this constant.
+# count; a block holds its step-loop state and a few runs of draws.  The
+# RNG mapping makes results independent of this constant.
 _BLOCK_PATHS = 16384
 _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
-# Philox emits 4 uint64 words per counter tick; advance() counts ticks.
+# Philox emits 4 uint64 words per counter tick.
 _PHILOX_WORDS = 4
-# Paths whose uniforms are drawn and mapped at once, summed over the draw
-# threads (bounds the scratch buffer of standard_draws and the threads it
-# starts; the draws do not depend on it).
-_DRAW_CHUNK = 1024
-# Steps per run: standard_draws maps its uniforms to normals, and hands
-# them to its consumer, this many steps at a time (the last run may be
-# shorter; the draws do not depend on it).
+# Paths per draw thread, at least: on a 250-path block two threads were
+# slower than one, as handing runs between them costs more than drawing
+# them (the draws do not depend on it).
+_THREAD_PATHS = 1024
+# Steps per run: standard_draws draws and maps its normals, and hands them
+# to its consumer, this many steps at a time (the last run may be shorter;
+# the draws do not depend on it).
 _MAP_STEPS = 8
 # stable_sum extracts exactly below 2**26 values (each level then takes
 # 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
@@ -224,14 +226,6 @@ class PathAccumulators:
         return int(self.s_T.shape[0])
 
 
-def _stride(n_steps: int) -> int:
-    """uint64 words reserved per path: 3 doubles per step, padded to a
-    multiple of the Philox output width so every path starts on a counter
-    tick boundary."""
-    need = 3 * n_steps
-    return _PHILOX_WORDS * ((need + _PHILOX_WORDS - 1) // _PHILOX_WORDS)
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one, else every CPU."""
@@ -249,150 +243,191 @@ def standard_draws(
     stream: int = 0,
     workers: int | None = None,
     consume: Callable[[int, np.ndarray], object] | None = None,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Standard-normal draws z[path, step, driver], shape (n_paths, n_steps, 3).
 
     The draw at (path, step, driver) is a pure function of
-    (seed, stream, first_path+path, step, driver): uniforms come from a
-    Philox stream keyed by (seed, stream) at counter offset path*stride and
-    are mapped through the inverse normal CDF.  Identical indices always
-    yield identical draws, which is what makes common-random-number bumping
-    and worker-count independence exact.
+    (seed, stream, first_path+path, step, driver): its uniform is word
+    first_path+path of the Philox stream keyed by (seed, stream) that starts
+    at counter ``(3*step + driver) << 62``, floored at 1e-300 and mapped
+    through the inverse normal CDF.  Identical indices always yield
+    identical draws, which is what makes common-random-number bumping and
+    worker-count independence exact.
 
-    The result is a view of one step-major (n_steps*3, n_paths) array, so
-    ``z[:, step, driver]`` is a contiguous row.  It is filled in two phases
-    by the same threads: at most ``workers`` (None: every available CPU),
-    the available CPUs, and one per ``_DRAW_CHUNK`` paths.
+    The draws are made one run of ``_MAP_STEPS`` steps at a time, one
+    ``random(out=)`` call per (step, driver) row, by at most ``workers``
+    threads (None: every available CPU), no more than the available CPUs,
+    the runs, and one per ``_THREAD_PATHS`` paths.  The threads claim the
+    runs in step order; the calling thread is one of them, and claims a run
+    whenever the next run it needs is not yet drawn.  The threads change
+    wall time, never the draws.
 
-    * Uniforms.  The paths are split into contiguous ranges, one per
-      thread.  Each range is drawn from its own Philox advanced to its
-      first path, a few paths at a time into its share of one
-      ``_DRAW_CHUNK``-path buffer, and written step-major into ``z``.  The
-      buffer is freed when every range is drawn.
-    * Normals.  The inverse CDF maps ``z`` in place one run of
-      ``_MAP_STEPS`` steps at a time.  The threads claim the runs in step
-      order; the calling thread is one of them, and claims a run whenever
-      the next run it needs is not yet mapped.
-
-    The threads change wall time, never the draws.  ``consume``, if given,
-    is called on the calling thread as ``consume(first_step, run)`` for each
-    run once it is mapped, in step order: ``run`` is the (steps, 3, n_paths)
-    band of ``z`` for steps first_step, first_step+1, ...  The caller can
-    so step its paths while the later runs are mapped.  If ``consume``
-    raises, no further run is claimed, and the exception propagates once
-    the threads have stopped.
+    Without ``consume`` the result is a view of one step-major
+    (n_steps, 3, n_paths) array, so ``z[:, step, driver]`` is a contiguous
+    row.  With ``consume``, no block of draws is held and None is returned:
+    each run is drawn into a slot of a ring of one run per thread plus one,
+    and ``consume(first_step, run)`` is called on the calling thread for
+    each run in step order, ``run`` being the (steps, 3, n_paths) draws of
+    steps first_step, first_step+1, ...  The caller can so step its paths
+    while the later runs are drawn; a run's slot is drawn into again once
+    ``consume`` has returned from it.  If ``consume`` raises, no further
+    run is claimed, and the exception propagates once the threads have
+    stopped.
     """
-    stride = _stride(n_steps)
-    z = np.empty((3 * n_steps, n_paths))
-    # Every thread's scratch is carved from this one buffer: a large
-    # allocation inside a pool thread would stay resident in that thread's
-    # malloc arena after the call.
-    buf = np.empty((min(_DRAW_CHUNK, n_paths), stride))
+    starts = range(0, n_steps, _MAP_STEPS)
     cpus = _available_cpus()
-    # len(buf) keeps at least one buffer row per thread.
-    threads = min(workers or cpus, cpus, -(-n_paths // _DRAW_CHUNK), len(buf))
-    rows = len(buf) // threads
-    edges = [n_paths * i // threads for i in range(threads + 1)]
-    # The tasks hold the only references to the buffer once it is carved.
-    tasks = [(z, buf[i * rows:(i + 1) * rows], seed, stream, first_path,
-              edges[i], edges[i + 1]) for i in range(threads)]
-    del buf
-    runs = _NormalRuns(z.reshape(n_steps, 3, n_paths))
-    if threads == 1:
-        _draw_range(*tasks.pop())
-        runs.feed(consume)
+    threads = min(workers or cpus, cpus, len(starts),
+                  -(-n_paths // _THREAD_PATHS))
+    if consume is None:
+        z = np.empty((n_steps, 3, n_paths))
+        slots = [z[start:start + _MAP_STEPS] for start in starts]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for future in [pool.submit(_draw_range, *task) for task in tasks]:
-                future.result()
-            tasks.clear()
-            # The calling thread maps runs too, while it waits for one.
-            helpers = [pool.submit(runs.help) for _ in range(threads - 1)]
+        z = None
+        depth = min(threads + 1, len(starts))
+        slots = [np.empty((min(_MAP_STEPS, n_steps), 3, n_paths))
+                 for _ in range(depth)]
+    ring = _RunRing(seed, stream, first_path, starts, slots)
+    if threads == 1:
+        ring.feed(consume)
+    else:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            helpers = [pool.submit(ring.help) for _ in range(threads - 1)]
             try:
-                runs.feed(consume)
+                ring.feed(consume)
             finally:
-                runs.stop()
+                ring.stop()
                 for future in helpers:
                     future.result()
-    return z.reshape(n_steps, 3, n_paths).transpose(2, 0, 1)
+    return None if z is None else z.transpose(2, 0, 1)
 
 
-def _draw_range(z: np.ndarray, buf: np.ndarray, seed: int, stream: int,
-                first_path: int, lo: int, hi: int) -> None:
-    """Fill columns lo..hi-1 of the step-major ``z`` with the uniforms of
-    paths first_path+lo .. first_path+hi-1, ``len(buf)`` paths at a time.
+def _row_drawer(seed: int, stream: int, first_path: int):
+    """A function ``draw(row, out)`` that fills ``out`` with the uniforms of
+    paths first_path, first_path+1, ... of counter row ``row`` = 3*step +
+    driver, from one Philox moved to each row through its state.
 
-    Each chunk is a whole number of counter ticks, so the chunks continue
-    one stream.  Allocates nothing large: it may run on a pool thread.
+    The row's stream starts at counter ``row << 62``; path p is its word p,
+    so the first path is word first_path % 4 of counter tick first_path // 4.
     """
-    stride = buf.shape[1]
-    width = z.shape[0]
     bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    bg.advance((first_path + lo) * stride // _PHILOX_WORDS)
     gen = Generator(bg)
-    for start in range(lo, hi, len(buf)):
-        stop = min(start + len(buf), hi)
-        u = gen.random(out=buf[: stop - start])[:, :width]
-        # random() yields [0,1); floor away exact zeros before the inverse CDF.
-        np.maximum(u, 1e-300, out=u)
-        z[:, start:stop] = u.T
+    # Plain lists, which the state setter reads faster than arrays.  An
+    # empty buffer makes the next word the first of the next tick, as from
+    # a Philox constructed at the counter.
+    counter = [0] * 4
+    state = {"bit_generator": "Philox",
+             "state": {"counter": counter, "key": [seed, stream]},
+             "buffer": [0] * 4, "buffer_pos": _PHILOX_WORDS,
+             "has_uint32": 0, "uinteger": 0}
+    tick, skip = divmod(first_path, _PHILOX_WORDS)
+    mask = (1 << 64) - 1
+
+    def draw(row: int, out: np.ndarray) -> None:
+        start = (row << 62) + tick
+        for i in range(4):
+            counter[i] = (start >> (64 * i)) & mask
+        bg.state = state
+        if skip:
+            gen.random(skip)
+        gen.random(out=out)
+
+    return draw
 
 
-class _NormalRuns:
-    """The runs of ``_MAP_STEPS`` steps of a (n_steps, 3, n_paths) block of
-    uniforms, each mapped to normals in place by the thread that claims it.
+class _RunRing:
+    """The runs of ``_MAP_STEPS`` steps of one block of draws, each drawn
+    and mapped into a slot of a ring by the thread that claims it.
 
-    Runs are claimed in step order under a lock.  A run's event is set once
-    it is mapped, which also publishes its normals to the thread that waits
-    on it.
+    Run k goes to slot k % len(slots).  Runs are claimed in step order, and
+    only while the run that last used the slot has been consumed; a run is
+    marked ready once drawn, which also publishes its draws to the thread
+    that waits on it.  One condition guards the counters.
     """
 
-    def __init__(self, z: np.ndarray):
-        self.z = z
-        self.starts = range(0, len(z), _MAP_STEPS)
-        self.mapped = [threading.Event() for _ in self.starts]
-        self.lock = threading.Lock()
+    def __init__(self, seed: int, stream: int, first_path: int,
+                 starts: range, slots: list[np.ndarray]):
+        self.drawer = (seed, stream, first_path)
+        self.starts = starts
+        self.slots = slots
+        self.ready = [False] * len(starts)
         self.claimed = 0
+        self.consumed = 0
+        self.stopped = False
+        self.cond = threading.Condition()
 
     def _run(self, k: int) -> np.ndarray:
-        return self.z[self.starts[k]:self.starts[k] + self.starts.step]
+        steps = min(self.starts.step, self.starts.stop - self.starts[k])
+        return self.slots[k % len(self.slots)][:steps]
 
-    def _map_next(self) -> bool:
-        """Claim the next run and map it; False if none is left."""
-        with self.lock:
-            k = self.claimed
-            if k == len(self.starts):
-                return False
-            self.claimed = k + 1
+    def _claim(self) -> int | None:
+        """The next run to draw, if any may be drawn now (under the lock)."""
+        k = self.claimed
+        if (self.stopped or k == len(self.starts)
+                or k - self.consumed >= len(self.slots)):
+            return None
+        self.claimed = k + 1
+        return k
+
+    def _fill(self, draw, k: int) -> None:
         run = self._run(k)
+        rows = run.reshape(-1, run.shape[-1])
+        drawn = False
         try:
-            ndtri(run, out=run)
+            for i, row in enumerate(rows, start=3 * self.starts[k]):
+                draw(i, row)
+            # random() yields [0,1); floor away exact zeros before the
+            # inverse CDF.
+            np.maximum(rows, 1e-300, out=rows)
+            ndtri(rows, out=rows)
+            drawn = True
         finally:
-            self.mapped[k].set()
-        return True
+            with self.cond:
+                self.ready[k] = drawn
+                self.stopped |= not drawn
+                self.cond.notify_all()
 
     def help(self) -> None:
-        """Map runs until none is left to claim (on a pool thread)."""
-        while self._map_next():
-            pass
+        """Draw runs until none is left to claim (on a pool thread)."""
+        draw = _row_drawer(*self.drawer)
+        while True:
+            with self.cond:
+                while (k := self._claim()) is None:
+                    if self.stopped or self.claimed == len(self.starts):
+                        return
+                    self.cond.wait()
+            self._fill(draw, k)
 
     def stop(self) -> None:
         """Leave every unclaimed run unclaimed for good."""
-        with self.lock:
-            self.claimed = len(self.starts)
+        with self.cond:
+            self.stopped = True
+            self.cond.notify_all()
 
     def feed(self, consume) -> None:
-        """Hand each run to ``consume`` in step order once it is mapped.
+        """Hand each run to ``consume`` in step order once it is drawn.
 
-        While the next run is not ready, this thread maps the next unclaimed
-        run, which is that run itself if no thread has claimed it yet.
+        While the next run is not ready, this thread draws the next
+        unclaimed run if its slot is free, which is that run itself if no
+        thread has claimed it yet.
         """
+        draw = _row_drawer(*self.drawer)
         for k, start in enumerate(self.starts):
-            while not self.mapped[k].is_set() and self._map_next():
-                pass
-            self.mapped[k].wait()
+            while True:
+                with self.cond:
+                    if self.ready[k]:
+                        break
+                    if self.stopped:
+                        raise RuntimeError("a draw thread failed")
+                    j = self._claim()
+                    if j is None:
+                        self.cond.wait()
+                        continue
+                self._fill(draw, j)
             if consume is not None:
                 consume(start, self._run(k))
+            with self.cond:
+                self.consumed = k + 1
+                self.cond.notify_all()
 
 
 def _run_block(
@@ -620,8 +655,8 @@ def _run_block(
                     raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
             n += 1
         run = yield
-    # The last rows are views of the draws: let the draws go before the
-    # outputs are formed.
+    # The last rows are views of a run of draws: let the draws go before
+    # the outputs are formed.
     del z1, z2, z3
 
     if not weights:
@@ -707,10 +742,7 @@ def simulate_paths(
         block = _run_block(model, init, cfg, stop - start, perturbation,
                            drift_extras, weights)
         next(block)
-        # The block steps each run of draws as soon as it is mapped.  The
-        # copies below first touch the pages of the run's arrays: the draws
-        # are freed before them, once this call returns, and the block's
-        # outputs after them.
+        # The block steps each run of draws as soon as it is drawn.
         try:
             standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
                            stream=stream, workers=cfg.worker_hint,

@@ -1,19 +1,17 @@
 """Golden bytes of the command line.
 
-The expected text below was produced by the command line before the
-per-Greek estimators were folded into one table.  Each weighted estimator
-keeps its own floating-point evaluation order, so every digit must still
-match; a reordered product shows up here as a changed last digit.  The two
-non-default ``dump-config`` cases were recorded before the config keys moved
-into one schema; between them they pin the canonical text of every kind of
-value (numbers, integers, switches, ``auto``, lists and plain text).  The
-two-block ``compare`` and ``greeks`` cases were recorded before the draws
-were stored step-major and the exact sum was vectorised: their 16,385 paths
-cross the engine's 16,384-path block edge and every chunk edge of the draws.
-The ``compare`` case with every finite-difference target was recorded while
-each bumped re-simulation still filled every weight integral and first
-variation; it pins the bumped prices, and their clamp counts, of the
-state-only runs that replaced them.
+The expected text of the six cases that draw was recorded when the draws
+became rows of step-major Philox counters and the ``compare`` table gained
+its ``clamps`` column; the three ``dump-config`` cases are older and did
+not move.  Each weighted estimator keeps its own floating-point evaluation
+order, so every digit must still match; a reordered product shows up here
+as a changed last digit.  The two non-default ``dump-config`` cases were
+recorded before the config keys moved into one schema; between them they
+pin the canonical text of every kind of value (numbers, integers,
+switches, ``auto``, lists and plain text).  The two-block ``compare`` and
+``greeks`` cases have 16,385 paths, which cross the engine's 16,384-path
+block edge.  The ``compare`` case with every finite-difference target pins
+the bumped prices, and their clamp counts, of the state-only runs.
 """
 
 import pytest
@@ -105,26 +103,26 @@ EXPECTED = {
         "greeks", HYBRID,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,9.235581030562912,0.6162129270135229,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.6208657957461922,0.12653272148859057,0,0.0\n"
-        "malliavin,rho,512,16,12345,52.8509985440563,12.378203747516963,0,0.0\n"
-        "malliavin,vega,512,16,12345,43.386925539920355,20.57009028033208,0,0.0\n"
-        "malliavin,vega_v0,512,16,12345,202.1082523548559,135.25368144305017,0,0.0\n"
-        "malliavin,rho_r0,512,16,12345,296.3532351870976,714.1393159052135,0,0.0\n"
-        "malliavin,kappa,512,16,12345,112.11027683001724,480.8743253725638,0,0.0\n"
-        "malliavin,reversion,512,16,12345,5.621109028452013,14.48296053170087,0,0.0\n"
-        "fd_central,delta,512,16,12345,0.5966008208436072,0.025759710858163098,0,0.0\n"
-        "fd_central,vega,512,16,12345,40.61263572368058,3.451664532959839,0,0.0\n"
+        "malliavin,price,512,16,12345,8.56848009664128,0.559956605052249,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.45428556333164727,0.1377721950097739,0,0.0\n"
+        "malliavin,rho,512,16,12345,36.86007623652345,13.531604242871923,0,0.0\n"
+        "malliavin,vega,512,16,12345,37.02108057518518,28.40677095384999,0,0.0\n"
+        "malliavin,vega_v0,512,16,12345,-52.83914982201729,150.37384047398382,0,0.0\n"
+        "malliavin,rho_r0,512,16,12345,263.84313886606,642.7531212656208,0,0.0\n"
+        "malliavin,kappa,512,16,12345,-331.557062792947,523.0466113823256,0,0.0\n"
+        "malliavin,reversion,512,16,12345,4.801690437434588,13.05858856526902,0,0.0\n"
+        "fd_central,delta,512,16,12345,0.5688474588614005,0.02550213773742327,0,0.0\n"
+        "fd_central,vega,512,16,12345,36.59375636755337,2.9886078055493948,0,0.0\n"
         ),
     ),
     "black_scholes_call": (
         "greeks", BS_CALL,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,10.75920416992107,0.6732780756239278,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.6752417783096293,0.07090363380818507,0,0.0\n"
-        "malliavin,rho,512,16,12345,56.764973661041864,6.479695044209142,0,0.0\n"
-        "malliavin,vega,512,16,12345,46.75474746870395,13.838316358447045,0,0.0\n"
+        "malliavin,price,512,16,12345,9.988201187979147,0.6117622420185511,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.5727025700993804,0.05584959578893112,0,0.0\n"
+        "malliavin,rho,512,16,12345,47.2820558219589,5.0342504177054535,0,0.0\n"
+        "malliavin,vega,512,16,12345,23.32980011968929,9.893611115977956,0,0.0\n"
         "analytic,price,512,16,12345,10.450583572185565,0.0,0,0.0\n"
         "analytic,delta,512,16,12345,0.6368306511756191,0.0,0,0.0\n"
         "analytic,rho,512,16,12345,53.232481545376345,0.0,0,0.0\n"
@@ -135,28 +133,28 @@ EXPECTED = {
         "greeks", BS_DIGITAL,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,0.5313508113421958,0.020894986794091863,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.01935832700915735,0.0012656634335880199,0,0.0\n"
-        "malliavin,rho,512,16,12345,1.4044818895735391,0.11521444661183676,0,0.0\n"
-        "malliavin,vega,512,16,12345,-0.5349197173658806,0.21795521726971379,0,0.0\n"
+        "malliavin,price,512,16,12345,0.5183457215541,0.020954867882437195,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.018016112820791658,0.0011710274388692138,0,0.0\n"
+        "malliavin,rho,512,16,12345,1.2832655605250658,0.10535539501329763,0,0.0\n"
+        "malliavin,vega,512,16,12345,-0.7962779582117463,0.1712386811152991,0,0.0\n"
         "analytic,delta,512,16,12345,0.018762017345846895,0.0,0,0.0\n"
         ),
     ),
     "compare_two_blocks": (
         "compare", TWO_BLOCKS,
         (
-        "greek       n_paths estimator               value     std_error agree    wall_ms n_sims\n"
-        "---------------------------------------------------------------------------------------\n"
-        "delta         16385 malliavin        0.5926536817     0.0231757 -          0.000      1\n"
-        "delta         16385 fd_central       0.5828588864      0.004539 yes        0.000      2\n"
+        "greek       n_paths estimator               value     std_error agree    wall_ms n_sims     clamps\n"
+        "--------------------------------------------------------------------------------------------------\n"
+        "delta         16385 malliavin        0.5897773881     0.0228724 -          0.000      1          0\n"
+        "delta         16385 fd_central       0.5920048426    0.00453168 yes        0.000      2          0\n"
         ),
     ),
     "greeks_two_blocks": (
         "greeks", TWO_BLOCKS,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,delta,16385,2,12345,0.5926536817154627,0.023175746374866524,0,0.0\n"
-        "fd_central,delta,16385,2,12345,0.582858886419027,0.004539002131744035,0,0.0\n"
+        "malliavin,delta,16385,2,12345,0.5897773880674475,0.022872403299585786,0,0.0\n"
+        "fd_central,delta,16385,2,12345,0.5920048426487168,0.004531682805951914,0,0.0\n"
         ),
     ),
     "dump_config": (
@@ -305,40 +303,40 @@ ALL_FD = {
 }
 
 ALL_FD_TABLE = (
-    "greek       n_paths estimator               value     std_error agree    wall_ms n_sims\n"
-    "---------------------------------------------------------------------------------------\n"
-    "delta         16385 malliavin        0.2327412255    0.00893251 -          0.000      1\n"
-    "delta         16385 fd_central       0.5828588864      0.004539 NO         0.000      2\n"
-    "rho           16385 malliavin         14.40393369      0.851972 -          0.000      0\n"
-    "rho           16385 fd_central        97.62792817       741.017 yes        0.000      2\n"
-    "vega          16385 malliavin         15.21174058       1.50529 -          0.000      0\n"
-    "vega          16385 fd_central        38.57913309      0.579539 NO         0.000      2\n"
-    "vega_v0       16385 malliavin         9.605628617       1.39449 -          0.000      0\n"
-    "vega_v0       16385 fd_forward         48.5817291       1.06907 NO         0.000      2\n"
-    "rho_r0        16385 malliavin         5.342826567      0.408664 -          0.000      0\n"
-    "rho_r0        16385 fd_central        49.23104055      0.380674 NO         0.000      2\n"
-    "kappa         16385 malliavin         1.667208184       1.43014 -          0.000      0\n"
-    "kappa         16385 fd_backward       47.91915018       1.15402 NO         0.000      2\n"
-    "reversion     16385 malliavin      -0.08840404742    0.00995974 -          0.000      0\n"
-    "reversion     16385 fd_central       0.2473947811    0.00191341 NO         0.000      2\n"
+    "greek       n_paths estimator               value     std_error agree    wall_ms n_sims     clamps\n"
+    "--------------------------------------------------------------------------------------------------\n"
+    "delta         16385 malliavin        0.2315902445    0.00881434 -          0.000      1      98310\n"
+    "delta         16385 fd_central       0.5920048426    0.00453168 NO         0.000      2     196620\n"
+    "rho           16385 malliavin         14.21869973      0.840049 -          0.000      0      98310\n"
+    "rho           16385 fd_central        -727.474709       737.706 yes        0.000      2     196620\n"
+    "vega          16385 malliavin         14.94213996       1.48362 -          0.000      0      98310\n"
+    "vega          16385 fd_central        38.77869313      0.577555 NO         0.000      2     196620\n"
+    "vega_v0       16385 malliavin          9.16036759       1.37738 -          0.000      0      98310\n"
+    "vega_v0       16385 fd_forward         48.4885532       1.07606 NO         0.000      2     196620\n"
+    "rho_r0        16385 malliavin         4.954323572      0.398416 -          0.000      0      98310\n"
+    "rho_r0        16385 fd_central          49.986866      0.380578 NO         0.000      2     196620\n"
+    "kappa         16385 malliavin        0.8188334082       1.40601 -          0.000      0      98310\n"
+    "kappa         16385 fd_backward       48.49117793       1.14382 NO         0.000      2     196620\n"
+    "reversion     16385 malliavin      -0.09407506844    0.00988522 -          0.000      0      98310\n"
+    "reversion     16385 fd_central       0.2511321086    0.00191289 NO         0.000      2     196620\n"
 )
 
 ALL_FD_CSV = (
     "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-    "malliavin,delta,16385,2,12345,0.2327412254688634,0.008932510845881989,98310,0.0\n"
-    "fd_central,delta,16385,2,12345,0.582858886419027,0.004539002131744035,196620,0.0\n"
-    "malliavin,rho,16385,2,12345,14.403933687775568,0.8519718109521058,98310,0.0\n"
-    "fd_central,rho,16385,2,12345,97.62792816640165,741.01741386111,196620,0.0\n"
-    "malliavin,vega,16385,2,12345,15.211740583748432,1.5052890393504328,98310,0.0\n"
-    "fd_central,vega,16385,2,12345,38.57913309087421,0.5795390389936734,196620,0.0\n"
-    "malliavin,vega_v0,16385,2,12345,9.60562861748252,1.3944911663905724,98310,0.0\n"
-    "fd_forward,vega_v0,16385,2,12345,48.58172910254026,1.0690677493133334,196620,0.0\n"
-    "malliavin,rho_r0,16385,2,12345,5.342826566933144,0.4086640150871307,98310,0.0\n"
-    "fd_central,rho_r0,16385,2,12345,49.231040551699394,0.38067437291135836,196620,0.0\n"
-    "malliavin,kappa,16385,2,12345,1.6672081839077841,1.4301383825744556,98310,0.0\n"
-    "fd_backward,kappa,16385,2,12345,47.91915017650974,1.1540196357944474,196620,0.0\n"
-    "malliavin,reversion,16385,2,12345,-0.08840404741953638,0.009959743686069836,98310,0.0\n"
-    "fd_central,reversion,16385,2,12345,0.24739478105723703,0.0019134062910646566,196620,0.0\n"
+    "malliavin,delta,16385,2,12345,0.2315902444762816,0.008814339299057098,98310,0.0\n"
+    "fd_central,delta,16385,2,12345,0.5920048426487168,0.004531682805951914,196620,0.0\n"
+    "malliavin,rho,16385,2,12345,14.218699728842578,0.8400486790192854,98310,0.0\n"
+    "fd_central,rho,16385,2,12345,-727.4747090419175,737.7061091622944,196620,0.0\n"
+    "malliavin,vega,16385,2,12345,14.942139956913632,1.483615772006697,98310,0.0\n"
+    "fd_central,vega,16385,2,12345,38.77869312501644,0.5775551648242188,196620,0.0\n"
+    "malliavin,vega_v0,16385,2,12345,9.160367590143315,1.3773846478830438,98310,0.0\n"
+    "fd_forward,vega_v0,16385,2,12345,48.48855320101185,1.076064174104738,196620,0.0\n"
+    "malliavin,rho_r0,16385,2,12345,4.954323572479987,0.39841567514385506,98310,0.0\n"
+    "fd_central,rho_r0,16385,2,12345,49.98686599638068,0.3805775735669542,196620,0.0\n"
+    "malliavin,kappa,16385,2,12345,0.8188334081590503,1.4060069771537773,98310,0.0\n"
+    "fd_backward,kappa,16385,2,12345,48.49117793135311,1.1438212930361904,196620,0.0\n"
+    "malliavin,reversion,16385,2,12345,-0.09407506844118085,0.009885220876383938,98310,0.0\n"
+    "fd_central,reversion,16385,2,12345,0.251132108620539,0.0019128913136517024,196620,0.0\n"
 )
 
 

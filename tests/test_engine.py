@@ -1,11 +1,12 @@
 """Path simulation: accumulators, first variations, determinism."""
 
-import concurrent.futures
 import dataclasses
 import functools
 import math
 import struct
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -73,26 +74,57 @@ def test_draws_depend_on_seed():
                               hg.standard_draws(2, 4, 8))
 
 
-def _path_major_draws(seed, n_paths, n_steps):
-    """The draws as first defined: one Philox block of path-major rows,
-    each row padded to whole counter ticks of four words."""
-    stride = 4 * -(-3 * n_steps // 4)
-    bg = Philox(key=np.array([seed, 0], dtype=np.uint64))
-    u = Generator(bg).random((n_paths, stride))[:, : 3 * n_steps]
-    return ndtri(np.maximum(u, 1e-300)).reshape(n_paths, n_steps, 3)
+def _row_by_row_draws(seed, n_paths, n_steps, first_path=0, stream=0):
+    """The draws by their definition: the uniform of (path p, step s,
+    driver d) is word p of the Philox stream keyed (seed, stream) that
+    starts at counter (3*s + d) << 62, one fresh generator per row."""
+    z = np.empty((n_paths, n_steps, 3))
+    skip = first_path % 4
+    for s in range(n_steps):
+        for d in range(3):
+            bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
+                        counter=((3 * s + d) << 62) + first_path // 4)
+            u = Generator(bg).random(skip + n_paths)[skip:]
+            z[:, s, d] = ndtri(np.maximum(u, 1e-300))
+    return z
 
 
-@pytest.mark.parametrize("n_steps", [1, 5, 16])
-def test_draws_are_the_path_major_draws_stored_step_major(n_steps):
-    n_paths = 2 * hg.engine._DRAW_CHUNK + 3
-    z = hg.standard_draws(11, n_paths, n_steps)
-    assert z.shape == (n_paths, n_steps, 3)
-    assert np.array_equal(z, _path_major_draws(11, n_paths, n_steps))
-    assert z[:, n_steps - 1, 2].flags.c_contiguous
+@pytest.mark.parametrize("n_steps", [1, 9, 17])
+def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
+    """Every path offset modulo the four words of a Philox tick, every
+    stream and every worker count (17 steps make three runs, one per
+    thread) give the rows of the definition."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
+    n_paths = 13
+    for first_path in (0, 1, 6, 4099):
+        for stream in (0, 1, 2):
+            expected = _row_by_row_draws(11, n_paths, n_steps, first_path, stream)
+            for workers in (None, 1, 2, 3):
+                z = hg.standard_draws(11, n_paths, n_steps, first_path=first_path,
+                                      stream=stream, workers=workers)
+                assert z.shape == (n_paths, n_steps, 3)
+                assert np.array_equal(z, expected), (first_path, stream, workers)
+                assert z[:, n_steps - 1, 2].flags.c_contiguous
 
 
-_CHUNK = hg.engine._DRAW_CHUNK
+def test_adjacent_rows_of_draws_are_uncorrelated():
+    """Rows whose counters are neighbours (the drivers of one step, and the
+    last driver of a step with the first of the next) and the rows of one
+    driver at neighbouring steps: sample correlations within 4/sqrt(n)."""
+    n_paths, n_steps = 20000, 4
+    rows = hg.standard_draws(3, n_paths, n_steps).reshape(n_paths, -1).T
+    corr = np.corrcoef(rows)
+    pairs = [(r, r + 1) for r in range(3 * n_steps - 1)]
+    pairs += [(r, r + 3) for r in range(3 * n_steps - 3)]
+    assert max(abs(corr[a, b]) for a, b in pairs) < 4 / math.sqrt(n_paths)
+
+
+# Path offsets near multiples of these, some of them multiples of the four
+# words of a Philox tick and some not, are where a split of the draws could
+# go wrong.
+_CHUNK = 1024
 _BLOCK = hg.engine._BLOCK_PATHS
+_THREAD_PATHS = hg.engine._THREAD_PATHS
 _SPAN = _BLOCK + 2 * _CHUNK
 _NEAR_EDGE = st.sampled_from((_CHUNK, 2 * _CHUNK, _BLOCK)).flatmap(
     lambda edge: st.integers(edge - 3, edge + 3))
@@ -118,8 +150,8 @@ def test_draws_are_pure_under_any_split(a, b, n_steps, workers):
 
 
 def test_draws_allocate_little_beyond_their_output(monkeypatch):
-    """The inverse CDF runs in place on one small reused buffer, which the
-    draw's threads share out between them."""
+    """Without ``consume`` every run is drawn and mapped in place in the
+    returned array, by any number of threads."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     for workers in (1, 2, 4):
         tracemalloc.start()
@@ -134,7 +166,8 @@ def test_draws_allocate_little_beyond_their_output(monkeypatch):
 
 class _InlinePool:
     """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
-    each task on the calling thread, so no thread is started."""
+    each task on the calling thread once its result is read, so no thread
+    is started.  The calling thread has then drawn every run itself."""
 
     def __init__(self, sizes, max_workers):
         sizes.append(max_workers)
@@ -146,9 +179,12 @@ class _InlinePool:
         return False
 
     def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
+        return _Deferred(functools.partial(fn, *args))
+
+
+@dataclasses.dataclass
+class _Deferred:
+    result: object
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
@@ -156,20 +192,22 @@ class _InlinePool:
 def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
                                                      hv_init, hint, cpus):
     """No hint means every available CPU; a huge hint starts no more threads
-    than CPUs or chunks of draws in the block; a block of one chunk needs no
-    pool."""
+    than CPUs, runs of steps in the block, or chunks of ``_THREAD_PATHS``
+    paths; the calling thread is one of them, so the pool has one thread
+    fewer, and a block of one chunk needs no pool."""
     sizes = []
     monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
                         lambda max_workers: _InlinePool(sizes, max_workers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
-    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=2, worker_hint=hint)
+    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=17, worker_hint=hint)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
-    # The first block has 16 chunks; the second, one path.
-    assert sizes == ([] if cpus == 1 else [min(cpus, _BLOCK // _CHUNK)])
+    # The first block has 3 runs of steps and 16 chunks; the second, one path.
+    assert sizes == ([] if cpus == 1 else [min(cpus, 3) - 1])
     reference = hg.simulate_paths(hv_model, hv_init,
                                   dataclasses.replace(cfg, worker_hint=1))
     assert np.array_equal(paths.s_T, reference.s_T)
-    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=250, worker_hint=hint))
+    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_THREAD_PATHS,
+                                                   worker_hint=hint))
     assert len(sizes) == (0 if cpus == 1 else 1)
 
 
@@ -179,14 +217,15 @@ def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
 def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
                                                   n_steps, inline):
     """Each run of steps reaches ``consume`` once, on the calling thread and
-    in step order, already mapped: together the runs are every row of the
-    returned draws and of a draw without ``consume``, bit for bit."""
+    in step order, already mapped: together the runs are every row of a
+    draw without ``consume``, bit for bit, and a draw with it returns
+    nothing."""
     sizes = []
     if inline:
         monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
                             lambda max_workers: _InlinePool(sizes, max_workers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
-    n_paths = 2 * _CHUNK + 3
+    n_paths = 2 * _THREAD_PATHS + 3
     seen = []
     caller = threading.get_ident()
 
@@ -194,17 +233,81 @@ def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
         assert threading.get_ident() == caller
         seen.append((first_step, run.copy()))
 
-    z = hg.standard_draws(7, n_paths, n_steps, workers=workers, consume=consume)
+    assert hg.standard_draws(7, n_paths, n_steps, workers=workers,
+                             consume=consume) is None
     run_steps = hg.engine._MAP_STEPS
     assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))
     assert [len(run) for _, run in seen] == [
         min(run_steps, n_steps - first) for first, _ in seen]
     rows = np.concatenate([run for _, run in seen])
+    z = hg.standard_draws(7, n_paths, n_steps, workers=workers)
     assert np.array_equal(rows, z.transpose(1, 2, 0))
-    assert np.array_equal(z, hg.standard_draws(7, n_paths, n_steps, workers=workers))
     if inline:
-        assert sizes == ([] if workers == 1 else [3, 3] if workers is None
-                         else [workers, workers])
+        # Threads: the workers, at most 4 CPUs, one per run and one per
+        # _THREAD_PATHS paths (3 here); the pool has one fewer.
+        threads = min(workers or 4, -(-n_steps // run_steps), 3)
+        assert sizes == ([] if threads == 1 else [threads - 1] * 2)
+
+
+def test_many_draw_threads_hand_over_every_run(monkeypatch):
+    """Eight threads on a ring of nine slots, with thread switches forced
+    often: every run reaches ``consume`` once, in step order, as the draw
+    without ``consume`` has it, and no wait is left hanging."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
+    n_paths, n_steps = 8 * _THREAD_PATHS, 17 * hg.engine._MAP_STEPS
+    expected = hg.standard_draws(5, n_paths, 3, workers=1)
+    seen = []
+
+    def consume(first_step, run):
+        seen.append(first_step)
+        if first_step == 0:
+            assert np.array_equal(run[:3], expected.transpose(1, 2, 0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=hg.standard_draws,
+                                  args=(5, n_paths, n_steps),
+                                  kwargs=dict(workers=8, consume=consume))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert seen == list(range(0, n_steps, hg.engine._MAP_STEPS))
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_failed_draw_stops_the_block(monkeypatch, workers):
+    """A run that fails to draw, on whichever thread draws it, raises its
+    error from standard_draws once every thread it started has ended, and
+    no later run reaches ``consume``."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
+    drawer = hg.engine._row_drawer
+    bad_row = 3 * 2 * hg.engine._MAP_STEPS  # the first row of the third run
+
+    def failing_drawer(*args):
+        draw = drawer(*args)
+
+        def fail_on_bad_row(row, out):
+            if row == bad_row:
+                raise _DrawFailed(row)
+            draw(row, out)
+        return fail_on_bad_row
+
+    monkeypatch.setattr(hg.engine, "_row_drawer", failing_drawer)
+    seen = []
+    before = threading.active_count()
+    with pytest.raises(_DrawFailed):
+        hg.standard_draws(1, 3 * _THREAD_PATHS, 6 * hg.engine._MAP_STEPS,
+                          workers=workers,
+                          consume=lambda first, run: seen.append(first))
+    assert threading.active_count() == before
+    assert seen == [0, hg.engine._MAP_STEPS][:len(seen)]
 
 
 @pytest.mark.parametrize("run_steps", [1, 5, None])
@@ -239,6 +342,21 @@ def test_two_block_run_holds_one_block_of_draws(hv_model, hv_init):
     # of one value per path.
     step_loop = 64 * _BLOCK * 8
     assert peak < block_draws + accumulators + step_loop
+
+
+def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
+    """One weighted 16,384 x 252 block with the drift extras, on two
+    threads: its draws are made a run at a time into a ring of three runs,
+    so the traced peak stays within 24 MiB, where the block's draws alone
+    are 95 MiB."""
+    cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=2)
+    tracemalloc.start()
+    try:
+        hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +457,35 @@ def test_blowup_reports_path_and_step(hv_init):
 
 
 def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init):
-    """A blow-up raised by the step loop while draw threads still map later
+    """A blow-up raised by the step loop while draw threads still draw later
     runs: the same path and step as on one thread, and every thread the
-    block started has ended when the error arrives."""
-    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+    block started has ended when the error arrives.  The block has more
+    runs than its ring has slots, and the step loop starts late, so the
+    other threads have filled the ring and wait for a slot when it raises."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
+    draws = hg.engine.standard_draws
+
+    def late_draws(*args, consume, **kwargs):
+        def late(first_step, run):
+            time.sleep(0.05)
+            return consume(first_step, run)
+        return draws(*args, consume=late, **kwargs)
+
+    monkeypatch.setattr(hg.engine, "standard_draws", late_draws)
+    cfg = small_cfg(n_paths=4 * _THREAD_PATHS, n_steps=64)
+    # Eight runs; at most three threads, so at most four slots.
+    assert cfg.n_steps // hg.engine._MAP_STEPS > 3 + 1
     found = []
-    for hint in (1, 2):
+    for hint in (1, 2, 3):
         before = threading.active_count()
         with pytest.raises(hg.NumericalBlowup) as info:
             hg.simulate_paths(_wild_model(), hv_init,
-                              small_cfg(n_paths=2048, worker_hint=hint))
+                              dataclasses.replace(cfg, worker_hint=hint))
         assert threading.active_count() == before
         found.append((info.value.path_index, info.value.step_index))
-    assert found[0] == found[1]
+    assert found[0] == found[1] == found[2]
     # In the first run of steps: the later runs are still to be consumed.
-    assert found[0][1] < hg.engine._MAP_STEPS < small_cfg().n_steps
+    assert found[0][1] < hg.engine._MAP_STEPS
 
 
 # ---------------------------------------------------------------------------
