@@ -28,17 +28,24 @@ Scheme choices
 
 Randomness
 ----------
-Draws come from a counter-based generator (Philox) with the counters laid
-out step-major, so that the normal draw for (seed, path, step, driver) is
-a pure function of those four indices: the uniform of path ``p`` at step
-``s`` and driver ``d`` is word ``p`` of the stream keyed by (seed, stream)
-that starts at counter ``(3*s + d) << 62``.  Draws are therefore
-independent of block sizes, worker counts, and execution order, and bumped
-re-simulations with the same seed reuse identical draws (exact common
-random numbers).  Each (step, driver) row of a block is one contiguous run
-of Philox words, drawn by one call straight into the row the step loop
-reads, so no block of draws need be held.  The CLI bytes changed once,
-when this layout replaced a path-major one.
+Draws come from a counter-based generator (Philox; Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11) with the counters
+laid out step-major and split into segments of ``_BLOCK_PATHS`` paths, so
+that the normal draw for (seed, path, step, driver) is a pure function of
+those four indices: path ``p`` lies in segment ``g = p // _BLOCK_PATHS``,
+and its draw at step ``s`` and driver ``d`` is normal ``p % _BLOCK_PATHS``
+of numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+2000) on the stream keyed by (seed, stream) that starts at counter
+``((3*s + d) << 62) + (g << 128)``.  The ziggurat takes one Philox word
+for most normals and a few more for the rest, so a segment's row is drawn
+from its start; the segment size is part of the RNG definition.  Draws are
+therefore independent of block sizes, worker counts, and execution order,
+and bumped re-simulations with the same seed reuse identical draws (exact
+common random numbers).  Each (step, driver) row of a block is one
+segment's row, drawn by one call straight into the row the step loop
+reads, so no block of draws need be held.  The CLI bytes changed twice:
+when this layout replaced a path-major one, and when the ziggurat
+replaced the inverse normal CDF of the uniforms.
 
 Threads
 -------
@@ -47,11 +54,11 @@ a few steps at a time into a small ring of run buffers, one run per thread
 plus one, and the step loop, on the calling thread, steps each run as soon
 as it is drawn; so a block holds a few runs of draws, never all of them.
 The worker count (``SimConfig.worker_hint``; None means the CPUs in the
-process's affinity mask) caps the threads that draw: they claim the runs
-in step order, each with its own Philox moved from row to row, and the
-calling thread draws runs itself while the next one it needs is not
-ready.  Every draw is the same bits whichever thread makes it.  The Philox
-draws and the inverse normal CDF release the GIL.
+process's affinity mask) caps the threads that draw, and so does the ring's
+byte budget, ``_RING_BYTES``: they claim the runs in step order, each with
+its own Philox moved from row to row, and the calling thread draws runs
+itself while the next one it needs is not ready.  Every draw is the same
+bits whichever thread makes it.  The normal draws release the GIL.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
@@ -74,7 +81,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateModel,
@@ -96,8 +102,9 @@ __all__ = [
 ]
 
 # Paths are simulated one fixed-size block at a time, whatever the worker
-# count; a block holds its step-loop state and a few runs of draws.  The
-# RNG mapping makes results independent of this constant.
+# count; a block holds its step-loop state and a few runs of draws.  Each
+# block is one segment of the RNG definition, so changing this constant
+# changes the draws of every path past the first segment.
 _BLOCK_PATHS = 16384
 _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
@@ -107,10 +114,14 @@ _PHILOX_WORDS = 4
 # slower than one, as handing runs between them costs more than drawing
 # them (the draws do not depend on it).
 _THREAD_PATHS = 1024
-# Steps per run: standard_draws draws and maps its normals, and hands them
-# to its consumer, this many steps at a time (the last run may be shorter;
-# the draws do not depend on it).
+# Steps per run: standard_draws draws its normals, and hands them to its
+# consumer, this many steps at a time (the last run may be shorter; the
+# draws do not depend on it).
 _MAP_STEPS = 8
+# Bytes the ring of runs of one standard_draws call with a consumer may
+# hold, which caps its threads at one fewer than the runs that fit; at
+# least one thread draws into a ring of two runs whatever their size.
+_RING_BYTES = 16 * 2**20
 # stable_sum extracts exactly below 2**26 values (each level then takes
 # 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
 # Its sigma = 2**k needs k >= -1021, where the grid ulp(sigma)/2 is still
@@ -247,20 +258,22 @@ def standard_draws(
     """Standard-normal draws z[path, step, driver], shape (n_paths, n_steps, 3).
 
     The draw at (path, step, driver) is a pure function of
-    (seed, stream, first_path+path, step, driver): its uniform is word
-    first_path+path of the Philox stream keyed by (seed, stream) that starts
-    at counter ``(3*step + driver) << 62``, floored at 1e-300 and mapped
-    through the inverse normal CDF.  Identical indices always yield
-    identical draws, which is what makes common-random-number bumping and
-    worker-count independence exact.
+    (seed, stream, first_path+path, step, driver): path p = first_path+path
+    lies in segment g = p // ``_BLOCK_PATHS``, and its draw is normal
+    p % ``_BLOCK_PATHS`` of the ziggurat sampler on the Philox stream keyed
+    by (seed, stream) that starts at counter
+    ``((3*step + driver) << 62) + (g << 128)``.  A draw that starts inside a
+    segment first draws and discards that segment's earlier normals.
+    Identical indices always yield identical draws, which is what makes
+    common-random-number bumping and worker-count independence exact.
 
     The draws are made one run of ``_MAP_STEPS`` steps at a time, one
-    ``random(out=)`` call per (step, driver) row, by at most ``workers``
-    threads (None: every available CPU), no more than the available CPUs,
-    the runs, and one per ``_THREAD_PATHS`` paths.  The threads claim the
-    runs in step order; the calling thread is one of them, and claims a run
-    whenever the next run it needs is not yet drawn.  The threads change
-    wall time, never the draws.
+    ``standard_normal(out=)`` call per (step, driver) row and segment, by at
+    most ``workers`` threads (None: every available CPU), no more than the
+    available CPUs, the runs, and one per ``_THREAD_PATHS`` paths.  The
+    threads claim the runs in step order; the calling thread is one of
+    them, and claims a run whenever the next run it needs is not yet drawn.
+    The threads change wall time, never the draws.
 
     Without ``consume`` the result is a view of one step-major
     (n_steps, 3, n_paths) array, so ``z[:, step, driver]`` is a contiguous
@@ -268,11 +281,12 @@ def standard_draws(
     each run is drawn into a slot of a ring of one run per thread plus one,
     and ``consume(first_step, run)`` is called on the calling thread for
     each run in step order, ``run`` being the (steps, 3, n_paths) draws of
-    steps first_step, first_step+1, ...  The caller can so step its paths
-    while the later runs are drawn; a run's slot is drawn into again once
-    ``consume`` has returned from it.  If ``consume`` raises, no further
-    run is claimed, and the exception propagates once the threads have
-    stopped.
+    steps first_step, first_step+1, ...  The ring holds at most
+    ``_RING_BYTES`` (two runs at least), and the threads are capped to fit
+    it.  The caller can so step its paths while the later runs are drawn;
+    a run's slot is drawn into again once ``consume`` has returned from
+    it.  If ``consume`` raises, no further run is claimed, and the
+    exception propagates once the threads have stopped.
     """
     starts = range(0, n_steps, _MAP_STEPS)
     cpus = _available_cpus()
@@ -283,10 +297,12 @@ def standard_draws(
         slots = [z[start:start + _MAP_STEPS] for start in starts]
     else:
         z = None
+        run_shape = (min(_MAP_STEPS, n_steps), 3, n_paths)
+        run_bytes = math.prod(run_shape) * 8
+        threads = min(threads, max(1, _RING_BYTES // run_bytes - 1))
         depth = min(threads + 1, len(starts))
-        slots = [np.empty((min(_MAP_STEPS, n_steps), 3, n_paths))
-                 for _ in range(depth)]
-    ring = _RunRing(seed, stream, first_path, starts, slots)
+        slots = [np.empty(run_shape) for _ in range(depth)]
+    ring = _RunRing((seed, stream, first_path, n_paths), starts, slots)
     if threads == 1:
         ring.feed(consume)
     else:
@@ -301,13 +317,15 @@ def standard_draws(
     return None if z is None else z.transpose(2, 0, 1)
 
 
-def _row_drawer(seed: int, stream: int, first_path: int):
-    """A function ``draw(row, out)`` that fills ``out`` with the uniforms of
-    paths first_path, first_path+1, ... of counter row ``row`` = 3*step +
-    driver, from one Philox moved to each row through its state.
+def _row_drawer(seed: int, stream: int, first_path: int, n_paths: int):
+    """A function ``draw(row, out)`` that fills ``out`` with the normals of
+    paths first_path, ..., first_path+n_paths-1 of counter row ``row`` =
+    3*step + driver, from one Philox moved to each row and segment through
+    its state.
 
-    The row's stream starts at counter ``row << 62``; path p is its word p,
-    so the first path is word first_path % 4 of counter tick first_path // 4.
+    The row's stream in segment g starts at counter ``(row << 62) +
+    (g << 128)``; path p of the segment is its normal p - g*_BLOCK_PATHS,
+    so a range that starts inside a segment discards the normals before it.
     """
     bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
     gen = Generator(bg)
@@ -319,24 +337,33 @@ def _row_drawer(seed: int, stream: int, first_path: int):
              "state": {"counter": counter, "key": [seed, stream]},
              "buffer": [0] * 4, "buffer_pos": _PHILOX_WORDS,
              "has_uint32": 0, "uinteger": 0}
-    tick, skip = divmod(first_path, _PHILOX_WORDS)
     mask = (1 << 64) - 1
+    # (counter offset of the segment, normals to discard, slice of out)
+    pieces = []
+    p, stop = first_path, first_path + n_paths
+    while p < stop:
+        segment, skip = divmod(p, _BLOCK_PATHS)
+        end = min(stop, (segment + 1) * _BLOCK_PATHS)
+        pieces.append((segment << 128, skip,
+                       slice(p - first_path, end - first_path)))
+        p = end
 
     def draw(row: int, out: np.ndarray) -> None:
-        start = (row << 62) + tick
-        for i in range(4):
-            counter[i] = (start >> (64 * i)) & mask
-        bg.state = state
-        if skip:
-            gen.random(skip)
-        gen.random(out=out)
+        for offset, skip, part in pieces:
+            start = (row << 62) + offset
+            for i in range(4):
+                counter[i] = (start >> (64 * i)) & mask
+            bg.state = state
+            if skip:
+                gen.standard_normal(skip)
+            gen.standard_normal(out=out[part])
 
     return draw
 
 
 class _RunRing:
     """The runs of ``_MAP_STEPS`` steps of one block of draws, each drawn
-    and mapped into a slot of a ring by the thread that claims it.
+    into a slot of a ring by the thread that claims it.
 
     Run k goes to slot k % len(slots).  Runs are claimed in step order, and
     only while the run that last used the slot has been consumed; a run is
@@ -344,9 +371,9 @@ class _RunRing:
     that waits on it.  One condition guards the counters.
     """
 
-    def __init__(self, seed: int, stream: int, first_path: int,
-                 starts: range, slots: list[np.ndarray]):
-        self.drawer = (seed, stream, first_path)
+    def __init__(self, drawer: tuple, starts: range, slots: list[np.ndarray]):
+        # The arguments of _row_drawer, which each drawing thread calls.
+        self.drawer = drawer
         self.starts = starts
         self.slots = slots
         self.ready = [False] * len(starts)
@@ -375,10 +402,6 @@ class _RunRing:
         try:
             for i, row in enumerate(rows, start=3 * self.starts[k]):
                 draw(i, row)
-            # random() yields [0,1); floor away exact zeros before the
-            # inverse CDF.
-            np.maximum(rows, 1e-300, out=rows)
-            ndtri(rows, out=rows)
             drawn = True
         finally:
             with self.cond:

@@ -1,9 +1,9 @@
 """Golden bytes of the command line.
 
 The expected text of the six cases that draw was recorded when the draws
-became rows of step-major Philox counters and the ``compare`` table gained
-its ``clamps`` column; the three ``dump-config`` cases are older and did
-not move.  Each weighted estimator keeps its own floating-point evaluation
+became ziggurat normals on per-segment rows of step-major Philox counters;
+the ``compare`` table's ``clamps`` column is older, and the three
+``dump-config`` cases are older still and did not move.  Each weighted estimator keeps its own floating-point evaluation
 order, so every digit must still match; a reordered product shows up here
 as a changed last digit.  The two non-default ``dump-config`` cases were
 recorded before the config keys moved into one schema; between them they
@@ -103,26 +103,26 @@ EXPECTED = {
         "greeks", HYBRID,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,8.56848009664128,0.559956605052249,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.45428556333164727,0.1377721950097739,0,0.0\n"
-        "malliavin,rho,512,16,12345,36.86007623652345,13.531604242871923,0,0.0\n"
-        "malliavin,vega,512,16,12345,37.02108057518518,28.40677095384999,0,0.0\n"
-        "malliavin,vega_v0,512,16,12345,-52.83914982201729,150.37384047398382,0,0.0\n"
-        "malliavin,rho_r0,512,16,12345,263.84313886606,642.7531212656208,0,0.0\n"
-        "malliavin,kappa,512,16,12345,-331.557062792947,523.0466113823256,0,0.0\n"
-        "malliavin,reversion,512,16,12345,4.801690437434588,13.05858856526902,0,0.0\n"
-        "fd_central,delta,512,16,12345,0.5688474588614005,0.02550213773742327,0,0.0\n"
-        "fd_central,vega,512,16,12345,36.59375636755337,2.9886078055493948,0,0.0\n"
+        "malliavin,price,512,16,12345,8.128708030634224,0.5455302410372328,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.4261655713984397,0.12708330438039595,0,0.0\n"
+        "malliavin,rho,512,16,12345,34.48784910920975,12.489399922304683,0,0.0\n"
+        "malliavin,vega,512,16,12345,26.292978165687735,27.894277825604455,0,0.0\n"
+        "malliavin,vega_v0,512,16,12345,-67.62198575409188,121.98884985524042,0,0.0\n"
+        "malliavin,rho_r0,512,16,12345,638.574349637308,677.7487612714119,0,0.0\n"
+        "malliavin,kappa,512,16,12345,-203.11512998814175,473.8625410873916,0,0.0\n"
+        "malliavin,reversion,512,16,12345,12.286207686147394,13.765192195322868,0,0.0\n"
+        "fd_central,delta,512,16,12345,0.5903705346633517,0.025162359648580948,0,0.0\n"
+        "fd_central,vega,512,16,12345,33.71384626173112,3.020553125293495,0,0.0\n"
         ),
     ),
     "black_scholes_call": (
         "greeks", BS_CALL,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,9.988201187979147,0.6117622420185511,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.5727025700993804,0.05584959578893112,0,0.0\n"
-        "malliavin,rho,512,16,12345,47.2820558219589,5.0342504177054535,0,0.0\n"
-        "malliavin,vega,512,16,12345,23.32980011968929,9.893611115977956,0,0.0\n"
+        "malliavin,price,512,16,12345,9.639312384433373,0.6019219980064086,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.5397143042039997,0.06309770382080598,0,0.0\n"
+        "malliavin,rho,512,16,12345,44.332118035966595,5.7870112555400866,0,0.0\n"
+        "malliavin,vega,512,16,12345,26.156979593574032,14.934458493676685,0,0.0\n"
         "analytic,price,512,16,12345,10.450583572185565,0.0,0,0.0\n"
         "analytic,delta,512,16,12345,0.6368306511756191,0.0,0,0.0\n"
         "analytic,rho,512,16,12345,53.232481545376345,0.0,0,0.0\n"
@@ -133,10 +133,10 @@ EXPECTED = {
         "greeks", BS_DIGITAL,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,price,512,16,12345,0.5183457215541,0.020954867882437195,0,0.0\n"
-        "malliavin,delta,512,16,12345,0.018016112820791658,0.0011710274388692138,0,0.0\n"
-        "malliavin,rho,512,16,12345,1.2832655605250658,0.10535539501329763,0,0.0\n"
-        "malliavin,vega,512,16,12345,-0.7962779582117463,0.1712386811152991,0,0.0\n"
+        "malliavin,price,512,16,12345,0.5499295110394753,0.020781533707328045,0,0.0\n"
+        "malliavin,delta,512,16,12345,0.017083872989655902,0.0011396756893084128,0,0.0\n"
+        "malliavin,rho,512,16,12345,1.158457787926115,0.10362050070658,0,0.0\n"
+        "malliavin,vega,512,16,12345,-1.0821850587210133,0.19595054395395986,0,0.0\n"
         "analytic,delta,512,16,12345,0.018762017345846895,0.0,0,0.0\n"
         ),
     ),
@@ -145,16 +145,16 @@ EXPECTED = {
         (
         "greek       n_paths estimator               value     std_error agree    wall_ms n_sims     clamps\n"
         "--------------------------------------------------------------------------------------------------\n"
-        "delta         16385 malliavin        0.5897773881     0.0228724 -          0.000      1          0\n"
-        "delta         16385 fd_central       0.5920048426    0.00453168 yes        0.000      2          0\n"
+        "delta         16385 malliavin        0.5524011197     0.0233819 -          0.000      1          0\n"
+        "delta         16385 fd_central       0.5869787404    0.00454714 yes        0.000      2          0\n"
         ),
     ),
     "greeks_two_blocks": (
         "greeks", TWO_BLOCKS,
         (
         "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-        "malliavin,delta,16385,2,12345,0.5897773880674475,0.022872403299585786,0,0.0\n"
-        "fd_central,delta,16385,2,12345,0.5920048426487168,0.004531682805951914,0,0.0\n"
+        "malliavin,delta,16385,2,12345,0.552401119714216,0.02338193268552189,0,0.0\n"
+        "fd_central,delta,16385,2,12345,0.5869787403517545,0.0045471397109051745,0,0.0\n"
         ),
     ),
     "dump_config": (
@@ -305,38 +305,38 @@ ALL_FD = {
 ALL_FD_TABLE = (
     "greek       n_paths estimator               value     std_error agree    wall_ms n_sims     clamps\n"
     "--------------------------------------------------------------------------------------------------\n"
-    "delta         16385 malliavin        0.2315902445    0.00881434 -          0.000      1      98310\n"
-    "delta         16385 fd_central       0.5920048426    0.00453168 NO         0.000      2     196620\n"
-    "rho           16385 malliavin         14.21869973      0.840049 -          0.000      0      98310\n"
-    "rho           16385 fd_central        -727.474709       737.706 yes        0.000      2     196620\n"
-    "vega          16385 malliavin         14.94213996       1.48362 -          0.000      0      98310\n"
-    "vega          16385 fd_central        38.77869313      0.577555 NO         0.000      2     196620\n"
-    "vega_v0       16385 malliavin          9.16036759       1.37738 -          0.000      0      98310\n"
-    "vega_v0       16385 fd_forward         48.4885532       1.07606 NO         0.000      2     196620\n"
-    "rho_r0        16385 malliavin         4.954323572      0.398416 -          0.000      0      98310\n"
-    "rho_r0        16385 fd_central          49.986866      0.380578 NO         0.000      2     196620\n"
-    "kappa         16385 malliavin        0.8188334082       1.40601 -          0.000      0      98310\n"
-    "kappa         16385 fd_backward       48.49117793       1.14382 NO         0.000      2     196620\n"
-    "reversion     16385 malliavin      -0.09407506844    0.00988522 -          0.000      0      98310\n"
-    "reversion     16385 fd_central       0.2511321086    0.00191289 NO         0.000      2     196620\n"
+    "delta         16385 malliavin        0.2166229298     0.0089973 -          0.000      1      98310\n"
+    "delta         16385 fd_central       0.5869787404    0.00454714 NO         0.000      2     196620\n"
+    "rho           16385 malliavin         12.66451866      0.861234 -          0.000      0      98310\n"
+    "rho           16385 fd_central        739.9737264       748.981 yes        0.000      2     196620\n"
+    "vega          16385 malliavin         13.28062609       1.49062 -          0.000      0      98310\n"
+    "vega          16385 fd_central        39.30780175      0.580078 NO         0.000      2     196620\n"
+    "vega_v0       16385 malliavin         8.127461345       1.42574 -          0.000      0      98310\n"
+    "vega_v0       16385 fd_forward        49.12830242       1.05948 NO         0.000      2     196620\n"
+    "rho_r0        16385 malliavin         6.108505354      0.406077 -          0.000      0      98310\n"
+    "rho_r0        16385 fd_central        49.45729834      0.380674 NO         0.000      2     196620\n"
+    "kappa         16385 malliavin        -1.930519632       1.47236 -          0.000      0      98310\n"
+    "kappa         16385 fd_backward        49.2156593       1.14189 NO         0.000      2     196620\n"
+    "reversion     16385 malliavin      -0.06767124839    0.00998203 -          0.000      0      98310\n"
+    "reversion     16385 fd_central       0.2485593857    0.00191328 NO         0.000      2     196620\n"
 )
 
 ALL_FD_CSV = (
     "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
-    "malliavin,delta,16385,2,12345,0.2315902444762816,0.008814339299057098,98310,0.0\n"
-    "fd_central,delta,16385,2,12345,0.5920048426487168,0.004531682805951914,196620,0.0\n"
-    "malliavin,rho,16385,2,12345,14.218699728842578,0.8400486790192854,98310,0.0\n"
-    "fd_central,rho,16385,2,12345,-727.4747090419175,737.7061091622944,196620,0.0\n"
-    "malliavin,vega,16385,2,12345,14.942139956913632,1.483615772006697,98310,0.0\n"
-    "fd_central,vega,16385,2,12345,38.77869312501644,0.5775551648242188,196620,0.0\n"
-    "malliavin,vega_v0,16385,2,12345,9.160367590143315,1.3773846478830438,98310,0.0\n"
-    "fd_forward,vega_v0,16385,2,12345,48.48855320101185,1.076064174104738,196620,0.0\n"
-    "malliavin,rho_r0,16385,2,12345,4.954323572479987,0.39841567514385506,98310,0.0\n"
-    "fd_central,rho_r0,16385,2,12345,49.98686599638068,0.3805775735669542,196620,0.0\n"
-    "malliavin,kappa,16385,2,12345,0.8188334081590503,1.4060069771537773,98310,0.0\n"
-    "fd_backward,kappa,16385,2,12345,48.49117793135311,1.1438212930361904,196620,0.0\n"
-    "malliavin,reversion,16385,2,12345,-0.09407506844118085,0.009885220876383938,98310,0.0\n"
-    "fd_central,reversion,16385,2,12345,0.251132108620539,0.0019128913136517024,196620,0.0\n"
+    "malliavin,delta,16385,2,12345,0.21662292976623695,0.008997297204088966,98310,0.0\n"
+    "fd_central,delta,16385,2,12345,0.5869787403517545,0.0045471397109051745,196620,0.0\n"
+    "malliavin,rho,16385,2,12345,12.664518662832702,0.8612335676572032,98310,0.0\n"
+    "fd_central,rho,16385,2,12345,739.9737263594641,748.9810731383534,196620,0.0\n"
+    "malliavin,vega,16385,2,12345,13.28062609336485,1.4906242809507617,98310,0.0\n"
+    "fd_central,vega,16385,2,12345,39.30780174757583,0.58007842805305,196620,0.0\n"
+    "malliavin,vega_v0,16385,2,12345,8.12746134452639,1.425741054489244,98310,0.0\n"
+    "fd_forward,vega_v0,16385,2,12345,49.128302422058155,1.0594790109317707,196620,0.0\n"
+    "malliavin,rho_r0,16385,2,12345,6.10850535403044,0.4060767313889497,98310,0.0\n"
+    "fd_central,rho_r0,16385,2,12345,49.45729834316218,0.3806741415554742,196620,0.0\n"
+    "malliavin,kappa,16385,2,12345,-1.9305196319487774,1.4723620468748375,98310,0.0\n"
+    "fd_backward,kappa,16385,2,12345,49.21565929611328,1.1418935776641883,196620,0.0\n"
+    "malliavin,reversion,16385,2,12345,-0.06767124839336147,0.009982025084809701,98310,0.0\n"
+    "fd_central,reversion,16385,2,12345,0.2485593857310503,0.0019132823413071703,196620,0.0\n"
 )
 
 

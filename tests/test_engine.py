@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 import hsv_greeks as hg
 from conftest import SEED_HV
@@ -75,28 +74,34 @@ def test_draws_depend_on_seed():
 
 
 def _row_by_row_draws(seed, n_paths, n_steps, first_path=0, stream=0):
-    """The draws by their definition: the uniform of (path p, step s,
-    driver d) is word p of the Philox stream keyed (seed, stream) that
-    starts at counter (3*s + d) << 62, one fresh generator per row."""
+    """The draws by their definition: path p of (step s, driver d) is
+    normal p % B of the ziggurat sampler on the Philox stream keyed
+    (seed, stream) that starts at counter ((3*s + d) << 62) + (g << 128),
+    where B is the engine's segment of 16,384 paths and g = p // B; one
+    fresh generator per row and segment, drawn from the segment's start."""
+    segment = hg.engine._BLOCK_PATHS
     z = np.empty((n_paths, n_steps, 3))
-    skip = first_path % 4
+    stop = first_path + n_paths
     for s in range(n_steps):
         for d in range(3):
-            bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
-                        counter=((3 * s + d) << 62) + first_path // 4)
-            u = Generator(bg).random(skip + n_paths)[skip:]
-            z[:, s, d] = ndtri(np.maximum(u, 1e-300))
+            for g in range(first_path // segment, (stop - 1) // segment + 1):
+                lo = max(first_path, g * segment)
+                hi = min(stop, (g + 1) * segment)
+                bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
+                            counter=((3 * s + d) << 62) + (g << 128))
+                normals = Generator(bg).standard_normal(hi - g * segment)
+                z[lo - first_path:hi - first_path, s, d] = normals[lo - g * segment:]
     return z
 
 
 @pytest.mark.parametrize("n_steps", [1, 9, 17])
 def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
-    """Every path offset modulo the four words of a Philox tick, every
-    stream and every worker count (17 steps make three runs, one per
-    thread) give the rows of the definition."""
+    """Ranges that start at a segment's first path or inside it, or cross
+    into the next segment, every stream and every worker count (17 steps
+    make three runs, one per thread) give the rows of the definition."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     n_paths = 13
-    for first_path in (0, 1, 6, 4099):
+    for first_path in (0, 1, 6, 4099, hg.engine._BLOCK_PATHS - 5):
         for stream in (0, 1, 2):
             expected = _row_by_row_draws(11, n_paths, n_steps, first_path, stream)
             for workers in (None, 1, 2, 3):
@@ -109,14 +114,50 @@ def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
 
 def test_adjacent_rows_of_draws_are_uncorrelated():
     """Rows whose counters are neighbours (the drivers of one step, and the
-    last driver of a step with the first of the next) and the rows of one
-    driver at neighbouring steps: sample correlations within 4/sqrt(n)."""
-    n_paths, n_steps = 20000, 4
+    last driver of a step with the first of the next), the rows of one
+    driver at neighbouring steps, and each row in two adjacent segments,
+    whose counters differ by 1 << 128: sample correlations within
+    4/sqrt(n)."""
+    segment, n_steps = hg.engine._BLOCK_PATHS, 4
+    n_paths = 2 * segment
     rows = hg.standard_draws(3, n_paths, n_steps).reshape(n_paths, -1).T
     corr = np.corrcoef(rows)
     pairs = [(r, r + 1) for r in range(3 * n_steps - 1)]
     pairs += [(r, r + 3) for r in range(3 * n_steps - 3)]
     assert max(abs(corr[a, b]) for a, b in pairs) < 4 / math.sqrt(n_paths)
+    across = [np.corrcoef(row[:segment], row[segment:])[0, 1] for row in rows]
+    assert max(map(abs, across)) < 4 / math.sqrt(segment)
+
+
+def test_draws_have_normal_tails():
+    """Over 2**22 draws of one fixed seed, across four segments and every
+    row of 22 steps: the counts of |z| > 2, 3, 4 lie within 5 binomial
+    standard deviations of n*erfc(c/sqrt(2)), and the mean and variance
+    within 5 of their standard errors of 0 and 1."""
+    n_paths, n_steps = 4 * hg.engine._BLOCK_PATHS, 22
+    n = n_paths * n_steps * 3
+    assert n >= 2**22
+    cuts = (2.0, 3.0, 4.0)
+    tails = [0] * len(cuts)
+    total = squares = 0.0
+
+    def tally(first_step, run):
+        nonlocal total, squares
+        size = np.abs(run)
+        for i, c in enumerate(cuts):
+            tails[i] += int(np.count_nonzero(size > c))
+        total += hg.stable_sum(run.ravel())
+        squares += hg.stable_sum(np.square(run).ravel())
+
+    hg.standard_draws(20240601, n_paths, n_steps, consume=tally)
+    for c, count in zip(cuts, tails):
+        p = math.erfc(c / math.sqrt(2.0))
+        assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (c, count, n * p)
+    mean = total / n
+    variance = squares / n - mean * mean
+    assert abs(mean) <= 5 / math.sqrt(n)
+    # The variance of a normal sample's variance is 2/n.
+    assert abs(variance - 1.0) <= 5 * math.sqrt(2.0 / n)
 
 
 # Path offsets near multiples of these, some of them multiples of the four
@@ -357,6 +398,32 @@ def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20, peak / 2**20
+
+
+def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model,
+                                                           hv_init):
+    """Sixteen CPUs would start sixteen draw threads on a weighted 16,384 x
+    252 block, each with a run in the ring; the ring's byte budget caps
+    them, so the traced peak stays within the two-CPU peak plus the
+    budget, and every bit is the same."""
+    cfg = small_cfg(n_paths=_BLOCK, n_steps=252)
+
+    def traced_run(cpus):
+        monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return paths, peak
+
+    two, two_peak = traced_run(2)
+    many, many_peak = traced_run(16)
+    assert many_peak <= two_peak + hg.engine._RING_BYTES, (
+        many_peak / 2**20, two_peak / 2**20)
+    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
+        assert np.array_equal(getattr(many, name), getattr(two, name)), name
 
 
 # ---------------------------------------------------------------------------

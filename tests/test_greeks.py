@@ -172,19 +172,6 @@ def test_estimators_are_linear_in_the_payoff(hv_paths_10k):
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_put_call_delta_consistency(hv_paths_10k):
-    """call - put = identity - K * constant pathwise, so the same relation
-    holds between the four delta estimates (up to summation rounding)."""
-    strike = 100.0
-    d_call = hg.delta(hv_paths_10k, hg.Payoff("call", strike=strike), 100.0)
-    d_put = hg.delta(hv_paths_10k, hg.Payoff("put", strike=strike), 100.0)
-    d_id = hg.delta(hv_paths_10k, IDENTITY, 100.0)
-    d_const = hg.delta(hv_paths_10k, CONST_1, 100.0)
-    lhs = d_call.value - d_put.value
-    rhs = d_id.value - strike * d_const.value
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # hybrid-model agreement with finite differences (common random numbers)
 

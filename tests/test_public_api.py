@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -65,3 +68,17 @@ def test_every_name_the_demos_and_the_benchmark_call_exists():
         if used - set(dir(hg)):
             missing[script.name] = sorted(used - set(dir(hg)))
     assert missing == {}
+
+
+def test_the_package_imports_no_scipy():
+    """scipy is a test dependency only: importing the package and its
+    command line in a fresh interpreter loads no ``scipy`` module, whose
+    import would cost every run about 0.3 s and 20 MiB."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = ("import sys, hsv_greeks, hsv_greeks.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
