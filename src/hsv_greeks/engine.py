@@ -51,8 +51,9 @@ Threads
 -------
 Blocks are simulated one at a time.  A block's draws are made one run of
 a few steps at a time into a small ring of run buffers, one run per thread
-plus one, and the step loop, on the calling thread, steps each run as soon
-as it is drawn; so a block holds a few runs of draws, never all of them.
+plus one (one run for a single thread), and the step loop, on the calling
+thread, steps each run as soon as it is drawn; so a block holds a few runs
+of draws, never all of them.
 The worker count (``SimConfig.worker_hint``; None means the CPUs in the
 process's affinity mask) caps the threads that draw, and so does the ring's
 byte budget, ``_RING_BYTES``: they claim the runs in step order, each with
@@ -62,12 +63,18 @@ bits whichever thread makes it.  The normal draws release the GIL.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
-the values by error-free extraction (Rump, Ogita & Oishi, "Accurate
-floating-point summation part I", SIAM J. Sci. Comput. 31, 2008): adding
-and subtracting a power of two rounds every value to a common grid coarse
-enough that numpy sums the rounded parts exactly, and the exact remainders
-go to the next, finer level.  The few level totals are rounded once by
-:func:`math.fsum`.
+the values by one level of error-free extraction (Rump, Ogita & Oishi,
+"Accurate floating-point summation part I", SIAM J. Sci. Comput. 31, 2008):
+adding and subtracting a power of two rounds every value to a common grid
+coarse enough that numpy sums the rounded parts exactly, and leaves exact
+remainders that are small.  numpy sums the remainders in floating point,
+and a bound on that sum's error in any order of additions (Higham,
+"Accuracy and Stability of Numerical Algorithms", 2nd ed., section 4.2)
+proves, for almost every input, which double the exact sum rounds to;
+otherwise the remainders go to further, finer levels, and the few level
+totals are rounded once by :func:`math.fsum`.  :func:`stable_mean_se`
+finds the largest value and the largest squared deviation from one max
+and one min of the samples.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ _THREAD_PATHS = 1024
 _MAP_STEPS = 8
 # Bytes the ring of runs of one standard_draws call with a consumer may
 # hold, which caps its threads at one fewer than the runs that fit; at
-# least one thread draws into a ring of two runs whatever their size.
+# least one thread draws into a ring of one run whatever its size.
 _RING_BYTES = 16 * 2**20
 # stable_sum extracts exactly below 2**26 values (each level then takes
 # 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
@@ -278,16 +285,22 @@ def standard_draws(
     Without ``consume`` the result is a view of one step-major
     (n_steps, 3, n_paths) array, so ``z[:, step, driver]`` is a contiguous
     row.  With ``consume``, no block of draws is held and None is returned:
-    each run is drawn into a slot of a ring of one run per thread plus one,
-    and ``consume(first_step, run)`` is called on the calling thread for
-    each run in step order, ``run`` being the (steps, 3, n_paths) draws of
-    steps first_step, first_step+1, ...  The ring holds at most
-    ``_RING_BYTES`` (two runs at least), and the threads are capped to fit
+    each run is drawn into a slot of a ring of one run per thread plus one
+    (one run for one thread, which draws the next run once ``consume`` has
+    returned), and ``consume(first_step, run)`` is called on the calling
+    thread for each run in step order, ``run`` being the (steps, 3, n_paths)
+    draws of steps first_step, first_step+1, ...  The ring holds at most
+    ``_RING_BYTES`` (one run at least), and the threads are capped to fit
     it.  The caller can so step its paths while the later runs are drawn;
     a run's slot is drawn into again once ``consume`` has returned from
     it.  If ``consume`` raises, no further run is claimed, and the
-    exception propagates once the threads have stopped.
+    exception propagates once the threads have stopped.  Zero paths or zero
+    steps draw nothing: the result is empty, and ``consume`` is never
+    called.
     """
+    if not (n_paths and n_steps):
+        # Nothing to draw, and no run to hand to consume.
+        return None if consume else np.empty((n_paths, n_steps, 3))
     starts = range(0, n_steps, _MAP_STEPS)
     cpus = _available_cpus()
     threads = min(workers or cpus, cpus, len(starts),
@@ -300,7 +313,8 @@ def standard_draws(
         run_shape = (min(_MAP_STEPS, n_steps), 3, n_paths)
         run_bytes = math.prod(run_shape) * 8
         threads = min(threads, max(1, _RING_BYTES // run_bytes - 1))
-        depth = min(threads + 1, len(starts))
+        # One thread draws run k+1 only once run k is consumed.
+        depth = 1 if threads == 1 else min(threads + 1, len(starts))
         slots = [np.empty(run_shape) for _ in range(depth)]
     ring = _RunRing((seed, stream, first_path, n_paths), starts, slots)
     if threads == 1:
@@ -795,34 +809,62 @@ def stable_sum(x: np.ndarray | Sequence[float]) -> float:
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008): with 2**M >= n+2,
-    max|p| < 2**e and sigma = 2**(M+e), ``q = (sigma + p) - sigma`` is p
-    rounded to a multiple of ulp(sigma)/2, computed exactly, and so is the
-    remainder ``p - q``.  Every sum of the n values q is a multiple of that
-    grid below sigma in magnitude, hence exact in any order.  Each level
+    max|x| < 2**e and sigma = 2**k, k = M+e, ``q = (sigma + x) - sigma`` is
+    x rounded to a multiple of 2**(k-53), computed exactly, and so is the
+    remainder ``p = x - q``, with |p| <= 2**(k-53).  Every sum of the n
+    values q is a multiple of that grid below sigma in magnitude, hence
+    exact in any order: t1 = sum(q) is exact.
+
+    The remainders are then summed once in floating point, s2 = sum(p).  In
+    any order of additions its error is at most gamma_(n-1) * sum|p| <=
+    n**2 * 2**(k-106) (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., section 4.2), which, rounded up and with the
+    smallest subnormal added, is ``err``.  The exact sum lies within err of
+    t1 + s2, and rounding to nearest is monotone, so when fsum rounds
+    t1 + s2 - err and t1 + s2 + err to the same double the exact sum rounds
+    to it as well: that double is returned.  Otherwise each further level
     sums its q and keeps p - q, with sigma shrunk by 2**(M-52), until p is
     all zero; fsum of the few level totals, an exact split of the sum,
-    rounds it once.  The result does not depend on the order of ``x``; an
-    exact zero is +0.0, as from fsum.  Inputs this cannot take exactly
-    (empty, non-1-D, non-finite, all zero, large enough for fsum to
-    overflow, 2**26 values or more) go to fsum itself, and so does what is
-    left once sigma would leave the normal range.
+    rounds it once.
+
+    The result does not depend on the order of ``x`` nor on the order in
+    which numpy adds; an exact zero is +0.0, as from fsum.  Inputs this
+    cannot take exactly (empty, non-1-D, non-finite, all zero, large enough
+    for fsum to overflow, 2**26 values or more) go to fsum itself, and so
+    does what is left once sigma would leave the normal range.
     """
     x = np.asarray(x, dtype=float)
+    # An empty sum has no top, and goes to fsum as a nan top does.
+    top = max(x.max(), -x.min()) if x.ndim == 1 and x.size else math.nan
+    return _exact_sum(x, top)
+
+
+def _exact_sum(x: np.ndarray, top: float) -> float:
+    """:func:`stable_sum` of ``x``, given ``top = max(x.max(), -x.min())``
+    for a nonempty 1-D ``x``."""
     if x.ndim != 1:
         return math.fsum(x)
     n = x.shape[0]
-    if not 0 < n < _EXACT_SUM_MAX_N:
-        return math.fsum(x.tolist())
-    top = max(x.max(), -x.min())
     # Also refuses nan, inf, and the all-zero sum whose sign fsum sets.
-    if not 0.0 < top < _EXACT_SUM_MAX_TOTAL / n:
+    if not (n < _EXACT_SUM_MAX_N and 0.0 < top < _EXACT_SUM_MAX_TOTAL / n):
         return math.fsum(x.tolist())
     m = (n + 1).bit_length()
     k = m + math.frexp(top)[1]
-    totals = []
-    p = x.copy()
-    q = np.empty_like(p)
-    while True:
+    if k < _MIN_SIGMA_EXP:
+        return math.fsum(x.tolist())
+    sigma = math.ldexp(1.0, k)
+    q = x + sigma
+    q -= sigma
+    t1 = float(q.sum())
+    p = x - q
+    s2 = float(p.sum())
+    err = math.ldexp(float(n * n), k - 106) + math.ulp(0.0)
+    total = math.fsum((t1, s2, -err))
+    if total == math.fsum((t1, s2, err)):
+        return total
+    totals = [t1]
+    while p.any():
+        k += m - 52
         if k < _MIN_SIGMA_EXP:
             totals += p.tolist()
             break
@@ -831,26 +873,33 @@ def stable_sum(x: np.ndarray | Sequence[float]) -> float:
         q -= sigma
         totals.append(float(q.sum()))
         p -= q
-        if not p.any():
-            break
-        k += m - 52
     return math.fsum(totals)
 
 
 def stable_mean_se(x: np.ndarray) -> tuple[float, float]:
     """Mean and standard error (sample std / sqrt(n)) via exactly rounded sums.
 
-    Returns (mean, 0.0) for n < 2.
+    Returns (mean, 0.0) for n < 2.  The same bits as fsum(x)/n and
+    sqrt(fsum((x - mean)**2)/(n-1)/n).
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n == 0:
         raise EmptyInput("cannot average an empty sample")
-    mean = stable_sum(x) / n
+    hi, lo = float(x.max()), float(x.min())
+    mean = _exact_sum(x, max(hi, -lo)) / n
     if n < 2:
         return mean, 0.0
+    # x - mean and its square are monotone in x and in |x - mean|, so the
+    # largest square is that of the deviation of hi or lo.  Python's * gives
+    # inf on overflow, as numpy does, where ** would raise.
+    dh, dl = hi - mean, lo - mean
     # Huge finite samples may overflow the squares: the standard error is
-    # then inf, which the caller refuses, and numpy need not warn about it.
-    with np.errstate(over="ignore"):
-        var = stable_sum((x - mean) ** 2) / (n - 1)
+    # then inf, which the caller refuses, and numpy need not warn about it;
+    # nor about the nan deviations of a non-finite sample, whose mean is
+    # not finite either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.subtract(x, mean)
+        np.multiply(squares, squares, out=squares)
+    var = _exact_sum(squares, max(dh * dh, dl * dl)) / (n - 1)
     return mean, math.sqrt(var / n)

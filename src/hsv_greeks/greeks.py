@@ -121,11 +121,21 @@ def _combination(paths: PathAccumulators) -> np.ndarray:
     return _factor(paths, "C", lambda p: p.I1 + c2 * p.I2 + c3 * p.I3)
 
 
+def _weight(p: PathAccumulators, greek: str, s0: float, T: float, compute) -> np.ndarray:
+    """The payoff-independent weight factor ``compute(p)`` of ``greek`` at
+    (s0, T), kept in ``paths.factors`` under the Greek's name only at the
+    paths' own s0 and maturity, so that there is one per Greek at most."""
+    if s0 == p.s0 and T == p.maturity:
+        return _factor(p, greek, compute)
+    return compute(p)
+
+
 def _kappa_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
     # Ito weight from the 1/v(V_t) integrals; no discount term, because the
     # short rate does not feel the V drift.
     mu = p.model.mixing
-    ito = p.model.hv_params.kappa * (p.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * p.j3)
+    ito = _factor(p, "kappa", lambda p: p.model.hv_params.kappa * (
+        p.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * p.j3))
     return phi * _discount(p) * ito / T
 
 
@@ -135,7 +145,9 @@ def _reversion_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndar
     # derivative 1 - e^{-at} of the Vasicek rate.
     a = p.model.hv_params.a
     correction = T - (1.0 - math.exp(-a * T)) / a
-    return phi * _discount(p) * ((a / p.model.mixing.mu3) * p.g3 / T - correction)
+    return phi * _discount(p) * _weight(
+        p, "reversion", s0, T,
+        lambda p: (a / p.model.mixing.mu3) * p.g3 / T - correction)
 
 
 @dataclass(frozen=True)
@@ -161,17 +173,21 @@ _GREEKS = {
         weighted=False, closed_form={"call": "price"}),
     # Initial spot.
     "delta": _Greek(
-        lambda p, phi, s0, T: phi * (_discount(p) * _combination(p) / (s0 * T)),
+        lambda p, phi, s0, T: phi * _weight(
+            p, "delta", s0, T, lambda p: _discount(p) * _combination(p) / (s0 * T)),
         fd_target="s0",
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
-        lambda p, phi, s0, T: phi * (_discount(p) * (_combination(p) - T * T) / T),
+        lambda p, phi, s0, T: phi * _weight(
+            p, "rho", s0, T, lambda p: _discount(p) * (_combination(p) - T * T) / T),
         fd_target="rho_shift_epsilon",
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
-        lambda p, phi, s0, T: phi * ((_discount(p) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
+        lambda p, phi, s0, T: phi * _weight(
+            p, "vega", s0, T,
+            lambda p: (_discount(p) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
         fd_target="vega_shift_epsilon",
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
@@ -240,11 +256,19 @@ def _require_finite(token: str, value: float, se: float) -> None:
 
 def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
     token = f"malliavin:{greek}"
+    # A non-finite sample makes the sum raise or the mean non-finite, so
+    # the samples are checked only then, first, as if checked before.
     try:
-        mean, se = stable_mean_se(_finite_samples(token, samples))
+        mean, se = stable_mean_se(samples)
+    except ValueError:  # math.fsum meets an inf of each sign
+        _finite_samples(token, samples)
+        raise
     except OverflowError:  # math.fsum's intermediate overflow
+        _finite_samples(token, samples)
         raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
-    _require_finite(token, mean, se)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        _finite_samples(token, samples)
+        _require_finite(token, mean, se)
     return GreekEstimate(
         value=mean,
         std_error=se,

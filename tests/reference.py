@@ -1,10 +1,14 @@
-"""Reference stepper: the engine's scheme restated one grid point at a time.
+"""Reference implementations the tests compare the engine against.
 
-It keeps every grid point of the state and of the first variations, which
-the engine never stores, and carries Y^11 by its own recursion rather than
-as S/s0.  It sums the weight integrals as plain expressions, where the
+The reference stepper restates the engine's scheme one grid point at a
+time.  It keeps every grid point of the state and of the first variations,
+which the engine never stores, and carries Y^11 by its own recursion rather
+than as S/s0.  It sums the weight integrals as plain expressions, where the
 engine writes each operation into a preallocated buffer.  Tests compare the
 engine's terminal accumulators against it.
+
+:func:`fsum_mean_se` is the mean and standard error from :func:`math.fsum`,
+which the exactly rounded reductions must give to the bit.
 """
 
 import math
@@ -81,3 +85,14 @@ def reference_series(model, init, cfg):
                    for name, total in sums.items()
                    if not (model.degenerate and name in ("P2", "P3", "j2", "j3", "g3"))}
     return x
+
+
+def fsum_mean_se(x):
+    """fsum(x)/n and sqrt(fsum((x - mean)**2)/(n-1)/n); (mean, 0.0) for one
+    value."""
+    mean = math.fsum(x.tolist()) / x.size
+    if x.size < 2:
+        return mean, 0.0
+    with np.errstate(over="ignore"):
+        squares = (x - mean) ** 2
+    return mean, math.sqrt(math.fsum(squares.tolist()) / (x.size - 1) / x.size)

@@ -17,7 +17,7 @@ from numpy.random import Generator, Philox
 
 import hsv_greeks as hg
 from conftest import SEED_HV
-from reference import reference_series
+from reference import fsum_mean_se, reference_series
 
 
 def small_cfg(**kw):
@@ -203,6 +203,18 @@ def test_draws_allocate_little_beyond_their_output(monkeypatch):
             tracemalloc.stop()
         assert peak <= 1.1 * z.nbytes, workers
         del z
+
+
+@pytest.mark.parametrize("n_paths, n_steps", [(0, 4), (4, 0)])
+def test_zero_paths_or_steps_draw_nothing(n_paths, n_steps):
+    """An empty draw is the empty array, or None with ``consume``, which
+    is then never called."""
+    z = hg.standard_draws(1, n_paths, n_steps)
+    assert z.shape == (n_paths, n_steps, 3)
+    runs = []
+    assert hg.standard_draws(1, n_paths, n_steps,
+                             consume=lambda *run: runs.append(run)) is None
+    assert runs == []
 
 
 class _InlinePool:
@@ -424,6 +436,33 @@ def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model
         many_peak / 2**20, two_peak / 2**20)
     for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
         assert np.array_equal(getattr(many, name), getattr(two, name)), name
+
+
+def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch, hv_model,
+                                                      hv_init):
+    """One thread draws run k+1 only once run k is consumed, so its ring
+    holds one run, where two threads hold three: on a weighted 16,384 x
+    252 block the traced peak on one thread is two runs (6 MiB) below the
+    peak on two, and every bit is the same."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+
+    def traced_run(workers):
+        cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=workers)
+        tracemalloc.start()
+        try:
+            paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return paths, peak
+
+    one, one_peak = traced_run(1)
+    two, two_peak = traced_run(2)
+    run_bytes = hg.engine._MAP_STEPS * 3 * _BLOCK * 8
+    assert one_peak <= two_peak - 1.5 * run_bytes, (
+        one_peak / 2**20, two_peak / 2**20)
+    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
+        assert np.array_equal(getattr(one, name), getattr(two, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +811,36 @@ def test_stable_sum_is_order_independent():
         assert hg.stable_sum(x[perm]) == total
 
 
+def _near_a_midpoint(n, sign):
+    """n values whose exact sum, 1 + 2**-53 + sign * 2**-120, lies 2**-120
+    from the midpoint of 1 and its successor: 1.0, then 2**-53 split into
+    a power of two of equal parts, then 2**-120, in a shuffled order."""
+    parts = 1 << (n - 2).bit_length() - 1
+    x = np.zeros(n)
+    x[0] = 1.0
+    x[1:1 + parts] += 2.0 ** -53 / parts
+    x[-1] += sign * 2.0 ** -120
+    np.random.default_rng(n).shuffle(x)
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 16_384])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("negate", [False, True])
+def test_stable_sum_rounds_sums_beside_a_midpoint(n, sign, negate):
+    """The floating-point sum of the remainders cannot tell on which side
+    of the midpoint these sums lie, so the finer levels decide, and the
+    result is fsum's to the bit; the mean and standard error as well."""
+    x = _near_a_midpoint(n, sign)
+    if negate:
+        x = -x
+    expected = math.fsum(x.tolist())
+    assert abs(expected) == (1.0 + 2.0 ** -52 if sign > 0 else 1.0)
+    assert hg.stable_sum(x).hex() == expected.hex()
+    assert (struct.pack("<2d", *hg.stable_mean_se(x))
+            == struct.pack("<2d", *fsum_mean_se(x)))
+
+
 _AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
             -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
             math.inf, -math.inf, math.nan)
@@ -820,15 +889,6 @@ def test_stable_sum_is_fsum_bit_for_bit(x):
     assert _outcome(hg.stable_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
 
 
-def _fsum_mean_se(x):
-    mean = math.fsum(x.tolist()) / x.size
-    if x.size < 2:
-        return mean, 0.0
-    with np.errstate(over="ignore"):
-        squares = (x - mean) ** 2
-    return mean, math.sqrt(math.fsum(squares.tolist()) / (x.size - 1) / x.size)
-
-
 @settings(max_examples=200, deadline=None)
 @given(_samples().filter(lambda x: x.size and np.isfinite(x).all()))
 def test_stable_mean_se_is_the_fsum_reference_bit_for_bit(x):
@@ -836,7 +896,20 @@ def test_stable_mean_se_is_the_fsum_reference_bit_for_bit(x):
     bit, or the same exception type."""
     def bits(mean_se):
         return lambda v: struct.pack("<2d", *mean_se(v))
-    assert _outcome(bits(hg.stable_mean_se), x) == _outcome(bits(_fsum_mean_se), x)
+    assert _outcome(bits(hg.stable_mean_se), x) == _outcome(bits(fsum_mean_se), x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stable_mean_se_of_one_signed_samples_is_the_fsum_reference(sign):
+    """Samples of one sign over 60 binades, as payoffs times a weight of
+    either sign are: the largest squared deviation is that of the largest
+    sample or of the smallest, and the result is fsum's to the bit."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5000))
+        x = sign * np.abs(np.ldexp(rng.standard_normal(n), rng.integers(-30, 30, n)))
+        assert (struct.pack("<2d", *hg.stable_mean_se(x))
+                == struct.pack("<2d", *fsum_mean_se(x))), seed
 
 
 def test_stable_mean_se_against_reference():

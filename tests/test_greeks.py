@@ -18,6 +18,7 @@ from conftest import (
     BS_VEGA,
     within_se,
 )
+from reference import fsum_mean_se
 
 CONST_1 = hg.Payoff("constant", level=1.0)
 IDENTITY = hg.Payoff("identity")
@@ -237,6 +238,29 @@ def test_non_finite_std_error_is_refused(hv_model, hv_init):
     assert info.value.estimator == "malliavin:price"
 
 
+@pytest.mark.parametrize("pair", [False, True])
+def test_a_non_finite_sample_is_named_by_its_path(hv_paths_10k, pair):
+    """A nan sample, or an inf of each sign, whose sum fsum refuses, is
+    refused as the first non-finite sample, by path, and numpy does not
+    warn about it."""
+    c = hg.greeks._combination(hv_paths_10k)
+    up, down = int(np.flatnonzero(c > 0)[0]), int(np.flatnonzero(c < 0)[0])
+    D = hv_paths_10k.D.copy()
+    if pair:  # e^{-D} = inf: delta samples +inf at up, -inf at down
+        D[[up, down]] = -math.inf
+        bad, text = min((up, "inf"), (down, "-inf"))
+    else:
+        D[up] = math.nan
+        bad, text = up, "nan"
+    paths = dataclasses.replace(hv_paths_10k, D=D)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(hg.NonFiniteEstimate,
+                           match=f"sample at path {bad} is {text}$") as info:
+            hg.delta(paths, CONST_1, paths.s0)
+    assert info.value.estimator == "malliavin:delta"
+
+
 def test_empty_input_is_rejected(hv_paths_10k, call_100):
     arrays = {f: getattr(hv_paths_10k, f)[:0]
               for f in ("s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q",
@@ -304,7 +328,25 @@ def test_cached_factors_give_the_bits_of_a_fresh_copy(hv_paths_10k, kind, order)
         assert not fresh.factors
         assert _bits(_WEIGHTED[greek](shared, payoff)) == _bits(
             _WEIGHTED[greek](fresh, payoff))
-    assert set(shared.factors) == {"discount", "C"}
+    assert set(shared.factors) == {"discount", "C", "delta", "rho", "vega",
+                                   "kappa", "reversion"}
+
+
+@pytest.mark.parametrize("kind", ["call", "put", "digital_call"])
+def test_weighted_estimates_are_the_fsum_reference_bit_for_bit(hv_paths_10k, kind):
+    """Each Greek's estimate at three strikes, on paths shared by all of
+    them, is fsum's mean and standard error of its samples to the bit,
+    the samples formed on a copy with nothing cached."""
+    paths = dataclasses.replace(hv_paths_10k)
+    for strike in (80.0, 100.0, 120.0):
+        payoff = hg.Payoff(kind, strike=strike)
+        phi = hg.evaluate_payoff(payoff, paths.s_T)
+        for greek, estimate in _WEIGHTED.items():
+            samples = hg.greeks._GREEKS[greek].samples(
+                dataclasses.replace(hv_paths_10k), phi, paths.s0, paths.maturity)
+            reference = fsum_mean_se(samples)
+            assert _bits(estimate(paths, payoff)) == tuple(v.hex() for v in reference), (
+                greek, strike)
 
 
 def test_a_replaced_copy_prices_with_its_own_discount(hv_paths_10k, call_100):
