@@ -49,11 +49,11 @@ replaced the inverse normal CDF of the uniforms.
 
 Threads
 -------
-Blocks are simulated one at a time.  A block's draws are made one run of
-a few steps at a time into a small ring of run buffers, one run per thread
-plus one (one run for a single thread), and the step loop, on the calling
-thread, steps each run as soon as it is drawn; so a block holds a few runs
-of draws, never all of them.
+Blocks are simulated one at a time.  :func:`standard_draws` yields a
+block's draws one run of a few steps at a time, each drawn into a small
+ring of run buffers, one run per thread plus one (one run for a single
+thread), and the step loop, on the calling thread, steps each run as soon
+as it is drawn; so a block holds a few runs of draws, never all of them.
 The worker count (``SimConfig.worker_hint``; None means the CPUs in the
 process's affinity mask) caps the threads that draw, and so does the ring's
 byte budget, ``_RING_BYTES``: they claim the runs in step order, each with
@@ -81,10 +81,10 @@ from __future__ import annotations
 
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from threading import Condition, Thread
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -121,13 +121,13 @@ _PHILOX_WORDS = 4
 # slower than one, as handing runs between them costs more than drawing
 # them (the draws do not depend on it).
 _THREAD_PATHS = 1024
-# Steps per run: standard_draws draws its normals, and hands them to its
-# consumer, this many steps at a time (the last run may be shorter; the
-# draws do not depend on it).
+# Steps per run: standard_draws draws its normals, and yields them, this
+# many steps at a time (the last run may be shorter; the draws do not
+# depend on it).
 _MAP_STEPS = 8
-# Bytes the ring of runs of one standard_draws call with a consumer may
-# hold, which caps its threads at one fewer than the runs that fit; at
-# least one thread draws into a ring of one run whatever its size.
+# Bytes the ring of runs of one standard_draws call may hold, which caps
+# its threads at one fewer than the runs that fit; at least one thread
+# draws into a ring of one run whatever its size.
 _RING_BYTES = 16 * 2**20
 # stable_sum extracts exactly below 2**26 values (each level then takes
 # 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
@@ -260,75 +260,49 @@ def standard_draws(
     first_path: int = 0,
     stream: int = 0,
     workers: int | None = None,
-    consume: Callable[[int, np.ndarray], object] | None = None,
-) -> np.ndarray | None:
-    """Standard-normal draws z[path, step, driver], shape (n_paths, n_steps, 3).
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield the standard-normal draws as (first_step, run) in step order,
+    ``run`` being the (steps, 3, n_paths) draws of steps first_step, ...
 
-    The draw at (path, step, driver) is a pure function of
-    (seed, stream, first_path+path, step, driver): path p = first_path+path
-    lies in segment g = p // ``_BLOCK_PATHS``, and its draw is normal
-    p % ``_BLOCK_PATHS`` of the ziggurat sampler on the Philox stream keyed
-    by (seed, stream) that starts at counter
-    ``((3*step + driver) << 62) + (g << 128)``.  A draw that starts inside a
-    segment first draws and discards that segment's earlier normals.
-    Identical indices always yield identical draws, which is what makes
-    common-random-number bumping and worker-count independence exact.
-
-    The draws are made one run of ``_MAP_STEPS`` steps at a time, one
-    ``standard_normal(out=)`` call per (step, driver) row and segment, by at
-    most ``workers`` threads (None: every available CPU), no more than the
-    available CPUs, the runs, and one per ``_THREAD_PATHS`` paths.  The
-    threads claim the runs in step order; the calling thread is one of
-    them, and claims a run whenever the next run it needs is not yet drawn.
-    The threads change wall time, never the draws.
-
-    Without ``consume`` the result is a view of one step-major
-    (n_steps, 3, n_paths) array, so ``z[:, step, driver]`` is a contiguous
-    row.  With ``consume``, no block of draws is held and None is returned:
-    each run is drawn into a slot of a ring of one run per thread plus one
-    (one run for one thread, which draws the next run once ``consume`` has
-    returned), and ``consume(first_step, run)`` is called on the calling
-    thread for each run in step order, ``run`` being the (steps, 3, n_paths)
-    draws of steps first_step, first_step+1, ...  The ring holds at most
-    ``_RING_BYTES`` (one run at least), and the threads are capped to fit
-    it.  The caller can so step its paths while the later runs are drawn;
-    a run's slot is drawn into again once ``consume`` has returned from
-    it.  If ``consume`` raises, no further run is claimed, and the
-    exception propagates once the threads have stopped.  Zero paths or zero
-    steps draw nothing: the result is empty, and ``consume`` is never
-    called.
+    The draw at (path, step, driver) is the pure function of (seed, stream,
+    first_path+path, step, driver) the module docstring defines, whichever
+    thread draws it; a range that starts inside a segment discards that
+    segment's earlier normals.  At most ``workers`` threads draw (None:
+    every available CPU), the calling thread among them.  A run's slot in
+    the ring is drawn into again once the next run is requested.  A failed
+    draw raises its error, and closing the iterator stops the draws; either
+    way every thread it started has ended.
     """
+    for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
+                        ("first_path", first_path)):
+        if value < 0:
+            raise InvalidParams(f"{name} must be >= 0, got {value!r}", name)
+    if workers is not None and workers < 1:
+        raise InvalidParams(f"workers must be None or >= 1, got {workers!r}", "workers")
     if not (n_paths and n_steps):
-        # Nothing to draw, and no run to hand to consume.
-        return None if consume else np.empty((n_paths, n_steps, 3))
+        return
     starts = range(0, n_steps, _MAP_STEPS)
+    run_shape = (min(_MAP_STEPS, n_steps), 3, n_paths)
     cpus = _available_cpus()
-    threads = min(workers or cpus, cpus, len(starts),
-                  -(-n_paths // _THREAD_PATHS))
-    if consume is None:
-        z = np.empty((n_steps, 3, n_paths))
-        slots = [z[start:start + _MAP_STEPS] for start in starts]
-    else:
-        z = None
-        run_shape = (min(_MAP_STEPS, n_steps), 3, n_paths)
-        run_bytes = math.prod(run_shape) * 8
-        threads = min(threads, max(1, _RING_BYTES // run_bytes - 1))
-        # One thread draws run k+1 only once run k is consumed.
-        depth = 1 if threads == 1 else min(threads + 1, len(starts))
-        slots = [np.empty(run_shape) for _ in range(depth)]
-    ring = _RunRing((seed, stream, first_path, n_paths), starts, slots)
-    if threads == 1:
-        ring.feed(consume)
-    else:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            helpers = [pool.submit(ring.help) for _ in range(threads - 1)]
-            try:
-                ring.feed(consume)
-            finally:
-                ring.stop()
-                for future in helpers:
-                    future.result()
-    return None if z is None else z.transpose(2, 0, 1)
+    threads = min(workers or cpus, cpus, len(starts), -(-n_paths // _THREAD_PATHS),
+                  max(1, _RING_BYTES // (math.prod(run_shape) * 8) - 1))
+    # One thread draws run k+1 only once run k has been stepped.
+    depth = 1 if threads == 1 else min(threads + 1, len(starts))
+    ring = _RunRing((seed, stream, first_path, n_paths), starts,
+                    [np.empty(run_shape) for _ in range(depth)])
+    # Daemon threads: an iterator left open at exit, neither closed nor
+    # dropped, leaves them waiting for a slot, and must not keep the
+    # interpreter from exiting.
+    helpers = [Thread(target=ring.help, daemon=True) for _ in range(threads - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        yield from ring.runs()
+    finally:
+        ring.stop()
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
 
 
 def _row_drawer(seed: int, stream: int, first_path: int, n_paths: int):
@@ -380,9 +354,10 @@ class _RunRing:
     into a slot of a ring by the thread that claims it.
 
     Run k goes to slot k % len(slots).  Runs are claimed in step order, and
-    only while the run that last used the slot has been consumed; a run is
-    marked ready once drawn, which also publishes its draws to the thread
-    that waits on it.  One condition guards the counters.
+    only once the run that last used the slot has been released, which
+    :meth:`runs` does when the run after it is requested; a run is marked
+    ready once drawn, which also publishes its draws to the thread that
+    waits on it.  One condition guards the counters.
     """
 
     def __init__(self, drawer: tuple, starts: range, slots: list[np.ndarray]):
@@ -392,9 +367,10 @@ class _RunRing:
         self.slots = slots
         self.ready = [False] * len(starts)
         self.claimed = 0
-        self.consumed = 0
+        self.released = 0
         self.stopped = False
-        self.cond = threading.Condition()
+        self.error: BaseException | None = None
+        self.cond = Condition()
 
     def _run(self, k: int) -> np.ndarray:
         steps = min(self.starts.step, self.starts.stop - self.starts[k])
@@ -404,27 +380,30 @@ class _RunRing:
         """The next run to draw, if any may be drawn now (under the lock)."""
         k = self.claimed
         if (self.stopped or k == len(self.starts)
-                or k - self.consumed >= len(self.slots)):
+                or k - self.released >= len(self.slots)):
             return None
         self.claimed = k + 1
         return k
 
     def _fill(self, draw, k: int) -> None:
+        """Draw run k; a failure stops the ring, and :meth:`runs` raises
+        the first one on the calling thread."""
         run = self._run(k)
         rows = run.reshape(-1, run.shape[-1])
-        drawn = False
+        error = None
         try:
             for i, row in enumerate(rows, start=3 * self.starts[k]):
                 draw(i, row)
-            drawn = True
-        finally:
-            with self.cond:
-                self.ready[k] = drawn
-                self.stopped |= not drawn
-                self.cond.notify_all()
+        except BaseException as exc:
+            error = exc
+        with self.cond:
+            self.ready[k] = error is None
+            self.error = self.error or error
+            self.stopped |= error is not None
+            self.cond.notify_all()
 
     def help(self) -> None:
-        """Draw runs until none is left to claim (on a pool thread)."""
+        """Draw runs until none is left to claim (on a helper thread)."""
         draw = _row_drawer(*self.drawer)
         while True:
             with self.cond:
@@ -440,8 +419,8 @@ class _RunRing:
             self.stopped = True
             self.cond.notify_all()
 
-    def feed(self, consume) -> None:
-        """Hand each run to ``consume`` in step order once it is drawn.
+    def runs(self) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield (first_step, run) in step order once each run is drawn.
 
         While the next run is not ready, this thread draws the next
         unclaimed run if its slot is free, which is that run itself if no
@@ -454,16 +433,15 @@ class _RunRing:
                     if self.ready[k]:
                         break
                     if self.stopped:
-                        raise RuntimeError("a draw thread failed")
+                        raise self.error
                     j = self._claim()
                     if j is None:
                         self.cond.wait()
                         continue
                 self._fill(draw, j)
-            if consume is not None:
-                consume(start, self._run(k))
+            yield start, self._run(k)
             with self.cond:
-                self.consumed = k + 1
+                self.released = k + 1
                 self.cond.notify_all()
 
 
@@ -472,16 +450,16 @@ def _run_block(
     init: InitialState,
     cfg: SimConfig,
     nb: int,
+    runs: Iterator[tuple[int, np.ndarray]],
     perturbation: Perturbation | None,
     drift_extras: bool,
     weights: bool,
-):
-    """Advance one block of ``nb`` paths through all steps, as a coroutine.
+) -> tuple[dict[str, np.ndarray], int, int]:
+    """Advance one block of ``nb`` paths through all steps.
 
-    Prime it with ``next``, then ``send`` it the runs of draws that
-    :func:`standard_draws` hands to ``consume``, in step order, each of
-    shape (steps, 3, nb).  After the last run, ``send(None)`` returns
-    (dict of accumulator arrays, clamp_count, n_evals).  With ``weights``
+    ``runs`` is the iterator of :func:`standard_draws` over the block's
+    draws, each run of shape (steps, 3, nb).  Returns (dict of accumulator
+    arrays, clamp_count, n_evals).  With ``weights``
     False only the state and D are carried: no weight integral and no first
     variation is formed, while the clamps and integrand evaluations are
     counted as in a full run.
@@ -546,8 +524,7 @@ def _run_block(
         t1, t2, q, w, acc = (empty() for _ in range(5))
 
     n = 0
-    run = yield
-    while run is not None:
+    for _, run in runs:
         for z1, z2, z3 in run:
             np.multiply(sqdt, z1, out=dW1)
             # dZ2 = r12 * dW1 + (m1 * sqdt) * z2
@@ -691,15 +668,12 @@ def _run_block(
                     bad = ~(np.abs(arr) <= limit)
                     raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
             n += 1
-        run = yield
     # The last rows are views of a run of draws: let the draws go before
     # the outputs are formed.
-    del z1, z2, z3
+    del run, z1, z2, z3
 
     if not weights:
-        out = {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
-        yield out, clamps, n_evals
-        return
+        return {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}, clamps, n_evals
     out = {
         "s_T": S, "v_T": V, "r_T": r,
         "D": dt * sum_r,
@@ -715,7 +689,7 @@ def _run_block(
         out["j2"] = sqdt * sJ2
         out["j3"] = sqdt * sJ3
         out["g3"] = sqdt * sG3
-    yield out, clamps, n_evals
+    return out, clamps, n_evals
 
 
 def simulate_paths(
@@ -776,18 +750,16 @@ def simulate_paths(
     clamps = evals = 0
     for start in range(0, n, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, n)
-        block = _run_block(model, init, cfg, stop - start, perturbation,
-                           drift_extras, weights)
-        next(block)
-        # The block steps each run of draws as soon as it is drawn.
-        try:
-            standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
-                           stream=stream, workers=cfg.worker_hint,
-                           consume=lambda _, run: block.send(run))
-        except NumericalBlowup as exc:
-            raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
-        out, block_clamps, block_evals = block.send(None)
-        del block
+        # The block steps each run of draws as soon as it is drawn; closing
+        # the runs stops the draw threads before an error leaves the block.
+        with closing(standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
+                                    stream=stream, workers=cfg.worker_hint)) as runs:
+            try:
+                out, block_clamps, block_evals = _run_block(
+                    model, init, cfg, stop - start, runs, perturbation,
+                    drift_extras, weights)
+            except NumericalBlowup as exc:
+                raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
         if not arrays:
             arrays = {name: np.empty(n) for name in out}
         for name, arr in out.items():

@@ -121,41 +121,32 @@ def _combination(paths: PathAccumulators) -> np.ndarray:
     return _factor(paths, "C", lambda p: p.I1 + c2 * p.I2 + c3 * p.I3)
 
 
-def _weight(p: PathAccumulators, greek: str, s0: float, T: float, compute) -> np.ndarray:
-    """The payoff-independent weight factor ``compute(p)`` of ``greek`` at
-    (s0, T), kept in ``paths.factors`` under the Greek's name only at the
-    paths' own s0 and maturity, so that there is one per Greek at most."""
-    if s0 == p.s0 and T == p.maturity:
-        return _factor(p, greek, compute)
-    return compute(p)
-
-
-def _kappa_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
+def _kappa_samples(p: PathAccumulators, phi) -> np.ndarray:
     # Ito weight from the 1/v(V_t) integrals; no discount term, because the
     # short rate does not feel the V drift.
     mu = p.model.mixing
     ito = _factor(p, "kappa", lambda p: p.model.hv_params.kappa * (
         p.j2 / mu.mu1 - (mu.mu2 / (mu.mu1 * mu.mu3)) * p.j3))
-    return phi * _discount(p) * ito / T
+    return phi * _discount(p) * ito / p.maturity
 
 
-def _reversion_samples(p: PathAccumulators, phi, s0: float, T: float) -> np.ndarray:
+def _reversion_samples(p: PathAccumulators, phi) -> np.ndarray:
     # Ito weight from the 1/g(r_t) integral minus the deterministic discount
     # correction T - (1 - e^{-aT})/a, the time integral of the pathwise
     # derivative 1 - e^{-at} of the Vasicek rate.
-    a = p.model.hv_params.a
+    a, T = p.model.hv_params.a, p.maturity
     correction = T - (1.0 - math.exp(-a * T)) / a
-    return phi * _discount(p) * _weight(
-        p, "reversion", s0, T,
-        lambda p: (a / p.model.mixing.mu3) * p.g3 / T - correction)
+    return phi * _discount(p) * _factor(
+        p, "reversion", lambda p: (a / p.model.mixing.mu3) * p.g3 / T - correction)
 
 
 @dataclass(frozen=True)
 class _Greek:
     """What the package knows about one Greek token."""
 
-    # samples(paths, phi, s0, T) -> per-path Phi * e^{-D} * weight.  Each
-    # keeps its own evaluation order, which fixes the printed digits.
+    # samples(paths, phi) -> per-path Phi * e^{-D} * weight, at the paths'
+    # own s0 and maturity.  Each keeps its own evaluation order, which fixes
+    # the printed digits.
     samples: Callable[..., np.ndarray]
     weighted: bool = True         # reads weight integrals, not S_T and D only
     drift_extras: bool = False    # needs the drift integrals J2, J3, G3
@@ -169,34 +160,34 @@ class _Greek:
 _GREEKS = {
     # Plain discounted payoff mean (weight identically 1).
     "price": _Greek(
-        lambda p, phi, s0, T: _discount(p) * phi,
+        lambda p, phi: _discount(p) * phi,
         weighted=False, closed_form={"call": "price"}),
     # Initial spot.
     "delta": _Greek(
-        lambda p, phi, s0, T: phi * _weight(
-            p, "delta", s0, T, lambda p: _discount(p) * _combination(p) / (s0 * T)),
+        lambda p, phi: phi * _factor(
+            p, "delta", lambda p: _discount(p) * _combination(p) / (p.s0 * p.maturity)),
         fd_target="s0",
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
-        lambda p, phi, s0, T: phi * _weight(
-            p, "rho", s0, T, lambda p: _discount(p) * (_combination(p) - T * T) / T),
+        lambda p, phi: phi * _factor(p, "rho", lambda p: _discount(p) * (
+            _combination(p) - p.maturity * p.maturity) / p.maturity),
         fd_target="rho_shift_epsilon",
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
-        lambda p, phi, s0, T: phi * _weight(
-            p, "vega", s0, T,
-            lambda p: (_discount(p) / T) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
+        lambda p, phi: phi * _factor(
+            p, "vega",
+            lambda p: (_discount(p) / p.maturity) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
         fd_target="vega_shift_epsilon",
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
-        lambda p, phi, s0, T: phi * _discount(p) * p.P2 / T,
+        lambda p, phi: phi * _discount(p) * p.P2 / p.maturity,
         hybrid_only=True, fd_target="v0"),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
-        lambda p, phi, s0, T: phi * _discount(p) * p.P3 / T,
+        lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
         hybrid_only=True, fd_target="r0"),
     "kappa": _Greek(_kappa_samples, drift_extras=True, hybrid_only=True,
                     fd_target="kappa_epsilon"),
@@ -278,8 +269,8 @@ def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> Greek
     )
 
 
-def _weighted(greeks: tuple[str, ...], paths: PathAccumulators, payoff: Payoff,
-              s0: float, T: float) -> list[GreekEstimate]:
+def _weighted(greeks: tuple[str, ...], paths: PathAccumulators,
+              payoff: Payoff) -> list[GreekEstimate]:
     """Estimate each of ``greeks`` from its table entry and one evaluation
     of ``payoff``.  Refuses paths that lack an integral one of them reads,
     then flags clamps once; the caller checks its own arguments."""
@@ -288,19 +279,20 @@ def _weighted(greeks: tuple[str, ...], paths: PathAccumulators, payoff: Payoff,
     if any(_GREEKS[greek].weighted for greek in greeks):
         _flag_clamps(paths)
     phi = evaluate_payoff(payoff, paths.s_T)
-    return [_estimate(g, _GREEKS[g].samples(paths, phi, s0, T), paths) for g in greeks]
+    return [_estimate(g, _GREEKS[g].samples(paths, phi), paths) for g in greeks]
 
 
 def price(paths: PathAccumulators, payoff: Payoff) -> GreekEstimate:
     """Discounted payoff mean E[e^{-D} Phi(S_T)] (weight identically 1)."""
-    return _weighted(("price",), paths, payoff, paths.s0, paths.maturity)[0]
+    return _weighted(("price",), paths, payoff)[0]
 
 
 def delta(paths: PathAccumulators, payoff: Payoff, s0: float) -> GreekEstimate:
-    """Sensitivity to the initial spot: E[Phi * e^{-D} C/(s0 T)]."""
-    if not (s0 > 0.0):
-        raise InvalidParams(f"s0 must be > 0, got {s0!r}")
-    return _weighted(("delta",), paths, payoff, s0, paths.maturity)[0]
+    """Sensitivity to the initial spot: E[Phi * e^{-D} C/(s0 T)].  ``s0``
+    must be the paths' own."""
+    if s0 != paths.s0:
+        raise InvalidParams(f"s0 must be the paths' s0 {paths.s0!r}, got {s0!r}", "s0")
+    return _weighted(("delta",), paths, payoff)[0]
 
 
 def bismut_vector(paths: PathAccumulators, payoff: Payoff) -> tuple[GreekEstimate, GreekEstimate, GreekEstimate]:
@@ -316,29 +308,32 @@ def bismut_vector(paths: PathAccumulators, payoff: Payoff) -> tuple[GreekEstimat
         If the paths carry no P2/P3 (degenerate model: the weights would
         divide by v(V_t) or g(r_t), which are identically zero).
     """
-    s0, T = paths.s0, paths.maturity
-    v0_est, r0_est = _weighted(("vega_v0", "rho_r0"), paths, payoff, s0, T)
+    v0_est, r0_est = _weighted(("vega_v0", "rho_r0"), paths, payoff)
     # Delta takes its own payoff evaluation and reduction, as a separate
     # delta() call would; the benchmark's tests pin both counts.
     phi = evaluate_payoff(payoff, paths.s_T)
-    d = _estimate("delta", _GREEKS["delta"].samples(paths, phi, s0, T), paths)
+    d = _estimate("delta", _GREEKS["delta"].samples(paths, phi), paths)
     return d, v0_est, r0_est
 
 
 def rho(paths: PathAccumulators, payoff: Payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to a parallel shift added to the stock drift and the
-    discount rate simultaneously: E[Phi * e^{-D} (C - T^2)/T]."""
-    if not (maturity > 0.0):
-        raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    return _weighted(("rho",), paths, payoff, paths.s0, maturity)[0]
+    discount rate simultaneously: E[Phi * e^{-D} (C - T^2)/T].
+    ``maturity`` must be the paths' own."""
+    if maturity != paths.maturity:
+        raise InvalidParams(f"maturity must be the paths' maturity {paths.maturity!r}, "
+                            f"got {maturity!r}", "maturity")
+    return _weighted(("rho",), paths, payoff)[0]
 
 
 def vega(paths: PathAccumulators, payoff: Payoff, maturity: float) -> GreekEstimate:
     """Sensitivity to epsilon in the diffusion perturbation a + eps*diag(S,0,0):
-    E[Phi * (e^{-D}/T) ((W^1_T - A) C - Q)]."""
-    if not (maturity > 0.0):
-        raise InvalidParams(f"maturity must be > 0, got {maturity!r}")
-    return _weighted(("vega",), paths, payoff, paths.s0, maturity)[0]
+    E[Phi * (e^{-D}/T) ((W^1_T - A) C - Q)].  ``maturity`` must be the
+    paths' own."""
+    if maturity != paths.maturity:
+        raise InvalidParams(f"maturity must be the paths' maturity {paths.maturity!r}, "
+                            f"got {maturity!r}", "maturity")
+    return _weighted(("vega",), paths, payoff)[0]
 
 
 def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) -> GreekEstimate:
@@ -354,4 +349,4 @@ def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) 
     if gamma_kind not in GAMMA_KINDS:
         raise InvalidParams(f"gamma_kind must be one of {GAMMA_KINDS}, got {gamma_kind!r}")
     greek = {"stock_shift": "rho", "kappa": "kappa", "reversion_speed": "reversion"}[gamma_kind]
-    return _weighted((greek,), paths, payoff, paths.s0, paths.maturity)[0]
+    return _weighted((greek,), paths, payoff)[0]

@@ -7,8 +7,9 @@ than as S/s0.  It sums the weight integrals as plain expressions, where the
 engine writes each operation into a preallocated buffer.  Tests compare the
 engine's terminal accumulators against it.
 
-:func:`fsum_mean_se` is the mean and standard error from :func:`math.fsum`,
-which the exactly rounded reductions must give to the bit.
+:func:`draws_array` gathers the runs of ``standard_draws`` into one array,
+and :func:`fsum_mean_se` is the mean and standard error from
+:func:`math.fsum`, which the exactly rounded reductions must give to the bit.
 """
 
 import math
@@ -19,13 +20,27 @@ import numpy as np
 import hsv_greeks as hg
 
 
+def draws_array(seed, n_paths, n_steps, **kwargs):
+    """The draws of ``hg.standard_draws(seed, n_paths, n_steps, **kwargs)``
+    as one array z[path, step, driver], shape (n_paths, n_steps, 3), a view
+    of a step-major array.
+
+    Each run is copied as it arrives: its slot is drawn into again once the
+    next run is requested, so ``np.concatenate(list(runs))`` would read
+    overwritten draws."""
+    z = np.empty((n_steps, 3, n_paths))
+    for first, run in hg.standard_draws(seed, n_paths, n_steps, **kwargs):
+        z[first:first + len(run)] = run
+    return z.transpose(2, 0, 1)
+
+
 def reference_series(model, init, cfg):
     """Arrays s, v, r, y11, y12, y13, y22, y33 of shape (n_paths, n_steps+1)
     over the draws ``simulate_paths`` uses; column 0 is the initial point.
 
     ``integrals`` maps each integral accumulator of a weighted run, with
     ``drift_extras`` on a hybrid model, to its per-path values."""
-    z = hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)
+    z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps)
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
     rho, mu = model.correlations, model.mixing

@@ -88,7 +88,7 @@ def test_criterion_04_discounted_spot_is_a_martingale(hv_paths_100k):
 
 
 def test_criterion_05_pathwise_rho_delta_identity(hv_paths_10k):
-    delta, rho, discount = (hg.greeks._GREEKS[g].samples(hv_paths_10k, 1.0, 100.0, 1.0)
+    delta, rho, discount = (hg.greeks._GREEKS[g].samples(hv_paths_10k, 1.0)
                             for g in ("delta", "rho", "price"))
     lhs = rho
     rhs = 100.0 * delta - 1.0 * discount

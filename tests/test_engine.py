@@ -1,9 +1,11 @@
 """Path simulation: accumulators, first variations, determinism."""
 
+import contextlib
 import dataclasses
 import functools
 import math
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -16,8 +18,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.random import Generator, Philox
 
 import hsv_greeks as hg
-from conftest import SEED_HV
-from reference import fsum_mean_se, reference_series
+from conftest import SEED_HV, cli_env
+from reference import draws_array, fsum_mean_se, reference_series
 
 
 def small_cfg(**kw):
@@ -50,27 +52,26 @@ def test_perturbation_rejects_unknown_target():
 
 def test_draw_purity_under_path_offset():
     """Path p of a block equals path 0 of a block starting at p."""
-    all_draws = hg.standard_draws(123, 50, 16)
+    all_draws = draws_array(123, 50, 16)
     for p in (0, 7, 31, 49):
-        solo = hg.standard_draws(123, 1, 16, first_path=p)
+        solo = draws_array(123, 1, 16, first_path=p)
         assert np.array_equal(all_draws[p], solo[0])
 
 
 def test_draw_shape_and_normality():
-    z = hg.standard_draws(5, 2000, 8)
+    z = draws_array(5, 2000, 8)
     assert z.shape == (2000, 8, 3)
     assert abs(z.mean()) < 0.05 and abs(z.std() - 1.0) < 0.05
 
 
 def test_draw_streams_are_distinct():
-    a = hg.standard_draws(5, 10, 8, stream=0)
-    b = hg.standard_draws(5, 10, 8, stream=1)
+    a = draws_array(5, 10, 8, stream=0)
+    b = draws_array(5, 10, 8, stream=1)
     assert not np.array_equal(a, b)
 
 
 def test_draws_depend_on_seed():
-    assert not np.array_equal(hg.standard_draws(1, 4, 8),
-                              hg.standard_draws(2, 4, 8))
+    assert not np.array_equal(draws_array(1, 4, 8), draws_array(2, 4, 8))
 
 
 def _row_by_row_draws(seed, n_paths, n_steps, first_path=0, stream=0):
@@ -105,11 +106,10 @@ def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
         for stream in (0, 1, 2):
             expected = _row_by_row_draws(11, n_paths, n_steps, first_path, stream)
             for workers in (None, 1, 2, 3):
-                z = hg.standard_draws(11, n_paths, n_steps, first_path=first_path,
-                                      stream=stream, workers=workers)
+                z = draws_array(11, n_paths, n_steps, first_path=first_path,
+                                stream=stream, workers=workers)
                 assert z.shape == (n_paths, n_steps, 3)
                 assert np.array_equal(z, expected), (first_path, stream, workers)
-                assert z[:, n_steps - 1, 2].flags.c_contiguous
 
 
 def test_adjacent_rows_of_draws_are_uncorrelated():
@@ -120,7 +120,7 @@ def test_adjacent_rows_of_draws_are_uncorrelated():
     4/sqrt(n)."""
     segment, n_steps = hg.engine._BLOCK_PATHS, 4
     n_paths = 2 * segment
-    rows = hg.standard_draws(3, n_paths, n_steps).reshape(n_paths, -1).T
+    rows = draws_array(3, n_paths, n_steps).reshape(n_paths, -1).T
     corr = np.corrcoef(rows)
     pairs = [(r, r + 1) for r in range(3 * n_steps - 1)]
     pairs += [(r, r + 3) for r in range(3 * n_steps - 3)]
@@ -141,15 +141,12 @@ def test_draws_have_normal_tails():
     tails = [0] * len(cuts)
     total = squares = 0.0
 
-    def tally(first_step, run):
-        nonlocal total, squares
+    for _, run in hg.standard_draws(20240601, n_paths, n_steps):
         size = np.abs(run)
         for i, c in enumerate(cuts):
             tails[i] += int(np.count_nonzero(size > c))
         total += hg.stable_sum(run.ravel())
         squares += hg.stable_sum(np.square(run).ravel())
-
-    hg.standard_draws(20240601, n_paths, n_steps, consume=tally)
     for c, count in zip(cuts, tails):
         p = math.erfc(c / math.sqrt(2.0))
         assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (c, count, n * p)
@@ -174,7 +171,7 @@ _PATH_INDEX = st.one_of(st.integers(0, _SPAN - 1), _NEAR_EDGE)
 
 @functools.lru_cache(maxsize=None)
 def _one_large_draw(n_steps):
-    return hg.standard_draws(99, _SPAN, n_steps)
+    return draws_array(99, _SPAN, n_steps)
 
 
 @settings(max_examples=150, deadline=None)
@@ -185,59 +182,47 @@ def test_draws_are_pure_under_any_split(a, b, n_steps, workers):
     across the chunk edges of the draw, the block edge of the engine and
     the ranges the draw's threads split the paths into."""
     first, stop = min(a, b), max(a, b) + 1
-    part = hg.standard_draws(99, stop - first, n_steps, first_path=first,
-                             workers=workers)
+    part = draws_array(99, stop - first, n_steps, first_path=first,
+                       workers=workers)
     assert np.array_equal(part, _one_large_draw(n_steps)[first:stop])
-
-
-def test_draws_allocate_little_beyond_their_output(monkeypatch):
-    """Without ``consume`` every run is drawn and mapped in place in the
-    returned array, by any number of threads."""
-    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
-    for workers in (1, 2, 4):
-        tracemalloc.start()
-        try:
-            z = hg.standard_draws(3, 16384, 252, workers=workers)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * z.nbytes, workers
-        del z
 
 
 @pytest.mark.parametrize("n_paths, n_steps", [(0, 4), (4, 0)])
 def test_zero_paths_or_steps_draw_nothing(n_paths, n_steps):
-    """An empty draw is the empty array, or None with ``consume``, which
-    is then never called."""
-    z = hg.standard_draws(1, n_paths, n_steps)
-    assert z.shape == (n_paths, n_steps, 3)
-    runs = []
-    assert hg.standard_draws(1, n_paths, n_steps,
-                             consume=lambda *run: runs.append(run)) is None
-    assert runs == []
+    """An empty draw yields no run."""
+    assert list(hg.standard_draws(1, n_paths, n_steps)) == []
 
 
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records ``max_workers`` and runs
-    each task on the calling thread once its result is read, so no thread
-    is started.  The calling thread has then drawn every run itself."""
-
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        return _Deferred(functools.partial(fn, *args))
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_paths=-1), "n_paths"), (dict(n_steps=-1), "n_steps"),
+    (dict(first_path=-5), "first_path"), (dict(workers=0), "workers"),
+    (dict(workers=-1), "workers")])
+def test_draws_refuse_negative_sizes_and_no_workers(kwargs, name):
+    """A negative size or offset, or fewer than one worker, is refused by
+    name, before any run is drawn or any thread started."""
+    args = dict(seed=1, n_paths=4, n_steps=4) | kwargs
+    before = threading.active_count()
+    with pytest.raises(hg.InvalidParams, match=name) as info:
+        next(hg.standard_draws(**args))
+    assert info.value.field == name
+    assert threading.active_count() == before
 
 
-@dataclasses.dataclass
-class _Deferred:
-    result: object
+class _InlineThread:
+    """Stands in for the engine's draw threads: records itself and runs its
+    target on the calling thread once joined, so no thread is started.  The
+    calling thread has then drawn every run itself."""
+
+    def __init__(self, helpers, target, daemon):
+        helpers.append(self)
+        self.target = target
+        self.ident = None
+
+    def start(self):
+        self.ident = 0
+
+    def join(self):
+        self.target()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 64])
@@ -246,22 +231,22 @@ def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
                                                      hv_init, hint, cpus):
     """No hint means every available CPU; a huge hint starts no more threads
     than CPUs, runs of steps in the block, or chunks of ``_THREAD_PATHS``
-    paths; the calling thread is one of them, so the pool has one thread
-    fewer, and a block of one chunk needs no pool."""
-    sizes = []
-    monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
-                        lambda max_workers: _InlinePool(sizes, max_workers))
+    paths; the calling thread is one of them, so one thread fewer is
+    started, and a block of one chunk starts none."""
+    helpers = []
+    monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
     cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=17, worker_hint=hint)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
     # The first block has 3 runs of steps and 16 chunks; the second, one path.
-    assert sizes == ([] if cpus == 1 else [min(cpus, 3) - 1])
+    assert len(helpers) == (0 if cpus == 1 else min(cpus, 3) - 1)
     reference = hg.simulate_paths(hv_model, hv_init,
                                   dataclasses.replace(cfg, worker_hint=1))
     assert np.array_equal(paths.s_T, reference.s_T)
+    # A block of one chunk starts no thread.
     hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_THREAD_PATHS,
                                                    worker_hint=hint))
-    assert len(sizes) == (0 if cpus == 1 else 1)
+    assert len(helpers) == (0 if cpus == 1 else min(cpus, 3) - 1)
 
 
 @pytest.mark.parametrize("inline", [False, True])
@@ -269,59 +254,51 @@ def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
 @pytest.mark.parametrize("workers", [None, 1, 2, 3])
 def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
                                                   n_steps, inline):
-    """Each run of steps reaches ``consume`` once, on the calling thread and
-    in step order, already mapped: together the runs are every row of a
-    draw without ``consume``, bit for bit, and a draw with it returns
-    nothing."""
-    sizes = []
+    """The caller that iterates the draws gets each run of steps once, in
+    step order, as one C-contiguous array: together the runs are every row
+    of the draws on one thread, bit for bit."""
+    helpers = []
     if inline:
-        monkeypatch.setattr(hg.engine, "ThreadPoolExecutor",
-                            lambda max_workers: _InlinePool(sizes, max_workers))
+        monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     n_paths = 2 * _THREAD_PATHS + 3
     seen = []
-    caller = threading.get_ident()
-
-    def consume(first_step, run):
-        assert threading.get_ident() == caller
+    for first_step, run in hg.standard_draws(7, n_paths, n_steps, workers=workers):
+        assert run.flags.c_contiguous
         seen.append((first_step, run.copy()))
-
-    assert hg.standard_draws(7, n_paths, n_steps, workers=workers,
-                             consume=consume) is None
     run_steps = hg.engine._MAP_STEPS
     assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))
     assert [len(run) for _, run in seen] == [
         min(run_steps, n_steps - first) for first, _ in seen]
     rows = np.concatenate([run for _, run in seen])
-    z = hg.standard_draws(7, n_paths, n_steps, workers=workers)
+    z = draws_array(7, n_paths, n_steps, workers=1)
     assert np.array_equal(rows, z.transpose(1, 2, 0))
     if inline:
         # Threads: the workers, at most 4 CPUs, one per run and one per
-        # _THREAD_PATHS paths (3 here); the pool has one fewer.
+        # _THREAD_PATHS paths (3 here); one fewer is started.
         threads = min(workers or 4, -(-n_steps // run_steps), 3)
-        assert sizes == ([] if threads == 1 else [threads - 1] * 2)
+        assert len(helpers) == threads - 1
 
 
 def test_many_draw_threads_hand_over_every_run(monkeypatch):
     """Eight threads on a ring of nine slots, with thread switches forced
-    often: every run reaches ``consume`` once, in step order, as the draw
-    without ``consume`` has it, and no wait is left hanging."""
+    often: every run arrives once, in step order, as the draws on one
+    thread have it, and no wait is left hanging."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
     n_paths, n_steps = 8 * _THREAD_PATHS, 17 * hg.engine._MAP_STEPS
-    expected = hg.standard_draws(5, n_paths, 3, workers=1)
+    expected = draws_array(5, n_paths, 3, workers=1)
     seen = []
 
-    def consume(first_step, run):
-        seen.append(first_step)
-        if first_step == 0:
-            assert np.array_equal(run[:3], expected.transpose(1, 2, 0))
+    def iterate():
+        for first_step, run in hg.standard_draws(5, n_paths, n_steps, workers=8):
+            seen.append(first_step)
+            if first_step == 0:
+                assert np.array_equal(run[:3], expected.transpose(1, 2, 0))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(target=hg.standard_draws,
-                                  args=(5, n_paths, n_steps),
-                                  kwargs=dict(workers=8, consume=consume))
+        worker = threading.Thread(target=iterate)
         worker.start()
         worker.join(timeout=120)
     finally:
@@ -337,8 +314,8 @@ class _DrawFailed(Exception):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     """A run that fails to draw, on whichever thread draws it, raises its
-    error from standard_draws once every thread it started has ended, and
-    no later run reaches ``consume``."""
+    error from the iterator once every thread it started has ended, and
+    no later run arrives."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     drawer = hg.engine._row_drawer
     bad_row = 3 * 2 * hg.engine._MAP_STEPS  # the first row of the third run
@@ -356,11 +333,32 @@ def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     seen = []
     before = threading.active_count()
     with pytest.raises(_DrawFailed):
-        hg.standard_draws(1, 3 * _THREAD_PATHS, 6 * hg.engine._MAP_STEPS,
-                          workers=workers,
-                          consume=lambda first, run: seen.append(first))
+        for first, _ in hg.standard_draws(1, 3 * _THREAD_PATHS, 6 * hg.engine._MAP_STEPS,
+                                          workers=workers):
+            seen.append(first)
     assert threading.active_count() == before
     assert seen == [0, hg.engine._MAP_STEPS][:len(seen)]
+
+
+def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
+    """A caller that closes the iterator after its first run, while two
+    helper threads draw later runs or wait for a slot: every thread has
+    ended once ``close`` returns."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
+    before = threading.active_count()
+    runs = hg.standard_draws(1, 3 * _THREAD_PATHS, 8 * hg.engine._MAP_STEPS, workers=3)
+    first, _ = next(runs)
+    assert first == 0 and threading.active_count() == before + 2
+    runs.close()
+    assert threading.active_count() == before
+
+
+def test_draws_left_open_at_exit_let_the_interpreter_exit():
+    """The draw threads of an iterator neither closed nor dropped wait for
+    a slot when the interpreter exits; they must not keep it running."""
+    code = ("import hsv_greeks.engine as e; e._available_cpus = lambda: 3; "
+            "runs = e.standard_draws(1, 3 * 1024, 64, workers=3); next(runs)")
+    subprocess.run([sys.executable, "-c", code], env=cli_env(), check=True, timeout=60)
 
 
 @pytest.mark.parametrize("run_steps", [1, 5, None])
@@ -440,7 +438,7 @@ def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model
 
 def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch, hv_model,
                                                       hv_init):
-    """One thread draws run k+1 only once run k is consumed, so its ring
+    """One thread draws run k+1 only once run k has been stepped, so its ring
     holds one run, where two threads hold three: on a weighted 16,384 x
     252 block the traced peak on one thread is two runs (6 MiB) below the
     peak on two, and every bit is the same."""
@@ -530,7 +528,7 @@ def test_one_step_hand_check(deg_model):
     """One log-Euler step: s_T = 100 * exp(r - sigma^2/2 + sigma*z)."""
     init = hg.InitialState(100.0, 0.04, 0.05)
     cfg = hg.SimConfig(n_paths=3, n_steps=1, maturity=1.0, seed=0)
-    z = hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, 0]
+    z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, 0]
     paths = hg.simulate_paths(deg_model, init, cfg)
     expect = 100.0 * np.exp(0.05 - 0.5 * 0.2**2 + 0.2 * z)
     np.testing.assert_allclose(paths.s_T, expect, rtol=1e-12)
@@ -571,11 +569,11 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     draws = hg.engine.standard_draws
 
-    def late_draws(*args, consume, **kwargs):
-        def late(first_step, run):
-            time.sleep(0.05)
-            return consume(first_step, run)
-        return draws(*args, consume=late, **kwargs)
+    def late_draws(*args, **kwargs):
+        with contextlib.closing(draws(*args, **kwargs)) as runs:
+            for item in runs:
+                time.sleep(0.05)
+                yield item
 
     monkeypatch.setattr(hg.engine, "standard_draws", late_draws)
     cfg = small_cfg(n_paths=4 * _THREAD_PATHS, n_steps=64)
@@ -590,7 +588,7 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
         assert threading.active_count() == before
         found.append((info.value.path_index, info.value.step_index))
     assert found[0] == found[1] == found[2]
-    # In the first run of steps: the later runs are still to be consumed.
+    # In the first run of steps: the later runs are still to be stepped.
     assert found[0][1] < hg.engine._MAP_STEPS
 
 
@@ -753,7 +751,7 @@ def test_y11_identity_along_the_whole_path(hv_model, hv_init):
 def test_first_variation_initial_values(hv_model, hv_init):
     """One step from Y12 = Y13 = 0 and Y22 = Y33 = 1, by hand."""
     cfg = small_cfg(n_paths=8, n_steps=1)
-    z = hg.standard_draws(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, :]
+    z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, :]
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
     v0, mu1 = np.full(cfg.n_paths, hv_init.v0), hv_model.mixing.mu1
     dZ2 = hv_model.correlations.rho12 * z[:, 0] + mu1 * z[:, 1]

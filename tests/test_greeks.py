@@ -90,8 +90,9 @@ def test_vega_matches_closed_form(deg_paths_100k, call_100):
 # weight identities
 
 def unit_weight(paths, greek):
-    """The per-path weight of ``greek`` at a unit payoff (s0=100, T=1)."""
-    return hg.greeks._GREEKS[greek].samples(paths, 1.0, 100.0, 1.0)
+    """The per-path weight of ``greek`` at a unit payoff, at the paths' own
+    s0 and maturity (100 and 1 here)."""
+    return hg.greeks._GREEKS[greek].samples(paths, 1.0)
 
 
 def test_delta_weight_definition(hv_paths_10k):
@@ -226,6 +227,21 @@ def test_greek_estimate_validation():
                      estimator="analytic")  # zero SE fine for one path
 
 
+@pytest.mark.parametrize("estimate, name", [
+    (lambda p, f: hg.delta(p, f, 50.0), "s0"),
+    (lambda p, f: hg.delta(p, f, math.nan), "s0"),
+    (lambda p, f: hg.rho(p, f, 2.0), "maturity"),
+    (lambda p, f: hg.vega(p, f, 2.0), "maturity")],
+    ids=["delta", "delta_nan", "rho", "vega"])
+def test_a_spot_or_maturity_other_than_the_paths_is_refused(hv_paths_10k, call_100,
+                                                            estimate, name):
+    """The weights are those of the paths' own s0 and maturity: a delta
+    at half the spot read twice the true delta, and is refused by name."""
+    with pytest.raises(hg.InvalidParams, match=name) as info:
+        estimate(hv_paths_10k, call_100)
+    assert info.value.field == name
+
+
 def test_non_finite_std_error_is_refused(hv_model, hv_init):
     with pytest.raises(hg.InvalidParams, match="std_error"):
         hg.GreekEstimate(1.0, math.inf, 2, "malliavin")
@@ -343,7 +359,7 @@ def test_weighted_estimates_are_the_fsum_reference_bit_for_bit(hv_paths_10k, kin
         phi = hg.evaluate_payoff(payoff, paths.s_T)
         for greek, estimate in _WEIGHTED.items():
             samples = hg.greeks._GREEKS[greek].samples(
-                dataclasses.replace(hv_paths_10k), phi, paths.s0, paths.maturity)
+                dataclasses.replace(hv_paths_10k), phi)
             reference = fsum_mean_se(samples)
             assert _bits(estimate(paths, payoff)) == tuple(v.hex() for v in reference), (
                 greek, strike)
