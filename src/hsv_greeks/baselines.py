@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
-from .errors import InvalidBump, InvalidParams, NonFiniteEstimate, UnsupportedModel
-from .greeks import _GREEKS, GreekEstimate, _finite_samples, _require_finite
+from .errors import InvalidBump, InvalidParams, UnsupportedModel
+from .greeks import _GREEKS, GreekEstimate, _finite_estimate
 from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
 __all__ = [
@@ -191,17 +191,15 @@ def fd_greek(
 
     hi, lo = runs
     token = "fd:" + next(g for g, spec in _GREEKS.items() if spec.fd_target == bump.target)
-    try:
+    samples = ((hi - lo) / denom,) if bump.crn else (hi, lo)
+
+    def estimate() -> tuple[float, float]:
         if bump.crn:
-            value, se = stable_mean_se(_finite_samples(token, (hi - lo) / denom))
-        else:
-            m_hi, se_hi = stable_mean_se(_finite_samples(token, hi))
-            m_lo, se_lo = stable_mean_se(_finite_samples(token, lo))
-            value = (m_hi - m_lo) / denom
-            se = math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
-    except OverflowError:  # math.fsum's intermediate overflow
-        raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
-    _require_finite(token, value, se)
+            return stable_mean_se(samples[0])
+        (m_hi, se_hi), (m_lo, se_lo) = map(stable_mean_se, samples)
+        return (m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
+
+    value, se = _finite_estimate(token, estimate, *samples)
     return GreekEstimate(
         value=value,
         std_error=se,

@@ -56,10 +56,13 @@ thread), and the step loop, on the calling thread, steps each run as soon
 as it is drawn; so a block holds a few runs of draws, never all of them.
 The worker count (``SimConfig.worker_hint``; None means the CPUs in the
 process's affinity mask) caps the threads that draw, and so does the ring's
-byte budget, ``_RING_BYTES``: they claim the runs in step order, each with
-its own Philox moved from row to row, and the calling thread draws runs
-itself while the next one it needs is not ready.  Every draw is the same
-bits whichever thread makes it.  The normal draws release the GIL.
+byte budget, ``_RING_BYTES``.  A thread claims the next run, in step order,
+only with one of a semaphore's permits, one per slot, and the calling
+thread gives one back after it steps a run: so at most one run per slot is
+claimed and not yet stepped, and a claimed run's slot is free.  Each run's
+event is set once it is drawn; while the next run's is not, the calling
+thread draws the next run itself if a permit is free.  Every draw is the
+same bits whichever thread makes it.  The normal draws release the GIL.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
@@ -71,8 +74,7 @@ remainders that are small.  numpy sums the remainders in floating point,
 and a bound on that sum's error in any order of additions (Higham,
 "Accuracy and Stability of Numerical Algorithms", 2nd ed., section 4.2)
 proves, for almost every input, which double the exact sum rounds to;
-otherwise the remainders go to further, finer levels, and the few level
-totals are rounded once by :func:`math.fsum`.  :func:`stable_mean_se`
+otherwise :func:`math.fsum` sums the values.  :func:`stable_mean_se`
 finds the largest value and the largest squared deviation from one max
 and one min of the samples.
 """
@@ -83,7 +85,8 @@ import math
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
-from threading import Condition, Thread
+from itertools import count
+from threading import Event, Semaphore, Thread
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -129,8 +132,9 @@ _MAP_STEPS = 8
 # its threads at one fewer than the runs that fit; at least one thread
 # draws into a ring of one run whatever its size.
 _RING_BYTES = 16 * 2**20
-# stable_sum extracts exactly below 2**26 values (each level then takes
-# 52 - 27 = 25 bits at least) and when no partial sum of fsum can overflow.
+# stable_sum extracts below 2**26 values (past that the remainders' error
+# bound, about n**3 * 2**-106 of the largest value, is too wide for its
+# rounding check to decide) and when no partial sum of fsum can overflow.
 # Its sigma = 2**k needs k >= -1021, where the grid ulp(sigma)/2 is still
 # a multiple of the smallest subnormal, 2**-1074.
 _EXACT_SUM_MAX_N = 2**26
@@ -268,10 +272,13 @@ def standard_draws(
     first_path+path, step, driver) the module docstring defines, whichever
     thread draws it; a range that starts inside a segment discards that
     segment's earlier normals.  At most ``workers`` threads draw (None:
-    every available CPU), the calling thread among them.  A run's slot in
-    the ring is drawn into again once the next run is requested.  A failed
-    draw raises its error, and closing the iterator stops the draws; either
-    way every thread it started has ended.
+    every available CPU), the calling thread among them.  Run k goes to
+    slot k % depth of a ring of ``depth`` runs, and its slot is drawn into
+    again once the next run is requested: a thread claims a run only with
+    one of ``depth`` permits, and one comes back each time a run is
+    stepped, so run k is claimed only once run k - depth has been stepped.
+    A failed draw raises its error, and closing the iterator stops the
+    draws; either way every thread it started has ended.
     """
     for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
                         ("first_path", first_path)):
@@ -288,18 +295,66 @@ def standard_draws(
                   max(1, _RING_BYTES // (math.prod(run_shape) * 8) - 1))
     # One thread draws run k+1 only once run k has been stepped.
     depth = 1 if threads == 1 else min(threads + 1, len(starts))
-    ring = _RunRing((seed, stream, first_path, n_paths), starts,
-                    [np.empty(run_shape) for _ in range(depth)])
+    slots = [np.empty(run_shape) for _ in range(depth)]
+    free = Semaphore(depth)
+    claims = count()
+    drawn = [Event() for _ in starts]
+    # Failed draws' errors, then None once the caller is done: not empty
+    # means stopped.
+    stopped: list[BaseException | None] = []
+
+    def run(k: int) -> np.ndarray:
+        return slots[k % depth][:min(starts.step, n_steps - starts[k])]
+
+    def claim(blocking: bool) -> int | None:
+        """The next run, claimed with a permit, or None.  Stopped or
+        exhausted draws give the permit back, so that the next helper
+        waiting for one wakes and exits too."""
+        if not free.acquire(blocking):
+            return None
+        # Read before the run is claimed, so that every claimed run is drawn.
+        if not stopped and (k := next(claims)) < len(starts):
+            return k
+        free.release()
+        return None
+
+    def fill(draw, k: int) -> None:
+        try:
+            for i, row in enumerate(run(k).reshape(-1, n_paths), start=3 * starts[k]):
+                draw(i, row)
+        except BaseException as exc:
+            stopped.append(exc)
+        drawn[k].set()
+
+    def draw_runs() -> None:
+        draw = _row_drawer(seed, stream, first_path, n_paths)
+        while (k := claim(blocking=True)) is not None:
+            fill(draw, k)
+
     # Daemon threads: an iterator left open at exit, neither closed nor
     # dropped, leaves them waiting for a slot, and must not keep the
     # interpreter from exiting.
-    helpers = [Thread(target=ring.help, daemon=True) for _ in range(threads - 1)]
+    helpers = [Thread(target=draw_runs, daemon=True) for _ in range(threads - 1)]
     try:
         for helper in helpers:
             helper.start()
-        yield from ring.runs()
+        draw = _row_drawer(seed, stream, first_path, n_paths)
+        for k, start in enumerate(starts):
+            # claim gives None only once run k is claimed: claimed runs
+            # hold every permit, every run is claimed, or a stop came from
+            # run k or a later one.
+            while not drawn[k].is_set():
+                if (j := claim(blocking=False)) is None:
+                    drawn[k].wait()
+                else:
+                    fill(draw, j)
+            if stopped:
+                raise stopped[0]
+            yield start, run(k)
+            free.release()
     finally:
-        ring.stop()
+        stopped.append(None)
+        free.release()
         for helper in helpers:
             if helper.ident is not None:
                 helper.join()
@@ -347,102 +402,6 @@ def _row_drawer(seed: int, stream: int, first_path: int, n_paths: int):
             gen.standard_normal(out=out[part])
 
     return draw
-
-
-class _RunRing:
-    """The runs of ``_MAP_STEPS`` steps of one block of draws, each drawn
-    into a slot of a ring by the thread that claims it.
-
-    Run k goes to slot k % len(slots).  Runs are claimed in step order, and
-    only once the run that last used the slot has been released, which
-    :meth:`runs` does when the run after it is requested; a run is marked
-    ready once drawn, which also publishes its draws to the thread that
-    waits on it.  One condition guards the counters.
-    """
-
-    def __init__(self, drawer: tuple, starts: range, slots: list[np.ndarray]):
-        # The arguments of _row_drawer, which each drawing thread calls.
-        self.drawer = drawer
-        self.starts = starts
-        self.slots = slots
-        self.ready = [False] * len(starts)
-        self.claimed = 0
-        self.released = 0
-        self.stopped = False
-        self.error: BaseException | None = None
-        self.cond = Condition()
-
-    def _run(self, k: int) -> np.ndarray:
-        steps = min(self.starts.step, self.starts.stop - self.starts[k])
-        return self.slots[k % len(self.slots)][:steps]
-
-    def _claim(self) -> int | None:
-        """The next run to draw, if any may be drawn now (under the lock)."""
-        k = self.claimed
-        if (self.stopped or k == len(self.starts)
-                or k - self.released >= len(self.slots)):
-            return None
-        self.claimed = k + 1
-        return k
-
-    def _fill(self, draw, k: int) -> None:
-        """Draw run k; a failure stops the ring, and :meth:`runs` raises
-        the first one on the calling thread."""
-        run = self._run(k)
-        rows = run.reshape(-1, run.shape[-1])
-        error = None
-        try:
-            for i, row in enumerate(rows, start=3 * self.starts[k]):
-                draw(i, row)
-        except BaseException as exc:
-            error = exc
-        with self.cond:
-            self.ready[k] = error is None
-            self.error = self.error or error
-            self.stopped |= error is not None
-            self.cond.notify_all()
-
-    def help(self) -> None:
-        """Draw runs until none is left to claim (on a helper thread)."""
-        draw = _row_drawer(*self.drawer)
-        while True:
-            with self.cond:
-                while (k := self._claim()) is None:
-                    if self.stopped or self.claimed == len(self.starts):
-                        return
-                    self.cond.wait()
-            self._fill(draw, k)
-
-    def stop(self) -> None:
-        """Leave every unclaimed run unclaimed for good."""
-        with self.cond:
-            self.stopped = True
-            self.cond.notify_all()
-
-    def runs(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield (first_step, run) in step order once each run is drawn.
-
-        While the next run is not ready, this thread draws the next
-        unclaimed run if its slot is free, which is that run itself if no
-        thread has claimed it yet.
-        """
-        draw = _row_drawer(*self.drawer)
-        for k, start in enumerate(self.starts):
-            while True:
-                with self.cond:
-                    if self.ready[k]:
-                        break
-                    if self.stopped:
-                        raise self.error
-                    j = self._claim()
-                    if j is None:
-                        self.cond.wait()
-                        continue
-                self._fill(draw, j)
-            yield start, self._run(k)
-            with self.cond:
-                self.released = k + 1
-                self.cond.notify_all()
 
 
 def _run_block(
@@ -794,16 +753,14 @@ def stable_sum(x: np.ndarray | Sequence[float]) -> float:
     smallest subnormal added, is ``err``.  The exact sum lies within err of
     t1 + s2, and rounding to nearest is monotone, so when fsum rounds
     t1 + s2 - err and t1 + s2 + err to the same double the exact sum rounds
-    to it as well: that double is returned.  Otherwise each further level
-    sums its q and keeps p - q, with sigma shrunk by 2**(M-52), until p is
-    all zero; fsum of the few level totals, an exact split of the sum,
-    rounds it once.
+    to it as well: that double is returned.  Otherwise, as for a sum close
+    to a midpoint between two doubles, fsum sums the values.
 
     The result does not depend on the order of ``x`` nor on the order in
     which numpy adds; an exact zero is +0.0, as from fsum.  Inputs this
     cannot take exactly (empty, non-1-D, non-finite, all zero, large enough
-    for fsum to overflow, 2**26 values or more) go to fsum itself, and so
-    does what is left once sigma would leave the normal range.
+    for fsum to overflow, 2**26 values or more, or so small that sigma
+    would leave the normal range) go to fsum itself.
     """
     x = np.asarray(x, dtype=float)
     # An empty sum has no top, and goes to fsum as a nan top does.
@@ -834,18 +791,7 @@ def _exact_sum(x: np.ndarray, top: float) -> float:
     total = math.fsum((t1, s2, -err))
     if total == math.fsum((t1, s2, err)):
         return total
-    totals = [t1]
-    while p.any():
-        k += m - 52
-        if k < _MIN_SIGMA_EXP:
-            totals += p.tolist()
-            break
-        sigma = math.ldexp(1.0, k)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        totals.append(float(q.sum()))
-        p -= q
-    return math.fsum(totals)
+    return math.fsum(x.tolist())
 
 
 def stable_mean_se(x: np.ndarray) -> tuple[float, float]:

@@ -231,35 +231,38 @@ def _flag_clamps(paths: PathAccumulators) -> None:
         )
 
 
-def _finite_samples(token: str, samples: np.ndarray) -> np.ndarray:
-    """``samples``, refused as a :class:`NonFiniteEstimate` naming
-    ``token`` when one is not finite."""
-    if not np.isfinite(samples).all():
-        bad = int(np.argmin(np.isfinite(samples)))
-        raise NonFiniteEstimate(token, f"sample at path {bad} is {float(samples[bad])!r}")
-    return samples
+def _finite_samples(token: str, *arrays: np.ndarray) -> None:
+    """Refuse a non-finite sample of ``arrays`` as a
+    :class:`NonFiniteEstimate` naming ``token``."""
+    for samples in arrays:
+        if not np.isfinite(samples).all():
+            bad = int(np.argmin(np.isfinite(samples)))
+            raise NonFiniteEstimate(token, f"sample at path {bad} is {float(samples[bad])!r}")
 
 
-def _require_finite(token: str, value: float, se: float) -> None:
+def _finite_estimate(token: str, estimate: Callable[[], tuple[float, float]],
+                     *samples: np.ndarray) -> tuple[float, float]:
+    """``estimate()``, the (value, SE) reduced from ``samples``, refused as
+    a :class:`NonFiniteEstimate` naming ``token`` when it is not finite.
+
+    A non-finite sample makes a sum raise or the estimate non-finite, so
+    the samples are checked only then, first, as if checked before."""
+    try:
+        value, se = estimate()
+    except ValueError:  # math.fsum meets an inf of each sign
+        _finite_samples(token, *samples)
+        raise
+    except OverflowError:  # math.fsum's intermediate overflow
+        _finite_samples(token, *samples)
+        raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
     if not (math.isfinite(value) and math.isfinite(se)):
+        _finite_samples(token, *samples)
         raise NonFiniteEstimate(token, f"value {value!r}, std_error {se!r}")
+    return value, se
 
 
 def _estimate(greek: str, samples: np.ndarray, paths: PathAccumulators) -> GreekEstimate:
-    token = f"malliavin:{greek}"
-    # A non-finite sample makes the sum raise or the mean non-finite, so
-    # the samples are checked only then, first, as if checked before.
-    try:
-        mean, se = stable_mean_se(samples)
-    except ValueError:  # math.fsum meets an inf of each sign
-        _finite_samples(token, samples)
-        raise
-    except OverflowError:  # math.fsum's intermediate overflow
-        _finite_samples(token, samples)
-        raise NonFiniteEstimate(token, "the sum of its samples overflows") from None
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        _finite_samples(token, samples)
-        _require_finite(token, mean, se)
+    mean, se = _finite_estimate(f"malliavin:{greek}", lambda: stable_mean_se(samples), samples)
     return GreekEstimate(
         value=mean,
         std_error=se,

@@ -353,6 +353,76 @@ def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
     assert threading.active_count() == before
 
 
+@settings(max_examples=40, deadline=None)
+@given(cpus=st.integers(1, 8), workers=st.none() | st.integers(1, 8),
+       n_steps=st.integers(1, 40), n_paths=st.sampled_from((1, 1025, 3077)),
+       data=st.data())
+def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
+        cpus, workers, n_steps, n_paths, data):
+    """Whatever the threads, a run that fails to draw and a caller that
+    closes the iterator after some run: the runs seen arrive in step order
+    as the draws on one thread have them; the failure surfaces as the
+    injected error and no other, before the failed run, and is missed only
+    by a caller that closed the iterator before that run; and every thread
+    started has ended.  Thread switches are forced often."""
+    run_steps = hg.engine._MAP_STEPS
+    n_runs = len(range(0, n_steps, run_steps))
+    fail = data.draw(st.none() | st.integers(0, n_runs - 1), label="failed run")
+    close = data.draw(st.none() | st.integers(0, n_runs - 1), label="closed after run")
+    expected = draws_array(3, n_paths, n_steps, workers=1).transpose(1, 2, 0)
+    drawer = hg.engine._row_drawer
+    bad_row = None if fail is None else 3 * fail * run_steps
+
+    def failing_drawer(*args):
+        draw = drawer(*args)
+
+        def fail_on_bad_row(row, out):
+            if row == bad_row:
+                raise _DrawFailed(row)
+            draw(row, out)
+        return fail_on_bad_row
+
+    seen, raised = [], []
+
+    def iterate():
+        runs = hg.standard_draws(3, n_paths, n_steps, workers=workers)
+        try:
+            for first, run in runs:
+                # Read the run a moment later, as the step loop does, while
+                # the other threads wait for its slot.
+                time.sleep(5e-3)
+                seen.append((first, run.copy()))
+                if close is not None and len(seen) == close + 1:
+                    runs.close()
+                    break
+        except BaseException as exc:
+            raised.append(exc)
+
+    interval = sys.getswitchinterval()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hg.engine, "_available_cpus", lambda: cpus)
+        patch.setattr(hg.engine, "_row_drawer", failing_drawer)
+        before = threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=iterate, daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert threading.active_count() == before
+    assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))[:len(seen)]
+    for first, run in seen:
+        assert np.array_equal(run, expected[first:first + len(run)])
+    if raised:
+        assert len(raised) == 1 and isinstance(raised[0], _DrawFailed)
+        assert raised[0].args == (bad_row,) and len(seen) <= fail
+    else:
+        assert fail is None or (close is not None and close < fail)
+        assert len(seen) == (n_runs if close is None else close + 1)
+
+
 def test_draws_left_open_at_exit_let_the_interpreter_exit():
     """The draw threads of an iterator neither closed nor dropped wait for
     a slot when the interpreter exits; they must not keep it running."""
@@ -827,7 +897,7 @@ def _near_a_midpoint(n, sign):
 @pytest.mark.parametrize("negate", [False, True])
 def test_stable_sum_rounds_sums_beside_a_midpoint(n, sign, negate):
     """The floating-point sum of the remainders cannot tell on which side
-    of the midpoint these sums lie, so the finer levels decide, and the
+    of the midpoint these sums lie, so fsum sums the values, and the
     result is fsum's to the bit; the mean and standard error as well."""
     x = _near_a_midpoint(n, sign)
     if negate:
