@@ -32,8 +32,8 @@ def main():
     print("Constant-coefficient limit versus closed forms")
     print("=" * 54)
 
-    model = hg.black_scholes_degenerate(SIGMA, RATE)
-    init = hg.InitialState(s0=S0, v0=0.04, r0=RATE)  # v0 is inert here
+    model = hg.black_scholes_degenerate(SIGMA)
+    init = hg.InitialState(s0=S0, v0=0.04, r0=RATE)  # r0 is the constant rate; v0 is inert
     cfg = hg.SimConfig(n_paths=100_000, n_steps=252, maturity=MATURITY,
                        seed=20_240)
 

@@ -36,21 +36,19 @@ def main():
 
     _, vega_v0, rho_r0 = hg.bismut_vector(paths, call)
     weighted = {
-        "vega_v0": (vega_v0, "v0"),
-        "rho_r0": (rho_r0, "r0"),
-        "kappa": (hg.drift_sensitivity(paths, call, "kappa"),
-                  "kappa_epsilon"),
-        "reversion": (hg.drift_sensitivity(paths, call, "reversion_speed"),
-                      "reversion_epsilon"),
+        "vega_v0": vega_v0,
+        "rho_r0": rho_r0,
+        "kappa": hg.drift_sensitivity(paths, call, "kappa"),
+        "reversion": hg.drift_sensitivity(paths, call, "reversion_speed"),
     }
 
     print(f"\n{'greek':<10} {'weighted':>9} {'+-se':>9} "
           f"{'fd central':>11} {'+-se':>8} {'agree':>6}")
     print("-" * 58)
     fd_by_name = {}
-    for name, (est, target) in weighted.items():
-        bump = hg.BumpSpec(target, "central",
-                           h=hg.default_bump_size(target, init), crn=True)
+    for name, est in weighted.items():
+        bump = hg.BumpSpec(name, "central",
+                           h=hg.default_bump_size(name, init), crn=True)
         fd = hg.fd_greek(model, init, cfg, call, bump)
         fd_by_name[name] = fd
         flag = "yes" if hg.agrees(est, fd) else "NO"
@@ -75,7 +73,7 @@ def main():
     # CRN versus independent bumps for the same finite difference
     print("\ncommon random numbers vs independent draws (delta, h=1.0):")
     for crn in (True, False):
-        bump = hg.BumpSpec("s0", "central", h=1.0, crn=crn)
+        bump = hg.BumpSpec("delta", "central", h=1.0, crn=crn)
         fd = hg.fd_greek(model, init, cfg, call, bump)
         tag = "CRN" if crn else "independent"
         print(f"  {tag:<12} {fd.value:>9.4f} +- {fd.std_error:.4f}")

@@ -18,13 +18,6 @@ import time
 
 import hsv_greeks as hg
 
-FD_TARGET = {
-    "delta": "s0",
-    "rho": "rho_shift_epsilon",
-    "vega": "vega_shift_epsilon",
-}
-
-
 def main():
     print("Hybrid-model Greeks: weights versus bump-and-revalue")
     print("=" * 60)
@@ -57,9 +50,8 @@ def main():
           f"{'combined se':>12} {'agree':>6} {'fd sims':>8}")
     print("-" * 62)
     for greek, est in weighted.items():
-        target = FD_TARGET[greek]
-        bump = hg.BumpSpec(target, "central",
-                           h=hg.default_bump_size(target, init), crn=True)
+        bump = hg.BumpSpec(greek, "central",
+                           h=hg.default_bump_size(greek, init), crn=True)
         fd = hg.fd_greek(model, init, cfg, call, bump)
         comb = (est.std_error ** 2 + fd.std_error ** 2) ** 0.5
         flag = "yes" if hg.agrees(est, fd) else "NO"

@@ -1,17 +1,15 @@
 """Bump-and-revalue finite differences and the closed-form oracle.
 
-The FD estimators exist to validate the Malliavin weights, so their bump
-semantics match the perturbations those weights measure rather than
-textbook parameter bumps:
+The FD estimators exist to validate the Malliavin weights, so a bump is
+named by its Greek and moves what that Greek's weight measures, not a
+textbook parameter.  The Greek table (``greeks._GREEKS``) says what:
 
-* ``rho_shift_epsilon``  re-simulates with the stock drift shifted by eps
-  and discounts by e^{-(D + eps*T)} (parallel shift of drift and discount);
-* ``vega_shift_epsilon`` re-simulates with the S diffusion scaled to
-  sigma(V_t) + eps;
-* ``kappa_epsilon`` / ``reversion_epsilon`` shift the V / r drifts by
-  eps*kappa and eps*a (discounting along the perturbed r path for the
-  latter);
-* ``s0`` / ``v0`` / ``r0`` bump the initial state.
+* ``delta`` / ``vega_v0`` / ``rho_r0`` bump the initial s0 / v0 / r0;
+* ``rho`` re-simulates with the stock drift shifted by eps and discounts
+  by e^{-(D + eps*T)} (parallel shift of drift and discount);
+* ``vega`` re-simulates with the S diffusion scaled to sigma(V_t) + eps;
+* ``kappa`` / ``reversion`` shift the V / r drifts by eps*kappa and eps*a
+  (discounting along the perturbed r path for the latter).
 
 With ``crn=True`` every evaluation reuses the identical draws (same seed,
 path, step, driver — the engine's counter-based streams make this exact)
@@ -30,14 +28,12 @@ import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidBump, InvalidParams, UnsupportedModel
-from .greeks import _GREEKS, GreekEstimate, _finite_estimate
+from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _Bump, _finite_estimate
 from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
 __all__ = [
     "BumpSpec",
     "BsClosedForm",
-    "FD_TARGETS",
-    "FD_SCHEMES",
     "fd_greek",
     "default_bump_size",
     "check_bump_size",
@@ -47,56 +43,57 @@ __all__ = [
     "agrees",
 ]
 
-FD_TARGETS = (
-    "s0", "v0", "r0",
-    "rho_shift_epsilon", "vega_shift_epsilon", "kappa_epsilon", "reversion_epsilon",
-)
-FD_SCHEMES = ("forward", "backward", "central")
+# The initial-state values that must stay positive under a bump.
+_POSITIVE_STATE = ("s0", "v0")
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+def _bump_of(greek: str) -> _Bump:
+    """What the finite-difference form of ``greek`` moves."""
+    if greek not in _FD_GREEKS:
+        raise InvalidBump(f"greek must be one of {_FD_GREEKS}, got {greek!r}",
+                          field="greek")
+    return _GREEKS[greek].bump
+
+
 @dataclass(frozen=True)
 class BumpSpec:
-    """One finite-difference request: what to bump, how, by how much."""
+    """One finite-difference request: the Greek whose bump it is, the
+    scheme, the size, and whether its prices share their draws."""
 
-    target: str
+    greek: str
     scheme: str = "central"
     h: float = 1e-4
     crn: bool = True
 
     def __post_init__(self):
-        if self.target not in FD_TARGETS:
-            raise InvalidBump(f"target must be one of {FD_TARGETS}, got {self.target!r}")
-        if self.scheme not in FD_SCHEMES:
-            raise InvalidBump(f"scheme must be one of {FD_SCHEMES}, got {self.scheme!r}",
-                              field="scheme")
+        _bump_of(self.greek)
+        if self.scheme not in _FD_SCHEMES:
+            raise InvalidBump(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
+                              f"got {self.scheme!r}", field="scheme")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise InvalidBump(f"h must be > 0, got {self.h!r}", field="h")
 
 
-def _state_base(target: str, init: InitialState) -> float | None:
-    """The initial-state value a bump along ``target`` moves, or None when
-    ``target`` perturbs the dynamics instead of the initial state."""
-    return getattr(init, target) if target in ("s0", "v0", "r0") else None
-
-
-def default_bump_size(target: str, init: InitialState) -> float:
-    """House bump sizes: 1% relative for s0/v0, 1e-4 absolute otherwise."""
-    if target in ("s0", "v0"):
-        return 0.01 * _state_base(target, init)
+def default_bump_size(greek: str, init: InitialState) -> float:
+    """House bump sizes: 1% of s0 or v0 for a bump that moves it, 1e-4
+    absolute otherwise."""
+    state = _bump_of(greek).state
+    if state in _POSITIVE_STATE:
+        return 0.01 * getattr(init, state)
     return 1e-4
 
 
 def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
     """Refuse a bump of s0 or v0, which must stay positive, whose size is
     not below half the base value.  r0 has no sign constraint."""
-    base = _state_base(bump.target, init)
-    if bump.target in ("s0", "v0") and bump.h >= 0.5 * base:
+    state = _bump_of(bump.greek).state
+    if state in _POSITIVE_STATE and bump.h >= 0.5 * getattr(init, state):
         raise InvalidBump(
-            f"h = {bump.h!r} too large for target {bump.target!r} with base "
-            f"value {base!r} (need h < 0.5*base)", field="h")
+            f"h = {bump.h!r} too large for fd:{bump.greek}, which moves {state} = "
+            f"{getattr(init, state)!r} (need h < 0.5*{state})", field="h")
 
 
 def _discounted_samples(
@@ -104,37 +101,23 @@ def _discounted_samples(
     init: InitialState,
     cfg: SimConfig,
     payoff: Payoff,
-    target: str,
+    bump: _Bump,
     offset: float,
     stream: int,
 ) -> tuple[np.ndarray, int]:
-    """Per-path discounted payoff samples of the bumped configuration.
-
-    Returns (samples, clamp_count).  ``offset`` is the signed displacement
-    from the base configuration along ``target``.
-    """
-    perturbation = None
-    extra_discount = 0.0
-    base = _state_base(target, init)
-    if base is not None:
+    """Per-path discounted payoff samples of the configuration moved by
+    ``offset`` along ``bump``.  Returns (samples, clamp_count)."""
+    perturbation, extra_discount = None, 0.0
+    if bump.state is not None:
         try:
-            init = replace(init, **{target: base + offset})
+            init = replace(init, **{bump.state: getattr(init, bump.state) + offset})
         except InvalidParams as exc:
             raise InvalidBump(f"bumped initial state invalid: {exc}") from None
     elif offset != 0.0:
-        if target == "rho_shift_epsilon":
-            perturbation = Perturbation("stock_drift", offset)
+        scaled = offset if bump.scale is None else offset * getattr(model.hv_params, bump.scale)
+        perturbation = Perturbation(bump.shift, scaled)
+        if bump.discounts:
             extra_discount = offset * cfg.maturity
-        elif target == "vega_shift_epsilon":
-            perturbation = Perturbation("stock_vol", offset)
-        elif target == "kappa_epsilon":
-            if model.hv_params is None:
-                raise UnsupportedModel("kappa_epsilon bumps need the Heston–Vasicek instance")
-            perturbation = Perturbation("v_drift", offset * model.hv_params.kappa)
-        elif target == "reversion_epsilon":
-            if model.hv_params is None:
-                raise UnsupportedModel("reversion_epsilon bumps need the Heston–Vasicek instance")
-            perturbation = Perturbation("r_drift", offset * model.hv_params.a)
 
     paths = simulate_paths(model, init, cfg, perturbation=perturbation,
                            stream=stream, weights=False)
@@ -150,7 +133,7 @@ def fd_greek(
     payoff: Payoff,
     bump: BumpSpec,
 ) -> GreekEstimate:
-    """Bump-and-revalue sensitivity along ``bump.target``.
+    """Bump-and-revalue estimate ``fd:<greek>`` of ``bump.greek``.
 
     forward (p(x+h)-p(x))/h, backward (p(x)-p(x-h))/h,
     central (p(x+h)-p(x-h))/(2h), each price a full re-simulation of the
@@ -161,36 +144,30 @@ def fd_greek(
     InvalidParams
         If ``payoff`` is not a :class:`~hsv_greeks.models.Payoff`; refused
         before any path is simulated.
+    UnsupportedModel
+        If the bump is scaled by a Heston–Vasicek parameter (``fd:kappa``,
+        ``fd:reversion``) and ``model`` is not that instance; refused
+        before any path is simulated.
     InvalidBump
-        If the bump size violates h < 0.5*|base| for a nonzero base value,
-        or the bumped configuration is invalid.
+        If a bump of s0 or v0 is not below half its base value, or the
+        bumped configuration is invalid.
     NonFiniteEstimate
         If a sample, the value or the standard error is not finite; it
-        names the estimator as ``fd:<greek>``, the Greek whose FD target
-        ``bump.target`` is.
+        names the estimator as ``fd:<greek>``.
     """
     _require_payoff(payoff)
+    token = f"fd:{bump.greek}"
+    moves = _bump_of(bump.greek)
+    if moves.scale is not None and model.hv_params is None:
+        raise UnsupportedModel(f"{token} bumps need the Heston–Vasicek instance")
     check_bump_size(bump, init)
-    if bump.scheme == "central":
-        offsets = (bump.h, -bump.h)
-        denom = 2.0 * bump.h
-    elif bump.scheme == "forward":
-        offsets = (bump.h, 0.0)
-        denom = bump.h
-    else:
-        offsets = (0.0, -bump.h)
-        denom = bump.h
+    offsets, denom = _FD_SCHEMES[bump.scheme]
+    denom *= bump.h
 
-    clamps = 0
-    runs = []
-    for k, off in enumerate(offsets):
-        stream = 0 if bump.crn else 1 + k
-        samples, c = _discounted_samples(model, init, cfg, payoff, bump.target, off, stream)
-        runs.append(samples)
-        clamps += c
-
-    hi, lo = runs
-    token = "fd:" + next(g for g, spec in _GREEKS.items() if spec.fd_target == bump.target)
+    # CRN prices both on stream 0, independent ones on streams 1 and 2.
+    (hi, hi_clamps), (lo, lo_clamps) = (
+        _discounted_samples(model, init, cfg, payoff, moves, off * bump.h, 0 if bump.crn else 1 + k)
+        for k, off in enumerate(offsets))
     samples = ((hi - lo) / denom,) if bump.crn else (hi, lo)
 
     def estimate() -> tuple[float, float]:
@@ -205,7 +182,7 @@ def fd_greek(
         std_error=se,
         n_paths=cfg.n_paths,
         estimator=f"fd_{bump.scheme}",
-        clamp_count=clamps,
+        clamp_count=hi_clamps + lo_clamps,
     )
 
 

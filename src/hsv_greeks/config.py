@@ -28,7 +28,7 @@ from .models import (
     heston_vasicek_model,
 )
 from .engine import SimConfig
-from .greeks import _GREEKS
+from .greeks import _FD_GREEKS, _GREEKS
 
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
@@ -161,7 +161,7 @@ _SCHEMAS = {
 }
 
 # bump.<greek>.<field> -> parser.  A missing scheme or crn takes the
-# BumpSpec default, a missing h the house size for the greek's target.
+# BumpSpec default, a missing h the house size for the greek.
 _BUMP_PARSERS = {"scheme": _text, "h": _number, "crn": _switch}
 
 
@@ -266,10 +266,9 @@ def _split_bump_key(key: str) -> tuple[str, str]:
     parts = key.split(".")
     if len(parts) != 3 or parts[2] not in _BUMP_PARSERS:
         raise InvalidConfig(key, "expected bump.<greek>.scheme|h|crn")
-    if parts[1] not in _GREEKS or _GREEKS[parts[1]].fd_target is None:
-        fd_greeks = tuple(g for g, spec in _GREEKS.items() if spec.fd_target)
+    if parts[1] not in _FD_GREEKS:
         raise InvalidConfig(key, f"no finite-difference form for greek {parts[1]!r}; "
-                            f"expected one of {fd_greeks}")
+                            f"expected one of {_FD_GREEKS}")
     return parts[1], parts[2]
 
 
@@ -307,8 +306,7 @@ def build_run_config(overrides=None) -> RunConfig:
                 condition=values["model.positivity"],
                 enforce=values["model.enforce_positivity"])
         else:
-            bs = _build(BlackScholesParams, "model", values, rate="init.r0")
-            model = black_scholes_degenerate(bs.sigma, bs.rate)
+            model = black_scholes_degenerate(_build(BlackScholesParams, "model", values).sigma)
     except InvalidParams as exc:  # conditions that join several keys
         raise InvalidConfig("model", str(exc)) from exc
     init = _build(InitialState, "init", values)
@@ -330,8 +328,8 @@ def build_run_config(overrides=None) -> RunConfig:
         if spec.hybrid_only and model.degenerate:
             problem = ("needs stochastic variance/rate dynamics; the "
                        "constant-coefficient model has none")
-        elif method == "fd" and spec.fd_target is None:
-            problem = f"is not a finite-difference target; use 'malliavin:{greek}'"
+        elif method == "fd" and spec.bump is None:
+            problem = f"has no finite-difference form; use 'malliavin:{greek}'"
         elif method == "analytic" and not model.degenerate:
             problem = "has a closed form only for the constant-coefficient model"
         elif method == "analytic" and payoff.kind not in spec.closed_form:
@@ -344,14 +342,15 @@ def build_run_config(overrides=None) -> RunConfig:
     bumps: dict[str, BumpSpec] = {}
     fd_greeks = [g for m, g in estimators if m == "fd"]
     for greek in dict.fromkeys(fd_greeks + sorted(bumped)):
-        section, target = f"bump.{greek}", _GREEKS[greek].fd_target
-        values.setdefault(f"{section}.h", default_bump_size(target, init))
-        bumps[greek] = _build(BumpSpec, section,
-                              {**values, f"{section}.target": target})
+        section = f"bump.{greek}"
+        values.setdefault(f"{section}.h", default_bump_size(greek, init))
         try:
+            bumps[greek] = BumpSpec(greek, **{
+                field: values[key] for field in _BUMP_PARSERS
+                if (key := f"{section}.{field}") in values})
             check_bump_size(bumps[greek], init)
         except InvalidParams as exc:
-            raise InvalidConfig(f"{section}.h", str(exc)) from exc
+            raise InvalidConfig(f"{section}.{exc.field}", str(exc)) from exc
 
     entries = {key: _canonical(values[key]) for key in schema}
     for greek in (g for g in _GREEKS if g in bumps):

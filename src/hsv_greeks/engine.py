@@ -99,7 +99,7 @@ from .errors import (
     InvalidParams,
     NumericalBlowup,
 )
-from .models import InitialState, ModelSpec
+from .models import InitialState, ModelSpec, _inverse_loadings
 
 __all__ = [
     "SimConfig",
@@ -436,9 +436,8 @@ def _run_block(
     m1, m2, m3 = mu.mu1, mu.mu2, mu.mu3
     # Column coefficients of (a^{-1} Y)^T against (dW^1, dW^2, dW^3); t below
     # stands for y1j/(S*sigma), q for y22/v, w for y33/g.
-    cA = -r12 / m1
+    cA, cC = _inverse_loadings(model)
     cB = 1.0 / m1
-    cC = (r12 * m2 - r13 * m1) / (m1 * m3)
     cD = -m2 / (m1 * m3)
     cE = 1.0 / m3
 

@@ -43,7 +43,7 @@ from .errors import (
     NonFiniteEstimate,
     UnsupportedModel,
 )
-from .models import Payoff, evaluate_payoff
+from .models import Payoff, _inverse_loadings, evaluate_payoff
 
 __all__ = [
     "GreekEstimate",
@@ -56,7 +56,13 @@ __all__ = [
     "GAMMA_KINDS",
 ]
 
-ESTIMATOR_LABELS = ("malliavin", "fd_forward", "fd_backward", "fd_central", "analytic")
+# Finite-difference scheme -> (its two prices' offsets, its denominator), in h.
+_FD_SCHEMES = {
+    "forward": ((1.0, 0.0), 1.0),
+    "backward": ((0.0, -1.0), 1.0),
+    "central": ((1.0, -1.0), 2.0),
+}
+ESTIMATOR_LABELS = ("malliavin", *(f"fd_{scheme}" for scheme in _FD_SCHEMES), "analytic")
 GAMMA_KINDS = ("stock_shift", "kappa", "reversion_speed")
 
 # Fraction of clamped integrand evaluations above which estimates are flagged.
@@ -114,10 +120,7 @@ def _discount(paths: PathAccumulators) -> np.ndarray:
 
 def _combination(paths: PathAccumulators) -> np.ndarray:
     """The weight combination C built from I1..I3 and the mixing loadings."""
-    rho_c = paths.model.correlations
-    mu = paths.model.mixing
-    c2 = -rho_c.rho12 / mu.mu1
-    c3 = (rho_c.rho12 * mu.mu2 - rho_c.rho13 * mu.mu1) / (mu.mu1 * mu.mu3)
+    c2, c3 = _inverse_loadings(paths.model)
     return _factor(paths, "C", lambda p: p.I1 + c2 * p.I2 + c3 * p.I3)
 
 
@@ -141,6 +144,19 @@ def _reversion_samples(p: PathAccumulators, phi) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Bump:
+    """What the finite-difference form of a Greek moves by an offset: the
+    InitialState field ``state``, or else the engine Perturbation ``shift``
+    times the Heston–Vasicek parameter ``scale``, if any.  A ``discounts``
+    bump also discounts its price by e^{-offset*T}."""
+
+    state: str | None = None
+    shift: str | None = None
+    scale: str | None = None
+    discounts: bool = False
+
+
+@dataclass(frozen=True)
 class _Greek:
     """What the package knows about one Greek token."""
 
@@ -151,7 +167,7 @@ class _Greek:
     weighted: bool = True         # reads weight integrals, not S_T and D only
     drift_extras: bool = False    # needs the drift integrals J2, J3, G3
     hybrid_only: bool = False     # refused on the constant-coefficient model
-    fd_target: str | None = None  # bump target of the finite-difference form
+    bump: _Bump | None = None     # what the finite-difference form moves
     # payoff kind -> the BsClosedForm field that holds the closed form
     closed_form: dict[str, str] = field(default_factory=dict)
 
@@ -166,34 +182,35 @@ _GREEKS = {
     "delta": _Greek(
         lambda p, phi: phi * _factor(
             p, "delta", lambda p: _discount(p) * _combination(p) / (p.s0 * p.maturity)),
-        fd_target="s0",
+        bump=_Bump(state="s0"),
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
         lambda p, phi: phi * _factor(p, "rho", lambda p: _discount(p) * (
             _combination(p) - p.maturity * p.maturity) / p.maturity),
-        fd_target="rho_shift_epsilon",
+        bump=_Bump(shift="stock_drift", discounts=True),
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
         lambda p, phi: phi * _factor(
             p, "vega",
             lambda p: (_discount(p) / p.maturity) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
-        fd_target="vega_shift_epsilon",
+        bump=_Bump(shift="stock_vol"),
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P2 / p.maturity,
-        hybrid_only=True, fd_target="v0"),
+        hybrid_only=True, bump=_Bump(state="v0")),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
-        hybrid_only=True, fd_target="r0"),
+        hybrid_only=True, bump=_Bump(state="r0")),
     "kappa": _Greek(_kappa_samples, drift_extras=True, hybrid_only=True,
-                    fd_target="kappa_epsilon"),
+                    bump=_Bump(shift="v_drift", scale="kappa")),
     "reversion": _Greek(_reversion_samples, drift_extras=True, hybrid_only=True,
-                        fd_target="reversion_epsilon"),
+                        bump=_Bump(shift="r_drift", scale="a")),
 }
+_FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump is not None)
 
 
 def _check_paths(greek: str, paths: PathAccumulators) -> None:

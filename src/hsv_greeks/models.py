@@ -134,6 +134,14 @@ def mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
     return MixingCoefficients(mu1, mu2, mu3)
 
 
+def _inverse_loadings(model: ModelSpec) -> tuple[float, float]:
+    """Entries (2, 1) and (3, 1) of the inverse of the loading matrix with
+    rows (1, 0, 0), (rho12, mu1, 0), (rho13, mu2, mu3), as C, P2 and P3 read them."""
+    rho, mu = model.correlations, model.mixing
+    return (-rho.rho12 / mu.mu1,
+            (rho.rho12 * mu.mu2 - rho.rho13 * mu.mu1) / (mu.mu1 * mu.mu3))
+
+
 @dataclass(frozen=True)
 class HestonVasicekParams:
     """Parameters of the Heston variance / Vasicek rate instance.
@@ -160,16 +168,13 @@ class HestonVasicekParams:
 
 @dataclass(frozen=True)
 class BlackScholesParams:
-    """Constant volatility / constant rate parameters of the degenerate model."""
+    """Constant volatility of the degenerate model, whose rate is init r0."""
 
     sigma: float
-    rate: float
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise InvalidParams(f"sigma must be > 0, got {self.sigma!r}", field="sigma")
-        if not math.isfinite(self.rate):
-            raise InvalidParams(f"rate must be finite, got {self.rate!r}", field="rate")
 
 
 @dataclass(frozen=True)
@@ -337,16 +342,16 @@ def heston_vasicek_model(
     return model
 
 
-def black_scholes_degenerate(sigma: float, rate: float) -> ModelSpec:
+def black_scholes_degenerate(sigma: float) -> ModelSpec:
     """Build the constant-volatility, constant-rate degenerate instance.
 
     All variance and rate dynamics are switched off (u = v = f = g = 0), so
     S follows geometric Brownian motion with volatility ``sigma`` and the
-    short rate stays at ``rate``.  The diffusion matrix is singular in the
-    V and r directions; weights that divide by v(V_t) or g(r_t) are refused
-    downstream via the degeneracy flag.
+    short rate stays at the initial state's ``r0``.  The diffusion matrix is
+    singular in the V and r directions; weights that divide by v(V_t) or
+    g(r_t) are refused downstream via the degeneracy flag.
     """
-    bs = BlackScholesParams(sigma, rate)
+    bs = BlackScholesParams(sigma)
     correlations = CorrelationTriple(0.0, 0.0, 0.0)
     mixing = mixing_from_correlations(correlations)
 

@@ -54,7 +54,7 @@ def cli_env():
 
 @pytest.fixture(scope="session")
 def deg_model():
-    return hg.black_scholes_degenerate(0.2, 0.05)
+    return hg.black_scholes_degenerate(0.2)
 
 
 @pytest.fixture(scope="session")

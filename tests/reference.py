@@ -10,8 +10,12 @@ engine's terminal accumulators against it.
 :func:`draws_array` gathers the runs of ``standard_draws`` into one array,
 and :func:`fsum_mean_se` is the mean and standard error from
 :func:`math.fsum`, which the exactly rounded reductions must give to the bit.
+:func:`fd_reference` restates each finite-difference Greek as its own
+bumped state or engine perturbation, which ``fd_greek`` reads from the
+Greek table.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -111,3 +115,42 @@ def fsum_mean_se(x):
     with np.errstate(over="ignore"):
         squares = (x - mean) ** 2
     return mean, math.sqrt(math.fsum(squares.tolist()) / (x.size - 1) / x.size)
+
+
+def fd_reference(model, init, cfg, payoff, greek, scheme, h, crn):
+    """(value, std_error, clamp_count) of the ``scheme`` finite difference
+    of ``greek`` with bump size ``h``: two state-only prices on stream 0
+    (``crn``) or streams 1 and 2, at a bumped initial state or under an
+    engine perturbation, reduced by :func:`fsum_mean_se`."""
+    offsets, denom = {"forward": ((h, 0.0), h), "backward": ((0.0, -h), h),
+                      "central": ((h, -h), 2.0 * h)}[scheme]
+    prices, clamps = [], 0
+    for k, offset in enumerate(offsets):
+        state, perturbation, extra_discount = init, None, 0.0
+        if greek == "delta":
+            state = dataclasses.replace(init, s0=init.s0 + offset)
+        elif greek == "vega_v0":
+            state = dataclasses.replace(init, v0=init.v0 + offset)
+        elif greek == "rho_r0":
+            state = dataclasses.replace(init, r0=init.r0 + offset)
+        elif offset != 0.0:
+            if greek == "rho":
+                perturbation = hg.Perturbation("stock_drift", offset)
+                extra_discount = offset * cfg.maturity
+            elif greek == "vega":
+                perturbation = hg.Perturbation("stock_vol", offset)
+            elif greek == "kappa":
+                perturbation = hg.Perturbation("v_drift", offset * model.hv_params.kappa)
+            elif greek == "reversion":
+                perturbation = hg.Perturbation("r_drift", offset * model.hv_params.a)
+        paths = hg.simulate_paths(model, state, cfg, perturbation=perturbation,
+                                  stream=0 if crn else 1 + k, weights=False)
+        prices.append(np.exp(-paths.D - extra_discount)
+                      * hg.evaluate_payoff(payoff, paths.s_T))
+        clamps += paths.clamp_count
+    hi, lo = prices
+    if crn:
+        return (*fsum_mean_se((hi - lo) / denom), clamps)
+    (m_hi, se_hi), (m_lo, se_lo) = fsum_mean_se(hi), fsum_mean_se(lo)
+    return ((m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom,
+            clamps)

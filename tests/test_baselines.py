@@ -10,6 +10,9 @@ from scipy.integrate import quad
 import hsv_greeks as hg
 from hsv_greeks.baselines import norm_cdf
 from conftest import BS_DELTA, BS_PRICE, BS_RHO, BS_VEGA
+from reference import fd_reference
+
+FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 
 
 # ---------------------------------------------------------------------------
@@ -17,26 +20,34 @@ from conftest import BS_DELTA, BS_PRICE, BS_RHO, BS_VEGA
 
 def test_bump_spec_validation():
     with pytest.raises(hg.InvalidBump):
-        hg.BumpSpec("spot")  # not a recognised target
+        hg.BumpSpec("spot")  # not a Greek token
     with pytest.raises(hg.InvalidBump):
-        hg.BumpSpec("s0", scheme="centered")
+        hg.BumpSpec("delta", scheme="centered")
     with pytest.raises(hg.InvalidBump):
-        hg.BumpSpec("s0", h=0.0)
+        hg.BumpSpec("delta", h=0.0)
     with pytest.raises(hg.InvalidBump):
-        hg.BumpSpec("s0", h=-1.0)
+        hg.BumpSpec("delta", h=-1.0)
+
+
+@pytest.mark.parametrize("spelling", ["s0", "rho_shift_epsilon"])
+def test_bumps_are_named_by_greek_only(spelling):
+    """The bump targets that once named these bumps are refused, and the
+    refusal lists the Greek tokens."""
+    with pytest.raises(hg.InvalidBump) as err:
+        hg.BumpSpec(spelling)
+    assert str(FD_GREEKS) in str(err.value)
 
 
 def test_default_bump_sizes(hv_init):
-    assert hg.default_bump_size("s0", hv_init) == 0.01 * hv_init.s0
-    assert hg.default_bump_size("v0", hv_init) == 0.01 * hv_init.v0
-    for target in ("r0", "rho_shift_epsilon", "vega_shift_epsilon",
-                   "kappa_epsilon", "reversion_epsilon"):
-        assert hg.default_bump_size(target, hv_init) == 1e-4
+    assert hg.default_bump_size("delta", hv_init) == 0.01 * hv_init.s0
+    assert hg.default_bump_size("vega_v0", hv_init) == 0.01 * hv_init.v0
+    for greek in ("rho_r0", "rho", "vega", "kappa", "reversion"):
+        assert hg.default_bump_size(greek, hv_init) == 1e-4
 
 
 def test_relative_bump_cap(hv_model, hv_init, call_100):
     cfg = hg.SimConfig(n_paths=16, n_steps=4, maturity=1.0, seed=0)
-    big = hg.BumpSpec("v0", h=0.03)  # 75% of v0=0.04
+    big = hg.BumpSpec("vega_v0", h=0.03)  # 75% of v0=0.04
     with pytest.raises(hg.InvalidBump):
         hg.fd_greek(hv_model, hv_init, cfg, call_100, big)
 
@@ -45,7 +56,7 @@ def test_r0_bump_size_is_not_capped(hv_model, hv_init, call_100):
     """r0 has no sign to protect: h may exceed half of |r0|."""
     init = dataclasses.replace(hv_init, r0=-0.02)
     cfg = hg.SimConfig(n_paths=16, n_steps=4, maturity=1.0, seed=0)
-    est = hg.fd_greek(hv_model, init, cfg, call_100, hg.BumpSpec("r0", h=0.01))
+    est = hg.fd_greek(hv_model, init, cfg, call_100, hg.BumpSpec("rho_r0", h=0.01))
     assert math.isfinite(est.value)
 
 
@@ -119,7 +130,7 @@ def test_normal_cdf_accuracy():
 def test_fd_delta_matches_closed_form(deg_model, deg_init, call_100):
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=41)
     est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                      hg.BumpSpec("s0", "central", h=1.0, crn=True))
+                      hg.BumpSpec("delta", "central", h=1.0, crn=True))
     assert est.estimator == "fd_central"
     assert abs(est.value - BS_DELTA) <= 3 * est.std_error
 
@@ -129,11 +140,9 @@ def test_fd_shift_targets_match_closed_forms(deg_model, deg_init, call_100):
     the diffusion-row shift is a sigma bump, so both have closed forms."""
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=43)
     rho_est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("rho_shift_epsilon", "central",
-                                      h=1e-4, crn=True))
+                          hg.BumpSpec("rho", "central", h=1e-4, crn=True))
     vega_est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                           hg.BumpSpec("vega_shift_epsilon", "central",
-                                       h=1e-4, crn=True))
+                           hg.BumpSpec("vega", "central", h=1e-4, crn=True))
     assert abs(rho_est.value - BS_RHO) <= 3 * rho_est.std_error
     assert abs(vega_est.value - BS_VEGA) <= 3 * vega_est.std_error
 
@@ -141,9 +150,9 @@ def test_fd_shift_targets_match_closed_forms(deg_model, deg_init, call_100):
 def test_crn_reduces_standard_error(hv_model, hv_init, call_100):
     cfg = hg.SimConfig(n_paths=10_000, n_steps=64, maturity=1.0, seed=47)
     crn = hg.fd_greek(hv_model, hv_init, cfg, call_100,
-                      hg.BumpSpec("s0", "central", h=1.0, crn=True))
+                      hg.BumpSpec("delta", "central", h=1.0, crn=True))
     indep = hg.fd_greek(hv_model, hv_init, cfg, call_100,
-                        hg.BumpSpec("s0", "central", h=1.0, crn=False))
+                        hg.BumpSpec("delta", "central", h=1.0, crn=False))
     assert crn.std_error < indep.std_error
 
 
@@ -151,9 +160,9 @@ def test_scheme_ordering_on_degenerate_delta(deg_model, deg_init, call_100):
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=53)
     h = 0.01 * deg_init.s0
     central = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("s0", "central", h=h, crn=True))
+                          hg.BumpSpec("delta", "central", h=h, crn=True))
     forward = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("s0", "forward", h=h, crn=True))
+                          hg.BumpSpec("delta", "forward", h=h, crn=True))
     combined = math.hypot(central.std_error, forward.std_error)
     assert abs(central.value - BS_DELTA) <= \
         abs(forward.value - BS_DELTA) + 3 * combined
@@ -166,16 +175,16 @@ def test_fd_agrees_with_weighted_estimator_on_same_draws(
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=59)
     paths = hg.simulate_paths(deg_model, deg_init, cfg)
     mw = {
-        "s0": hg.delta(paths, call_100, deg_init.s0),
-        "rho_shift_epsilon": hg.rho(paths, call_100, cfg.maturity),
-        "vega_shift_epsilon": hg.vega(paths, call_100, cfg.maturity),
+        "delta": hg.delta(paths, call_100, deg_init.s0),
+        "rho": hg.rho(paths, call_100, cfg.maturity),
+        "vega": hg.vega(paths, call_100, cfg.maturity),
     }
-    for target, weighted in mw.items():
+    for greek, weighted in mw.items():
         fd = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                         hg.BumpSpec(target, "central",
-                                     h=hg.default_bump_size(target, deg_init),
+                         hg.BumpSpec(greek, "central",
+                                     h=hg.default_bump_size(greek, deg_init),
                                      crn=True))
-        assert hg.agrees(weighted, fd), target
+        assert hg.agrees(weighted, fd), greek
 
 
 def test_fd_prices_do_not_read_the_first_variations(hv_model, hv_init, call_100):
@@ -184,11 +193,51 @@ def test_fd_prices_do_not_read_the_first_variations(hv_model, hv_init, call_100)
     wild = dataclasses.replace(
         hv_model, sigma_prime=lambda V: np.full_like(V, 1e308))
     cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=61)
-    for target in ("s0", "vega_shift_epsilon", "kappa_epsilon"):
-        bump = hg.BumpSpec(target, h=hg.default_bump_size(target, hv_init))
+    for greek in ("delta", "vega", "kappa"):
+        bump = hg.BumpSpec(greek, h=hg.default_bump_size(greek, hv_init))
         with np.errstate(over="ignore", invalid="ignore"):
             fd = hg.fd_greek(wild, hv_init, cfg, call_100, bump)
-        assert fd == hg.fd_greek(hv_model, hv_init, cfg, call_100, bump), target
+        assert fd == hg.fd_greek(hv_model, hv_init, cfg, call_100, bump), greek
+
+
+@pytest.mark.parametrize("crn", [True, False], ids=["crn", "independent"])
+@pytest.mark.parametrize("scheme", ["forward", "backward", "central"])
+@pytest.mark.parametrize("model_name,greek", [
+    *(("hybrid", g) for g in FD_GREEKS),
+    *(("black_scholes", g) for g in ("delta", "rho", "vega")),
+])
+def test_fd_greek_matches_the_reference_bumps(model_name, greek, scheme, crn,
+                                              hv_model, hv_init, deg_model,
+                                              deg_init, call_100):
+    """What the Greek table says a bump moves gives, bit for bit, the
+    estimate of the bumped state or perturbation restated in the test."""
+    model, init = ((hv_model, hv_init) if model_name == "hybrid"
+                   else (deg_model, deg_init))
+    cfg = hg.SimConfig(n_paths=200, n_steps=8, maturity=1.0, seed=67)
+    h = hg.default_bump_size(greek, init)
+    est = hg.fd_greek(model, init, cfg, call_100,
+                      hg.BumpSpec(greek, scheme, h=h, crn=crn))
+    assert est.estimator == f"fd_{scheme}"
+    assert (est.value, est.std_error, est.clamp_count) == fd_reference(
+        model, init, cfg, call_100, greek, scheme, h, crn)
+
+
+@pytest.mark.parametrize("scheme", ["forward", "backward", "central"])
+@pytest.mark.parametrize("greek", ["kappa", "reversion"])
+def test_unsupported_fd_bumps_are_refused_before_any_draw(
+        greek, scheme, deg_model, deg_init, call_100, monkeypatch):
+    """A bump scaled by a Heston–Vasicek parameter is refused on another
+    model before the first block is drawn: the backward scheme once drew
+    its base price first."""
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=0)
+    with pytest.raises(hg.UnsupportedModel, match=f"fd:{greek}"):
+        hg.fd_greek(deg_model, deg_init, cfg, call_100,
+                    hg.BumpSpec(greek, scheme))
+    assert calls == []
 
 
 def test_agrees_helper():

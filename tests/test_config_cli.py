@@ -97,6 +97,7 @@ def test_drift_extras_requested_only_when_needed():
     ({"sim.workers": "0"}, "sim.workers"),
     ({"sim.n_paths": "1"}, "sim.n_paths"),
     ({"model.name": "black_scholes", "model.sigma": "-1"}, "model.sigma"),
+    ({"model.name": "black_scholes", "init.r0": "inf"}, "init.r0"),
 ])
 def test_invalid_entries_name_the_key(overrides, key):
     with pytest.raises(hg.InvalidConfig) as err:
@@ -110,7 +111,7 @@ def test_invalid_entries_name_the_key(overrides, key):
     "mw:delta",                 # unknown method
     "malliavin:gamma",          # unknown greek
     "malliavin",                # missing colon
-    "fd:price",                 # price has no bump target
+    "fd:price",                 # price has no finite-difference form
     "analytic:delta",           # closed form needs the degenerate model
     "malliavin:delta,malliavin:delta",
 ])
@@ -149,10 +150,10 @@ def test_bump_entries_resolve_into_specs():
         "bump.delta.scheme": "forward",
         "bump.vega.crn": "off",
     })
-    assert rc.bumps["delta"].target == "s0"
+    assert rc.bumps["delta"].greek == "delta"
     assert rc.bumps["delta"].scheme == "forward"
     assert rc.bumps["delta"].h == 0.5
-    assert rc.bumps["vega"].target == "vega_shift_epsilon"
+    assert rc.bumps["vega"].greek == "vega"
     assert rc.bumps["vega"].crn is False
     assert rc.bumps["vega"].h == 1e-4  # default size
 

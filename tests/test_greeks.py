@@ -177,18 +177,18 @@ def test_estimators_are_linear_in_the_payoff(hv_paths_10k):
 # ---------------------------------------------------------------------------
 # hybrid-model agreement with finite differences (common random numbers)
 
-def _crn_fd(hv_model, hv_init, cfg, payoff, target, h=None):
-    spec = hg.BumpSpec(target, scheme="central",
+def _crn_fd(hv_model, hv_init, cfg, payoff, greek, h=None):
+    spec = hg.BumpSpec(greek, scheme="central",
                        h=h if h is not None else
-                       hg.default_bump_size(target, hv_init), crn=True)
+                       hg.default_bump_size(greek, hv_init), crn=True)
     return hg.fd_greek(hv_model, hv_init, cfg, payoff, spec)
 
 
 def test_vega_v0_and_rho_r0_agree_with_fd(hv_model, hv_init, hv_cfg_10k,
                                           hv_paths_10k, call_100):
     _, vega_v0, rho_r0 = hg.bismut_vector(hv_paths_10k, call_100)
-    fd_v0 = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "v0")
-    fd_r0 = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "r0")
+    fd_v0 = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "vega_v0")
+    fd_r0 = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "rho_r0")
     assert hg.agrees(vega_v0, fd_v0)
     assert hg.agrees(rho_r0, fd_r0)
 
@@ -197,10 +197,8 @@ def test_kappa_and_reversion_agree_with_fd(hv_model, hv_init, hv_cfg_10k,
                                            hv_paths_10k, call_100):
     mw_kappa = hg.drift_sensitivity(hv_paths_10k, call_100, "kappa")
     mw_rev = hg.drift_sensitivity(hv_paths_10k, call_100, "reversion_speed")
-    fd_kappa = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100,
-                       "kappa_epsilon")
-    fd_rev = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100,
-                     "reversion_epsilon")
+    fd_kappa = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "kappa")
+    fd_rev = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "reversion")
     assert hg.agrees(mw_kappa, fd_kappa)
     assert hg.agrees(mw_rev, fd_rev)
 
@@ -292,7 +290,7 @@ def test_empty_input_is_rejected(hv_paths_10k, call_100):
 def test_clamp_warning_when_floor_dominates(deg_init, call_100):
     """A sigma floor above the actual volatility trips on every evaluation;
     the estimate comes back flagged rather than silently biased."""
-    model = hg.black_scholes_degenerate(0.2, 0.05)
+    model = hg.black_scholes_degenerate(0.2)
     cfg = hg.SimConfig(n_paths=200, n_steps=16, maturity=1.0, seed=2,
                        sigma_floor=0.5)
     paths = hg.simulate_paths(model, deg_init, cfg)
@@ -389,7 +387,7 @@ def test_per_path_payoff_arrays_are_refused(hv_model, hv_init, monkeypatch):
     call = hg.Payoff("call", strike=100.0)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
     phi = hg.evaluate_payoff(call, paths.s_T)
-    bump = hg.BumpSpec("s0", h=1.0)
+    bump = hg.BumpSpec("delta", h=1.0)
     calls = []
     draws = hg.engine.standard_draws
     monkeypatch.setattr(hg.engine, "standard_draws",

@@ -1,5 +1,6 @@
 """Model construction, correlation mixing, payoffs, and validation probes."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -164,7 +165,15 @@ def test_degenerate_model_flags(deg_model):
 
 def test_degenerate_model_rejects_bad_sigma():
     with pytest.raises(hg.InvalidParams):
-        hg.black_scholes_degenerate(0.0, 0.05)
+        hg.black_scholes_degenerate(0.0)
+
+
+def test_degenerate_model_rate_is_the_initial_r0():
+    """The constant-coefficient model has no rate of its own to disagree
+    with the initial state's r0, which the engine steps at."""
+    assert [f.name for f in dataclasses.fields(hg.BlackScholesParams)] == ["sigma"]
+    with pytest.raises(TypeError):
+        hg.black_scholes_degenerate(0.2, 0.05)
 
 
 # ---------------------------------------------------------------------------
