@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
-from .errors import InvalidBump, InvalidParams, UnsupportedModel
+from .errors import DegenerateModel, InvalidBump, InvalidParams, UnsupportedModel
 from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _Bump, _finite_estimate
 from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
@@ -148,6 +148,9 @@ def fd_greek(
         If the bump is scaled by a Heston–Vasicek parameter (``fd:kappa``,
         ``fd:reversion``) and ``model`` is not that instance; refused
         before any path is simulated.
+    DegenerateModel
+        If ``model`` is degenerate and the Greek is ``vega_v0`` or
+        ``rho_r0``; refused before any path is simulated.
     InvalidBump
         If a bump of s0 or v0 is not below half its base value, or the
         bumped configuration is invalid.
@@ -160,6 +163,9 @@ def fd_greek(
     moves = _bump_of(bump.greek)
     if moves.scale is not None and model.hv_params is None:
         raise UnsupportedModel(f"{token} bumps need the Heston–Vasicek instance")
+    if _GREEKS[bump.greek].hybrid_only and model.degenerate:
+        raise DegenerateModel(f"{token} needs stochastic variance and rate dynamics; "
+                              "the constant-coefficient model has none")
     check_bump_size(bump, init)
     offsets, denom = _FD_SCHEMES[bump.scheme]
     denom *= bump.h

@@ -25,24 +25,11 @@ import time
 from dataclasses import replace
 
 from .baselines import agrees, bs_closed_form, fd_greek
-from .config import (
-    RunConfig,
-    build_run_config,
-    effective_config_text,
-    load_config_file,
-)
+from .config import RunConfig, build_run_config, effective_config_text, load_config_file
 from .engine import simulate_paths
 from .errors import HsvGreeksError, InvalidConfig, NonFiniteEstimate, NumericalBlowup
-from .greeks import (
-    _GREEKS,
-    GreekEstimate,
-    bismut_vector,
-    delta,
-    drift_sensitivity,
-    price,
-    rho,
-    vega,
-)
+from .greeks import (_GREEKS, GreekEstimate, bismut_vector, delta, drift_sensitivity, price,
+                     rho, vega)
 
 CSV_HEADER = ("estimator,greek,n_paths,n_steps,seed,value,"
               "std_error,clamp_count,wall_time_ms")
@@ -57,13 +44,18 @@ def _fmt(x: float) -> str:
 
 
 class _SizeRun:
-    """Shared state for one sample size: the weighted estimators all reuse a
-    single simulation, triggered lazily so timing can attribute it to the
-    first row that needs it."""
+    """Shared state for one sample size: the weighted estimators of
+    ``tokens`` reuse one simulation of the fields they read, triggered
+    lazily so timing can attribute it to the first row that needs it."""
 
-    def __init__(self, config: RunConfig, n_paths: int):
+    def __init__(self, config: RunConfig, n_paths: int, tokens):
         self.config = config
         self.sim = replace(config.sim, n_paths=n_paths)
+        # bismut_vector, which gives vega_v0 and rho_r0, estimates delta too.
+        greeks = {g for m, g in tokens if m == "malliavin"}
+        if greeks & {"vega_v0", "rho_r0"}:
+            greeks.add("delta")
+        self.reads = {name for g in greeks for name in _GREEKS[g].reads}
         self._acc = None
         self._bismut = None
         self.sims_run = 0
@@ -71,8 +63,7 @@ class _SizeRun:
     def accumulators(self):
         if self._acc is None:
             self._acc = simulate_paths(self.config.model, self.config.init,
-                                       self.sim,
-                                       drift_extras=self.config.wants_drift_extras)
+                                       self.sim, weights=self.reads)
             self.sims_run += 1
         return self._acc
 
@@ -124,7 +115,7 @@ class _SizeRun:
 
 
 def _rows_for_size(config: RunConfig, n_paths: int, tokens) -> list[dict]:
-    run = _SizeRun(config, n_paths)
+    run = _SizeRun(config, n_paths, tokens)
     clock = config.timing == "clock"
     rows = []
     for method, greek in tokens:

@@ -27,7 +27,7 @@ from .models import (
     black_scholes_degenerate,
     heston_vasicek_model,
 )
-from .engine import SimConfig
+from .engine import _FIELD_GROUPS, SimConfig
 from .greeks import _FD_GREEKS, _GREEKS
 
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
@@ -201,9 +201,9 @@ class RunConfig:
 
     @property
     def wants_drift_extras(self) -> bool:
-        """True when any requested Malliavin Greek needs the drift-derivative
-        accumulators (kappa / reversion-speed sensitivities)."""
-        return any(m == "malliavin" and _GREEKS[g].drift_extras
+        """True when any requested Malliavin Greek reads a drift integral
+        (kappa / reversion-speed sensitivities)."""
+        return any(m == "malliavin" and set(_GREEKS[g].reads) & set(_FIELD_GROUPS["drift"])
                    for m, g in self.estimators)
 
 

@@ -8,10 +8,12 @@ Simulates
 
 on a uniform grid together with the first-variation entries
 Y^12, Y^13, Y^22, Y^33 (Y^11 is S_t/S_0, see below), accumulating per path
-every integral the Malliavin-weight estimators consume.  A bump-and-revalue
-price reads only S_T and the discount integral D, so a state-only run
-(``simulate_paths(..., weights=False)``) steps S, V and r and accumulates D
-alone: same draws, same clamp counts and the same S_T/D bits as the full run.
+the integrals the Malliavin-weight estimators read.  A run computes only the
+groups of weight fields it is asked for (``simulate_paths(..., weights=)``):
+the weight integrals, the Bismut group (P2, P3 and the first variations) or
+the drift integrals; a bump-and-revalue price reads S_T and the discount
+integral D alone (``weights=False``).  Every run has the same draws and clamp
+counts, and each field it computes the same bits, as the full run.
 
 Scheme choices
 --------------
@@ -43,9 +45,7 @@ therefore independent of block sizes, worker counts, and execution order,
 and bumped re-simulations with the same seed reuse identical draws (exact
 common random numbers).  Each (step, driver) row of a block is one
 segment's row, drawn by one call straight into the row the step loop
-reads, so no block of draws need be held.  The CLI bytes changed twice:
-when this layout replaced a path-major one, and when the ziggurat
-replaced the inverse normal CDF of the uniforms.
+reads, so no block of draws need be held.
 
 Threads
 -------
@@ -87,18 +87,12 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import count
 from threading import Event, Semaphore, Thread
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import (
-    DegenerateModel,
-    EmptyInput,
-    InvalidConfig,
-    InvalidParams,
-    NumericalBlowup,
-)
+from .errors import DegenerateModel, EmptyInput, InvalidConfig, InvalidParams, NumericalBlowup
 from .models import InitialState, ModelSpec, _inverse_loadings
 
 __all__ = [
@@ -140,6 +134,13 @@ _RING_BYTES = 16 * 2**20
 _EXACT_SUM_MAX_N = 2**26
 _EXACT_SUM_MAX_TOTAL = 2.0**1000
 _MIN_SIGMA_EXP = -1021
+# The weight fields of PathAccumulators, by the group that computes them
+# together.
+_FIELD_GROUPS = {
+    "sums": ("I1", "I2", "I3", "A", "Q", "w1_T"),
+    "bismut": ("P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"),
+    "drift": ("j2", "j3", "g3"),
+}
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,13 @@ class PathAccumulators:
     with the run they came from.
 
     One entry per path in every array; :func:`simulate_paths` returns the
-    arrays read-only, and the fields are frozen.  A state-only run
-    (``simulate_paths(..., weights=False)``) fills ``s_T``, ``v_T``, ``r_T``
-    and ``D`` and leaves every weight field, ``I1`` to ``y33_T``, None.  On
-    a degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
-    undefined, so ``P2`` and ``P3`` are None.  ``j2``, ``j3``, ``g3`` are
-    the drift-sensitivity integrals ∫(1/v)dW^2, ∫(1/v)dW^3, ∫(1/g)dW^3,
-    present only when requested.  ``factors`` holds the payoff-independent
-    per-path factors the estimators compute on first use; a
-    ``dataclasses.replace`` copy starts with none.
+    arrays read-only, and the fields are frozen.  ``s_T``, ``v_T``, ``r_T``
+    and ``D`` are always there; a weight field, ``I1`` to ``g3``, is None
+    unless its group was simulated (see :func:`simulate_paths`).  On a
+    degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
+    undefined, so ``P2`` and ``P3`` are None.  ``factors`` holds the
+    payoff-independent per-path factors the estimators compute on first
+    use; a ``dataclasses.replace`` copy starts with none.
     """
 
     model: ModelSpec
@@ -411,17 +410,15 @@ def _run_block(
     nb: int,
     runs: Iterator[tuple[int, np.ndarray]],
     perturbation: Perturbation | None,
-    drift_extras: bool,
-    weights: bool,
+    groups: frozenset[str],
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Advance one block of ``nb`` paths through all steps.
 
     ``runs`` is the iterator of :func:`standard_draws` over the block's
     draws, each run of shape (steps, 3, nb).  Returns (dict of accumulator
-    arrays, clamp_count, n_evals).  With ``weights``
-    False only the state and D are carried: no weight integral and no first
-    variation is formed, while the clamps and integrand evaluations are
-    counted as in a full run.
+    arrays, clamp_count, n_evals).  Of the weight fields only the groups of
+    ``_FIELD_GROUPS`` named in ``groups`` are carried; the clamps and
+    integrand evaluations are counted alike whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
@@ -445,38 +442,42 @@ def _run_block(
     pert_delta = perturbation.delta if perturbation is not None else 0.0
 
     hybrid = not model.degenerate
-    want_p23 = weights and hybrid
+    # The Bismut group needs S at every step; on a degenerate model its P2
+    # and P3 are undefined.
+    sums, bismut, drift = (name in groups for name in _FIELD_GROUPS)
+    want_p23 = bismut and hybrid
 
-    log_s0 = math.log(init.s0)
-    logS = np.full(nb, log_s0)
-    S = np.full(nb, init.s0)
+    # This allocation order sets where the heap puts the arrays: another
+    # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths).
+    zeros = lambda: np.zeros(nb)  # noqa: E731
+    empty = lambda: np.empty(nb)  # noqa: E731
+    logS = np.full(nb, math.log(init.s0))
+    S = np.full(nb, init.s0) if bismut else None
     V = np.full(nb, init.v0)
     r = np.full(nb, init.r0)
-    L22 = np.zeros(nb)
-    L33 = np.zeros(nb)
-    y22 = np.ones(nb)
-    y33 = np.ones(nb)
-    y12 = np.zeros(nb)
-    y13 = np.zeros(nb)
-
-    zeros = lambda: np.zeros(nb)  # noqa: E731
-    sum_r, sum_sig, sum_invsig = zeros(), zeros(), zeros()
-    sI1, sI2, sI3, sW1 = zeros(), zeros(), zeros(), zeros()
-    sP2, sP3 = (zeros(), zeros()) if want_p23 else (None, None)
-    sJ2, sJ3, sG3 = (zeros(), zeros(), zeros()) if drift_extras else (None, None, None)
+    if bismut:
+        L22, L33, y22, y33, y12, y13 = zeros(), zeros(), np.ones(nb), np.ones(nb), zeros(), zeros()
+    sum_r = zeros()
+    if sums:
+        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = (zeros() for _ in range(6))
+    if want_p23:
+        sP2, sP3 = zeros(), zeros()
+    if drift:
+        sJ2, sJ3, sG3 = zeros(), zeros(), zeros()
     clamps = 0
     n_evals = 0
 
     # Step scratch.  V_next and r_next receive the new V and r, and then
     # swap with them, as y12_next and y13_next do: a model function may
     # return its own argument.
-    empty = lambda: np.empty(nb)  # noqa: E731
     dW1, dZ2, dZ3, Vp, tmp, tmp2, V_next, r_next = (empty() for _ in range(8))
     low = np.empty(nb, dtype=bool)
     bumped = empty() if perturbation is not None else None
-    if weights:
-        inv_sig, y12_next, y13_next = empty(), empty(), empty()
-    if want_p23 or drift_extras:
+    if sums or bismut:
+        inv_sig = empty()
+    if bismut:
+        y12_next, y13_next = empty(), empty()
+    if want_p23 or drift:
         inv_vv, inv_gg = empty(), empty()
     if want_p23:
         t1, t2, q, w, acc = (empty() for _ in range(5))
@@ -498,8 +499,9 @@ def _run_block(
             clamps += int(np.count_nonzero(np.less(sig, floor, out=low)))
             n_evals += nb
             sum_r += r
-            if weights:
+            if sums or bismut:
                 np.divide(1.0, np.maximum(sig, floor, out=inv_sig), out=inv_sig)
+            if sums:
                 sum_sig += sig
                 sum_invsig += inv_sig
                 sI1 += np.multiply(z1, inv_sig, out=tmp)
@@ -513,7 +515,7 @@ def _run_block(
                 clamps += int(np.count_nonzero(np.less(vv, floor, out=low)))
                 clamps += int(np.count_nonzero(np.less(gg, floor, out=low)))
                 n_evals += 2 * nb
-            if want_p23 or drift_extras:
+            if want_p23 or drift:
                 np.divide(1.0, np.maximum(vv, floor, out=inv_vv), out=inv_vv)
                 np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
             if want_p23:
@@ -544,12 +546,12 @@ def _run_block(
                 tmp *= z3
                 acc += tmp
                 sP3 += acc
-            if drift_extras:
+            if drift:
                 sJ2 += np.multiply(z2, inv_vv, out=tmp)
                 sJ3 += np.multiply(z3, inv_vv, out=tmp)
                 sG3 += np.multiply(z3, inv_gg, out=tmp)
 
-            if weights:
+            if bismut:
                 # First-variation updates, all from left-point values.
                 sp = model.sigma_prime(Vp)
                 vp = model.v_prime(Vp)
@@ -614,7 +616,7 @@ def _run_block(
             r_next += np.multiply(gg, dZ3, out=tmp)
             V, V_next = V_next, V
             r, r_next = r_next, r
-            if weights:
+            if bismut:
                 np.exp(logS, out=S)
                 np.exp(L22, out=y22)
                 np.exp(L33, out=y33)
@@ -630,23 +632,17 @@ def _run_block(
     # the outputs are formed.
     del run, z1, z2, z3
 
-    if not weights:
-        return {"s_T": np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}, clamps, n_evals
-    out = {
-        "s_T": S, "v_T": V, "r_T": r,
-        "D": dt * sum_r,
-        "I1": sqdt * sI1, "I2": sqdt * sI2, "I3": sqdt * sI3,
-        "A": dt * sum_sig, "Q": dt * sum_invsig,
-        "w1_T": sqdt * sW1,
-    }
+    # exp(logS) once gives the bits of S formed at every step.
+    out = {"s_T": S if bismut else np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
+    if sums:
+        out.update(I1=sqdt * sI1, I2=sqdt * sI2, I3=sqdt * sI3,
+                   A=dt * sum_sig, Q=dt * sum_invsig, w1_T=sqdt * sW1)
     if want_p23:
-        out["P2"] = sqdt * sP2
-        out["P3"] = sqdt * sP3
-    out.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
-    if drift_extras:
-        out["j2"] = sqdt * sJ2
-        out["j3"] = sqdt * sJ3
-        out["g3"] = sqdt * sG3
+        out.update(P2=sqdt * sP2, P3=sqdt * sP3)
+    if bismut:
+        out.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
+    if drift:
+        out.update(j2=sqdt * sJ2, j3=sqdt * sJ3, g3=sqdt * sG3)
     return out, clamps, n_evals
 
 
@@ -657,7 +653,7 @@ def simulate_paths(
     drift_extras: bool = False,
     perturbation: Perturbation | None = None,
     stream: int = 0,
-    weights: bool = True,
+    weights: bool | Collection[str] = True,
 ) -> PathAccumulators:
     """Simulate ``cfg.n_paths`` paths and return their accumulator arrays.
 
@@ -666,20 +662,21 @@ def simulate_paths(
     model, init, cfg
         Model instance, initial state, and simulation grid/seed.
     drift_extras : bool
-        Also accumulate the drift-sensitivity integrals ∫(1/v)dW^2,
-        ∫(1/v)dW^3, ∫(1/g)dW^3 (refused for degenerate models).
+        Add the drift integrals ``j2`` = ∫(1/v)dW^2, ``j3`` = ∫(1/v)dW^3 and
+        ``g3`` = ∫(1/g)dW^3 to ``weights`` (refused for degenerate models).
     perturbation : Perturbation, optional
         Additive drift / volatility shift for bump-and-revalue runs.
     stream : int
         RNG sub-stream selector; distinct values give independent draws for
         the same seed (used by FD without common random numbers).
-    weights : bool
-        Accumulate the weight integrals and first variations.  With False
-        the run steps the state only, as a bump-and-revalue price needs: it
-        returns ``s_T``, ``v_T``, ``r_T``, ``D``, ``clamp_count`` and
-        ``n_integrand_evals`` bit-identical to the full run's and leaves
-        the weight fields None, so the weighted estimators refuse it.
-        On a degenerate model a weighted run leaves ``P2`` and ``P3`` None.
+    weights : bool or collection of field names
+        True for every weight field from ``I1`` to ``y33_T``, False for
+        none (the state only, as a bump-and-revalue price needs), or the
+        names the Greeks to estimate read.  Each group holding a named field
+        is computed, and every other weight field is None: ``_FIELD_GROUPS``
+        lists the weight integrals, the Bismut group (``P2``, ``P3`` and the
+        first variations) and the drift integrals.  The state, D, the clamp
+        counts and every computed field have the full run's bits.
 
     Notes
     -----
@@ -693,13 +690,21 @@ def simulate_paths(
         If any state exceeds 1e12 in magnitude or an accumulator turns
         non-finite (reports path and step index).
     DegenerateModel
-        If ``drift_extras`` is requested on a degenerate model.
+        If a drift integral is requested on a degenerate model.
     InvalidParams
-        If ``drift_extras`` is requested with ``weights=False``.
+        If ``drift_extras`` is requested with ``weights=False``, or
+        ``weights`` names a field that is not a weight field.
     """
-    if drift_extras and not weights:
-        raise InvalidParams("drift_extras=True needs weights=True")
-    if drift_extras and model.degenerate:
+    fields = set(_FIELD_GROUPS["sums"] + _FIELD_GROUPS["bismut"] if weights is True
+                 else weights or ())
+    if drift_extras:
+        if weights is False:
+            raise InvalidParams("drift_extras=True needs weights=True")
+        fields.update(_FIELD_GROUPS["drift"])
+    if unknown := fields.difference(*_FIELD_GROUPS.values()):
+        raise InvalidParams(f"weights names no weight field {sorted(map(str, unknown))}", "weights")
+    groups = frozenset(g for g, names in _FIELD_GROUPS.items() if fields.intersection(names))
+    if "drift" in groups and model.degenerate:
         raise DegenerateModel(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
         )
@@ -714,8 +719,7 @@ def simulate_paths(
                                     stream=stream, workers=cfg.worker_hint)) as runs:
             try:
                 out, block_clamps, block_evals = _run_block(
-                    model, init, cfg, stop - start, runs, perturbation,
-                    drift_extras, weights)
+                    model, init, cfg, stop - start, runs, perturbation, groups)
             except NumericalBlowup as exc:
                 raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
         if not arrays:

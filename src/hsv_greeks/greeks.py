@@ -34,15 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import PathAccumulators, stable_mean_se
-from .errors import (
-    DegenerateModel,
-    DegenerateWeightWarning,
-    EmptyInput,
-    InvalidParams,
-    NonFiniteEstimate,
-    UnsupportedModel,
-)
+from .engine import _FIELD_GROUPS, PathAccumulators, stable_mean_se
+from .errors import (DegenerateModel, DegenerateWeightWarning, EmptyInput, InvalidParams,
+                     NonFiniteEstimate, UnsupportedModel)
 from .models import Payoff, _inverse_loadings, evaluate_payoff
 
 __all__ = [
@@ -164,75 +158,76 @@ class _Greek:
     # own s0 and maturity.  Each keeps its own evaluation order, which fixes
     # the printed digits.
     samples: Callable[..., np.ndarray]
-    weighted: bool = True         # reads weight integrals, not S_T and D only
-    drift_extras: bool = False    # needs the drift integrals J2, J3, G3
+    # The PathAccumulators weight fields samples reads besides S_T and D.
+    reads: tuple[str, ...] = ()
     hybrid_only: bool = False     # refused on the constant-coefficient model
     bump: _Bump | None = None     # what the finite-difference form moves
     # payoff kind -> the BsClosedForm field that holds the closed form
     closed_form: dict[str, str] = field(default_factory=dict)
 
 
+# What _combination reads.
+_C = ("I1", "I2", "I3")
+
 # Token order is the canonical order of config output.
 _GREEKS = {
     # Plain discounted payoff mean (weight identically 1).
     "price": _Greek(
         lambda p, phi: _discount(p) * phi,
-        weighted=False, closed_form={"call": "price"}),
+        closed_form={"call": "price"}),
     # Initial spot.
     "delta": _Greek(
         lambda p, phi: phi * _factor(
             p, "delta", lambda p: _discount(p) * _combination(p) / (p.s0 * p.maturity)),
-        bump=_Bump(state="s0"),
+        _C, bump=_Bump(state="s0"),
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
         lambda p, phi: phi * _factor(p, "rho", lambda p: _discount(p) * (
             _combination(p) - p.maturity * p.maturity) / p.maturity),
-        bump=_Bump(shift="stock_drift", discounts=True),
+        _C, bump=_Bump(shift="stock_drift", discounts=True),
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
         lambda p, phi: phi * _factor(
             p, "vega",
             lambda p: (_discount(p) / p.maturity) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
-        bump=_Bump(shift="stock_vol"),
+        _C + ("w1_T", "A", "Q"), bump=_Bump(shift="stock_vol"),
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P2 / p.maturity,
-        hybrid_only=True, bump=_Bump(state="v0")),
+        ("P2",), hybrid_only=True, bump=_Bump(state="v0")),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
-        hybrid_only=True, bump=_Bump(state="r0")),
-    "kappa": _Greek(_kappa_samples, drift_extras=True, hybrid_only=True,
+        ("P3",), hybrid_only=True, bump=_Bump(state="r0")),
+    "kappa": _Greek(_kappa_samples, ("j2", "j3"), hybrid_only=True,
                     bump=_Bump(shift="v_drift", scale="kappa")),
-    "reversion": _Greek(_reversion_samples, drift_extras=True, hybrid_only=True,
+    "reversion": _Greek(_reversion_samples, ("g3",), hybrid_only=True,
                         bump=_Bump(shift="r_drift", scale="a")),
 }
 _FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump is not None)
 
 
 def _check_paths(greek: str, paths: PathAccumulators) -> None:
-    """Refuse ``paths`` that lack an integral the weight of ``greek`` reads."""
+    """Refuse ``paths`` whose model the weight of ``greek`` is not defined
+    for, or that lack a field it reads."""
     spec = _GREEKS[greek]
     if len(paths) == 0:
         raise EmptyInput("estimator received zero paths")
-    if spec.weighted and paths.I1 is None:
-        raise InvalidParams(
-            "paths carry no weight integrals (state only); simulate them "
-            "with weights=True")
-    if spec.drift_extras and paths.model.hv_params is None:
+    # A Greek scaled by a Heston–Vasicek parameter reads it from the model.
+    if spec.bump is not None and spec.bump.scale and paths.model.hv_params is None:
         raise UnsupportedModel(
             f"malliavin:{greek} is defined for the Heston–Vasicek instance only")
-    if spec.drift_extras and paths.j2 is None:
-        raise InvalidParams(
-            "paths lack the drift-sensitivity integrals; simulate with "
-            "drift_extras=True")
-    if spec.hybrid_only and paths.P2 is None:
+    if spec.hybrid_only and paths.model.degenerate:
         raise DegenerateModel(
-            f"malliavin:{greek} needs non-degenerate v(V) and g(r); these "
-            "paths carry no P2/P3")
+            f"malliavin:{greek} needs non-degenerate v(V) and g(r)")
+    if missing := [name for name in spec.reads if getattr(paths, name) is None]:
+        raise InvalidParams(
+            f"malliavin:{greek} reads {', '.join(missing)}, which these paths lack; "
+            "simulate them with weights=True"
+            + (" and drift_extras=True" if missing[0] in _FIELD_GROUPS["drift"] else ""))
 
 
 def _flag_clamps(paths: PathAccumulators) -> None:
@@ -296,7 +291,7 @@ def _weighted(greeks: tuple[str, ...], paths: PathAccumulators,
     then flags clamps once; the caller checks its own arguments."""
     for greek in greeks:
         _check_paths(greek, paths)
-    if any(_GREEKS[greek].weighted for greek in greeks):
+    if any(_GREEKS[greek].reads for greek in greeks):
         _flag_clamps(paths)
     phi = evaluate_payoff(payoff, paths.s_T)
     return [_estimate(g, _GREEKS[g].samples(paths, phi), paths) for g in greeks]
@@ -325,12 +320,15 @@ def bismut_vector(paths: PathAccumulators, payoff: Payoff) -> tuple[GreekEstimat
     Raises
     ------
     DegenerateModel
-        If the paths carry no P2/P3 (degenerate model: the weights would
-        divide by v(V_t) or g(r_t), which are identically zero).
+        If the paths' model is degenerate: the weights would divide by
+        v(V_t) or g(r_t), which are identically zero.
+    InvalidParams
+        If the paths lack P2, P3 or the I1..I3 that delta reads.
     """
     v0_est, r0_est = _weighted(("vega_v0", "rho_r0"), paths, payoff)
     # Delta takes its own payoff evaluation and reduction, as a separate
     # delta() call would; the benchmark's tests pin both counts.
+    _check_paths("delta", paths)
     phi = evaluate_payoff(payoff, paths.s_T)
     d = _estimate("delta", _GREEKS["delta"].samples(paths, phi), paths)
     return d, v0_est, r0_est

@@ -240,6 +240,21 @@ def test_unsupported_fd_bumps_are_refused_before_any_draw(
     assert calls == []
 
 
+@pytest.mark.parametrize("greek", ["vega_v0", "rho_r0"])
+def test_hybrid_only_fd_bumps_are_refused_on_the_degenerate_model(
+        greek, deg_model, deg_init, call_100, monkeypatch):
+    """fd:vega_v0 on the constant-coefficient model once ran two
+    simulations and returned 0.0 +- 0.0; it is refused before any draw."""
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=0)
+    with pytest.raises(hg.DegenerateModel, match=f"fd:{greek}"):
+        hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec(greek))
+    assert calls == []
+
+
 def test_agrees_helper():
     a = hg.GreekEstimate(1.0, 0.1, 100, "malliavin")
     b = hg.GreekEstimate(1.2, 0.1, 100, "fd_central")

@@ -286,6 +286,30 @@ def test_cli_bytes_match_the_recorded_output(case, tmp_path, capsys):
     assert capsys.readouterr().out == expected
 
 
+def _malliavin_rows(text):
+    """The malliavin rows of CSV text, by greek."""
+    return {line.split(",")[1]: line for line in text.splitlines()[1:]
+            if line.startswith("malliavin,")}
+
+
+@pytest.mark.parametrize("greek", ["price", "delta", "rho", "vega", "vega_v0",
+                                   "rho_r0", "kappa", "reversion"])
+def test_each_token_alone_writes_its_row_of_the_all_token_run(greek, tmp_path, capsys):
+    """A run simulates only the fields its tokens read, and a single-token
+    run (the ``price`` command too) writes the same row, value and standard
+    error bits included, as that token's row among all eight."""
+    expected = _malliavin_rows(EXPECTED["hybrid_all_weighted_and_fd"][2])[greek]
+    runs = [("greeks", {**HYBRID, "estimators": f"malliavin:{greek}"})]
+    if greek == "price":
+        runs.append(("price", HYBRID))
+    for command, entries in runs:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{k}={v}\n" for k, v in entries.items()),
+                          encoding="utf-8")
+        assert main([command, "--config", str(config)]) == 0
+        assert _malliavin_rows(capsys.readouterr().out) == {greek: expected}, command
+
+
 # Every finite-difference target beside its weighted form, over two blocks,
 # with a sigma floor above every volatility so each run clamps: the CSV's
 # clamp column counts the clamps of both bumped re-simulations.  One bump

@@ -739,6 +739,92 @@ def test_state_only_run_matches_the_full_run_bit_for_bit(
                 assert 0 < full.clamp_count < full.n_integrand_evals
 
 
+# The weight fields by the group that computes them: a run that asks for one
+# field of a group computes the whole group.
+_FIELD_GROUPS = (("I1", "I2", "I3", "A", "Q", "w1_T"),
+                 ("P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"),
+                 ("j2", "j3", "g3"))
+_DRIFT_FIELDS = _FIELD_GROUPS[2]
+
+
+def _field_sets():
+    """Each Greek's ``reads``, and the union the compare_fd tokens read."""
+    table = hg.greeks._GREEKS
+    sets = {greek: spec.reads for greek, spec in table.items()}
+    sets["compare_fd"] = table["delta"].reads + table["vega"].reads
+    return sets
+
+
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+def test_field_subset_run_matches_the_full_run_bit_for_bit(
+        model_name, hv_model, hv_init, deg_model, deg_init):
+    """A run for some fields computes their groups with the full run's bits
+    and leaves every other weight field None."""
+    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
+                   else (deg_model, deg_init))
+    for n_paths in (1, 16385):
+        # a floor near sigma(V_0) = 0.2 clamps part of the evaluations
+        cfg = small_cfg(n_paths=n_paths, n_steps=3, sigma_floor=0.2)
+        full = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
+        for name, fields in _field_sets().items():
+            if model.degenerate and set(fields) & set(_DRIFT_FIELDS):
+                with pytest.raises(hg.DegenerateModel):
+                    hg.simulate_paths(model, init, cfg, weights=fields)
+                continue
+            part = hg.simulate_paths(model, init, cfg, weights=fields)
+            kept = {f for group in _FIELD_GROUPS if set(group) & set(fields)
+                    for f in group}
+            assert set(fields) <= kept, name
+            for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
+                got, want = getattr(part, field), getattr(full, field)
+                if field in kept or field in _STATE_ONLY_FIELDS:
+                    # P2 and P3 are undefined on a degenerate model.
+                    if model.degenerate and field in ("P2", "P3"):
+                        assert got is None and want is None, (name, field)
+                    else:
+                        assert np.array_equal(got, want), (name, field)
+                else:
+                    assert got is None, (name, field)
+            assert part.clamp_count == full.clamp_count, name
+            assert part.n_integrand_evals == full.n_integrand_evals, name
+        if model is hv_model and n_paths > 1:
+            assert 0 < full.clamp_count < full.n_integrand_evals
+
+
+def test_weights_refuses_a_name_that_is_no_weight_field(hv_model, hv_init):
+    for fields in (("I1", "s_T"), ("P4",), "I1"):
+        with pytest.raises(hg.InvalidParams, match="no weight field"):
+            hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
+                              weights=fields)
+
+
+# Default parameters; a floor that clamps most sigma evaluations; and a
+# volatility of variance large enough for V to reach 0 and clamp v(V).
+_PREFIX_CONFIGS = ({}, {"sim.sigma_floor": "0.5"},
+                   {"model.sigma_vol": "0.25", "model.k": "0.02"})
+
+
+@pytest.mark.parametrize("entries", _PREFIX_CONFIGS,
+                         ids=["defaults", "sigma_floor", "sigma_vol"])
+def test_path_prefix_matches_a_shorter_run_bit_for_bit(entries):
+    """The first n paths of a run are those of an n-path run, in every
+    field, across the 16,384-path block edge.  clamp_count, a total over
+    the paths, has no prefix to compare."""
+    config = hg.build_run_config({**entries, "sim.n_steps": "64"})
+    long = hg.simulate_paths(config.model, config.init,
+                             dataclasses.replace(config.sim, n_paths=20000),
+                             drift_extras=True)
+    if entries:
+        assert long.clamp_count > 0
+    for n in (250, 1000, 2000, 5000, 10000, 16384, 16385):
+        short = hg.simulate_paths(config.model, config.init,
+                                  dataclasses.replace(config.sim, n_paths=n),
+                                  drift_extras=True)
+        for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
+            assert np.array_equal(getattr(long, field)[:n],
+                                  getattr(short, field)), (n, field)
+
+
 def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
     with pytest.raises(hg.InvalidParams, match="weights=True"):
         hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),

@@ -404,6 +404,10 @@ def test_per_path_payoff_arrays_are_refused(hv_model, hv_init, monkeypatch):
     assert fd.std_error > 0.0 and within_se(fd, 0.584)
 
 
+# The drift integrals, which drift_extras=True adds.
+_DRIFT = {"j2", "j3", "g3"}
+
+
 def _refusals(paths):
     """Token -> exception class for every estimator that refuses ``paths``."""
     refused = {}
@@ -424,11 +428,37 @@ def test_each_token_refuses_paths_without_its_integrals(
         g: hg.InvalidParams for g in table if g != "price"}
     constant = hg.simulate_paths(deg_model, deg_init, cfg)
     assert _refusals(constant) == {
-        g: hg.UnsupportedModel if spec.drift_extras else hg.DegenerateModel
+        g: hg.UnsupportedModel if _DRIFT.intersection(spec.reads) else hg.DegenerateModel
         for g, spec in table.items() if spec.hybrid_only}
     no_extras = hg.simulate_paths(hv_model, hv_init, cfg)
     assert _refusals(no_extras) == {
-        g: hg.InvalidParams for g, spec in table.items() if spec.drift_extras}
+        g: hg.InvalidParams for g, spec in table.items() if _DRIFT.intersection(spec.reads)}
+
+
+def test_refusals_name_the_field_the_paths_lack(
+        hv_model, hv_init, deg_model, deg_init, call_100):
+    """Paths simulated for delta carry no P2, P3 or drift integral; a
+    Greek that reads one is refused with the field's name."""
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=5)
+    for_delta = hg.simulate_paths(hv_model, hv_init, cfg,
+                                  weights=hg.greeks._GREEKS["delta"].reads)
+    assert for_delta.I1 is not None and for_delta.P2 is None
+    # bismut_vector, which estimates vega_v0 and rho_r0, checks vega_v0 first.
+    for greek, named in (("vega_v0", "vega_v0 reads P2"), ("rho_r0", "vega_v0 reads P2"),
+                         ("kappa", "kappa reads j2"), ("reversion", "reversion reads g3")):
+        with pytest.raises(hg.InvalidParams, match=f"malliavin:{named},"):
+            _WEIGHTED[greek](for_delta, call_100)
+    with pytest.raises(hg.InvalidParams, match="malliavin:rho_r0 reads P3,"):
+        hg.greeks._weighted(("rho_r0",), for_delta, call_100)
+    # bismut_vector also estimates delta, so it refuses paths without I1.
+    for_p2 = hg.simulate_paths(hv_model, hv_init, cfg, weights=("P2", "P3"))
+    with pytest.raises(hg.InvalidParams, match="malliavin:delta reads I1"):
+        hg.bismut_vector(for_p2, call_100)
+    # The degenerate model is refused as such, whatever the paths carry.
+    for weights in (True, ("P2",), False):
+        constant = hg.simulate_paths(deg_model, deg_init, cfg, weights=weights)
+        with pytest.raises(hg.DegenerateModel):
+            _WEIGHTED["vega_v0"](constant, call_100)
 
 
 def test_clamp_warning_points_at_the_caller(hv_model, hv_init):
