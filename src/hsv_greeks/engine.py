@@ -50,13 +50,15 @@ reads, so no block of draws need be held.
 Threads
 -------
 Blocks are simulated one at a time.  :func:`standard_draws` yields a
-block's draws one run of a few steps at a time, each drawn into a small
-ring of run buffers, one run per thread plus one (one run for a single
-thread), and the step loop, on the calling thread, steps each run as soon
-as it is drawn; so a block holds a few runs of draws, never all of them.
-The worker count (``SimConfig.worker_hint``; None means the CPUs in the
-process's affinity mask) caps the threads that draw, and so does the ring's
-byte budget, ``_RING_BYTES``.  A thread claims the next run, in step order,
+block's draws one run of steps at a time, each drawn into a ring of run
+buffers, one run per thread plus one (one run for a single thread), and
+the step loop, on the calling thread, steps each run as soon as it is
+drawn; so a block holds a ring of runs of draws, never all of them.  The
+ring holds at most one byte budget, ``_RING_BYTES``, whatever the CPU
+count: the worker count (``SimConfig.worker_hint``; None means the CPUs in
+the process's affinity mask) and the budget cap the threads that draw,
+and each run is as many steps as the ring of that many runs can hold
+(one step at least).  A thread claims the next run, in step order,
 only with one of a semaphore's permits, one per slot, and the calling
 thread gives one back after it steps a run: so at most one run per slot is
 claimed and not yet stepped, and a claimed run's slot is free.  Each run's
@@ -118,14 +120,11 @@ _PHILOX_WORDS = 4
 # slower than one, as handing runs between them costs more than drawing
 # them (the draws do not depend on it).
 _THREAD_PATHS = 1024
-# Steps per run: standard_draws draws its normals, and yields them, this
-# many steps at a time (the last run may be shorter; the draws do not
-# depend on it).
-_MAP_STEPS = 8
-# Bytes the ring of runs of one standard_draws call may hold, which caps
-# its threads at one fewer than the runs that fit; at least one thread
-# draws into a ring of one run whatever its size.
-_RING_BYTES = 16 * 2**20
+# Bytes the ring of runs of one standard_draws call may hold: it caps the
+# threads at one fewer than the steps that fit, and sets the steps per run
+# (the draws do not depend on either).  Only a ring of one step may exceed
+# it, on a block of more than _RING_BYTES // 24 paths.
+_RING_BYTES = 3 * 2**20
 # stable_sum extracts below 2**26 values (past that the remainders' error
 # bound, about n**3 * 2**-106 of the largest value, is too wide for its
 # rounding check to decide) and when no partial sum of fsum can overflow.
@@ -256,6 +255,29 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _ring_plan(n_paths: int, n_steps: int, workers: int | None,
+               cpus: int) -> tuple[int, int, int]:
+    """(threads, depth, steps) of the draws of an n_paths x n_steps block:
+    the threads that draw, the runs the ring holds and the steps per run.
+
+    The threads are capped by ``workers`` (None: every CPU), the CPUs, the
+    steps, the chunks of ``_THREAD_PATHS`` paths and the steps the budget
+    holds less one; the ring holds a run per thread plus one, or one run
+    for one thread, and its runs are as long as ``_RING_BYTES`` allows.
+    So the ring holds at most ``_RING_BYTES`` or one step, whichever is
+    larger.
+    """
+    step_bytes = 3 * 8 * n_paths
+    threads = min(workers or cpus, cpus, n_steps, -(-n_paths // _THREAD_PATHS),
+                  max(1, _RING_BYTES // step_bytes - 1))
+    # One thread draws run k+1 only once run k has been stepped.
+    depth = 1 if threads == 1 else threads + 1
+    steps = max(1, min(n_steps, _RING_BYTES // (depth * step_bytes)))
+    runs = -(-n_steps // steps)
+    threads = min(threads, runs)
+    return threads, 1 if threads == 1 else min(depth, runs), steps
+
+
 def standard_draws(
     seed: int,
     n_paths: int,
@@ -271,11 +293,13 @@ def standard_draws(
     first_path+path, step, driver) the module docstring defines, whichever
     thread draws it; a range that starts inside a segment discards that
     segment's earlier normals.  At most ``workers`` threads draw (None:
-    every available CPU), the calling thread among them.  Run k goes to
-    slot k % depth of a ring of ``depth`` runs, and its slot is drawn into
-    again once the next run is requested: a thread claims a run only with
-    one of ``depth`` permits, and one comes back each time a run is
-    stepped, so run k is claimed only once run k - depth has been stepped.
+    every available CPU), the calling thread among them; they, the ring's
+    ``depth`` and the steps per run are sized so that the ring holds at
+    most ``_RING_BYTES`` (:func:`_ring_plan`).  Run k goes to slot
+    k % depth of the ring, and its slot is drawn into again once the next
+    run is requested: a thread claims a run only with one of ``depth``
+    permits, and one comes back each time a run is stepped, so run k is
+    claimed only once run k - depth has been stepped.
     A failed draw raises its error, and closing the iterator stops the
     draws; either way every thread it started has ended.
     """
@@ -287,14 +311,9 @@ def standard_draws(
         raise InvalidParams(f"workers must be None or >= 1, got {workers!r}", "workers")
     if not (n_paths and n_steps):
         return
-    starts = range(0, n_steps, _MAP_STEPS)
-    run_shape = (min(_MAP_STEPS, n_steps), 3, n_paths)
-    cpus = _available_cpus()
-    threads = min(workers or cpus, cpus, len(starts), -(-n_paths // _THREAD_PATHS),
-                  max(1, _RING_BYTES // (math.prod(run_shape) * 8) - 1))
-    # One thread draws run k+1 only once run k has been stepped.
-    depth = 1 if threads == 1 else min(threads + 1, len(starts))
-    slots = [np.empty(run_shape) for _ in range(depth)]
+    threads, depth, steps = _ring_plan(n_paths, n_steps, workers, _available_cpus())
+    starts = range(0, n_steps, steps)
+    slots = [np.empty((steps, 3, n_paths)) for _ in range(depth)]
     free = Semaphore(depth)
     claims = count()
     drawn = [Event() for _ in starts]
@@ -452,9 +471,11 @@ def _run_block(
     zeros = lambda: np.zeros(nb)  # noqa: E731
     empty = lambda: np.empty(nb)  # noqa: E731
     logS = np.full(nb, math.log(init.s0))
-    S = np.full(nb, init.s0) if bismut else None
-    V = np.full(nb, init.v0)
-    r = np.full(nb, init.r0)
+    # Float whatever the type of the initial values: an integer state
+    # would make the in-place float steps fail.
+    S = np.full(nb, init.s0, dtype=float) if bismut else None
+    V = np.full(nb, init.v0, dtype=float)
+    r = np.full(nb, init.r0, dtype=float)
     if bismut:
         L22, L33, y22, y33, y12, y13 = zeros(), zeros(), np.ones(nb), np.ones(nb), zeros(), zeros()
     sum_r = zeros()

@@ -230,23 +230,38 @@ class _InlineThread:
 def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
                                                      hv_init, hint, cpus):
     """No hint means every available CPU; a huge hint starts no more threads
-    than CPUs, runs of steps in the block, or chunks of ``_THREAD_PATHS``
-    paths; the calling thread is one of them, so one thread fewer is
-    started, and a block of one chunk starts none."""
+    than CPUs, steps in the block, chunks of ``_THREAD_PATHS`` paths, or
+    steps the ring's budget holds less one; the calling thread is one of
+    them, so one thread fewer is started, and a block of one chunk starts
+    none."""
     helpers = []
     monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
     cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=17, worker_hint=hint)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
-    # The first block has 3 runs of steps and 16 chunks; the second, one path.
-    assert len(helpers) == (0 if cpus == 1 else min(cpus, 3) - 1)
+    # The first block has 17 steps and 16 chunks, and the budget holds
+    # fewer steps; the second block is one path.
+    budget_threads = hg.engine._RING_BYTES // (3 * 8 * _BLOCK) - 1
+    assert 1 < budget_threads < 16
+    started = 0 if cpus == 1 else min(cpus, budget_threads) - 1
+    assert len(helpers) == started
     reference = hg.simulate_paths(hv_model, hv_init,
                                   dataclasses.replace(cfg, worker_hint=1))
     assert np.array_equal(paths.s_T, reference.s_T)
     # A block of one chunk starts no thread.
     hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_THREAD_PATHS,
                                                    worker_hint=hint))
-    assert len(helpers) == (0 if cpus == 1 else min(cpus, 3) - 1)
+    assert len(helpers) == started
+
+
+def _set_budget(monkeypatch, n_paths, steps):
+    """Sets the ring's byte budget to ``steps`` steps of n_paths paths."""
+    monkeypatch.setattr(hg.engine, "_RING_BYTES", steps * 3 * 8 * n_paths)
+
+
+def _run_starts(n_paths, n_steps, workers, cpus):
+    """The first steps of the runs standard_draws yields, with its plan."""
+    return list(range(0, n_steps, hg.engine._ring_plan(n_paths, n_steps, workers, cpus)[2]))
 
 
 @pytest.mark.parametrize("inline", [False, True])
@@ -256,27 +271,30 @@ def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
                                                   n_steps, inline):
     """The caller that iterates the draws gets each run of steps once, in
     step order, as one C-contiguous array: together the runs are every row
-    of the draws on one thread, bit for bit."""
+    of the draws on one thread, bit for bit.  The ring's budget is eight
+    steps, so that there are several runs."""
     helpers = []
     if inline:
         monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     n_paths = 2 * _THREAD_PATHS + 3
+    _set_budget(monkeypatch, n_paths, 8)
     seen = []
     for first_step, run in hg.standard_draws(7, n_paths, n_steps, workers=workers):
         assert run.flags.c_contiguous
         seen.append((first_step, run.copy()))
-    run_steps = hg.engine._MAP_STEPS
+    threads, _, run_steps = hg.engine._ring_plan(n_paths, n_steps, workers, 4)
     assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))
     assert [len(run) for _, run in seen] == [
         min(run_steps, n_steps - first) for first, _ in seen]
     rows = np.concatenate([run for _, run in seen])
     z = draws_array(7, n_paths, n_steps, workers=1)
     assert np.array_equal(rows, z.transpose(1, 2, 0))
+    # Threads: the workers, at most 4 CPUs, one per step and one per
+    # _THREAD_PATHS paths (3 here); the budget holds 7.
+    assert threads == min(workers or 4, n_steps, 3)
     if inline:
-        # Threads: the workers, at most 4 CPUs, one per run and one per
-        # _THREAD_PATHS paths (3 here); one fewer is started.
-        threads = min(workers or 4, -(-n_steps // run_steps), 3)
+        # The calling thread is one of them, so one fewer is started.
         assert len(helpers) == threads - 1
 
 
@@ -285,15 +303,15 @@ def test_many_draw_threads_hand_over_every_run(monkeypatch):
     often: every run arrives once, in step order, as the draws on one
     thread have it, and no wait is left hanging."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
-    n_paths, n_steps = 8 * _THREAD_PATHS, 17 * hg.engine._MAP_STEPS
+    n_paths, n_steps = 8 * _THREAD_PATHS, 136
+    assert hg.engine._ring_plan(n_paths, n_steps, 8, 8)[:2] == (8, 9)
     expected = draws_array(5, n_paths, 3, workers=1)
-    seen = []
+    seen, head = [], []
 
     def iterate():
         for first_step, run in hg.standard_draws(5, n_paths, n_steps, workers=8):
             seen.append(first_step)
-            if first_step == 0:
-                assert np.array_equal(run[:3], expected.transpose(1, 2, 0))
+            head.append(run[:max(0, 3 - first_step)].copy())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -304,7 +322,8 @@ def test_many_draw_threads_hand_over_every_run(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
-    assert seen == list(range(0, n_steps, hg.engine._MAP_STEPS))
+    assert seen == _run_starts(n_paths, n_steps, 8, 8)
+    assert np.array_equal(np.concatenate(head), expected.transpose(1, 2, 0))
 
 
 class _DrawFailed(Exception):
@@ -317,8 +336,12 @@ def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     error from the iterator once every thread it started has ended, and
     no later run arrives."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
+    n_paths, n_steps = 3 * _THREAD_PATHS, 48
+    _set_budget(monkeypatch, n_paths, 8)
+    starts = _run_starts(n_paths, n_steps, workers, 3)
+    assert len(starts) >= 6
     drawer = hg.engine._row_drawer
-    bad_row = 3 * 2 * hg.engine._MAP_STEPS  # the first row of the third run
+    bad_row = 3 * starts[2]  # the first row of the third run
 
     def failing_drawer(*args):
         draw = drawer(*args)
@@ -333,11 +356,10 @@ def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     seen = []
     before = threading.active_count()
     with pytest.raises(_DrawFailed):
-        for first, _ in hg.standard_draws(1, 3 * _THREAD_PATHS, 6 * hg.engine._MAP_STEPS,
-                                          workers=workers):
+        for first, _ in hg.standard_draws(1, n_paths, n_steps, workers=workers):
             seen.append(first)
     assert threading.active_count() == before
-    assert seen == [0, hg.engine._MAP_STEPS][:len(seen)]
+    assert seen == starts[:len(seen)] and len(seen) <= 2
 
 
 def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
@@ -346,7 +368,8 @@ def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
     ended once ``close`` returns."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     before = threading.active_count()
-    runs = hg.standard_draws(1, 3 * _THREAD_PATHS, 8 * hg.engine._MAP_STEPS, workers=3)
+    assert len(_run_starts(3 * _THREAD_PATHS, 64, 3, 3)) > 4
+    runs = hg.standard_draws(1, 3 * _THREAD_PATHS, 64, workers=3)
     first, _ = next(runs)
     assert first == 0 and threading.active_count() == before + 2
     runs.close()
@@ -356,16 +379,20 @@ def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(cpus=st.integers(1, 8), workers=st.none() | st.integers(1, 8),
        n_steps=st.integers(1, 40), n_paths=st.sampled_from((1, 1025, 3077)),
-       data=st.data())
+       budget_steps=st.integers(1, 12), data=st.data())
 def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
-        cpus, workers, n_steps, n_paths, data):
-    """Whatever the threads, a run that fails to draw and a caller that
-    closes the iterator after some run: the runs seen arrive in step order
-    as the draws on one thread have them; the failure surfaces as the
-    injected error and no other, before the failed run, and is missed only
-    by a caller that closed the iterator before that run; and every thread
-    started has ended.  Thread switches are forced often."""
-    run_steps = hg.engine._MAP_STEPS
+        cpus, workers, n_steps, n_paths, budget_steps, data):
+    """Whatever the threads and the ring's budget, a run that fails to draw
+    and a caller that closes the iterator after some run: the runs seen
+    arrive in step order as the draws on one thread have them; the failure
+    surfaces as the injected error and no other, before the failed run,
+    and is missed only by a caller that closed the iterator before that
+    run; and every thread started has ended.  Thread switches are forced
+    often."""
+    budget = budget_steps * 3 * 8 * n_paths
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hg.engine, "_RING_BYTES", budget)
+        run_steps = hg.engine._ring_plan(n_paths, n_steps, workers, cpus)[2]
     n_runs = len(range(0, n_steps, run_steps))
     fail = data.draw(st.none() | st.integers(0, n_runs - 1), label="failed run")
     close = data.draw(st.none() | st.integers(0, n_runs - 1), label="closed after run")
@@ -400,6 +427,7 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
 
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hg.engine, "_RING_BYTES", budget)
         patch.setattr(hg.engine, "_available_cpus", lambda: cpus)
         patch.setattr(hg.engine, "_row_drawer", failing_drawer)
         before = threading.active_count()
@@ -434,12 +462,18 @@ def test_draws_left_open_at_exit_let_the_interpreter_exit():
 @pytest.mark.parametrize("run_steps", [1, 5, None])
 def test_simulation_does_not_depend_on_the_run_length(monkeypatch, hv_model,
                                                       hv_init, run_steps):
-    """Runs of one step, of a length that leaves a short last run, and of
-    the whole block step the same paths as the default length."""
+    """Budgets that give runs of one step, of a length that leaves a short
+    last run, and of the whole block step the same paths as the default
+    budget."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     cfg = small_cfg(n_paths=2 * _CHUNK + 1, n_steps=12, sigma_floor=0.2,
                     worker_hint=2)
     reference = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
-    monkeypatch.setattr(hg.engine, "_MAP_STEPS", run_steps or cfg.n_steps)
+    # Two threads draw into a ring of three runs; one run of the whole
+    # block leaves one thread.
+    _set_budget(monkeypatch, cfg.n_paths, 3 * (run_steps or cfg.n_steps))
+    plan = (2, 3, run_steps) if run_steps else (1, 1, cfg.n_steps)
+    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, 2, 2) == plan
     paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
     for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
         assert np.array_equal(getattr(paths, name), getattr(reference, name)), name
@@ -467,9 +501,9 @@ def test_two_block_run_holds_one_block_of_draws(hv_model, hv_init):
 
 def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     """One weighted 16,384 x 252 block with the drift extras, on two
-    threads: its draws are made a run at a time into a ring of three runs,
-    so the traced peak stays within 24 MiB, where the block's draws alone
-    are 95 MiB."""
+    threads: its draws are made a run at a time into a ring within the
+    byte budget, so the traced peak stays within 12 MiB (about 9 MiB
+    measured), where the block's draws alone are 95 MiB."""
     cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=2)
     tracemalloc.start()
     try:
@@ -477,16 +511,20 @@ def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20, peak / 2**20
+    assert peak <= 12 * 2**20, peak / 2**20
 
 
 def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model,
                                                            hv_init):
-    """Sixteen CPUs would start sixteen draw threads on a weighted 16,384 x
-    252 block, each with a run in the ring; the ring's byte budget caps
-    them, so the traced peak stays within the two-CPU peak plus the
-    budget, and every bit is the same."""
+    """A weighted 16,384 x 252 block with the drift extras on 1, 2 and 16
+    CPUs, where sixteen would start sixteen draw threads, each with a run
+    in the ring: the budget caps the threads and sizes the runs, so the
+    traced peak stays within the step loop's allowance plus the budget on
+    every CPU count, and every bit is the same."""
     cfg = small_cfg(n_paths=_BLOCK, n_steps=252)
+    # Allowance for the block's step-loop state, temporaries and
+    # accumulators: 64 arrays of one value per path.
+    step_loop = 64 * _BLOCK * 8
 
     def traced_run(cpus):
         monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
@@ -496,41 +534,42 @@ def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return paths, peak
+        assert peak <= step_loop + hg.engine._RING_BYTES, (cpus, peak / 2**20)
+        return paths
 
-    two, two_peak = traced_run(2)
-    many, many_peak = traced_run(16)
-    assert many_peak <= two_peak + hg.engine._RING_BYTES, (
-        many_peak / 2**20, two_peak / 2**20)
-    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
-        assert np.array_equal(getattr(many, name), getattr(two, name)), name
+    one = traced_run(1)
+    for cpus in (2, 16):
+        paths = traced_run(cpus)
+        for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
+            assert np.array_equal(getattr(paths, name), getattr(one, name)), (cpus, name)
 
 
-def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch, hv_model,
-                                                      hv_init):
-    """One thread draws run k+1 only once run k has been stepped, so its ring
-    holds one run, where two threads hold three: on a weighted 16,384 x
-    252 block the traced peak on one thread is two runs (6 MiB) below the
-    peak on two, and every bit is the same."""
-    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
-
-    def traced_run(workers):
-        cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=workers)
-        tracemalloc.start()
-        try:
-            paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return paths, peak
-
-    one, one_peak = traced_run(1)
-    two, two_peak = traced_run(2)
-    run_bytes = hg.engine._MAP_STEPS * 3 * _BLOCK * 8
-    assert one_peak <= two_peak - 1.5 * run_bytes, (
-        one_peak / 2**20, two_peak / 2**20)
-    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
-        assert np.array_equal(getattr(one, name), getattr(two, name)), name
+@settings(max_examples=300, deadline=None)
+@given(n_paths=st.integers(1, 3 * _BLOCK), n_steps=st.integers(1, 600),
+       workers=st.none() | st.integers(1, 64), cpus=st.integers(1, 64),
+       budget_eighths=st.none() | st.integers(0, 400))
+def test_the_ring_plan_keeps_its_budget_and_covers_every_step(
+        n_paths, n_steps, workers, cpus, budget_eighths):
+    """Whatever the block, workers, CPUs and budget (the default, or eighths
+    of a step): the ring of ``depth`` runs of ``steps`` steps holds at most
+    the budget, or one step; the runs cover every step once, in order; at
+    least one thread draws and no more than the workers or the CPUs; one
+    thread draws into a ring of one run, and more into a ring of a run per
+    thread plus at most one, and of no more runs than the block has."""
+    step_bytes = 3 * 8 * n_paths
+    with pytest.MonkeyPatch.context() as patch:
+        if budget_eighths is not None:
+            patch.setattr(hg.engine, "_RING_BYTES", max(1, budget_eighths * step_bytes // 8))
+        threads, depth, steps = hg.engine._ring_plan(n_paths, n_steps, workers, cpus)
+        budget = hg.engine._RING_BYTES
+    assert depth * steps * step_bytes <= max(budget, step_bytes)
+    runs = [range(first, min(first + steps, n_steps)) for first in range(0, n_steps, steps)]
+    assert [step for run in runs for step in run] == list(range(n_steps))
+    assert 1 <= threads <= min(workers or cpus, cpus, len(runs))
+    if threads == 1:
+        assert depth == 1
+    else:
+        assert threads <= depth <= min(threads + 1, len(runs))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +587,24 @@ def test_simulated_arrays_are_read_only(hv_model, hv_init, weights):
             getattr(paths, name)[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         paths.D = np.zeros(8)
+
+
+@pytest.mark.parametrize("weights", [True, False])
+@pytest.mark.parametrize("state", [(100, 0.04, 0.02), (100.0, 1, 0.02), (100, 1, 0)])
+def test_integer_initial_states_give_the_float_bits(hv_model, weights, state):
+    """An initial state given as integers steps the same paths as the same
+    values given as floats, weighted and state only."""
+    cfg = small_cfg(n_paths=64, n_steps=8)
+    paths = hg.simulate_paths(hv_model, hg.InitialState(*state), cfg,
+                              drift_extras=weights, weights=weights)
+    reference = hg.simulate_paths(hv_model, hg.InitialState(*map(float, state)), cfg,
+                                  drift_extras=weights, weights=weights)
+    for f in dataclasses.fields(paths):
+        value = getattr(reference, f.name)
+        if isinstance(value, np.ndarray):
+            assert getattr(paths, f.name).dtype == np.float64, f.name
+            assert np.array_equal(getattr(paths, f.name), value), f.name
+    assert paths.clamp_count == reference.clamp_count
 
 
 def test_record_count_and_finiteness(hv_paths_10k):
@@ -647,8 +704,9 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
 
     monkeypatch.setattr(hg.engine, "standard_draws", late_draws)
     cfg = small_cfg(n_paths=4 * _THREAD_PATHS, n_steps=64)
-    # Eight runs; at most three threads, so at most four slots.
-    assert cfg.n_steps // hg.engine._MAP_STEPS > 3 + 1
+    # On three threads, more runs than the ring's four slots.
+    threads, depth, run_steps = hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, 3, 3)
+    assert threads == 3 and -(-cfg.n_steps // run_steps) > depth
     found = []
     for hint in (1, 2, 3):
         before = threading.active_count()
@@ -659,7 +717,7 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
         found.append((info.value.path_index, info.value.step_index))
     assert found[0] == found[1] == found[2]
     # In the first run of steps: the later runs are still to be stepped.
-    assert found[0][1] < hg.engine._MAP_STEPS
+    assert found[0][1] < run_steps
 
 
 # ---------------------------------------------------------------------------
