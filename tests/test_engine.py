@@ -544,6 +544,42 @@ def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model
             assert np.array_equal(getattr(paths, name), getattr(one, name)), (cpus, name)
 
 
+def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch):
+    """One thread draws run k+1 only once run k has been stepped, so its ring
+    holds one run, as long as the budget allows, where two threads share
+    the budget among three: every run arrives in the same slot, no row of
+    a later run is drawn before the run is handed back, and the runs are
+    the draws of two threads, bit for bit."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+    n_paths, n_steps = 2 * _THREAD_PATHS, 20
+    _set_budget(monkeypatch, n_paths, 6)
+    assert hg.engine._ring_plan(n_paths, n_steps, 1, 2) == (1, 1, 6)
+    assert hg.engine._ring_plan(n_paths, n_steps, 2, 2) == (2, 3, 2)
+    drawer = hg.engine._row_drawer
+    rows_drawn = []
+
+    def counting_drawer(*args):
+        draw = drawer(*args)
+
+        def counted(row, out):
+            rows_drawn.append(row)
+            draw(row, out)
+        return counted
+
+    monkeypatch.setattr(hg.engine, "_row_drawer", counting_drawer)
+    seen, slots = [], []
+    for first_step, run in hg.standard_draws(3, n_paths, n_steps, workers=1):
+        assert rows_drawn == list(range(3 * (first_step + len(run))))
+        seen.append((first_step, run.copy()))
+        slots.append(run.base)
+    assert [first for first, _ in seen] == [0, 6, 12, 18]
+    assert all(slot is slots[0] for slot in slots)
+    monkeypatch.setattr(hg.engine, "_row_drawer", drawer)
+    rows = np.concatenate([run for _, run in seen])
+    z = draws_array(3, n_paths, n_steps, workers=2)
+    assert np.array_equal(rows, z.transpose(1, 2, 0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(n_paths=st.integers(1, 3 * _BLOCK), n_steps=st.integers(1, 600),
        workers=st.none() | st.integers(1, 64), cpus=st.integers(1, 64),
