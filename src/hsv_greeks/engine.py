@@ -28,6 +28,15 @@ Scheme choices
 * Integrands dividing by sigma(V), v(V) or g(r) evaluate the denominator as
   max(., sigma_floor); every clamp is counted and surfaced.
 
+Model coefficients
+------------------
+A ``ModelSpec`` field that is a number is carried as a number: it takes
+part in every ``out=`` ufunc by broadcasting, with the bits of an array of
+equal values, and clamps every path of a step or none.  1/g is a number
+when g is, and L^33 = log Y^33 and Y^33 are numbers when f' and g' are and
+g' = 0; Y^33 then comes from numpy's ``exp`` of one value, as in the array
+form.
+
 Randomness
 ----------
 Draws come from a counter-based generator (Philox; Salmon et al.,
@@ -460,6 +469,17 @@ def _run_block(
     pert_target = perturbation.target if perturbation is not None else None
     pert_delta = perturbation.delta if perturbation is not None else 0.0
 
+    # Each field as a function of the state: a number field gives itself.
+    sigma, u, v, f, g, sigma_prime, u_prime, v_prime, f_prime, g_prime = (
+        c if callable(c) else (lambda x, c=float(c): c) for c in (
+            model.sigma, model.u, model.v, model.f, model.g, model.sigma_prime,
+            model.u_prime, model.v_prime, model.f_prime, model.g_prime))
+    # 1/g is a number when g is, L33 and y33 when f' and g' are and g' = 0,
+    # and w = y33/g when both are.
+    g_number = not callable(model.g)
+    y33_number = not (callable(model.f_prime) or callable(model.g_prime)) and model.g_prime == 0
+    w_number = g_number and y33_number
+
     hybrid = not model.degenerate
     # The Bismut group needs S at every step; on a degenerate model its P2
     # and P3 are undefined.
@@ -477,7 +497,9 @@ def _run_block(
     V = np.full(nb, init.v0, dtype=float)
     r = np.full(nb, init.r0, dtype=float)
     if bismut:
-        L22, L33, y22, y33, y12, y13 = zeros(), zeros(), np.ones(nb), np.ones(nb), zeros(), zeros()
+        L22, L33 = zeros(), 0.0 if y33_number else zeros()
+        y22, y33 = np.ones(nb), 1.0 if y33_number else np.ones(nb)
+        y12, y13 = zeros(), zeros()
     sum_r = zeros()
     if sums:
         sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = (zeros() for _ in range(6))
@@ -493,15 +515,24 @@ def _run_block(
     # return its own argument.
     dW1, dZ2, dZ3, Vp, tmp, tmp2, V_next, r_next = (empty() for _ in range(8))
     low = np.empty(nb, dtype=bool)
+
+    def clamped(x) -> int:
+        """Paths at which a denominator, an array or a number, is below the floor."""
+        if isinstance(x, float):
+            return nb if x < floor else 0
+        return int(np.count_nonzero(np.less(x, floor, out=low)))
+
     bumped = empty() if perturbation is not None else None
     if sums or bismut:
         inv_sig = empty()
     if bismut:
         y12_next, y13_next = empty(), empty()
     if want_p23 or drift:
-        inv_vv, inv_gg = empty(), empty()
+        inv_vv = empty()
+        inv_gg = 1.0 / max(float(model.g), floor) if g_number else empty()
     if want_p23:
-        t1, t2, q, w, acc = (empty() for _ in range(5))
+        t1, t2, q, acc = (empty() for _ in range(4))
+        w = None if w_number else empty()
 
     n = 0
     for _, run in runs:
@@ -516,8 +547,8 @@ def _run_block(
             dZ3 += np.multiply(m3 * sqdt, z3, out=tmp)
 
             np.maximum(V, cfg.variance_floor, out=Vp)
-            sig = model.sigma(Vp)
-            clamps += int(np.count_nonzero(np.less(sig, floor, out=low)))
+            sig = sigma(Vp)
+            clamps += clamped(sig)
             n_evals += nb
             sum_r += r
             if sums or bismut:
@@ -530,22 +561,22 @@ def _run_block(
                 sI3 += np.multiply(z3, inv_sig, out=tmp)
                 sW1 += z1
 
-            vv = model.v(Vp)
-            gg = model.g(r)
+            vv = v(Vp)
+            gg = g(r)
             if hybrid:
-                clamps += int(np.count_nonzero(np.less(vv, floor, out=low)))
-                clamps += int(np.count_nonzero(np.less(gg, floor, out=low)))
+                clamps += clamped(vv) + clamped(gg)
                 n_evals += 2 * nb
             if want_p23 or drift:
                 np.divide(1.0, np.maximum(vv, floor, out=inv_vv), out=inv_vv)
-                np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
+                if not g_number:
+                    np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
             if want_p23:
                 # t1 = y12 * inv_sig / S, t2 = y13 * inv_sig / S,
                 # q = y22 * inv_vv, w = y33 * inv_gg
                 np.divide(np.multiply(y12, inv_sig, out=t1), S, out=t1)
                 np.divide(np.multiply(y13, inv_sig, out=t2), S, out=t2)
                 np.multiply(y22, inv_vv, out=q)
-                np.multiply(y33, inv_gg, out=w)
+                w = y33 * inv_gg if w_number else np.multiply(y33, inv_gg, out=w)
                 # sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
                 np.multiply(t1, z1, out=acc)
                 np.multiply(cA, t1, out=tmp)
@@ -563,7 +594,7 @@ def _run_block(
                 tmp *= z2
                 acc += tmp
                 np.multiply(cC, t2, out=tmp)
-                tmp += np.multiply(cE, w, out=tmp2)
+                tmp += cE * w if w_number else np.multiply(cE, w, out=tmp2)
                 tmp *= z3
                 acc += tmp
                 sP3 += acc
@@ -574,11 +605,11 @@ def _run_block(
 
             if bismut:
                 # First-variation updates, all from left-point values.
-                sp = model.sigma_prime(Vp)
-                vp = model.v_prime(Vp)
-                up = model.u_prime(Vp)
-                fp = model.f_prime(r)
-                gp = model.g_prime(r)
+                sp = sigma_prime(Vp)
+                vp = v_prime(Vp)
+                up = u_prime(Vp)
+                fp = f_prime(r)
+                gp = g_prime(r)
                 # y12_next = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
                 np.multiply(r, y12, out=y12_next)
                 y12_next *= dt
@@ -602,21 +633,25 @@ def _run_block(
                 tmp *= dt
                 tmp += np.multiply(vp, dZ2, out=tmp2)
                 L22 += tmp
-                # L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3
-                np.multiply(0.5, gp, out=tmp)
-                tmp *= gp
-                np.subtract(fp, tmp, out=tmp)
-                tmp *= dt
-                tmp += np.multiply(gp, dZ3, out=tmp2)
-                L33 += tmp
+                # L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3, whose last
+                # term adds zero when gp = 0
+                if y33_number:
+                    L33 += (fp - 0.5 * gp * gp) * dt
+                else:
+                    np.multiply(0.5, gp, out=tmp)
+                    tmp *= gp
+                    np.subtract(fp, tmp, out=tmp)
+                    tmp *= dt
+                    tmp += np.multiply(gp, dZ3, out=tmp2)
+                    L33 += tmp
 
             # State updates (log-Euler / full truncation / Euler).
             sig_s = np.add(sig, pert_delta, out=bumped) if pert_target == "stock_vol" else sig
             rate_s = np.add(r, pert_delta, out=bumped) if pert_target == "stock_drift" else r
-            u_eval = model.u(Vp)
+            u_eval = u(Vp)
             if pert_target == "v_drift":
                 u_eval = np.add(u_eval, pert_delta, out=bumped)
-            f_eval = model.f(r)
+            f_eval = f(r)
             if pert_target == "r_drift":
                 f_eval = np.add(f_eval, pert_delta, out=bumped)
 
@@ -640,7 +675,7 @@ def _run_block(
             if bismut:
                 np.exp(logS, out=S)
                 np.exp(L22, out=y22)
-                np.exp(L33, out=y33)
+                y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
                 y12, y12_next = y12_next, y12
                 y13, y13_next = y13_next, y13
 
@@ -661,7 +696,8 @@ def _run_block(
     if want_p23:
         out.update(P2=sqdt * sP2, P3=sqdt * sP3)
     if bismut:
-        out.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
+        out.update(y12_T=y12, y13_T=y13, y22_T=y22,
+                   y33_T=np.full(nb, y33) if y33_number else y33)
     if drift:
         out.update(j2=sqdt * sJ2, j3=sqdt * sJ3, g3=sqdt * sG3)
     return out, clamps, n_evals

@@ -16,9 +16,9 @@ by *independent* Brownian motions W^1, W^2, W^3:
     Z^3 = rho13 W^1 + mu2 W^2 + mu3 W^3
 
 This module owns that decomposition plus the model/payoff descriptions the
-rest of the package consumes.  All scalar-field functions (``sigma``, ``u``,
-``v``, ``f``, ``g`` and their derivatives) must accept numpy arrays and
-evaluate elementwise.
+rest of the package consumes.  Each scalar field (``sigma``, ``u``, ``v``,
+``f``, ``g`` and their derivatives) is a number, for a constant, or a
+function that accepts numpy arrays and evaluates elementwise.
 """
 
 from __future__ import annotations
@@ -194,27 +194,32 @@ class InitialState:
             raise InvalidParams(f"r0 must be finite, got {self.r0!r}", field="r0")
 
 
+# A model field: a number, or an elementwise function of numpy arrays.
+Coefficient = float | Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Full description of one three-factor model instance.
 
-    The five field functions and their derivatives are plain callables taking
-    and returning numpy arrays (elementwise).  ``degenerate`` flags diffusion
-    coefficients v and g that are identically zero; operations that would
-    divide by v(V_t) or g(r_t) must refuse such models.
+    Each of the five fields and their derivatives is a number, which the
+    engine carries as a number, or a callable taking and returning numpy
+    arrays (elementwise).  ``degenerate`` flags diffusion coefficients v and
+    g that are identically zero; operations that would divide by v(V_t) or
+    g(r_t) must refuse such models.
     """
 
     name: str
-    sigma: Callable[[np.ndarray], np.ndarray]
-    u: Callable[[np.ndarray], np.ndarray]
-    v: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray], np.ndarray]
-    g: Callable[[np.ndarray], np.ndarray]
-    sigma_prime: Callable[[np.ndarray], np.ndarray]
-    u_prime: Callable[[np.ndarray], np.ndarray]
-    v_prime: Callable[[np.ndarray], np.ndarray]
-    f_prime: Callable[[np.ndarray], np.ndarray]
-    g_prime: Callable[[np.ndarray], np.ndarray]
+    sigma: Coefficient
+    u: Coefficient
+    v: Coefficient
+    f: Coefficient
+    g: Coefficient
+    sigma_prime: Coefficient
+    u_prime: Coefficient
+    v_prime: Coefficient
+    f_prime: Coefficient
+    g_prime: Coefficient
     correlations: CorrelationTriple
     mixing: MixingCoefficients
     degenerate: bool = False
@@ -233,7 +238,8 @@ def check_derivative_consistency(
     Five random points are drawn per field (variance fields over
     ``_PROBE_V_RANGE``, rate fields over ``_PROBE_R_RANGE``); the check uses
     step ``1e-6 * max(1, |x|)`` and requires
-    ``|fd - prime| <= tol * max(1, |prime|)``.
+    ``|fd - prime| <= tol * max(1, |prime|)``.  A number field is the
+    constant function, whose central difference is 0.
 
     Raises
     ------
@@ -248,11 +254,15 @@ def check_derivative_consistency(
         ("f", model.f, model.f_prime, _PROBE_R_RANGE),
         ("g", model.g, model.g_prime, _PROBE_R_RANGE),
     ]
+
+    def at(field, x):
+        return np.asarray(field(x), dtype=float) if callable(field) else np.full_like(x, field)
+
     for name, func, prime, (lo, hi) in pairs:
         x = rng.uniform(lo, hi, size=n_points)
         h = 1e-6 * np.maximum(1.0, np.abs(x))
-        fd = (np.asarray(func(x + h), dtype=float) - np.asarray(func(x - h), dtype=float)) / (2.0 * h)
-        exact = np.asarray(prime(x), dtype=float)
+        fd = (at(func, x + h) - at(func, x - h)) / (2.0 * h)
+        exact = at(prime, x)
         err = np.abs(fd - exact)
         bound = tol * np.maximum(1.0, np.abs(exact))
         if np.any(err > bound):
@@ -277,6 +287,7 @@ def heston_vasicek_model(
         v(v)     = sigma_vol*sqrt(v)
         f(r)     = a*(b - r)        g(r) = k
 
+    The constants g = k, u' = -kappa, f' = -a and g' = 0 are numbers.
     Square-root arguments are floored at zero, so the functions remain
     defined at slightly negative probe values produced by Euler stepping.
 
@@ -328,12 +339,12 @@ def heston_vasicek_model(
         u=lambda v: kappa * (theta - v),
         v=lambda v: sigma_vol * np.sqrt(np.maximum(v, 0.0)),
         f=lambda r: a * (b - r),
-        g=lambda r: np.full_like(np.asarray(r, dtype=float), k),
+        g=k,
         sigma_prime=sigma_prime,
-        u_prime=lambda v: np.full_like(np.asarray(v, dtype=float), -kappa),
+        u_prime=-kappa,
         v_prime=lambda v: 0.5 * sigma_vol / np.sqrt(np.maximum(v, 1e-300)),
-        f_prime=lambda r: np.full_like(np.asarray(r, dtype=float), -a),
-        g_prime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        f_prime=-a,
+        g_prime=0.0,
         correlations=correlations,
         mixing=mixing,
         hv_params=params,
@@ -345,9 +356,10 @@ def heston_vasicek_model(
 def black_scholes_degenerate(sigma: float) -> ModelSpec:
     """Build the constant-volatility, constant-rate degenerate instance.
 
-    All variance and rate dynamics are switched off (u = v = f = g = 0), so
-    S follows geometric Brownian motion with volatility ``sigma`` and the
-    short rate stays at the initial state's ``r0``.  The diffusion matrix is
+    All variance and rate dynamics are switched off (u = v = f = g = 0, all
+    ten fields numbers), so S follows geometric Brownian motion with
+    volatility ``sigma`` and the short rate stays at the initial state's
+    ``r0``.  The diffusion matrix is
     singular in the V and r directions; weights that divide by v(V_t) or
     g(r_t) are refused downstream via the degeneracy flag.
     """
@@ -355,21 +367,18 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     correlations = CorrelationTriple(0.0, 0.0, 0.0)
     mixing = mixing_from_correlations(correlations)
 
-    def _const(c):
-        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-
     model = ModelSpec(
         name="black_scholes",
-        sigma=_const(bs.sigma),
-        u=_const(0.0),
-        v=_const(0.0),
-        f=_const(0.0),
-        g=_const(0.0),
-        sigma_prime=_const(0.0),
-        u_prime=_const(0.0),
-        v_prime=_const(0.0),
-        f_prime=_const(0.0),
-        g_prime=_const(0.0),
+        sigma=bs.sigma,
+        u=0.0,
+        v=0.0,
+        f=0.0,
+        g=0.0,
+        sigma_prime=0.0,
+        u_prime=0.0,
+        v_prime=0.0,
+        f_prime=0.0,
+        g_prime=0.0,
         correlations=correlations,
         mixing=mixing,
         degenerate=True,

@@ -6,8 +6,10 @@ S0=K=100, T=1) and are frozen here so regressions cannot hide behind a
 drifting reference.
 """
 
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import hsv_greeks as hg
@@ -76,6 +78,19 @@ def deg_paths_100k(deg_model, deg_init, deg_cfg_100k):
 @pytest.fixture(scope="session")
 def hv_model():
     return hg.heston_vasicek_model(HV_PARAMS, HV_CORR)
+
+
+@pytest.fixture(scope="session")
+def affine_g_model():
+    """Heston–Vasicek with sigma_vol 0.2, k 0.1 and the rate volatility
+    g(r) = k(1 + r), which is no constant: 1/g, L33 and y33 then run the
+    engine's array form, which no shipped model does."""
+    k = 0.1
+    base = hg.heston_vasicek_model(
+        dataclasses.replace(HV_PARAMS, sigma_vol=0.2, k=k), HV_CORR)
+    return dataclasses.replace(
+        base, name="affine_g", g=lambda r: k * (1.0 + r),
+        g_prime=lambda r: np.full_like(r, k), hv_params=None)
 
 
 @pytest.fixture(scope="session")

@@ -38,6 +38,11 @@ def draws_array(seed, n_paths, n_steps, **kwargs):
     return z.transpose(2, 0, 1)
 
 
+def at(field, x):
+    """A model field at the states x: a number field is a constant."""
+    return field(x) if callable(field) else np.full_like(x, field)
+
+
 def reference_series(model, init, cfg):
     """Arrays s, v, r, y11, y12, y13, y22, y33 of shape (n_paths, n_steps+1)
     over the draws ``simulate_paths`` uses; column 0 is the initial point.
@@ -71,11 +76,11 @@ def reference_series(model, init, cfg):
         dZ3 = (rho.rho13 * dW1 + (mu.mu2 * sqdt) * z[:, n, 1]
                + (mu.mu3 * sqdt) * z[:, n, 2])
         Vp = np.maximum(V, cfg.variance_floor)
-        sig, vp, gp = model.sigma(Vp), model.v_prime(Vp), model.g_prime(r)
+        sig, vp, gp = at(model.sigma, Vp), at(model.v_prime, Vp), at(model.g_prime, r)
         z1, z2, z3 = z[:, n, 0], z[:, n, 1], z[:, n, 2]
         inv_sig = 1.0 / np.maximum(sig, floor)
-        inv_vv = 1.0 / np.maximum(model.v(Vp), floor)
-        inv_gg = 1.0 / np.maximum(model.g(r), floor)
+        inv_vv = 1.0 / np.maximum(at(model.v, Vp), floor)
+        inv_gg = 1.0 / np.maximum(at(model.g, r), floor)
         t1 = y12 * inv_sig / S
         t2 = y13 * inv_sig / S
         q = x.y22[:, n] * inv_vv
@@ -89,14 +94,14 @@ def reference_series(model, init, cfg):
             sums[name] += term
         log_step = (r - 0.5 * sig * sig) * dt + sig * dW1
         log_s += log_step
-        log_y22 += (model.u_prime(Vp) - 0.5 * vp * vp) * dt + vp * dZ2
-        log_y33 += (model.f_prime(r) - 0.5 * gp * gp) * dt + gp * dZ3
+        log_y22 += (at(model.u_prime, Vp) - 0.5 * vp * vp) * dt + vp * dZ2
+        log_y33 += (at(model.f_prime, r) - 0.5 * gp * gp) * dt + gp * dZ3
         x.s[:, n + 1] = np.exp(log_s)
-        x.v[:, n + 1] = V + model.u(Vp) * dt + model.v(Vp) * dZ2
-        x.r[:, n + 1] = r + model.f(r) * dt + model.g(r) * dZ3
+        x.v[:, n + 1] = V + at(model.u, Vp) * dt + at(model.v, Vp) * dZ2
+        x.r[:, n + 1] = r + at(model.f, r) * dt + at(model.g, r) * dZ3
         x.y11[:, n + 1] = x.y11[:, n] * np.exp(log_step)
         x.y12[:, n + 1] = (y12 + r * y12 * dt
-                           + (sig * y12 + S * model.sigma_prime(Vp) * x.y22[:, n]) * dW1)
+                           + (sig * y12 + S * at(model.sigma_prime, Vp) * x.y22[:, n]) * dW1)
         x.y13[:, n + 1] = y13 + (r * y13 + S * x.y33[:, n]) * dt + sig * y13 * dW1
         x.y22[:, n + 1] = np.exp(log_y22)
         x.y33[:, n + 1] = np.exp(log_y33)

@@ -919,6 +919,54 @@ def test_path_prefix_matches_a_shorter_run_bit_for_bit(entries):
                                   getattr(short, field)), (n, field)
 
 
+_COEFFICIENTS = ("sigma", "u", "v", "f", "g",
+                 "sigma_prime", "u_prime", "v_prime", "f_prime", "g_prime")
+
+
+def _as_callables(model):
+    """``model`` with each number field a function that returns an array
+    of that number, as ``np.full_like``."""
+    def constant(value):
+        return lambda x: np.full_like(np.asarray(x, dtype=float), value)
+
+    return dataclasses.replace(model, **{
+        name: constant(getattr(model, name)) for name in _COEFFICIENTS
+        if not callable(getattr(model, name))})
+
+
+@pytest.mark.parametrize("sigma_floor", [1e-8, 0.2, 0.25])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+def test_number_fields_give_the_bits_of_callables(
+        model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
+    """Number fields, carried as numbers, give every field and both counts
+    of the same model with array callables, across the 16,384-path block
+    edge."""
+    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
+                   else (deg_model, deg_init))
+    numbers = {name for name in _COEFFICIENTS if not callable(getattr(model, name))}
+    assert numbers == (set(_COEFFICIENTS) if model.degenerate
+                       else {"g", "u_prime", "f_prime", "g_prime"})
+    callables = _as_callables(model)
+    cfg = small_cfg(n_paths=16385, n_steps=64, sigma_floor=sigma_floor)
+    runs = [{"weights": True}, {"weights": {"P3"}}, {"weights": False},
+            {"perturbation": hg.Perturbation("r_drift", 0.001)}]
+    if not model.degenerate:
+        runs.append({"drift_extras": True})
+    for kwargs in runs:
+        got = hg.simulate_paths(model, init, cfg, **kwargs)
+        want = hg.simulate_paths(callables, init, cfg, **kwargs)
+        for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (kwargs, field)
+        assert got.clamp_count == want.clamp_count, kwargs
+        assert got.n_integrand_evals == want.n_integrand_evals, kwargs
+        # The number that divides, g or the Black–Scholes sigma, clamps
+        # every path at every step when it is below the floor.
+        divisor = model.sigma if model.degenerate else model.g
+        assert ((got.clamp_count >= cfg.n_paths * cfg.n_steps)
+                == (divisor < sigma_floor)), kwargs
+
+
 def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
     with pytest.raises(hg.InvalidParams, match="weights=True"):
         hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
@@ -970,14 +1018,16 @@ def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init
 # first-variation processes
 
 @pytest.mark.parametrize("sigma_floor", [1e-8, 0.2])
-@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes", "affine_g"])
 def test_reference_stepper_matches_simulate_paths_bit_for_bit(
-        model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
+        model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init,
+        affine_g_model):
     """The terminal state, first variations and integrals equal those of a
     stepper that keeps every grid point; at sigma_floor=0.2 part of sigma
-    clamps."""
-    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
-                   else (deg_model, deg_init))
+    clamps.  The affine-g model runs the array form of 1/g, L33 and y33."""
+    model, init = {"heston_vasicek": (hv_model, hv_init),
+                   "black_scholes": (deg_model, deg_init),
+                   "affine_g": (affine_g_model, hv_init)}[model_name]
     cfg = small_cfg(n_paths=300, sigma_floor=sigma_floor)
     paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
     series = reference_series(model, init, cfg)
@@ -1010,7 +1060,7 @@ def test_first_variation_initial_values(hv_model, hv_init):
     np.testing.assert_allclose(
         paths.y12_T, hv_init.s0 * hv_model.sigma_prime(v0) * z[:, 0], rtol=1e-12)
     np.testing.assert_allclose(
-        paths.y22_T, np.exp(hv_model.u_prime(v0) - 0.5 * vp * vp + vp * dZ2),
+        paths.y22_T, np.exp(hv_model.u_prime - 0.5 * vp * vp + vp * dZ2),
         rtol=1e-12)
     np.testing.assert_allclose(paths.y33_T, math.exp(-0.02), rtol=1e-12)
 

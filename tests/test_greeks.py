@@ -16,6 +16,7 @@ from conftest import (
     BS_PUT_DELTA,
     BS_RHO,
     BS_VEGA,
+    SEED_HV,
     within_se,
 )
 from reference import fsum_mean_se
@@ -191,6 +192,20 @@ def test_vega_v0_and_rho_r0_agree_with_fd(hv_model, hv_init, hv_cfg_10k,
     fd_r0 = _crn_fd(hv_model, hv_init, hv_cfg_10k, call_100, "rho_r0")
     assert hg.agrees(vega_v0, fd_v0)
     assert hg.agrees(rho_r0, fd_r0)
+
+
+def test_a_non_constant_rate_volatility_agrees_with_fd(affine_g_model, hv_init,
+                                                      call_100):
+    """vega_v0 and rho_r0 of a model whose g, 1/g and y33 are arrays, within
+    4 combined SE of CRN central FD.  The maturity is short because rho_r0
+    is biased by about price * T/2, the term the Bismut weight with
+    alpha = 1/T leaves: 0.55, or 0.3 SE, here."""
+    cfg = hg.SimConfig(n_paths=16384, n_steps=26, maturity=0.25, seed=SEED_HV)
+    paths = hg.simulate_paths(affine_g_model, hv_init, cfg)
+    _, vega_v0, rho_r0 = hg.bismut_vector(paths, call_100)
+    for greek, weighted in (("vega_v0", vega_v0), ("rho_r0", rho_r0)):
+        fd = _crn_fd(affine_g_model, hv_init, cfg, call_100, greek)
+        assert hg.agrees(weighted, fd, n_se=4.0), (greek, weighted, fd)
 
 
 def test_kappa_and_reversion_agree_with_fd(hv_model, hv_init, hv_cfg_10k,

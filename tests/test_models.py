@@ -98,7 +98,7 @@ def test_hv_coefficient_functions(hv_model):
     assert hv_model.u(np.array([HV_PARAMS.theta]))[0] == 0.0
     r = np.array([0.1])
     assert hv_model.f(r)[0] == pytest.approx(0.02 * (0.08 - 0.1))
-    assert hv_model.g(r)[0] == 0.002
+    assert hv_model.g == 0.002
 
 
 def test_hv_sigma_prime_matches_half_inverse_sqrt(hv_model):
@@ -117,6 +117,17 @@ def test_derivative_consistency_probe_rejects_wrong_derivative(hv_model):
         hv_model, f_prime=lambda r: np.full_like(r, 123.0))
     with pytest.raises(hg.InvalidParams, match="f_prime"):
         hg.check_derivative_consistency(broken)
+
+
+def test_derivative_consistency_probe_reads_number_fields(hv_model):
+    # A number is a constant, whose derivative is 0, not 1.
+    broken = dataclasses.replace(hv_model, g=0.002, g_prime=1.0)
+    with pytest.raises(hg.InvalidParams, match="g_prime"):
+        hg.check_derivative_consistency(broken)
+
+
+def test_derivative_consistency_probe_accepts_a_non_constant_g(affine_g_model):
+    hg.check_derivative_consistency(affine_g_model)  # should not raise
 
 
 def test_positivity_condition_default_is_strict(caplog):
@@ -157,10 +168,9 @@ def test_hv_novikov_margin_of_reference_params():
 
 def test_degenerate_model_flags(deg_model):
     assert deg_model.degenerate
-    v = np.linspace(0.0, 2.0, 5)
-    assert np.all(deg_model.sigma(v) == 0.2)
-    assert np.all(deg_model.v(v) == 0.0)
-    assert np.all(deg_model.g(v) == 0.0)
+    assert deg_model.sigma == 0.2
+    assert deg_model.v == 0.0
+    assert deg_model.g == 0.0
 
 
 def test_degenerate_model_rejects_bad_sigma():
