@@ -72,6 +72,11 @@ class _SizeRun:
             self._bismut = bismut_vector(self.accumulators(), self.config.payoff)
         return self._bismut
 
+    def drop_paths(self) -> None:
+        """Let the weighted paths and the Bismut triple go; the estimates
+        made from them stay valid."""
+        self._acc = self._bismut = None
+
     def malliavin(self, greek: str) -> GreekEstimate:
         payoff = self.config.payoff
         if greek == "price":
@@ -117,11 +122,17 @@ class _SizeRun:
 def _rows_for_size(config: RunConfig, n_paths: int, tokens) -> list[dict]:
     run = _SizeRun(config, n_paths, tokens)
     clock = config.timing == "clock"
+    # The weighted paths go after the last weighted row, so the
+    # finite-difference rows after it never simulate beside them.
+    last_weighted = max((i for i, (m, _) in enumerate(tokens) if m == "malliavin"),
+                        default=None)
     rows = []
-    for method, greek in tokens:
+    for i, (method, greek) in enumerate(tokens):
         started = time.perf_counter() if clock else 0.0
         est, n_sims = run.estimate(method, greek)
         wall_ms = (time.perf_counter() - started) * 1000.0 if clock else 0.0
+        if i == last_weighted:
+            run.drop_paths()
         rows.append({
             "estimator": est.estimator,
             "greek": greek,

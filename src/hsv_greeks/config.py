@@ -27,7 +27,7 @@ from .models import (
     black_scholes_degenerate,
     heston_vasicek_model,
 )
-from .engine import _FIELD_GROUPS, SimConfig
+from .engine import SimConfig
 from .greeks import _FD_GREEKS, _GREEKS
 
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
@@ -198,13 +198,6 @@ class RunConfig:
     output_format: str
     timing: str
     entries: dict[str, str]
-
-    @property
-    def wants_drift_extras(self) -> bool:
-        """True when any requested Malliavin Greek reads a drift integral
-        (kappa / reversion-speed sensitivities)."""
-        return any(m == "malliavin" and set(_GREEKS[g].reads) & set(_FIELD_GROUPS["drift"])
-                   for m, g in self.estimators)
 
 
 def parse_config_text(text: str) -> dict[str, str]:

@@ -75,6 +75,12 @@ event is set once it is drawn; while the next run's is not, the calling
 thread draws the next run itself if a permit is free.  Every draw is the
 same bits whichever thread makes it.  The normal draws release the GIL.
 
+A run therefore holds the ring, one block's step-loop state and scratch,
+and one copy of each returned field: every block sums its integrals
+straight into its slice of the returned arrays, and copies its terminal
+state in.  The CLI lets a size's weighted paths go after its last
+weighted row, so its finite-difference runs never simulate beside them.
+
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
 the values by one level of error-free extraction (Rump, Ogita & Oishi,
@@ -95,7 +101,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from itertools import count
 from threading import Event, Semaphore, Thread
 from typing import Collection, Iterator, Sequence
@@ -435,23 +441,29 @@ def _run_block(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
-    nb: int,
+    block: slice,
     runs: Iterator[tuple[int, np.ndarray]],
     perturbation: Perturbation | None,
     groups: frozenset[str],
-) -> tuple[dict[str, np.ndarray], int, int]:
-    """Advance one block of ``nb`` paths through all steps.
+    arrays: dict[str, np.ndarray],
+) -> tuple[int, int]:
+    """Advance the paths of ``block`` through all steps, writing their
+    fields into ``block`` of the ``cfg.n_paths``-long arrays of ``arrays``.
 
     ``runs`` is the iterator of :func:`standard_draws` over the block's
-    draws, each run of shape (steps, 3, nb).  Returns (dict of accumulator
-    arrays, clamp_count, n_evals).  Of the weight fields only the groups of
-    ``_FIELD_GROUPS`` named in ``groups`` are carried; the clamps and
+    draws, each run of shape (steps, 3, nb), nb the block's paths.  The
+    first block creates each array in ``arrays``, the integrals zeroed;
+    every block sums its integrals straight into its slice of them, scales
+    the slice in place at the end, and copies its terminal state in.
+    Returns (clamp_count, n_evals).  Of the weight fields only the groups
+    of ``_FIELD_GROUPS`` named in ``groups`` are carried; the clamps and
     integrand evaluations are counted alike whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
     beside them, so the same bits.
     """
+    nb = block.stop - block.start
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
     floor = cfg.sigma_floor
@@ -490,6 +502,14 @@ def _run_block(
     # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths).
     zeros = lambda: np.zeros(nb)  # noqa: E731
     empty = lambda: np.empty(nb)  # noqa: E731
+
+    def returned(name: str) -> np.ndarray:
+        """The block's slice of the returned array ``name``, zero until
+        written: the first block creates the whole array."""
+        if name not in arrays:
+            arrays[name] = np.zeros(cfg.n_paths)
+        return arrays[name][block]
+
     logS = np.full(nb, math.log(init.s0))
     # Float whatever the type of the initial values: an integer state
     # would make the in-place float steps fail.
@@ -500,13 +520,14 @@ def _run_block(
         L22, L33 = zeros(), 0.0 if y33_number else zeros()
         y22, y33 = np.ones(nb), 1.0 if y33_number else np.ones(nb)
         y12, y13 = zeros(), zeros()
-    sum_r = zeros()
+    sum_r = returned("D")
     if sums:
-        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = (zeros() for _ in range(6))
+        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = map(
+            returned, ("A", "Q", "I1", "I2", "I3", "w1_T"))
     if want_p23:
-        sP2, sP3 = zeros(), zeros()
+        sP2, sP3 = returned("P2"), returned("P3")
     if drift:
-        sJ2, sJ3, sG3 = zeros(), zeros(), zeros()
+        sJ2, sJ3, sG3 = returned("j2"), returned("j3"), returned("g3")
     clamps = 0
     n_evals = 0
 
@@ -531,7 +552,8 @@ def _run_block(
         inv_vv = empty()
         inv_gg = 1.0 / max(float(model.g), floor) if g_number else empty()
     if want_p23:
-        t1, t2, q, acc = (empty() for _ in range(4))
+        # t holds t1, then t2.
+        t, q, acc = empty(), empty(), empty()
         w = None if w_number else empty()
 
     n = 0
@@ -571,29 +593,29 @@ def _run_block(
                 if not g_number:
                     np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
             if want_p23:
-                # t1 = y12 * inv_sig / S, t2 = y13 * inv_sig / S,
-                # q = y22 * inv_vv, w = y33 * inv_gg
-                np.divide(np.multiply(y12, inv_sig, out=t1), S, out=t1)
-                np.divide(np.multiply(y13, inv_sig, out=t2), S, out=t2)
+                # t1 = y12 * inv_sig / S, q = y22 * inv_vv, w = y33 * inv_gg
+                np.divide(np.multiply(y12, inv_sig, out=t), S, out=t)
                 np.multiply(y22, inv_vv, out=q)
                 w = y33 * inv_gg if w_number else np.multiply(y33, inv_gg, out=w)
                 # sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
-                np.multiply(t1, z1, out=acc)
-                np.multiply(cA, t1, out=tmp)
+                np.multiply(t, z1, out=acc)
+                np.multiply(cA, t, out=tmp)
                 tmp += np.multiply(cB, q, out=tmp2)
                 tmp *= z2
                 acc += tmp
-                np.multiply(cC, t1, out=tmp)
+                np.multiply(cC, t, out=tmp)
                 tmp += np.multiply(cD, q, out=tmp2)
                 tmp *= z3
                 acc += tmp
                 sP2 += acc
+                # t2 = y13 * inv_sig / S
+                np.divide(np.multiply(y13, inv_sig, out=t), S, out=t)
                 # sP3 += t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3
-                np.multiply(t2, z1, out=acc)
-                np.multiply(cA, t2, out=tmp)
+                np.multiply(t, z1, out=acc)
+                np.multiply(cA, t, out=tmp)
                 tmp *= z2
                 acc += tmp
-                np.multiply(cC, t2, out=tmp)
+                np.multiply(cC, t, out=tmp)
                 tmp += cE * w if w_number else np.multiply(cE, w, out=tmp2)
                 tmp *= z3
                 acc += tmp
@@ -685,22 +707,29 @@ def _run_block(
                     raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
             n += 1
     # The last rows are views of a run of draws: let the draws go before
-    # the outputs are formed.
+    # the state is copied out.
     del run, z1, z2, z3
 
-    # exp(logS) once gives the bits of S formed at every step.
-    out = {"s_T": S if bismut else np.exp(logS), "v_T": V, "r_T": r, "D": dt * sum_r}
+    # x *= c gives the bits of c * x.
+    sum_r *= dt
     if sums:
-        out.update(I1=sqdt * sI1, I2=sqdt * sI2, I3=sqdt * sI3,
-                   A=dt * sum_sig, Q=dt * sum_invsig, w1_T=sqdt * sW1)
+        sum_sig *= dt
+        sum_invsig *= dt
+        for x in (sI1, sI2, sI3, sW1):
+            x *= sqdt
     if want_p23:
-        out.update(P2=sqdt * sP2, P3=sqdt * sP3)
-    if bismut:
-        out.update(y12_T=y12, y13_T=y13, y22_T=y22,
-                   y33_T=np.full(nb, y33) if y33_number else y33)
+        sP2 *= sqdt
+        sP3 *= sqdt
     if drift:
-        out.update(j2=sqdt * sJ2, j3=sqdt * sJ3, g3=sqdt * sG3)
-    return out, clamps, n_evals
+        for x in (sJ2, sJ3, sG3):
+            x *= sqdt
+    # exp(logS) once gives the bits of S formed at every step.
+    state = {"s_T": S if bismut else np.exp(logS), "v_T": V, "r_T": r}
+    if bismut:
+        state.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
+    for name, value in state.items():
+        returned(name)[...] = value
+    return clamps, n_evals
 
 
 def simulate_paths(
@@ -766,7 +795,8 @@ def simulate_paths(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
         )
     n = cfg.n_paths
-    arrays = {}
+    # Each returned array, held once: every block writes its slice.
+    arrays: dict[str, np.ndarray] = {}
     clamps = evals = 0
     for start in range(0, n, _BLOCK_PATHS):
         stop = min(start + _BLOCK_PATHS, n)
@@ -775,17 +805,16 @@ def simulate_paths(
         with closing(standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
                                     stream=stream, workers=cfg.worker_hint)) as runs:
             try:
-                out, block_clamps, block_evals = _run_block(
-                    model, init, cfg, stop - start, runs, perturbation, groups)
+                block_clamps, block_evals = _run_block(
+                    model, init, cfg, slice(start, stop), runs, perturbation, groups, arrays)
             except NumericalBlowup as exc:
                 raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
-        if not arrays:
-            arrays = {name: np.empty(n) for name in out}
-        for name, arr in out.items():
-            arrays[name][start:stop] = arr
-        del out
         clamps += block_clamps
         evals += block_evals
+    # Checked in field order, whichever block created the arrays: the error
+    # names the first non-finite field.
+    arrays = {f.name: arrays[f.name] for f in dataclass_fields(PathAccumulators)
+              if f.name in arrays}
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))

@@ -9,11 +9,13 @@ import json
 import logging
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hsv_greeks as hg
+from hsv_greeks import cli
 from hsv_greeks.cli import CSV_HEADER, main
 from conftest import BS_DELTA, BS_DIGITAL_DELTA, cli_env
 
@@ -58,7 +60,6 @@ def test_default_run_config():
                              ("malliavin", "vega"))
     assert rc.output_path is None
     assert rc.timing == "off"
-    assert not rc.wants_drift_extras
 
 
 def test_model_tables_have_disjoint_parameter_keys():
@@ -67,11 +68,6 @@ def test_model_tables_have_disjoint_parameter_keys():
     assert "model.kappa" in hv and "model.kappa" not in bs
     assert "model.sigma" in bs and "model.sigma" not in hv
     assert hg.DEFAULTS == hv
-
-
-def test_drift_extras_requested_only_when_needed():
-    rc = hg.build_run_config({"estimators": "malliavin:kappa"})
-    assert rc.wants_drift_extras
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -425,6 +421,34 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("hsv-greeks:")
     assert "bogus" in proc.stderr
+
+
+def test_compare_lets_the_weighted_paths_go_before_its_fd_rows(monkeypatch):
+    """A two-block compare run: by the first finite-difference re-simulation
+    nothing holds the size's weighted paths any more."""
+    refs, fd_calls = [], []
+
+    def simulate(*args, **kwargs):
+        paths = hg.simulate_paths(*args, **kwargs)
+        refs.append(weakref.ref(paths))
+        return paths
+
+    def fd(*args, **kwargs):
+        if not fd_calls:
+            assert len(refs) == 1 and refs[0]() is None
+        fd_calls.append(args)
+        return hg.fd_greek(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_paths", simulate)
+    monkeypatch.setattr(cli, "fd_greek", fd)
+    config = hg.build_run_config({
+        "sim.n_paths": "16385", "sim.n_steps": "2",
+        "estimators": "malliavin:delta,malliavin:vega,fd:delta,fd:vega"})
+    records = cli.compare(config)
+    assert [(r["estimator"], r["greek"]) for r in records] == [
+        ("malliavin", "delta"), ("malliavin", "vega"),
+        ("fd_central", "delta"), ("fd_central", "vega")]
+    assert len(fd_calls) == 2
 
 
 def test_compare_without_fd_estimator_exits_2(tmp_path):
