@@ -65,21 +65,24 @@ the step loop, on the calling thread, steps each run as soon as it is
 drawn; so a block holds a ring of runs of draws, never all of them.  The
 ring holds at most one byte budget, ``_RING_BYTES``, whatever the CPU
 count: the worker count (``SimConfig.worker_hint``; None means the CPUs in
-the process's affinity mask) and the budget cap the threads that draw,
-and each run is as many steps as the ring of that many runs can hold
-(one step at least).  A thread claims the next run, in step order,
-only with one of a semaphore's permits, one per slot, and the calling
-thread gives one back after it steps a run: so at most one run per slot is
-claimed and not yet stepped, and a claimed run's slot is free.  Each run's
-event is set once it is drawn; while the next run's is not, the calling
-thread draws the next run itself if a permit is free.  Every draw is the
-same bits whichever thread makes it.  The normal draws release the GIL.
+the process's affinity mask) and the budget cap the threads that draw.
+Each run is as many steps as the ring of that many runs can hold (one
+step at least) and, when several threads draw, about one block-step of
+normals at most (two steps at least).  A thread claims the next run, in
+step order, only with one of a semaphore's permits, one per slot, and the
+calling thread gives one back after it steps a run: so at most one run
+per slot is claimed and not yet stepped, and a claimed run's slot is
+free.  Each run's event is set once it is drawn; while the next run's is
+not, the calling thread draws the next run itself if a permit is free.
+Every draw is the same bits whichever thread makes it.  The normal draws
+release the GIL.
 
 A run therefore holds the ring, one block's step-loop state and scratch,
 and one copy of each returned field: every block sums its integrals
 straight into its slice of the returned arrays, and copies its terminal
-state in.  The CLI lets a size's weighted paths go after its last
-weighted row, so its finite-difference runs never simulate beside them.
+state in, which a single block hands over as it is.  The CLI lets a
+size's weighted paths go after its last weighted row, so its
+finite-difference runs never simulate beside them.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  :func:`stable_sum` splits
@@ -278,9 +281,11 @@ def _ring_plan(n_paths: int, n_steps: int, workers: int | None,
     The threads are capped by ``workers`` (None: every CPU), the CPUs, the
     steps, the chunks of ``_THREAD_PATHS`` paths and the steps the budget
     holds less one; the ring holds a run per thread plus one, or one run
-    for one thread, and its runs are as long as ``_RING_BYTES`` allows.
-    So the ring holds at most ``_RING_BYTES`` or one step, whichever is
-    larger.
+    for one thread, and its runs are as long as ``_RING_BYTES`` allows:
+    so the ring holds at most ``_RING_BYTES`` or one step, whichever is
+    larger.  Several threads' runs are also at most about one block-step
+    of normals, or two steps: longer runs kept them no busier, and runs
+    of one step were slower.
     """
     step_bytes = 3 * 8 * n_paths
     threads = min(workers or cpus, cpus, n_steps, -(-n_paths // _THREAD_PATHS),
@@ -288,6 +293,8 @@ def _ring_plan(n_paths: int, n_steps: int, workers: int | None,
     # One thread draws run k+1 only once run k has been stepped.
     depth = 1 if threads == 1 else threads + 1
     steps = max(1, min(n_steps, _RING_BYTES // (depth * step_bytes)))
+    if threads > 1:
+        steps = min(steps, max(2, -(-_BLOCK_PATHS // n_paths)))
     runs = -(-n_steps // steps)
     threads = min(threads, runs)
     return threads, 1 if threads == 1 else min(depth, runs), steps
@@ -454,14 +461,16 @@ def _run_block(
     draws, each run of shape (steps, 3, nb), nb the block's paths.  The
     first block creates each array in ``arrays``, the integrals zeroed;
     every block sums its integrals straight into its slice of them, scales
-    the slice in place at the end, and copies its terminal state in.
-    Returns (clamp_count, n_evals).  Of the weight fields only the groups
-    of ``_FIELD_GROUPS`` named in ``groups`` are carried; the clamps and
-    integrand evaluations are counted alike whatever is carried.
+    the slice in place at the end, and copies its terminal state in, which
+    a single block hands over as it is.  Returns (clamp_count, n_evals).
+    Of the weight fields only the groups of ``_FIELD_GROUPS`` named in
+    ``groups`` are carried; the clamps and integrand evaluations are
+    counted alike whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
-    beside them, so the same bits.
+    beside them, so the same bits.  The first variations update in place,
+    and V and r step through one spare buffer that then swaps with them.
     """
     nb = block.stop - block.start
     dt = cfg.maturity / cfg.n_steps
@@ -499,7 +508,8 @@ def _run_block(
     want_p23 = bismut and hybrid
 
     # This allocation order sets where the heap puts the arrays: another
-    # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths).
+    # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths),
+    # and a single block returns the state it allocates first.
     zeros = lambda: np.zeros(nb)  # noqa: E731
     empty = lambda: np.empty(nb)  # noqa: E731
 
@@ -531,10 +541,9 @@ def _run_block(
     clamps = 0
     n_evals = 0
 
-    # Step scratch.  V_next and r_next receive the new V and r, and then
-    # swap with them, as y12_next and y13_next do: a model function may
-    # return its own argument.
-    dW1, dZ2, dZ3, Vp, tmp, tmp2, V_next, r_next = (empty() for _ in range(8))
+    # Step scratch.  nxt receives the new V, then the new r, each swapped
+    # with it in turn: a model function may return its own argument.
+    dW1, dZ2, dZ3, Vp, tmp, tmp2, nxt = (empty() for _ in range(7))
     low = np.empty(nb, dtype=bool)
 
     def clamped(x) -> int:
@@ -543,11 +552,17 @@ def _run_block(
             return nb if x < floor else 0
         return int(np.count_nonzero(np.less(x, floor, out=low)))
 
+    def log_step(drift, vol, dZ) -> np.ndarray:
+        """tmp = (drift - 0.5 * vol * vol) * dt + vol * dZ, a log-Euler step."""
+        np.multiply(0.5, vol, out=tmp)
+        np.multiply(tmp, vol, out=tmp)
+        np.subtract(drift, tmp, out=tmp)
+        np.multiply(tmp, dt, out=tmp)
+        return np.add(tmp, np.multiply(vol, dZ, out=tmp2), out=tmp)
+
     bumped = empty() if perturbation is not None else None
     if sums or bismut:
         inv_sig = empty()
-    if bismut:
-        y12_next, y13_next = empty(), empty()
     if want_p23 or drift:
         inv_vv = empty()
         inv_gg = 1.0 / max(float(model.g), floor) if g_number else empty()
@@ -556,9 +571,8 @@ def _run_block(
         t, q, acc = empty(), empty(), empty()
         w = None if w_number else empty()
 
-    n = 0
-    for _, run in runs:
-        for z1, z2, z3 in run:
+    for first, run in runs:
+        for n, (z1, z2, z3) in enumerate(run, start=first):
             np.multiply(sqdt, z1, out=dW1)
             # dZ2 = r12 * dW1 + (m1 * sqdt) * z2
             np.multiply(r12, dW1, out=dZ2)
@@ -632,40 +646,31 @@ def _run_block(
                 up = u_prime(Vp)
                 fp = f_prime(r)
                 gp = g_prime(r)
-                # y12_next = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1
-                np.multiply(r, y12, out=y12_next)
-                y12_next *= dt
-                y12_next += y12
+                # y12 = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1,
+                # in place: the dW1 term first, from the old y12, as for y13
                 np.multiply(sig, y12, out=tmp)
                 tmp += np.multiply(np.multiply(S, sp, out=tmp2), y22, out=tmp2)
                 tmp *= dW1
-                y12_next += tmp
-                # y13_next = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
-                np.multiply(r, y13, out=y13_next)
-                y13_next += np.multiply(S, y33, out=tmp)
-                y13_next *= dt
-                y13_next += y13
+                np.multiply(r, y12, out=tmp2)
+                tmp2 *= dt
+                tmp2 += y12
+                np.add(tmp2, tmp, out=y12)
+                # y13 = y13 + (r * y13 + S * y33) * dt + sig * y13 * dW1
                 np.multiply(sig, y13, out=tmp)
                 tmp *= dW1
-                y13_next += tmp
-                # L22 += (up - 0.5 * vp * vp) * dt + vp * dZ2
-                np.multiply(0.5, vp, out=tmp)
-                tmp *= vp
-                np.subtract(up, tmp, out=tmp)
-                tmp *= dt
-                tmp += np.multiply(vp, dZ2, out=tmp2)
-                L22 += tmp
-                # L33 += (fp - 0.5 * gp * gp) * dt + gp * dZ3, whose last
-                # term adds zero when gp = 0
+                np.multiply(r, y13, out=tmp2)
+                tmp2 += np.multiply(S, y33, out=nxt)
+                tmp2 *= dt
+                tmp2 += y13
+                np.add(tmp2, tmp, out=y13)
+                L22 += log_step(up, vp, dZ2)
+                del sp, vp  # before the state's model calls allocate
+                # L33 += log_step(fp, gp, dZ3), whose last term adds zero
+                # when gp = 0
                 if y33_number:
                     L33 += (fp - 0.5 * gp * gp) * dt
                 else:
-                    np.multiply(0.5, gp, out=tmp)
-                    tmp *= gp
-                    np.subtract(fp, tmp, out=tmp)
-                    tmp *= dt
-                    tmp += np.multiply(gp, dZ3, out=tmp2)
-                    L33 += tmp
+                    L33 += log_step(fp, gp, dZ3)
 
             # State updates (log-Euler / full truncation / Euler).
             sig_s = np.add(sig, pert_delta, out=bumped) if pert_target == "stock_vol" else sig
@@ -677,37 +682,28 @@ def _run_block(
             if pert_target == "r_drift":
                 f_eval = np.add(f_eval, pert_delta, out=bumped)
 
-            # logS += (rate_s - 0.5 * sig_s * sig_s) * dt + sig_s * dW1
-            np.multiply(0.5, sig_s, out=tmp)
-            tmp *= sig_s
-            np.subtract(rate_s, tmp, out=tmp)
-            tmp *= dt
-            tmp += np.multiply(sig_s, dW1, out=tmp2)
-            logS += tmp
-            # V_next = V + u_eval * dt + vv * dZ2
-            np.multiply(u_eval, dt, out=V_next)
-            V_next += V
-            V_next += np.multiply(vv, dZ2, out=tmp)
-            # r_next = r + f_eval * dt + gg * dZ3
-            np.multiply(f_eval, dt, out=r_next)
-            r_next += r
-            r_next += np.multiply(gg, dZ3, out=tmp)
-            V, V_next = V_next, V
-            r, r_next = r_next, r
+            logS += log_step(rate_s, sig_s, dW1)
+            # V = V + u_eval * dt + vv * dZ2
+            np.multiply(u_eval, dt, out=nxt)
+            nxt += V
+            nxt += np.multiply(vv, dZ2, out=tmp)
+            V, nxt = nxt, V
+            # r = r + f_eval * dt + gg * dZ3
+            np.multiply(f_eval, dt, out=nxt)
+            nxt += r
+            nxt += np.multiply(gg, dZ3, out=tmp)
+            r, nxt = nxt, r
             if bismut:
                 np.exp(logS, out=S)
                 np.exp(L22, out=y22)
                 y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
-                y12, y12_next = y12_next, y12
-                y13, y13_next = y13_next, y13
 
             for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
                 if not (np.abs(arr, out=tmp).max() <= limit):  # also catches NaN
                     bad = ~(np.abs(arr) <= limit)
                     raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
-            n += 1
     # The last rows are views of a run of draws: let the draws go before
-    # the state is copied out.
+    # the state is handed over.
     del run, z1, z2, z3
 
     # x *= c gives the bits of c * x.
@@ -724,11 +720,15 @@ def _run_block(
         for x in (sJ2, sJ3, sG3):
             x *= sqdt
     # exp(logS) once gives the bits of S formed at every step.
-    state = {"s_T": S if bismut else np.exp(logS), "v_T": V, "r_T": r}
+    state = {"s_T": S if bismut else np.exp(logS, out=logS), "v_T": V, "r_T": r}
     if bismut:
         state.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
     for name, value in state.items():
-        returned(name)[...] = value
+        # A single block hands its own state arrays over.
+        if nb == cfg.n_paths and isinstance(value, np.ndarray):
+            arrays[name] = value
+        else:
+            returned(name)[...] = value
     return clamps, n_evals
 
 

@@ -464,17 +464,20 @@ def test_simulation_does_not_depend_on_the_run_length(monkeypatch, hv_model,
                                                       hv_init, run_steps):
     """Budgets that give runs of one step, of a length that leaves a short
     last run, and of the whole block step the same paths as the default
-    budget."""
+    budget on two threads."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     cfg = small_cfg(n_paths=2 * _CHUNK + 1, n_steps=12, sigma_floor=0.2,
                     worker_hint=2)
     reference = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
-    # Two threads draw into a ring of three runs; one run of the whole
-    # block leaves one thread.
+    # Two threads draw into a ring of three runs; a run of the whole block
+    # is one thread's, as two threads' runs are at most a block-step of
+    # normals long (8 steps here).
     _set_budget(monkeypatch, cfg.n_paths, 3 * (run_steps or cfg.n_steps))
+    workers = 2 if run_steps else 1
     plan = (2, 3, run_steps) if run_steps else (1, 1, cfg.n_steps)
-    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, 2, 2) == plan
-    paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, workers, 2) == plan
+    paths = hg.simulate_paths(hv_model, hv_init, dataclasses.replace(cfg, worker_hint=workers),
+                              drift_extras=True)
     for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
         assert np.array_equal(getattr(paths, name), getattr(reference, name)), name
     assert paths.clamp_count == reference.clamp_count > 0
@@ -504,8 +507,8 @@ def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
 def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     """One weighted 16,384 x 252 block with the drift extras, on two
     threads: its draws are made a run at a time into a ring within the
-    byte budget, so the traced peak stays within 12 MiB (about 9 MiB
-    measured), where the block's draws alone are 95 MiB."""
+    byte budget, so the traced peak stays within 12 MiB (about 7.4 MiB
+    measured on two CPUs), where the block's draws alone are 95 MiB."""
     cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=2)
     tracemalloc.start()
     try:
@@ -514,6 +517,26 @@ def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20, peak / 2**20
+
+
+def test_a_multi_thread_ring_holds_runs_of_about_one_block_step(monkeypatch, hv_model,
+                                                                hv_init):
+    """A weighted 10,000 x 252 block with the drift extras on two CPUs: two
+    threads draw runs of 2 steps, about one block-step of normals, into a
+    ring of three (1.4 MB), and the step loop updates its first variations
+    in place and hands its state over, so the traced peak stays within
+    5.5 MiB: about 4.6 MiB measured, 6.2 MiB with runs of 4 steps (2.9 MB),
+    as long as the budget allows, and a copied-out state."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+    cfg = small_cfg(n_paths=10_000, n_steps=252)
+    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, None, 2) == (2, 3, 2)
+    tracemalloc.start()
+    try:
+        hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20, peak / 2**20
 
 
 def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model,
@@ -582,6 +605,19 @@ def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch):
     assert np.array_equal(rows, z.transpose(1, 2, 0))
 
 
+@pytest.mark.parametrize("n_paths, workers, cpus, plan", [
+    (10_000, None, 2, (2, 3, 2)), (16_384, None, 2, (2, 3, 2)),
+    (5_000, None, 2, (2, 3, 4)), (2_000, None, 2, (2, 3, 9)),
+    (16_384, None, 16, (7, 8, 1)),
+    (10_000, 1, 2, (1, 1, 13)), (16_384, None, 1, (1, 1, 8)), (250, None, 2, (1, 1, 252)),
+])
+def test_ring_plans_of_252_step_blocks(n_paths, workers, cpus, plan):
+    """Several threads draw runs of about one block-step of normals, two
+    steps at least, within the budget; one thread draws runs as long as
+    the budget allows."""
+    assert hg.engine._ring_plan(n_paths, 252, workers, cpus) == plan
+
+
 @settings(max_examples=300, deadline=None)
 @given(n_paths=st.integers(1, 3 * _BLOCK), n_steps=st.integers(1, 600),
        workers=st.none() | st.integers(1, 64), cpus=st.integers(1, 64),
@@ -593,7 +629,9 @@ def test_the_ring_plan_keeps_its_budget_and_covers_every_step(
     the budget, or one step; the runs cover every step once, in order; at
     least one thread draws and no more than the workers or the CPUs; one
     thread draws into a ring of one run, and more into a ring of a run per
-    thread plus at most one, and of no more runs than the block has."""
+    thread plus at most one, and of no more runs than the block has.  Runs
+    on one worker or CPU are as long as the budget allows, and runs of
+    several threads at most a block-step of normals, or two steps."""
     step_bytes = 3 * 8 * n_paths
     with pytest.MonkeyPatch.context() as patch:
         if budget_eighths is not None:
@@ -608,6 +646,9 @@ def test_the_ring_plan_keeps_its_budget_and_covers_every_step(
         assert depth == 1
     else:
         assert threads <= depth <= min(threads + 1, len(runs))
+        assert steps <= max(2, -(-_BLOCK // n_paths))
+    if min(workers or cpus, cpus) == 1:
+        assert steps == max(1, min(n_steps, budget // step_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -1020,18 +1061,25 @@ def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init
 # first-variation processes
 
 @pytest.mark.parametrize("sigma_floor", [1e-8, 0.2])
-@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes", "affine_g"])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes", "affine_g",
+                                        "identity_drifts"])
 def test_reference_stepper_matches_simulate_paths_bit_for_bit(
         model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init,
         affine_g_model):
     """The terminal state, first variations and integrals equal those of a
     stepper that keeps every grid point; at sigma_floor=0.2 part of sigma
     clamps.  The affine-g model runs the array form of 1/g, L33 and y33.
-    The two-block run checks the integrals the second block sums in place
-    into its slice of the returned arrays."""
+    The identity-drifts model's u(V) = V and f(r) = r return their own
+    argument object, the aliasing for which the engine steps V and r
+    through a spare buffer.  The two-block run checks the integrals the
+    second block sums in place into its slice of the returned arrays."""
+    identity_drifts = dataclasses.replace(
+        hv_model, name="identity_drifts", u=lambda V: V, u_prime=1.0,
+        f=lambda r: r, f_prime=1.0, hv_params=None)
     model, init = {"heston_vasicek": (hv_model, hv_init),
                    "black_scholes": (deg_model, deg_init),
-                   "affine_g": (affine_g_model, hv_init)}[model_name]
+                   "affine_g": (affine_g_model, hv_init),
+                   "identity_drifts": (identity_drifts, hv_init)}[model_name]
     for cfg in (small_cfg(n_paths=300, sigma_floor=sigma_floor),
                 small_cfg(n_paths=_BLOCK + 300, n_steps=4, sigma_floor=sigma_floor)):
         paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
