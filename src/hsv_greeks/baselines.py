@@ -27,8 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
-from .errors import DegenerateModel, InvalidBump, InvalidParams, UnsupportedModel
-from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _Bump, _finite_estimate
+from .errors import InvalidBump, InvalidParams
+from .greeks import (_FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _Bump, _finite_estimate,
+                     _refuse_model)
 from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
 __all__ = [
@@ -161,11 +162,7 @@ def fd_greek(
     _require_payoff(payoff)
     token = f"fd:{bump.greek}"
     moves = _bump_of(bump.greek)
-    if moves.scale is not None and model.hv_params is None:
-        raise UnsupportedModel(f"{token} bumps need the Heston–Vasicek instance")
-    if _GREEKS[bump.greek].hybrid_only and model.degenerate:
-        raise DegenerateModel(f"{token} needs stochastic variance and rate dynamics; "
-                              "the constant-coefficient model has none")
+    _refuse_model(token, model)
     check_bump_size(bump, init)
     offsets, denom = _FD_SCHEMES[bump.scheme]
     denom *= bump.h

@@ -12,8 +12,11 @@ Subcommands
 All data output is CSV (or JSON lines) with one row per estimator and sample
 size.  Rows are produced by library calls and formatted with ``repr``; the
 front end adds no arithmetic, so output bytes are reproducible whenever the
-configuration and seed are.  Wall-clock timing is opt-in (``output.timing=
-clock``) because it breaks byte-level reproducibility.
+configuration and seed are.  At each size the ``malliavin:`` rows share one
+simulation of the integrals they read: the first of them runs it, and the
+last lets it go.  Wall-clock timing is opt-in (``output.timing=clock``)
+because it breaks byte-level reproducibility; it charges the shared
+simulation to the first ``malliavin:`` row.
 """
 
 from __future__ import annotations
@@ -43,102 +46,62 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-class _SizeRun:
-    """Shared state for one sample size: the weighted estimators of
-    ``tokens`` reuse one simulation of the fields they read, triggered
-    lazily so timing can attribute it to the first row that needs it."""
-
-    def __init__(self, config: RunConfig, n_paths: int, tokens):
-        self.config = config
-        self.sim = replace(config.sim, n_paths=n_paths)
-        # bismut_vector, which gives vega_v0 and rho_r0, estimates delta too.
-        greeks = {g for m, g in tokens if m == "malliavin"}
-        if greeks & {"vega_v0", "rho_r0"}:
-            greeks.add("delta")
-        self.reads = {name for g in greeks for name in _GREEKS[g].reads}
-        self._acc = None
-        self._bismut = None
-        self.sims_run = 0
-
-    def accumulators(self):
-        if self._acc is None:
-            self._acc = simulate_paths(self.config.model, self.config.init,
-                                       self.sim, weights=self.reads)
-            self.sims_run += 1
-        return self._acc
-
-    def bismut(self):
-        if self._bismut is None:
-            self._bismut = bismut_vector(self.accumulators(), self.config.payoff)
-        return self._bismut
-
-    def drop_paths(self) -> None:
-        """Let the weighted paths and the Bismut triple go; the estimates
-        made from them stay valid."""
-        self._acc = self._bismut = None
-
-    def malliavin(self, greek: str) -> GreekEstimate:
-        payoff = self.config.payoff
-        if greek == "price":
-            return price(self.accumulators(), payoff)
-        if greek == "delta":
-            return delta(self.accumulators(), payoff, self.config.init.s0)
-        if greek == "rho":
-            return rho(self.accumulators(), payoff, self.sim.maturity)
-        if greek == "vega":
-            return vega(self.accumulators(), payoff, self.sim.maturity)
-        if greek in ("vega_v0", "rho_r0"):
-            return self.bismut()[1 if greek == "vega_v0" else 2]
-        kind = "kappa" if greek == "kappa" else "reversion_speed"
-        return drift_sensitivity(self.accumulators(), payoff, kind)
-
-    def finite_difference(self, greek: str) -> GreekEstimate:
-        est = fd_greek(self.config.model, self.config.init, self.sim,
-                       self.config.payoff, self.config.bumps[greek])
-        self.sims_run += 2  # base/bumped pair, or the two one-sided bumps
-        return est
-
-    def analytic(self, greek: str) -> GreekEstimate:
-        rc = self.config
-        closed = bs_closed_form(rc.init.s0, rc.payoff.strike, rc.init.r0,
-                                rc.model.bs_params.sigma, self.sim.maturity,
-                                level=rc.payoff.level)
-        value = getattr(closed, _GREEKS[greek].closed_form[rc.payoff.kind])
-        return GreekEstimate(value=value, std_error=0.0,
-                             n_paths=self.sim.n_paths, estimator="analytic")
-
-    def estimate(self, method: str, greek: str) -> tuple[GreekEstimate, int]:
-        """Run one estimator; returns (estimate, simulations it triggered)."""
-        before = self.sims_run
-        if method == "malliavin":
-            est = self.malliavin(greek)
-        elif method == "fd":
-            est = self.finite_difference(greek)
-        else:
-            est = self.analytic(greek)
-        return est, self.sims_run - before
+# A weighted token's estimate, by a call through its public estimator's module
+# name, which a tracer may rebind; vega_v0 and rho_r0 share one bismut_vector.
+_ESTIMATORS = {
+    "price": lambda p, payoff: price(p, payoff),
+    "delta": lambda p, payoff: delta(p, payoff, p.s0),
+    "rho": lambda p, payoff: rho(p, payoff, p.maturity),
+    "vega": lambda p, payoff: vega(p, payoff, p.maturity),
+    "kappa": lambda p, payoff: drift_sensitivity(p, payoff, "kappa"),
+    "reversion": lambda p, payoff: drift_sensitivity(p, payoff, "reversion_speed"),
+}
 
 
-def _rows_for_size(config: RunConfig, n_paths: int, tokens) -> list[dict]:
-    run = _SizeRun(config, n_paths, tokens)
-    clock = config.timing == "clock"
-    # The weighted paths go after the last weighted row, so the
-    # finite-difference rows after it never simulate beside them.
+def _rows_for_size(rc: RunConfig, n_paths: int, tokens) -> list[dict]:
+    """One row per token at ``n_paths``; ``n_sims`` counts the simulations
+    each row ran.  The weighted paths go after the last ``malliavin:`` row,
+    so the finite-difference rows after it never simulate beside them."""
+    sim = replace(rc.sim, n_paths=n_paths)
+    weighted = {g for m, g in tokens if m == "malliavin"}
+    # bismut_vector, which gives vega_v0 and rho_r0, estimates delta too.
+    if weighted & {"vega_v0", "rho_r0"}:
+        weighted.add("delta")
+    reads = {name for g in weighted for name in _GREEKS[g].reads}
     last_weighted = max((i for i, (m, _) in enumerate(tokens) if m == "malliavin"),
                         default=None)
+    clock = rc.timing == "clock"
+    paths = bismut = None
     rows = []
     for i, (method, greek) in enumerate(tokens):
         started = time.perf_counter() if clock else 0.0
-        est, n_sims = run.estimate(method, greek)
+        n_sims = 0
+        if method == "malliavin":
+            if paths is None:
+                paths, n_sims = simulate_paths(rc.model, rc.init, sim, weights=reads), 1
+            if greek in ("vega_v0", "rho_r0"):
+                bismut = bismut or bismut_vector(paths, rc.payoff)
+                est = bismut[1 if greek == "vega_v0" else 2]
+            else:
+                est = _ESTIMATORS[greek](paths, rc.payoff)
+        elif method == "fd":
+            est = fd_greek(rc.model, rc.init, sim, rc.payoff, rc.bumps[greek])
+            n_sims = 2  # base/bumped pair, or the two one-sided bumps
+        else:
+            closed = bs_closed_form(rc.init.s0, rc.payoff.strike, rc.init.r0,
+                                    rc.model.bs_params.sigma, sim.maturity,
+                                    level=rc.payoff.level)
+            est = GreekEstimate(getattr(closed, _GREEKS[greek].closed_form[rc.payoff.kind]),
+                                0.0, n_paths, "analytic")
         wall_ms = (time.perf_counter() - started) * 1000.0 if clock else 0.0
         if i == last_weighted:
-            run.drop_paths()
+            paths = bismut = None  # the estimates made from them stay valid
         rows.append({
             "estimator": est.estimator,
             "greek": greek,
             "n_paths": n_paths,
-            "n_steps": run.sim.n_steps,
-            "seed": run.sim.seed,
+            "n_steps": sim.n_steps,
+            "seed": sim.seed,
             "value": float(est.value),
             "std_error": float(est.std_error),
             "clamp_count": int(est.clamp_count),
@@ -149,7 +112,7 @@ def _rows_for_size(config: RunConfig, n_paths: int, tokens) -> list[dict]:
     return rows
 
 
-def compare(config: RunConfig, sizes=None) -> list[dict]:
+def compare(config: RunConfig) -> list[dict]:
     """Weighted-versus-finite-difference comparison records.
 
     Every non-weighted row carries an ``agree`` flag: true when its value is
@@ -157,30 +120,20 @@ def compare(config: RunConfig, sizes=None) -> list[dict]:
     same Greek.  ``n_sims`` counts the simulations each row needed, which is
     how the cost comparison is made machine-checkable.
     """
-    greeks_by_method: dict[str, set] = {}
-    for method, greek in config.estimators:
-        greeks_by_method.setdefault(method, set()).add(greek)
-    shared = greeks_by_method.get("malliavin", set()) & (
-        greeks_by_method.get("fd", set()))
-    if not shared:
+    weighted = {g for m, g in config.estimators if m == "malliavin"}
+    if not weighted & {g for m, g in config.estimators if m == "fd"}:
         raise InvalidConfig(
             "estimators",
             "compare needs a malliavin and an fd estimator for the same "
             "greek; got " + ",".join(f"{m}:{g}" for m, g in config.estimators))
 
-    records = []
-    for n_paths in (sizes if sizes is not None else (config.sim.n_paths,)):
-        rows = _rows_for_size(config, n_paths, config.estimators)
-        weighted = {r["greek"]: r["_estimate"] for r in rows
-                    if r["estimator"] == "malliavin"}
-        for row in rows:
-            reference = weighted.get(row["greek"])
-            if row["estimator"] == "malliavin" or reference is None:
-                row["agree"] = None
-            else:
-                row["agree"] = agrees(reference, row["_estimate"])
-            records.append(row)
-    return records
+    rows = _rows_for_size(config, config.sim.n_paths, config.estimators)
+    reference = {r["greek"]: r["_estimate"] for r in rows if r["estimator"] == "malliavin"}
+    for row in rows:
+        ref = reference.get(row["greek"])
+        row["agree"] = (None if row["estimator"] == "malliavin" or ref is None
+                        else agrees(ref, row["_estimate"]))
+    return rows
 
 
 def _comparison_table(records) -> str:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .baselines import BumpSpec, check_bump_size, default_bump_size
-from .errors import InvalidConfig, InvalidParams
+from .errors import DegenerateModel, InvalidConfig, InvalidParams, UnsupportedModel
 from .models import (
     BlackScholesParams,
     CorrelationTriple,
@@ -28,7 +28,7 @@ from .models import (
     heston_vasicek_model,
 )
 from .engine import SimConfig
-from .greeks import _FD_GREEKS, _GREEKS
+from .greeks import _FD_GREEKS, _GREEKS, _refuse_model
 
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
@@ -318,10 +318,11 @@ def build_run_config(overrides=None) -> RunConfig:
     estimators = values["estimators"]
     for method, greek in estimators:
         spec = _GREEKS[greek]
-        if spec.hybrid_only and model.degenerate:
-            problem = ("needs stochastic variance/rate dynamics; the "
-                       "constant-coefficient model has none")
-        elif method == "fd" and spec.bump is None:
+        try:
+            _refuse_model(f"{method}:{greek}", model)
+        except (DegenerateModel, UnsupportedModel) as exc:
+            raise InvalidConfig("estimators", str(exc)) from exc
+        if method == "fd" and spec.bump is None:
             problem = f"has no finite-difference form; use 'malliavin:{greek}'"
         elif method == "analytic" and not model.degenerate:
             problem = "has a closed form only for the constant-coefficient model"

@@ -37,7 +37,7 @@ import numpy as np
 from .engine import _FIELD_GROUPS, PathAccumulators, stable_mean_se
 from .errors import (DegenerateModel, DegenerateWeightWarning, EmptyInput, InvalidParams,
                      NonFiniteEstimate, UnsupportedModel)
-from .models import Payoff, _inverse_loadings, evaluate_payoff
+from .models import ModelSpec, Payoff, _inverse_loadings, evaluate_payoff
 
 __all__ = [
     "GreekEstimate",
@@ -57,7 +57,7 @@ _FD_SCHEMES = {
     "central": ((1.0, -1.0), 2.0),
 }
 ESTIMATOR_LABELS = ("malliavin", *(f"fd_{scheme}" for scheme in _FD_SCHEMES), "analytic")
-GAMMA_KINDS = ("stock_shift", "kappa", "reversion_speed")
+GAMMA_KINDS = ("kappa", "reversion_speed")
 
 # Fraction of clamped integrand evaluations above which estimates are flagged.
 _CLAMP_FLAG_RATIO = 0.01
@@ -210,19 +210,25 @@ _GREEKS = {
 _FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump is not None)
 
 
+def _refuse_model(token: str, model: ModelSpec) -> None:
+    """Refuse ``model`` if the Greek of ``token`` (``method:greek``) is not
+    defined for it, in one wording for weights, bumps and the config."""
+    spec = _GREEKS[token.rpartition(":")[2]]
+    # A Greek scaled by a Heston–Vasicek parameter reads it from the model.
+    if spec.bump is not None and spec.bump.scale and model.hv_params is None:
+        raise UnsupportedModel(f"{token} is defined for the Heston–Vasicek instance only")
+    if spec.hybrid_only and model.degenerate:
+        raise DegenerateModel(f"{token} needs stochastic variance and rate dynamics; "
+                              "the constant-coefficient model has none")
+
+
 def _check_paths(greek: str, paths: PathAccumulators) -> None:
     """Refuse ``paths`` whose model the weight of ``greek`` is not defined
     for, or that lack a field it reads."""
     spec = _GREEKS[greek]
     if len(paths) == 0:
         raise EmptyInput("estimator received zero paths")
-    # A Greek scaled by a Heston–Vasicek parameter reads it from the model.
-    if spec.bump is not None and spec.bump.scale and paths.model.hv_params is None:
-        raise UnsupportedModel(
-            f"malliavin:{greek} is defined for the Heston–Vasicek instance only")
-    if spec.hybrid_only and paths.model.degenerate:
-        raise DegenerateModel(
-            f"malliavin:{greek} needs non-degenerate v(V) and g(r)")
+    _refuse_model(f"malliavin:{greek}", paths.model)
     if missing := [name for name in spec.reads if getattr(paths, name) is None]:
         raise InvalidParams(
             f"malliavin:{greek} reads {', '.join(missing)}, which these paths lack; "
@@ -355,9 +361,8 @@ def vega(paths: PathAccumulators, payoff: Payoff, maturity: float) -> GreekEstim
 
 
 def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) -> GreekEstimate:
-    """Drift-perturbation sensitivities for the three supported gamma vectors.
+    """Drift-perturbation sensitivities for the two supported gamma vectors.
 
-    * ``stock_shift``  — gamma = (S, 0, 0): identical to :func:`rho`.
     * ``kappa``        — gamma = (0, kappa, 0): the ``kappa`` weight.
     * ``reversion_speed`` — gamma = (0, 0, a): the ``reversion`` weight.
 
@@ -366,5 +371,5 @@ def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) 
     """
     if gamma_kind not in GAMMA_KINDS:
         raise InvalidParams(f"gamma_kind must be one of {GAMMA_KINDS}, got {gamma_kind!r}")
-    greek = {"stock_shift": "rho", "kappa": "kappa", "reversion_speed": "reversion"}[gamma_kind]
+    greek = "kappa" if gamma_kind == "kappa" else "reversion"
     return _weighted((greek,), paths, payoff)[0]

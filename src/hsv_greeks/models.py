@@ -54,6 +54,8 @@ logger = logging.getLogger(__name__)
 # kept away from the sqrt kink at 0, rate points span negative and positive.
 _PROBE_V_RANGE = (0.02, 1.5)
 _PROBE_R_RANGE = (-0.10, 0.15)
+# Points per field, relative tolerance and seed of the probe.
+_PROBE_POINTS, _PROBE_TOL, _PROBE_SEED = 5, 1e-6, 0
 
 
 @dataclass(frozen=True)
@@ -227,18 +229,13 @@ class ModelSpec:
     bs_params: BlackScholesParams | None = None
 
 
-def check_derivative_consistency(
-    model: ModelSpec,
-    n_points: int = 5,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> None:
+def check_derivative_consistency(model: ModelSpec) -> None:
     """Probe each derivative field against a central difference of its function.
 
-    Five random points are drawn per field (variance fields over
-    ``_PROBE_V_RANGE``, rate fields over ``_PROBE_R_RANGE``); the check uses
-    step ``1e-6 * max(1, |x|)`` and requires
-    ``|fd - prime| <= tol * max(1, |prime|)``.  A number field is the
+    ``_PROBE_POINTS`` seeded random points are drawn per field (variance
+    fields over ``_PROBE_V_RANGE``, rate fields over ``_PROBE_R_RANGE``); the
+    check uses step ``1e-6 * max(1, |x|)`` and requires
+    ``|fd - prime| <= _PROBE_TOL * max(1, |prime|)``.  A number field is the
     constant function, whose central difference is 0.
 
     Raises
@@ -246,7 +243,7 @@ def check_derivative_consistency(
     InvalidParams
         Naming the first field whose derivative disagrees.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     pairs = [
         ("sigma", model.sigma, model.sigma_prime, _PROBE_V_RANGE),
         ("u", model.u, model.u_prime, _PROBE_V_RANGE),
@@ -259,12 +256,12 @@ def check_derivative_consistency(
         return np.asarray(field(x), dtype=float) if callable(field) else np.full_like(x, field)
 
     for name, func, prime, (lo, hi) in pairs:
-        x = rng.uniform(lo, hi, size=n_points)
+        x = rng.uniform(lo, hi, size=_PROBE_POINTS)
         h = 1e-6 * np.maximum(1.0, np.abs(x))
         fd = (at(func, x + h) - at(func, x - h)) / (2.0 * h)
         exact = at(prime, x)
         err = np.abs(fd - exact)
-        bound = tol * np.maximum(1.0, np.abs(exact))
+        bound = _PROBE_TOL * np.maximum(1.0, np.abs(exact))
         if np.any(err > bound):
             i = int(np.argmax(err - bound))
             raise InvalidParams(

@@ -1021,11 +1021,9 @@ def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
     lambda p, pay: hg.rho(p, pay, p.maturity),
     lambda p, pay: hg.vega(p, pay, p.maturity),
     hg.bismut_vector,
-    lambda p, pay: hg.drift_sensitivity(p, pay, "stock_shift"),
     lambda p, pay: hg.drift_sensitivity(p, pay, "kappa"),
     lambda p, pay: hg.drift_sensitivity(p, pay, "reversion_speed"),
-], ids=["delta", "rho", "vega", "bismut_vector", "stock_shift", "kappa",
-        "reversion_speed"])
+], ids=["delta", "rho", "vega", "bismut_vector", "kappa", "reversion_speed"])
 def test_weighted_estimators_refuse_state_only_paths(estimate, hv_model, hv_init):
     cfg = small_cfg(n_paths=64, n_steps=4)
     state = hg.simulate_paths(hv_model, hv_init, cfg, weights=False)

@@ -127,13 +127,6 @@ def test_unit_payoff_weights_reproduce_the_estimators(hv_paths_10k, call_100):
             hg.stable_mean_se(phi * unit_weight(paths, greek))[0], rel=1e-12)
 
 
-def test_stock_shift_is_rho_bitwise(hv_paths_10k, call_100):
-    via_rho = hg.rho(hv_paths_10k, call_100, maturity=1.0)
-    via_drift = hg.drift_sensitivity(hv_paths_10k, call_100, "stock_shift")
-    assert via_drift.value == via_rho.value
-    assert via_drift.std_error == via_rho.std_error
-
-
 def test_bismut_first_component_is_delta_bitwise(hv_paths_10k, call_100):
     d, _, _ = hg.bismut_vector(hv_paths_10k, call_100)
     direct = hg.delta(hv_paths_10k, call_100, 100.0)
@@ -323,6 +316,47 @@ def test_bismut_vector_warns_once_per_call(hv_model, hv_init, call_100):
     with pytest.warns(hg.DegenerateWeightWarning) as record:
         hg.bismut_vector(paths, call_100)
     assert len(record) == 1
+
+
+@pytest.mark.parametrize("greek", ["vega_v0", "rho_r0", "kappa", "reversion"])
+def test_a_model_requirement_is_refused_in_one_wording(
+        greek, deg_model, deg_init, affine_g_model, hv_init, call_100, monkeypatch):
+    """The config, the bump and the weight check a Greek's model
+    requirement in one function, so each refuses it in the same words,
+    naming its own token; fd_greek refuses before any draw."""
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=5)
+
+    def refusals(model, init):
+        """(fd_greek's error, the weighted estimator's) on ``model``."""
+        calls.clear()
+        with pytest.raises(hg.HsvGreeksError) as fd_err:
+            hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec(greek))
+        assert calls == []
+        paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
+        with pytest.raises(hg.HsvGreeksError) as weighted_err:
+            hg.greeks._weighted((greek,), paths, call_100)
+        return fd_err.value, weighted_err.value
+
+    hybrid = greek in ("vega_v0", "rho_r0")
+    refused = hg.DegenerateModel if hybrid else hg.UnsupportedModel
+    for method, error in zip(("fd", "malliavin"), refusals(deg_model, deg_init)):
+        with pytest.raises(hg.InvalidConfig) as config_err:
+            hg.build_run_config({"model.name": "black_scholes",
+                                 "estimators": f"{method}:{greek}"})
+        assert type(error) is refused
+        assert config_err.value.key == "estimators"
+        assert type(config_err.value.__cause__) is refused
+        assert config_err.value.message == str(error)
+        assert str(error).startswith(f"{method}:{greek} ")
+    if not hybrid:
+        # A model with v and g but no Heston–Vasicek parameters to scale by.
+        fd_error, weighted_error = refusals(affine_g_model, hv_init)
+        assert type(fd_error) is type(weighted_error) is hg.UnsupportedModel
+        assert str(fd_error).replace("fd:", "malliavin:") == str(weighted_error)
 
 
 # ---------------------------------------------------------------------------
