@@ -26,7 +26,6 @@ from .engine import (
     SimConfig,
     simulate_paths,
     stable_mean_se,
-    stable_sum,
     standard_draws,
 )
 from .errors import (

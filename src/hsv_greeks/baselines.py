@@ -37,10 +37,7 @@ __all__ = [
     "BsClosedForm",
     "fd_greek",
     "default_bump_size",
-    "check_bump_size",
     "bs_closed_form",
-    "norm_cdf",
-    "norm_pdf",
     "agrees",
 ]
 

@@ -30,6 +30,9 @@ from .models import (
 from .engine import SimConfig
 from .greeks import _FD_GREEKS, _GREEKS, _refuse_model
 
+__all__ = ["DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
+           "load_config_file", "parse_config_text"]
+
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
 

@@ -6,14 +6,16 @@ Simulates
     dV_t = u(V_t) dt + v(V_t) dZ^2_t
     dr_t = f(r_t) dt + g(r_t) dZ^3_t
 
-on a uniform grid together with the first-variation entries
-Y^12, Y^13, Y^22, Y^33 (Y^11 is S_t/S_0, see below), accumulating per path
-the integrals the Malliavin-weight estimators read.  A run computes only the
+on a uniform grid, accumulating per path S_T, the discount integral D and
+the integrals the Malliavin-weight estimators read.  The Bismut integrals
+P2 and P3 read the first-variation entries Y^12, Y^13, Y^22, Y^33 (Y^11 is
+S_t/S_0, see below) at every step, so a run that computes them steps those
+too, as step-loop state it does not return.  A run computes only the
 groups of weight fields it is asked for (``simulate_paths(..., weights=)``):
-the weight integrals, the Bismut group (P2, P3 and the first variations) or
-the drift integrals; a bump-and-revalue price reads S_T and the discount
-integral D alone (``weights=False``).  Every run has the same draws and clamp
-counts, and each field it computes the same bits, as the full run.
+the weight integrals, the Bismut group (P2 and P3) or the drift integrals;
+a bump-and-revalue price reads S_T and D alone (``weights=False``).  Every
+run has the same draws and clamp counts, and each field it computes the
+same bits, as the full run.
 
 Scheme choices
 --------------
@@ -79,13 +81,13 @@ release the GIL.
 
 A run therefore holds the ring, one block's step-loop state and scratch,
 and one copy of each returned field: every block sums its integrals
-straight into its slice of the returned arrays, and copies its terminal
-state in, which a single block hands over as it is.  The CLI lets a
-size's weighted paths go after its last weighted row, so its
-finite-difference runs never simulate beside them.
+straight into its slice of the returned arrays, and copies its S_T in,
+which a single block hands over as it is.  The CLI lets a size's weighted
+paths go after its last weighted row, so its finite-difference runs never
+simulate beside them.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
-of the order of the paths and of worker count.  :func:`stable_sum` splits
+of the order of the paths and of worker count.  ``_exact_sum`` splits
 the values by one level of error-free extraction (Rump, Ogita & Oishi,
 "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31, 2008):
 adding and subtracting a power of two rounds every value to a common grid
@@ -107,7 +109,7 @@ from contextlib import closing
 from dataclasses import dataclass, field, fields as dataclass_fields
 from itertools import count
 from threading import Event, Semaphore, Thread
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -121,7 +123,6 @@ __all__ = [
     "PathAccumulators",
     "standard_draws",
     "simulate_paths",
-    "stable_sum",
     "stable_mean_se",
 ]
 
@@ -143,7 +144,7 @@ _THREAD_PATHS = 1024
 # (the draws do not depend on either).  Only a ring of one step may exceed
 # it, on a block of more than _RING_BYTES // 24 paths.
 _RING_BYTES = 3 * 2**20
-# stable_sum extracts below 2**26 values (past that the remainders' error
+# _exact_sum extracts below 2**26 values (past that the remainders' error
 # bound, about n**3 * 2**-106 of the largest value, is too wide for its
 # rounding check to decide) and when no partial sum of fsum can overflow.
 # Its sigma = 2**k needs k >= -1021, where the grid ulp(sigma)/2 is still
@@ -155,7 +156,7 @@ _MIN_SIGMA_EXP = -1021
 # together.
 _FIELD_GROUPS = {
     "sums": ("I1", "I2", "I3", "A", "Q", "w1_T"),
-    "bismut": ("P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"),
+    "bismut": ("P2", "P3"),
     "drift": ("j2", "j3", "g3"),
 }
 
@@ -221,17 +222,18 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class PathAccumulators:
-    """Per-path terminal states and integrals, stored as parallel arrays,
-    with the run they came from.
+    """Per-path terminal spot and integrals, stored as parallel arrays, with
+    the run they came from: what the weighted estimators and the
+    finite-difference prices read.
 
     One entry per path in every array; :func:`simulate_paths` returns the
-    arrays read-only, and the fields are frozen.  ``s_T``, ``v_T``, ``r_T``
-    and ``D`` are always there; a weight field, ``I1`` to ``g3``, is None
-    unless its group was simulated (see :func:`simulate_paths`).  On a
-    degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
-    undefined, so ``P2`` and ``P3`` are None.  ``factors`` holds the
-    payoff-independent per-path factors the estimators compute on first
-    use; a ``dataclasses.replace`` copy starts with none.
+    arrays read-only, and the fields are frozen.  ``s_T`` and ``D`` are
+    always there; a weight field, ``I1`` to ``g3``, is None unless its
+    group was simulated (see :func:`simulate_paths`).  On a degenerate
+    model the Bismut integrands 1/v(V_t) and 1/g(r_t) are undefined, so
+    ``P2`` and ``P3`` are None.  ``factors`` holds the payoff-independent
+    per-path factors the estimators compute on first use; a
+    ``dataclasses.replace`` copy starts with none.
     """
 
     model: ModelSpec
@@ -240,8 +242,6 @@ class PathAccumulators:
     clamp_count: int
     n_integrand_evals: int
     s_T: np.ndarray
-    v_T: np.ndarray
-    r_T: np.ndarray
     D: np.ndarray
     I1: np.ndarray | None = None
     I2: np.ndarray | None = None
@@ -251,10 +251,6 @@ class PathAccumulators:
     w1_T: np.ndarray | None = None
     P2: np.ndarray | None = None
     P3: np.ndarray | None = None
-    y12_T: np.ndarray | None = None
-    y13_T: np.ndarray | None = None
-    y22_T: np.ndarray | None = None
-    y33_T: np.ndarray | None = None
     j2: np.ndarray | None = None
     j3: np.ndarray | None = None
     g3: np.ndarray | None = None
@@ -461,8 +457,8 @@ def _run_block(
     draws, each run of shape (steps, 3, nb), nb the block's paths.  The
     first block creates each array in ``arrays``, the integrals zeroed;
     every block sums its integrals straight into its slice of them, scales
-    the slice in place at the end, and copies its terminal state in, which
-    a single block hands over as it is.  Returns (clamp_count, n_evals).
+    the slice in place at the end, and copies its S_T in, which a single
+    block hands over as it is.  Returns (clamp_count, n_evals).
     Of the weight fields only the groups of ``_FIELD_GROUPS`` named in
     ``groups`` are carried; the clamps and integrand evaluations are
     counted alike whatever is carried.
@@ -502,10 +498,10 @@ def _run_block(
     w_number = g_number and y33_number
 
     hybrid = not model.degenerate
-    # The Bismut group needs S at every step; on a degenerate model its P2
-    # and P3 are undefined.
-    sums, bismut, drift = (name in groups for name in _FIELD_GROUPS)
-    want_p23 = bismut and hybrid
+    # P2 and P3 need S and the first variations at every step; on a
+    # degenerate model they are undefined, and neither is stepped.
+    sums, drift = "sums" in groups, "drift" in groups
+    bismut = "bismut" in groups and hybrid
 
     # This allocation order sets where the heap puts the arrays: another
     # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths),
@@ -534,7 +530,7 @@ def _run_block(
     if sums:
         sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = map(
             returned, ("A", "Q", "I1", "I2", "I3", "w1_T"))
-    if want_p23:
+    if bismut:
         sP2, sP3 = returned("P2"), returned("P3")
     if drift:
         sJ2, sJ3, sG3 = returned("j2"), returned("j3"), returned("g3")
@@ -563,12 +559,12 @@ def _run_block(
     bumped = empty() if perturbation is not None else None
     if sums or bismut:
         inv_sig = empty()
-    if want_p23 or drift:
+    if bismut or drift:
         inv_vv = empty()
         inv_gg = 1.0 / max(float(model.g), floor) if g_number else empty()
-    if want_p23:
+    if bismut:
         # t holds t1, then t2.
-        t, q, acc = empty(), empty(), empty()
+        t, acc = empty(), empty()
         w = None if w_number else empty()
 
     for first, run in runs:
@@ -602,23 +598,23 @@ def _run_block(
             if hybrid:
                 clamps += clamped(vv) + clamped(gg)
                 n_evals += 2 * nb
-            if want_p23 or drift:
+            if bismut or drift:
                 np.divide(1.0, np.maximum(vv, floor, out=inv_vv), out=inv_vv)
                 if not g_number:
                     np.divide(1.0, np.maximum(gg, floor, out=inv_gg), out=inv_gg)
-            if want_p23:
-                # t1 = y12 * inv_sig / S, q = y22 * inv_vv, w = y33 * inv_gg
+            if bismut:
+                # t1 = y12 * inv_sig / S, w = y33 * inv_gg, and q = y22 * inv_vv
+                # formed where it is read, so that no buffer holds it
                 np.divide(np.multiply(y12, inv_sig, out=t), S, out=t)
-                np.multiply(y22, inv_vv, out=q)
                 w = y33 * inv_gg if w_number else np.multiply(y33, inv_gg, out=w)
                 # sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
                 np.multiply(t, z1, out=acc)
                 np.multiply(cA, t, out=tmp)
-                tmp += np.multiply(cB, q, out=tmp2)
+                tmp += np.multiply(cB, np.multiply(y22, inv_vv, out=tmp2), out=tmp2)
                 tmp *= z2
                 acc += tmp
                 np.multiply(cC, t, out=tmp)
-                tmp += np.multiply(cD, q, out=tmp2)
+                tmp += np.multiply(cD, np.multiply(y22, inv_vv, out=tmp2), out=tmp2)
                 tmp *= z3
                 acc += tmp
                 sP2 += acc
@@ -640,16 +636,12 @@ def _run_block(
                 sG3 += np.multiply(z3, inv_gg, out=tmp)
 
             if bismut:
-                # First-variation updates, all from left-point values.
-                sp = sigma_prime(Vp)
-                vp = v_prime(Vp)
-                up = u_prime(Vp)
-                fp = f_prime(r)
-                gp = g_prime(r)
+                # First-variation updates, all from left-point values, each
+                # derivative evaluated where it is read: at most one is held.
                 # y12 = y12 + r * y12 * dt + (sig * y12 + S * sp * y22) * dW1,
                 # in place: the dW1 term first, from the old y12, as for y13
                 np.multiply(sig, y12, out=tmp)
-                tmp += np.multiply(np.multiply(S, sp, out=tmp2), y22, out=tmp2)
+                tmp += np.multiply(np.multiply(S, sigma_prime(Vp), out=tmp2), y22, out=tmp2)
                 tmp *= dW1
                 np.multiply(r, y12, out=tmp2)
                 tmp2 *= dt
@@ -663,8 +655,8 @@ def _run_block(
                 tmp2 *= dt
                 tmp2 += y13
                 np.add(tmp2, tmp, out=y13)
-                L22 += log_step(up, vp, dZ2)
-                del sp, vp  # before the state's model calls allocate
+                L22 += log_step(u_prime(Vp), v_prime(Vp), dZ2)
+                fp, gp = f_prime(r), g_prime(r)
                 # L33 += log_step(fp, gp, dZ3), whose last term adds zero
                 # when gp = 0
                 if y33_number:
@@ -703,7 +695,7 @@ def _run_block(
                     bad = ~(np.abs(arr) <= limit)
                     raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
     # The last rows are views of a run of draws: let the draws go before
-    # the state is handed over.
+    # S_T is handed over.
     del run, z1, z2, z3
 
     # x *= c gives the bits of c * x.
@@ -713,22 +705,18 @@ def _run_block(
         sum_invsig *= dt
         for x in (sI1, sI2, sI3, sW1):
             x *= sqdt
-    if want_p23:
+    if bismut:
         sP2 *= sqdt
         sP3 *= sqdt
     if drift:
         for x in (sJ2, sJ3, sG3):
             x *= sqdt
     # exp(logS) once gives the bits of S formed at every step.
-    state = {"s_T": S if bismut else np.exp(logS, out=logS), "v_T": V, "r_T": r}
-    if bismut:
-        state.update(y12_T=y12, y13_T=y13, y22_T=y22, y33_T=y33)
-    for name, value in state.items():
-        # A single block hands its own state arrays over.
-        if nb == cfg.n_paths and isinstance(value, np.ndarray):
-            arrays[name] = value
-        else:
-            returned(name)[...] = value
+    s_T = S if bismut else np.exp(logS, out=logS)
+    if nb == cfg.n_paths:
+        arrays["s_T"] = s_T  # a single block hands its own array over
+    else:
+        returned("s_T")[...] = s_T
     return clamps, n_evals
 
 
@@ -756,13 +744,13 @@ def simulate_paths(
         RNG sub-stream selector; distinct values give independent draws for
         the same seed (used by FD without common random numbers).
     weights : bool or collection of field names
-        True for every weight field from ``I1`` to ``y33_T``, False for
-        none (the state only, as a bump-and-revalue price needs), or the
-        names the Greeks to estimate read.  Each group holding a named field
-        is computed, and every other weight field is None: ``_FIELD_GROUPS``
-        lists the weight integrals, the Bismut group (``P2``, ``P3`` and the
-        first variations) and the drift integrals.  The state, D, the clamp
-        counts and every computed field have the full run's bits.
+        True for every weight field from ``I1`` to ``P3``, False for none
+        (S_T and D only, as a bump-and-revalue price needs), or the names
+        the Greeks to estimate read.  Each group holding a named field is
+        computed, and every other weight field is None: ``_FIELD_GROUPS``
+        lists the weight integrals, the Bismut group (``P2`` and ``P3``) and
+        the drift integrals.  S_T, D, the clamp counts and every computed
+        field have the full run's bits.
 
     Notes
     -----
@@ -824,8 +812,9 @@ def simulate_paths(
                             clamp_count=clamps, n_integrand_evals=evals, **arrays)
 
 
-def stable_sum(x: np.ndarray | Sequence[float]) -> float:
-    """Exactly rounded sum, the value :func:`math.fsum` returns.
+def _exact_sum(x: np.ndarray, top: float) -> float:
+    """Exactly rounded sum of the 1-D float array ``x``, the value
+    :func:`math.fsum` returns, given ``top = max(x.max(), -x.min())``.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31, 2008): with 2**M >= n+2,
@@ -847,21 +836,11 @@ def stable_sum(x: np.ndarray | Sequence[float]) -> float:
 
     The result does not depend on the order of ``x`` nor on the order in
     which numpy adds; an exact zero is +0.0, as from fsum.  Inputs this
-    cannot take exactly (empty, non-1-D, non-finite, all zero, large enough
-    for fsum to overflow, 2**26 values or more, or so small that sigma
-    would leave the normal range) go to fsum itself.
+    cannot take exactly (non-finite or with a nan ``top``, as an empty
+    ``x`` has no top; all zero, large enough for fsum to overflow, 2**26
+    values or more, or so small that sigma would leave the normal range)
+    go to fsum itself.
     """
-    x = np.asarray(x, dtype=float)
-    # An empty sum has no top, and goes to fsum as a nan top does.
-    top = max(x.max(), -x.min()) if x.ndim == 1 and x.size else math.nan
-    return _exact_sum(x, top)
-
-
-def _exact_sum(x: np.ndarray, top: float) -> float:
-    """:func:`stable_sum` of ``x``, given ``top = max(x.max(), -x.min())``
-    for a nonempty 1-D ``x``."""
-    if x.ndim != 1:
-        return math.fsum(x)
     n = x.shape[0]
     # Also refuses nan, inf, and the all-zero sum whose sign fsum sets.
     if not (n < _EXACT_SUM_MAX_N and 0.0 < top < _EXACT_SUM_MAX_TOTAL / n):
@@ -887,9 +866,12 @@ def stable_mean_se(x: np.ndarray) -> tuple[float, float]:
     """Mean and standard error (sample std / sqrt(n)) via exactly rounded sums.
 
     Returns (mean, 0.0) for n < 2.  The same bits as fsum(x)/n and
-    sqrt(fsum((x - mean)**2)/(n-1)/n).
+    sqrt(fsum((x - mean)**2)/(n-1)/n).  Refuses a sample that is not 1-D
+    with :class:`InvalidParams`.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise InvalidParams(f"a sample must be 1-D, got shape {x.shape}")
     n = x.shape[0]
     if n == 0:
         raise EmptyInput("cannot average an empty sample")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+__all__ = ["HsvGreeksError", "InvalidParams", "NonPositiveSemiDefinite", "DegenerateModel",
+           "UnsupportedModel", "NumericalBlowup", "NonFiniteEstimate", "EmptyInput",
+           "InvalidBump", "InvalidConfig", "DegenerateWeightWarning"]
+
 
 class HsvGreeksError(Exception):
     """Base class for all errors raised by this package."""

@@ -47,7 +47,6 @@ __all__ = [
     "rho",
     "vega",
     "drift_sensitivity",
-    "GAMMA_KINDS",
 ]
 
 # Finite-difference scheme -> (its two prices' offsets, its denominator), in h.

@@ -5,7 +5,9 @@ time.  It keeps every grid point of the state and of the first variations,
 which the engine never stores, and carries Y^11 by its own recursion rather
 than as S/s0.  It sums the weight integrals as plain expressions, where the
 engine writes each operation into a preallocated buffer.  Tests compare the
-engine's terminal accumulators against it.
+engine's S_T and integrals against it; the engine steps the first
+variations for P2 and P3 but does not return them, so tests check them
+here and reach the engine's through P2 and P3.
 
 :func:`draws_array` gathers the runs of ``standard_draws`` into one array,
 and :func:`fsum_mean_se` is the mean and standard error from

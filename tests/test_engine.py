@@ -145,8 +145,8 @@ def test_draws_have_normal_tails():
         size = np.abs(run)
         for i, c in enumerate(cuts):
             tails[i] += int(np.count_nonzero(size > c))
-        total += hg.stable_sum(run.ravel())
-        squares += hg.stable_sum(np.square(run).ravel())
+        total += exact_sum(run.ravel())
+        squares += exact_sum(np.square(run).ravel())
     for c, count in zip(cuts, tails):
         p = math.erfc(c / math.sqrt(2.0))
         assert abs(count - n * p) <= 5 * math.sqrt(n * p * (1 - p)), (c, count, n * p)
@@ -487,8 +487,9 @@ def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
     """Blocks run one at a time, also with two workers, and each sums its
     integrals straight into its slice of the returned arrays: a weighted
     two-block run with the drift extras holds the ring of draws, one
-    block's step loop and one copy of each of its 19 fields.  About 11.1
-    MiB traced, within 11.75 MiB; 12.8 MiB when each block summed into
+    block's step loop and one copy of each of its 13 fields.  About 8.8
+    MiB traced, within 10.25 MiB; 10.6 MiB when it also returned V, r and
+    the first variations, and 12.8 MiB when each block also summed into
     arrays of its own and copied them out."""
     cfg = small_cfg(n_paths=2 * _BLOCK, n_steps=64, worker_hint=2)
     tracemalloc.start()
@@ -507,7 +508,7 @@ def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
 def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     """One weighted 16,384 x 252 block with the drift extras, on two
     threads: its draws are made a run at a time into a ring within the
-    byte budget, so the traced peak stays within 12 MiB (about 7.4 MiB
+    byte budget, so the traced peak stays within 12 MiB (about 7.2 MiB
     measured on two CPUs), where the block's draws alone are 95 MiB."""
     cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=2)
     tracemalloc.start()
@@ -524,8 +525,8 @@ def test_a_multi_thread_ring_holds_runs_of_about_one_block_step(monkeypatch, hv_
     """A weighted 10,000 x 252 block with the drift extras on two CPUs: two
     threads draw runs of 2 steps, about one block-step of normals, into a
     ring of three (1.4 MB), and the step loop updates its first variations
-    in place and hands its state over, so the traced peak stays within
-    5.5 MiB: about 4.6 MiB measured, 6.2 MiB with runs of 4 steps (2.9 MB),
+    in place and hands its S_T over, so the traced peak stays within
+    5.5 MiB: about 4.4 MiB measured, 6.2 MiB with runs of 4 steps (2.9 MB),
     as long as the budget allows, and a copied-out state."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     cfg = small_cfg(n_paths=10_000, n_steps=252)
@@ -660,7 +661,8 @@ def test_simulated_arrays_are_read_only(hv_model, hv_init, weights):
                               drift_extras=weights, weights=weights)
     arrays = [f.name for f in dataclasses.fields(paths)
               if isinstance(getattr(paths, f.name), np.ndarray)]
-    assert len(arrays) == (19 if weights else 4)
+    assert arrays == list(_STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS
+                          if weights else _STATE_ONLY_FIELDS)
     for name in arrays:
         with pytest.raises(ValueError):
             getattr(paths, name)[0] = 1.0
@@ -689,8 +691,7 @@ def test_integer_initial_states_give_the_float_bits(hv_model, weights, state):
 def test_record_count_and_finiteness(hv_paths_10k):
     acc = hv_paths_10k
     assert acc.s_T.shape == (10_000,)
-    for name in ("s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q",
-                 "w1_T", "P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"):
+    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS:
         assert np.all(np.isfinite(getattr(acc, name))), name
 
 
@@ -708,15 +709,41 @@ def test_degenerate_integrals_are_deterministic(deg_model, deg_init):
             assert got[0] == pytest.approx(value, rel=1e-13)
 
 
-def test_first_variation_terminals_positive(hv_paths_10k):
-    assert np.all(hv_paths_10k.y22_T > 0)
-    assert np.all(hv_paths_10k.y33_T > 0)
+def test_first_variation_terminals_positive(hv_model, hv_init):
+    """Y22 and Y33, exponentials of their logs, stay positive at every
+    grid point of the reference stepper, whose first variations the
+    engine's P2 and P3 read."""
+    series = reference_series(hv_model, hv_init, small_cfg(n_paths=500))
+    assert np.all(series.y22 > 0)
+    assert np.all(series.y33 > 0)
 
 
 def test_degenerate_p23_sentinel(deg_model, deg_init):
     acc = hg.simulate_paths(deg_model, deg_init, small_cfg())
     assert all(getattr(acc, name) is None
                for name in ("P2", "P3", "j2", "j3", "g3"))
+
+
+def test_a_degenerate_weighted_run_calls_no_derivative_field(deg_model, deg_init):
+    """P2 and P3 are undefined on a degenerate model, so a weighted run
+    steps no first variation: derivative fields that raise when called
+    leave every field and both counts as they are, across the 16,384-path
+    block edge and with every path clamped."""
+    def refuse(x):
+        raise AssertionError("a derivative field was called")
+
+    raising = dataclasses.replace(deg_model, **{
+        name: refuse for name in ("sigma_prime", "u_prime", "v_prime", "f_prime", "g_prime")})
+    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=3, sigma_floor=0.25)
+    for weights in (True, ("P2",), ("I1", "P3")):
+        got = hg.simulate_paths(raising, deg_init, cfg, weights=weights)
+        want = hg.simulate_paths(deg_model, deg_init, cfg, weights=weights)
+        assert got.P2 is None and got.P3 is None
+        for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (weights, field)
+        assert got.clamp_count == want.clamp_count >= cfg.n_paths * cfg.n_steps
+        assert got.n_integrand_evals == want.n_integrand_evals
 
 
 def test_drift_extras_refused_on_degenerate(deg_model, deg_init, monkeypatch):
@@ -832,7 +859,7 @@ def test_bitwise_determinism_across_worker_counts(hv_model, hv_init):
         runs.append(hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True))
     first = runs[0]
     for other in runs[1:]:
-        for name in ("s_T", "D", "I1", "P2", "P3", "y22_T", "j2", "g3"):
+        for name in ("s_T", "D", "I1", "P2", "P3", "j2", "g3"):
             assert np.array_equal(getattr(first, name), getattr(other, name))
 
 
@@ -845,9 +872,8 @@ def test_repeat_run_is_bitwise_identical(hv_model, hv_init):
 # ---------------------------------------------------------------------------
 # state-only runs (weights=False), as the finite-difference prices use
 
-_STATE_ONLY_FIELDS = ("s_T", "v_T", "r_T", "D")
-_WEIGHT_FIELDS = ("I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3",
-                  "y12_T", "y13_T", "y22_T", "y33_T")
+_STATE_ONLY_FIELDS = ("s_T", "D")
+_WEIGHT_FIELDS = ("I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3")
 
 
 @pytest.mark.parametrize("target", [None, "stock_drift", "stock_vol",
@@ -879,7 +905,7 @@ def test_state_only_run_matches_the_full_run_bit_for_bit(
 # The weight fields by the group that computes them: a run that asks for one
 # field of a group computes the whole group.
 _FIELD_GROUPS = (("I1", "I2", "I3", "A", "Q", "w1_T"),
-                 ("P2", "P3", "y12_T", "y13_T", "y22_T", "y33_T"),
+                 ("P2", "P3"),
                  ("j2", "j3", "g3"))
 _DRIFT_FIELDS = _FIELD_GROUPS[2]
 
@@ -929,7 +955,7 @@ def test_field_subset_run_matches_the_full_run_bit_for_bit(
 
 
 def test_weights_refuses_a_name_that_is_no_weight_field(hv_model, hv_init):
-    for fields in (("I1", "s_T"), ("P4",), "I1"):
+    for fields in (("I1", "s_T"), ("P4",), "I1", ["y12_T"], ("v_T",)):
         with pytest.raises(hg.InvalidParams, match="no weight field"):
             hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
                               weights=fields)
@@ -1064,9 +1090,9 @@ def test_state_only_run_ignores_an_overflowing_first_variation(hv_model, hv_init
 def test_reference_stepper_matches_simulate_paths_bit_for_bit(
         model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init,
         affine_g_model):
-    """The terminal state, first variations and integrals equal those of a
-    stepper that keeps every grid point; at sigma_floor=0.2 part of sigma
-    clamps.  The affine-g model runs the array form of 1/g, L33 and y33.
+    """S_T and the integrals equal those of a stepper that keeps every grid
+    point, P2 and P3 through the first variations both step; at
+    sigma_floor=0.2 part of sigma clamps.  The affine-g model runs the array form of 1/g, L33 and y33.
     The identity-drifts model's u(V) = V and f(r) = r return their own
     argument object, the aliasing for which the engine steps V and r
     through a spare buffer.  The two-block run checks the integrals the
@@ -1082,9 +1108,7 @@ def test_reference_stepper_matches_simulate_paths_bit_for_bit(
                 small_cfg(n_paths=_BLOCK + 300, n_steps=4, sigma_floor=sigma_floor)):
         paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
         series = reference_series(model, init, cfg)
-        for name in ("s", "v", "r", "y12", "y13", "y22", "y33"):
-            assert np.array_equal(getattr(paths, name + "_T"),
-                                  getattr(series, name)[:, -1]), (cfg.n_paths, name)
+        assert np.array_equal(paths.s_T, series.s[:, -1]), cfg.n_paths
         for name, values in series.integrals.items():
             assert np.array_equal(getattr(paths, name), values), (cfg.n_paths, name)
         if model is hv_model and sigma_floor == 0.2:
@@ -1100,26 +1124,31 @@ def test_y11_identity_along_the_whole_path(hv_model, hv_init):
 
 
 def test_first_variation_initial_values(hv_model, hv_init):
-    """One step from Y12 = Y13 = 0 and Y22 = Y33 = 1, by hand."""
+    """One step from Y12 = Y13 = 0 and Y22 = Y33 = 1, by hand, of the
+    reference stepper, whose first variations the engine's P2 and P3 read
+    (test_reference_stepper_matches_simulate_paths_bit_for_bit)."""
     cfg = small_cfg(n_paths=8, n_steps=1)
     z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps)[:, 0, :]
-    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    series = reference_series(hv_model, hv_init, cfg)
     v0, mu1 = np.full(cfg.n_paths, hv_init.v0), hv_model.mixing.mu1
     dZ2 = hv_model.correlations.rho12 * z[:, 0] + mu1 * z[:, 1]
     vp = hv_model.v_prime(v0)
-    assert np.all(paths.y13_T == hv_init.s0)
+    assert np.all(series.y12[:, 0] == 0.0) and np.all(series.y13[:, 0] == 0.0)
+    assert np.all(series.y22[:, 0] == 1.0) and np.all(series.y33[:, 0] == 1.0)
+    assert np.all(series.y13[:, 1] == hv_init.s0)
     np.testing.assert_allclose(
-        paths.y12_T, hv_init.s0 * hv_model.sigma_prime(v0) * z[:, 0], rtol=1e-12)
+        series.y12[:, 1], hv_init.s0 * hv_model.sigma_prime(v0) * z[:, 0], rtol=1e-12)
     np.testing.assert_allclose(
-        paths.y22_T, np.exp(hv_model.u_prime - 0.5 * vp * vp + vp * dZ2),
+        series.y22[:, 1], np.exp(hv_model.u_prime - 0.5 * vp * vp + vp * dZ2),
         rtol=1e-12)
-    np.testing.assert_allclose(paths.y33_T, math.exp(-0.02), rtol=1e-12)
+    np.testing.assert_allclose(series.y33[:, 1], math.exp(-0.02), rtol=1e-12)
 
 
-def test_y33_collapses_to_exponential_for_constant_g(hv_paths_10k):
+def test_y33_collapses_to_exponential_for_constant_g(hv_model, hv_init):
     # g' = 0 and f' = -a, so the rate first-variation is deterministic.
+    series = reference_series(hv_model, hv_init, small_cfg(n_paths=500))
     expect = math.exp(-0.02 * 1.0)
-    assert np.max(np.abs(hv_paths_10k.y33_T - expect)) < 1e-12
+    assert np.max(np.abs(series.y33[:, -1] - expect)) < 1e-12
 
 
 def test_y12_vanishes_with_constant_sigma(deg_model, deg_init):
@@ -1131,10 +1160,10 @@ def test_y12_vanishes_with_constant_sigma(deg_model, deg_init):
 def test_one_step_y13_equals_s0_dt(deg_model):
     init = hg.InitialState(100.0, 0.04, 0.05)
     cfg = hg.SimConfig(n_paths=2, n_steps=1, maturity=1.0, seed=0)
-    paths = hg.simulate_paths(deg_model, init, cfg)
+    series = reference_series(deg_model, init, cfg)
     dt = cfg.maturity / cfg.n_steps
-    assert np.all(paths.y13_T == init.s0 * dt)
-    assert np.all(paths.y12_T == 0.0)
+    assert np.all(series.y13[:, 1] == init.s0 * dt)
+    assert np.all(series.y12[:, 1] == 0.0)
 
 
 def test_grid_refinement_insensitivity(hv_model, hv_init, hv_paths_100k,
@@ -1150,14 +1179,21 @@ def test_grid_refinement_insensitivity(hv_model, hv_init, hv_paths_100k,
 # ---------------------------------------------------------------------------
 # deterministic reduction helpers
 
+def exact_sum(x):
+    """The engine's exactly rounded sum of the 1-D float array ``x``, with
+    the top it takes (nan for an empty ``x``, which has none)."""
+    top = max(x.max(), -x.min()) if x.size else math.nan
+    return hg.engine._exact_sum(x, top)
+
+
 def test_stable_sum_is_order_independent():
     rng = np.random.default_rng(3)
     x = rng.normal(scale=[1.0, 1e8, 1e-8][0], size=4001) * rng.choice(
         [1e-6, 1.0, 1e6], size=4001)
-    total = hg.stable_sum(x)
+    total = exact_sum(x)
     for seed in range(5):
         perm = np.random.default_rng(seed).permutation(x.size)
-        assert hg.stable_sum(x[perm]) == total
+        assert exact_sum(x[perm]) == total
 
 
 def _near_a_midpoint(n, sign):
@@ -1185,7 +1221,7 @@ def test_stable_sum_rounds_sums_beside_a_midpoint(n, sign, negate):
         x = -x
     expected = math.fsum(x.tolist())
     assert abs(expected) == (1.0 + 2.0 ** -52 if sign > 0 else 1.0)
-    assert hg.stable_sum(x).hex() == expected.hex()
+    assert exact_sum(x).hex() == expected.hex()
     assert (struct.pack("<2d", *hg.stable_mean_se(x))
             == struct.pack("<2d", *fsum_mean_se(x)))
 
@@ -1203,7 +1239,7 @@ def _samples(draw):
     one case of two, a few awkward values (signed zeros, subnormals, huge
     values, inf, nan) dropped in."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    # 16,000 to 20,000 straddles 16,384, where stable_sum's 2**M >= n+2 grows.
+    # 16,000 to 20,000 straddles 16,384, where the exact sum's 2**M >= n+2 grows.
     n = draw(st.integers(0, 50) | st.integers(1000, 5000) | st.integers(16_000, 20_000))
     low = draw(st.integers(-1080, 997))
     high = min(997, low + draw(st.integers(0, 8) | st.integers(0, 2077)))
@@ -1234,8 +1270,8 @@ def _outcome(total, x):
 @given(st.one_of(_samples(), hnp.arrays(
     np.float64, st.integers(0, 40), elements=st.sampled_from(_AWKWARD) | st.floats())))
 def test_stable_sum_is_fsum_bit_for_bit(x):
-    """Same bits as math.fsum, or the same exception type."""
-    assert _outcome(hg.stable_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
+    """The exact sum has the bits of math.fsum, or the same exception type."""
+    assert _outcome(exact_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1272,3 +1308,10 @@ def test_stable_mean_se_against_reference():
 def test_stable_mean_se_single_sample():
     mean, se = hg.stable_mean_se(np.array([2.5]))
     assert (mean, se) == (2.5, 0.0)
+
+
+@pytest.mark.parametrize("x", [np.ones((2, 2)), np.array(2.5)], ids=["2-D", "0-d"])
+def test_stable_mean_se_refuses_a_sample_that_is_not_1d(x):
+    """Refused by name, not with numpy's TypeError or IndexError."""
+    with pytest.raises(hg.InvalidParams, match=r"must be 1-D, got shape \("):
+        hg.stable_mean_se(x)

@@ -285,9 +285,7 @@ def test_a_non_finite_sample_is_named_by_its_path(hv_paths_10k, pair):
 
 def test_empty_input_is_rejected(hv_paths_10k, call_100):
     arrays = {f: getattr(hv_paths_10k, f)[:0]
-              for f in ("s_T", "v_T", "r_T", "D", "I1", "I2", "I3", "A", "Q",
-                        "w1_T", "P2", "P3", "y12_T", "y13_T", "y22_T",
-                        "y33_T")}
+              for f in ("s_T", "D", "I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3")}
     empty = dataclasses.replace(hv_paths_10k, **arrays)
     with pytest.raises(hg.EmptyInput):
         hg.price(empty, call_100)
