@@ -2,7 +2,8 @@
 
 The FD estimators exist to validate the Malliavin weights, so a bump is
 named by its Greek and moves what that Greek's weight measures, not a
-textbook parameter.  The Greek table (``greeks._GREEKS``) says what:
+textbook parameter.  The Greek table (``greeks._GREEKS``) names the initial
+state or engine perturbation each bump moves, and any parameter scaling it:
 
 * ``delta`` / ``vega_v0`` / ``rho_r0`` bump the initial s0 / v0 / r0;
 * ``rho`` re-simulates with the stock drift shifted by eps and discounts
@@ -28,8 +29,7 @@ import numpy as np
 
 from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidBump, InvalidParams
-from .greeks import (_FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _Bump, _finite_estimate,
-                     _refuse_model)
+from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _finite_estimate, _refuse
 from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
 
 __all__ = [
@@ -48,7 +48,7 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _bump_of(greek: str) -> _Bump:
+def _bump_of(greek: str) -> str:
     """What the finite-difference form of ``greek`` moves."""
     if greek not in _FD_GREEKS:
         raise InvalidBump(f"greek must be one of {_FD_GREEKS}, got {greek!r}",
@@ -78,7 +78,7 @@ class BumpSpec:
 def default_bump_size(greek: str, init: InitialState) -> float:
     """House bump sizes: 1% of s0 or v0 for a bump that moves it, 1e-4
     absolute otherwise."""
-    state = _bump_of(greek).state
+    state = _bump_of(greek)
     if state in _POSITIVE_STATE:
         return 0.01 * getattr(init, state)
     return 1e-4
@@ -87,7 +87,7 @@ def default_bump_size(greek: str, init: InitialState) -> float:
 def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
     """Refuse a bump of s0 or v0, which must stay positive, whose size is
     not below half the base value.  r0 has no sign constraint."""
-    state = _bump_of(bump.greek).state
+    state = _bump_of(bump.greek)
     if state in _POSITIVE_STATE and bump.h >= 0.5 * getattr(init, state):
         raise InvalidBump(
             f"h = {bump.h!r} too large for fd:{bump.greek}, which moves {state} = "
@@ -99,22 +99,23 @@ def _discounted_samples(
     init: InitialState,
     cfg: SimConfig,
     payoff: Payoff,
-    bump: _Bump,
+    bump: BumpSpec,
     offset: float,
     stream: int,
 ) -> tuple[np.ndarray, int]:
     """Per-path discounted payoff samples of the configuration moved by
     ``offset`` along ``bump``.  Returns (samples, clamp_count)."""
+    spec = _GREEKS[bump.greek]
     perturbation, extra_discount = None, 0.0
-    if bump.state is not None:
+    if hasattr(init, spec.bump):  # an InitialState field, else a Perturbation target
         try:
-            init = replace(init, **{bump.state: getattr(init, bump.state) + offset})
+            init = replace(init, **{spec.bump: getattr(init, spec.bump) + offset})
         except InvalidParams as exc:
             raise InvalidBump(f"bumped initial state invalid: {exc}") from None
     elif offset != 0.0:
-        scaled = offset if bump.scale is None else offset * getattr(model.hv_params, bump.scale)
-        perturbation = Perturbation(bump.shift, scaled)
-        if bump.discounts:
+        scaled = offset if spec.scale is None else offset * getattr(model.hv_params, spec.scale)
+        perturbation = Perturbation(spec.bump, scaled)
+        if spec.bump == "stock_drift":
             extra_discount = offset * cfg.maturity
 
     paths = simulate_paths(model, init, cfg, perturbation=perturbation,
@@ -157,16 +158,14 @@ def fd_greek(
         names the estimator as ``fd:<greek>``.
     """
     _require_payoff(payoff)
-    token = f"fd:{bump.greek}"
-    moves = _bump_of(bump.greek)
-    _refuse_model(token, model)
+    _refuse("fd", bump.greek, model)
     check_bump_size(bump, init)
     offsets, denom = _FD_SCHEMES[bump.scheme]
     denom *= bump.h
 
     # CRN prices both on stream 0, independent ones on streams 1 and 2.
     (hi, hi_clamps), (lo, lo_clamps) = (
-        _discounted_samples(model, init, cfg, payoff, moves, off * bump.h, 0 if bump.crn else 1 + k)
+        _discounted_samples(model, init, cfg, payoff, bump, off * bump.h, 0 if bump.crn else 1 + k)
         for k, off in enumerate(offsets))
     samples = ((hi - lo) / denom,) if bump.crn else (hi, lo)
 
@@ -176,7 +175,7 @@ def fd_greek(
         (m_hi, se_hi), (m_lo, se_lo) = map(stable_mean_se, samples)
         return (m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
 
-    value, se = _finite_estimate(token, estimate, *samples)
+    value, se = _finite_estimate(f"fd:{bump.greek}", estimate, *samples)
     return GreekEstimate(
         value=value,
         std_error=se,

@@ -28,12 +28,10 @@ from .models import (
     heston_vasicek_model,
 )
 from .engine import SimConfig
-from .greeks import _FD_GREEKS, _GREEKS, _refuse_model
+from .greeks import _FD_GREEKS, _GREEKS, ESTIMATOR_METHODS, _refuse
 
 __all__ = ["DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
            "load_config_file", "parse_config_text"]
-
-ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 
 
 # --- parsers: text -> typed value, ValueError(message) on bad text ---------
@@ -275,7 +273,8 @@ def build_run_config(overrides=None) -> RunConfig:
     ``int`` and a number key any real number (``bool`` is refused).  Any
     other value is refused under its key.
     Raises :class:`InvalidConfig` naming the offending key on any problem,
-    including estimator requests the chosen model cannot honour.
+    including estimator requests and bump entries whose Greek the chosen
+    model cannot honour.
     """
     overrides = dict(overrides or {})
     model_name = _parse("model.name", _text,
@@ -283,11 +282,11 @@ def build_run_config(overrides=None) -> RunConfig:
     defaults = defaults_for(model_name)
     schema = _SCHEMAS[model_name]
 
-    values, bumped = {}, set()
+    values, bumped = {}, {}  # bumped: greek -> its first bump entry's key
     for key, text in overrides.items():
         if key.startswith("bump."):
             greek, field = _split_bump_key(key)
-            bumped.add(greek)
+            bumped.setdefault(greek, key)
             values[key] = _parse(key, _BUMP_PARSERS[field], text)
         elif key not in schema:
             raise InvalidConfig(key, f"unknown key for model {model_name!r}")
@@ -317,23 +316,14 @@ def build_run_config(overrides=None) -> RunConfig:
         raise InvalidConfig("sim.n_paths", "a standard error needs at least "
                             f"2 paths, got {sim.n_paths}")
 
-    # --- estimator rules that depend on the model and the payoff ----------
+    # --- tokens the model or the payoff cannot honour, under their key ----
     estimators = values["estimators"]
-    for method, greek in estimators:
-        spec = _GREEKS[greek]
+    for method, greek, key in ([(m, g, "estimators") for m, g in estimators]
+                               + [("fd", g, key) for g, key in bumped.items()]):
         try:
-            _refuse_model(f"{method}:{greek}", model)
-        except (DegenerateModel, UnsupportedModel) as exc:
-            raise InvalidConfig("estimators", str(exc)) from exc
-        if method == "fd" and spec.bump is None:
-            problem = f"has no finite-difference form; use 'malliavin:{greek}'"
-        elif method == "analytic" and not model.degenerate:
-            problem = "has a closed form only for the constant-coefficient model"
-        elif method == "analytic" and payoff.kind not in spec.closed_form:
-            problem = f"has no closed form for payoff kind {payoff.kind!r}"
-        else:
-            continue
-        raise InvalidConfig("estimators", f"'{method}:{greek}' {problem}")
+            _refuse(method, greek, model, payoff.kind)
+        except (DegenerateModel, InvalidParams, UnsupportedModel) as exc:
+            raise InvalidConfig(key, str(exc)) from exc
 
     # --- bump specs for fd estimators and explicit bump entries -----------
     bumps: dict[str, BumpSpec] = {}

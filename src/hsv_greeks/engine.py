@@ -178,6 +178,9 @@ class SimConfig:
     worker_hint: int | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # a bool is no number, as in the config
+            if isinstance(value, bool):
+                raise InvalidConfig(name, f"must be a number, got {value!r}")
         if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
             raise InvalidConfig("n_paths", f"must be an integer >= 1, got {self.n_paths!r}")
         if not (isinstance(self.n_steps, int) and self.n_steps >= 1):

@@ -17,8 +17,9 @@ integrals P2 and P3, Ji = int (1/v(V_t)) dW^i_t and G3 = int (1/g(r_t)) dW^3_t.
 
 :data:`_GREEKS` writes each weight exactly once, next to the other facts
 the configuration and the command line need about its Greek, including
-the integrals its paths must carry.  The public estimators check their own
-arguments; the paths are checked against the table entry they evaluate.
+the integrals its paths must carry and what its bump moves; :func:`_refuse`
+reads it to decide every ``method:greek`` token.  The public estimators
+check their own arguments; the paths are checked against their entry.
 
 Estimators take a :class:`~hsv_greeks.models.Payoff` and are pure folds
 over the accumulator arrays using the engine's exactly-rounded reduction,
@@ -55,8 +56,10 @@ _FD_SCHEMES = {
     "backward": ((0.0, -1.0), 1.0),
     "central": ((1.0, -1.0), 2.0),
 }
+ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
 ESTIMATOR_LABELS = ("malliavin", *(f"fd_{scheme}" for scheme in _FD_SCHEMES), "analytic")
-GAMMA_KINDS = ("kappa", "reversion_speed")
+# drift_sensitivity's gamma_kind -> its Greek token.
+GAMMA_KINDS = {"kappa": "kappa", "reversion_speed": "reversion"}
 
 # Fraction of clamped integrand evaluations above which estimates are flagged.
 _CLAMP_FLAG_RATIO = 0.01
@@ -137,19 +140,6 @@ def _reversion_samples(p: PathAccumulators, phi) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Bump:
-    """What the finite-difference form of a Greek moves by an offset: the
-    InitialState field ``state``, or else the engine Perturbation ``shift``
-    times the Heston–Vasicek parameter ``scale``, if any.  A ``discounts``
-    bump also discounts its price by e^{-offset*T}."""
-
-    state: str | None = None
-    shift: str | None = None
-    scale: str | None = None
-    discounts: bool = False
-
-
-@dataclass(frozen=True)
 class _Greek:
     """What the package knows about one Greek token."""
 
@@ -160,7 +150,10 @@ class _Greek:
     # The PathAccumulators weight fields samples reads besides S_T and D.
     reads: tuple[str, ...] = ()
     hybrid_only: bool = False     # refused on the constant-coefficient model
-    bump: _Bump | None = None     # what the finite-difference form moves
+    # What the finite-difference form moves: an InitialState field, or an
+    # engine Perturbation target times the Heston–Vasicek parameter scale.
+    bump: str | None = None
+    scale: str | None = None
     # payoff kind -> the BsClosedForm field that holds the closed form
     closed_form: dict[str, str] = field(default_factory=dict)
 
@@ -178,47 +171,54 @@ _GREEKS = {
     "delta": _Greek(
         lambda p, phi: phi * _factor(
             p, "delta", lambda p: _discount(p) * _combination(p) / (p.s0 * p.maturity)),
-        _C, bump=_Bump(state="s0"),
+        _C, bump="s0",
         closed_form={"call": "delta", "digital_call": "digital_delta"}),
     # Parallel shift of the stock drift and the discount rate.
     "rho": _Greek(
         lambda p, phi: phi * _factor(p, "rho", lambda p: _discount(p) * (
             _combination(p) - p.maturity * p.maturity) / p.maturity),
-        _C, bump=_Bump(shift="stock_drift", discounts=True),
+        _C, bump="stock_drift",
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
         lambda p, phi: phi * _factor(
             p, "vega",
             lambda p: (_discount(p) / p.maturity) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
-        _C + ("w1_T", "A", "Q"), bump=_Bump(shift="stock_vol"),
+        _C + ("w1_T", "A", "Q"), bump="stock_vol",
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P2 / p.maturity,
-        ("P2",), hybrid_only=True, bump=_Bump(state="v0")),
+        ("P2",), hybrid_only=True, bump="v0"),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
-        ("P3",), hybrid_only=True, bump=_Bump(state="r0")),
+        ("P3",), hybrid_only=True, bump="r0"),
     "kappa": _Greek(_kappa_samples, ("j2", "j3"), hybrid_only=True,
-                    bump=_Bump(shift="v_drift", scale="kappa")),
+                    bump="v_drift", scale="kappa"),
     "reversion": _Greek(_reversion_samples, ("g3",), hybrid_only=True,
-                        bump=_Bump(shift="r_drift", scale="a")),
+                        bump="r_drift", scale="a"),
 }
-_FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump is not None)
+_FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump)
 
 
-def _refuse_model(token: str, model: ModelSpec) -> None:
-    """Refuse ``model`` if the Greek of ``token`` (``method:greek``) is not
-    defined for it, in one wording for weights, bumps and the config."""
-    spec = _GREEKS[token.rpartition(":")[2]]
+def _refuse(method: str, greek: str, model: ModelSpec, payoff_kind: str | None = None) -> None:
+    """Refuse the token ``method:greek`` where it is not defined: for
+    ``model``, or, for ``analytic``, for ``payoff_kind``.  The weights, the
+    bumps and the config all ask here, so they refuse in one wording."""
+    spec, token = _GREEKS[greek], f"{method}:{greek}"
     # A Greek scaled by a Heston–Vasicek parameter reads it from the model.
-    if spec.bump is not None and spec.bump.scale and model.hv_params is None:
+    if spec.scale and model.hv_params is None:
         raise UnsupportedModel(f"{token} is defined for the Heston–Vasicek instance only")
     if spec.hybrid_only and model.degenerate:
         raise DegenerateModel(f"{token} needs stochastic variance and rate dynamics; "
                               "the constant-coefficient model has none")
+    if method == "fd" and spec.bump is None:
+        raise InvalidParams(f"'{token}' has no finite-difference form; use 'malliavin:{greek}'")
+    if method == "analytic" and not model.degenerate:
+        raise InvalidParams(f"'{token}' has a closed form only for the constant-coefficient model")
+    if method == "analytic" and payoff_kind not in spec.closed_form:
+        raise InvalidParams(f"'{token}' has no closed form for payoff kind {payoff_kind!r}")
 
 
 def _check_paths(greek: str, paths: PathAccumulators) -> None:
@@ -227,7 +227,7 @@ def _check_paths(greek: str, paths: PathAccumulators) -> None:
     spec = _GREEKS[greek]
     if len(paths) == 0:
         raise EmptyInput("estimator received zero paths")
-    _refuse_model(f"malliavin:{greek}", paths.model)
+    _refuse("malliavin", greek, paths.model)
     if missing := [name for name in spec.reads if getattr(paths, name) is None]:
         raise InvalidParams(
             f"malliavin:{greek} reads {', '.join(missing)}, which these paths lack; "
@@ -369,6 +369,5 @@ def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) 
     with ``drift_extras=True``.
     """
     if gamma_kind not in GAMMA_KINDS:
-        raise InvalidParams(f"gamma_kind must be one of {GAMMA_KINDS}, got {gamma_kind!r}")
-    greek = "kappa" if gamma_kind == "kappa" else "reversion"
-    return _weighted((greek,), paths, payoff)[0]
+        raise InvalidParams(f"gamma_kind must be one of {tuple(GAMMA_KINDS)}, got {gamma_kind!r}")
+    return _weighted((GAMMA_KINDS[gamma_kind],), paths, payoff)[0]

@@ -188,6 +188,9 @@ class InitialState:
     r0: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # a bool is no number, as in the config
+            if isinstance(value, bool):
+                raise InvalidParams(f"{name} must be a number, got {value!r}", field=name)
         if not (math.isfinite(self.s0) and self.s0 > 0.0):
             raise InvalidParams(f"s0 must be > 0, got {self.s0!r}", field="s0")
         if not (math.isfinite(self.v0) and self.v0 > 0.0):

@@ -14,7 +14,8 @@ and :func:`fsum_mean_se` is the mean and standard error from
 :func:`math.fsum`, which the exactly rounded reductions must give to the bit.
 :func:`fd_reference` restates each finite-difference Greek as its own
 bumped state or engine perturbation, which ``fd_greek`` reads from the
-Greek table.
+Greek table.  :func:`conditional_call` is an independent oracle for the
+call price and delta on the engine's own grid.
 """
 
 import dataclasses
@@ -22,6 +23,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.special import ndtr
 
 import hsv_greeks as hg
 
@@ -161,3 +163,44 @@ def fd_reference(model, init, cfg, payoff, greek, scheme, h, crn):
     (m_hi, se_hi), (m_lo, se_lo) = fsum_mean_se(hi), fsum_mean_se(lo)
     return ((m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom,
             clamps)
+
+
+def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):
+    """Per-path samples (price, delta) of the discounted call on the
+    engine's grid by discrete conditional Monte Carlo (Willard, J.
+    Derivatives 5, 1997; Romano & Touzi, Math. Finance 7, 1997).
+
+    V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
+    (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
+    beta = Sigma23^{-1} (rho12, rho13), and variance (1 - R^2) dt, where
+    R^2 = (rho12, rho13).beta.  The engine's log-Euler log S_T is then
+    Gaussian with variance s^2 = (1 - R^2) sum sigma_n^2 dt, so the call is
+    St N(d1) - K e^{-D} N(d2), with St = s0 exp(sum sigma_n beta.dZ_n
+    - R^2/2 sum sigma_n^2 dt), and its s0-derivative is N(d1) St/s0.
+
+    The V and r steps restate the engine's full-truncation Euler scheme
+    from the Heston–Vasicek ``params`` (variance floor 0), on draws of
+    numpy's default generator at ``seed``, independent of the engine's."""
+    rng = np.random.default_rng(seed)
+    dt, sqdt = maturity / n_steps, math.sqrt(maturity / n_steps)
+    det = 1.0 - rho.rho23 ** 2
+    b2 = (rho.rho12 - rho.rho23 * rho.rho13) / det
+    b3 = (rho.rho13 - rho.rho23 * rho.rho12) / det
+    r_squared = rho.rho12 * b2 + rho.rho13 * b3
+    v, r = np.full(n_paths, init.v0), np.full(n_paths, init.r0)
+    D, mean, var = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
+    for _ in range(n_steps):
+        dZ2 = sqdt * rng.standard_normal(n_paths)
+        dZ3 = rho.rho23 * dZ2 + math.sqrt(det) * sqdt * rng.standard_normal(n_paths)
+        vp = np.maximum(v, 0.0)
+        sigma = np.sqrt(vp)
+        D += r * dt
+        mean += sigma * (b2 * dZ2 + b3 * dZ3)
+        var += vp * dt
+        v = v + params.kappa * (params.theta - vp) * dt + params.sigma_vol * sigma * dZ2
+        r = r + params.a * (params.b - r) * dt + params.k * dZ3
+    st = init.s0 * np.exp(mean - 0.5 * r_squared * var)
+    s = np.sqrt((1.0 - r_squared) * var)
+    d1 = (np.log(st / strike) + D + 0.5 * s * s) / s
+    price = st * ndtr(d1) - strike * np.exp(-D) * ndtr(d1 - s)
+    return price, ndtr(d1) * st / init.s0

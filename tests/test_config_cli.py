@@ -169,6 +169,28 @@ def test_bad_bump_entries(key, value):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("key,value", [
+    ("bump.kappa.h", "0.1"),
+    ("bump.reversion.scheme", "forward"),
+    ("bump.vega_v0.crn", "off"),
+    ("bump.rho_r0.h", "0.01"),
+])
+def test_bump_entries_meet_their_greeks_model_rule(tmp_path, key, value):
+    """A bump entry whose Greek the model refuses is refused under its own
+    key, in the words fd_greek uses; Black–Scholes runs once accepted and
+    dumped such entries."""
+    bs = hg.build_run_config({"model.name": "black_scholes"})
+    with pytest.raises(hg.HsvGreeksError) as direct:
+        hg.fd_greek(bs.model, bs.init, bs.sim, bs.payoff, hg.BumpSpec(key.split(".")[1]))
+    with pytest.raises(hg.InvalidConfig) as err:
+        hg.build_run_config({"model.name": "black_scholes", key: value})
+    assert (err.value.key, err.value.message) == (key, str(direct.value))
+    proc = run_cli("dump-config", "--config",
+                   write_cfg(tmp_path, f"model.name=black_scholes\n{key}={value}\n"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"config key '{key}'" in proc.stderr
+
+
 @pytest.mark.parametrize("overrides,h", [
     # the default h = 1e-4 is not below half of r0 = 1e-4, and need not be
     ({"init.r0": "0.0001", "estimators": "malliavin:delta,fd:rho_r0"}, 1e-4),

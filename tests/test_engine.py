@@ -42,6 +42,22 @@ def test_sim_config_rejects_bad_values(field, value):
     assert field in str(info.value)
 
 
+@pytest.mark.parametrize("cls,kwargs", [
+    (hg.SimConfig, {"n_steps": True}), (hg.SimConfig, {"seed": False}),
+    (hg.SimConfig, {"worker_hint": True}), (hg.SimConfig, {"maturity": True}),
+    (hg.InitialState, {"s0": True, "v0": 0.04, "r0": 0.02}),
+    (hg.InitialState, {"s0": 100.0, "v0": True, "r0": 0.02}),
+    (hg.InitialState, {"s0": 100.0, "v0": 0.04, "r0": False}),
+])
+def test_bools_are_refused_as_numbers(cls, kwargs):
+    """The config refuses a bool for these fields; the dataclasses once
+    took True as 1 and False as 0.  The error names the field."""
+    field = next(name for name, value in kwargs.items() if isinstance(value, bool))
+    with pytest.raises((hg.InvalidConfig, hg.InvalidParams)) as info:
+        cls(**kwargs)
+    assert field == (info.value.key if cls is hg.SimConfig else info.value.field)
+
+
 def test_perturbation_rejects_unknown_target():
     with pytest.raises(hg.InvalidParams):
         hg.Perturbation("volvol_drift", 0.01)
@@ -1186,7 +1202,7 @@ def exact_sum(x):
     return hg.engine._exact_sum(x, top)
 
 
-def test_stable_sum_is_order_independent():
+def test_exact_sum_is_order_independent():
     rng = np.random.default_rng(3)
     x = rng.normal(scale=[1.0, 1e8, 1e-8][0], size=4001) * rng.choice(
         [1e-6, 1.0, 1e6], size=4001)
@@ -1212,7 +1228,7 @@ def _near_a_midpoint(n, sign):
 @pytest.mark.parametrize("n", [3, 16_384])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("negate", [False, True])
-def test_stable_sum_rounds_sums_beside_a_midpoint(n, sign, negate):
+def test_exact_sum_rounds_sums_beside_a_midpoint(n, sign, negate):
     """The floating-point sum of the remainders cannot tell on which side
     of the midpoint these sums lie, so fsum sums the values, and the
     result is fsum's to the bit; the mean and standard error as well."""
@@ -1269,7 +1285,7 @@ def _outcome(total, x):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_samples(), hnp.arrays(
     np.float64, st.integers(0, 40), elements=st.sampled_from(_AWKWARD) | st.floats())))
-def test_stable_sum_is_fsum_bit_for_bit(x):
+def test_exact_sum_is_fsum_bit_for_bit(x):
     """The exact sum has the bits of math.fsum, or the same exception type."""
     assert _outcome(exact_sum, x) == _outcome(lambda v: math.fsum(v.tolist()), x)
 
