@@ -60,7 +60,6 @@ from .models import (
     ModelSpec,
     Payoff,
     black_scholes_degenerate,
-    check_derivative_consistency,
     evaluate_payoff,
     heston_vasicek_model,
     mixing_from_correlations,

@@ -104,6 +104,7 @@ and one min of the samples.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from contextlib import closing
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -178,8 +179,9 @@ class SimConfig:
     worker_hint: int | None = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # a bool is no number, as in the config
-            if isinstance(value, bool):
+        for name, value in vars(self).items():  # a bool or text is no number, as in the config
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number or value is None and name == "worker_hint"):
                 raise InvalidConfig(name, f"must be a number, got {value!r}")
         if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
             raise InvalidConfig("n_paths", f"must be an integer >= 1, got {self.n_paths!r}")

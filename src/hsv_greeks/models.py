@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,17 +46,30 @@ __all__ = [
     "heston_vasicek_model",
     "black_scholes_degenerate",
     "evaluate_payoff",
-    "check_derivative_consistency",
 ]
 
 logger = logging.getLogger(__name__)
 
-# Probe interval used by the derivative-consistency check: variance points are
-# kept away from the sqrt kink at 0, rate points span negative and positive.
-_PROBE_V_RANGE = (0.02, 1.5)
-_PROBE_R_RANGE = (-0.10, 0.15)
-# Points per field, relative tolerance and seed of the probe.
-_PROBE_POINTS, _PROBE_TOL, _PROBE_SEED = 5, 1e-6, 0
+# What each parameter check asks of a finite number, by the words of its message.
+_NEEDS = {
+    "be finite": lambda x: True,
+    "be > 0": lambda x: x > 0.0,
+    "be >= 0": lambda x: x >= 0.0,
+    "lie strictly in (-1, 1)": lambda x: -1.0 < x < 1.0,
+}
+
+
+def _require(obj, need: str, *names: str) -> None:
+    """Refuse, with :class:`InvalidParams` naming the field, each of the
+    fields ``names`` of ``obj`` that is no number (a bool or text is none, as
+    in the config), is not finite, or does not meet ``need`` (a key of
+    ``_NEEDS``)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParams(f"{name} must be a number, got {value!r}", field=name)
+        if not (math.isfinite(value) and _NEEDS[need](value)):
+            raise InvalidParams(f"{name} must {need}, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
@@ -72,11 +86,7 @@ class CorrelationTriple:
     rho23: float
 
     def __post_init__(self):
-        for name in ("rho12", "rho13", "rho23"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and -1.0 < val < 1.0):
-                raise InvalidParams(f"{name} must lie strictly in (-1, 1), got {val!r}",
-                                    field=name)
+        _require(self, "lie strictly in (-1, 1)", "rho12", "rho13", "rho23")
 
 
 @dataclass(frozen=True)
@@ -92,12 +102,9 @@ class MixingCoefficients:
     mu3: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu1) and self.mu1 > 0.0):
-            raise InvalidParams(f"mu1 must be > 0, got {self.mu1!r}")
-        if not math.isfinite(self.mu2):
-            raise InvalidParams(f"mu2 must be finite, got {self.mu2!r}")
-        if not (math.isfinite(self.mu3) and self.mu3 > 0.0):
-            raise InvalidParams(f"mu3 must be > 0, got {self.mu3!r}")
+        _require(self, "be > 0", "mu1")
+        _require(self, "be finite", "mu2")
+        _require(self, "be > 0", "mu3")
 
 
 def mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
@@ -160,12 +167,8 @@ class HestonVasicekParams:
     k: float
 
     def __post_init__(self):
-        for name in ("kappa", "theta", "sigma_vol", "a", "k"):
-            val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
-                raise InvalidParams(f"{name} must be > 0, got {val!r}", field=name)
-        if not math.isfinite(self.b):
-            raise InvalidParams(f"b must be finite, got {self.b!r}", field="b")
+        _require(self, "be > 0", "kappa", "theta", "sigma_vol", "a", "k")
+        _require(self, "be finite", "b")
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,7 @@ class BlackScholesParams:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise InvalidParams(f"sigma must be > 0, got {self.sigma!r}", field="sigma")
+        _require(self, "be > 0", "sigma")
 
 
 @dataclass(frozen=True)
@@ -188,15 +190,8 @@ class InitialState:
     r0: float
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # a bool is no number, as in the config
-            if isinstance(value, bool):
-                raise InvalidParams(f"{name} must be a number, got {value!r}", field=name)
-        if not (math.isfinite(self.s0) and self.s0 > 0.0):
-            raise InvalidParams(f"s0 must be > 0, got {self.s0!r}", field="s0")
-        if not (math.isfinite(self.v0) and self.v0 > 0.0):
-            raise InvalidParams(f"v0 must be > 0, got {self.v0!r}", field="v0")
-        if not math.isfinite(self.r0):
-            raise InvalidParams(f"r0 must be finite, got {self.r0!r}", field="r0")
+        _require(self, "be > 0", "s0", "v0")
+        _require(self, "be finite", "r0")
 
 
 # A model field: a number, or an elementwise function of numpy arrays.
@@ -209,7 +204,8 @@ class ModelSpec:
 
     Each of the five fields and their derivatives is a number, which the
     engine carries as a number, or a callable taking and returning numpy
-    arrays (elementwise).  ``degenerate`` flags diffusion coefficients v and
+    arrays (elementwise); the derivatives are taken as given, not checked
+    against the fields.  ``degenerate`` flags diffusion coefficients v and
     g that are identically zero; operations that would divide by v(V_t) or
     g(r_t) must refuse such models.
     """
@@ -230,47 +226,6 @@ class ModelSpec:
     degenerate: bool = False
     hv_params: HestonVasicekParams | None = None
     bs_params: BlackScholesParams | None = None
-
-
-def check_derivative_consistency(model: ModelSpec) -> None:
-    """Probe each derivative field against a central difference of its function.
-
-    ``_PROBE_POINTS`` seeded random points are drawn per field (variance
-    fields over ``_PROBE_V_RANGE``, rate fields over ``_PROBE_R_RANGE``); the
-    check uses step ``1e-6 * max(1, |x|)`` and requires
-    ``|fd - prime| <= _PROBE_TOL * max(1, |prime|)``.  A number field is the
-    constant function, whose central difference is 0.
-
-    Raises
-    ------
-    InvalidParams
-        Naming the first field whose derivative disagrees.
-    """
-    rng = np.random.default_rng(_PROBE_SEED)
-    pairs = [
-        ("sigma", model.sigma, model.sigma_prime, _PROBE_V_RANGE),
-        ("u", model.u, model.u_prime, _PROBE_V_RANGE),
-        ("v", model.v, model.v_prime, _PROBE_V_RANGE),
-        ("f", model.f, model.f_prime, _PROBE_R_RANGE),
-        ("g", model.g, model.g_prime, _PROBE_R_RANGE),
-    ]
-
-    def at(field, x):
-        return np.asarray(field(x), dtype=float) if callable(field) else np.full_like(x, field)
-
-    for name, func, prime, (lo, hi) in pairs:
-        x = rng.uniform(lo, hi, size=_PROBE_POINTS)
-        h = 1e-6 * np.maximum(1.0, np.abs(x))
-        fd = (at(func, x + h) - at(func, x - h)) / (2.0 * h)
-        exact = at(prime, x)
-        err = np.abs(fd - exact)
-        bound = _PROBE_TOL * np.maximum(1.0, np.abs(exact))
-        if np.any(err > bound):
-            i = int(np.argmax(err - bound))
-            raise InvalidParams(
-                f"derivative field '{name}_prime' inconsistent with '{name}' at "
-                f"x={x[i]!r}: central diff {fd[i]!r} vs supplied {exact[i]!r}"
-            )
 
 
 def heston_vasicek_model(
@@ -333,7 +288,7 @@ def heston_vasicek_model(
     def sigma_prime(v):
         return 0.5 / np.sqrt(np.maximum(v, 1e-300))
 
-    model = ModelSpec(
+    return ModelSpec(
         name="heston_vasicek",
         sigma=sigma,
         u=lambda v: kappa * (theta - v),
@@ -349,8 +304,6 @@ def heston_vasicek_model(
         mixing=mixing,
         hv_params=params,
     )
-    check_derivative_consistency(model)
-    return model
 
 
 def black_scholes_degenerate(sigma: float) -> ModelSpec:
@@ -388,7 +341,6 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
         "degenerate model '%s': diffusion matrix is singular in the V and r "
         "directions; uniform ellipticity does not hold", model.name
     )
-    check_derivative_consistency(model)
     return model
 
 
@@ -414,12 +366,9 @@ class Payoff:
                 f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}",
                 field="kind")
         if self.kind in ("call", "put", "digital_call"):
-            if not (math.isfinite(self.strike) and self.strike >= 0.0):
-                raise InvalidParams(f"strike must be >= 0, got {self.strike!r}",
-                                    field="strike")
-        if self.kind in ("constant", "digital_call") and not math.isfinite(self.level):
-            raise InvalidParams(f"level must be finite, got {self.level!r}",
-                                field="level")
+            _require(self, "be >= 0", "strike")
+        if self.kind in ("constant", "digital_call"):
+            _require(self, "be finite", "level")
 
 
 def _require_payoff(payoff) -> None:

@@ -15,7 +15,9 @@ and :func:`fsum_mean_se` is the mean and standard error from
 :func:`fd_reference` restates each finite-difference Greek as its own
 bumped state or engine perturbation, which ``fd_greek`` reads from the
 Greek table.  :func:`conditional_call` is an independent oracle for the
-call price and delta on the engine's own grid.
+call price, delta and ``rho_r0`` and the digital price on the engine's own
+grid.  :func:`check_derivative_consistency` probes a model's derivative
+fields, which the package takes as given, against its functions.
 """
 
 import dataclasses
@@ -166,8 +168,9 @@ def fd_reference(model, init, cfg, payoff, greek, scheme, h, crn):
 
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):
-    """Per-path samples (price, delta) of the discounted call on the
-    engine's grid by discrete conditional Monte Carlo (Willard, J.
+    """Per-path samples (price, delta, digital, rho_r0) of the discounted
+    call, its s0- and r0-derivatives and the discounted unit digital call
+    on the engine's grid by discrete conditional Monte Carlo (Willard, J.
     Derivatives 5, 1997; Romano & Touzi, Math. Finance 7, 1997).
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
@@ -176,7 +179,10 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     R^2 = (rho12, rho13).beta.  The engine's log-Euler log S_T is then
     Gaussian with variance s^2 = (1 - R^2) sum sigma_n^2 dt, so the call is
     St N(d1) - K e^{-D} N(d2), with St = s0 exp(sum sigma_n beta.dZ_n
-    - R^2/2 sum sigma_n^2 dt), and its s0-derivative is N(d1) St/s0.
+    - R^2/2 sum sigma_n^2 dt), and its s0-derivative is N(d1) St/s0.  The
+    digital pays e^{-D} N(d2).  St does not depend on r0, which moves the
+    call by K e^{-D} N(d2) dD/dr0, where the Euler rate steps give
+    dD/dr0 = dt sum_{n<N} (1 - a dt)^n.
 
     The V and r steps restate the engine's full-truncation Euler scheme
     from the Heston–Vasicek ``params`` (variance floor 0), on draws of
@@ -202,5 +208,56 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     st = init.s0 * np.exp(mean - 0.5 * r_squared * var)
     s = np.sqrt((1.0 - r_squared) * var)
     d1 = (np.log(st / strike) + D + 0.5 * s * s) / s
-    price = st * ndtr(d1) - strike * np.exp(-D) * ndtr(d1 - s)
-    return price, ndtr(d1) * st / init.s0
+    digital = np.exp(-D) * ndtr(d1 - s)
+    price = st * ndtr(d1) - strike * digital
+    dD_dr0 = dt * sum((1.0 - params.a * dt) ** n for n in range(n_steps))
+    return price, ndtr(d1) * st / init.s0, digital, strike * digital * dD_dr0
+
+
+# The derivative probe: variance points are kept away from the sqrt kink at
+# 0, rate points span negative and positive.
+_PROBE_V_RANGE = (0.02, 1.5)
+_PROBE_R_RANGE = (-0.10, 0.15)
+# Points per field, relative tolerance and seed of the probe.
+_PROBE_POINTS, _PROBE_TOL, _PROBE_SEED = 5, 1e-6, 0
+
+
+def check_derivative_consistency(model: hg.ModelSpec) -> None:
+    """Probe each derivative field against a central difference of its function.
+
+    ``_PROBE_POINTS`` seeded random points are drawn per field (variance
+    fields over ``_PROBE_V_RANGE``, rate fields over ``_PROBE_R_RANGE``); the
+    check uses step ``1e-6 * max(1, |x|)`` and requires
+    ``|fd - prime| <= _PROBE_TOL * max(1, |prime|)``.  A number field is the
+    constant function, whose central difference is 0.
+
+    Raises
+    ------
+    InvalidParams
+        Naming the first field whose derivative disagrees.
+    """
+    rng = np.random.default_rng(_PROBE_SEED)
+    pairs = [
+        ("sigma", model.sigma, model.sigma_prime, _PROBE_V_RANGE),
+        ("u", model.u, model.u_prime, _PROBE_V_RANGE),
+        ("v", model.v, model.v_prime, _PROBE_V_RANGE),
+        ("f", model.f, model.f_prime, _PROBE_R_RANGE),
+        ("g", model.g, model.g_prime, _PROBE_R_RANGE),
+    ]
+
+    def at(field, x):
+        return np.asarray(field(x), dtype=float) if callable(field) else np.full_like(x, field)
+
+    for name, func, prime, (lo, hi) in pairs:
+        x = rng.uniform(lo, hi, size=_PROBE_POINTS)
+        h = 1e-6 * np.maximum(1.0, np.abs(x))
+        fd = (at(func, x + h) - at(func, x - h)) / (2.0 * h)
+        exact = at(prime, x)
+        err = np.abs(fd - exact)
+        bound = _PROBE_TOL * np.maximum(1.0, np.abs(exact))
+        if np.any(err > bound):
+            i = int(np.argmax(err - bound))
+            raise hg.InvalidParams(
+                f"derivative field '{name}_prime' inconsistent with '{name}' at "
+                f"x={x[i]!r}: central diff {fd[i]!r} vs supplied {exact[i]!r}"
+            )

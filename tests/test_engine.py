@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.random import Generator, Philox
 
 import hsv_greeks as hg
-from conftest import SEED_HV, cli_env
+from conftest import HV_PARAMS, SEED_HV, cli_env
 from reference import draws_array, fsum_mean_se, reference_series
 
 
@@ -48,12 +48,26 @@ def test_sim_config_rejects_bad_values(field, value):
     (hg.InitialState, {"s0": True, "v0": 0.04, "r0": 0.02}),
     (hg.InitialState, {"s0": 100.0, "v0": True, "r0": 0.02}),
     (hg.InitialState, {"s0": 100.0, "v0": 0.04, "r0": False}),
+    (hg.SimConfig, {"sigma_floor": "1"}), (hg.SimConfig, {"variance_floor": None}),
+    (hg.InitialState, {"s0": "100", "v0": 0.04, "r0": 0.02}),
+    (hg.HestonVasicekParams, {**vars(HV_PARAMS), "kappa": True}),
+    (hg.HestonVasicekParams, {**vars(HV_PARAMS), "kappa": "2"}),
+    (hg.HestonVasicekParams, {**vars(HV_PARAMS), "b": "0.08"}),
+    (hg.CorrelationTriple, {"rho12": False, "rho13": 0.5, "rho23": 0.02}),
+    (hg.MixingCoefficients, {"mu1": 1.0, "mu2": "0", "mu3": 1.0}),
+    (hg.BlackScholesParams, {"sigma": True}),
+    (hg.Payoff, {"kind": "call", "strike": True}),
+    (hg.Payoff, {"kind": "call", "strike": "100"}),
+    (hg.Payoff, {"kind": "digital_call", "strike": 100.0, "level": "1"}),
 ])
 def test_bools_are_refused_as_numbers(cls, kwargs):
-    """The config refuses a bool for these fields; the dataclasses once
-    took True as 1 and False as 0.  The error names the field."""
-    field = next(name for name, value in kwargs.items() if isinstance(value, bool))
-    with pytest.raises((hg.InvalidConfig, hg.InvalidParams)) as info:
+    """The config refuses a bool or text for these fields; the dataclasses
+    once took True as 1 and False as 0, and text raised a bare TypeError.
+    The error names the field and says it must be a number."""
+    field = next(name for name, value in kwargs.items()
+                 if not isinstance(value, float) and name != "kind")
+    with pytest.raises((hg.InvalidConfig, hg.InvalidParams),
+                       match=f"{field}.* must be a number") as info:
         cls(**kwargs)
     assert field == (info.value.key if cls is hg.SimConfig else info.value.field)
 

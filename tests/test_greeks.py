@@ -219,19 +219,23 @@ def test_kappa_constant_payoff_zero_mean(hv_paths_10k):
 # ---------------------------------------------------------------------------
 # the discrete conditional Monte Carlo oracle (reference.conditional_call)
 
-def test_call_price_and_delta_agree_with_the_discrete_oracle():
+def test_call_and_digital_prices_delta_and_rho_r0_agree_with_the_discrete_oracle():
     """At the default configuration with 65,536 paths and 52 steps, the
-    engine's call price and CRN central fd:delta agree with the oracle on
-    the same grid within 4 combined SE.  The seeds, the default 12345 for
-    the engine and 97 for the oracle, were fixed before the first run."""
+    engine's call and digital prices and the call's CRN central fd:delta
+    and fd:rho_r0 agree with the oracle on the same grid within 4 combined
+    SE.  The seeds, the default 12345 for the engine and 97 for the oracle,
+    were fixed before the first run of each gate."""
     rc = hg.build_run_config({"sim.n_paths": "65536", "sim.n_steps": "52"})
     model, init, sim, call = rc.model, rc.init, rc.sim, rc.payoff
-    oracle_price, oracle_delta = conditional_call(
+    digital = hg.Payoff("digital_call", strike=call.strike)
+    oracle_price, oracle_delta, oracle_digital, oracle_rho_r0 = conditional_call(
         model.hv_params, model.correlations, init, call.strike, sim.maturity,
         sim.n_steps, sim.n_paths, seed=97)
     paths = hg.simulate_paths(model, init, sim, weights=False)
     for samples, est in ((oracle_price, hg.price(paths, call)),
-                         (oracle_delta, _crn_fd(model, init, sim, call, "delta"))):
+                         (oracle_delta, _crn_fd(model, init, sim, call, "delta")),
+                         (oracle_digital, hg.price(paths, digital)),
+                         (oracle_rho_r0, _crn_fd(model, init, sim, call, "rho_r0"))):
         mean, se = fsum_mean_se(samples)
         assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
 

@@ -8,6 +8,7 @@ import pytest
 
 import hsv_greeks as hg
 from conftest import HV_CORR, HV_PARAMS
+from reference import check_derivative_consistency
 
 
 def random_valid_triples(n, seed):
@@ -107,27 +108,29 @@ def test_hv_sigma_prime_matches_half_inverse_sqrt(hv_model):
         assert abs(got - 0.5 / math.sqrt(v)) < 1e-10
 
 
-def test_derivative_consistency_probe_accepts_hv(hv_model):
-    hg.check_derivative_consistency(hv_model)  # should not raise
+def test_derivative_consistency_probe_accepts_hv(hv_model, deg_model):
+    """Each builder's derivative fields match its functions: the package
+    takes them as given."""
+    for model in (hv_model, deg_model):
+        check_derivative_consistency(model)  # should not raise
 
 
 def test_derivative_consistency_probe_rejects_wrong_derivative(hv_model):
-    import dataclasses
     broken = dataclasses.replace(
         hv_model, f_prime=lambda r: np.full_like(r, 123.0))
     with pytest.raises(hg.InvalidParams, match="f_prime"):
-        hg.check_derivative_consistency(broken)
+        check_derivative_consistency(broken)
 
 
 def test_derivative_consistency_probe_reads_number_fields(hv_model):
     # A number is a constant, whose derivative is 0, not 1.
     broken = dataclasses.replace(hv_model, g=0.002, g_prime=1.0)
     with pytest.raises(hg.InvalidParams, match="g_prime"):
-        hg.check_derivative_consistency(broken)
+        check_derivative_consistency(broken)
 
 
 def test_derivative_consistency_probe_accepts_a_non_constant_g(affine_g_model):
-    hg.check_derivative_consistency(affine_g_model)  # should not raise
+    check_derivative_consistency(affine_g_model)  # should not raise
 
 
 def test_positivity_condition_default_is_strict(caplog):

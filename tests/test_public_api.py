@@ -35,8 +35,8 @@ PUBLIC = {
     # models
     "PAYOFF_KINDS", "BlackScholesParams", "CorrelationTriple",
     "HestonVasicekParams", "InitialState", "MixingCoefficients", "ModelSpec",
-    "Payoff", "black_scholes_degenerate", "check_derivative_consistency",
-    "evaluate_payoff", "heston_vasicek_model", "mixing_from_correlations",
+    "Payoff", "black_scholes_degenerate", "evaluate_payoff",
+    "heston_vasicek_model", "mixing_from_correlations",
 }
 
 
