@@ -22,7 +22,6 @@ from .config import (
 )
 from .engine import (
     PathAccumulators,
-    Perturbation,
     SimConfig,
     simulate_paths,
     stable_mean_se,

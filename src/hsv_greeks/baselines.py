@@ -2,15 +2,20 @@
 
 The FD estimators exist to validate the Malliavin weights, so a bump is
 named by its Greek and moves what that Greek's weight measures, not a
-textbook parameter.  The Greek table (``greeks._GREEKS``) names the initial
-state or engine perturbation each bump moves, and any parameter scaling it:
+textbook parameter.  Every bump moves the (model, initial state) pair and
+re-runs the engine on it: the Greek table (``greeks._GREEKS``) names what
+each bump moves by eps, and any parameter scaling it, and
+:func:`_moved` makes the move.
 
-* ``delta`` / ``vega_v0`` / ``rho_r0`` bump the initial s0 / v0 / r0;
-* ``rho`` re-simulates with the stock drift shifted by eps and discounts
-  by e^{-(D + eps*T)} (parallel shift of drift and discount);
-* ``vega`` re-simulates with the S diffusion scaled to sigma(V_t) + eps;
-* ``kappa`` / ``reversion`` shift the V / r drifts by eps*kappa and eps*a
-  (discounting along the perturbed r path for the latter).
+* ``delta`` / ``vega_v0`` / ``rho_r0`` move the initial s0 / v0 / r0;
+* ``rho`` moves every rate by eps: r0 + eps, with f, g, f' and g' read at
+  r - eps, so that the stock drift and the discount integral D both carry
+  r + eps (parallel shift of drift and discount);
+* ``vega`` moves the S diffusion sigma(V) to sigma(V) + eps;
+* ``kappa`` / ``reversion`` move the V / r drifts u and f to u + eps*kappa
+  and f + eps*a (discounting along the moved r path for the latter).
+
+A number field stays a number, so the engine carries it as one.
 
 With ``crn=True`` every evaluation reuses the identical draws (same seed,
 path, step, driver — the engine's counter-based streams make this exact)
@@ -27,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import Perturbation, SimConfig, simulate_paths, stable_mean_se
+from .engine import SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidBump, InvalidParams
 from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _finite_estimate, _refuse
-from .models import InitialState, ModelSpec, Payoff, _require_payoff, evaluate_payoff
+from .models import InitialState, ModelSpec, Payoff, _require, _require_payoff, evaluate_payoff
 
 __all__ = [
     "BumpSpec",
@@ -71,8 +76,9 @@ class BumpSpec:
         if self.scheme not in _FD_SCHEMES:
             raise InvalidBump(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
                               f"got {self.scheme!r}", field="scheme")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise InvalidBump(f"h must be > 0, got {self.h!r}", field="h")
+        _require(self, "be > 0", "h", error=InvalidBump)
+        if not isinstance(self.crn, bool):
+            raise InvalidBump(f"crn must be True or False, got {self.crn!r}", field="crn")
 
 
 def default_bump_size(greek: str, init: InitialState) -> float:
@@ -94,6 +100,31 @@ def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
             f"{getattr(init, state)!r} (need h < 0.5*{state})", field="h")
 
 
+def _moved(model: ModelSpec, init: InitialState, greek: str,
+           offset: float) -> tuple[ModelSpec, InitialState]:
+    """The (model, init) pair moved by ``offset`` along the bump of ``greek``;
+    at offset 0 the pair itself, which a one-sided scheme prices as is."""
+    bump, scale = _GREEKS[greek].bump, _GREEKS[greek].scale
+    if offset == 0.0:
+        return model, init
+    if bump == "rate":
+        # r0 + offset, stepped by fields read at r - offset, stays r + offset
+        # to rounding: the stock drift and D both carry it.
+        def below(c):
+            return (lambda x: c(x - offset)) if callable(c) else c
+        return (replace(model, **{name: below(getattr(model, name))
+                                  for name in ("f", "g", "f_prime", "g_prime")}),
+                replace(init, r0=init.r0 + offset))
+    if hasattr(init, bump):
+        try:
+            return model, replace(init, **{bump: getattr(init, bump) + offset})
+        except InvalidParams as exc:
+            raise InvalidBump(f"bumped initial state invalid: {exc}") from None
+    c = getattr(model, bump)
+    shift = offset if scale is None else offset * getattr(model.hv_params, scale)
+    return replace(model, **{bump: (lambda x: c(x) + shift) if callable(c) else c + shift}), init
+
+
 def _discounted_samples(
     model: ModelSpec,
     init: InitialState,
@@ -105,23 +136,9 @@ def _discounted_samples(
 ) -> tuple[np.ndarray, int]:
     """Per-path discounted payoff samples of the configuration moved by
     ``offset`` along ``bump``.  Returns (samples, clamp_count)."""
-    spec = _GREEKS[bump.greek]
-    perturbation, extra_discount = None, 0.0
-    if hasattr(init, spec.bump):  # an InitialState field, else a Perturbation target
-        try:
-            init = replace(init, **{spec.bump: getattr(init, spec.bump) + offset})
-        except InvalidParams as exc:
-            raise InvalidBump(f"bumped initial state invalid: {exc}") from None
-    elif offset != 0.0:
-        scaled = offset if spec.scale is None else offset * getattr(model.hv_params, spec.scale)
-        perturbation = Perturbation(spec.bump, scaled)
-        if spec.bump == "stock_drift":
-            extra_discount = offset * cfg.maturity
-
-    paths = simulate_paths(model, init, cfg, perturbation=perturbation,
-                           stream=stream, weights=False)
-    phi = evaluate_payoff(payoff, paths.s_T)
-    samples = np.exp(-paths.D - extra_discount) * phi
+    model, init = _moved(model, init, bump.greek, offset)
+    paths = simulate_paths(model, init, cfg, stream=stream, weights=False)
+    samples = np.exp(-paths.D) * evaluate_payoff(payoff, paths.s_T)
     return samples, paths.clamp_count
 
 

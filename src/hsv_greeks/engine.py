@@ -13,9 +13,9 @@ S_t/S_0, see below) at every step, so a run that computes them steps those
 too, as step-loop state it does not return.  A run computes only the
 groups of weight fields it is asked for (``simulate_paths(..., weights=)``):
 the weight integrals, the Bismut group (P2 and P3) or the drift integrals;
-a bump-and-revalue price reads S_T and D alone (``weights=False``).  Every
-run has the same draws and clamp counts, and each field it computes the
-same bits, as the full run.
+a bump-and-revalue price, a run of a moved model or initial state, reads
+S_T and D alone (``weights=False``).  Every run has the same draws and
+clamp counts, and each field it computes the same bits, as the full run.
 
 Scheme choices
 --------------
@@ -120,7 +120,6 @@ from .models import InitialState, ModelSpec, _inverse_loadings
 
 __all__ = [
     "SimConfig",
-    "Perturbation",
     "PathAccumulators",
     "standard_draws",
     "simulate_paths",
@@ -197,32 +196,6 @@ class SimConfig:
             raise InvalidConfig("sigma_floor", f"must be > 0, got {self.sigma_floor!r}")
         if self.worker_hint is not None and not (isinstance(self.worker_hint, int) and self.worker_hint >= 1):
             raise InvalidConfig("worker_hint", f"must be None or an integer >= 1, got {self.worker_hint!r}")
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """Additive drift / volatility shift used for bump-and-revalue runs.
-
-    target:
-      * ``stock_drift`` — the S drift rate becomes r_t + delta (the matching
-        discount shift exp(-delta*T) is applied by the caller at pricing
-        time; the accumulated D still integrates the unperturbed r path);
-      * ``stock_vol``   — the S update uses sigma(V_t) + delta;
-      * ``v_drift``     — the V drift becomes u(V_t) + delta;
-      * ``r_drift``     — the r drift becomes f(r_t) + delta (D then
-        integrates the perturbed r path).
-    """
-
-    target: str
-    delta: float
-
-    _TARGETS = ("stock_drift", "stock_vol", "v_drift", "r_drift")
-
-    def __post_init__(self):
-        if self.target not in self._TARGETS:
-            raise InvalidParams(f"perturbation target must be one of {self._TARGETS}, got {self.target!r}")
-        if not math.isfinite(self.delta):
-            raise InvalidParams(f"perturbation delta must be finite, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -326,6 +299,10 @@ def standard_draws(
     A failed draw raises its error, and closing the iterator stops the
     draws; either way every thread it started has ended.
     """
+    for name, value in (("seed", seed), ("stream", stream)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                           and 0 <= value < 2**64):
+            raise InvalidParams(f"{name} must be an integer in [0, 2**64), got {value!r}", name)
     for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
                         ("first_path", first_path)):
         if value < 0:
@@ -451,7 +428,6 @@ def _run_block(
     cfg: SimConfig,
     block: slice,
     runs: Iterator[tuple[int, np.ndarray]],
-    perturbation: Perturbation | None,
     groups: frozenset[str],
     arrays: dict[str, np.ndarray],
 ) -> tuple[int, int]:
@@ -487,9 +463,6 @@ def _run_block(
     cB = 1.0 / m1
     cD = -m2 / (m1 * m3)
     cE = 1.0 / m3
-
-    pert_target = perturbation.target if perturbation is not None else None
-    pert_delta = perturbation.delta if perturbation is not None else 0.0
 
     # Each field as a function of the state: a number field gives itself.
     sigma, u, v, f, g, sigma_prime, u_prime, v_prime, f_prime, g_prime = (
@@ -561,7 +534,6 @@ def _run_block(
         np.multiply(tmp, dt, out=tmp)
         return np.add(tmp, np.multiply(vol, dZ, out=tmp2), out=tmp)
 
-    bumped = empty() if perturbation is not None else None
     if sums or bismut:
         inv_sig = empty()
     if bismut or drift:
@@ -670,23 +642,14 @@ def _run_block(
                     L33 += log_step(fp, gp, dZ3)
 
             # State updates (log-Euler / full truncation / Euler).
-            sig_s = np.add(sig, pert_delta, out=bumped) if pert_target == "stock_vol" else sig
-            rate_s = np.add(r, pert_delta, out=bumped) if pert_target == "stock_drift" else r
-            u_eval = u(Vp)
-            if pert_target == "v_drift":
-                u_eval = np.add(u_eval, pert_delta, out=bumped)
-            f_eval = f(r)
-            if pert_target == "r_drift":
-                f_eval = np.add(f_eval, pert_delta, out=bumped)
-
-            logS += log_step(rate_s, sig_s, dW1)
-            # V = V + u_eval * dt + vv * dZ2
-            np.multiply(u_eval, dt, out=nxt)
+            logS += log_step(r, sig, dW1)
+            # V = V + u(Vp) * dt + vv * dZ2
+            np.multiply(u(Vp), dt, out=nxt)
             nxt += V
             nxt += np.multiply(vv, dZ2, out=tmp)
             V, nxt = nxt, V
-            # r = r + f_eval * dt + gg * dZ3
-            np.multiply(f_eval, dt, out=nxt)
+            # r = r + f(r) * dt + gg * dZ3
+            np.multiply(f(r), dt, out=nxt)
             nxt += r
             nxt += np.multiply(gg, dZ3, out=tmp)
             r, nxt = nxt, r
@@ -730,7 +693,6 @@ def simulate_paths(
     init: InitialState,
     cfg: SimConfig,
     drift_extras: bool = False,
-    perturbation: Perturbation | None = None,
     stream: int = 0,
     weights: bool | Collection[str] = True,
 ) -> PathAccumulators:
@@ -743,8 +705,6 @@ def simulate_paths(
     drift_extras : bool
         Add the drift integrals ``j2`` = ∫(1/v)dW^2, ``j3`` = ∫(1/v)dW^3 and
         ``g3`` = ∫(1/g)dW^3 to ``weights`` (refused for degenerate models).
-    perturbation : Perturbation, optional
-        Additive drift / volatility shift for bump-and-revalue runs.
     stream : int
         RNG sub-stream selector; distinct values give independent draws for
         the same seed (used by FD without common random numbers).
@@ -760,8 +720,7 @@ def simulate_paths(
     Notes
     -----
     Results are bit-identical for a given (model, init, cfg, drift_extras,
-    perturbation, stream, weights) regardless of ``worker_hint`` and block
-    layout.
+    stream, weights) regardless of ``worker_hint`` and block layout.
 
     Raises
     ------
@@ -799,7 +758,7 @@ def simulate_paths(
                                     stream=stream, workers=cfg.worker_hint)) as runs:
             try:
                 block_clamps, block_evals = _run_block(
-                    model, init, cfg, slice(start, stop), runs, perturbation, groups, arrays)
+                    model, init, cfg, slice(start, stop), runs, groups, arrays)
             except NumericalBlowup as exc:
                 raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
         clamps += block_clamps

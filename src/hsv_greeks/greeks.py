@@ -38,7 +38,7 @@ import numpy as np
 from .engine import _FIELD_GROUPS, PathAccumulators, stable_mean_se
 from .errors import (DegenerateModel, DegenerateWeightWarning, EmptyInput, InvalidParams,
                      NonFiniteEstimate, UnsupportedModel)
-from .models import ModelSpec, Payoff, _inverse_loadings, evaluate_payoff
+from .models import ModelSpec, Payoff, _inverse_loadings, _require, evaluate_payoff
 
 __all__ = [
     "GreekEstimate",
@@ -85,13 +85,9 @@ class GreekEstimate:
             raise InvalidParams(
                 f"estimator must be one of {ESTIMATOR_LABELS}, got {self.estimator!r}"
             )
-        if not math.isfinite(self.value):
-            raise InvalidParams(f"estimate value must be finite, got {self.value!r}")
-        if not (math.isfinite(self.std_error) and self.std_error >= 0.0):
-            raise InvalidParams(
-                f"std_error must be finite and >= 0, got {self.std_error!r}")
-        if self.n_paths < 1:
-            raise InvalidParams(f"n_paths must be >= 1, got {self.n_paths!r}")
+        _require(self, "be finite", "value")
+        _require(self, "be >= 0", "std_error")
+        _require(self, "be an integer >= 1", "n_paths")
         if self.std_error > 0.0 and self.n_paths < 2:
             raise InvalidParams(
                 "a nonzero std_error needs at least two paths, got "
@@ -150,8 +146,9 @@ class _Greek:
     # The PathAccumulators weight fields samples reads besides S_T and D.
     reads: tuple[str, ...] = ()
     hybrid_only: bool = False     # refused on the constant-coefficient model
-    # What the finite-difference form moves: an InitialState field, or an
-    # engine Perturbation target times the Heston–Vasicek parameter scale.
+    # What the finite-difference form moves by h: an InitialState field, a
+    # ModelSpec field raised by h times the Heston–Vasicek parameter scale,
+    # or every rate ("rate").
     bump: str | None = None
     scale: str | None = None
     # payoff kind -> the BsClosedForm field that holds the closed form
@@ -177,14 +174,14 @@ _GREEKS = {
     "rho": _Greek(
         lambda p, phi: phi * _factor(p, "rho", lambda p: _discount(p) * (
             _combination(p) - p.maturity * p.maturity) / p.maturity),
-        _C, bump="stock_drift",
+        _C, bump="rate",
         closed_form={"call": "rho"}),
     # Epsilon in the diffusion perturbation a + eps*diag(S, 0, 0).
     "vega": _Greek(
         lambda p, phi: phi * _factor(
             p, "vega",
             lambda p: (_discount(p) / p.maturity) * ((p.w1_T - p.A) * _combination(p) - p.Q)),
-        _C + ("w1_T", "A", "Q"), bump="stock_vol",
+        _C + ("w1_T", "A", "Q"), bump="sigma",
         closed_form={"call": "vega"}),
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
@@ -195,9 +192,9 @@ _GREEKS = {
         lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
         ("P3",), hybrid_only=True, bump="r0"),
     "kappa": _Greek(_kappa_samples, ("j2", "j3"), hybrid_only=True,
-                    bump="v_drift", scale="kappa"),
+                    bump="u", scale="kappa"),
     "reversion": _Greek(_reversion_samples, ("g3",), hybrid_only=True,
-                        bump="r_drift", scale="a"),
+                        bump="f", scale="a"),
 }
 _FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump)
 

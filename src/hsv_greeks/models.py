@@ -56,20 +56,20 @@ _NEEDS = {
     "be > 0": lambda x: x > 0.0,
     "be >= 0": lambda x: x >= 0.0,
     "lie strictly in (-1, 1)": lambda x: -1.0 < x < 1.0,
+    "be an integer >= 1": lambda x: isinstance(x, numbers.Integral) and x >= 1,
 }
 
 
-def _require(obj, need: str, *names: str) -> None:
-    """Refuse, with :class:`InvalidParams` naming the field, each of the
-    fields ``names`` of ``obj`` that is no number (a bool or text is none, as
-    in the config), is not finite, or does not meet ``need`` (a key of
-    ``_NEEDS``)."""
+def _require(obj, need: str, *names: str, error: type[InvalidParams] = InvalidParams) -> None:
+    """Refuse, with ``error`` naming the field, each of the fields ``names``
+    of ``obj`` that is no number (a bool or text is none, as in the config),
+    is not finite, or does not meet ``need`` (a key of ``_NEEDS``)."""
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParams(f"{name} must be a number, got {value!r}", field=name)
+            raise error(f"{name} must be a number, got {value!r}", field=name)
         if not (math.isfinite(value) and _NEEDS[need](value)):
-            raise InvalidParams(f"{name} must {need}, got {value!r}", field=name)
+            raise error(f"{name} must {need}, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ here and reach the engine's through P2 and P3.
 :func:`draws_array` gathers the runs of ``standard_draws`` into one array,
 and :func:`fsum_mean_se` is the mean and standard error from
 :func:`math.fsum`, which the exactly rounded reductions must give to the bit.
-:func:`fd_reference` restates each finite-difference Greek as its own
-bumped state or engine perturbation, which ``fd_greek`` reads from the
-Greek table.  :func:`conditional_call` is an independent oracle for the
+:func:`moved` restates each finite-difference Greek's bump as its own
+move of the (model, initial state) pair, which ``fd_greek`` reads from the
+Greek table, and :func:`fd_reference` prices it.  :func:`stock_drift_fd`
+restates the stock-drift shift that ``fd:rho`` moved before every rate
+moved with it.  :func:`conditional_call` is an independent oracle for the
 call price, delta and ``rho_r0`` and the digital price on the engine's own
 grid.  :func:`check_derivative_consistency` probes a model's derivative
 fields, which the package takes as given, against its functions.
@@ -49,12 +51,13 @@ def at(field, x):
     return field(x) if callable(field) else np.full_like(x, field)
 
 
-def reference_series(model, init, cfg):
+def reference_series(model, init, cfg, stock_drift=0.0):
     """Arrays s, v, r, y11, y12, y13, y22, y33 of shape (n_paths, n_steps+1)
     over the draws ``simulate_paths`` uses; column 0 is the initial point.
 
     ``integrals`` maps each integral accumulator of a weighted run, with
-    ``drift_extras`` on a hybrid model, to its per-path values."""
+    ``drift_extras`` on a hybrid model, to its per-path values.
+    ``stock_drift`` is added to the drift of log S alone, not to r."""
     z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps)
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
@@ -98,7 +101,7 @@ def reference_series(model, init, cfg):
                 ("P3", t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3),
                 ("j2", z2 * inv_vv), ("j3", z3 * inv_vv), ("g3", z3 * inv_gg)):
             sums[name] += term
-        log_step = (r - 0.5 * sig * sig) * dt + sig * dW1
+        log_step = (r + stock_drift - 0.5 * sig * sig) * dt + sig * dW1
         log_s += log_step
         log_y22 += (at(model.u_prime, Vp) - 0.5 * vp * vp) * dt + vp * dZ2
         log_y33 += (at(model.f_prime, r) - 0.5 * gp * gp) * dt + gp * dZ3
@@ -128,43 +131,71 @@ def fsum_mean_se(x):
     return mean, math.sqrt(math.fsum(squares.tolist()) / (x.size - 1) / x.size)
 
 
+def moved(model, init, greek, offset):
+    """The (model, init) pair ``fd:greek`` prices at ``offset``, each bump
+    written out on its own; a number field stays a number."""
+    def plus(field, shift):
+        return (lambda x: field(x) + shift) if callable(field) else field + shift
+
+    def below(field):
+        return (lambda x: field(x - offset)) if callable(field) else field
+
+    replace = dataclasses.replace
+    if greek == "delta":
+        return model, replace(init, s0=init.s0 + offset)
+    if greek == "vega_v0":
+        return model, replace(init, v0=init.v0 + offset)
+    if greek == "rho_r0":
+        return model, replace(init, r0=init.r0 + offset)
+    if greek == "vega":
+        return replace(model, sigma=plus(model.sigma, offset)), init
+    if greek == "kappa":
+        return replace(model, u=plus(model.u, offset * model.hv_params.kappa)), init
+    if greek == "reversion":
+        return replace(model, f=plus(model.f, offset * model.hv_params.a)), init
+    assert greek == "rho", greek
+    # Every rate: r0 + offset, stepped by the rate's fields read at r - offset.
+    return (replace(model, f=below(model.f), g=below(model.g),
+                    f_prime=below(model.f_prime), g_prime=below(model.g_prime)),
+            replace(init, r0=init.r0 + offset))
+
+
+_SCHEMES = {"forward": ((1.0, 0.0), 1.0), "backward": ((0.0, -1.0), 1.0),
+            "central": ((1.0, -1.0), 2.0)}
+
+
 def fd_reference(model, init, cfg, payoff, greek, scheme, h, crn):
     """(value, std_error, clamp_count) of the ``scheme`` finite difference
-    of ``greek`` with bump size ``h``: two state-only prices on stream 0
-    (``crn``) or streams 1 and 2, at a bumped initial state or under an
-    engine perturbation, reduced by :func:`fsum_mean_se`."""
-    offsets, denom = {"forward": ((h, 0.0), h), "backward": ((0.0, -h), h),
-                      "central": ((h, -h), 2.0 * h)}[scheme]
+    of ``greek`` with bump size ``h``: two state-only prices of the
+    :func:`moved` pairs on stream 0 (``crn``) or streams 1 and 2, reduced
+    by :func:`fsum_mean_se`."""
+    offsets, denom = _SCHEMES[scheme]
     prices, clamps = [], 0
     for k, offset in enumerate(offsets):
-        state, perturbation, extra_discount = init, None, 0.0
-        if greek == "delta":
-            state = dataclasses.replace(init, s0=init.s0 + offset)
-        elif greek == "vega_v0":
-            state = dataclasses.replace(init, v0=init.v0 + offset)
-        elif greek == "rho_r0":
-            state = dataclasses.replace(init, r0=init.r0 + offset)
-        elif offset != 0.0:
-            if greek == "rho":
-                perturbation = hg.Perturbation("stock_drift", offset)
-                extra_discount = offset * cfg.maturity
-            elif greek == "vega":
-                perturbation = hg.Perturbation("stock_vol", offset)
-            elif greek == "kappa":
-                perturbation = hg.Perturbation("v_drift", offset * model.hv_params.kappa)
-            elif greek == "reversion":
-                perturbation = hg.Perturbation("r_drift", offset * model.hv_params.a)
-        paths = hg.simulate_paths(model, state, cfg, perturbation=perturbation,
+        paths = hg.simulate_paths(*moved(model, init, greek, offset * h), cfg,
                                   stream=0 if crn else 1 + k, weights=False)
-        prices.append(np.exp(-paths.D - extra_discount)
-                      * hg.evaluate_payoff(payoff, paths.s_T))
+        prices.append(np.exp(-paths.D) * hg.evaluate_payoff(payoff, paths.s_T))
         clamps += paths.clamp_count
     hi, lo = prices
     if crn:
-        return (*fsum_mean_se((hi - lo) / denom), clamps)
+        return (*fsum_mean_se((hi - lo) / (denom * h)), clamps)
     (m_hi, se_hi), (m_lo, se_lo) = fsum_mean_se(hi), fsum_mean_se(lo)
-    return ((m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom,
-            clamps)
+    return ((m_hi - m_lo) / (denom * h),
+            math.sqrt(se_hi * se_hi + se_lo * se_lo) / (denom * h), clamps)
+
+
+def stock_drift_fd(model, init, cfg, payoff, scheme, h):
+    """(value, std_error) of the common-random-number ``scheme`` finite
+    difference of the stock-drift shift: S steps with drift r + eps, D
+    integrates the unmoved r, and each price is discounted by
+    e^{-D - eps T}.  fd:rho moved this way before it moved every rate."""
+    offsets, denom = _SCHEMES[scheme]
+    prices = []
+    for offset in offsets:
+        x = reference_series(model, init, cfg, stock_drift=offset * h)
+        prices.append(np.exp(-x.integrals["D"] - offset * h * cfg.maturity)
+                      * hg.evaluate_payoff(payoff, x.s[:, -1]))
+    return fsum_mean_se((prices[0] - prices[1]) / (denom * h))
 
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import hsv_greeks as hg
 from hsv_greeks.baselines import norm_cdf
 from conftest import BS_DELTA, BS_PRICE, BS_RHO, BS_VEGA
-from reference import fd_reference
+from reference import fd_reference, stock_drift_fd
 
 FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 
@@ -27,6 +27,17 @@ def test_bump_spec_validation():
         hg.BumpSpec("delta", h=0.0)
     with pytest.raises(hg.InvalidBump):
         hg.BumpSpec("delta", h=-1.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(h=True), "h"), (dict(h="1"), "h"), (dict(h=None), "h"),
+    (dict(crn="off"), "crn"), (dict(crn=1), "crn"), (dict(crn=None), "crn")])
+def test_bump_spec_refuses_bools_and_text(kwargs, field):
+    """h=True was taken as 1 and h="1" raised a bare TypeError; a crn of
+    "off" ran with common random numbers.  Each is refused by its field."""
+    with pytest.raises(hg.InvalidBump, match=field) as info:
+        hg.BumpSpec("delta", **kwargs)
+    assert info.value.field == field
 
 
 @pytest.mark.parametrize("spelling", ["s0", "rho_shift_epsilon"])
@@ -210,7 +221,7 @@ def test_fd_greek_matches_the_reference_bumps(model_name, greek, scheme, crn,
                                               hv_model, hv_init, deg_model,
                                               deg_init, call_100):
     """What the Greek table says a bump moves gives, bit for bit, the
-    estimate of the bumped state or perturbation restated in the test."""
+    estimate of the moved (model, init) pair restated in the test."""
     model, init = ((hv_model, hv_init) if model_name == "hybrid"
                    else (deg_model, deg_init))
     cfg = hg.SimConfig(n_paths=200, n_steps=8, maturity=1.0, seed=67)
@@ -220,6 +231,22 @@ def test_fd_greek_matches_the_reference_bumps(model_name, greek, scheme, crn,
     assert est.estimator == f"fd_{scheme}"
     assert (est.value, est.std_error, est.clamp_count) == fd_reference(
         model, init, cfg, call_100, greek, scheme, h, crn)
+
+
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+@pytest.mark.parametrize("model_name", ["hybrid", "black_scholes"])
+def test_fd_rho_moving_every_rate_matches_the_stock_drift_shift(
+        model_name, scheme, hv_model, hv_init, deg_model, deg_init, call_100):
+    """Moving every rate by h, so that the stock drift and D both carry
+    r + h, gives the CRN estimate of shifting the stock drift alone and
+    discounting by e^{-D - hT}, to rounding."""
+    model, init = ((hv_model, hv_init) if model_name == "hybrid"
+                   else (deg_model, deg_init))
+    cfg = hg.SimConfig(n_paths=2000, n_steps=16, maturity=1.0, seed=71)
+    est = hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec("rho", scheme, h=1e-4))
+    value, se = stock_drift_fd(model, init, cfg, call_100, scheme, 1e-4)
+    assert est.value == pytest.approx(value, rel=1e-11, abs=0.0)
+    assert est.std_error == pytest.approx(se, rel=1e-11, abs=0.0)
 
 
 @pytest.mark.parametrize("scheme", ["forward", "backward", "central"])

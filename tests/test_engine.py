@@ -19,7 +19,7 @@ from numpy.random import Generator, Philox
 
 import hsv_greeks as hg
 from conftest import HV_PARAMS, SEED_HV, cli_env
-from reference import draws_array, fsum_mean_se, reference_series
+from reference import draws_array, fsum_mean_se, moved, reference_series
 
 
 def small_cfg(**kw):
@@ -70,11 +70,6 @@ def test_bools_are_refused_as_numbers(cls, kwargs):
                        match=f"{field}.* must be a number") as info:
         cls(**kwargs)
     assert field == (info.value.key if cls is hg.SimConfig else info.value.field)
-
-
-def test_perturbation_rejects_unknown_target():
-    with pytest.raises(hg.InvalidParams):
-        hg.Perturbation("volvol_drift", 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +221,15 @@ def test_zero_paths_or_steps_draw_nothing(n_paths, n_steps):
 @pytest.mark.parametrize("kwargs, name", [
     (dict(n_paths=-1), "n_paths"), (dict(n_steps=-1), "n_steps"),
     (dict(first_path=-5), "first_path"), (dict(workers=0), "workers"),
-    (dict(workers=-1), "workers")])
+    (dict(workers=-1), "workers"), (dict(seed=-1), "seed"),
+    (dict(seed=2**64), "seed"), (dict(seed=1.5), "seed"), (dict(seed=True), "seed"),
+    (dict(stream=-1), "stream"), (dict(stream=2**64), "stream"),
+    (dict(stream=1.5), "stream"), (dict(stream=False), "stream")])
 def test_draws_refuse_negative_sizes_and_no_workers(kwargs, name):
-    """A negative size or offset, or fewer than one worker, is refused by
-    name, before any run is drawn or any thread started."""
+    """A negative size or offset, fewer than one worker, or a seed or stream
+    that is no integer in [0, 2**64) is refused by name, before any run is
+    drawn or any thread started.  A seed or stream of -1 once raised a bare
+    OverflowError, and 1.5 and True were taken."""
     args = dict(seed=1, n_paths=4, n_steps=4) | kwargs
     before = threading.active_count()
     with pytest.raises(hg.InvalidParams, match=name) as info:
@@ -906,29 +906,39 @@ _STATE_ONLY_FIELDS = ("s_T", "D")
 _WEIGHT_FIELDS = ("I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3")
 
 
-@pytest.mark.parametrize("target", [None, "stock_drift", "stock_vol",
-                                    "v_drift", "r_drift"])
-@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+# The finite-difference Greeks of each model, and those whose bump moves a
+# model field rather than the initial state.
+_FD_GREEKS = {"heston_vasicek": ("delta", "rho", "vega", "vega_v0", "rho_r0",
+                                 "kappa", "reversion"),
+              "black_scholes": ("delta", "rho", "vega")}
+_MODEL_MOVES = {"heston_vasicek": ("rho", "vega", "kappa", "reversion"),
+                "black_scholes": ("rho", "vega")}
+
+
+@pytest.mark.parametrize("model_name,greek", [
+    (name, greek) for name, greeks in _FD_GREEKS.items() for greek in (None, *greeks)])
 def test_state_only_run_matches_the_full_run_bit_for_bit(
-        model_name, target, hv_model, hv_init, deg_model, deg_init):
+        model_name, greek, hv_model, hv_init, deg_model, deg_init):
+    """A state-only run of each finite-difference price's moved pair has
+    the full run's S_T, D and counts."""
     model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
                    else (deg_model, deg_init))
-    pert = None if target is None else hg.Perturbation(target, 0.01)
+    if greek is not None:
+        model, init = moved(model, init, greek, 0.01)
     for n_paths in (1, 16385):
         for workers in (1, 2):
             # a floor near sigma(V_0) = 0.2 clamps part of the evaluations
             cfg = small_cfg(n_paths=n_paths, n_steps=3, sigma_floor=0.2,
                             worker_hint=workers)
-            full = hg.simulate_paths(model, init, cfg, perturbation=pert)
-            state = hg.simulate_paths(model, init, cfg, perturbation=pert,
-                                      weights=False)
+            full = hg.simulate_paths(model, init, cfg)
+            state = hg.simulate_paths(model, init, cfg, weights=False)
             for name in _STATE_ONLY_FIELDS:
                 assert np.array_equal(getattr(full, name),
                                       getattr(state, name)), name
             assert state.clamp_count == full.clamp_count
             assert state.n_integrand_evals == full.n_integrand_evals
             assert all(getattr(state, name) is None for name in _WEIGHT_FIELDS)
-            if model is hv_model and n_paths > 1:
+            if model_name == "heston_vasicek" and n_paths > 1:
                 assert 0 < full.clamp_count < full.n_integrand_evals
 
 
@@ -1039,7 +1049,8 @@ def test_number_fields_give_the_bits_of_callables(
         model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
     """Number fields, carried as numbers, give every field and both counts
     of the same model with array callables, across the 16,384-path block
-    edge."""
+    edge; so does each finite-difference price's moved model, in which a
+    number field stays a number."""
     model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
                    else (deg_model, deg_init))
     numbers = {name for name in _COEFFICIENTS if not callable(getattr(model, name))}
@@ -1047,23 +1058,30 @@ def test_number_fields_give_the_bits_of_callables(
                        else {"g", "u_prime", "f_prime", "g_prime"})
     callables = _as_callables(model)
     cfg = small_cfg(n_paths=16385, n_steps=64, sigma_floor=sigma_floor)
-    runs = [{"weights": True}, {"weights": {"P3"}}, {"weights": False},
-            {"perturbation": hg.Perturbation("r_drift", 0.001)}]
+    runs = [{"weights": True}, {"weights": {"P3"}}, {"weights": False}]
     if not model.degenerate:
         runs.append({"drift_extras": True})
-    for kwargs in runs:
-        got = hg.simulate_paths(model, init, cfg, **kwargs)
-        want = hg.simulate_paths(callables, init, cfg, **kwargs)
+    cases = [(kwargs, model, callables, init, kwargs) for kwargs in runs]
+    for greek in _MODEL_MOVES[model_name]:
+        (moved_model, moved_init), (moved_callables, _) = (
+            moved(m, init, greek, 0.001) for m in (model, callables))
+        assert numbers == {name for name in _COEFFICIENTS
+                           if not callable(getattr(moved_model, name))}, greek
+        cases.append((f"fd:{greek}", moved_model, moved_callables, moved_init,
+                      {"weights": False}))
+    for case, spec, as_callables, state, kwargs in cases:
+        got = hg.simulate_paths(spec, state, cfg, **kwargs)
+        want = hg.simulate_paths(as_callables, state, cfg, **kwargs)
         for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
             a, b = getattr(got, field), getattr(want, field)
-            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (kwargs, field)
-        assert got.clamp_count == want.clamp_count, kwargs
-        assert got.n_integrand_evals == want.n_integrand_evals, kwargs
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (case, field)
+        assert got.clamp_count == want.clamp_count, case
+        assert got.n_integrand_evals == want.n_integrand_evals, case
         # The number that divides, g or the Black–Scholes sigma, clamps
         # every path at every step when it is below the floor.
-        divisor = model.sigma if model.degenerate else model.g
+        divisor = spec.sigma if spec.degenerate else spec.g
         assert ((got.clamp_count >= cfg.n_paths * cfg.n_steps)
-                == (divisor < sigma_floor)), kwargs
+                == (divisor < sigma_floor)), case
 
 
 def test_state_only_run_refuses_drift_extras(hv_model, hv_init):

@@ -257,6 +257,20 @@ def test_greek_estimate_validation():
                      estimator="analytic")  # zero SE fine for one path
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(value=True), "value"), (dict(value="1"), "value"),
+    (dict(std_error=False), "std_error"), (dict(std_error="0.1"), "std_error"),
+    (dict(n_paths=2.5), "n_paths"), (dict(n_paths=True), "n_paths"),
+    (dict(n_paths=10.0), "n_paths")])
+def test_greek_estimate_refuses_bools_text_and_fractional_paths(kwargs, field):
+    """True was taken as 1, text raised a bare TypeError, and n_paths=2.5
+    was taken; each is refused by its field."""
+    args = dict(value=1.0, std_error=0.1, n_paths=10, estimator="malliavin") | kwargs
+    with pytest.raises(hg.InvalidParams, match=field) as info:
+        hg.GreekEstimate(**args)
+    assert info.value.field == field
+
+
 @pytest.mark.parametrize("estimate, name", [
     (lambda p, f: hg.delta(p, f, 50.0), "s0"),
     (lambda p, f: hg.delta(p, f, math.nan), "s0"),

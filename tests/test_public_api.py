@@ -22,7 +22,7 @@ PUBLIC = {
     "DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
     "load_config_file", "parse_config_text",
     # engine
-    "PathAccumulators", "Perturbation", "SimConfig", "simulate_paths",
+    "PathAccumulators", "SimConfig", "simulate_paths",
     "stable_mean_se", "standard_draws",
     # errors
     "DegenerateModel", "DegenerateWeightWarning", "EmptyInput",
