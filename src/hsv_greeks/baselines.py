@@ -76,9 +76,8 @@ class BumpSpec:
         if self.scheme not in _FD_SCHEMES:
             raise InvalidBump(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
                               f"got {self.scheme!r}", field="scheme")
-        _require(self, "be > 0", "h", error=InvalidBump)
-        if not isinstance(self.crn, bool):
-            raise InvalidBump(f"crn must be True or False, got {self.crn!r}", field="crn")
+        _require(vars(self), "be > 0", "h", error=InvalidBump)
+        _require(vars(self), "be True or False", "crn", error=InvalidBump)
 
 
 def default_bump_size(greek: str, init: InitialState) -> float:
@@ -230,11 +229,8 @@ def bs_closed_form(s0: float, strike: float, r: float, sigma: float, maturity: f
     sigma sqrt(T)) of the cash-or-nothing call paying ``level``, the oracle
     for the non-smooth payoff checks.
     """
-    for name, val in (("s0", s0), ("strike", strike), ("sigma", sigma), ("maturity", maturity)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise InvalidParams(f"{name} must be > 0, got {val!r}")
-    if not math.isfinite(r):
-        raise InvalidParams(f"r must be finite, got {r!r}")
+    _require(locals(), "be > 0", "s0", "strike", "sigma", "maturity")
+    _require(locals(), "be finite", "r", "level")
     sq_t = math.sqrt(maturity)
     d1 = (math.log(s0 / strike) + (r + 0.5 * sigma * sigma) * maturity) / (sigma * sq_t)
     d2 = d1 - sigma * sq_t

@@ -249,8 +249,6 @@ def _build(cls, section: str, values: dict, **renamed):
     try:
         return cls(**{name: values[key] for name, key in keys.items()
                       if key in values})
-    except InvalidConfig as exc:  # SimConfig reports the field as the key
-        raise InvalidConfig(keys[exc.key], exc.message) from exc
     except InvalidParams as exc:
         raise InvalidConfig(keys.get(exc.field, section), str(exc)) from exc
 

@@ -104,7 +104,6 @@ and one min of the samples.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from contextlib import closing
 from dataclasses import dataclass, field, fields as dataclass_fields
@@ -115,8 +114,8 @@ from typing import Collection, Iterator
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateModel, EmptyInput, InvalidConfig, InvalidParams, NumericalBlowup
-from .models import InitialState, ModelSpec, _inverse_loadings
+from .errors import DegenerateModel, EmptyInput, InvalidParams, NumericalBlowup
+from .models import InitialState, ModelSpec, _inverse_loadings, _require
 
 __all__ = [
     "SimConfig",
@@ -178,24 +177,12 @@ class SimConfig:
     worker_hint: int | None = None
 
     def __post_init__(self):
-        for name, value in vars(self).items():  # a bool or text is no number, as in the config
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number or value is None and name == "worker_hint"):
-                raise InvalidConfig(name, f"must be a number, got {value!r}")
-        if not (isinstance(self.n_paths, int) and self.n_paths >= 1):
-            raise InvalidConfig("n_paths", f"must be an integer >= 1, got {self.n_paths!r}")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
-            raise InvalidConfig("n_steps", f"must be an integer >= 1, got {self.n_steps!r}")
-        if not (isinstance(self.maturity, (int, float)) and math.isfinite(self.maturity) and self.maturity > 0):
-            raise InvalidConfig("maturity", f"must be > 0, got {self.maturity!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise InvalidConfig("seed", f"must fit in an unsigned 64-bit integer, got {self.seed!r}")
-        if not (math.isfinite(self.variance_floor) and self.variance_floor >= 0):
-            raise InvalidConfig("variance_floor", f"must be >= 0, got {self.variance_floor!r}")
-        if not (math.isfinite(self.sigma_floor) and self.sigma_floor > 0):
-            raise InvalidConfig("sigma_floor", f"must be > 0, got {self.sigma_floor!r}")
-        if self.worker_hint is not None and not (isinstance(self.worker_hint, int) and self.worker_hint >= 1):
-            raise InvalidConfig("worker_hint", f"must be None or an integer >= 1, got {self.worker_hint!r}")
+        _require(vars(self), "be an integer >= 1", "n_paths", "n_steps")
+        _require(vars(self), "be > 0", "maturity", "sigma_floor")
+        _require(vars(self), "be an integer in [0, 2**64)", "seed")
+        _require(vars(self), "be >= 0", "variance_floor")
+        if self.worker_hint is not None:
+            _require(vars(self), "be an integer >= 1", "worker_hint")
 
 
 @dataclass(frozen=True)
@@ -299,16 +286,10 @@ def standard_draws(
     A failed draw raises its error, and closing the iterator stops the
     draws; either way every thread it started has ended.
     """
-    for name, value in (("seed", seed), ("stream", stream)):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                           and 0 <= value < 2**64):
-            raise InvalidParams(f"{name} must be an integer in [0, 2**64), got {value!r}", name)
-    for name, value in (("n_paths", n_paths), ("n_steps", n_steps),
-                        ("first_path", first_path)):
-        if value < 0:
-            raise InvalidParams(f"{name} must be >= 0, got {value!r}", name)
-    if workers is not None and workers < 1:
-        raise InvalidParams(f"workers must be None or >= 1, got {workers!r}", "workers")
+    _require(locals(), "be an integer in [0, 2**64)", "seed", "stream")
+    _require(locals(), "be an integer >= 0", "n_paths", "n_steps", "first_path")
+    if workers is not None:
+        _require(locals(), "be an integer >= 1", "workers")
     if not (n_paths and n_steps):
         return
     threads, depth, steps = _ring_plan(n_paths, n_steps, workers, _available_cpus())
@@ -730,9 +711,14 @@ def simulate_paths(
     DegenerateModel
         If a drift integral is requested on a degenerate model.
     InvalidParams
-        If ``drift_extras`` is requested with ``weights=False``, or
-        ``weights`` names a field that is not a weight field.
+        If ``drift_extras`` is no bool or is requested with
+        ``weights=False``, or ``weights`` is neither a bool nor a collection
+        of weight field names.
     """
+    _require(locals(), "be True or False", "drift_extras")
+    if isinstance(weights, str) or not isinstance(weights, (bool, Collection)):
+        raise InvalidParams("weights must be True, False or a collection of field names, "
+                            f"got {weights!r}", "weights")
     fields = set(_FIELD_GROUPS["sums"] + _FIELD_GROUPS["bismut"] if weights is True
                  else weights or ())
     if drift_extras:

@@ -85,9 +85,9 @@ class GreekEstimate:
             raise InvalidParams(
                 f"estimator must be one of {ESTIMATOR_LABELS}, got {self.estimator!r}"
             )
-        _require(self, "be finite", "value")
-        _require(self, "be >= 0", "std_error")
-        _require(self, "be an integer >= 1", "n_paths")
+        _require(vars(self), "be finite", "value")
+        _require(vars(self), "be >= 0", "std_error")
+        _require(vars(self), "be an integer >= 1", "n_paths")
         if self.std_error > 0.0 and self.n_paths < 2:
             raise InvalidParams(
                 "a nonzero std_error needs at least two paths, got "

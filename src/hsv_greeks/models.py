@@ -26,7 +26,8 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -50,25 +51,40 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# What each parameter check asks of a finite number, by the words of its message.
+# What each argument check asks of a value, by the words of its message.  A
+# flag is True or False; anything else must first be a number, which a bool
+# or text is not, as in the config.  The comparisons refuse nan, inf and an
+# integer past the largest double.
+_FLAG = "be True or False"
+_MAX = sys.float_info.max
 _NEEDS = {
-    "be finite": lambda x: True,
-    "be > 0": lambda x: x > 0.0,
-    "be >= 0": lambda x: x >= 0.0,
+    _FLAG: lambda x: x is True or x is False,
+    "be finite": lambda x: -_MAX <= x <= _MAX,
+    "be > 0": lambda x: 0.0 < x <= _MAX,
+    "be >= 0": lambda x: 0.0 <= x <= _MAX,
     "lie strictly in (-1, 1)": lambda x: -1.0 < x < 1.0,
-    "be an integer >= 1": lambda x: isinstance(x, numbers.Integral) and x >= 1,
+    "be an integer >= 0": lambda x: _integral(x) and x >= 0,
+    "be an integer >= 1": lambda x: _integral(x) and x >= 1,
+    "be an integer in [0, 2**64)": lambda x: _integral(x) and 0 <= x < 2**64,
 }
 
 
-def _require(obj, need: str, *names: str, error: type[InvalidParams] = InvalidParams) -> None:
-    """Refuse, with ``error`` naming the field, each of the fields ``names``
-    of ``obj`` that is no number (a bool or text is none, as in the config),
-    is not finite, or does not meet ``need`` (a key of ``_NEEDS``)."""
+def _integral(x) -> bool:
+    return type(x) is int or isinstance(x, numbers.Integral)
+
+
+def _require(values, need: str, *names: str, error: type[InvalidParams] = InvalidParams) -> None:
+    """Refuse, with ``error`` naming it, each argument ``names`` of the
+    mapping ``values`` (``vars`` of a dataclass, ``locals()`` of a function)
+    that does not ``need`` (a key of ``_NEEDS``).  The only code that
+    decides whether a value is an acceptable number, integer or flag."""
     for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        value = values[name]
+        # Exact float and int first: the numbers ABC check costs far more.
+        if not (type(value) in (float, int) or need == _FLAG or (
+                isinstance(value, numbers.Real) and not isinstance(value, bool))):
             raise error(f"{name} must be a number, got {value!r}", field=name)
-        if not (math.isfinite(value) and _NEEDS[need](value)):
+        if not _NEEDS[need](value):
             raise error(f"{name} must {need}, got {value!r}", field=name)
 
 
@@ -86,7 +102,7 @@ class CorrelationTriple:
     rho23: float
 
     def __post_init__(self):
-        _require(self, "lie strictly in (-1, 1)", "rho12", "rho13", "rho23")
+        _require(vars(self), "lie strictly in (-1, 1)", "rho12", "rho13", "rho23")
 
 
 @dataclass(frozen=True)
@@ -102,9 +118,9 @@ class MixingCoefficients:
     mu3: float
 
     def __post_init__(self):
-        _require(self, "be > 0", "mu1")
-        _require(self, "be finite", "mu2")
-        _require(self, "be > 0", "mu3")
+        _require(vars(self), "be > 0", "mu1")
+        _require(vars(self), "be finite", "mu2")
+        _require(vars(self), "be > 0", "mu3")
 
 
 def mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
@@ -167,8 +183,8 @@ class HestonVasicekParams:
     k: float
 
     def __post_init__(self):
-        _require(self, "be > 0", "kappa", "theta", "sigma_vol", "a", "k")
-        _require(self, "be finite", "b")
+        _require(vars(self), "be > 0", "kappa", "theta", "sigma_vol", "a", "k")
+        _require(vars(self), "be finite", "b")
 
 
 @dataclass(frozen=True)
@@ -178,7 +194,7 @@ class BlackScholesParams:
     sigma: float
 
     def __post_init__(self):
-        _require(self, "be > 0", "sigma")
+        _require(vars(self), "be > 0", "sigma")
 
 
 @dataclass(frozen=True)
@@ -190,8 +206,8 @@ class InitialState:
     r0: float
 
     def __post_init__(self):
-        _require(self, "be > 0", "s0", "v0")
-        _require(self, "be finite", "r0")
+        _require(vars(self), "be > 0", "s0", "v0")
+        _require(vars(self), "be finite", "r0")
 
 
 # A model field: a number, or an elementwise function of numpy arrays.
@@ -205,9 +221,11 @@ class ModelSpec:
     Each of the five fields and their derivatives is a number, which the
     engine carries as a number, or a callable taking and returning numpy
     arrays (elementwise); the derivatives are taken as given, not checked
-    against the fields.  ``degenerate`` flags diffusion coefficients v and
-    g that are identically zero; operations that would divide by v(V_t) or
-    g(r_t) must refuse such models.
+    against the fields.  ``mixing`` is derived from ``correlations``, so a
+    ``dataclasses.replace`` copy with new correlations has their loadings.
+    ``degenerate`` flags diffusion coefficients v and g that are
+    identically zero; operations that would divide by v(V_t) or g(r_t)
+    must refuse such models.
     """
 
     name: str
@@ -222,10 +240,13 @@ class ModelSpec:
     f_prime: Coefficient
     g_prime: Coefficient
     correlations: CorrelationTriple
-    mixing: MixingCoefficients
+    mixing: MixingCoefficients = field(init=False)
     degenerate: bool = False
     hv_params: HestonVasicekParams | None = None
     bs_params: BlackScholesParams | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "mixing", mixing_from_correlations(self.correlations))
 
 
 def heston_vasicek_model(
@@ -265,6 +286,7 @@ def heston_vasicek_model(
     NonPositiveSemiDefinite
         If the correlations admit no mixing decomposition.
     """
+    _require(locals(), "be True or False", "enforce")
     if condition not in ("strict", "feller"):
         raise InvalidParams(f"condition must be 'strict' or 'feller', got {condition!r}")
     kt = params.kappa * params.theta
@@ -278,7 +300,6 @@ def heston_vasicek_model(
             raise InvalidParams(msg)
         logger.warning(msg)
 
-    mixing = mixing_from_correlations(correlations)
     kappa, theta, sigma_vol = params.kappa, params.theta, params.sigma_vol
     a, b, k = params.a, params.b, params.k
 
@@ -301,7 +322,6 @@ def heston_vasicek_model(
         f_prime=-a,
         g_prime=0.0,
         correlations=correlations,
-        mixing=mixing,
         hv_params=params,
     )
 
@@ -317,8 +337,6 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     g(r_t) are refused downstream via the degeneracy flag.
     """
     bs = BlackScholesParams(sigma)
-    correlations = CorrelationTriple(0.0, 0.0, 0.0)
-    mixing = mixing_from_correlations(correlations)
 
     model = ModelSpec(
         name="black_scholes",
@@ -332,8 +350,7 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
         v_prime=0.0,
         f_prime=0.0,
         g_prime=0.0,
-        correlations=correlations,
-        mixing=mixing,
+        correlations=CorrelationTriple(0.0, 0.0, 0.0),
         degenerate=True,
         bs_params=bs,
     )
@@ -366,9 +383,9 @@ class Payoff:
                 f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}",
                 field="kind")
         if self.kind in ("call", "put", "digital_call"):
-            _require(self, "be >= 0", "strike")
+            _require(vars(self), "be >= 0", "strike")
         if self.kind in ("constant", "digital_call"):
-            _require(self, "be finite", "level")
+            _require(vars(self), "be finite", "level")
 
 
 def _require_payoff(payoff) -> None:

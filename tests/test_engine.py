@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.random import Generator, Philox
 
 import hsv_greeks as hg
-from conftest import HV_PARAMS, SEED_HV, cli_env
+from conftest import HV_CORR, HV_PARAMS, SEED_HV, cli_env
 from reference import draws_array, fsum_mean_se, moved, reference_series
 
 
@@ -37,9 +37,32 @@ def small_cfg(**kw):
     ("worker_hint", 0),
 ])
 def test_sim_config_rejects_bad_values(field, value):
-    with pytest.raises(hg.InvalidConfig) as info:
+    with pytest.raises(hg.InvalidParams) as info:
         hg.SimConfig(**{field: value})
     assert field in str(info.value)
+    assert info.value.field == field
+
+
+# The entry points that take plain arguments, called with valid ones but
+# ``kwargs``.
+def _standard_draws(**kwargs):
+    # A generator checks its arguments once its first run is asked for.
+    return next(hg.standard_draws(**{"seed": 1, "n_paths": 4, "n_steps": 4, **kwargs}))
+
+
+def _simulate_paths(**kwargs):
+    return hg.simulate_paths(hg.heston_vasicek_model(HV_PARAMS, HV_CORR),
+                             hg.InitialState(100.0, 0.04, 0.02),
+                             small_cfg(n_paths=8, n_steps=4), **kwargs)
+
+
+def _bs_closed_form(**kwargs):
+    return hg.bs_closed_form(**{"s0": 100.0, "strike": 100.0, "r": 0.05, "sigma": 0.2,
+                                "maturity": 1.0, **kwargs})
+
+
+def _heston_vasicek_model(**kwargs):
+    return hg.heston_vasicek_model(HV_PARAMS, HV_CORR, **kwargs)
 
 
 @pytest.mark.parametrize("cls,kwargs", [
@@ -59,17 +82,48 @@ def test_sim_config_rejects_bad_values(field, value):
     (hg.Payoff, {"kind": "call", "strike": True}),
     (hg.Payoff, {"kind": "call", "strike": "100"}),
     (hg.Payoff, {"kind": "digital_call", "strike": 100.0, "level": "1"}),
+    (_standard_draws, {"n_paths": 2.5}), (_standard_draws, {"n_paths": "4"}),
+    (_standard_draws, {"first_path": 0.5}), (_standard_draws, {"workers": 1.5}),
+    (_standard_draws, {"workers": True}),
+    (_simulate_paths, {"weights": 1}), (_simulate_paths, {"weights": "I1"}),
+    (_simulate_paths, {"drift_extras": "yes"}),
+    (_bs_closed_form, {"s0": True}), (_bs_closed_form, {"level": math.nan}),
+    (_bs_closed_form, {"strike": "100"}),
+    (_heston_vasicek_model, {"enforce": "no"}),
 ])
 def test_bools_are_refused_as_numbers(cls, kwargs):
-    """The config refuses a bool or text for these fields; the dataclasses
-    once took True as 1 and False as 0, and text raised a bare TypeError.
-    The error names the field and says it must be a number."""
+    """Every dataclass and entry point refuses a bool, text or a float where
+    a number, an integer or a flag belongs, with InvalidParams naming the
+    argument, as the config does.  The dataclasses once took True as 1 and
+    text raised a bare TypeError; SimConfig raised InvalidConfig; the draws
+    raised a bare TypeError for a float or text size and took a float or
+    True as workers; simulate_paths raised a bare TypeError for weights=1,
+    read weights="I1" as the fields '1' and 'I', and took any truthy
+    drift_extras; bs_closed_form took True and never checked level; and
+    heston_vasicek_model took any truthy enforce."""
     field = next(name for name, value in kwargs.items()
-                 if not isinstance(value, float) and name != "kind")
-    with pytest.raises((hg.InvalidConfig, hg.InvalidParams),
-                       match=f"{field}.* must be a number") as info:
+                 if len(kwargs) == 1 or not isinstance(value, float) and name != "kind")
+    with pytest.raises(hg.InvalidParams, match=f"^{field} must ") as info:
         cls(**kwargs)
-    assert field == (info.value.key if cls is hg.SimConfig else info.value.field)
+    assert info.value.field == field
+    assert str(info.value).endswith(f", got {kwargs[field]!r}")
+    if isinstance(cls, type):  # every dataclass field here takes a number
+        assert "must be a number" in str(info.value)
+
+
+def test_numpy_scalars_pass_the_argument_rule(hv_model, hv_init):
+    """A numpy scalar skips the rule's exact float and int fast path for
+    the numbers ABCs: numpy's integers and floats are numbers, with the bits
+    of Python's, and numpy's bool is refused as a bool is."""
+    cfg = small_cfg(n_paths=300, n_steps=8, worker_hint=2)
+    as_numpy = hg.SimConfig(n_paths=np.int64(300), n_steps=np.int32(8),
+                            maturity=np.float64(1.0), seed=np.int64(777),
+                            worker_hint=np.int64(2))
+    got, want = (hg.simulate_paths(hv_model, hv_init, c) for c in (as_numpy, cfg))
+    for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS:
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    with pytest.raises(hg.InvalidParams, match="n_paths must be a number"):
+        hg.SimConfig(n_paths=np.bool_(True))
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +1049,7 @@ def test_field_subset_run_matches_the_full_run_bit_for_bit(
 
 
 def test_weights_refuses_a_name_that_is_no_weight_field(hv_model, hv_init):
-    for fields in (("I1", "s_T"), ("P4",), "I1", ["y12_T"], ("v_T",)):
+    for fields in (("I1", "s_T"), ("P4",), ["y12_T"], ("v_T",)):
         with pytest.raises(hg.InvalidParams, match="no weight field"):
             hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
                               weights=fields)
@@ -1082,6 +1136,21 @@ def test_number_fields_give_the_bits_of_callables(
         divisor = spec.sigma if spec.degenerate else spec.g
         assert ((got.clamp_count >= cfg.n_paths * cfg.n_steps)
                 == (divisor < sigma_floor)), case
+
+
+def test_replaced_correlations_carry_their_mixing(hv_model, hv_init):
+    """ModelSpec.mixing is derived from the correlations, so a replace copy
+    with zero correlations simulates bit for bit like the model built with
+    them; it once kept the old loadings and stepped Z^2 with mu1 = 0.6."""
+    zero = hg.CorrelationTriple(0.0, 0.0, 0.0)
+    replaced = dataclasses.replace(hv_model, correlations=zero)
+    rebuilt = hg.heston_vasicek_model(HV_PARAMS, zero)
+    assert replaced.mixing == rebuilt.mixing == hg.MixingCoefficients(1.0, 0.0, 1.0)
+    cfg = small_cfg(n_paths=4000, n_steps=16)
+    got, want = (hg.simulate_paths(m, hv_init, cfg, drift_extras=True)
+                 for m in (replaced, rebuilt))
+    for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
