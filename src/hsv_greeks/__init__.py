@@ -51,7 +51,6 @@ from .greeks import (
 )
 from .models import (
     PAYOFF_KINDS,
-    BlackScholesParams,
     CorrelationTriple,
     HestonVasicekParams,
     InitialState,

@@ -34,11 +34,10 @@ from .errors import HsvGreeksError, InvalidConfig, NonFiniteEstimate, NumericalB
 from .greeks import (_GREEKS, GreekEstimate, bismut_vector, delta, drift_sensitivity, price,
                      rho, vega)
 
-CSV_HEADER = ("estimator,greek,n_paths,n_steps,seed,value,"
-              "std_error,clamp_count,wall_time_ms")
-
 _ROW_FIELDS = ("estimator", "greek", "n_paths", "n_steps", "seed",
                "value", "std_error", "clamp_count", "wall_time_ms")
+
+CSV_HEADER = ",".join(_ROW_FIELDS)
 
 
 def _fmt(x: float) -> str:
@@ -89,7 +88,7 @@ def _rows_for_size(rc: RunConfig, n_paths: int, tokens) -> list[dict]:
             n_sims = 2  # base/bumped pair, or the two one-sided bumps
         else:
             closed = bs_closed_form(rc.init.s0, rc.payoff.strike, rc.init.r0,
-                                    rc.model.bs_params.sigma, sim.maturity,
+                                    rc.model.sigma, sim.maturity,
                                     level=rc.payoff.level)
             est = GreekEstimate(getattr(closed, _GREEKS[greek].closed_form[rc.payoff.kind]),
                                 0.0, n_paths, "analytic")

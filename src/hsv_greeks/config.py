@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from .baselines import BumpSpec, check_bump_size, default_bump_size
 from .errors import DegenerateModel, InvalidConfig, InvalidParams, UnsupportedModel
 from .models import (
-    BlackScholesParams,
     CorrelationTriple,
     HestonVasicekParams,
     InitialState,
@@ -299,16 +298,12 @@ def build_run_config(overrides=None) -> RunConfig:
                 condition=values["model.positivity"],
                 enforce=values["model.enforce_positivity"])
         else:
-            model = black_scholes_degenerate(_build(BlackScholesParams, "model", values).sigma)
-    except InvalidParams as exc:  # conditions that join several keys
-        raise InvalidConfig("model", str(exc)) from exc
+            model = black_scholes_degenerate(values["model.sigma"])
+    except InvalidParams as exc:  # sigma, or conditions that join several keys
+        raise InvalidConfig("model.sigma" if exc.field == "sigma" else "model",
+                            str(exc)) from exc
     init = _build(InitialState, "init", values)
-
     payoff = _build(Payoff, "payoff", values)
-    if payoff.kind in ("call", "put", "digital_call") and payoff.strike <= 0.0:
-        raise InvalidConfig("payoff.strike",
-                            f"strike must be positive for payoff kind {payoff.kind!r}")
-
     sim = _build(SimConfig, "sim", values, worker_hint="sim.workers")
     if sim.n_paths < 2:
         raise InvalidConfig("sim.n_paths", "a standard error needs at least "

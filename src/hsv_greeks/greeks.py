@@ -88,6 +88,7 @@ class GreekEstimate:
         _require(vars(self), "be finite", "value")
         _require(vars(self), "be >= 0", "std_error")
         _require(vars(self), "be an integer >= 1", "n_paths")
+        _require(vars(self), "be an integer >= 0", "clamp_count")
         if self.std_error > 0.0 and self.n_paths < 2:
             raise InvalidParams(
                 "a nonzero std_error needs at least two paths, got "

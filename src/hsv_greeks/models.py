@@ -38,7 +38,6 @@ __all__ = [
     "CorrelationTriple",
     "MixingCoefficients",
     "HestonVasicekParams",
-    "BlackScholesParams",
     "InitialState",
     "ModelSpec",
     "Payoff",
@@ -188,16 +187,6 @@ class HestonVasicekParams:
 
 
 @dataclass(frozen=True)
-class BlackScholesParams:
-    """Constant volatility of the degenerate model, whose rate is init r0."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _require(vars(self), "be > 0", "sigma")
-
-
-@dataclass(frozen=True)
 class InitialState:
     """Initial point (s0, v0, r0) of the three-factor system."""
 
@@ -221,14 +210,14 @@ class ModelSpec:
     Each of the five fields and their derivatives is a number, which the
     engine carries as a number, or a callable taking and returning numpy
     arrays (elementwise); the derivatives are taken as given, not checked
-    against the fields.  ``mixing`` is derived from ``correlations``, so a
-    ``dataclasses.replace`` copy with new correlations has their loadings.
-    ``degenerate`` flags diffusion coefficients v and g that are
-    identically zero; operations that would divide by v(V_t) or g(r_t)
-    must refuse such models.
+    against the fields.  ``mixing`` is derived from ``correlations`` and
+    ``degenerate`` from v and g, so a ``dataclasses.replace`` copy has the
+    loadings of its correlations and the flag of its coefficients.
+    ``degenerate`` is true when v and g are both the number 0: the
+    diffusion matrix is then singular, and operations that would divide by
+    v(V_t) or g(r_t) must refuse the model.
     """
 
-    name: str
     sigma: Coefficient
     u: Coefficient
     v: Coefficient
@@ -241,12 +230,13 @@ class ModelSpec:
     g_prime: Coefficient
     correlations: CorrelationTriple
     mixing: MixingCoefficients = field(init=False)
-    degenerate: bool = False
+    degenerate: bool = field(init=False)
     hv_params: HestonVasicekParams | None = None
-    bs_params: BlackScholesParams | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "mixing", mixing_from_correlations(self.correlations))
+        object.__setattr__(self, "degenerate", all(
+            not callable(c) and c == 0 for c in (self.v, self.g)))
 
 
 def heston_vasicek_model(
@@ -310,7 +300,6 @@ def heston_vasicek_model(
         return 0.5 / np.sqrt(np.maximum(v, 1e-300))
 
     return ModelSpec(
-        name="heston_vasicek",
         sigma=sigma,
         u=lambda v: kappa * (theta - v),
         v=lambda v: sigma_vol * np.sqrt(np.maximum(v, 0.0)),
@@ -336,11 +325,13 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     singular in the V and r directions; weights that divide by v(V_t) or
     g(r_t) are refused downstream via the degeneracy flag.
     """
-    bs = BlackScholesParams(sigma)
-
-    model = ModelSpec(
-        name="black_scholes",
-        sigma=bs.sigma,
+    _require(locals(), "be > 0", "sigma")
+    logger.warning(
+        "degenerate model 'black_scholes': diffusion matrix is singular in "
+        "the V and r directions; uniform ellipticity does not hold"
+    )
+    return ModelSpec(
+        sigma=sigma,
         u=0.0,
         v=0.0,
         f=0.0,
@@ -351,14 +342,7 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
         f_prime=0.0,
         g_prime=0.0,
         correlations=CorrelationTriple(0.0, 0.0, 0.0),
-        degenerate=True,
-        bs_params=bs,
     )
-    logger.warning(
-        "degenerate model '%s': diffusion matrix is singular in the V and r "
-        "directions; uniform ellipticity does not hold", model.name
-    )
-    return model
 
 
 PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
@@ -383,7 +367,7 @@ class Payoff:
                 f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}",
                 field="kind")
         if self.kind in ("call", "put", "digital_call"):
-            _require(vars(self), "be >= 0", "strike")
+            _require(vars(self), "be > 0", "strike")
         if self.kind in ("constant", "digital_call"):
             _require(vars(self), "be finite", "level")
 

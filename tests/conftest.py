@@ -89,7 +89,7 @@ def affine_g_model():
     base = hg.heston_vasicek_model(
         dataclasses.replace(HV_PARAMS, sigma_vol=0.2, k=k), HV_CORR)
     return dataclasses.replace(
-        base, name="affine_g", g=lambda r: k * (1.0 + r),
+        base, g=lambda r: k * (1.0 + r),
         g_prime=lambda r: np.full_like(r, k), hv_params=None)
 
 

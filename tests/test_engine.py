@@ -65,6 +65,10 @@ def _heston_vasicek_model(**kwargs):
     return hg.heston_vasicek_model(HV_PARAMS, HV_CORR, **kwargs)
 
 
+def _greek_estimate(**kwargs):
+    return hg.GreekEstimate(1.0, 0.1, 10, "malliavin", **kwargs)
+
+
 @pytest.mark.parametrize("cls,kwargs", [
     (hg.SimConfig, {"n_steps": True}), (hg.SimConfig, {"seed": False}),
     (hg.SimConfig, {"worker_hint": True}), (hg.SimConfig, {"maturity": True}),
@@ -78,7 +82,7 @@ def _heston_vasicek_model(**kwargs):
     (hg.HestonVasicekParams, {**vars(HV_PARAMS), "b": "0.08"}),
     (hg.CorrelationTriple, {"rho12": False, "rho13": 0.5, "rho23": 0.02}),
     (hg.MixingCoefficients, {"mu1": 1.0, "mu2": "0", "mu3": 1.0}),
-    (hg.BlackScholesParams, {"sigma": True}),
+    (hg.black_scholes_degenerate, {"sigma": True}),
     (hg.Payoff, {"kind": "call", "strike": True}),
     (hg.Payoff, {"kind": "call", "strike": "100"}),
     (hg.Payoff, {"kind": "digital_call", "strike": 100.0, "level": "1"}),
@@ -90,6 +94,7 @@ def _heston_vasicek_model(**kwargs):
     (_bs_closed_form, {"s0": True}), (_bs_closed_form, {"level": math.nan}),
     (_bs_closed_form, {"strike": "100"}),
     (_heston_vasicek_model, {"enforce": "no"}),
+    *((_greek_estimate, {"clamp_count": bad}) for bad in (-1, True, "x", 2.5, None)),
 ])
 def test_bools_are_refused_as_numbers(cls, kwargs):
     """Every dataclass and entry point refuses a bool, text or a float where
@@ -99,8 +104,9 @@ def test_bools_are_refused_as_numbers(cls, kwargs):
     raised a bare TypeError for a float or text size and took a float or
     True as workers; simulate_paths raised a bare TypeError for weights=1,
     read weights="I1" as the fields '1' and 'I', and took any truthy
-    drift_extras; bs_closed_form took True and never checked level; and
-    heston_vasicek_model took any truthy enforce."""
+    drift_extras; bs_closed_form took True and never checked level;
+    heston_vasicek_model took any truthy enforce; and GreekEstimate took any
+    clamp_count."""
     field = next(name for name, value in kwargs.items()
                  if len(kwargs) == 1 or not isinstance(value, float) and name != "kind")
     with pytest.raises(hg.InvalidParams, match=f"^{field} must ") as info:
@@ -1088,35 +1094,41 @@ _COEFFICIENTS = ("sigma", "u", "v", "f", "g",
 
 def _as_callables(model):
     """``model`` with each number field a function that returns an array
-    of that number, as ``np.full_like``."""
+    of that number, as ``np.full_like``; a degenerate model keeps v and g,
+    whose callables would make it hybrid."""
     def constant(value):
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
 
+    kept = {"v", "g"} if model.degenerate else set()
     return dataclasses.replace(model, **{
         name: constant(getattr(model, name)) for name in _COEFFICIENTS
-        if not callable(getattr(model, name))})
+        if not callable(getattr(model, name)) and name not in kept})
 
 
 @pytest.mark.parametrize("sigma_floor", [1e-8, 0.2, 0.25])
-@pytest.mark.parametrize("model_name", ["heston_vasicek", "black_scholes"])
+@pytest.mark.parametrize("model_name", ["heston_vasicek", "number_v", "black_scholes"])
 def test_number_fields_give_the_bits_of_callables(
         model_name, sigma_floor, hv_model, hv_init, deg_model, deg_init):
     """Number fields, carried as numbers, give every field and both counts
     of the same model with array callables, across the 16,384-path block
     edge; so does each finite-difference price's moved model, in which a
-    number field stays a number."""
-    model, init = ((hv_model, hv_init) if model_name == "heston_vasicek"
-                   else (deg_model, deg_init))
+    number field stays a number.  The number-v model is Heston–Vasicek
+    with the constant v = 0.01, a number v of a hybrid model."""
+    model, init = {"heston_vasicek": (hv_model, hv_init),
+                   "number_v": (dataclasses.replace(hv_model, v=0.01, v_prime=0.0), hv_init),
+                   "black_scholes": (deg_model, deg_init)}[model_name]
     numbers = {name for name in _COEFFICIENTS if not callable(getattr(model, name))}
-    assert numbers == (set(_COEFFICIENTS) if model.degenerate
-                       else {"g", "u_prime", "f_prime", "g_prime"})
+    hybrid_numbers = {"g", "u_prime", "f_prime", "g_prime"}
+    assert numbers == {"heston_vasicek": hybrid_numbers,
+                       "number_v": hybrid_numbers | {"v", "v_prime"},
+                       "black_scholes": set(_COEFFICIENTS)}[model_name]
     callables = _as_callables(model)
     cfg = small_cfg(n_paths=16385, n_steps=64, sigma_floor=sigma_floor)
     runs = [{"weights": True}, {"weights": {"P3"}}, {"weights": False}]
     if not model.degenerate:
         runs.append({"drift_extras": True})
     cases = [(kwargs, model, callables, init, kwargs) for kwargs in runs]
-    for greek in _MODEL_MOVES[model_name]:
+    for greek in _MODEL_MOVES.get(model_name, ()):
         (moved_model, moved_init), (moved_callables, _) = (
             moved(m, init, greek, 0.001) for m in (model, callables))
         assert numbers == {name for name in _COEFFICIENTS
@@ -1151,6 +1163,40 @@ def test_replaced_correlations_carry_their_mixing(hv_model, hv_init):
                  for m in (replaced, rebuilt))
     for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+def test_replaced_v_and_g_make_a_hybrid_model(deg_model, hv_init):
+    """ModelSpec.degenerate is derived from v and g, so a replace copy of
+    the Black–Scholes model with a square-root v and g = 0.01 is hybrid: it
+    computes P2 and P3, counts the clamps of v and g, and gives vega_v0.
+    The copy once kept the builder's flag, computed no P2 or P3, and
+    refused vega_v0."""
+    hybrid = dataclasses.replace(
+        deg_model, v=lambda V: 0.04 * np.sqrt(np.maximum(V, 0.0)),
+        v_prime=lambda V: 0.02 / np.sqrt(np.maximum(V, 1e-300)), g=0.01)
+    cfg = small_cfg(n_paths=2000, n_steps=16)
+    paths = hg.simulate_paths(hybrid, hv_init, cfg)
+    assert paths.n_integrand_evals == 3 * cfg.n_paths * cfg.n_steps
+    assert np.all(np.isfinite(paths.P2)) and np.any(paths.P2 != 0.0)
+    assert np.all(np.isfinite(paths.P3)) and np.any(paths.P3 != 0.0)
+    hg.bismut_vector(paths, hg.Payoff("call", strike=100.0))
+    assert not hybrid.degenerate
+
+
+def test_zero_v_and_g_make_a_degenerate_model(hv_model, hv_init):
+    """A model whose v and g are the number 0 is degenerate whatever built
+    it: it refuses vega_v0 and counts no clamp of v or g.  Heston–Vasicek
+    with v = g = 0 was once hybrid, and at 2,000 x 16 paths clamped 64,000
+    of its 96,000 integrand evaluations and built P2 and P3 from
+    1/sigma_floor."""
+    flat = dataclasses.replace(hv_model, v=0.0, v_prime=0.0, g=0.0)
+    cfg = small_cfg(n_paths=2000, n_steps=16)
+    paths = hg.simulate_paths(flat, hv_init, cfg)
+    assert (paths.clamp_count, paths.n_integrand_evals) == (0, cfg.n_paths * cfg.n_steps)
+    assert paths.P2 is None and paths.P3 is None
+    with pytest.raises(hg.DegenerateModel, match="^malliavin:vega_v0 "):
+        hg.bismut_vector(paths, hg.Payoff("call", strike=100.0))
+    assert flat.degenerate
 
 
 def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
@@ -1215,7 +1261,7 @@ def test_reference_stepper_matches_simulate_paths_bit_for_bit(
     through a spare buffer.  The two-block run checks the integrals the
     second block sums in place into its slice of the returned arrays."""
     identity_drifts = dataclasses.replace(
-        hv_model, name="identity_drifts", u=lambda V: V, u_prime=1.0,
+        hv_model, u=lambda V: V, u_prime=1.0,
         f=lambda r: r, f_prime=1.0, hv_params=None)
     model, init = {"heston_vasicek": (hv_model, hv_init),
                    "black_scholes": (deg_model, deg_init),

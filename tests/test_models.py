@@ -1,6 +1,7 @@
 """Model construction, correlation mixing, payoffs, and validation probes."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -184,7 +185,7 @@ def test_degenerate_model_rejects_bad_sigma():
 def test_degenerate_model_rate_is_the_initial_r0():
     """The constant-coefficient model has no rate of its own to disagree
     with the initial state's r0, which the engine steps at."""
-    assert [f.name for f in dataclasses.fields(hg.BlackScholesParams)] == ["sigma"]
+    assert list(inspect.signature(hg.black_scholes_degenerate).parameters) == ["sigma"]
     with pytest.raises(TypeError):
         hg.black_scholes_degenerate(0.2, 0.05)
 
@@ -226,5 +227,8 @@ def test_payoff_rejects_unknown_kind_and_negative_strike():
         hg.Payoff("straddle", strike=100.0)
     with pytest.raises(hg.InvalidParams):
         hg.Payoff("call", strike=-1.0)
+    for kind in ("call", "put", "digital_call"):
+        with pytest.raises(hg.InvalidParams, match="^strike must be > 0, got 0.0$"):
+            hg.Payoff(kind, strike=0.0)
     with pytest.raises(hg.InvalidParams):
         hg.Payoff("digital_call", strike=100.0, level=float("inf"))

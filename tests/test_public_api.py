@@ -33,7 +33,7 @@ PUBLIC = {
     "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
     "rho", "vega",
     # models
-    "PAYOFF_KINDS", "BlackScholesParams", "CorrelationTriple",
+    "PAYOFF_KINDS", "CorrelationTriple",
     "HestonVasicekParams", "InitialState", "MixingCoefficients", "ModelSpec",
     "Payoff", "black_scholes_degenerate", "evaluate_payoff",
     "heston_vasicek_model", "mixing_from_correlations",
