@@ -13,19 +13,16 @@ from .baselines import (
     fd_greek,
 )
 from .config import (
-    DEFAULTS,
     RunConfig,
     build_run_config,
     effective_config_text,
     load_config_file,
-    parse_config_text,
 )
 from .engine import (
     PathAccumulators,
     SimConfig,
     simulate_paths,
     stable_mean_se,
-    standard_draws,
 )
 from .errors import (
     DegenerateModel,
@@ -50,7 +47,6 @@ from .greeks import (
     vega,
 )
 from .models import (
-    PAYOFF_KINDS,
     CorrelationTriple,
     HestonVasicekParams,
     InitialState,
@@ -60,7 +56,6 @@ from .models import (
     black_scholes_degenerate,
     evaluate_payoff,
     heston_vasicek_model,
-    mixing_from_correlations,
 )
 
 __version__ = "0.1.0"

@@ -29,8 +29,7 @@ from .models import (
 from .engine import SimConfig
 from .greeks import _FD_GREEKS, _GREEKS, ESTIMATOR_METHODS, _refuse
 
-__all__ = ["DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
-           "load_config_file", "parse_config_text"]
+__all__ = ["RunConfig", "build_run_config", "effective_config_text", "load_config_file"]
 
 
 # --- parsers: text -> typed value, ValueError(message) on bad text ---------
@@ -173,10 +172,6 @@ def defaults_for(model_name: str) -> dict[str, str]:
     return {key: default for key, (default, _) in _SCHEMAS[model_name].items()}
 
 
-#: The documented default configuration (hybrid model, 10^4 paths, 252 steps).
-DEFAULTS = defaults_for("heston_vasicek")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A fully validated run: model, state, payoff, simulation, outputs.
@@ -200,7 +195,7 @@ class RunConfig:
     entries: dict[str, str]
 
 
-def parse_config_text(text: str) -> dict[str, str]:
+def _parse_config_text(text: str) -> dict[str, str]:
     """Parse ``key=value`` lines into an entry dict.
 
     Blank lines and ``#`` comments are skipped.  Values keep interior spaces
@@ -226,7 +221,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def load_config_file(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+        return _parse_config_text(fh.read())
 
 
 def _parse(key: str, parse, text: str):
@@ -275,7 +270,7 @@ def build_run_config(overrides=None) -> RunConfig:
     """
     overrides = dict(overrides or {})
     model_name = _parse("model.name", _text,
-                        overrides.get("model.name", DEFAULTS["model.name"]))
+                        overrides.get("model.name", "heston_vasicek"))
     defaults = defaults_for(model_name)
     schema = _SCHEMAS[model_name]
 
@@ -347,7 +342,7 @@ def build_run_config(overrides=None) -> RunConfig:
 def effective_config_text(config: RunConfig) -> str:
     """Serialise the resolved configuration, one ``key=value`` per line.
 
-    Feeding the result back through :func:`parse_config_text` and
+    Loading the result with :func:`load_config_file` and building it with
     :func:`build_run_config` reproduces an identical run.
     """
     return "".join(f"{k}={v}\n" for k, v in config.entries.items())

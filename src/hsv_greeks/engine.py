@@ -43,20 +43,21 @@ Randomness
 ----------
 Draws come from a counter-based generator (Philox; Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11) with the counters
-laid out step-major and split into segments of ``_BLOCK_PATHS`` paths, so
+laid out step-major and split into blocks of ``_BLOCK_PATHS`` paths, so
 that the normal draw for (seed, path, step, driver) is a pure function of
-those four indices: path ``p`` lies in segment ``g = p // _BLOCK_PATHS``,
+those four indices: path ``p`` lies in block ``b = p // _BLOCK_PATHS``,
 and its draw at step ``s`` and driver ``d`` is normal ``p % _BLOCK_PATHS``
 of numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8),
 2000) on the stream keyed by (seed, stream) that starts at counter
-``((3*s + d) << 62) + (g << 128)``.  The ziggurat takes one Philox word
-for most normals and a few more for the rest, so a segment's row is drawn
-from its start; the segment size is part of the RNG definition.  Draws are
-therefore independent of block sizes, worker counts, and execution order,
-and bumped re-simulations with the same seed reuse identical draws (exact
-common random numbers).  Each (step, driver) row of a block is one
-segment's row, drawn by one call straight into the row the step loop
-reads, so no block of draws need be held.
+``((3*s + d) << 62) + (b << 128)``.  The ziggurat takes one Philox word
+for most normals and a few more for the rest, so a block's row is drawn
+from its start, and the first n paths of a block are an n-path draw of
+it; the block size is part of the RNG definition.  Draws are therefore
+independent of worker counts and execution order, and bumped
+re-simulations with the same seed reuse identical draws (exact common
+random numbers).  Each (step, driver) row of a block is drawn by one call
+straight into the row the step loop reads, so no block of draws need be
+held.
 
 Threads
 -------
@@ -120,15 +121,14 @@ from .models import InitialState, ModelSpec, _inverse_loadings, _require
 __all__ = [
     "SimConfig",
     "PathAccumulators",
-    "standard_draws",
     "simulate_paths",
     "stable_mean_se",
 ]
 
 # Paths are simulated one fixed-size block at a time, whatever the worker
-# count; a block holds its step-loop state and a few runs of draws.  Each
-# block is one segment of the RNG definition, so changing this constant
-# changes the draws of every path past the first segment.
+# count; a block holds its step-loop state and a few runs of draws.  The
+# block is part of the RNG definition, so changing this constant changes
+# the draws of every path past the first block.
 _BLOCK_PATHS = 16384
 _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
@@ -265,20 +265,22 @@ def standard_draws(
     seed: int,
     n_paths: int,
     n_steps: int,
-    first_path: int = 0,
+    block: int = 0,
     stream: int = 0,
     workers: int | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield the standard-normal draws as (first_step, run) in step order,
-    ``run`` being the (steps, 3, n_paths) draws of steps first_step, ...
+    """Yield the standard-normal draws of the first ``n_paths`` paths of
+    block ``block`` as (first_step, run) in step order, ``run`` being the
+    (steps, 3, n_paths) draws of steps first_step, ...
 
     The draw at (path, step, driver) is the pure function of (seed, stream,
-    first_path+path, step, driver) the module docstring defines, whichever
-    thread draws it; a range that starts inside a segment discards that
-    segment's earlier normals.  At most ``workers`` threads draw (None:
-    every available CPU), the calling thread among them; they, the ring's
-    ``depth`` and the steps per run are sized so that the ring holds at
-    most ``_RING_BYTES`` (:func:`_ring_plan`).  Run k goes to slot
+    block*_BLOCK_PATHS + path, step, driver) the module docstring defines,
+    whichever thread draws it.  The arguments are unchecked: those of a
+    :class:`SimConfig` and a stream that :func:`simulate_paths` checked,
+    with 1 <= n_paths <= _BLOCK_PATHS.  At most ``workers`` threads draw
+    (None: every available CPU), the calling thread among them; they, the
+    ring's ``depth`` and the steps per run are sized so that the ring holds
+    at most ``_RING_BYTES`` (:func:`_ring_plan`).  Run k goes to slot
     k % depth of the ring, and its slot is drawn into again once the next
     run is requested: a thread claims a run only with one of ``depth``
     permits, and one comes back each time a run is stepped, so run k is
@@ -286,12 +288,7 @@ def standard_draws(
     A failed draw raises its error, and closing the iterator stops the
     draws; either way every thread it started has ended.
     """
-    _require(locals(), "be an integer in [0, 2**64)", "seed", "stream")
-    _require(locals(), "be an integer >= 0", "n_paths", "n_steps", "first_path")
-    if workers is not None:
-        _require(locals(), "be an integer >= 1", "workers")
-    if not (n_paths and n_steps):
-        return
+    assert n_paths <= _BLOCK_PATHS, n_paths
     threads, depth, steps = _ring_plan(n_paths, n_steps, workers, _available_cpus())
     starts = range(0, n_steps, steps)
     slots = [np.empty((steps, 3, n_paths)) for _ in range(depth)]
@@ -326,7 +323,7 @@ def standard_draws(
         drawn[k].set()
 
     def draw_runs() -> None:
-        draw = _row_drawer(seed, stream, first_path, n_paths)
+        draw = _row_drawer(seed, stream, block)
         while (k := claim(blocking=True)) is not None:
             fill(draw, k)
 
@@ -337,7 +334,7 @@ def standard_draws(
     try:
         for helper in helpers:
             helper.start()
-        draw = _row_drawer(seed, stream, first_path, n_paths)
+        draw = _row_drawer(seed, stream, block)
         for k, start in enumerate(starts):
             # claim gives None only once run k is claimed: claimed runs
             # hold every permit, every run is claimed, or a stop came from
@@ -359,15 +356,11 @@ def standard_draws(
                 helper.join()
 
 
-def _row_drawer(seed: int, stream: int, first_path: int, n_paths: int):
+def _row_drawer(seed: int, stream: int, block: int):
     """A function ``draw(row, out)`` that fills ``out`` with the normals of
-    paths first_path, ..., first_path+n_paths-1 of counter row ``row`` =
-    3*step + driver, from one Philox moved to each row and segment through
-    its state.
-
-    The row's stream in segment g starts at counter ``(row << 62) +
-    (g << 128)``; path p of the segment is its normal p - g*_BLOCK_PATHS,
-    so a range that starts inside a segment discards the normals before it.
+    the first len(out) paths of block ``block`` at counter row ``row`` =
+    3*step + driver, from one Philox moved to each row through its state:
+    the row's stream starts at counter ``(row << 62) + (block << 128)``.
     """
     bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
     gen = Generator(bg)
@@ -380,25 +373,14 @@ def _row_drawer(seed: int, stream: int, first_path: int, n_paths: int):
              "buffer": [0] * 4, "buffer_pos": _PHILOX_WORDS,
              "has_uint32": 0, "uinteger": 0}
     mask = (1 << 64) - 1
-    # (counter offset of the segment, normals to discard, slice of out)
-    pieces = []
-    p, stop = first_path, first_path + n_paths
-    while p < stop:
-        segment, skip = divmod(p, _BLOCK_PATHS)
-        end = min(stop, (segment + 1) * _BLOCK_PATHS)
-        pieces.append((segment << 128, skip,
-                       slice(p - first_path, end - first_path)))
-        p = end
+    offset = block << 128
 
     def draw(row: int, out: np.ndarray) -> None:
-        for offset, skip, part in pieces:
-            start = (row << 62) + offset
-            for i in range(4):
-                counter[i] = (start >> (64 * i)) & mask
-            bg.state = state
-            if skip:
-                gen.standard_normal(skip)
-            gen.standard_normal(out=out[part])
+        start = (row << 62) + offset
+        for i in range(4):
+            counter[i] = (start >> (64 * i)) & mask
+        bg.state = state
+        gen.standard_normal(out=out)
 
     return draw
 
@@ -687,8 +669,9 @@ def simulate_paths(
         Add the drift integrals ``j2`` = ∫(1/v)dW^2, ``j3`` = ∫(1/v)dW^3 and
         ``g3`` = ∫(1/g)dW^3 to ``weights`` (refused for degenerate models).
     stream : int
-        RNG sub-stream selector; distinct values give independent draws for
-        the same seed (used by FD without common random numbers).
+        RNG sub-stream selector, an integer in [0, 2**64); distinct values
+        give independent draws for the same seed (used by FD without common
+        random numbers).
     weights : bool or collection of field names
         True for every weight field from ``I1`` to ``P3``, False for none
         (S_T and D only, as a bump-and-revalue price needs), or the names
@@ -701,7 +684,7 @@ def simulate_paths(
     Notes
     -----
     Results are bit-identical for a given (model, init, cfg, drift_extras,
-    stream, weights) regardless of ``worker_hint`` and block layout.
+    stream, weights) regardless of ``worker_hint``.
 
     Raises
     ------
@@ -712,10 +695,12 @@ def simulate_paths(
         If a drift integral is requested on a degenerate model.
     InvalidParams
         If ``drift_extras`` is no bool or is requested with
-        ``weights=False``, or ``weights`` is neither a bool nor a collection
-        of weight field names.
+        ``weights=False``, ``stream`` is no integer in [0, 2**64), or
+        ``weights`` is neither a bool nor a collection of weight field
+        names.
     """
     _require(locals(), "be True or False", "drift_extras")
+    _require(locals(), "be an integer in [0, 2**64)", "stream")
     if isinstance(weights, str) or not isinstance(weights, (bool, Collection)):
         raise InvalidParams("weights must be True, False or a collection of field names, "
                             f"got {weights!r}", "weights")
@@ -736,11 +721,11 @@ def simulate_paths(
     # Each returned array, held once: every block writes its slice.
     arrays: dict[str, np.ndarray] = {}
     clamps = evals = 0
-    for start in range(0, n, _BLOCK_PATHS):
+    for block, start in enumerate(range(0, n, _BLOCK_PATHS)):
         stop = min(start + _BLOCK_PATHS, n)
         # The block steps each run of draws as soon as it is drawn; closing
         # the runs stops the draw threads before an error leaves the block.
-        with closing(standard_draws(cfg.seed, stop - start, cfg.n_steps, first_path=start,
+        with closing(standard_draws(cfg.seed, stop - start, cfg.n_steps, block=block,
                                     stream=stream, workers=cfg.worker_hint)) as runs:
             try:
                 block_clamps, block_evals = _run_block(

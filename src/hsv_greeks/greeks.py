@@ -127,13 +127,12 @@ def _kappa_samples(p: PathAccumulators, phi) -> np.ndarray:
 
 
 def _reversion_samples(p: PathAccumulators, phi) -> np.ndarray:
-    # Ito weight from the 1/g(r_t) integral minus the deterministic discount
-    # correction T - (1 - e^{-aT})/a, the time integral of the pathwise
-    # derivative 1 - e^{-at} of the Vasicek rate.
+    # Ito weight from the 1/g(r_t) integral alone: the Girsanov weight on
+    # W^3 moves the whole rate path, and so the discount integral D, which
+    # a deterministic correction of D would count twice.
     a, T = p.model.hv_params.a, p.maturity
-    correction = T - (1.0 - math.exp(-a * T)) / a
     return phi * _discount(p) * _factor(
-        p, "reversion", lambda p: (a / p.model.mixing.mu3) * p.g3 / T - correction)
+        p, "reversion", lambda p: (a / p.model.mixing.mu3) * p.g3 / T)
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ __all__ = [
     "InitialState",
     "ModelSpec",
     "Payoff",
-    "PAYOFF_KINDS",
-    "mixing_from_correlations",
     "heston_vasicek_model",
     "black_scholes_degenerate",
     "evaluate_payoff",
@@ -92,8 +90,8 @@ class CorrelationTriple:
     """Pairwise correlations (rho12, rho13, rho23) of the drivers Z^1..Z^3.
 
     Each entry must lie strictly inside (-1, 1).  Whether the triple forms a
-    positive semi-definite correlation matrix is decided by
-    :func:`mixing_from_correlations`, not here.
+    positive semi-definite correlation matrix is decided where
+    :class:`ModelSpec` derives its mixing, not here.
     """
 
     rho12: float
@@ -122,31 +120,18 @@ class MixingCoefficients:
         _require(vars(self), "be > 0", "mu3")
 
 
-def mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
-    """Decompose correlated drivers onto independent Brownian motions.
-
-    Computes
+def _mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
+    """The loadings of the correlated drivers ``rho`` onto independent
+    Brownian motions:
 
         mu1 = sqrt(1 - rho12^2)
         mu2 = (rho23 - rho12*rho13) / mu1
         mu3 = sqrt(1 - rho12^2 - rho13^2 - rho23^2
                    + 2*rho12*rho13*rho23) / mu1
 
-    Parameters
-    ----------
-    rho : CorrelationTriple
-        Pairwise driver correlations.
-
-    Returns
-    -------
-    MixingCoefficients
-        Loadings with ``mu1 > 0`` and ``mu3 > 0``.
-
-    Raises
-    ------
-    NonPositiveSemiDefinite
-        If the radicand under mu3 is negative (the correlation matrix is not
-        PSD) or exactly zero (mu3 = 0, the third driver is redundant).
+    Raises :class:`NonPositiveSemiDefinite` if the radicand under mu3 is
+    negative (the correlation matrix is not PSD) or exactly zero (mu3 = 0,
+    the third driver is redundant).
     """
     r12, r13, r23 = rho.rho12, rho.rho13, rho.rho23
     mu1 = math.sqrt(1.0 - r12 * r12)
@@ -234,7 +219,7 @@ class ModelSpec:
     hv_params: HestonVasicekParams | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "mixing", mixing_from_correlations(self.correlations))
+        object.__setattr__(self, "mixing", _mixing_from_correlations(self.correlations))
         object.__setattr__(self, "degenerate", all(
             not callable(c) and c == 0 for c in (self.v, self.g)))
 
@@ -345,7 +330,7 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     )
 
 
-PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
+_PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
 
 
 @dataclass(frozen=True)
@@ -362,9 +347,9 @@ class Payoff:
     level: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PAYOFF_KINDS:
+        if self.kind not in _PAYOFF_KINDS:
             raise InvalidParams(
-                f"payoff kind must be one of {PAYOFF_KINDS}, got {self.kind!r}",
+                f"payoff kind must be one of {_PAYOFF_KINDS}, got {self.kind!r}",
                 field="kind")
         if self.kind in ("call", "put", "digital_call"):
             _require(vars(self), "be > 0", "strike")

@@ -17,9 +17,10 @@ move of the (model, initial state) pair, which ``fd_greek`` reads from the
 Greek table, and :func:`fd_reference` prices it.  :func:`stock_drift_fd`
 restates the stock-drift shift that ``fd:rho`` moved before every rate
 moved with it.  :func:`conditional_call` is an independent oracle for the
-call price, delta and ``rho_r0`` and the digital price on the engine's own
-grid.  :func:`check_derivative_consistency` probes a model's derivative
-fields, which the package takes as given, against its functions.
+call price, delta, ``rho`` and ``rho_r0`` and the digital price and delta
+on the engine's own grid.  :func:`check_derivative_consistency` probes a
+model's derivative fields, which the package takes as given, against its
+functions.
 """
 
 import dataclasses
@@ -32,17 +33,23 @@ from scipy.special import ndtr
 import hsv_greeks as hg
 
 
-def draws_array(seed, n_paths, n_steps, **kwargs):
-    """The draws of ``hg.standard_draws(seed, n_paths, n_steps, **kwargs)``
-    as one array z[path, step, driver], shape (n_paths, n_steps, 3), a view
-    of a step-major array.
+def draws_array(seed, n_paths, n_steps, block=0, **kwargs):
+    """The draws of the first ``n_paths`` paths from block ``block`` on, as
+    ``simulate_paths`` takes them, one ``hg.engine.standard_draws(seed,
+    ..., n_steps, block=..., **kwargs)`` call per block, as one array
+    z[path, step, driver], shape (n_paths, n_steps, 3), a view of a
+    step-major array.
 
     Each run is copied as it arrives: its slot is drawn into again once the
     next run is requested, so ``np.concatenate(list(runs))`` would read
     overwritten draws."""
+    size = hg.engine._BLOCK_PATHS
     z = np.empty((n_steps, 3, n_paths))
-    for first, run in hg.standard_draws(seed, n_paths, n_steps, **kwargs):
-        z[first:first + len(run)] = run
+    for b, start in enumerate(range(0, n_paths, size), start=block):
+        part = z[:, :, start:start + size]
+        for first, run in hg.engine.standard_draws(seed, part.shape[2], n_steps,
+                                                   block=b, **kwargs):
+            part[first:first + len(run)] = run
     return z.transpose(2, 0, 1)
 
 
@@ -199,10 +206,12 @@ def stock_drift_fd(model, init, cfg, payoff, scheme, h):
 
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):
-    """Per-path samples (price, delta, digital, rho_r0) of the discounted
-    call, its s0- and r0-derivatives and the discounted unit digital call
-    on the engine's grid by discrete conditional Monte Carlo (Willard, J.
-    Derivatives 5, 1997; Romano & Touzi, Math. Finance 7, 1997).
+    """Per-path samples of the discounted call and its Greeks and of the
+    discounted unit digital call and its delta on the engine's grid, by
+    discrete conditional Monte Carlo (Willard, J. Derivatives 5, 1997;
+    Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
+    ``price``, ``delta``, ``rho`` and ``rho_r0`` of the call, and
+    ``digital`` and ``digital_delta``.
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
     (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
@@ -211,9 +220,11 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     Gaussian with variance s^2 = (1 - R^2) sum sigma_n^2 dt, so the call is
     St N(d1) - K e^{-D} N(d2), with St = s0 exp(sum sigma_n beta.dZ_n
     - R^2/2 sum sigma_n^2 dt), and its s0-derivative is N(d1) St/s0.  The
-    digital pays e^{-D} N(d2).  St does not depend on r0, which moves the
-    call by K e^{-D} N(d2) dD/dr0, where the Euler rate steps give
-    dD/dr0 = dt sum_{n<N} (1 - a dt)^n.
+    digital pays e^{-D} N(d2), and its s0-derivative is
+    e^{-D} phi(d2)/(s0 s).  St does not depend on the rates, which move
+    the call through D alone, by K e^{-D} N(d2) per unit of D: moving every
+    rate by h moves D by h T, and r0 moves it by
+    dD/dr0 = dt sum_{n<N} (1 - a dt)^n under the Euler rate steps.
 
     The V and r steps restate the engine's full-truncation Euler scheme
     from the Heston–Vasicek ``params`` (variance floor 0), on draws of
@@ -239,10 +250,16 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     st = init.s0 * np.exp(mean - 0.5 * r_squared * var)
     s = np.sqrt((1.0 - r_squared) * var)
     d1 = (np.log(st / strike) + D + 0.5 * s * s) / s
-    digital = np.exp(-D) * ndtr(d1 - s)
-    price = st * ndtr(d1) - strike * digital
+    d2 = d1 - s
+    digital = np.exp(-D) * ndtr(d2)
     dD_dr0 = dt * sum((1.0 - params.a * dt) ** n for n in range(n_steps))
-    return price, ndtr(d1) * st / init.s0, digital, strike * digital * dD_dr0
+    return SimpleNamespace(
+        price=st * ndtr(d1) - strike * digital,
+        delta=ndtr(d1) * st / init.s0,
+        rho=maturity * strike * digital,
+        rho_r0=strike * digital * dD_dr0,
+        digital=digital,
+        digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s))
 
 
 # The derivative probe: variance points are kept away from the sqrt kink at

@@ -107,14 +107,14 @@ def test_criterion_06_mixing_round_trip():
         r12, r13, r23 = rng.uniform(-0.95, 0.95, size=3)
         try:
             triple = hg.CorrelationTriple(r12, r13, r23)
-            mu = hg.mixing_from_correlations(triple)
+            mu = hg.models._mixing_from_correlations(triple)
         except (hg.NonPositiveSemiDefinite, hg.InvalidParams):
             continue
         L = np.array([[1.0, 0.0, 0.0], [r12, mu.mu1, 0.0], [r13, mu.mu2, mu.mu3]])
         R = np.array([[1.0, r12, r13], [r12, 1.0, r23], [r13, r23, 1.0]])
         worst = max(worst, float(np.max(np.abs(L @ L.T - R))))
         checked += 1
-    mu_ref = hg.mixing_from_correlations(hg.CorrelationTriple(-0.8, 0.5, 0.02))
+    mu_ref = hg.models._mixing_from_correlations(hg.CorrelationTriple(-0.8, 0.5, 0.02))
     ref_err = max(abs(mu_ref.mu1 - 0.6), abs(mu_ref.mu2 - 0.7),
                   abs(mu_ref.mu3 - 0.509902))
     ok = worst <= 1e-12 and ref_err <= 1e-6

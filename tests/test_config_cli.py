@@ -31,7 +31,7 @@ def test_parse_skips_comments_and_blank_lines():
     sim.seed=7
     estimators=malliavin:delta
     """
-    entries = hg.parse_config_text(text)
+    entries = hg.config._parse_config_text(text)
     assert entries == {
         "model.name": "heston_vasicek",
         "sim.seed": "7",
@@ -41,11 +41,11 @@ def test_parse_skips_comments_and_blank_lines():
 
 def test_parse_rejects_malformed_lines():
     with pytest.raises(hg.InvalidConfig, match="duplicate"):
-        hg.parse_config_text("a=1\na=2\n")
+        hg.config._parse_config_text("a=1\na=2\n")
     with pytest.raises(hg.InvalidConfig, match="key=value"):
-        hg.parse_config_text("just words\n")
+        hg.config._parse_config_text("just words\n")
     with pytest.raises(hg.InvalidConfig, match="empty key"):
-        hg.parse_config_text("=5\n")
+        hg.config._parse_config_text("=5\n")
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_model_tables_have_disjoint_parameter_keys():
     bs = hg.config.defaults_for("black_scholes")
     assert "model.kappa" in hv and "model.kappa" not in bs
     assert "model.sigma" in bs and "model.sigma" not in hv
-    assert hg.DEFAULTS == hv
+    assert hg.build_run_config({}).entries == hv
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -239,7 +239,7 @@ def test_other_value_types_are_refused_under_their_key(key, value):
 def test_effective_config_round_trips(overrides):
     rc = hg.build_run_config(overrides)
     text = hg.effective_config_text(rc)
-    rc2 = hg.build_run_config(hg.parse_config_text(text))
+    rc2 = hg.build_run_config(hg.config._parse_config_text(text))
     assert rc2.entries == rc.entries
     assert hg.effective_config_text(rc2) == text
 
@@ -247,7 +247,7 @@ def test_effective_config_round_trips(overrides):
 # Every schema key with its default, a few bump keys, and texts of each
 # value kind (valid for some keys, refused by others).
 _KEY_DEFAULTS = {
-    **hg.config.defaults_for("black_scholes"), **hg.DEFAULTS,
+    **hg.config.defaults_for("black_scholes"), **hg.config.defaults_for("heston_vasicek"),
     **{f"bump.{g}.{f}": v for g in ("delta", "vega_v0", "rho_r0", "kappa")
        for f, v in (("scheme", "backward"), ("h", "0.001"), ("crn", "off"))},
 }
@@ -284,7 +284,7 @@ def test_accepted_overrides_round_trip_through_the_dump(overrides):
     except hg.InvalidConfig:
         return
     text = hg.effective_config_text(rc)
-    rc2 = hg.build_run_config(hg.parse_config_text(text))
+    rc2 = hg.build_run_config(hg.config._parse_config_text(text))
     assert rc2.entries == rc.entries
     assert hg.effective_config_text(rc2) == text
 

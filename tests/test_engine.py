@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
 import struct
 import subprocess
@@ -45,11 +46,6 @@ def test_sim_config_rejects_bad_values(field, value):
 
 # The entry points that take plain arguments, called with valid ones but
 # ``kwargs``.
-def _standard_draws(**kwargs):
-    # A generator checks its arguments once its first run is asked for.
-    return next(hg.standard_draws(**{"seed": 1, "n_paths": 4, "n_steps": 4, **kwargs}))
-
-
 def _simulate_paths(**kwargs):
     return hg.simulate_paths(hg.heston_vasicek_model(HV_PARAMS, HV_CORR),
                              hg.InitialState(100.0, 0.04, 0.02),
@@ -86,9 +82,9 @@ def _greek_estimate(**kwargs):
     (hg.Payoff, {"kind": "call", "strike": True}),
     (hg.Payoff, {"kind": "call", "strike": "100"}),
     (hg.Payoff, {"kind": "digital_call", "strike": 100.0, "level": "1"}),
-    (_standard_draws, {"n_paths": 2.5}), (_standard_draws, {"n_paths": "4"}),
-    (_standard_draws, {"first_path": 0.5}), (_standard_draws, {"workers": 1.5}),
-    (_standard_draws, {"workers": True}),
+    (_simulate_paths, {"stream": True}), (_simulate_paths, {"stream": "0"}),
+    (_simulate_paths, {"stream": 1.5}), (_simulate_paths, {"stream": None}),
+    (_simulate_paths, {"stream": -1}),
     (_simulate_paths, {"weights": 1}), (_simulate_paths, {"weights": "I1"}),
     (_simulate_paths, {"drift_extras": "yes"}),
     (_bs_closed_form, {"s0": True}), (_bs_closed_form, {"level": math.nan}),
@@ -102,7 +98,8 @@ def test_bools_are_refused_as_numbers(cls, kwargs):
     argument, as the config does.  The dataclasses once took True as 1 and
     text raised a bare TypeError; SimConfig raised InvalidConfig; the draws
     raised a bare TypeError for a float or text size and took a float or
-    True as workers; simulate_paths raised a bare TypeError for weights=1,
+    True as workers, before simulate_paths checked the stream and SimConfig
+    the rest; simulate_paths raised a bare TypeError for weights=1,
     read weights="I1" as the fields '1' and 'I', and took any truthy
     drift_extras; bs_closed_form took True and never checked level;
     heston_vasicek_model took any truthy enforce; and GreekEstimate took any
@@ -136,11 +133,12 @@ def test_numpy_scalars_pass_the_argument_rule(hv_model, hv_init):
 # RNG purity
 
 def test_draw_purity_under_path_offset():
-    """Path p of a block equals path 0 of a block starting at p."""
-    all_draws = draws_array(123, 50, 16)
-    for p in (0, 7, 31, 49):
-        solo = draws_array(123, 1, 16, first_path=p)
-        assert np.array_equal(all_draws[p], solo[0])
+    """Path b*B + p of a draw over two blocks of B paths is path p of a draw
+    of block b alone."""
+    size = hg.engine._BLOCK_PATHS
+    two = draws_array(123, size + 50, 16)
+    for b in (0, 1):
+        assert np.array_equal(two[b * size:b * size + 50], draws_array(123, 50, 16, block=b))
 
 
 def test_draw_shape_and_normality():
@@ -159,63 +157,56 @@ def test_draws_depend_on_seed():
     assert not np.array_equal(draws_array(1, 4, 8), draws_array(2, 4, 8))
 
 
-def _row_by_row_draws(seed, n_paths, n_steps, first_path=0, stream=0):
-    """The draws by their definition: path p of (step s, driver d) is
-    normal p % B of the ziggurat sampler on the Philox stream keyed
-    (seed, stream) that starts at counter ((3*s + d) << 62) + (g << 128),
-    where B is the engine's segment of 16,384 paths and g = p // B; one
-    fresh generator per row and segment, drawn from the segment's start."""
-    segment = hg.engine._BLOCK_PATHS
+def _row_by_row_draws(seed, n_paths, n_steps, block=0, stream=0):
+    """The draws by their definition: path p of block b at (step s, driver
+    d) is normal p of the ziggurat sampler on the Philox stream keyed
+    (seed, stream) that starts at counter ((3*s + d) << 62) + (b << 128);
+    one fresh generator per row, drawn from the block's start."""
     z = np.empty((n_paths, n_steps, 3))
-    stop = first_path + n_paths
     for s in range(n_steps):
         for d in range(3):
-            for g in range(first_path // segment, (stop - 1) // segment + 1):
-                lo = max(first_path, g * segment)
-                hi = min(stop, (g + 1) * segment)
-                bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
-                            counter=((3 * s + d) << 62) + (g << 128))
-                normals = Generator(bg).standard_normal(hi - g * segment)
-                z[lo - first_path:hi - first_path, s, d] = normals[lo - g * segment:]
+            bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
+                        counter=((3 * s + d) << 62) + (block << 128))
+            z[:, s, d] = Generator(bg).standard_normal(n_paths)
     return z
 
 
 @pytest.mark.parametrize("n_steps", [1, 9, 17])
 def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
-    """Ranges that start at a segment's first path or inside it, or cross
-    into the next segment, every stream and every worker count (17 steps
-    make three runs, one per thread) give the rows of the definition."""
+    """The first paths of blocks 0 and 1, a whole block among them, on
+    every stream and at every worker count (17 steps make three runs, one
+    per thread), give the rows of the definition."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
-    n_paths = 13
-    for first_path in (0, 1, 6, 4099, hg.engine._BLOCK_PATHS - 5):
-        for stream in (0, 1, 2):
-            expected = _row_by_row_draws(11, n_paths, n_steps, first_path, stream)
-            for workers in (None, 1, 2, 3):
-                z = draws_array(11, n_paths, n_steps, first_path=first_path,
-                                stream=stream, workers=workers)
-                assert z.shape == (n_paths, n_steps, 3)
-                assert np.array_equal(z, expected), (first_path, stream, workers)
+    for block in (0, 1):
+        for n_paths, streams in ((13, (0, 1, 2)), (_THREAD_PATHS + 1, (0,)), (_BLOCK, (2,))):
+            for stream in streams:
+                expected = _row_by_row_draws(11, n_paths, n_steps, block, stream)
+                for workers in (None, 1, 2, 3):
+                    z = draws_array(11, n_paths, n_steps, block=block, stream=stream,
+                                    workers=workers)
+                    assert z.shape == (n_paths, n_steps, 3)
+                    assert np.array_equal(z, expected), (block, n_paths, stream, workers)
 
 
 def test_adjacent_rows_of_draws_are_uncorrelated():
     """Rows whose counters are neighbours (the drivers of one step, and the
     last driver of a step with the first of the next), the rows of one
-    driver at neighbouring steps, and each row in two adjacent segments,
+    driver at neighbouring steps, and each row in two adjacent blocks,
     whose counters differ by 1 << 128: sample correlations within
     4/sqrt(n)."""
-    segment, n_steps = hg.engine._BLOCK_PATHS, 4
-    n_paths = 2 * segment
+    size, n_steps = hg.engine._BLOCK_PATHS, 4
+    n_paths = 2 * size
     rows = draws_array(3, n_paths, n_steps).reshape(n_paths, -1).T
     corr = np.corrcoef(rows)
     pairs = [(r, r + 1) for r in range(3 * n_steps - 1)]
     pairs += [(r, r + 3) for r in range(3 * n_steps - 3)]
     assert max(abs(corr[a, b]) for a, b in pairs) < 4 / math.sqrt(n_paths)
-    across = [np.corrcoef(row[:segment], row[segment:])[0, 1] for row in rows]
-    assert max(map(abs, across)) < 4 / math.sqrt(segment)
+    across = [np.corrcoef(row[:size], row[size:])[0, 1] for row in rows]
+    assert max(map(abs, across)) < 4 / math.sqrt(size)
 
 
 def test_draws_have_normal_tails():
-    """Over 2**22 draws of one fixed seed, across four segments and every
+    """Over 2**22 draws of one fixed seed, across four blocks and every
     row of 22 steps: the counts of |z| > 2, 3, 4 lie within 5 binomial
     standard deviations of n*erfc(c/sqrt(2)), and the mean and variance
     within 5 of their standard errors of 0 and 1."""
@@ -226,7 +217,9 @@ def test_draws_have_normal_tails():
     tails = [0] * len(cuts)
     total = squares = 0.0
 
-    for _, run in hg.standard_draws(20240601, n_paths, n_steps):
+    runs = (run for block in range(4)
+            for _, run in hg.engine.standard_draws(20240601, _BLOCK, n_steps, block=block))
+    for run in runs:
         size = np.abs(run)
         for i, c in enumerate(cuts):
             tails[i] += int(np.count_nonzero(size > c))
@@ -242,60 +235,82 @@ def test_draws_have_normal_tails():
     assert abs(variance - 1.0) <= 5 * math.sqrt(2.0 / n)
 
 
-# Path offsets near multiples of these, some of them multiples of the four
+# Path counts near multiples of these, some of them multiples of the four
 # words of a Philox tick and some not, are where a split of the draws could
 # go wrong.
 _CHUNK = 1024
 _BLOCK = hg.engine._BLOCK_PATHS
 _THREAD_PATHS = hg.engine._THREAD_PATHS
-_SPAN = _BLOCK + 2 * _CHUNK
 _NEAR_EDGE = st.sampled_from((_CHUNK, 2 * _CHUNK, _BLOCK)).flatmap(
-    lambda edge: st.integers(edge - 3, edge + 3))
-_PATH_INDEX = st.one_of(st.integers(0, _SPAN - 1), _NEAR_EDGE)
+    lambda edge: st.integers(edge - 3, min(edge + 3, _BLOCK)))
+_PREFIX = st.one_of(st.integers(1, _BLOCK), _NEAR_EDGE)
 
 
 @functools.lru_cache(maxsize=None)
 def _one_large_draw(n_steps):
-    return draws_array(99, _SPAN, n_steps)
+    return draws_array(99, 2 * _BLOCK, n_steps)
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=_PATH_INDEX, b=_PATH_INDEX, n_steps=st.integers(1, 3),
+@given(n=_PREFIX, block=st.sampled_from((0, 1)), n_steps=st.integers(1, 3),
        workers=st.sampled_from((None, 1, 2, 3, 8)))
-def test_draws_are_pure_under_any_split(a, b, n_steps, workers):
-    """Paths first..last of any draw are rows first..last of one large draw,
-    across the chunk edges of the draw, the block edge of the engine and
-    the ranges the draw's threads split the paths into."""
-    first, stop = min(a, b), max(a, b) + 1
-    part = draws_array(99, stop - first, n_steps, first_path=first,
-                       workers=workers)
-    assert np.array_equal(part, _one_large_draw(n_steps)[first:stop])
-
-
-@pytest.mark.parametrize("n_paths, n_steps", [(0, 4), (4, 0)])
-def test_zero_paths_or_steps_draw_nothing(n_paths, n_steps):
-    """An empty draw yields no run."""
-    assert list(hg.standard_draws(1, n_paths, n_steps)) == []
+def test_draws_are_pure_under_any_split(n, block, n_steps, workers):
+    """The first n paths of block 0 or 1, drawn alone, are its rows of one
+    large draw, across the chunk edges of the draw and whatever ranges the
+    draw's threads split the steps into: the first n paths of a run are
+    those of an n-path run."""
+    part = draws_array(99, n, n_steps, block=block, workers=workers)
+    assert np.array_equal(part, _one_large_draw(n_steps)[block * _BLOCK:block * _BLOCK + n])
 
 
 @pytest.mark.parametrize("kwargs, name", [
     (dict(n_paths=-1), "n_paths"), (dict(n_steps=-1), "n_steps"),
-    (dict(first_path=-5), "first_path"), (dict(workers=0), "workers"),
-    (dict(workers=-1), "workers"), (dict(seed=-1), "seed"),
+    (dict(stream=True), "stream"), (dict(worker_hint=0), "worker_hint"),
+    (dict(worker_hint=-1), "worker_hint"), (dict(seed=-1), "seed"),
     (dict(seed=2**64), "seed"), (dict(seed=1.5), "seed"), (dict(seed=True), "seed"),
     (dict(stream=-1), "stream"), (dict(stream=2**64), "stream"),
     (dict(stream=1.5), "stream"), (dict(stream=False), "stream")])
-def test_draws_refuse_negative_sizes_and_no_workers(kwargs, name):
-    """A negative size or offset, fewer than one worker, or a seed or stream
-    that is no integer in [0, 2**64) is refused by name, before any run is
-    drawn or any thread started.  A seed or stream of -1 once raised a bare
-    OverflowError, and 1.5 and True were taken."""
-    args = dict(seed=1, n_paths=4, n_steps=4) | kwargs
+def test_draws_refuse_negative_sizes_and_no_workers(monkeypatch, hv_model, hv_init,
+                                                    kwargs, name):
+    """A negative size, fewer than one worker, or a seed or stream that is
+    no integer in [0, 2**64) is refused by name, before any run is drawn or
+    any thread started: SimConfig refuses its fields and simulate_paths the
+    stream, as standard_draws takes its arguments unchecked.  A seed or
+    stream of -1 once raised a bare OverflowError, and 1.5 and True were
+    taken."""
+    calls = []
+    draws = hg.engine.standard_draws
+    monkeypatch.setattr(hg.engine, "standard_draws",
+                        lambda *a, **k: calls.append(a) or draws(*a, **k))
+    kwargs = dict(kwargs)
+    stream = kwargs.pop("stream", 0)
     before = threading.active_count()
     with pytest.raises(hg.InvalidParams, match=name) as info:
-        next(hg.standard_draws(**args))
+        hg.simulate_paths(hv_model, hv_init, small_cfg(**{"n_paths": 4, "n_steps": 4, **kwargs}),
+                          stream=stream)
     assert info.value.field == name
-    assert threading.active_count() == before
+    assert calls == [] and threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_paths", [1, _BLOCK, _BLOCK + 1, 40_000])
+def test_simulate_paths_draws_each_block_once(monkeypatch, hv_model, hv_init, n_paths):
+    """One standard_draws call per block of at most 16,384 paths, with the
+    block indices 0, 1, ... in order."""
+    calls = []
+    draws = hg.engine.standard_draws
+    signature = inspect.signature(draws)
+
+    def spy(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append((bound.arguments["block"], bound.arguments["n_paths"]))
+        return draws(*args, **kwargs)
+
+    monkeypatch.setattr(hg.engine, "standard_draws", spy)
+    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=n_paths, n_steps=1),
+                      weights=False)
+    sizes = [min(_BLOCK, n_paths - start) for start in range(0, n_paths, _BLOCK)]
+    assert calls == list(enumerate(sizes))
 
 
 class _InlineThread:
@@ -370,7 +385,7 @@ def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
     n_paths = 2 * _THREAD_PATHS + 3
     _set_budget(monkeypatch, n_paths, 8)
     seen = []
-    for first_step, run in hg.standard_draws(7, n_paths, n_steps, workers=workers):
+    for first_step, run in hg.engine.standard_draws(7, n_paths, n_steps, workers=workers):
         assert run.flags.c_contiguous
         seen.append((first_step, run.copy()))
     threads, _, run_steps = hg.engine._ring_plan(n_paths, n_steps, workers, 4)
@@ -399,7 +414,7 @@ def test_many_draw_threads_hand_over_every_run(monkeypatch):
     seen, head = [], []
 
     def iterate():
-        for first_step, run in hg.standard_draws(5, n_paths, n_steps, workers=8):
+        for first_step, run in hg.engine.standard_draws(5, n_paths, n_steps, workers=8):
             seen.append(first_step)
             head.append(run[:max(0, 3 - first_step)].copy())
 
@@ -446,7 +461,7 @@ def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     seen = []
     before = threading.active_count()
     with pytest.raises(_DrawFailed):
-        for first, _ in hg.standard_draws(1, n_paths, n_steps, workers=workers):
+        for first, _ in hg.engine.standard_draws(1, n_paths, n_steps, workers=workers):
             seen.append(first)
     assert threading.active_count() == before
     assert seen == starts[:len(seen)] and len(seen) <= 2
@@ -459,7 +474,7 @@ def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     before = threading.active_count()
     assert len(_run_starts(3 * _THREAD_PATHS, 64, 3, 3)) > 4
-    runs = hg.standard_draws(1, 3 * _THREAD_PATHS, 64, workers=3)
+    runs = hg.engine.standard_draws(1, 3 * _THREAD_PATHS, 64, workers=3)
     first, _ = next(runs)
     assert first == 0 and threading.active_count() == before + 2
     runs.close()
@@ -502,7 +517,7 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
     seen, raised = [], []
 
     def iterate():
-        runs = hg.standard_draws(3, n_paths, n_steps, workers=workers)
+        runs = hg.engine.standard_draws(3, n_paths, n_steps, workers=workers)
         try:
             for first, run in runs:
                 # Read the run a moment later, as the step loop does, while
@@ -684,7 +699,7 @@ def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch):
 
     monkeypatch.setattr(hg.engine, "_row_drawer", counting_drawer)
     seen, slots = [], []
-    for first_step, run in hg.standard_draws(3, n_paths, n_steps, workers=1):
+    for first_step, run in hg.engine.standard_draws(3, n_paths, n_steps, workers=1):
         assert rows_drawn == list(range(3 * (first_step + len(run))))
         seen.append((first_step, run.copy()))
         slots.append(run.base)

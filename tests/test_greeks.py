@@ -219,25 +219,59 @@ def test_kappa_constant_payoff_zero_mean(hv_paths_10k):
 # ---------------------------------------------------------------------------
 # the discrete conditional Monte Carlo oracle (reference.conditional_call)
 
+def _oracle_case():
+    """(model, init, sim, call, digital, oracle) of the default configuration
+    with 65,536 paths and 52 steps, the oracle's samples at seed 97."""
+    rc = hg.build_run_config({"sim.n_paths": "65536", "sim.n_steps": "52"})
+    model, init, sim, call = rc.model, rc.init, rc.sim, rc.payoff
+    oracle = conditional_call(model.hv_params, model.correlations, init, call.strike,
+                              sim.maturity, sim.n_steps, sim.n_paths, seed=97)
+    return model, init, sim, call, hg.Payoff("digital_call", strike=call.strike), oracle
+
+
 def test_call_and_digital_prices_delta_and_rho_r0_agree_with_the_discrete_oracle():
     """At the default configuration with 65,536 paths and 52 steps, the
     engine's call and digital prices and the call's CRN central fd:delta
     and fd:rho_r0 agree with the oracle on the same grid within 4 combined
     SE.  The seeds, the default 12345 for the engine and 97 for the oracle,
     were fixed before the first run of each gate."""
-    rc = hg.build_run_config({"sim.n_paths": "65536", "sim.n_steps": "52"})
-    model, init, sim, call = rc.model, rc.init, rc.sim, rc.payoff
-    digital = hg.Payoff("digital_call", strike=call.strike)
-    oracle_price, oracle_delta, oracle_digital, oracle_rho_r0 = conditional_call(
-        model.hv_params, model.correlations, init, call.strike, sim.maturity,
-        sim.n_steps, sim.n_paths, seed=97)
+    model, init, sim, call, digital, oracle = _oracle_case()
     paths = hg.simulate_paths(model, init, sim, weights=False)
-    for samples, est in ((oracle_price, hg.price(paths, call)),
-                         (oracle_delta, _crn_fd(model, init, sim, call, "delta")),
-                         (oracle_digital, hg.price(paths, digital)),
-                         (oracle_rho_r0, _crn_fd(model, init, sim, call, "rho_r0"))):
+    for samples, est in ((oracle.price, hg.price(paths, call)),
+                         (oracle.delta, _crn_fd(model, init, sim, call, "delta")),
+                         (oracle.digital, hg.price(paths, digital)),
+                         (oracle.rho_r0, _crn_fd(model, init, sim, call, "rho_r0"))):
         mean, se = fsum_mean_se(samples)
         assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
+def test_digital_delta_and_call_rho_agree_with_the_discrete_oracle():
+    """On the configuration of the oracle test above, malliavin:delta of
+    the digital, malliavin:rho of the call and the call's CRN central
+    fd:rho agree with the oracle's digital delta and call rho within 4
+    combined SE, at the same seeds."""
+    model, init, sim, call, digital, oracle = _oracle_case()
+    paths = hg.simulate_paths(model, init, sim, weights=("I1", "I2", "I3", "A", "Q", "w1_T"))
+    for samples, est in ((oracle.digital_delta, hg.delta(paths, digital, init.s0)),
+                         (oracle.rho, hg.rho(paths, call, sim.maturity)),
+                         (oracle.rho, _crn_fd(model, init, sim, call, "rho"))):
+        mean, se = fsum_mean_se(samples)
+        assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
+def test_reversion_counts_the_discount_shift_once():
+    """With model.k=0.1, 262,144 paths, 104 steps and seed 5, a call's
+    malliavin:reversion agrees with its CRN central fd:reversion within 4
+    combined SE.  The weight once also subtracted the deterministic shift
+    T - (1 - e^{-aT})/a of the discount integral, which its Girsanov term
+    on W^3 already carries: 0.3524 +- 0.0140 against 0.4779 +- 0.0009,
+    -9.0 combined SE."""
+    rc = hg.build_run_config({"model.k": "0.1", "sim.n_paths": "262144",
+                              "sim.n_steps": "104", "sim.seed": "5"})
+    paths = hg.simulate_paths(rc.model, rc.init, rc.sim, weights=("g3",))
+    weighted = hg.drift_sensitivity(paths, rc.payoff, "reversion_speed")
+    fd = _crn_fd(rc.model, rc.init, rc.sim, rc.payoff, "reversion")
+    assert hg.agrees(weighted, fd, n_se=4.0), (weighted, fd)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ def random_valid_triples(n, seed):
 # mixing coefficients
 
 def test_mixing_zero_correlation_is_identity():
-    mu = hg.mixing_from_correlations(hg.CorrelationTriple(0.0, 0.0, 0.0))
+    mu = hg.models._mixing_from_correlations(hg.CorrelationTriple(0.0, 0.0, 0.0))
     assert (mu.mu1, mu.mu2, mu.mu3) == (1.0, 0.0, 1.0)
 
 
 def test_mixing_reference_triple():
     # mu3 = sqrt(1 - .64 - .25 - .0004 + 2*(-.8)(.5)(.02)) / 0.6
-    mu = hg.mixing_from_correlations(HV_CORR)
+    mu = hg.models._mixing_from_correlations(HV_CORR)
     assert abs(mu.mu1 - 0.6) < 1e-12
     assert abs(mu.mu2 - 0.7) < 1e-6
     assert abs(mu.mu3 - 0.5099019513592785) < 1e-6
@@ -42,13 +42,13 @@ def test_mixing_reference_triple():
 
 def test_mixing_rejects_non_psd_triple():
     with pytest.raises(hg.NonPositiveSemiDefinite) as info:
-        hg.mixing_from_correlations(hg.CorrelationTriple(0.9, 0.9, 0.0))
+        hg.models._mixing_from_correlations(hg.CorrelationTriple(0.9, 0.9, 0.0))
     assert abs(info.value.radicand - (-0.62)) < 1e-12
 
 
 def test_mixing_rejects_unit_rho12():
     with pytest.raises(hg.InvalidParams):
-        hg.mixing_from_correlations(hg.CorrelationTriple(1.0, 0.0, 0.0))
+        hg.models._mixing_from_correlations(hg.CorrelationTriple(1.0, 0.0, 0.0))
 
 
 def test_mixing_rejects_out_of_range_correlation():
@@ -59,7 +59,7 @@ def test_mixing_rejects_out_of_range_correlation():
 def test_unit_row_identities():
     """Rows of the lower-triangular loading matrix have unit norm."""
     for rho in random_valid_triples(300, seed=7):
-        mu = hg.mixing_from_correlations(rho)
+        mu = hg.models._mixing_from_correlations(rho)
         assert abs(rho.rho12**2 + mu.mu1**2 - 1.0) < 1e-12
         assert abs(rho.rho13**2 + mu.mu2**2 + mu.mu3**2 - 1.0) < 1e-12
 
@@ -74,7 +74,7 @@ def correlations_of(mu, rho12, rho13):
 
 
 def test_reconstruct_reference_triple():
-    back = correlations_of(hg.mixing_from_correlations(HV_CORR), -0.8, 0.5)
+    back = correlations_of(hg.models._mixing_from_correlations(HV_CORR), -0.8, 0.5)
     assert abs(back.rho23 - 0.02) < 1e-12
 
 
@@ -82,10 +82,10 @@ def test_round_trip_both_directions():
     # correlations -> mu -> L*L^T, and mu -> L*L^T -> mu.  With mu1, mu3 > 0
     # the lower-triangular L with L*L^T = R is unique, so this pins the mixing.
     for rho in random_valid_triples(300, seed=11):
-        mu = hg.mixing_from_correlations(rho)
+        mu = hg.models._mixing_from_correlations(rho)
         back = correlations_of(mu, rho.rho12, rho.rho13)
         assert abs(back.rho23 - rho.rho23) < 1e-12
-        mu2 = hg.mixing_from_correlations(back)
+        mu2 = hg.models._mixing_from_correlations(back)
         assert abs(mu2.mu1 - mu.mu1) < 1e-12
         assert abs(mu2.mu2 - mu.mu2) < 1e-12
         assert abs(mu2.mu3 - mu.mu3) < 1e-12

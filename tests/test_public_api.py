@@ -19,11 +19,9 @@ PUBLIC = {
     "BsClosedForm", "BumpSpec", "agrees", "bs_closed_form",
     "default_bump_size", "fd_greek",
     # config
-    "DEFAULTS", "RunConfig", "build_run_config", "effective_config_text",
-    "load_config_file", "parse_config_text",
+    "RunConfig", "build_run_config", "effective_config_text", "load_config_file",
     # engine
-    "PathAccumulators", "SimConfig", "simulate_paths",
-    "stable_mean_se", "standard_draws",
+    "PathAccumulators", "SimConfig", "simulate_paths", "stable_mean_se",
     # errors
     "DegenerateModel", "DegenerateWeightWarning", "EmptyInput",
     "HsvGreeksError", "InvalidBump", "InvalidConfig", "InvalidParams",
@@ -33,10 +31,9 @@ PUBLIC = {
     "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
     "rho", "vega",
     # models
-    "PAYOFF_KINDS", "CorrelationTriple",
-    "HestonVasicekParams", "InitialState", "MixingCoefficients", "ModelSpec",
-    "Payoff", "black_scholes_degenerate", "evaluate_payoff",
-    "heston_vasicek_model", "mixing_from_correlations",
+    "CorrelationTriple", "HestonVasicekParams", "InitialState",
+    "MixingCoefficients", "ModelSpec", "Payoff", "black_scholes_degenerate",
+    "evaluate_payoff", "heston_vasicek_model",
 }
 
 
