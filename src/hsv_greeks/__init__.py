@@ -50,7 +50,6 @@ from .models import (
     CorrelationTriple,
     HestonVasicekParams,
     InitialState,
-    MixingCoefficients,
     ModelSpec,
     Payoff,
     black_scholes_degenerate,

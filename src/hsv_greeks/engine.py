@@ -71,21 +71,20 @@ count: the worker count (``SimConfig.worker_hint``; None means the CPUs in
 the process's affinity mask) and the budget cap the threads that draw.
 Each run is as many steps as the ring of that many runs can hold (one
 step at least) and, when several threads draw, about one block-step of
-normals at most (two steps at least).  A thread claims the next run, in
-step order, only with one of a semaphore's permits, one per slot, and the
-calling thread gives one back after it steps a run: so at most one run
-per slot is claimed and not yet stepped, and a claimed run's slot is
-free.  Each run's event is set once it is drawn; while the next run's is
-not, the calling thread draws the next run itself if a permit is free.
-Every draw is the same bits whichever thread makes it.  The normal draws
-release the GIL.
+normals at most (two steps at least).  A thread draws a run only with
+its ticket, taken from one FIFO that holds a ticket per free slot, in
+step order: the calling thread puts the next one after it steps a run,
+so a run's slot is free when its ticket is taken.  Each run's event is
+set once its ticket has been used; while the next run's is not, the
+calling thread draws the run of a ticket still queued.  Every draw is the
+same bits whichever thread makes it.  The normal draws release the GIL.
 
 A run therefore holds the ring, one block's step-loop state and scratch,
-and one copy of each returned field: every block sums its integrals
-straight into its slice of the returned arrays, and copies its S_T in,
-which a single block hands over as it is.  The CLI lets a size's weighted
-paths go after its last weighted row, so its finite-difference runs never
-simulate beside them.
+and one copy of each returned field: :func:`simulate_paths` allocates
+each returned array once, and every block steps log S in its slice of
+S_T and sums its integrals straight into its slices of the others.  The
+CLI lets a size's weighted paths go after its last weighted row, so its
+finite-difference runs never simulate beside them.
 
 Monte Carlo reductions are exactly rounded, so estimates are independent
 of the order of the paths and of worker count.  ``_exact_sum`` splits
@@ -107,10 +106,12 @@ from __future__ import annotations
 import math
 import os
 from contextlib import closing
-from dataclasses import dataclass, field, fields as dataclass_fields
-from itertools import count
-from threading import Event, Semaphore, Thread
+from dataclasses import dataclass, field
+from threading import Event, Thread
 from typing import Collection, Iterator
+# queue's SimpleQueue and Empty are those of its C module: importing queue
+# itself raised compare_fd's peak RSS by about 0.1 MiB (2 vCPUs, 4 runs).
+from _queue import Empty, SimpleQueue
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -281,19 +282,23 @@ def standard_draws(
     (None: every available CPU), the calling thread among them; they, the
     ring's ``depth`` and the steps per run are sized so that the ring holds
     at most ``_RING_BYTES`` (:func:`_ring_plan`).  Run k goes to slot
-    k % depth of the ring, and its slot is drawn into again once the next
-    run is requested: a thread claims a run only with one of ``depth``
-    permits, and one comes back each time a run is stepped, so run k is
-    claimed only once run k - depth has been stepped.
-    A failed draw raises its error, and closing the iterator stops the
-    draws; either way every thread it started has ended.
+    k % depth of the ring.  A thread draws a run only with its ticket, its
+    index, taken from one FIFO: the tickets of runs 0 to depth - 1 start
+    there, and the ticket of run k + depth is put once run k has been
+    stepped, so its slot is free.  Helpers wait for tickets; the calling
+    thread takes queued ones while the run it needs is being drawn.  A
+    thread that takes a ticket sets the run's event, drawn or, once the
+    draws have stopped, not.  A failed draw raises its error, and closing
+    the iterator stops the draws; either way every thread it started has
+    ended, each told to by a None ticket.
     """
     assert n_paths <= _BLOCK_PATHS, n_paths
     threads, depth, steps = _ring_plan(n_paths, n_steps, workers, _available_cpus())
     starts = range(0, n_steps, steps)
     slots = [np.empty((steps, 3, n_paths)) for _ in range(depth)]
-    free = Semaphore(depth)
-    claims = count()
+    tickets = SimpleQueue()
+    for k in range(depth):
+        tickets.put(k)
     drawn = [Event() for _ in starts]
     # Failed draws' errors, then None once the caller is done: not empty
     # means stopped.
@@ -302,33 +307,24 @@ def standard_draws(
     def run(k: int) -> np.ndarray:
         return slots[k % depth][:min(starts.step, n_steps - starts[k])]
 
-    def claim(blocking: bool) -> int | None:
-        """The next run, claimed with a permit, or None.  Stopped or
-        exhausted draws give the permit back, so that the next helper
-        waiting for one wakes and exits too."""
-        if not free.acquire(blocking):
-            return None
-        # Read before the run is claimed, so that every claimed run is drawn.
-        if not stopped and (k := next(claims)) < len(starts):
-            return k
-        free.release()
-        return None
-
     def fill(draw, k: int) -> None:
-        try:
-            for i, row in enumerate(run(k).reshape(-1, n_paths), start=3 * starts[k]):
-                draw(i, row)
-        except BaseException as exc:
-            stopped.append(exc)
+        """Draw run k, unless stopped, and set its event either way: a
+        ticket taken is never dropped, so no wait for its run hangs."""
+        if not stopped:
+            try:
+                for i, row in enumerate(run(k).reshape(-1, n_paths), start=3 * starts[k]):
+                    draw(i, row)
+            except BaseException as exc:
+                stopped.append(exc)
         drawn[k].set()
 
     def draw_runs() -> None:
         draw = _row_drawer(seed, stream, block)
-        while (k := claim(blocking=True)) is not None:
+        while (k := tickets.get()) is not None:
             fill(draw, k)
 
     # Daemon threads: an iterator left open at exit, neither closed nor
-    # dropped, leaves them waiting for a slot, and must not keep the
+    # dropped, leaves them waiting for a ticket, and must not keep the
     # interpreter from exiting.
     helpers = [Thread(target=draw_runs, daemon=True) for _ in range(threads - 1)]
     try:
@@ -336,21 +332,24 @@ def standard_draws(
             helper.start()
         draw = _row_drawer(seed, stream, block)
         for k, start in enumerate(starts):
-            # claim gives None only once run k is claimed: claimed runs
-            # hold every permit, every run is claimed, or a stop came from
-            # run k or a later one.
+            # Run k's ticket is queued or taken: the calling thread draws
+            # queued runs, run k's among them, until run k is drawn.
             while not drawn[k].is_set():
-                if (j := claim(blocking=False)) is None:
+                try:
+                    j = tickets.get_nowait()
+                except Empty:
                     drawn[k].wait()
                 else:
                     fill(draw, j)
             if stopped:
                 raise stopped[0]
             yield start, run(k)
-            free.release()
+            if k + depth < len(starts):
+                tickets.put(k + depth)
     finally:
         stopped.append(None)
-        free.release()
+        for helper in helpers:
+            tickets.put(None)
         for helper in helpers:
             if helper.ident is not None:
                 helper.join()
@@ -389,30 +388,32 @@ def _run_block(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
-    block: slice,
+    first_path: int,
     runs: Iterator[tuple[int, np.ndarray]],
     groups: frozenset[str],
-    arrays: dict[str, np.ndarray],
+    out: dict[str, np.ndarray],
 ) -> tuple[int, int]:
-    """Advance the paths of ``block`` through all steps, writing their
-    fields into ``block`` of the ``cfg.n_paths``-long arrays of ``arrays``.
+    """Advance the block of paths that starts at ``first_path`` through all
+    steps, writing its fields into its slice of the zeroed
+    ``cfg.n_paths``-long arrays ``out``, the returned fields.
 
     ``runs`` is the iterator of :func:`standard_draws` over the block's
     draws, each run of shape (steps, 3, nb), nb the block's paths.  The
-    first block creates each array in ``arrays``, the integrals zeroed;
-    every block sums its integrals straight into its slice of them, scales
-    the slice in place at the end, and copies its S_T in, which a single
-    block hands over as it is.  Returns (clamp_count, n_evals).
+    block steps log S inside its slice of ``out["s_T"]`` and exponentiates
+    it in place at the end; it sums each integral straight into its slice
+    and scales the slice in place at the end.  A blow-up names the path's
+    index among all ``cfg.n_paths``.  Returns (clamp_count, n_evals).
     Of the weight fields only the groups of ``_FIELD_GROUPS`` named in
-    ``groups`` are carried; the clamps and integrand evaluations are
-    counted alike whatever is carried.
+    ``groups``, each with its arrays in ``out``, are carried; the clamps
+    and integrand evaluations are counted alike whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
     beside them, so the same bits.  The first variations update in place,
     and V and r step through one spare buffer that then swaps with them.
     """
-    nb = block.stop - block.start
+    nb = min(_BLOCK_PATHS, cfg.n_paths - first_path)
+    block = slice(first_path, first_path + nb)
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
     floor = cfg.sigma_floor
@@ -439,25 +440,14 @@ def _run_block(
     w_number = g_number and y33_number
 
     hybrid = not model.degenerate
-    # P2 and P3 need S and the first variations at every step; on a
-    # degenerate model they are undefined, and neither is stepped.
-    sums, drift = "sums" in groups, "drift" in groups
-    bismut = "bismut" in groups and hybrid
+    # P2 and P3 need S and the first variations at every step.
+    sums, bismut, drift = "sums" in groups, "bismut" in groups, "drift" in groups
 
-    # This allocation order sets where the heap puts the arrays: another
-    # took 0.2 MiB more peak RSS on strike_ladder (2 vCPUs, 16,384 paths),
-    # and a single block returns the state it allocates first.
     zeros = lambda: np.zeros(nb)  # noqa: E731
     empty = lambda: np.empty(nb)  # noqa: E731
 
-    def returned(name: str) -> np.ndarray:
-        """The block's slice of the returned array ``name``, zero until
-        written: the first block creates the whole array."""
-        if name not in arrays:
-            arrays[name] = np.zeros(cfg.n_paths)
-        return arrays[name][block]
-
-    logS = np.full(nb, math.log(init.s0))
+    logS = out["s_T"][block]
+    logS.fill(math.log(init.s0))
     # Float whatever the type of the initial values: an integer state
     # would make the in-place float steps fail.
     S = np.full(nb, init.s0, dtype=float) if bismut else None
@@ -467,14 +457,14 @@ def _run_block(
         L22, L33 = zeros(), 0.0 if y33_number else zeros()
         y22, y33 = np.ones(nb), 1.0 if y33_number else np.ones(nb)
         y12, y13 = zeros(), zeros()
-    sum_r = returned("D")
+    sum_r = out["D"][block]
     if sums:
-        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = map(
-            returned, ("A", "Q", "I1", "I2", "I3", "w1_T"))
+        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = (
+            out[name][block] for name in ("A", "Q", "I1", "I2", "I3", "w1_T"))
     if bismut:
-        sP2, sP3 = returned("P2"), returned("P3")
+        sP2, sP3 = out["P2"][block], out["P3"][block]
     if drift:
-        sJ2, sJ3, sG3 = returned("j2"), returned("j3"), returned("g3")
+        sJ2, sJ3, sG3 = (out[name][block] for name in ("j2", "j3", "g3"))
     clamps = 0
     n_evals = 0
 
@@ -624,10 +614,7 @@ def _run_block(
             for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
                 if not (np.abs(arr, out=tmp).max() <= limit):  # also catches NaN
                     bad = ~(np.abs(arr) <= limit)
-                    raise NumericalBlowup(int(np.argmax(bad)), n, f"state {name}")
-    # The last rows are views of a run of draws: let the draws go before
-    # S_T is handed over.
-    del run, z1, z2, z3
+                    raise NumericalBlowup(first_path + int(np.argmax(bad)), n, f"state {name}")
 
     # x *= c gives the bits of c * x.
     sum_r *= dt
@@ -643,11 +630,7 @@ def _run_block(
         for x in (sJ2, sJ3, sG3):
             x *= sqdt
     # exp(logS) once gives the bits of S formed at every step.
-    s_T = S if bismut else np.exp(logS, out=logS)
-    if nb == cfg.n_paths:
-        arrays["s_T"] = s_T  # a single block hands its own array over
-    else:
-        returned("s_T")[...] = s_T
+    np.exp(logS, out=logS)
     return clamps, n_evals
 
 
@@ -712,32 +695,31 @@ def simulate_paths(
         fields.update(_FIELD_GROUPS["drift"])
     if unknown := fields.difference(*_FIELD_GROUPS.values()):
         raise InvalidParams(f"weights names no weight field {sorted(map(str, unknown))}", "weights")
-    groups = frozenset(g for g, names in _FIELD_GROUPS.items() if fields.intersection(names))
+    # On a degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
+    # undefined, and P2 and P3 are None.
+    groups = frozenset(g for g, names in _FIELD_GROUPS.items() if fields.intersection(names)
+                       and not (g == "bismut" and model.degenerate))
     if "drift" in groups and model.degenerate:
         raise DegenerateModel(
             "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
         )
     n = cfg.n_paths
-    # Each returned array, held once: every block writes its slice.
-    arrays: dict[str, np.ndarray] = {}
+    # Each returned array, allocated once in field order: every block
+    # writes its slice, and the check below names the first non-finite
+    # field.
+    arrays = {name: np.zeros(n) for name in ("s_T", "D", *(
+        name for g, names in _FIELD_GROUPS.items() if g in groups for name in names))}
     clamps = evals = 0
     for block, start in enumerate(range(0, n, _BLOCK_PATHS)):
-        stop = min(start + _BLOCK_PATHS, n)
         # The block steps each run of draws as soon as it is drawn; closing
         # the runs stops the draw threads before an error leaves the block.
-        with closing(standard_draws(cfg.seed, stop - start, cfg.n_steps, block=block,
-                                    stream=stream, workers=cfg.worker_hint)) as runs:
-            try:
-                block_clamps, block_evals = _run_block(
-                    model, init, cfg, slice(start, stop), runs, groups, arrays)
-            except NumericalBlowup as exc:
-                raise NumericalBlowup(exc.path_index + start, exc.step_index, exc.detail) from None
+        with closing(standard_draws(cfg.seed, min(_BLOCK_PATHS, n - start), cfg.n_steps,
+                                    block=block, stream=stream,
+                                    workers=cfg.worker_hint)) as runs:
+            block_clamps, block_evals = _run_block(
+                model, init, cfg, start, runs, groups, arrays)
         clamps += block_clamps
         evals += block_evals
-    # Checked in field order, whichever block created the arrays: the error
-    # names the first non-finite field.
-    arrays = {f.name: arrays[f.name] for f in dataclass_fields(PathAccumulators)
-              if f.name in arrays}
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))

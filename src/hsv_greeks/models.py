@@ -28,7 +28,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .errors import InvalidParams, NonPositiveSemiDefinite
 
 __all__ = [
     "CorrelationTriple",
-    "MixingCoefficients",
     "HestonVasicekParams",
     "InitialState",
     "ModelSpec",
@@ -102,25 +101,16 @@ class CorrelationTriple:
         _require(vars(self), "lie strictly in (-1, 1)", "rho12", "rho13", "rho23")
 
 
-@dataclass(frozen=True)
-class MixingCoefficients:
-    """Loadings (mu1, mu2, mu3) of the independent drivers onto Z^2 and Z^3.
-
-    mu1 scales W^2 in Z^2; mu2 and mu3 scale W^2 and W^3 in Z^3.  Both mu1
-    and mu3 are strictly positive for any usable decomposition.
-    """
+class _Mixing(NamedTuple):
+    """Loadings (mu1, mu2, mu3) of the independent drivers onto Z^2 and Z^3:
+    mu1 scales W^2 in Z^2; mu2 and mu3 scale W^2 and W^3 in Z^3."""
 
     mu1: float
     mu2: float
     mu3: float
 
-    def __post_init__(self):
-        _require(vars(self), "be > 0", "mu1")
-        _require(vars(self), "be finite", "mu2")
-        _require(vars(self), "be > 0", "mu3")
 
-
-def _mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
+def _mixing_from_correlations(rho: CorrelationTriple) -> _Mixing:
     """The loadings of the correlated drivers ``rho`` onto independent
     Brownian motions:
 
@@ -140,7 +130,7 @@ def _mixing_from_correlations(rho: CorrelationTriple) -> MixingCoefficients:
         raise NonPositiveSemiDefinite(radicand)
     mu2 = (r23 - r12 * r13) / mu1
     mu3 = math.sqrt(radicand) / mu1
-    return MixingCoefficients(mu1, mu2, mu3)
+    return _Mixing(mu1, mu2, mu3)
 
 
 def _inverse_loadings(model: ModelSpec) -> tuple[float, float]:
@@ -214,7 +204,7 @@ class ModelSpec:
     f_prime: Coefficient
     g_prime: Coefficient
     correlations: CorrelationTriple
-    mixing: MixingCoefficients = field(init=False)
+    mixing: _Mixing = field(init=False)
     degenerate: bool = field(init=False)
     hv_params: HestonVasicekParams | None = None
 

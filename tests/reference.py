@@ -17,10 +17,10 @@ move of the (model, initial state) pair, which ``fd_greek`` reads from the
 Greek table, and :func:`fd_reference` prices it.  :func:`stock_drift_fd`
 restates the stock-drift shift that ``fd:rho`` moved before every rate
 moved with it.  :func:`conditional_call` is an independent oracle for the
-call price, delta, ``rho`` and ``rho_r0`` and the digital price and delta
-on the engine's own grid.  :func:`check_derivative_consistency` probes a
-model's derivative fields, which the package takes as given, against its
-functions.
+call price, delta, ``rho``, ``rho_r0`` and ``vega`` and the digital price,
+delta and vega on the engine's own grid.
+:func:`check_derivative_consistency` probes a model's derivative fields,
+which the package takes as given, against its functions.
 """
 
 import dataclasses
@@ -207,11 +207,11 @@ def stock_drift_fd(model, init, cfg, payoff, scheme, h):
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):
     """Per-path samples of the discounted call and its Greeks and of the
-    discounted unit digital call and its delta on the engine's grid, by
-    discrete conditional Monte Carlo (Willard, J. Derivatives 5, 1997;
-    Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
-    ``price``, ``delta``, ``rho`` and ``rho_r0`` of the call, and
-    ``digital`` and ``digital_delta``.
+    discounted unit digital call and its delta and vega on the engine's
+    grid, by discrete conditional Monte Carlo (Willard, J. Derivatives 5,
+    1997; Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
+    ``price``, ``delta``, ``rho``, ``rho_r0`` and ``vega`` of the call, and
+    ``digital``, ``digital_delta`` and ``digital_vega``.
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
     (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
@@ -226,6 +226,12 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     rate by h moves D by h T, and r0 moves it by
     dD/dr0 = dt sum_{n<N} (1 - a dt)^n under the Euler rate steps.
 
+    ``vega`` moves every sigma_n to sigma_n + eps in St and s: with
+    m1 = sum beta.dZ_n and A = sum sigma_n dt, log St moves by
+    L' = m1 - R^2 A and s by s' = (1 - R^2) A/s per unit of eps, so the
+    call moves by N(d1) St L' + St phi(d1) s' and the digital by
+    e^{-D} phi(d2) (L'/s - s' d1/s).
+
     The V and r steps restate the engine's full-truncation Euler scheme
     from the Heston–Vasicek ``params`` (variance floor 0), on draws of
     numpy's default generator at ``seed``, independent of the engine's."""
@@ -237,14 +243,17 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     r_squared = rho.rho12 * b2 + rho.rho13 * b3
     v, r = np.full(n_paths, init.v0), np.full(n_paths, init.r0)
     D, mean, var = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
+    m1, A = np.zeros(n_paths), np.zeros(n_paths)
     for _ in range(n_steps):
         dZ2 = sqdt * rng.standard_normal(n_paths)
         dZ3 = rho.rho23 * dZ2 + math.sqrt(det) * sqdt * rng.standard_normal(n_paths)
         vp = np.maximum(v, 0.0)
         sigma = np.sqrt(vp)
         D += r * dt
+        m1 += b2 * dZ2 + b3 * dZ3
         mean += sigma * (b2 * dZ2 + b3 * dZ3)
         var += vp * dt
+        A += sigma * dt
         v = v + params.kappa * (params.theta - vp) * dt + params.sigma_vol * sigma * dZ2
         r = r + params.a * (params.b - r) * dt + params.k * dZ3
     st = init.s0 * np.exp(mean - 0.5 * r_squared * var)
@@ -253,13 +262,18 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     d2 = d1 - s
     digital = np.exp(-D) * ndtr(d2)
     dD_dr0 = dt * sum((1.0 - params.a * dt) ** n for n in range(n_steps))
+    phi_d1, phi_d2 = (np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi) for d in (d1, d2))
+    dlog_st = m1 - r_squared * A
+    ds = (1.0 - r_squared) * A / s
     return SimpleNamespace(
         price=st * ndtr(d1) - strike * digital,
         delta=ndtr(d1) * st / init.s0,
         rho=maturity * strike * digital,
         rho_r0=strike * digital * dD_dr0,
+        vega=ndtr(d1) * st * dlog_st + st * phi_d1 * ds,
         digital=digital,
-        digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s))
+        digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s),
+        digital_vega=np.exp(-D) * phi_d2 * (dlog_st / s - ds * d1 / s))
 
 
 # The derivative probe: variance points are kept away from the sqrt kink at

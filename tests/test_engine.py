@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import queue
 import struct
 import subprocess
 import sys
@@ -77,7 +78,7 @@ def _greek_estimate(**kwargs):
     (hg.HestonVasicekParams, {**vars(HV_PARAMS), "kappa": "2"}),
     (hg.HestonVasicekParams, {**vars(HV_PARAMS), "b": "0.08"}),
     (hg.CorrelationTriple, {"rho12": False, "rho13": 0.5, "rho23": 0.02}),
-    (hg.MixingCoefficients, {"mu1": 1.0, "mu2": "0", "mu3": 1.0}),
+    (hg.CorrelationTriple, {"rho12": -0.8, "rho13": "0.5", "rho23": 0.02}),
     (hg.black_scholes_degenerate, {"sigma": True}),
     (hg.Payoff, {"kind": "call", "strike": True}),
     (hg.Payoff, {"kind": "call", "strike": "100"}),
@@ -556,6 +557,81 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
         assert len(seen) == (n_runs if close is None else close + 1)
 
 
+class _LateTicket:
+    """Stands in for the queue of run tickets.  ``get_nowait`` finds it
+    empty, so the helpers draw every run, and a helper's ``get`` holds run
+    1's ticket back until run 2's draw has failed: the next ``get`` after
+    the failure hands it out."""
+
+    def __init__(self, failed):
+        self.queue = queue.SimpleQueue()
+        self.failed = failed
+        self.released = threading.Event()
+
+    def put(self, item):
+        self.queue.put(item)
+
+    def get_nowait(self):
+        raise queue.Empty
+
+    def get(self):
+        if self.failed.is_set():
+            self.released.set()
+        item = self.queue.get()
+        if item == 1:
+            self.released.wait(timeout=30)
+        return item
+
+
+def test_the_hand_off_of_a_ticket_taken_after_a_failure(monkeypatch):
+    """A helper that takes an earlier run's ticket after a later run's draw
+    has failed sets that run's event without drawing it, so the caller,
+    waiting for it, gets the failure: run 0 arrives, then the injected
+    error, and every thread ends.  A helper that exited on seeing the
+    failure instead would drop the ticket and leave the caller waiting.
+    Run 2 fails only once the caller has run 0, which it would not yield
+    after a failure."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
+    n_paths, n_steps = 3 * _THREAD_PATHS, 48
+    assert hg.engine._ring_plan(n_paths, n_steps, 3, 3) == (3, 4, 6)
+    first_seen, failed = threading.Event(), threading.Event()
+    drawer = hg.engine._row_drawer
+    bad_row = 3 * 12  # the first row of run 2
+
+    def failing_drawer(*args):
+        draw = drawer(*args)
+
+        def fail_on_bad_row(row, out):
+            if row == bad_row:
+                first_seen.wait(timeout=30)
+                failed.set()
+                raise _DrawFailed(row)
+            draw(row, out)
+        return fail_on_bad_row
+
+    monkeypatch.setattr(hg.engine, "_row_drawer", failing_drawer)
+    monkeypatch.setattr(hg.engine, "SimpleQueue", lambda: _LateTicket(failed))
+    seen, raised = [], []
+
+    def iterate():
+        try:
+            for first, _ in hg.engine.standard_draws(1, n_paths, n_steps, workers=3):
+                seen.append(first)
+                first_seen.set()
+        except BaseException as exc:
+            raised.append(exc)
+
+    before = threading.active_count()
+    worker = threading.Thread(target=iterate, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert threading.active_count() == before
+    assert seen == [0]
+    assert len(raised) == 1 and isinstance(raised[0], _DrawFailed)
+    assert raised[0].args == (bad_row,)
+
+
 def test_draws_left_open_at_exit_let_the_interpreter_exit():
     """The draw threads of an iterator neither closed nor dropped wait for
     a slot when the interpreter exits; they must not keep it running."""
@@ -931,6 +1007,29 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
     assert found[0][1] < run_steps
 
 
+def test_a_blowup_in_the_second_block_names_its_path_among_all(monkeypatch, hv_model,
+                                                              hv_init):
+    """A normal of 1e12 at path 5 of the second block's first step blows S
+    up there: the error names that path's index among all the paths,
+    16,384 + 5, and step 0.  A state-only run, so that no S overflows exp
+    first."""
+    draws = hg.engine.standard_draws
+
+    def wild_draws(seed, n_paths, n_steps, block=0, **kwargs):
+        with contextlib.closing(draws(seed, n_paths, n_steps, block=block, **kwargs)) as runs:
+            for first, run in runs:
+                if block == 1 and first == 0:
+                    run[0, 0, 5] = 1e12
+                yield first, run
+
+    monkeypatch.setattr(hg.engine, "standard_draws", wild_draws)
+    with pytest.raises(hg.NumericalBlowup) as info:
+        hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_BLOCK + 16, n_steps=4),
+                          weights=False)
+    assert (info.value.path_index, info.value.step_index) == (16_389, 0)
+    assert info.value.detail == "state S"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -1172,7 +1271,7 @@ def test_replaced_correlations_carry_their_mixing(hv_model, hv_init):
     zero = hg.CorrelationTriple(0.0, 0.0, 0.0)
     replaced = dataclasses.replace(hv_model, correlations=zero)
     rebuilt = hg.heston_vasicek_model(HV_PARAMS, zero)
-    assert replaced.mixing == rebuilt.mixing == hg.MixingCoefficients(1.0, 0.0, 1.0)
+    assert replaced.mixing == rebuilt.mixing == (1.0, 0.0, 1.0)
     cfg = small_cfg(n_paths=4000, n_steps=16)
     got, want = (hg.simulate_paths(m, hv_init, cfg, drift_extras=True)
                  for m in (replaced, rebuilt))

@@ -259,6 +259,20 @@ def test_digital_delta_and_call_rho_agree_with_the_discrete_oracle():
         assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
 
 
+def test_call_and_digital_vega_agree_with_the_discrete_oracle():
+    """On the configuration of the oracle test above, malliavin:vega of the
+    call and of the digital and the call's CRN central fd:vega agree with
+    the oracle's vega, every sigma_n moved to sigma_n + eps, within 4
+    combined SE, at the same seeds."""
+    model, init, sim, call, digital, oracle = _oracle_case()
+    paths = hg.simulate_paths(model, init, sim, weights=("I1", "I2", "I3", "A", "Q", "w1_T"))
+    for samples, est in ((oracle.vega, hg.vega(paths, call, sim.maturity)),
+                         (oracle.digital_vega, hg.vega(paths, digital, sim.maturity)),
+                         (oracle.vega, _crn_fd(model, init, sim, call, "vega"))):
+        mean, se = fsum_mean_se(samples)
+        assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
 def test_reversion_counts_the_discount_shift_once():
     """With model.k=0.1, 262,144 paths, 104 steps and seed 5, a call's
     malliavin:reversion agrees with its CRN central fd:reversion within 4

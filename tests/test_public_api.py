@@ -31,9 +31,8 @@ PUBLIC = {
     "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
     "rho", "vega",
     # models
-    "CorrelationTriple", "HestonVasicekParams", "InitialState",
-    "MixingCoefficients", "ModelSpec", "Payoff", "black_scholes_degenerate",
-    "evaluate_payoff", "heston_vasicek_model",
+    "CorrelationTriple", "HestonVasicekParams", "InitialState", "ModelSpec",
+    "Payoff", "black_scholes_degenerate", "evaluate_payoff", "heston_vasicek_model",
 }
 
 
