@@ -25,7 +25,6 @@ from .engine import (
     stable_mean_se,
 )
 from .errors import (
-    DegenerateModel,
     DegenerateWeightWarning,
     EmptyInput,
     HsvGreeksError,

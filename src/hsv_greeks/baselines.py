@@ -163,9 +163,6 @@ def fd_greek(
         If the bump is scaled by a Heston–Vasicek parameter (``fd:kappa``,
         ``fd:reversion``) and ``model`` is not that instance; refused
         before any path is simulated.
-    DegenerateModel
-        If ``model`` is degenerate and the Greek is ``vega_v0`` or
-        ``rho_r0``; refused before any path is simulated.
     InvalidBump
         If a bump of s0 or v0 is not below half its base value, or the
         bumped configuration is invalid.

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .baselines import BumpSpec, check_bump_size, default_bump_size
-from .errors import DegenerateModel, InvalidConfig, InvalidParams, UnsupportedModel
+from .errors import InvalidConfig, InvalidParams, UnsupportedModel
 from .models import (
     CorrelationTriple,
     HestonVasicekParams,
@@ -27,7 +27,7 @@ from .models import (
     heston_vasicek_model,
 )
 from .engine import SimConfig
-from .greeks import _FD_GREEKS, _GREEKS, ESTIMATOR_METHODS, _refuse
+from .greeks import _GREEKS, ESTIMATOR_METHODS, _refuse
 
 __all__ = ["RunConfig", "build_run_config", "effective_config_text", "load_config_file"]
 
@@ -248,13 +248,12 @@ def _build(cls, section: str, values: dict, **renamed):
 
 
 def _split_bump_key(key: str) -> tuple[str, str]:
-    # bump.<greek>.<field>
+    # bump.<greek>.<field>; _refuse words a Greek without a bump.
     parts = key.split(".")
     if len(parts) != 3 or parts[2] not in _BUMP_PARSERS:
         raise InvalidConfig(key, "expected bump.<greek>.scheme|h|crn")
-    if parts[1] not in _FD_GREEKS:
-        raise InvalidConfig(key, f"no finite-difference form for greek {parts[1]!r}; "
-                            f"expected one of {_FD_GREEKS}")
+    if parts[1] not in _GREEKS:
+        raise InvalidConfig(key, f"unknown greek {parts[1]!r}; expected one of {tuple(_GREEKS)}")
     return parts[1], parts[2]
 
 
@@ -310,7 +309,7 @@ def build_run_config(overrides=None) -> RunConfig:
                                + [("fd", g, key) for g, key in bumped.items()]):
         try:
             _refuse(method, greek, model, payoff.kind)
-        except (DegenerateModel, InvalidParams, UnsupportedModel) as exc:
+        except (InvalidParams, UnsupportedModel) as exc:
             raise InvalidConfig(key, str(exc)) from exc
 
     # --- bump specs for fd estimators and explicit bump entries -----------

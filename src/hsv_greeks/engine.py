@@ -116,7 +116,7 @@ from _queue import Empty, SimpleQueue
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DegenerateModel, EmptyInput, InvalidParams, NumericalBlowup
+from .errors import EmptyInput, InvalidParams, NumericalBlowup
 from .models import InitialState, ModelSpec, _inverse_loadings, _require
 
 __all__ = [
@@ -196,8 +196,9 @@ class PathAccumulators:
     arrays read-only, and the fields are frozen.  ``s_T`` and ``D`` are
     always there; a weight field, ``I1`` to ``g3``, is None unless its
     group was simulated (see :func:`simulate_paths`).  On a degenerate
-    model the Bismut integrands 1/v(V_t) and 1/g(r_t) are undefined, so
-    ``P2`` and ``P3`` are None.  ``factors`` holds the payoff-independent
+    model the integrands 1/v(V_t) and 1/g(r_t) are undefined, so the
+    Bismut fields ``P2`` and ``P3`` and the drift fields ``j2``, ``j3`` and
+    ``g3`` are None.  ``factors`` holds the payoff-independent
     per-path factors the estimators compute on first use; a
     ``dataclasses.replace`` copy starts with none.
     """
@@ -606,15 +607,16 @@ def _run_block(
             nxt += r
             nxt += np.multiply(gg, dZ3, out=tmp)
             r, nxt = nxt, r
-            if bismut:
-                np.exp(logS, out=S)
-                np.exp(L22, out=y22)
-                y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
 
             for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
                 if not (np.abs(arr, out=tmp).max() <= limit):  # also catches NaN
                     bad = ~(np.abs(arr) <= limit)
                     raise NumericalBlowup(first_path + int(np.argmax(bad)), n, f"state {name}")
+            # Exponentiated once checked, so a blown-up log S cannot overflow.
+            if bismut:
+                np.exp(logS, out=S)
+                np.exp(L22, out=y22)
+                y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
 
     # x *= c gives the bits of c * x.
     sum_r *= dt
@@ -650,7 +652,8 @@ def simulate_paths(
         Model instance, initial state, and simulation grid/seed.
     drift_extras : bool
         Add the drift integrals ``j2`` = ∫(1/v)dW^2, ``j3`` = ∫(1/v)dW^3 and
-        ``g3`` = ∫(1/g)dW^3 to ``weights`` (refused for degenerate models).
+        ``g3`` = ∫(1/g)dW^3 to ``weights``; with ``weights=False`` the run
+        computes them alone, as ``weights=("j2", "j3", "g3")``.
     stream : int
         RNG sub-stream selector, an integer in [0, 2**64); distinct values
         give independent draws for the same seed (used by FD without common
@@ -661,8 +664,10 @@ def simulate_paths(
         the Greeks to estimate read.  Each group holding a named field is
         computed, and every other weight field is None: ``_FIELD_GROUPS``
         lists the weight integrals, the Bismut group (``P2`` and ``P3``) and
-        the drift integrals.  S_T, D, the clamp counts and every computed
-        field have the full run's bits.
+        the drift integrals.  On a degenerate model the last two groups
+        would divide by v(V_t) or g(r_t), which are identically zero, and
+        their fields are None whatever is asked.  S_T, D, the clamp counts
+        and every computed field have the full run's bits.
 
     Notes
     -----
@@ -674,13 +679,10 @@ def simulate_paths(
     NumericalBlowup
         If any state exceeds 1e12 in magnitude or an accumulator turns
         non-finite (reports path and step index).
-    DegenerateModel
-        If a drift integral is requested on a degenerate model.
     InvalidParams
-        If ``drift_extras`` is no bool or is requested with
-        ``weights=False``, ``stream`` is no integer in [0, 2**64), or
-        ``weights`` is neither a bool nor a collection of weight field
-        names.
+        If ``drift_extras`` is no bool, ``stream`` is no integer in
+        [0, 2**64), or ``weights`` is neither a bool nor a collection of
+        weight field names.
     """
     _require(locals(), "be True or False", "drift_extras")
     _require(locals(), "be an integer in [0, 2**64)", "stream")
@@ -690,19 +692,13 @@ def simulate_paths(
     fields = set(_FIELD_GROUPS["sums"] + _FIELD_GROUPS["bismut"] if weights is True
                  else weights or ())
     if drift_extras:
-        if weights is False:
-            raise InvalidParams("drift_extras=True needs weights=True")
         fields.update(_FIELD_GROUPS["drift"])
     if unknown := fields.difference(*_FIELD_GROUPS.values()):
         raise InvalidParams(f"weights names no weight field {sorted(map(str, unknown))}", "weights")
-    # On a degenerate model the Bismut integrands 1/v(V_t) and 1/g(r_t) are
-    # undefined, and P2 and P3 are None.
+    # On a degenerate model the integrands 1/v(V_t) and 1/g(r_t) of every
+    # group but the sums are undefined, and their fields are None.
     groups = frozenset(g for g, names in _FIELD_GROUPS.items() if fields.intersection(names)
-                       and not (g == "bismut" and model.degenerate))
-    if "drift" in groups and model.degenerate:
-        raise DegenerateModel(
-            "drift-sensitivity integrals need non-degenerate v(V) and g(r)"
-        )
+                       and (g == "sums" or not model.degenerate))
     n = cfg.n_paths
     # Each returned array, allocated once in field order: every block
     # writes its slice, and the check below names the first non-finite

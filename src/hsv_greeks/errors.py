@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-__all__ = ["HsvGreeksError", "InvalidParams", "NonPositiveSemiDefinite", "DegenerateModel",
-           "UnsupportedModel", "NumericalBlowup", "NonFiniteEstimate", "EmptyInput",
-           "InvalidBump", "InvalidConfig", "DegenerateWeightWarning"]
+__all__ = ["HsvGreeksError", "InvalidParams", "NonPositiveSemiDefinite", "UnsupportedModel",
+           "NumericalBlowup", "NonFiniteEstimate", "EmptyInput", "InvalidBump",
+           "InvalidConfig", "DegenerateWeightWarning"]
 
 
 class HsvGreeksError(Exception):
@@ -37,12 +37,11 @@ class NonPositiveSemiDefinite(InvalidParams):
         )
 
 
-class DegenerateModel(HsvGreeksError):
-    """An operation needs a diffusion coefficient that is identically zero."""
-
-
 class UnsupportedModel(HsvGreeksError):
-    """The operation is only defined for a specific model instance."""
+    """An estimator token is undefined on the given model: its weight
+    divides by v(V_t) or g(r_t), which are identically zero on a degenerate
+    model, or its bump or weight is scaled by a Heston–Vasicek parameter
+    the model does not have.  The message names the reason."""
 
 
 class NumericalBlowup(HsvGreeksError, ArithmeticError):

@@ -36,8 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .engine import _FIELD_GROUPS, PathAccumulators, stable_mean_se
-from .errors import (DegenerateModel, DegenerateWeightWarning, EmptyInput, InvalidParams,
-                     NonFiniteEstimate, UnsupportedModel)
+from .errors import DegenerateWeightWarning, InvalidParams, NonFiniteEstimate, UnsupportedModel
 from .models import ModelSpec, Payoff, _inverse_loadings, _require, evaluate_payoff
 
 __all__ = [
@@ -145,7 +144,6 @@ class _Greek:
     samples: Callable[..., np.ndarray]
     # The PathAccumulators weight fields samples reads besides S_T and D.
     reads: tuple[str, ...] = ()
-    hybrid_only: bool = False     # refused on the constant-coefficient model
     # What the finite-difference form moves by h: an InitialState field, a
     # ModelSpec field raised by h times the Heston–Vasicek parameter scale,
     # or every rate ("rate").
@@ -186,15 +184,13 @@ _GREEKS = {
     # Initial variance: second component of the Bismut vector.
     "vega_v0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P2 / p.maturity,
-        ("P2",), hybrid_only=True, bump="v0"),
+        ("P2",), bump="v0"),
     # Initial short rate: third component of the Bismut vector.
     "rho_r0": _Greek(
         lambda p, phi: phi * _discount(p) * p.P3 / p.maturity,
-        ("P3",), hybrid_only=True, bump="r0"),
-    "kappa": _Greek(_kappa_samples, ("j2", "j3"), hybrid_only=True,
-                    bump="u", scale="kappa"),
-    "reversion": _Greek(_reversion_samples, ("g3",), hybrid_only=True,
-                        bump="f", scale="a"),
+        ("P3",), bump="r0"),
+    "kappa": _Greek(_kappa_samples, ("j2", "j3"), bump="u", scale="kappa"),
+    "reversion": _Greek(_reversion_samples, ("g3",), bump="f", scale="a"),
 }
 _FD_GREEKS = tuple(g for g, spec in _GREEKS.items() if spec.bump)
 
@@ -207,9 +203,12 @@ def _refuse(method: str, greek: str, model: ModelSpec, payoff_kind: str | None =
     # A Greek scaled by a Heston–Vasicek parameter reads it from the model.
     if spec.scale and model.hv_params is None:
         raise UnsupportedModel(f"{token} is defined for the Heston–Vasicek instance only")
-    if spec.hybrid_only and model.degenerate:
-        raise DegenerateModel(f"{token} needs stochastic variance and rate dynamics; "
-                              "the constant-coefficient model has none")
+    # A weight that reads past the weight integrals divides by v(V_t) or
+    # g(r_t); a bump needs neither.
+    beyond_sums = set(spec.reads).difference(_FIELD_GROUPS["sums"])
+    if method == "malliavin" and model.degenerate and beyond_sums:
+        raise UnsupportedModel(f"{token} divides by v(V_t) or g(r_t), which are "
+                               "identically zero on this degenerate model")
     if method == "fd" and spec.bump is None:
         raise InvalidParams(f"'{token}' has no finite-difference form; use 'malliavin:{greek}'")
     if method == "analytic" and not model.degenerate:
@@ -222,8 +221,6 @@ def _check_paths(greek: str, paths: PathAccumulators) -> None:
     """Refuse ``paths`` whose model the weight of ``greek`` is not defined
     for, or that lack a field it reads."""
     spec = _GREEKS[greek]
-    if len(paths) == 0:
-        raise EmptyInput("estimator received zero paths")
     _refuse("malliavin", greek, paths.model)
     if missing := [name for name in spec.reads if getattr(paths, name) is None]:
         raise InvalidParams(
@@ -321,7 +318,7 @@ def bismut_vector(paths: PathAccumulators, payoff: Payoff) -> tuple[GreekEstimat
 
     Raises
     ------
-    DegenerateModel
+    UnsupportedModel
         If the paths' model is degenerate: the weights would divide by
         v(V_t) or g(r_t), which are identically zero.
     InvalidParams

@@ -210,8 +210,8 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     discounted unit digital call and its delta and vega on the engine's
     grid, by discrete conditional Monte Carlo (Willard, J. Derivatives 5,
     1997; Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
-    ``price``, ``delta``, ``rho``, ``rho_r0`` and ``vega`` of the call, and
-    ``digital``, ``digital_delta`` and ``digital_vega``.
+    ``price``, ``delta``, ``rho``, ``rho_r0``, ``reversion`` and ``vega`` of
+    the call, and ``digital``, ``digital_delta`` and ``digital_vega``.
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
     (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
@@ -225,6 +225,9 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     the call through D alone, by K e^{-D} N(d2) per unit of D: moving every
     rate by h moves D by h T, and r0 moves it by
     dD/dr0 = dt sum_{n<N} (1 - a dt)^n under the Euler rate steps.
+    ``reversion`` moves the rate drift f to f + eps a: the Euler tangent
+    t_{n+1} = (1 - a dt) t_n + a dt from t_0 = 0 is 1 - (1 - a dt)^n, so
+    D moves by dt sum_{n<N} t_n = T - dD/dr0 per unit of eps.
 
     ``vega`` moves every sigma_n to sigma_n + eps in St and s: with
     m1 = sum beta.dZ_n and A = sum sigma_n dt, log St moves by
@@ -270,6 +273,7 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
         delta=ndtr(d1) * st / init.s0,
         rho=maturity * strike * digital,
         rho_r0=strike * digital * dD_dr0,
+        reversion=strike * digital * (maturity - dD_dr0),
         vega=ndtr(d1) * st * dlog_st + st * phi_d1 * ds,
         digital=digital,
         digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s),

@@ -268,18 +268,22 @@ def test_unsupported_fd_bumps_are_refused_before_any_draw(
 
 
 @pytest.mark.parametrize("greek", ["vega_v0", "rho_r0"])
-def test_hybrid_only_fd_bumps_are_refused_on_the_degenerate_model(
-        greek, deg_model, deg_init, call_100, monkeypatch):
-    """fd:vega_v0 on the constant-coefficient model once ran two
-    simulations and returned 0.0 +- 0.0; it is refused before any draw."""
-    calls = []
-    draws = hg.engine.standard_draws
-    monkeypatch.setattr(hg.engine, "standard_draws",
-                        lambda *a, **k: calls.append(a) or draws(*a, **k))
-    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=0)
-    with pytest.raises(hg.DegenerateModel, match=f"fd:{greek}"):
-        hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec(greek))
-    assert calls == []
+def test_initial_state_bumps_run_on_the_degenerate_model(
+        greek, deg_model, deg_init, call_100):
+    """A bump needs no ellipticity.  On Black–Scholes, where f = g = 0,
+    moving r0 moves every rate, so CRN fd:rho_r0 is fd:rho bit for bit,
+    and V moves nothing, so CRN fd:vega_v0 is 0.0 +- 0.0.  Both were once
+    refused on every degenerate model."""
+    cfg = hg.SimConfig(n_paths=4096, n_steps=16, maturity=1.0, seed=0)
+    est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
+                      hg.BumpSpec(greek, crn=True))
+    if greek == "vega_v0":
+        assert (est.value, est.std_error) == (0.0, 0.0)
+    else:
+        rho = hg.fd_greek(deg_model, deg_init, cfg, call_100,
+                          hg.BumpSpec("rho", crn=True))
+        assert est == rho
+        assert abs(rho.value - BS_RHO) <= 4 * rho.std_error
 
 
 def test_agrees_helper():

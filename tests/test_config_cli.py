@@ -7,6 +7,7 @@ and byte-level output stability.
 
 import json
 import logging
+import math
 import subprocess
 import sys
 import weakref
@@ -176,19 +177,42 @@ def test_bad_bump_entries(key, value):
     ("bump.rho_r0.h", "0.01"),
 ])
 def test_bump_entries_meet_their_greeks_model_rule(tmp_path, key, value):
-    """A bump entry whose Greek the model refuses is refused under its own
-    key, in the words fd_greek uses; Black–Scholes runs once accepted and
-    dumped such entries."""
-    bs = hg.build_run_config({"model.name": "black_scholes"})
-    with pytest.raises(hg.HsvGreeksError) as direct:
-        hg.fd_greek(bs.model, bs.init, bs.sim, bs.payoff, hg.BumpSpec(key.split(".")[1]))
-    with pytest.raises(hg.InvalidConfig) as err:
-        hg.build_run_config({"model.name": "black_scholes", key: value})
-    assert (err.value.key, err.value.message) == (key, str(direct.value))
+    """A bump entry is refused under its own key, in the words fd_greek
+    uses, exactly where its bump is undefined: Black–Scholes has no
+    Heston–Vasicek parameter to scale the kappa and reversion bumps by, and
+    Black–Scholes runs once accepted and dumped such entries.  A bump of v0
+    or r0 needs no ellipticity, so Black–Scholes runs it and dumps the
+    entry; both were once refused."""
+    bs = hg.build_run_config({"model.name": "black_scholes",
+                              "sim.n_paths": "64", "sim.n_steps": "4"})
+    bump = hg.BumpSpec(key.split(".")[1])
     proc = run_cli("dump-config", "--config",
                    write_cfg(tmp_path, f"model.name=black_scholes\n{key}={value}\n"))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert f"config key '{key}'" in proc.stderr
+    if bump.greek in ("kappa", "reversion"):
+        with pytest.raises(hg.UnsupportedModel) as direct:
+            hg.fd_greek(bs.model, bs.init, bs.sim, bs.payoff, bump)
+        with pytest.raises(hg.InvalidConfig) as err:
+            hg.build_run_config({"model.name": "black_scholes", key: value})
+        assert (err.value.key, err.value.message) == (key, str(direct.value))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert f"config key '{key}'" in proc.stderr
+    else:
+        assert math.isfinite(hg.fd_greek(bs.model, bs.init, bs.sim, bs.payoff, bump).value)
+        rc = hg.build_run_config({"model.name": "black_scholes", key: value})
+        assert rc.entries[key] == value and bump.greek in rc.bumps
+        assert proc.returncode == 0 and f"\n{key}={value}\n" in proc.stdout
+
+
+def test_a_bump_entry_for_a_greek_without_a_bump_is_refused_under_its_key():
+    """bump.price.h is refused under its own key in the words fd_greek's
+    check uses for fd:price; the config once worded it apart."""
+    with pytest.raises(hg.InvalidParams) as direct:
+        hg.greeks._refuse("fd", "price", hg.build_run_config({}).model)
+    for model_name in ("heston_vasicek", "black_scholes"):
+        with pytest.raises(hg.InvalidConfig) as err:
+            hg.build_run_config({"model.name": model_name, "bump.price.h": "1"})
+        assert (err.value.key, err.value.message) == ("bump.price.h", str(direct.value))
+        assert "fd:price" in err.value.message
 
 
 @pytest.mark.parametrize("overrides,h", [

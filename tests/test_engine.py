@@ -927,15 +927,22 @@ def test_a_degenerate_weighted_run_calls_no_derivative_field(deg_model, deg_init
         assert got.n_integrand_evals == want.n_integrand_evals
 
 
-def test_drift_extras_refused_on_degenerate(deg_model, deg_init, monkeypatch):
-    """Refused before the first block is drawn."""
-    calls = []
-    draws = hg.engine.standard_draws
-    monkeypatch.setattr(hg.engine, "standard_draws",
-                        lambda *a, **k: calls.append(a) or draws(*a, **k))
-    with pytest.raises(hg.DegenerateModel):
-        hg.simulate_paths(deg_model, deg_init, small_cfg(), drift_extras=True)
-    assert calls == []
+def test_drift_extras_are_none_on_degenerate(deg_model, deg_init):
+    """The drift integrals divide by v(V_t) and g(r_t), which are
+    identically zero on a degenerate model, so drift_extras leaves them
+    None, as P2 and P3 are, and every other field and both counts as the
+    run without it, across the 16,384-path block edge.  Such a run was once
+    refused."""
+    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=3)
+    for weights in (True, False, ("j2",), ("I1", "g3")):
+        got = hg.simulate_paths(deg_model, deg_init, cfg, drift_extras=True, weights=weights)
+        want = hg.simulate_paths(deg_model, deg_init, cfg, weights=weights)
+        assert all(getattr(got, name) is None for name in ("P2", "P3") + _DRIFT_FIELDS)
+        for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), (weights, field)
+        assert (got.clamp_count, got.n_integrand_evals) == (
+            want.clamp_count, want.n_integrand_evals)
 
 
 def test_one_step_hand_check(deg_model):
@@ -1027,6 +1034,29 @@ def test_a_blowup_in_the_second_block_names_its_path_among_all(monkeypatch, hv_m
         hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_BLOCK + 16, n_steps=4),
                           weights=False)
     assert (info.value.path_index, info.value.step_index) == (16_389, 0)
+    assert info.value.detail == "state S"
+
+
+def test_a_weighted_blowup_is_checked_before_s_is_exponentiated(monkeypatch, hv_model,
+                                                                hv_init):
+    """A normal of 1e12 at path 5's first W^1 draw blows log S up in a
+    weighted run of a hybrid model, which steps S itself.  The step checks
+    the state before it exponentiates log S, so the run raises
+    NumericalBlowup there; numpy's exp once overflowed first, and its
+    RuntimeWarning, an error under the suite's filter, took its place."""
+    draws = hg.engine.standard_draws
+
+    def wild_draws(seed, n_paths, n_steps, block=0, **kwargs):
+        with contextlib.closing(draws(seed, n_paths, n_steps, block=block, **kwargs)) as runs:
+            for first, run in runs:
+                if first == 0:
+                    run[0, 0, 5] = 1e12
+                yield first, run
+
+    monkeypatch.setattr(hg.engine, "standard_draws", wild_draws)
+    with pytest.raises(hg.NumericalBlowup) as info:
+        hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=16, n_steps=4))
+    assert (info.value.path_index, info.value.step_index) == (5, 0)
     assert info.value.detail == "state S"
 
 
@@ -1142,12 +1172,8 @@ def test_field_subset_run_matches_the_full_run_bit_for_bit(
     for n_paths in (1, 16385):
         # a floor near sigma(V_0) = 0.2 clamps part of the evaluations
         cfg = small_cfg(n_paths=n_paths, n_steps=3, sigma_floor=0.2)
-        full = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
+        full = hg.simulate_paths(model, init, cfg, drift_extras=True)
         for name, fields in _field_sets().items():
-            if model.degenerate and set(fields) & set(_DRIFT_FIELDS):
-                with pytest.raises(hg.DegenerateModel):
-                    hg.simulate_paths(model, init, cfg, weights=fields)
-                continue
             part = hg.simulate_paths(model, init, cfg, weights=fields)
             kept = {f for group in _FIELD_GROUPS if set(group) & set(fields)
                     for f in group}
@@ -1155,8 +1181,9 @@ def test_field_subset_run_matches_the_full_run_bit_for_bit(
             for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
                 got, want = getattr(part, field), getattr(full, field)
                 if field in kept or field in _STATE_ONLY_FIELDS:
-                    # P2 and P3 are undefined on a degenerate model.
-                    if model.degenerate and field in ("P2", "P3"):
+                    # The Bismut and drift fields are undefined on a
+                    # degenerate model.
+                    if model.degenerate and field in _FIELD_GROUPS[1] + _DRIFT_FIELDS:
                         assert got is None and want is None, (name, field)
                     else:
                         assert np.array_equal(got, want), (name, field)
@@ -1299,24 +1326,44 @@ def test_replaced_v_and_g_make_a_hybrid_model(deg_model, hv_init):
 
 def test_zero_v_and_g_make_a_degenerate_model(hv_model, hv_init):
     """A model whose v and g are the number 0 is degenerate whatever built
-    it: it refuses vega_v0 and counts no clamp of v or g.  Heston–Vasicek
-    with v = g = 0 was once hybrid, and at 2,000 x 16 paths clamped 64,000
-    of its 96,000 integrand evaluations and built P2 and P3 from
-    1/sigma_floor."""
+    it: it counts no clamp of v or g, and refuses the weights that divide
+    by v(V_t) or g(r_t), saying so.  Heston–Vasicek with v = g = 0 was once
+    hybrid, and at 2,000 x 16 paths clamped 64,000 of its 96,000 integrand
+    evaluations and built P2 and P3 from 1/sigma_floor.  Its bumps need no
+    ellipticity: V still moves with its drift u, so fd:vega_v0 and fd:kappa
+    are defined, where both were once refused in words that named the
+    constant-coefficient model."""
     flat = dataclasses.replace(hv_model, v=0.0, v_prime=0.0, g=0.0)
     cfg = small_cfg(n_paths=2000, n_steps=16)
-    paths = hg.simulate_paths(flat, hv_init, cfg)
+    call = hg.Payoff("call", strike=100.0)
+    paths = hg.simulate_paths(flat, hv_init, cfg, drift_extras=True)
     assert (paths.clamp_count, paths.n_integrand_evals) == (0, cfg.n_paths * cfg.n_steps)
-    assert paths.P2 is None and paths.P3 is None
-    with pytest.raises(hg.DegenerateModel, match="^malliavin:vega_v0 "):
-        hg.bismut_vector(paths, hg.Payoff("call", strike=100.0))
+    assert all(getattr(paths, name) is None for name in ("P2", "P3") + _DRIFT_FIELDS)
+    for greek, estimate in (("vega_v0", lambda: hg.bismut_vector(paths, call)),
+                            ("kappa", lambda: hg.drift_sensitivity(paths, call, "kappa"))):
+        with pytest.raises(hg.UnsupportedModel,
+                           match=rf"^malliavin:{greek} divides by v\(V_t\) or g\(r_t\)"):
+            estimate()
+        fd = hg.fd_greek(flat, hv_init, cfg, call, hg.BumpSpec(greek, crn=True))
+        assert math.isfinite(fd.value) and fd.std_error > 0.0, (greek, fd)
     assert flat.degenerate
 
 
-def test_state_only_run_refuses_drift_extras(hv_model, hv_init):
-    with pytest.raises(hg.InvalidParams, match="weights=True"):
-        hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=8),
-                          drift_extras=True, weights=False)
+def test_state_only_run_with_drift_extras_is_the_drift_group(hv_model, hv_init):
+    """drift_extras=True with weights=False computes the drift integrals
+    alone, with the bits of weights=("j2", "j3", "g3"), and leaves every
+    other weight field None; it was once refused."""
+    cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=3)
+    got = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True, weights=False)
+    want = hg.simulate_paths(hv_model, hv_init, cfg, weights=("j2", "j3", "g3"))
+    for field in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + _DRIFT_FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        if field in _STATE_ONLY_FIELDS + _DRIFT_FIELDS:
+            assert a.tobytes() == b.tobytes(), field
+        else:
+            assert a is None and b is None, field
+    assert (got.clamp_count, got.n_integrand_evals) == (
+        want.clamp_count, want.n_integrand_evals)
 
 
 @pytest.mark.parametrize("estimate", [

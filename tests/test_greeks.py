@@ -134,7 +134,8 @@ def test_bismut_first_component_is_delta_bitwise(hv_paths_10k, call_100):
 
 
 def test_bismut_refused_on_degenerate(deg_paths_100k, call_100):
-    with pytest.raises(hg.DegenerateModel):
+    with pytest.raises(hg.UnsupportedModel,
+                       match=r"^malliavin:vega_v0 divides by v\(V_t\) or g\(r_t\)"):
         hg.bismut_vector(deg_paths_100k, call_100)
 
 
@@ -273,6 +274,19 @@ def test_call_and_digital_vega_agree_with_the_discrete_oracle():
         assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
 
 
+def test_call_reversion_agrees_with_the_discrete_oracle():
+    """On the configuration of the oracle test above, the call's CRN
+    central fd:reversion and malliavin:reversion agree with the oracle's
+    reversion, the rate drift f moved to f + eps a, within 4 combined SE,
+    at the same seeds."""
+    model, init, sim, call, digital, oracle = _oracle_case()
+    paths = hg.simulate_paths(model, init, sim, weights=("g3",))
+    mean, se = fsum_mean_se(oracle.reversion)
+    for est in (_crn_fd(model, init, sim, call, "reversion"),
+                hg.drift_sensitivity(paths, call, "reversion_speed")):
+        assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
 def test_reversion_counts_the_discount_shift_once():
     """With model.k=0.1, 262,144 paths, 104 steps and seed 5, a call's
     malliavin:reversion agrees with its CRN central fd:reversion within 4
@@ -407,7 +421,10 @@ def test_a_model_requirement_is_refused_in_one_wording(
         greek, deg_model, deg_init, affine_g_model, hv_init, call_100, monkeypatch):
     """The config, the bump and the weight check a Greek's model
     requirement in one function, so each refuses it in the same words,
-    naming its own token; fd_greek refuses before any draw."""
+    naming its own token and the reason; fd_greek refuses before any draw.
+    The Black–Scholes model refuses each of these weights, and of the
+    bumps only those scaled by a Heston–Vasicek parameter: the bumps of v0
+    and r0 are built and run there, where they were once refused."""
     calls = []
     draws = hg.engine.standard_draws
     monkeypatch.setattr(hg.engine, "standard_draws",
@@ -415,28 +432,39 @@ def test_a_model_requirement_is_refused_in_one_wording(
     cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=5)
 
     def refusals(model, init):
-        """(fd_greek's error, the weighted estimator's) on ``model``."""
+        """(fd_greek's error or None, the weighted estimator's) on ``model``."""
         calls.clear()
-        with pytest.raises(hg.HsvGreeksError) as fd_err:
+        try:
             hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec(greek))
-        assert calls == []
-        paths = hg.simulate_paths(model, init, cfg, drift_extras=not model.degenerate)
+        except hg.HsvGreeksError as exc:
+            assert calls == []
+            fd_error = exc
+        else:
+            assert len(calls) == 2
+            fd_error = None
+        paths = hg.simulate_paths(model, init, cfg, drift_extras=True)
         with pytest.raises(hg.HsvGreeksError) as weighted_err:
             hg.greeks._weighted((greek,), paths, call_100)
-        return fd_err.value, weighted_err.value
+        return fd_error, weighted_err.value
 
-    hybrid = greek in ("vega_v0", "rho_r0")
-    refused = hg.DegenerateModel if hybrid else hg.UnsupportedModel
-    for method, error in zip(("fd", "malliavin"), refusals(deg_model, deg_init)):
+    scaled = greek in ("kappa", "reversion")
+    reason = "Heston–Vasicek instance" if scaled else "v(V_t) or g(r_t)"
+    fd_error, weighted_error = refusals(deg_model, deg_init)
+    for method, error in (("fd", fd_error), ("malliavin", weighted_error)):
+        overrides = {"model.name": "black_scholes", "estimators": f"{method}:{greek}"}
+        if error is None:
+            assert method == "fd" and not scaled
+            assert hg.build_run_config(overrides).estimators == (("fd", greek),)
+            continue
         with pytest.raises(hg.InvalidConfig) as config_err:
-            hg.build_run_config({"model.name": "black_scholes",
-                                 "estimators": f"{method}:{greek}"})
-        assert type(error) is refused
+            hg.build_run_config(overrides)
+        assert type(error) is hg.UnsupportedModel
         assert config_err.value.key == "estimators"
-        assert type(config_err.value.__cause__) is refused
+        assert type(config_err.value.__cause__) is hg.UnsupportedModel
         assert config_err.value.message == str(error)
-        assert str(error).startswith(f"{method}:{greek} ")
-    if not hybrid:
+        assert str(error).startswith(f"{method}:{greek} ") and reason in str(error)
+    assert (fd_error is None) is not scaled
+    if scaled:
         # A model with v and g but no Heston–Vasicek parameters to scale by.
         fd_error, weighted_error = refusals(affine_g_model, hv_init)
         assert type(fd_error) is type(weighted_error) is hg.UnsupportedModel
@@ -559,10 +587,12 @@ def test_each_token_refuses_paths_without_its_integrals(
     state_only = hg.simulate_paths(hv_model, hv_init, cfg, weights=False)
     assert _refusals(state_only) == {
         g: hg.InvalidParams for g in table if g != "price"}
-    constant = hg.simulate_paths(deg_model, deg_init, cfg)
-    assert _refusals(constant) == {
-        g: hg.UnsupportedModel if _DRIFT.intersection(spec.reads) else hg.DegenerateModel
-        for g, spec in table.items() if spec.hybrid_only}
+    # A degenerate model refuses the weights that divide by v(V_t) or
+    # g(r_t), whatever its paths carry.
+    for drift_extras in (False, True):
+        constant = hg.simulate_paths(deg_model, deg_init, cfg, drift_extras=drift_extras)
+        assert _refusals(constant) == {
+            g: hg.UnsupportedModel for g in ("vega_v0", "rho_r0", "kappa", "reversion")}
     no_extras = hg.simulate_paths(hv_model, hv_init, cfg)
     assert _refusals(no_extras) == {
         g: hg.InvalidParams for g, spec in table.items() if _DRIFT.intersection(spec.reads)}
@@ -590,7 +620,8 @@ def test_refusals_name_the_field_the_paths_lack(
     # The degenerate model is refused as such, whatever the paths carry.
     for weights in (True, ("P2",), False):
         constant = hg.simulate_paths(deg_model, deg_init, cfg, weights=weights)
-        with pytest.raises(hg.DegenerateModel):
+        with pytest.raises(hg.UnsupportedModel,
+                           match=r"^malliavin:vega_v0 divides by v\(V_t\) or g\(r_t\)"):
             _WEIGHTED["vega_v0"](constant, call_100)
 
 

@@ -23,7 +23,7 @@ PUBLIC = {
     # engine
     "PathAccumulators", "SimConfig", "simulate_paths", "stable_mean_se",
     # errors
-    "DegenerateModel", "DegenerateWeightWarning", "EmptyInput",
+    "DegenerateWeightWarning", "EmptyInput",
     "HsvGreeksError", "InvalidBump", "InvalidConfig", "InvalidParams",
     "NonFiniteEstimate", "NonPositiveSemiDefinite", "NumericalBlowup",
     "UnsupportedModel",
