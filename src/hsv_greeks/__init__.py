@@ -26,9 +26,7 @@ from .engine import (
 )
 from .errors import (
     DegenerateWeightWarning,
-    EmptyInput,
     HsvGreeksError,
-    InvalidBump,
     InvalidConfig,
     InvalidParams,
     NonFiniteEstimate,

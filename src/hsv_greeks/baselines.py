@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import SimConfig, simulate_paths, stable_mean_se
-from .errors import InvalidBump, InvalidParams
+from .errors import InvalidParams
 from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _finite_estimate, _refuse
 from .models import InitialState, ModelSpec, Payoff, _require, _require_payoff, evaluate_payoff
 
@@ -56,8 +56,8 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def _bump_of(greek: str) -> str:
     """What the finite-difference form of ``greek`` moves."""
     if greek not in _FD_GREEKS:
-        raise InvalidBump(f"greek must be one of {_FD_GREEKS}, got {greek!r}",
-                          field="greek")
+        raise InvalidParams(f"greek must be one of {_FD_GREEKS}, got {greek!r}",
+                            field="greek")
     return _GREEKS[greek].bump
 
 
@@ -74,10 +74,10 @@ class BumpSpec:
     def __post_init__(self):
         _bump_of(self.greek)
         if self.scheme not in _FD_SCHEMES:
-            raise InvalidBump(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
-                              f"got {self.scheme!r}", field="scheme")
-        _require(vars(self), "be > 0", "h", error=InvalidBump)
-        _require(vars(self), "be True or False", "crn", error=InvalidBump)
+            raise InvalidParams(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
+                                f"got {self.scheme!r}", field="scheme")
+        _require(vars(self), "be > 0", "h")
+        _require(vars(self), "be True or False", "crn")
 
 
 def default_bump_size(greek: str, init: InitialState) -> float:
@@ -94,7 +94,7 @@ def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
     not below half the base value.  r0 has no sign constraint."""
     state = _bump_of(bump.greek)
     if state in _POSITIVE_STATE and bump.h >= 0.5 * getattr(init, state):
-        raise InvalidBump(
+        raise InvalidParams(
             f"h = {bump.h!r} too large for fd:{bump.greek}, which moves {state} = "
             f"{getattr(init, state)!r} (need h < 0.5*{state})", field="h")
 
@@ -118,7 +118,7 @@ def _moved(model: ModelSpec, init: InitialState, greek: str,
         try:
             return model, replace(init, **{bump: getattr(init, bump) + offset})
         except InvalidParams as exc:
-            raise InvalidBump(f"bumped initial state invalid: {exc}") from None
+            raise InvalidParams(f"bumped initial state invalid: {exc}") from None
     c = getattr(model, bump)
     shift = offset if scale is None else offset * getattr(model.hv_params, scale)
     return replace(model, **{bump: (lambda x: c(x) + shift) if callable(c) else c + shift}), init
@@ -163,7 +163,7 @@ def fd_greek(
         If the bump is scaled by a Heston–Vasicek parameter (``fd:kappa``,
         ``fd:reversion``) and ``model`` is not that instance; refused
         before any path is simulated.
-    InvalidBump
+    InvalidParams
         If a bump of s0 or v0 is not below half its base value, or the
         bumped configuration is invalid.
     NonFiniteEstimate

@@ -64,20 +64,21 @@ Threads
 Blocks are simulated one at a time.  :func:`standard_draws` yields a
 block's draws one run of steps at a time, each drawn into a ring of run
 buffers, one run per thread plus one (one run for a single thread), and
-the step loop, on the calling thread, steps each run as soon as it is
-drawn; so a block holds a ring of runs of draws, never all of them.  The
-ring holds at most one byte budget, ``_RING_BYTES``, whatever the CPU
-count: the worker count (``SimConfig.worker_hint``; None means the CPUs in
-the process's affinity mask) and the budget cap the threads that draw.
-Each run is as many steps as the ring of that many runs can hold (one
-step at least) and, when several threads draw, about one block-step of
-normals at most (two steps at least).  A thread draws a run only with
-its ticket, taken from one FIFO that holds a ticket per free slot, in
-step order: the calling thread puts the next one after it steps a run,
-so a run's slot is free when its ticket is taken.  Each run's event is
-set once its ticket has been used; while the next run's is not, the
-calling thread draws the run of a ticket still queued.  Every draw is the
-same bits whichever thread makes it.  The normal draws release the GIL.
+:func:`simulate_paths`, on the calling thread, feeds each run to the
+block's stepper as soon as it is drawn, so a block holds a ring of runs of
+draws, never all of them.  The ring holds at most one byte budget,
+``_RING_BYTES``, whatever the CPU count: the worker count
+(``SimConfig.worker_hint``; None means the CPUs in the process's affinity
+mask) and the budget cap the threads that draw.  Each run is as many steps
+as the ring of that many runs can hold (one step at least) and, when
+several threads draw, about one block-step of normals at most (two steps
+at least).  A thread draws a run only with its ticket, taken from one FIFO
+that holds a ticket per free slot, in step order: the calling thread puts
+the next one after it steps a run, so a run's slot is free when its ticket
+is taken.  Each run's event is set once its ticket has been used; while the
+next run's is not, the calling thread draws the run of a ticket still
+queued.  Every draw is the same bits whichever thread makes it.  The normal
+draws release the GIL.
 
 A run therefore holds the ring, one block's step-loop state and scratch,
 and one copy of each returned field: :func:`simulate_paths` allocates
@@ -108,7 +109,7 @@ import os
 from contextlib import closing
 from dataclasses import dataclass, field
 from threading import Event, Thread
-from typing import Collection, Iterator
+from typing import Callable, Collection, Iterator
 # queue's SimpleQueue and Empty are those of its C module: importing queue
 # itself raised compare_fd's peak RSS by about 0.1 MiB (2 vCPUs, 4 runs).
 from _queue import Empty, SimpleQueue
@@ -116,7 +117,7 @@ from _queue import Empty, SimpleQueue
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import EmptyInput, InvalidParams, NumericalBlowup
+from .errors import InvalidParams, NumericalBlowup
 from .models import InitialState, ModelSpec, _inverse_loadings, _require
 
 __all__ = [
@@ -385,28 +386,29 @@ def _row_drawer(seed: int, stream: int, block: int):
     return draw
 
 
-def _run_block(
+def _block_stepper(
     model: ModelSpec,
     init: InitialState,
     cfg: SimConfig,
     first_path: int,
-    runs: Iterator[tuple[int, np.ndarray]],
     groups: frozenset[str],
     out: dict[str, np.ndarray],
-) -> tuple[int, int]:
-    """Advance the block of paths that starts at ``first_path`` through all
-    steps, writing its fields into its slice of the zeroed
+) -> tuple[Callable[[int, np.ndarray], None], Callable[[], tuple[int, int]]]:
+    """The (step, finish) of the block of paths that starts at
+    ``first_path``, which writes its fields into its slice of the zeroed
     ``cfg.n_paths``-long arrays ``out``, the returned fields.
 
-    ``runs`` is the iterator of :func:`standard_draws` over the block's
-    draws, each run of shape (steps, 3, nb), nb the block's paths.  The
-    block steps log S inside its slice of ``out["s_T"]`` and exponentiates
-    it in place at the end; it sums each integral straight into its slice
-    and scales the slice in place at the end.  A blow-up names the path's
-    index among all ``cfg.n_paths``.  Returns (clamp_count, n_evals).
-    Of the weight fields only the groups of ``_FIELD_GROUPS`` named in
-    ``groups``, each with its arrays in ``out``, are carried; the clamps
-    and integrand evaluations are counted alike whatever is carried.
+    The caller feeds ``step(first, run)`` runs in step order that cover
+    every step once, ``run`` being the (steps, 3, nb) draws of steps first,
+    first + 1, ..., nb the block's paths, which ``step`` only reads; then
+    it calls ``finish()`` once, which scales every integral in place,
+    exponentiates log S in place and returns (clamp_count, n_evals).  The
+    block steps log S inside its slice of ``out["s_T"]`` and sums each
+    integral straight into its slice.  A blow-up names the path's index
+    among all ``cfg.n_paths``.  Of the weight fields only the groups of
+    ``_FIELD_GROUPS`` named in ``groups``, each with its arrays in ``out``,
+    are carried; the clamps and integrand evaluations are counted alike
+    whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
@@ -414,7 +416,7 @@ def _run_block(
     and V and r step through one spare buffer that then swaps with them.
     """
     nb = min(_BLOCK_PATHS, cfg.n_paths - first_path)
-    block = slice(first_path, first_path + nb)
+    part = {name: arr[first_path:first_path + nb] for name, arr in out.items()}
     dt = cfg.maturity / cfg.n_steps
     sqdt = math.sqrt(dt)
     floor = cfg.sigma_floor
@@ -447,7 +449,7 @@ def _run_block(
     zeros = lambda: np.zeros(nb)  # noqa: E731
     empty = lambda: np.empty(nb)  # noqa: E731
 
-    logS = out["s_T"][block]
+    logS = part["s_T"]
     logS.fill(math.log(init.s0))
     # Float whatever the type of the initial values: an integer state
     # would make the in-place float steps fail.
@@ -458,16 +460,7 @@ def _run_block(
         L22, L33 = zeros(), 0.0 if y33_number else zeros()
         y22, y33 = np.ones(nb), 1.0 if y33_number else np.ones(nb)
         y12, y13 = zeros(), zeros()
-    sum_r = out["D"][block]
-    if sums:
-        sum_sig, sum_invsig, sI1, sI2, sI3, sW1 = (
-            out[name][block] for name in ("A", "Q", "I1", "I2", "I3", "w1_T"))
-    if bismut:
-        sP2, sP3 = out["P2"][block], out["P3"][block]
-    if drift:
-        sJ2, sJ3, sG3 = (out[name][block] for name in ("j2", "j3", "g3"))
-    clamps = 0
-    n_evals = 0
+    clamps = n_evals = 0
 
     # Step scratch.  nxt receives the new V, then the new r, each swapped
     # with it in turn: a model function may return its own argument.
@@ -488,6 +481,11 @@ def _run_block(
         np.multiply(tmp, dt, out=tmp)
         return np.add(tmp, np.multiply(vol, dZ, out=tmp2), out=tmp)
 
+    def check(x: np.ndarray, limit: float, n: int, detail: str) -> None:
+        """Refuse the first path at which x is above limit or NaN."""
+        if not (x.max() <= limit):  # also catches NaN
+            raise NumericalBlowup(first_path + int(np.argmax(~(x <= limit))), n, detail)
+
     if sums or bismut:
         inv_sig = empty()
     if bismut or drift:
@@ -496,9 +494,10 @@ def _run_block(
     if bismut:
         # t holds t1, then t2.
         t, acc = empty(), empty()
-        w = None if w_number else empty()
+        w_buf = None if w_number else empty()
 
-    for first, run in runs:
+    def step(first: int, run: np.ndarray) -> None:
+        nonlocal V, r, nxt, L22, L33, y33, logS, dZ2, dZ3, tmp, tmp2, acc, clamps, n_evals
         for n, (z1, z2, z3) in enumerate(run, start=first):
             np.multiply(sqdt, z1, out=dW1)
             # dZ2 = r12 * dW1 + (m1 * sqdt) * z2
@@ -513,16 +512,16 @@ def _run_block(
             sig = sigma(Vp)
             clamps += clamped(sig)
             n_evals += nb
-            sum_r += r
+            part["D"] += r
             if sums or bismut:
                 np.divide(1.0, np.maximum(sig, floor, out=inv_sig), out=inv_sig)
             if sums:
-                sum_sig += sig
-                sum_invsig += inv_sig
-                sI1 += np.multiply(z1, inv_sig, out=tmp)
-                sI2 += np.multiply(z2, inv_sig, out=tmp)
-                sI3 += np.multiply(z3, inv_sig, out=tmp)
-                sW1 += z1
+                part["A"] += sig
+                part["Q"] += inv_sig
+                part["I1"] += np.multiply(z1, inv_sig, out=tmp)
+                part["I2"] += np.multiply(z2, inv_sig, out=tmp)
+                part["I3"] += np.multiply(z3, inv_sig, out=tmp)
+                part["w1_T"] += z1
 
             vv = v(Vp)
             gg = g(r)
@@ -537,8 +536,8 @@ def _run_block(
                 # t1 = y12 * inv_sig / S, w = y33 * inv_gg, and q = y22 * inv_vv
                 # formed where it is read, so that no buffer holds it
                 np.divide(np.multiply(y12, inv_sig, out=t), S, out=t)
-                w = y33 * inv_gg if w_number else np.multiply(y33, inv_gg, out=w)
-                # sP2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
+                w = y33 * inv_gg if w_number else np.multiply(y33, inv_gg, out=w_buf)
+                # P2 += t1 * z1 + (cA * t1 + cB * q) * z2 + (cC * t1 + cD * q) * z3
                 np.multiply(t, z1, out=acc)
                 np.multiply(cA, t, out=tmp)
                 tmp += np.multiply(cB, np.multiply(y22, inv_vv, out=tmp2), out=tmp2)
@@ -548,10 +547,10 @@ def _run_block(
                 tmp += np.multiply(cD, np.multiply(y22, inv_vv, out=tmp2), out=tmp2)
                 tmp *= z3
                 acc += tmp
-                sP2 += acc
+                part["P2"] += acc
                 # t2 = y13 * inv_sig / S
                 np.divide(np.multiply(y13, inv_sig, out=t), S, out=t)
-                # sP3 += t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3
+                # P3 += t2 * z1 + cA * t2 * z2 + (cC * t2 + cE * w) * z3
                 np.multiply(t, z1, out=acc)
                 np.multiply(cA, t, out=tmp)
                 tmp *= z2
@@ -560,11 +559,11 @@ def _run_block(
                 tmp += cE * w if w_number else np.multiply(cE, w, out=tmp2)
                 tmp *= z3
                 acc += tmp
-                sP3 += acc
+                part["P3"] += acc
             if drift:
-                sJ2 += np.multiply(z2, inv_vv, out=tmp)
-                sJ3 += np.multiply(z3, inv_vv, out=tmp)
-                sG3 += np.multiply(z3, inv_gg, out=tmp)
+                part["j2"] += np.multiply(z2, inv_vv, out=tmp)
+                part["j3"] += np.multiply(z3, inv_vv, out=tmp)
+                part["g3"] += np.multiply(z3, inv_gg, out=tmp)
 
             if bismut:
                 # First-variation updates, all from left-point values, each
@@ -608,32 +607,30 @@ def _run_block(
             nxt += np.multiply(gg, dZ3, out=tmp)
             r, nxt = nxt, r
 
-            for name, arr, limit in (("S", logS, _LOG_BLOWUP_LIMIT), ("V", V, _BLOWUP_LIMIT), ("r", r, _BLOWUP_LIMIT)):
-                if not (np.abs(arr, out=tmp).max() <= limit):  # also catches NaN
-                    bad = ~(np.abs(arr) <= limit)
-                    raise NumericalBlowup(first_path + int(np.argmax(bad)), n, f"state {name}")
-            # Exponentiated once checked, so a blown-up log S cannot overflow.
+            for detail, arr, limit in (("state S", logS, _LOG_BLOWUP_LIMIT),
+                                       ("state V", V, _BLOWUP_LIMIT), ("state r", r, _BLOWUP_LIMIT)):
+                check(np.abs(arr, out=tmp), limit, n, detail)
+            # Exponentiated once checked, so that no exp overflows.  L22 and
+            # L33 are checked from above only: at the variance floor L22
+            # rightly reaches about -1e296, and y22 underflows to 0.
             if bismut:
+                check(L22, _LOG_BLOWUP_LIMIT, n, "first variation Y22")
+                if not y33_number:
+                    check(L33, _LOG_BLOWUP_LIMIT, n, "first variation Y33")
                 np.exp(logS, out=S)
                 np.exp(L22, out=y22)
                 y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
 
-    # x *= c gives the bits of c * x.
-    sum_r *= dt
-    if sums:
-        sum_sig *= dt
-        sum_invsig *= dt
-        for x in (sI1, sI2, sI3, sW1):
-            x *= sqdt
-    if bismut:
-        sP2 *= sqdt
-        sP3 *= sqdt
-    if drift:
-        for x in (sJ2, sJ3, sG3):
-            x *= sqdt
-    # exp(logS) once gives the bits of S formed at every step.
-    np.exp(logS, out=logS)
-    return clamps, n_evals
+    def finish() -> tuple[int, int]:
+        # x *= c gives the bits of c * x.
+        for name, x in part.items():
+            if name != "s_T":
+                x *= dt if name in ("D", "A", "Q") else sqdt
+        # exp(logS) once gives the bits of S formed at every step.
+        np.exp(logS, out=logS)
+        return clamps, n_evals
+
+    return step, finish
 
 
 def simulate_paths(
@@ -677,8 +674,8 @@ def simulate_paths(
     Raises
     ------
     NumericalBlowup
-        If any state exceeds 1e12 in magnitude or an accumulator turns
-        non-finite (reports path and step index).
+        If a state or a first variation exceeds 1e12 in magnitude or an
+        accumulator turns non-finite (reports path and step index).
     InvalidParams
         If ``drift_extras`` is no bool, ``stream`` is no integer in
         [0, 2**64), or ``weights`` is neither a bool nor a collection of
@@ -705,17 +702,20 @@ def simulate_paths(
     # field.
     arrays = {name: np.zeros(n) for name in ("s_T", "D", *(
         name for g, names in _FIELD_GROUPS.items() if g in groups for name in names))}
-    clamps = evals = 0
+    counts = []
     for block, start in enumerate(range(0, n, _BLOCK_PATHS)):
-        # The block steps each run of draws as soon as it is drawn; closing
-        # the runs stops the draw threads before an error leaves the block.
+        step, finish = _block_stepper(model, init, cfg, start, groups, arrays)
+        # Each run of draws is fed to the block's stepper as soon as it is
+        # drawn; closing the runs stops the draw threads before an error
+        # leaves the block.
         with closing(standard_draws(cfg.seed, min(_BLOCK_PATHS, n - start), cfg.n_steps,
                                     block=block, stream=stream,
                                     workers=cfg.worker_hint)) as runs:
-            block_clamps, block_evals = _run_block(
-                model, init, cfg, start, runs, groups, arrays)
-        clamps += block_clamps
-        evals += block_evals
+            for first, run in runs:
+                step(first, run)
+        counts.append(finish())
+        del step, finish, run  # the block's state and last run go before the next block's
+    clamps, evals = map(sum, zip(*counts))
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))
@@ -779,15 +779,15 @@ def stable_mean_se(x: np.ndarray) -> tuple[float, float]:
     """Mean and standard error (sample std / sqrt(n)) via exactly rounded sums.
 
     Returns (mean, 0.0) for n < 2.  The same bits as fsum(x)/n and
-    sqrt(fsum((x - mean)**2)/(n-1)/n).  Refuses a sample that is not 1-D
-    with :class:`InvalidParams`.
+    sqrt(fsum((x - mean)**2)/(n-1)/n).  Refuses a sample that is empty or
+    not 1-D with :class:`InvalidParams`.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise InvalidParams(f"a sample must be 1-D, got shape {x.shape}")
     n = x.shape[0]
     if n == 0:
-        raise EmptyInput("cannot average an empty sample")
+        raise InvalidParams("cannot average an empty sample")
     hi, lo = float(x.max()), float(x.min())
     mean = _exact_sum(x, max(hi, -lo)) / n
     if n < 2:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 __all__ = ["HsvGreeksError", "InvalidParams", "NonPositiveSemiDefinite", "UnsupportedModel",
-           "NumericalBlowup", "NonFiniteEstimate", "EmptyInput", "InvalidBump",
-           "InvalidConfig", "DegenerateWeightWarning"]
+           "NumericalBlowup", "NonFiniteEstimate", "InvalidConfig", "DegenerateWeightWarning"]
 
 
 class HsvGreeksError(Exception):
@@ -67,14 +66,6 @@ class NonFiniteEstimate(InvalidParams):
     def __init__(self, estimator: str, detail: str):
         self.estimator = estimator
         super().__init__(f"{estimator} estimate is not finite: {detail}")
-
-
-class EmptyInput(HsvGreeksError, ValueError):
-    """An estimator was handed zero paths."""
-
-
-class InvalidBump(InvalidParams):
-    """A finite-difference bump specification violates its contract."""
 
 
 class InvalidConfig(HsvGreeksError, ValueError):

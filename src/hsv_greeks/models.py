@@ -69,8 +69,8 @@ def _integral(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral)
 
 
-def _require(values, need: str, *names: str, error: type[InvalidParams] = InvalidParams) -> None:
-    """Refuse, with ``error`` naming it, each argument ``names`` of the
+def _require(values, need: str, *names: str) -> None:
+    """Refuse, with ``InvalidParams`` naming it, each argument ``names`` of the
     mapping ``values`` (``vars`` of a dataclass, ``locals()`` of a function)
     that does not ``need`` (a key of ``_NEEDS``).  The only code that
     decides whether a value is an acceptable number, integer or flag."""
@@ -79,9 +79,9 @@ def _require(values, need: str, *names: str, error: type[InvalidParams] = Invali
         # Exact float and int first: the numbers ABC check costs far more.
         if not (type(value) in (float, int) or need == _FLAG or (
                 isinstance(value, numbers.Real) and not isinstance(value, bool))):
-            raise error(f"{name} must be a number, got {value!r}", field=name)
+            raise InvalidParams(f"{name} must be a number, got {value!r}", field=name)
         if not _NEEDS[need](value):
-            raise error(f"{name} must {need}, got {value!r}", field=name)
+            raise InvalidParams(f"{name} must {need}, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,13 @@ FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 # bump specification
 
 def test_bump_spec_validation():
-    with pytest.raises(hg.InvalidBump):
+    with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("spot")  # not a Greek token
-    with pytest.raises(hg.InvalidBump):
+    with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("delta", scheme="centered")
-    with pytest.raises(hg.InvalidBump):
+    with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("delta", h=0.0)
-    with pytest.raises(hg.InvalidBump):
+    with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("delta", h=-1.0)
 
 
@@ -35,7 +35,7 @@ def test_bump_spec_validation():
 def test_bump_spec_refuses_bools_and_text(kwargs, field):
     """h=True was taken as 1 and h="1" raised a bare TypeError; a crn of
     "off" ran with common random numbers.  Each is refused by its field."""
-    with pytest.raises(hg.InvalidBump, match=field) as info:
+    with pytest.raises(hg.InvalidParams, match=field) as info:
         hg.BumpSpec("delta", **kwargs)
     assert info.value.field == field
 
@@ -44,7 +44,7 @@ def test_bump_spec_refuses_bools_and_text(kwargs, field):
 def test_bumps_are_named_by_greek_only(spelling):
     """The bump targets that once named these bumps are refused, and the
     refusal lists the Greek tokens."""
-    with pytest.raises(hg.InvalidBump) as err:
+    with pytest.raises(hg.InvalidParams) as err:
         hg.BumpSpec(spelling)
     assert str(FD_GREEKS) in str(err.value)
 
@@ -59,7 +59,7 @@ def test_default_bump_sizes(hv_init):
 def test_relative_bump_cap(hv_model, hv_init, call_100):
     cfg = hg.SimConfig(n_paths=16, n_steps=4, maturity=1.0, seed=0)
     big = hg.BumpSpec("vega_v0", h=0.03)  # 75% of v0=0.04
-    with pytest.raises(hg.InvalidBump):
+    with pytest.raises(hg.InvalidParams):
         hg.fd_greek(hv_model, hv_init, cfg, call_100, big)
 
 

@@ -664,6 +664,44 @@ def test_simulation_does_not_depend_on_the_run_length(monkeypatch, hv_model,
     assert paths.clamp_count == reference.clamp_count > 0
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_steppers_fed_in_lockstep_from_one_ring_match_their_own_runs(monkeypatch, workers):
+    """The default model and its moved vega and kappa copies, each a block
+    stepper, stepped in lockstep from one standard_draws iterator per block:
+    each run goes to every stepper before the next is drawn.  Every
+    scenario's fields, clamps and integrand evaluations equal those of its
+    own simulate_paths, on two blocks (16,385 paths), whose first block one
+    draw thread draws in one run of 8 steps and two in runs of 2."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
+    rc = hg.build_run_config({})
+    cfg = dataclasses.replace(rc.sim, n_paths=_BLOCK + 1, n_steps=8, worker_hint=workers)
+    scenarios = [(rc.model, rc.init)] + [
+        hg.baselines._moved(rc.model, rc.init, greek, hg.default_bump_size(greek, rc.init))
+        for greek in ("vega", "kappa")]
+    groups = frozenset(hg.engine._FIELD_GROUPS)
+    names = _STATE_ONLY_FIELDS + tuple(
+        name for group in hg.engine._FIELD_GROUPS.values() for name in group)
+    outs = [{name: np.zeros(cfg.n_paths) for name in names} for _ in scenarios]
+    finished = []
+    for block, start in enumerate(range(0, cfg.n_paths, _BLOCK)):
+        steppers = [hg.engine._block_stepper(model, init, cfg, start, groups, out)
+                    for (model, init), out in zip(scenarios, outs)]
+        with contextlib.closing(hg.engine.standard_draws(
+                cfg.seed, min(_BLOCK, cfg.n_paths - start), cfg.n_steps, block=block,
+                workers=workers)) as runs:
+            for first, run in runs:
+                for step, _ in steppers:
+                    step(first, run)
+        finished.append([finish() for _, finish in steppers])
+    for (model, init), out, counts in zip(scenarios, outs, np.sum(finished, axis=0)):
+        paths = hg.simulate_paths(model, init, cfg, drift_extras=True)
+        for name in names:
+            assert np.array_equal(getattr(paths, name), out[name]), name
+        assert [paths.clamp_count, paths.n_integrand_evals] == counts.tolist()
+    assert not np.array_equal(outs[0]["P2"], outs[1]["P2"])
+    assert not np.array_equal(outs[0]["j2"], outs[2]["j2"])
+
+
 def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
     """Blocks run one at a time, also with two workers, and each sums its
     integrals straight into its slice of the returned arrays: a weighted
@@ -684,6 +722,24 @@ def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
     # temporaries: 32 arrays of one value per path (about 27 measured).
     step_loop = 32 * _BLOCK * 8
     assert peak <= hg.engine._RING_BYTES + fields + step_loop, peak / 2**20
+
+
+def test_a_block_frees_its_state_and_draws_before_the_next(hv_model, hv_init):
+    """A state-only two-block run on one draw thread, whose ring is one run
+    of 8 steps (3 MiB): the first block's step-loop state and last run of
+    draws are freed before the second block allocates its own, so the
+    traced peak stays within one ring, the two returned fields and 16
+    arrays of one value per path of a block: about 5.2 MiB measured, 7.7
+    MiB when the first block's were still held."""
+    cfg = small_cfg(n_paths=2 * _BLOCK, n_steps=252, worker_hint=1)
+    tracemalloc.start()
+    try:
+        hg.simulate_paths(hv_model, hv_init, cfg, weights=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields = len(_STATE_ONLY_FIELDS) * cfg.n_paths * 8
+    assert peak <= hg.engine._RING_BYTES + fields + 16 * _BLOCK * 8, peak / 2**20
 
 
 def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
@@ -1058,6 +1114,40 @@ def test_a_weighted_blowup_is_checked_before_s_is_exponentiated(monkeypatch, hv_
         hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=16, n_steps=4))
     assert (info.value.path_index, info.value.step_index) == (5, 0)
     assert info.value.detail == "state S"
+
+
+@pytest.mark.parametrize("model_name,driver,detail", [
+    ("default", 1, "first variation Y22"), ("affine_g", 2, "first variation Y33")])
+def test_a_weighted_blowup_checks_the_first_variations_before_they_are_exponentiated(
+        monkeypatch, affine_g_model, model_name, driver, detail):
+    """A normal of 1e12 at path 3's first W^2 draw moves L22 = log Y22 by
+    about 3e10 on the default config, while V moves by about 2.4e9, below
+    the 1e12 limit; one at its first W^3 draw moves the array-form L33 of
+    the affine-g model by about 2.5e10, and r by about 2.6e10.  The step
+    checks L22 and L33 from above before it exponentiates them, so the
+    weighted run raises NumericalBlowup at step 0; numpy's exp once
+    overflowed first, and its RuntimeWarning, an error under the suite's
+    filter, took its place.  A state-only run steps neither and blows up in
+    S a step later."""
+    draws = hg.engine.standard_draws
+
+    def wild_draws(seed, n_paths, n_steps, block=0, **kwargs):
+        with contextlib.closing(draws(seed, n_paths, n_steps, block=block, **kwargs)) as runs:
+            for first, run in runs:
+                if first == 0:
+                    run[0, driver, 3] = 1e12
+                yield first, run
+
+    monkeypatch.setattr(hg.engine, "standard_draws", wild_draws)
+    rc = hg.build_run_config({})
+    model = {"default": rc.model, "affine_g": affine_g_model}[model_name]
+    cfg = small_cfg(n_paths=16, n_steps=4)
+    found = []
+    for weights in (True, False):
+        with pytest.raises(hg.NumericalBlowup) as info:
+            hg.simulate_paths(model, rc.init, cfg, weights=weights)
+        found.append((info.value.path_index, info.value.step_index, info.value.detail))
+    assert found == [(3, 0, detail), (3, 1, "state S")]
 
 
 # ---------------------------------------------------------------------------

@@ -387,9 +387,9 @@ def test_empty_input_is_rejected(hv_paths_10k, call_100):
     arrays = {f: getattr(hv_paths_10k, f)[:0]
               for f in ("s_T", "D", "I1", "I2", "I3", "A", "Q", "w1_T", "P2", "P3")}
     empty = dataclasses.replace(hv_paths_10k, **arrays)
-    with pytest.raises(hg.EmptyInput):
+    with pytest.raises(hg.InvalidParams, match="^cannot average an empty sample$"):
         hg.price(empty, call_100)
-    with pytest.raises(hg.EmptyInput):
+    with pytest.raises(hg.InvalidParams, match="^cannot average an empty sample$"):
         hg.stable_mean_se(np.array([]))
 
 

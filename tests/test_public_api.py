@@ -23,8 +23,7 @@ PUBLIC = {
     # engine
     "PathAccumulators", "SimConfig", "simulate_paths", "stable_mean_se",
     # errors
-    "DegenerateWeightWarning", "EmptyInput",
-    "HsvGreeksError", "InvalidBump", "InvalidConfig", "InvalidParams",
+    "DegenerateWeightWarning", "HsvGreeksError", "InvalidConfig", "InvalidParams",
     "NonFiniteEstimate", "NonPositiveSemiDefinite", "NumericalBlowup",
     "UnsupportedModel",
     # greeks
