@@ -30,7 +30,6 @@ from .errors import (
     InvalidConfig,
     InvalidParams,
     NonFiniteEstimate,
-    NonPositiveSemiDefinite,
     NumericalBlowup,
     UnsupportedModel,
 )

@@ -55,9 +55,7 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def _bump_of(greek: str) -> str:
     """What the finite-difference form of ``greek`` moves."""
-    if greek not in _FD_GREEKS:
-        raise InvalidParams(f"greek must be one of {_FD_GREEKS}, got {greek!r}",
-                            field="greek")
+    _require(locals(), _FD_GREEKS, "greek")
     return _GREEKS[greek].bump
 
 
@@ -73,9 +71,7 @@ class BumpSpec:
 
     def __post_init__(self):
         _bump_of(self.greek)
-        if self.scheme not in _FD_SCHEMES:
-            raise InvalidParams(f"scheme must be one of {tuple(_FD_SCHEMES)}, "
-                                f"got {self.scheme!r}", field="scheme")
+        _require(vars(self), tuple(_FD_SCHEMES), "scheme")
         _require(vars(self), "be > 0", "h")
         _require(vars(self), "be True or False", "crn")
 

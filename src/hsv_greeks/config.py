@@ -12,7 +12,6 @@ RunConfig, which is what makes rerun-from-dump byte-stable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 from .baselines import BumpSpec, check_bump_size, default_bump_size
@@ -35,15 +34,13 @@ __all__ = ["RunConfig", "build_run_config", "effective_config_text", "load_confi
 # --- parsers: text -> typed value, ValueError(message) on bad text ---------
 
 def _number(text: str | float) -> float:
+    # Parses only: the type that takes the number refuses a non-finite one.
     if isinstance(text, bool):
         raise ValueError(f"expected a number, got {text!r}")
     try:
-        value = float(text)
+        return float(text)
     except (TypeError, ValueError):
         raise ValueError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {text!r}")
-    return value
 
 
 def _integer(text: str | int) -> int:

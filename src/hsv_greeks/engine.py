@@ -199,9 +199,12 @@ class PathAccumulators:
     group was simulated (see :func:`simulate_paths`).  On a degenerate
     model the integrands 1/v(V_t) and 1/g(r_t) are undefined, so the
     Bismut fields ``P2`` and ``P3`` and the drift fields ``j2``, ``j3`` and
-    ``g3`` are None.  ``factors`` holds the payoff-independent
-    per-path factors the estimators compute on first use; a
-    ``dataclasses.replace`` copy starts with none.
+    ``g3`` are None.  ``clamp_count`` counts the integrand denominators
+    evaluated below ``sigma_floor``; ``n_integrand_evals`` is how many there
+    are, n_paths * n_steps of sigma(V), times 3 on a hybrid model, whose
+    v(V) and g(r) are denominators too.  ``factors`` holds the
+    payoff-independent per-path factors the estimators compute on first
+    use; a ``dataclasses.replace`` copy starts with none.
     """
 
     model: ModelSpec
@@ -393,7 +396,7 @@ def _block_stepper(
     first_path: int,
     groups: frozenset[str],
     out: dict[str, np.ndarray],
-) -> tuple[Callable[[int, np.ndarray], None], Callable[[], tuple[int, int]]]:
+) -> tuple[Callable[[int, np.ndarray], None], Callable[[], int]]:
     """The (step, finish) of the block of paths that starts at
     ``first_path``, which writes its fields into its slice of the zeroed
     ``cfg.n_paths``-long arrays ``out``, the returned fields.
@@ -402,13 +405,12 @@ def _block_stepper(
     every step once, ``run`` being the (steps, 3, nb) draws of steps first,
     first + 1, ..., nb the block's paths, which ``step`` only reads; then
     it calls ``finish()`` once, which scales every integral in place,
-    exponentiates log S in place and returns (clamp_count, n_evals).  The
+    exponentiates log S in place and returns the block's clamp count.  The
     block steps log S inside its slice of ``out["s_T"]`` and sums each
     integral straight into its slice.  A blow-up names the path's index
     among all ``cfg.n_paths``.  Of the weight fields only the groups of
     ``_FIELD_GROUPS`` named in ``groups``, each with its arrays in ``out``,
-    are carried; the clamps and integrand evaluations are counted alike
-    whatever is carried.
+    are carried; the clamps are counted alike whatever is carried.
 
     Each step runs through ``out=`` ufuncs into buffers allocated once per
     block: the same operations in the same order as the expressions quoted
@@ -460,7 +462,7 @@ def _block_stepper(
         L22, L33 = zeros(), 0.0 if y33_number else zeros()
         y22, y33 = np.ones(nb), 1.0 if y33_number else np.ones(nb)
         y12, y13 = zeros(), zeros()
-    clamps = n_evals = 0
+    clamps = 0
 
     # Step scratch.  nxt receives the new V, then the new r, each swapped
     # with it in turn: a model function may return its own argument.
@@ -497,7 +499,7 @@ def _block_stepper(
         w_buf = None if w_number else empty()
 
     def step(first: int, run: np.ndarray) -> None:
-        nonlocal V, r, nxt, L22, L33, y33, logS, dZ2, dZ3, tmp, tmp2, acc, clamps, n_evals
+        nonlocal V, r, nxt, L22, L33, y33, logS, dZ2, dZ3, tmp, tmp2, acc, clamps
         for n, (z1, z2, z3) in enumerate(run, start=first):
             np.multiply(sqdt, z1, out=dW1)
             # dZ2 = r12 * dW1 + (m1 * sqdt) * z2
@@ -511,7 +513,6 @@ def _block_stepper(
             np.maximum(V, cfg.variance_floor, out=Vp)
             sig = sigma(Vp)
             clamps += clamped(sig)
-            n_evals += nb
             part["D"] += r
             if sums or bismut:
                 np.divide(1.0, np.maximum(sig, floor, out=inv_sig), out=inv_sig)
@@ -527,7 +528,6 @@ def _block_stepper(
             gg = g(r)
             if hybrid:
                 clamps += clamped(vv) + clamped(gg)
-                n_evals += 2 * nb
             if bismut or drift:
                 np.divide(1.0, np.maximum(vv, floor, out=inv_vv), out=inv_vv)
                 if not g_number:
@@ -621,14 +621,14 @@ def _block_stepper(
                 np.exp(L22, out=y22)
                 y33 = float(np.exp([L33])[0]) if y33_number else np.exp(L33, out=y33)
 
-    def finish() -> tuple[int, int]:
+    def finish() -> int:
         # x *= c gives the bits of c * x.
         for name, x in part.items():
             if name != "s_T":
                 x *= dt if name in ("D", "A", "Q") else sqdt
         # exp(logS) once gives the bits of S formed at every step.
         np.exp(logS, out=logS)
-        return clamps, n_evals
+        return clamps
 
     return step, finish
 
@@ -702,7 +702,7 @@ def simulate_paths(
     # field.
     arrays = {name: np.zeros(n) for name in ("s_T", "D", *(
         name for g, names in _FIELD_GROUPS.items() if g in groups for name in names))}
-    counts = []
+    clamps = 0
     for block, start in enumerate(range(0, n, _BLOCK_PATHS)):
         step, finish = _block_stepper(model, init, cfg, start, groups, arrays)
         # Each run of draws is fed to the block's stepper as soon as it is
@@ -713,16 +713,16 @@ def simulate_paths(
                                     workers=cfg.worker_hint)) as runs:
             for first, run in runs:
                 step(first, run)
-        counts.append(finish())
+        clamps += finish()
         del step, finish, run  # the block's state and last run go before the next block's
-    clamps, evals = map(sum, zip(*counts))
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
             idx = int(np.argmin(np.isfinite(arr)))
             raise NumericalBlowup(idx, cfg.n_steps, f"non-finite accumulator {name}")
         arr.flags.writeable = False
     return PathAccumulators(model=model, s0=init.s0, maturity=cfg.maturity,
-                            clamp_count=clamps, n_integrand_evals=evals, **arrays)
+                            clamp_count=clamps, **arrays,
+                            n_integrand_evals=n * cfg.n_steps * (1 if model.degenerate else 3))
 
 
 def _exact_sum(x: np.ndarray, top: float) -> float:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-__all__ = ["HsvGreeksError", "InvalidParams", "NonPositiveSemiDefinite", "UnsupportedModel",
-           "NumericalBlowup", "NonFiniteEstimate", "InvalidConfig", "DegenerateWeightWarning"]
+__all__ = ["HsvGreeksError", "InvalidParams", "UnsupportedModel", "NumericalBlowup",
+           "NonFiniteEstimate", "InvalidConfig", "DegenerateWeightWarning"]
 
 
 class HsvGreeksError(Exception):
@@ -13,27 +13,14 @@ class HsvGreeksError(Exception):
 class InvalidParams(HsvGreeksError, ValueError):
     """A model parameter, state value, or argument violates its contract.
 
-    ``field`` names the dataclass field that was refused, when there is one.
+    ``field`` names the dataclass field or argument that was refused, when
+    there is one: ``"correlations"`` when they form no positive
+    semi-definite matrix.
     """
 
     def __init__(self, message: str, field: str | None = None):
         self.field = field
         super().__init__(message)
-
-
-class NonPositiveSemiDefinite(InvalidParams):
-    """The requested correlation triple does not form a PSD correlation matrix.
-
-    Carries the offending radicand 1 - rho12^2 - rho13^2 - rho23^2
-    + 2*rho12*rho13*rho23 in ``radicand``.
-    """
-
-    def __init__(self, radicand: float):
-        self.radicand = radicand
-        super().__init__(
-            f"correlation matrix is not positive semi-definite (or mu3 = 0): "
-            f"radicand = {radicand!r}"
-        )
 
 
 class UnsupportedModel(HsvGreeksError):

@@ -80,10 +80,7 @@ class GreekEstimate:
     clamp_count: int = 0
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATOR_LABELS:
-            raise InvalidParams(
-                f"estimator must be one of {ESTIMATOR_LABELS}, got {self.estimator!r}"
-            )
+        _require(vars(self), ESTIMATOR_LABELS, "estimator")
         _require(vars(self), "be finite", "value")
         _require(vars(self), "be >= 0", "std_error")
         _require(vars(self), "be an integer >= 1", "n_paths")
@@ -362,6 +359,5 @@ def drift_sensitivity(paths: PathAccumulators, payoff: Payoff, gamma_kind: str) 
     ``kappa``/``reversion_speed`` require Heston–Vasicek paths simulated
     with ``drift_extras=True``.
     """
-    if gamma_kind not in GAMMA_KINDS:
-        raise InvalidParams(f"gamma_kind must be one of {tuple(GAMMA_KINDS)}, got {gamma_kind!r}")
+    _require(locals(), tuple(GAMMA_KINDS), "gamma_kind")
     return _weighted((GAMMA_KINDS[gamma_kind],), paths, payoff)[0]

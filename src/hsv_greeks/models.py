@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositiveSemiDefinite
+from .errors import InvalidParams
 
 __all__ = [
     "CorrelationTriple",
@@ -69,13 +69,20 @@ def _integral(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral)
 
 
-def _require(values, need: str, *names: str) -> None:
+def _require(values, need: str | tuple[str, ...], *names: str) -> None:
     """Refuse, with ``InvalidParams`` naming it, each argument ``names`` of the
     mapping ``values`` (``vars`` of a dataclass, ``locals()`` of a function)
-    that does not ``need`` (a key of ``_NEEDS``).  The only code that
-    decides whether a value is an acceptable number, integer or flag."""
+    that does not ``need``: a key of ``_NEEDS``, or a tuple of the texts it
+    must be one of.  The only code that decides whether a value is an
+    acceptable number, integer, flag or choice."""
     for name in names:
         value = values[name]
+        # Choices first: the number check below would call text "not a number".
+        if type(need) is tuple:
+            # Text only: a one-element array would compare equal to a choice.
+            if not (isinstance(value, str) and value in need):
+                raise InvalidParams(f"{name} must be one of {need}, got {value!r}", field=name)
+            continue
         # Exact float and int first: the numbers ABC check costs far more.
         if not (type(value) in (float, int) or need == _FLAG or (
                 isinstance(value, numbers.Real) and not isinstance(value, bool))):
@@ -119,15 +126,17 @@ def _mixing_from_correlations(rho: CorrelationTriple) -> _Mixing:
         mu3 = sqrt(1 - rho12^2 - rho13^2 - rho23^2
                    + 2*rho12*rho13*rho23) / mu1
 
-    Raises :class:`NonPositiveSemiDefinite` if the radicand under mu3 is
-    negative (the correlation matrix is not PSD) or exactly zero (mu3 = 0,
-    the third driver is redundant).
+    Raises :class:`InvalidParams` with ``field="correlations"`` if the
+    radicand under mu3 is negative (the correlation matrix is not PSD) or
+    exactly zero (mu3 = 0, the third driver is redundant); the message
+    gives the radicand.
     """
     r12, r13, r23 = rho.rho12, rho.rho13, rho.rho23
     mu1 = math.sqrt(1.0 - r12 * r12)
     radicand = 1.0 - r12 * r12 - r13 * r13 - r23 * r23 + 2.0 * r12 * r13 * r23
     if radicand <= 0.0:
-        raise NonPositiveSemiDefinite(radicand)
+        raise InvalidParams("correlation matrix is not positive semi-definite (or mu3 = 0): "
+                            f"radicand = {radicand!r}", field="correlations")
     mu2 = (r23 - r12 * r13) / mu1
     mu3 = math.sqrt(radicand) / mu1
     return _Mixing(mu1, mu2, mu3)
@@ -247,13 +256,12 @@ def heston_vasicek_model(
     Raises
     ------
     InvalidParams
-        On a violated positivity condition (when ``enforce``) or bad inputs.
-    NonPositiveSemiDefinite
-        If the correlations admit no mixing decomposition.
+        On a violated positivity condition (when ``enforce``), bad inputs,
+        or correlations that admit no mixing decomposition (``field`` is
+        ``"correlations"``).
     """
     _require(locals(), "be True or False", "enforce")
-    if condition not in ("strict", "feller"):
-        raise InvalidParams(f"condition must be 'strict' or 'feller', got {condition!r}")
+    _require(locals(), ("strict", "feller"), "condition")
     kt = params.kappa * params.theta
     bound = params.sigma_vol**2 if condition == "strict" else 0.5 * params.sigma_vol**2
     if kt < bound:
@@ -320,6 +328,7 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     )
 
 
+# The first three kinds read a strike.
 _PAYOFF_KINDS = ("call", "put", "digital_call", "constant", "identity")
 
 
@@ -329,7 +338,9 @@ class Payoff:
 
     kind: one of ``call``, ``put`` (strike-based), ``digital_call``
     (cash-or-nothing: pays ``level`` when S_T > strike), ``constant``
-    (returns ``level``), ``identity`` (returns S_T).
+    (returns ``level``), ``identity`` (returns S_T).  ``strike`` and
+    ``level`` must be finite whatever the kind, and ``strike`` > 0 for a
+    kind that reads it.
     """
 
     kind: str
@@ -337,14 +348,10 @@ class Payoff:
     level: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _PAYOFF_KINDS:
-            raise InvalidParams(
-                f"payoff kind must be one of {_PAYOFF_KINDS}, got {self.kind!r}",
-                field="kind")
-        if self.kind in ("call", "put", "digital_call"):
-            _require(vars(self), "be > 0", "strike")
-        if self.kind in ("constant", "digital_call"):
-            _require(vars(self), "be finite", "level")
+        _require(vars(self), _PAYOFF_KINDS, "kind")
+        _require(vars(self), "be > 0" if self.kind in _PAYOFF_KINDS[:3] else "be finite",
+                 "strike")
+        _require(vars(self), "be finite", "level")
 
 
 def _require_payoff(payoff) -> None:

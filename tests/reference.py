@@ -17,8 +17,9 @@ move of the (model, initial state) pair, which ``fd_greek`` reads from the
 Greek table, and :func:`fd_reference` prices it.  :func:`stock_drift_fd`
 restates the stock-drift shift that ``fd:rho`` moved before every rate
 moved with it.  :func:`conditional_call` is an independent oracle for the
-call price, delta, ``rho``, ``rho_r0`` and ``vega`` and the digital price,
-delta and vega on the engine's own grid.
+call price, delta, ``rho``, ``rho_r0``, ``reversion``, ``vega``, ``vega_v0``
+and ``kappa`` and the digital price, delta and vega on the engine's own
+grid.
 :func:`check_derivative_consistency` probes a model's derivative fields,
 which the package takes as given, against its functions.
 """
@@ -210,8 +211,9 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     discounted unit digital call and its delta and vega on the engine's
     grid, by discrete conditional Monte Carlo (Willard, J. Derivatives 5,
     1997; Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
-    ``price``, ``delta``, ``rho``, ``rho_r0``, ``reversion`` and ``vega`` of
-    the call, and ``digital``, ``digital_delta`` and ``digital_vega``.
+    ``price``, ``delta``, ``rho``, ``rho_r0``, ``reversion``, ``vega``,
+    ``vega_v0`` and ``kappa`` of the call, and ``digital``,
+    ``digital_delta`` and ``digital_vega``.
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
     (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
@@ -235,6 +237,15 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     call moves by N(d1) St L' + St phi(d1) s' and the digital by
     e^{-D} phi(d2) (L'/s - s' d1/s).
 
+    ``vega_v0`` and ``kappa`` move the V path.  A forward tangent t of the
+    full-truncation step, with 1_n = 1{V_n > 0}, follows
+    t_{n+1} = t_n (1 + 1_n (-kappa dt + sigma_vol dZ2_n/(2 sqrt(V_n)))) + c dt:
+    from t_0 = 1 with c = 0 for v0, and from t_0 = 0 with c = kappa for the
+    variance drift u moved to u + eps kappa.  Then sigma_n moves by
+    1_n t_n/(2 sigma_n) and sigma_n^2 by 1_n t_n, which give L' and s' as
+    for ``vega`` (there every sigma_n moves by 1 and sigma_n^2 by
+    2 sigma_n), and the call moves by N(d1) St L' + St phi(d1) s'.
+
     The V and r steps restate the engine's full-truncation Euler scheme
     from the Heston–Vasicek ``params`` (variance floor 0), on draws of
     numpy's default generator at ``seed``, independent of the engine's."""
@@ -247,6 +258,9 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     v, r = np.full(n_paths, init.v0), np.full(n_paths, init.r0)
     D, mean, var = np.zeros(n_paths), np.zeros(n_paths), np.zeros(n_paths)
     m1, A = np.zeros(n_paths), np.zeros(n_paths)
+    # token -> [tangent t, its c, sum of dsigma_n beta.dZ_n, sum of dsigma_n^2 dt]
+    tangents = {"vega_v0": [np.ones(n_paths), 0.0, np.zeros(n_paths), np.zeros(n_paths)],
+                "kappa": [np.zeros(n_paths), params.kappa, np.zeros(n_paths), np.zeros(n_paths)]}
     for _ in range(n_steps):
         dZ2 = sqdt * rng.standard_normal(n_paths)
         dZ3 = rho.rho23 * dZ2 + math.sqrt(det) * sqdt * rng.standard_normal(n_paths)
@@ -257,6 +271,14 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
         mean += sigma * (b2 * dZ2 + b3 * dZ3)
         var += vp * dt
         A += sigma * dt
+        positive = v > 0.0
+        half_inv = np.where(positive, 0.5 / np.sqrt(np.where(positive, v, 1.0)), 0.0)
+        for tangent in tangents.values():
+            t, c, dm, dvar = tangent
+            dm += t * half_inv * (b2 * dZ2 + b3 * dZ3)
+            dvar += np.where(positive, t, 0.0) * dt
+            tangent[0] = t * (1.0 + np.where(positive, -params.kappa * dt, 0.0)
+                              + params.sigma_vol * dZ2 * half_inv) + c * dt
         v = v + params.kappa * (params.theta - vp) * dt + params.sigma_vol * sigma * dZ2
         r = r + params.a * (params.b - r) * dt + params.k * dZ3
     st = init.s0 * np.exp(mean - 0.5 * r_squared * var)
@@ -268,13 +290,18 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     phi_d1, phi_d2 = (np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi) for d in (d1, d2))
     dlog_st = m1 - r_squared * A
     ds = (1.0 - r_squared) * A / s
+
+    def call_move(dlog_st, ds):
+        return ndtr(d1) * st * dlog_st + st * phi_d1 * ds
     return SimpleNamespace(
         price=st * ndtr(d1) - strike * digital,
         delta=ndtr(d1) * st / init.s0,
         rho=maturity * strike * digital,
         rho_r0=strike * digital * dD_dr0,
         reversion=strike * digital * (maturity - dD_dr0),
-        vega=ndtr(d1) * st * dlog_st + st * phi_d1 * ds,
+        vega=call_move(dlog_st, ds),
+        **{token: call_move(dm - 0.5 * r_squared * dvar, (1.0 - r_squared) * dvar / (2.0 * s))
+           for token, (_, _, dm, dvar) in tangents.items()},
         digital=digital,
         digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s),
         digital_vega=np.exp(-D) * phi_d2 * (dlog_st / s - ds * d1 / s))

@@ -103,6 +103,29 @@ def test_invalid_entries_name_the_key(overrides, key):
     assert str(err.value).count("config key") == 1
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"payoff.kind": "constant", "payoff.strike": "inf"},
+     "config key 'payoff.strike': strike must be finite, got inf"),
+    ({"init.s0": "nan"}, "config key 'init.s0': s0 must be > 0, got nan"),
+    ({"model.b": "-inf"}, "config key 'model.b': b must be finite, got -inf"),
+    ({"model.rho12": "0.9", "model.rho13": "0.9", "model.rho23": "0.0"},
+     "config key 'model': correlation matrix is not positive semi-definite "
+     "(or mu3 = 0): radicand = -0.6200000000000001"),
+    ({"payoff.kind": "swap"}, "config key 'payoff.kind': kind must be one of "
+     "('call', 'put', 'digital_call', 'constant', 'identity'), got 'swap'"),
+])
+def test_the_config_reports_each_refusal_of_the_argument_rule_under_its_key(
+        overrides, message):
+    """The config only parses a number; the type that takes it refuses a
+    non-finite one in the argument rule's words, under the number's key.
+    The config once refused non-finite numbers itself, in words of its
+    own.  The mixing's refusal of the correlations joins three keys and is
+    reported under model."""
+    with pytest.raises(hg.InvalidConfig) as err:
+        hg.build_run_config(overrides)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("value", [
     "",                         # nothing requested
     "mw:delta",                 # unknown method

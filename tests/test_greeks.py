@@ -1,6 +1,7 @@
 """Weighted Greek estimators against frozen closed forms and FD oracles."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -220,6 +221,7 @@ def test_kappa_constant_payoff_zero_mean(hv_paths_10k):
 # ---------------------------------------------------------------------------
 # the discrete conditional Monte Carlo oracle (reference.conditional_call)
 
+@functools.lru_cache(maxsize=1)
 def _oracle_case():
     """(model, init, sim, call, digital, oracle) of the default configuration
     with 65,536 paths and 52 steps, the oracle's samples at seed 97."""
@@ -285,6 +287,24 @@ def test_call_reversion_agrees_with_the_discrete_oracle():
     for est in (_crn_fd(model, init, sim, call, "reversion"),
                 hg.drift_sensitivity(paths, call, "reversion_speed")):
         assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
+@pytest.mark.parametrize("greek, estimate", [
+    ("vega_v0", lambda case: _crn_fd(*case[:4], "vega_v0")),
+    ("vega_v0", lambda case: hg.bismut_vector(hg.simulate_paths(*case[:3]), case[3])[1]),
+    ("kappa", lambda case: _crn_fd(*case[:4], "kappa")),
+    ("kappa", lambda case: hg.drift_sensitivity(
+        hg.simulate_paths(*case[:3], weights=("j2", "j3")), case[3], "kappa")),
+], ids=["fd:vega_v0", "malliavin:vega_v0", "fd:kappa", "malliavin:kappa"])
+def test_call_vega_v0_and_kappa_agree_with_the_discrete_oracle(greek, estimate):
+    """On the configuration of the oracle test above, the call's CRN
+    central fd: and its malliavin: vega_v0 and kappa agree with the
+    oracle's, from forward tangents of the full-truncation variance step,
+    within 4 combined SE, at the same seeds."""
+    case = _oracle_case()
+    est = estimate(case)
+    mean, se = fsum_mean_se(getattr(case[-1], greek))
+    assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
 
 
 def test_reversion_counts_the_discount_shift_once():

@@ -41,9 +41,12 @@ def test_mixing_reference_triple():
 
 
 def test_mixing_rejects_non_psd_triple():
-    with pytest.raises(hg.NonPositiveSemiDefinite) as info:
+    """The refusal names the correlations and gives the radicand, once the
+    attribute of a class of its own."""
+    with pytest.raises(hg.InvalidParams, match="not positive semi-definite") as info:
         hg.models._mixing_from_correlations(hg.CorrelationTriple(0.9, 0.9, 0.0))
-    assert abs(info.value.radicand - (-0.62)) < 1e-12
+    assert info.value.field == "correlations"
+    assert abs(float(str(info.value).rpartition("radicand = ")[2]) - (-0.62)) < 1e-12
 
 
 def test_mixing_rejects_unit_rho12():
@@ -232,3 +235,47 @@ def test_payoff_rejects_unknown_kind_and_negative_strike():
             hg.Payoff(kind, strike=0.0)
     with pytest.raises(hg.InvalidParams):
         hg.Payoff("digital_call", strike=100.0, level=float("inf"))
+
+
+_FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
+
+
+@pytest.mark.parametrize("name, choices, value, refuse", [
+    ("estimator", ("malliavin", "fd_forward", "fd_backward", "fd_central", "analytic"),
+     "mc", lambda v: hg.GreekEstimate(0.0, 0.0, 1, v)),
+    # refused before the paths are read
+    ("gamma_kind", ("kappa", "reversion_speed"), "reversion",
+     lambda v: hg.drift_sensitivity(None, None, v)),
+    ("greek", _FD_GREEKS, "price", lambda v: hg.BumpSpec(v)),
+    ("scheme", ("forward", "backward", "central"), "upwind", lambda v: hg.BumpSpec("delta", v)),
+    ("scheme", ("forward", "backward", "central"), np.array(["central"]),
+     lambda v: hg.BumpSpec("delta", v)),
+    ("kind", ("call", "put", "digital_call", "constant", "identity"), "swap",
+     lambda v: hg.Payoff(v, strike=100.0)),
+    ("condition", ("strict", "feller"), None,
+     lambda v: hg.heston_vasicek_model(HV_PARAMS, HV_CORR, condition=v)),
+])
+def test_choices_are_refused_in_one_wording_naming_the_field(name, choices, value, refuse):
+    """Every argument that must be one of several texts is refused by the
+    one argument rule, naming its field.  estimator, gamma_kind and
+    condition were once refused with no field, and condition and kind in
+    words of their own; a one-element array, equal to its element, was
+    once taken as a scheme."""
+    with pytest.raises(hg.InvalidParams) as info:
+        refuse(value)
+    assert str(info.value) == f"{name} must be one of {choices}, got {value!r}"
+    assert info.value.field == name
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(kind="constant", strike=math.inf), "strike must be finite, got inf"),
+    (dict(kind="identity", strike="100"), "strike must be a number, got '100'"),
+    (dict(kind="call", strike=100.0, level=math.nan), "level must be finite, got nan"),
+    (dict(kind="put", strike=100.0, level=-math.inf), "level must be finite, got -inf"),
+])
+def test_payoff_strike_and_level_are_finite_whatever_the_kind(kwargs, message):
+    """A payoff kind that does not read its strike or level still refuses a
+    non-finite one, as the config always did; Payoff("constant",
+    strike=inf) and Payoff("call", level=nan) were once accepted."""
+    with pytest.raises(hg.InvalidParams, match=f"^{message}$"):
+        hg.Payoff(**kwargs)

@@ -24,8 +24,7 @@ PUBLIC = {
     "PathAccumulators", "SimConfig", "simulate_paths", "stable_mean_se",
     # errors
     "DegenerateWeightWarning", "HsvGreeksError", "InvalidConfig", "InvalidParams",
-    "NonFiniteEstimate", "NonPositiveSemiDefinite", "NumericalBlowup",
-    "UnsupportedModel",
+    "NonFiniteEstimate", "NumericalBlowup", "UnsupportedModel",
     # greeks
     "GreekEstimate", "bismut_vector", "delta", "drift_sensitivity", "price",
     "rho", "vega",
