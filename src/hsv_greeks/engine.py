@@ -63,22 +63,21 @@ Threads
 -------
 Blocks are simulated one at a time.  :func:`standard_draws` yields a
 block's draws one run of steps at a time, each drawn into a ring of run
-buffers, one run per thread plus one (one run for a single thread), and
-:func:`simulate_paths`, on the calling thread, feeds each run to the
-block's stepper as soon as it is drawn, so a block holds a ring of runs of
-draws, never all of them.  The ring holds at most one byte budget,
-``_RING_BYTES``, whatever the CPU count: the worker count
-(``SimConfig.worker_hint``; None means the CPUs in the process's affinity
-mask) and the budget cap the threads that draw.  Each run is as many steps
-as the ring of that many runs can hold (one step at least) and, when
-several threads draw, about one block-step of normals at most (two steps
-at least).  A thread draws a run only with its ticket, taken from one FIFO
-that holds a ticket per free slot, in step order: the calling thread puts
-the next one after it steps a run, so a run's slot is free when its ticket
-is taken.  Each run's event is set once its ticket has been used; while the
-next run's is not, the calling thread draws the run of a ticket still
-queued.  Every draw is the same bits whichever thread makes it.  The normal
-draws release the GIL.
+buffers, and :func:`simulate_paths`, on the calling thread, feeds each run
+to the block's stepper as soon as it is drawn, so a block holds a ring of
+runs of draws, never all of them.  A run is about one block-step of
+normals, ceil(_BLOCK_PATHS / n_paths) steps, and two steps at least.  One
+helper thread draws beside the calling thread on a block of two runs or
+more and of ``_THREAD_PATHS`` paths or more, when the process may run on
+more than one CPU and the worker count (``SimConfig.worker_hint``) is not
+1; the ring then holds three runs (two on a block of two), else one.  A
+thread draws a run only with its ticket, taken from one FIFO that holds a
+ticket per free slot, in step order: the calling thread puts the next one
+after it steps a run, so a run's slot is free when its ticket is taken.
+Each run's event is set once its ticket has been used; while the next
+run's is not, the calling thread draws the run of a ticket still queued.
+Every draw is the same bits whichever thread makes it.  The normal draws
+release the GIL.
 
 A run therefore holds the ring, one block's step-loop state and scratch,
 and one copy of each returned field: :func:`simulate_paths` allocates
@@ -136,15 +135,11 @@ _BLOWUP_LIMIT = 1e12
 _LOG_BLOWUP_LIMIT = math.log(_BLOWUP_LIMIT)
 # Philox emits 4 uint64 words per counter tick.
 _PHILOX_WORDS = 4
-# Paths per draw thread, at least: on a 250-path block two threads were
-# slower than one, as handing runs between them costs more than drawing
-# them (the draws do not depend on it).
+# Paths a block needs, at least, for a helper thread to draw: on a
+# 250-path block a helper was slower than the calling thread alone, as
+# handing runs over costs more than drawing them (the draws do not depend
+# on it).
 _THREAD_PATHS = 1024
-# Bytes the ring of runs of one standard_draws call may hold: it caps the
-# threads at one fewer than the steps that fit, and sets the steps per run
-# (the draws do not depend on either).  Only a ring of one step may exceed
-# it, on a block of more than _RING_BYTES // 24 paths.
-_RING_BYTES = 3 * 2**20
 # _exact_sum extracts below 2**26 values (past that the remainders' error
 # bound, about n**3 * 2**-106 of the largest value, is too wide for its
 # rounding check to decide) and when no partial sum of fsum can overflow.
@@ -166,8 +161,9 @@ _FIELD_GROUPS = {
 class SimConfig:
     """Simulation grid, seed, safeguarding floors, and worker hint.
 
-    ``worker_hint`` caps the threads that draw each block; None means the
-    CPUs in the process's affinity mask.
+    ``worker_hint`` 1 draws each block on the calling thread alone; None
+    or any larger value lets at most one helper thread draw beside it (see
+    the module's Threads section).
     """
 
     n_paths: int = 10000
@@ -240,33 +236,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _ring_plan(n_paths: int, n_steps: int, workers: int | None,
-               cpus: int) -> tuple[int, int, int]:
-    """(threads, depth, steps) of the draws of an n_paths x n_steps block:
-    the threads that draw, the runs the ring holds and the steps per run.
-
-    The threads are capped by ``workers`` (None: every CPU), the CPUs, the
-    steps, the chunks of ``_THREAD_PATHS`` paths and the steps the budget
-    holds less one; the ring holds a run per thread plus one, or one run
-    for one thread, and its runs are as long as ``_RING_BYTES`` allows:
-    so the ring holds at most ``_RING_BYTES`` or one step, whichever is
-    larger.  Several threads' runs are also at most about one block-step
-    of normals, or two steps: longer runs kept them no busier, and runs
-    of one step were slower.
-    """
-    step_bytes = 3 * 8 * n_paths
-    threads = min(workers or cpus, cpus, n_steps, -(-n_paths // _THREAD_PATHS),
-                  max(1, _RING_BYTES // step_bytes - 1))
-    # One thread draws run k+1 only once run k has been stepped.
-    depth = 1 if threads == 1 else threads + 1
-    steps = max(1, min(n_steps, _RING_BYTES // (depth * step_bytes)))
-    if threads > 1:
-        steps = min(steps, max(2, -(-_BLOCK_PATHS // n_paths)))
-    runs = -(-n_steps // steps)
-    threads = min(threads, runs)
-    return threads, 1 if threads == 1 else min(depth, runs), steps
-
-
 def standard_draws(
     seed: int,
     n_paths: int,
@@ -283,23 +252,26 @@ def standard_draws(
     block*_BLOCK_PATHS + path, step, driver) the module docstring defines,
     whichever thread draws it.  The arguments are unchecked: those of a
     :class:`SimConfig` and a stream that :func:`simulate_paths` checked,
-    with 1 <= n_paths <= _BLOCK_PATHS.  At most ``workers`` threads draw
-    (None: every available CPU), the calling thread among them; they, the
-    ring's ``depth`` and the steps per run are sized so that the ring holds
-    at most ``_RING_BYTES`` (:func:`_ring_plan`).  Run k goes to slot
-    k % depth of the ring.  A thread draws a run only with its ticket, its
-    index, taken from one FIFO: the tickets of runs 0 to depth - 1 start
-    there, and the ticket of run k + depth is put once run k has been
-    stepped, so its slot is free.  Helpers wait for tickets; the calling
-    thread takes queued ones while the run it needs is being drawn.  A
-    thread that takes a ticket sets the run's event, drawn or, once the
-    draws have stopped, not.  A failed draw raises its error, and closing
-    the iterator stops the draws; either way every thread it started has
-    ended, each told to by a None ticket.
+    with 1 <= n_paths <= _BLOCK_PATHS.  Runs are min(n_steps,
+    max(2, ceil(_BLOCK_PATHS / n_paths))) steps.  One helper thread draws
+    beside the calling thread unless ``workers`` is 1, the block has fewer
+    than ``_THREAD_PATHS`` paths, or the process may run on one CPU, and
+    only if there are two runs or more: the ring's ``depth`` is then
+    min(3, runs), else 1.  Run k goes to slot k % depth of the ring.  A
+    thread draws a run only with its ticket, its index, taken from one
+    FIFO: the tickets of runs 0 to depth - 1 start there, and the ticket of
+    run k + depth is put once run k has been stepped, so its slot is free.
+    The helper waits for tickets; the calling thread takes queued ones
+    while the run it needs is being drawn.  A thread that takes a ticket
+    sets the run's event, drawn or, once the draws have stopped, not.  A
+    failed draw raises its error, and closing the iterator stops the draws;
+    either way the helper, if started, has ended, told to by a None ticket.
     """
     assert n_paths <= _BLOCK_PATHS, n_paths
-    threads, depth, steps = _ring_plan(n_paths, n_steps, workers, _available_cpus())
+    steps = min(n_steps, max(2, -(-_BLOCK_PATHS // n_paths)))
     starts = range(0, n_steps, steps)
+    helped = workers != 1 and n_paths >= _THREAD_PATHS and _available_cpus() > 1
+    depth = min(3, len(starts)) if helped else 1
     slots = [np.empty((steps, 3, n_paths)) for _ in range(depth)]
     tickets = SimpleQueue()
     for k in range(depth):
@@ -328,12 +300,12 @@ def standard_draws(
         while (k := tickets.get()) is not None:
             fill(draw, k)
 
-    # Daemon threads: an iterator left open at exit, neither closed nor
-    # dropped, leaves them waiting for a ticket, and must not keep the
-    # interpreter from exiting.
-    helpers = [Thread(target=draw_runs, daemon=True) for _ in range(threads - 1)]
+    # A daemon thread: an iterator left open at exit, neither closed nor
+    # dropped, leaves the helper waiting for a ticket, and must not keep
+    # the interpreter from exiting.
+    helper = Thread(target=draw_runs, daemon=True) if depth > 1 else None
     try:
-        for helper in helpers:
+        if helper is not None:
             helper.start()
         draw = _row_drawer(seed, stream, block)
         for k, start in enumerate(starts):
@@ -353,9 +325,8 @@ def standard_draws(
                 tickets.put(k + depth)
     finally:
         stopped.append(None)
-        for helper in helpers:
+        if helper is not None:
             tickets.put(None)
-        for helper in helpers:
             if helper.ident is not None:
                 helper.join()
 
@@ -706,7 +677,7 @@ def simulate_paths(
     for block, start in enumerate(range(0, n, _BLOCK_PATHS)):
         step, finish = _block_stepper(model, init, cfg, start, groups, arrays)
         # Each run of draws is fed to the block's stepper as soon as it is
-        # drawn; closing the runs stops the draw threads before an error
+        # drawn; closing the runs stops the helper thread before an error
         # leaves the block.
         with closing(standard_draws(cfg.seed, min(_BLOCK_PATHS, n - start), cfg.n_steps,
                                     block=block, stream=stream,

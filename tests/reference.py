@@ -208,12 +208,13 @@ def stock_drift_fd(model, init, cfg, payoff, scheme, h):
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):
     """Per-path samples of the discounted call and its Greeks and of the
-    discounted unit digital call and its delta and vega on the engine's
+    discounted unit digital call and its Greeks on the engine's
     grid, by discrete conditional Monte Carlo (Willard, J. Derivatives 5,
     1997; Romano & Touzi, Math. Finance 7, 1997), as a namespace of arrays:
     ``price``, ``delta``, ``rho``, ``rho_r0``, ``reversion``, ``vega``,
-    ``vega_v0`` and ``kappa`` of the call, and ``digital``,
-    ``digital_delta`` and ``digital_vega``.
+    ``vega_v0`` and ``kappa`` of the call, and ``digital`` and
+    ``digital_<token>`` of the digital for each of those tokens but the
+    price.
 
     V is driven by Z^2 alone and r by Z^3 alone.  Given every step's
     (dZ2, dZ3), each dW1 is Gaussian with mean beta.(dZ2, dZ3), where
@@ -224,7 +225,8 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     - R^2/2 sum sigma_n^2 dt), and its s0-derivative is N(d1) St/s0.  The
     digital pays e^{-D} N(d2), and its s0-derivative is
     e^{-D} phi(d2)/(s0 s).  St does not depend on the rates, which move
-    the call through D alone, by K e^{-D} N(d2) per unit of D: moving every
+    the call through D alone, by K e^{-D} N(d2) per unit of D, and the
+    digital by e^{-D} (phi(d2)/s - N(d2)), as d2 moves by 1/s: moving every
     rate by h moves D by h T, and r0 moves it by
     dD/dr0 = dt sum_{n<N} (1 - a dt)^n under the Euler rate steps.
     ``reversion`` moves the rate drift f to f + eps a: the Euler tangent
@@ -244,7 +246,7 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     variance drift u moved to u + eps kappa.  Then sigma_n moves by
     1_n t_n/(2 sigma_n) and sigma_n^2 by 1_n t_n, which give L' and s' as
     for ``vega`` (there every sigma_n moves by 1 and sigma_n^2 by
-    2 sigma_n), and the call moves by N(d1) St L' + St phi(d1) s'.
+    2 sigma_n), and the call and the digital move as for ``vega``.
 
     The V and r steps restate the engine's full-truncation Euler scheme
     from the Heston–Vasicek ``params`` (variance floor 0), on draws of
@@ -291,8 +293,17 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
     dlog_st = m1 - r_squared * A
     ds = (1.0 - r_squared) * A / s
 
+    # Each tangent's (L', s').
+    moves = {token: (dm - 0.5 * r_squared * dvar, (1.0 - r_squared) * dvar / (2.0 * s))
+             for token, (_, _, dm, dvar) in tangents.items()}
+    # The digital's move per unit of D.
+    digital_dD = np.exp(-D) * (phi_d2 / s - ndtr(d2))
+
     def call_move(dlog_st, ds):
         return ndtr(d1) * st * dlog_st + st * phi_d1 * ds
+
+    def digital_move(dlog_st, ds):
+        return np.exp(-D) * phi_d2 * (dlog_st / s - ds * d1 / s)
     return SimpleNamespace(
         price=st * ndtr(d1) - strike * digital,
         delta=ndtr(d1) * st / init.s0,
@@ -300,11 +311,14 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
         rho_r0=strike * digital * dD_dr0,
         reversion=strike * digital * (maturity - dD_dr0),
         vega=call_move(dlog_st, ds),
-        **{token: call_move(dm - 0.5 * r_squared * dvar, (1.0 - r_squared) * dvar / (2.0 * s))
-           for token, (_, _, dm, dvar) in tangents.items()},
+        **{token: call_move(*move) for token, move in moves.items()},
         digital=digital,
         digital_delta=np.exp(-D - 0.5 * d2 * d2) / (math.sqrt(2.0 * math.pi) * init.s0 * s),
-        digital_vega=np.exp(-D) * phi_d2 * (dlog_st / s - ds * d1 / s))
+        digital_vega=digital_move(dlog_st, ds),
+        digital_rho=maturity * digital_dD,
+        digital_rho_r0=dD_dr0 * digital_dD,
+        digital_reversion=(maturity - dD_dr0) * digital_dD,
+        **{"digital_" + token: digital_move(*move) for token, move in moves.items()})
 
 
 # The derivative probe: variance points are kept away from the sqrt kink at

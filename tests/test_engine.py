@@ -175,8 +175,9 @@ def _row_by_row_draws(seed, n_paths, n_steps, block=0, stream=0):
 @pytest.mark.parametrize("n_steps", [1, 9, 17])
 def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
     """The first paths of blocks 0 and 1, a whole block among them, on
-    every stream and at every worker count (17 steps make three runs, one
-    per thread), give the rows of the definition."""
+    every stream and at every worker count (17 steps make two runs of a
+    1,025-path block and nine of a whole one), give the rows of the
+    definition."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     for block in (0, 1):
         for n_paths, streams in ((13, (0, 1, 2)), (_THREAD_PATHS + 1, (0,)), (_BLOCK, (2,))):
@@ -315,7 +316,7 @@ def test_simulate_paths_draws_each_block_once(monkeypatch, hv_model, hv_init, n_
 
 
 class _InlineThread:
-    """Stands in for the engine's draw threads: records itself and runs its
+    """Stands in for the engine's helper thread: records itself and runs its
     target on the calling thread once joined, so no thread is started.  The
     calling thread has then drawn every run itself."""
 
@@ -331,43 +332,103 @@ class _InlineThread:
         self.target()
 
 
+def _count_threads(patch):
+    """The list of the threads the engine constructs from now on, which
+    run as they would."""
+    started = []
+    thread = hg.engine.Thread
+
+    def counted(*args, **kwargs):
+        started.append(thread(*args, **kwargs))
+        return started[-1]
+
+    patch.setattr(hg.engine, "Thread", counted)
+    return started
+
+
+def _run_starts(n_paths, n_steps):
+    """The first steps of the runs standard_draws yields: runs of about one
+    block-step of normals, two steps at least."""
+    return list(range(0, n_steps, min(n_steps, max(2, -(-_BLOCK // n_paths)))))
+
+
+def _observed_plan(patch, n_paths, n_steps, workers, cpus):
+    """(threads, depth, runs) of standard_draws on a host of ``cpus`` CPUs,
+    as observed: the threads that draw, the calling one among them; the
+    ring slots its runs arrive in; and each run's (first step, steps).  No
+    row is drawn."""
+    patch.setattr(hg.engine, "_available_cpus", lambda: cpus)
+    patch.setattr(hg.engine, "_row_drawer", lambda *args: lambda row, out: None)
+    started = _count_threads(patch)
+    slots, runs = [], []
+    for first, run in hg.engine.standard_draws(1, n_paths, n_steps, workers=workers):
+        if not any(run.base is slot for slot in slots):
+            slots.append(run.base)
+        runs.append((first, len(run)))
+    return 1 + len(started), len(slots), runs
+
+
+@pytest.mark.parametrize("n_paths, workers, cpus, plan", [
+    (10_000, None, 2, (2, 3, 2)), (16_384, None, 2, (2, 3, 2)),
+    (5_000, None, 2, (2, 3, 4)), (2_000, None, 2, (2, 3, 9)),
+    (16_384, None, 16, (2, 3, 2)),
+    (10_000, 1, 2, (1, 1, 2)), (16_384, None, 1, (1, 1, 2)), (250, None, 2, (1, 1, 66)),
+    (500, None, 2, (1, 1, 33)), (1_000, None, 2, (1, 1, 17)),
+])
+def test_ring_plans_of_252_step_blocks(monkeypatch, n_paths, workers, cpus, plan):
+    """The (threads, ring depth, steps per run) of standard_draws, observed:
+    on two CPUs for every block size of the three benchmark workloads, 250
+    to 16,384 paths of 252 steps, and for one block each on one worker, on
+    one CPU and on sixteen.  Runs are about one block-step of normals, two
+    steps at least; from ``_THREAD_PATHS`` paths one helper draws beside
+    the calling thread, into a ring of three runs, on any host of more than
+    one CPU; else the calling thread draws alone into a ring of one run."""
+    threads, depth, runs = _observed_plan(monkeypatch, n_paths, 252, workers, cpus)
+    assert (threads, depth, runs[0][1]) == plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_paths=st.integers(1, _BLOCK), n_steps=st.integers(1, 600),
+       workers=st.none() | st.integers(1, 64), cpus=st.integers(1, 64))
+def test_the_draw_plan_covers_every_step_with_at_most_one_helper(n_paths, n_steps,
+                                                                workers, cpus):
+    """Whatever the block, workers and CPUs: the runs cover every step once,
+    in order, each as long as the first but the last; one helper draws,
+    into a ring of min(3, runs) runs, exactly when the workers are not 1,
+    the block has ``_THREAD_PATHS`` paths or more and two runs or more, and
+    the host more than one CPU; else the calling thread draws alone into a
+    ring of one run."""
+    with pytest.MonkeyPatch.context() as patch:
+        threads, depth, runs = _observed_plan(patch, n_paths, n_steps, workers, cpus)
+    assert [first for first, _ in runs] == _run_starts(n_paths, n_steps)
+    assert [step for first, steps in runs for step in range(first, first + steps)] == list(
+        range(n_steps))
+    helped = workers != 1 and n_paths >= _THREAD_PATHS and len(runs) > 1 and cpus > 1
+    assert (threads, depth) == ((2, min(3, len(runs))) if helped else (1, 1))
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 64])
 @pytest.mark.parametrize("hint", [None, 10**6])
 def test_draw_threads_are_capped_by_cpus_and_chunks(monkeypatch, hv_model,
                                                      hv_init, hint, cpus):
-    """No hint means every available CPU; a huge hint starts no more threads
-    than CPUs, steps in the block, chunks of ``_THREAD_PATHS`` paths, or
-    steps the ring's budget holds less one; the calling thread is one of
-    them, so one thread fewer is started, and a block of one chunk starts
-    none."""
+    """No hint, or a huge one, starts one helper thread beside the calling
+    thread on a host of two CPUs or of 64, never more, and none on one CPU
+    or on a block of fewer than ``_THREAD_PATHS`` paths; the paths are those
+    of the calling thread alone."""
     helpers = []
     monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
     cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=17, worker_hint=hint)
     paths = hg.simulate_paths(hv_model, hv_init, cfg)
-    # The first block has 17 steps and 16 chunks, and the budget holds
-    # fewer steps; the second block is one path.
-    budget_threads = hg.engine._RING_BYTES // (3 * 8 * _BLOCK) - 1
-    assert 1 < budget_threads < 16
-    started = 0 if cpus == 1 else min(cpus, budget_threads) - 1
+    # The first block has nine runs; the second is one path.
+    started = 0 if cpus == 1 else 1
     assert len(helpers) == started
     reference = hg.simulate_paths(hv_model, hv_init,
                                   dataclasses.replace(cfg, worker_hint=1))
     assert np.array_equal(paths.s_T, reference.s_T)
-    # A block of one chunk starts no thread.
-    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_THREAD_PATHS,
+    hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=_THREAD_PATHS - 1,
                                                    worker_hint=hint))
     assert len(helpers) == started
-
-
-def _set_budget(monkeypatch, n_paths, steps):
-    """Sets the ring's byte budget to ``steps`` steps of n_paths paths."""
-    monkeypatch.setattr(hg.engine, "_RING_BYTES", steps * 3 * 8 * n_paths)
-
-
-def _run_starts(n_paths, n_steps, workers, cpus):
-    """The first steps of the runs standard_draws yields, with its plan."""
-    return list(range(0, n_steps, hg.engine._ring_plan(n_paths, n_steps, workers, cpus)[2]))
 
 
 @pytest.mark.parametrize("inline", [False, True])
@@ -377,40 +438,36 @@ def test_consume_sees_each_run_once_in_step_order(monkeypatch, workers,
                                                   n_steps, inline):
     """The caller that iterates the draws gets each run of steps once, in
     step order, as one C-contiguous array: together the runs are every row
-    of the draws on one thread, bit for bit.  The ring's budget is eight
-    steps, so that there are several runs."""
+    of the draws on one thread, bit for bit.  The block's runs are 8 steps,
+    so that there are several."""
     helpers = []
     if inline:
         monkeypatch.setattr(hg.engine, "Thread", functools.partial(_InlineThread, helpers))
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     n_paths = 2 * _THREAD_PATHS + 3
-    _set_budget(monkeypatch, n_paths, 8)
     seen = []
     for first_step, run in hg.engine.standard_draws(7, n_paths, n_steps, workers=workers):
         assert run.flags.c_contiguous
         seen.append((first_step, run.copy()))
-    threads, _, run_steps = hg.engine._ring_plan(n_paths, n_steps, workers, 4)
-    assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))
-    assert [len(run) for _, run in seen] == [
-        min(run_steps, n_steps - first) for first, _ in seen]
+    starts = _run_starts(n_paths, n_steps)
+    assert [first for first, _ in seen] == starts
+    assert [len(run) for _, run in seen] == [min(8, n_steps - first) for first in starts]
     rows = np.concatenate([run for _, run in seen])
     z = draws_array(7, n_paths, n_steps, workers=1)
     assert np.array_equal(rows, z.transpose(1, 2, 0))
-    # Threads: the workers, at most 4 CPUs, one per step and one per
-    # _THREAD_PATHS paths (3 here); the budget holds 7.
-    assert threads == min(workers or 4, n_steps, 3)
     if inline:
-        # The calling thread is one of them, so one fewer is started.
-        assert len(helpers) == threads - 1
+        # One helper, on a block of two runs or more, unless workers is 1.
+        assert len(helpers) == (workers != 1 and len(starts) > 1)
 
 
-def test_many_draw_threads_hand_over_every_run(monkeypatch):
-    """Eight threads on a ring of nine slots, with thread switches forced
-    often: every run arrives once, in step order, as the draws on one
-    thread have it, and no wait is left hanging."""
+def test_the_caller_and_its_helper_hand_over_every_run(monkeypatch):
+    """Eight workers on eight CPUs start exactly one helper, which with the
+    calling thread draws 68 runs through a ring of three slots, with thread
+    switches forced often: every run arrives once, in step order, as the
+    draws on one thread have it, and no wait is left hanging."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
+    started = _count_threads(monkeypatch)
     n_paths, n_steps = 8 * _THREAD_PATHS, 136
-    assert hg.engine._ring_plan(n_paths, n_steps, 8, 8)[:2] == (8, 9)
     expected = draws_array(5, n_paths, 3, workers=1)
     seen, head = [], []
 
@@ -428,7 +485,8 @@ def test_many_draw_threads_hand_over_every_run(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not worker.is_alive()
-    assert seen == _run_starts(n_paths, n_steps, 8, 8)
+    assert len(started) == 1
+    assert seen == _run_starts(n_paths, n_steps) and len(seen) == 68
     assert np.array_equal(np.concatenate(head), expected.transpose(1, 2, 0))
 
 
@@ -439,12 +497,11 @@ class _DrawFailed(Exception):
 @pytest.mark.parametrize("workers", [1, 3])
 def test_a_failed_draw_stops_the_block(monkeypatch, workers):
     """A run that fails to draw, on whichever thread draws it, raises its
-    error from the iterator once every thread it started has ended, and
-    no later run arrives."""
+    error from the iterator once the helper, if started, has ended, and no
+    later run arrives."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     n_paths, n_steps = 3 * _THREAD_PATHS, 48
-    _set_budget(monkeypatch, n_paths, 8)
-    starts = _run_starts(n_paths, n_steps, workers, 3)
+    starts = _run_starts(n_paths, n_steps)
     assert len(starts) >= 6
     drawer = hg.engine._row_drawer
     bad_row = 3 * starts[2]  # the first row of the third run
@@ -469,42 +526,38 @@ def test_a_failed_draw_stops_the_block(monkeypatch, workers):
 
 
 def test_closing_the_draws_after_one_run_stops_their_threads(monkeypatch):
-    """A caller that closes the iterator after its first run, while two
-    helper threads draw later runs or wait for a slot: every thread has
-    ended once ``close`` returns."""
+    """A caller that closes the iterator after its first run, while the
+    helper draws later runs or waits for a slot: the helper has ended once
+    ``close`` returns."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     before = threading.active_count()
-    assert len(_run_starts(3 * _THREAD_PATHS, 64, 3, 3)) > 4
+    assert len(_run_starts(3 * _THREAD_PATHS, 64)) > 4
     runs = hg.engine.standard_draws(1, 3 * _THREAD_PATHS, 64, workers=3)
     first, _ = next(runs)
-    assert first == 0 and threading.active_count() == before + 2
+    assert first == 0 and threading.active_count() == before + 1
     runs.close()
     assert threading.active_count() == before
 
 
 @settings(max_examples=40, deadline=None)
 @given(cpus=st.integers(1, 8), workers=st.none() | st.integers(1, 8),
-       n_steps=st.integers(1, 40), n_paths=st.sampled_from((1, 1025, 3077)),
-       budget_steps=st.integers(1, 12), data=st.data())
+       n_steps=st.integers(1, 40), n_paths=st.sampled_from((1, 1025, 3077, 8192)),
+       data=st.data())
 def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
-        cpus, workers, n_steps, n_paths, budget_steps, data):
-    """Whatever the threads and the ring's budget, a run that fails to draw
-    and a caller that closes the iterator after some run: the runs seen
-    arrive in step order as the draws on one thread have them; the failure
-    surfaces as the injected error and no other, before the failed run,
-    and is missed only by a caller that closed the iterator before that
-    run; and every thread started has ended.  Thread switches are forced
-    often."""
-    budget = budget_steps * 3 * 8 * n_paths
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hg.engine, "_RING_BYTES", budget)
-        run_steps = hg.engine._ring_plan(n_paths, n_steps, workers, cpus)[2]
-    n_runs = len(range(0, n_steps, run_steps))
-    fail = data.draw(st.none() | st.integers(0, n_runs - 1), label="failed run")
-    close = data.draw(st.none() | st.integers(0, n_runs - 1), label="closed after run")
+        cpus, workers, n_steps, n_paths, data):
+    """Whatever the workers, the CPUs and the block, with or without a
+    helper, a run that fails to draw and a caller that closes the iterator
+    after some run: the runs seen arrive in step order as the draws on one
+    thread have them; the failure surfaces as the injected error and no
+    other, before the failed run, and is missed only by a caller that
+    closed the iterator before that run; and the helper, if started, has
+    ended.  Thread switches are forced often."""
+    starts = _run_starts(n_paths, n_steps)
+    fail = data.draw(st.none() | st.integers(0, len(starts) - 1), label="failed run")
+    close = data.draw(st.none() | st.integers(0, len(starts) - 1), label="closed after run")
     expected = draws_array(3, n_paths, n_steps, workers=1).transpose(1, 2, 0)
     drawer = hg.engine._row_drawer
-    bad_row = None if fail is None else 3 * fail * run_steps
+    bad_row = None if fail is None else 3 * starts[fail]
 
     def failing_drawer(*args):
         draw = drawer(*args)
@@ -522,7 +575,7 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
         try:
             for first, run in runs:
                 # Read the run a moment later, as the step loop does, while
-                # the other threads wait for its slot.
+                # the helper waits for its slot.
                 time.sleep(5e-3)
                 seen.append((first, run.copy()))
                 if close is not None and len(seen) == close + 1:
@@ -533,7 +586,6 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
 
     interval = sys.getswitchinterval()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(hg.engine, "_RING_BYTES", budget)
         patch.setattr(hg.engine, "_available_cpus", lambda: cpus)
         patch.setattr(hg.engine, "_row_drawer", failing_drawer)
         before = threading.active_count()
@@ -546,7 +598,7 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
             sys.setswitchinterval(interval)
     assert not worker.is_alive()
     assert threading.active_count() == before
-    assert [first for first, _ in seen] == list(range(0, n_steps, run_steps))[:len(seen)]
+    assert [first for first, _ in seen] == starts[:len(seen)]
     for first, run in seen:
         assert np.array_equal(run, expected[first:first + len(run)])
     if raised:
@@ -554,63 +606,69 @@ def test_the_hand_off_survives_a_failure_and_a_close_at_any_thread_count(
         assert raised[0].args == (bad_row,) and len(seen) <= fail
     else:
         assert fail is None or (close is not None and close < fail)
-        assert len(seen) == (n_runs if close is None else close + 1)
+        assert len(seen) == (len(starts) if close is None else close + 1)
 
 
 class _LateTicket:
-    """Stands in for the queue of run tickets.  ``get_nowait`` finds it
-    empty, so the helpers draw every run, and a helper's ``get`` holds run
-    1's ticket back until run 2's draw has failed: the next ``get`` after
-    the failure hands it out."""
+    """Stands in for the queue of run tickets of the calling thread and its
+    helper.  ``get_nowait`` finds it empty until the caller has run 0, so
+    the helper draws run 0, and then waits until the helper holds run 1's
+    ticket; the helper's ``get`` holds it back until the caller, having
+    failed to draw run 2, asks for another ticket."""
 
-    def __init__(self, failed):
+    def __init__(self, first_seen, failed):
         self.queue = queue.SimpleQueue()
-        self.failed = failed
-        self.released = threading.Event()
+        self.first_seen, self.failed = first_seen, failed
+        self.held, self.released = threading.Event(), threading.Event()
 
     def put(self, item):
         self.queue.put(item)
 
     def get_nowait(self):
-        raise queue.Empty
-
-    def get(self):
         if self.failed.is_set():
             self.released.set()
+        if not self.first_seen.is_set():
+            raise queue.Empty
+        self.held.wait(timeout=30)
+        return self.queue.get_nowait()
+
+    def get(self):
         item = self.queue.get()
         if item == 1:
+            self.held.set()
             self.released.wait(timeout=30)
         return item
 
 
 def test_the_hand_off_of_a_ticket_taken_after_a_failure(monkeypatch):
-    """A helper that takes an earlier run's ticket after a later run's draw
-    has failed sets that run's event without drawing it, so the caller,
-    waiting for it, gets the failure: run 0 arrives, then the injected
-    error, and every thread ends.  A helper that exited on seeing the
-    failure instead would drop the ticket and leave the caller waiting.
-    Run 2 fails only once the caller has run 0, which it would not yield
-    after a failure."""
+    """A helper that takes an earlier run's ticket after the calling thread
+    has failed to draw a later run sets that run's event without drawing
+    it, so the caller, waiting for it, gets the failure: run 0 arrives, then
+    the injected error, no row of run 1 is drawn, and the helper ends.  A
+    helper that exited on seeing the failure instead would drop the ticket
+    and leave the caller waiting."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     n_paths, n_steps = 3 * _THREAD_PATHS, 48
-    assert hg.engine._ring_plan(n_paths, n_steps, 3, 3) == (3, 4, 6)
+    starts = _run_starts(n_paths, n_steps)
+    assert starts[:3] == [0, 6, 12]
     first_seen, failed = threading.Event(), threading.Event()
     drawer = hg.engine._row_drawer
     bad_row = 3 * 12  # the first row of run 2
+    rows_drawn = []
 
     def failing_drawer(*args):
         draw = drawer(*args)
 
         def fail_on_bad_row(row, out):
+            rows_drawn.append(row)
             if row == bad_row:
-                first_seen.wait(timeout=30)
                 failed.set()
                 raise _DrawFailed(row)
             draw(row, out)
         return fail_on_bad_row
 
     monkeypatch.setattr(hg.engine, "_row_drawer", failing_drawer)
-    monkeypatch.setattr(hg.engine, "SimpleQueue", lambda: _LateTicket(failed))
+    monkeypatch.setattr(hg.engine, "SimpleQueue", lambda: _LateTicket(first_seen, failed))
     seen, raised = [], []
 
     def iterate():
@@ -630,38 +688,38 @@ def test_the_hand_off_of_a_ticket_taken_after_a_failure(monkeypatch):
     assert seen == [0]
     assert len(raised) == 1 and isinstance(raised[0], _DrawFailed)
     assert raised[0].args == (bad_row,)
+    assert sorted(rows_drawn) == list(range(3 * 6)) + [bad_row]
 
 
 def test_draws_left_open_at_exit_let_the_interpreter_exit():
-    """The draw threads of an iterator neither closed nor dropped wait for
-    a slot when the interpreter exits; they must not keep it running."""
+    """The helper thread of an iterator neither closed nor dropped waits for
+    a slot when the interpreter exits; it must not keep it running."""
     code = ("import hsv_greeks.engine as e; e._available_cpus = lambda: 3; "
             "runs = e.standard_draws(1, 3 * 1024, 64, workers=3); next(runs)")
     subprocess.run([sys.executable, "-c", code], env=cli_env(), check=True, timeout=60)
 
 
-@pytest.mark.parametrize("run_steps", [1, 5, None])
-def test_simulation_does_not_depend_on_the_run_length(monkeypatch, hv_model,
-                                                      hv_init, run_steps):
-    """Budgets that give runs of one step, of a length that leaves a short
-    last run, and of the whole block step the same paths as the default
-    budget on two threads."""
-    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
-    cfg = small_cfg(n_paths=2 * _CHUNK + 1, n_steps=12, sigma_floor=0.2,
-                    worker_hint=2)
+@pytest.mark.parametrize("run_steps", [1, 2, 3, 5, None])
+def test_simulation_does_not_depend_on_the_run_length(hv_model, hv_init, run_steps):
+    """One block's draws, re-chunked into runs of 1, 2, 3 or 5 steps, each
+    but 1 and 2 leaving a short last run, or into one run of the whole
+    block, and fed to the block's stepper: every field and the clamps are
+    those of simulate_paths, whose runs are 8 steps here."""
+    cfg = small_cfg(n_paths=2 * _CHUNK + 1, n_steps=12, sigma_floor=0.2)
+    assert _run_starts(cfg.n_paths, cfg.n_steps) == [0, 8]
     reference = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
-    # Two threads draw into a ring of three runs; a run of the whole block
-    # is one thread's, as two threads' runs are at most a block-step of
-    # normals long (8 steps here).
-    _set_budget(monkeypatch, cfg.n_paths, 3 * (run_steps or cfg.n_steps))
-    workers = 2 if run_steps else 1
-    plan = (2, 3, run_steps) if run_steps else (1, 1, cfg.n_steps)
-    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, workers, 2) == plan
-    paths = hg.simulate_paths(hv_model, hv_init, dataclasses.replace(cfg, worker_hint=workers),
-                              drift_extras=True)
-    for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
-        assert np.array_equal(getattr(paths, name), getattr(reference, name)), name
-    assert paths.clamp_count == reference.clamp_count > 0
+    z = draws_array(cfg.seed, cfg.n_paths, cfg.n_steps).transpose(1, 2, 0)
+    names = _STATE_ONLY_FIELDS + tuple(
+        name for group in hg.engine._FIELD_GROUPS.values() for name in group)
+    out = {name: np.zeros(cfg.n_paths) for name in names}
+    step, finish = hg.engine._block_stepper(hv_model, hv_init, cfg, 0,
+                                            frozenset(hg.engine._FIELD_GROUPS), out)
+    length = run_steps or cfg.n_steps
+    for first in range(0, cfg.n_steps, length):
+        step(first, z[first:first + length])
+    assert finish() == reference.clamp_count > 0
+    for name in names:
+        assert np.array_equal(out[name], getattr(reference, name)), name
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -670,8 +728,8 @@ def test_steppers_fed_in_lockstep_from_one_ring_match_their_own_runs(monkeypatch
     stepper, stepped in lockstep from one standard_draws iterator per block:
     each run goes to every stepper before the next is drawn.  Every
     scenario's fields and clamps equal those of its own simulate_paths, on
-    two blocks (16,385 paths), whose first block one draw thread draws in
-    one run of 8 steps and two in runs of 2."""
+    two blocks (16,385 paths), whose first block is drawn in runs of 2
+    steps by the calling thread alone or with a helper."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     rc = hg.build_run_config({})
     cfg = dataclasses.replace(rc.sim, n_paths=_BLOCK + 1, n_steps=8, worker_hint=workers)
@@ -702,12 +760,17 @@ def test_steppers_fed_in_lockstep_from_one_ring_match_their_own_runs(monkeypatch
     assert not np.array_equal(outs[0]["j2"], outs[2]["j2"])
 
 
+# The largest ring of draws: three runs of two steps of a whole block
+# (2.25 MiB); a ring of one run holds a third of it.
+_RING = 3 * 2 * 3 * 8 * _BLOCK
+
+
 def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
     """Blocks run one at a time, also with two workers, and each sums its
     integrals straight into its slice of the returned arrays: a weighted
     two-block run with the drift extras holds the ring of draws, one
-    block's step loop and one copy of each of its 13 fields.  About 8.8
-    MiB traced, within 10.25 MiB; 10.6 MiB when it also returned V, r and
+    block's step loop and one copy of each of its 13 fields.  About 8.3
+    MiB traced, within 9.5 MiB; 10.6 MiB when it also returned V, r and
     the first variations, and 12.8 MiB when each block also summed into
     arrays of its own and copied them out."""
     cfg = small_cfg(n_paths=2 * _BLOCK, n_steps=64, worker_hint=2)
@@ -721,15 +784,15 @@ def test_two_block_run_holds_one_copy_of_each_returned_field(hv_model, hv_init):
     # Allowance for one block's step-loop state, scratch and the model's
     # temporaries: 32 arrays of one value per path (about 27 measured).
     step_loop = 32 * _BLOCK * 8
-    assert peak <= hg.engine._RING_BYTES + fields + step_loop, peak / 2**20
+    assert peak <= _RING + fields + step_loop, peak / 2**20
 
 
 def test_a_block_frees_its_state_and_draws_before_the_next(hv_model, hv_init):
-    """A state-only two-block run on one draw thread, whose ring is one run
-    of 8 steps (3 MiB): the first block's step-loop state and last run of
+    """A state-only two-block run on one worker, whose ring is one run of 2
+    steps (0.75 MiB): the first block's step-loop state and last run of
     draws are freed before the second block allocates its own, so the
-    traced peak stays within one ring, the two returned fields and 16
-    arrays of one value per path of a block: about 5.2 MiB measured, 7.7
+    traced peak stays within one run, the two returned fields and 16
+    arrays of one value per path of a block: about 3.0 MiB measured, 3.5
     MiB when the first block's were still held."""
     cfg = small_cfg(n_paths=2 * _BLOCK, n_steps=252, worker_hint=1)
     tracemalloc.start()
@@ -739,14 +802,15 @@ def test_a_block_frees_its_state_and_draws_before_the_next(hv_model, hv_init):
     finally:
         tracemalloc.stop()
     fields = len(_STATE_ONLY_FIELDS) * cfg.n_paths * 8
-    assert peak <= hg.engine._RING_BYTES + fields + 16 * _BLOCK * 8, peak / 2**20
+    assert peak <= _RING // 3 + fields + 16 * _BLOCK * 8, peak / 2**20
 
 
 def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
     """One weighted 16,384 x 252 block with the drift extras, on two
-    threads: its draws are made a run at a time into a ring within the
-    byte budget, so the traced peak stays within 12 MiB (about 7.2 MiB
-    measured on two CPUs), where the block's draws alone are 95 MiB."""
+    workers: its draws are made a run at a time into a ring of at most
+    three runs of 2 steps, so the traced peak stays within 12 MiB (about
+    6.8 MiB measured on two CPUs), where the block's draws alone are 95
+    MiB."""
     cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=2)
     tracemalloc.start()
     try:
@@ -759,15 +823,14 @@ def test_a_weighted_block_holds_a_few_runs_of_draws(hv_model, hv_init):
 
 def test_a_multi_thread_ring_holds_runs_of_about_one_block_step(monkeypatch, hv_model,
                                                                 hv_init):
-    """A weighted 10,000 x 252 block with the drift extras on two CPUs: two
-    threads draw runs of 2 steps, about one block-step of normals, into a
-    ring of three (1.4 MB), and the step loop updates its first variations
-    in place and hands its S_T over, so the traced peak stays within
-    5.5 MiB: about 4.4 MiB measured, 6.2 MiB with runs of 4 steps (2.9 MB),
-    as long as the budget allows, and a copied-out state."""
+    """A weighted 10,000 x 252 block with the drift extras on two CPUs: the
+    calling thread and a helper draw runs of 2 steps, about one block-step
+    of normals, into a ring of three (1.4 MB), and the step loop updates
+    its first variations in place and hands its S_T over, so the traced
+    peak stays within 5.5 MiB: about 4.2 MiB measured, 6.2 MiB with runs
+    of 4 steps (2.9 MB) and a copied-out state."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     cfg = small_cfg(n_paths=10_000, n_steps=252)
-    assert hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, None, 2) == (2, 3, 2)
     tracemalloc.start()
     try:
         hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
@@ -779,45 +842,37 @@ def test_a_multi_thread_ring_holds_runs_of_about_one_block_step(monkeypatch, hv_
 
 def test_the_ring_of_draws_is_bounded_by_bytes_not_by_cpus(monkeypatch, hv_model,
                                                            hv_init):
-    """A weighted 16,384 x 252 block with the drift extras on 1, 2 and 16
-    CPUs, where sixteen would start sixteen draw threads, each with a run
-    in the ring: the budget caps the threads and sizes the runs, so the
-    traced peak stays within the step loop's allowance plus the budget on
-    every CPU count, and every bit is the same."""
-    cfg = small_cfg(n_paths=_BLOCK, n_steps=252)
+    """A weighted 16,384 x 252 block with the drift extras on a host of
+    eight CPUs, with no worker hint and with a hint of 64: exactly one
+    helper starts, and the traced peak stays within the step loop's
+    allowance plus three runs of 2 steps: about 6.8 MiB measured, within
+    10.25 MiB."""
+    monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
     # Allowance for the block's step-loop state, temporaries and
     # accumulators: 64 arrays of one value per path.
     step_loop = 64 * _BLOCK * 8
-
-    def traced_run(cpus):
-        monkeypatch.setattr(hg.engine, "_available_cpus", lambda: cpus)
-        tracemalloc.start()
-        try:
-            paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= step_loop + hg.engine._RING_BYTES, (cpus, peak / 2**20)
-        return paths
-
-    one = traced_run(1)
-    for cpus in (2, 16):
-        paths = traced_run(cpus)
-        for name in _STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3"):
-            assert np.array_equal(getattr(paths, name), getattr(one, name)), (cpus, name)
+    for hint in (None, 64):
+        with pytest.MonkeyPatch.context() as patch:
+            started = _count_threads(patch)
+            cfg = small_cfg(n_paths=_BLOCK, n_steps=252, worker_hint=hint)
+            tracemalloc.start()
+            try:
+                hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(started) == 1, hint
+        assert peak <= step_loop + _RING, (hint, peak / 2**20)
 
 
 def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch):
-    """One thread draws run k+1 only once run k has been stepped, so its ring
-    holds one run, as long as the budget allows, where two threads share
-    the budget among three: every run arrives in the same slot, no row of
-    a later run is drawn before the run is handed back, and the runs are
-    the draws of two threads, bit for bit."""
+    """One worker draws run k+1 only once run k has been stepped, so its
+    ring holds one run, where the calling thread and a helper share a ring
+    of three: every run arrives in the same slot, no row of a later run is
+    drawn before the run is handed back, and the runs are the draws of two
+    threads, bit for bit."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 2)
     n_paths, n_steps = 2 * _THREAD_PATHS, 20
-    _set_budget(monkeypatch, n_paths, 6)
-    assert hg.engine._ring_plan(n_paths, n_steps, 1, 2) == (1, 1, 6)
-    assert hg.engine._ring_plan(n_paths, n_steps, 2, 2) == (2, 3, 2)
     drawer = hg.engine._row_drawer
     rows_drawn = []
 
@@ -835,58 +890,12 @@ def test_one_draw_thread_draws_into_a_ring_of_one_run(monkeypatch):
         assert rows_drawn == list(range(3 * (first_step + len(run))))
         seen.append((first_step, run.copy()))
         slots.append(run.base)
-    assert [first for first, _ in seen] == [0, 6, 12, 18]
+    assert [first for first, _ in seen] == [0, 8, 16]
     assert all(slot is slots[0] for slot in slots)
     monkeypatch.setattr(hg.engine, "_row_drawer", drawer)
     rows = np.concatenate([run for _, run in seen])
     z = draws_array(3, n_paths, n_steps, workers=2)
     assert np.array_equal(rows, z.transpose(1, 2, 0))
-
-
-@pytest.mark.parametrize("n_paths, workers, cpus, plan", [
-    (10_000, None, 2, (2, 3, 2)), (16_384, None, 2, (2, 3, 2)),
-    (5_000, None, 2, (2, 3, 4)), (2_000, None, 2, (2, 3, 9)),
-    (16_384, None, 16, (7, 8, 1)),
-    (10_000, 1, 2, (1, 1, 13)), (16_384, None, 1, (1, 1, 8)), (250, None, 2, (1, 1, 252)),
-])
-def test_ring_plans_of_252_step_blocks(n_paths, workers, cpus, plan):
-    """Several threads draw runs of about one block-step of normals, two
-    steps at least, within the budget; one thread draws runs as long as
-    the budget allows."""
-    assert hg.engine._ring_plan(n_paths, 252, workers, cpus) == plan
-
-
-@settings(max_examples=300, deadline=None)
-@given(n_paths=st.integers(1, 3 * _BLOCK), n_steps=st.integers(1, 600),
-       workers=st.none() | st.integers(1, 64), cpus=st.integers(1, 64),
-       budget_eighths=st.none() | st.integers(0, 400))
-def test_the_ring_plan_keeps_its_budget_and_covers_every_step(
-        n_paths, n_steps, workers, cpus, budget_eighths):
-    """Whatever the block, workers, CPUs and budget (the default, or eighths
-    of a step): the ring of ``depth`` runs of ``steps`` steps holds at most
-    the budget, or one step; the runs cover every step once, in order; at
-    least one thread draws and no more than the workers or the CPUs; one
-    thread draws into a ring of one run, and more into a ring of a run per
-    thread plus at most one, and of no more runs than the block has.  Runs
-    on one worker or CPU are as long as the budget allows, and runs of
-    several threads at most a block-step of normals, or two steps."""
-    step_bytes = 3 * 8 * n_paths
-    with pytest.MonkeyPatch.context() as patch:
-        if budget_eighths is not None:
-            patch.setattr(hg.engine, "_RING_BYTES", max(1, budget_eighths * step_bytes // 8))
-        threads, depth, steps = hg.engine._ring_plan(n_paths, n_steps, workers, cpus)
-        budget = hg.engine._RING_BYTES
-    assert depth * steps * step_bytes <= max(budget, step_bytes)
-    runs = [range(first, min(first + steps, n_steps)) for first in range(0, n_steps, steps)]
-    assert [step for run in runs for step in run] == list(range(n_steps))
-    assert 1 <= threads <= min(workers or cpus, cpus, len(runs))
-    if threads == 1:
-        assert depth == 1
-    else:
-        assert threads <= depth <= min(threads + 1, len(runs))
-        assert steps <= max(2, -(-_BLOCK // n_paths))
-    if min(workers or cpus, cpus) == 1:
-        assert steps == max(1, min(n_steps, budget // step_bytes))
 
 
 # ---------------------------------------------------------------------------
@@ -1038,11 +1047,11 @@ def test_blowup_reports_path_and_step(hv_init):
 
 
 def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init):
-    """A blow-up raised by the step loop while draw threads still draw later
-    runs: the same path and step as on one thread, and every thread the
-    block started has ended when the error arrives.  The block has more
-    runs than its ring has slots, and the step loop starts late, so the
-    other threads have filled the ring and wait for a slot when it raises."""
+    """A blow-up raised by the step loop while the helper still draws later
+    runs: the same path and step as on one thread, and the helper has ended
+    when the error arrives.  The block has more runs than its ring has
+    slots, and the step loop starts late, so the helper has filled the
+    ring and waits for a slot when it raises."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 3)
     draws = hg.engine.standard_draws
 
@@ -1054,9 +1063,9 @@ def test_blowup_inside_a_pipelined_block_stops_its_threads(monkeypatch, hv_init)
 
     monkeypatch.setattr(hg.engine, "standard_draws", late_draws)
     cfg = small_cfg(n_paths=4 * _THREAD_PATHS, n_steps=64)
-    # On three threads, more runs than the ring's four slots.
-    threads, depth, run_steps = hg.engine._ring_plan(cfg.n_paths, cfg.n_steps, 3, 3)
-    assert threads == 3 and -(-cfg.n_steps // run_steps) > depth
+    # Runs of 4 steps: more runs than the ring's three slots.
+    run_steps = _run_starts(cfg.n_paths, cfg.n_steps)[1]
+    assert cfg.n_steps // run_steps > 3
     found = []
     for hint in (1, 2, 3):
         before = threading.active_count()
@@ -1157,8 +1166,9 @@ def test_a_weighted_blowup_checks_the_first_variations_before_they_are_exponenti
 @pytest.mark.parametrize("stream", [0, 1])
 def test_two_block_runs_are_bitwise_identical_across_worker_counts(
         monkeypatch, hv_model, hv_init, stream, weights):
-    """Two blocks (16,385 paths), each block's draws split across 1 to 8
-    threads: every array, clamp and evaluation count is the same."""
+    """Two blocks (16,385 paths) on eight CPUs, each block's draws made by
+    the calling thread alone or with a helper, at worker hints from 1 to 8:
+    every array, clamp and evaluation count is the same."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
     runs = []
     for hint in (None, 1, 2, 3, 8):

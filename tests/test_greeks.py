@@ -307,6 +307,47 @@ def test_call_vega_v0_and_kappa_agree_with_the_discrete_oracle(greek, estimate):
     assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
 
 
+# The digital's malliavin: estimate of each token the gate below reads,
+# from paths with every weight field.
+_WEIGHTED = {
+    "rho": lambda paths, payoff: hg.rho(paths, payoff, paths.maturity),
+    "vega_v0": lambda paths, payoff: hg.bismut_vector(paths, payoff)[1],
+    "rho_r0": lambda paths, payoff: hg.bismut_vector(paths, payoff)[2],
+    "kappa": lambda paths, payoff: hg.drift_sensitivity(paths, payoff, "kappa"),
+    "reversion": lambda paths, payoff: hg.drift_sensitivity(paths, payoff, "reversion_speed"),
+}
+_DEFECT_D = pytest.mark.xfail(strict=True, reason=(
+    "defect D: fd:reversion's default bump, 1e-4, moves S_T by about 1e-4 and crosses "
+    "the strike on none of the 65,536 paths, so the CRN central difference of the "
+    "digital keeps the discount term alone and an SE of it: -0.00486 +- 0.00002 "
+    "against the oracle's 0.01409 +- 0.00009"))
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_weighted_paths():
+    model, init, sim, *_ = _oracle_case()
+    return hg.simulate_paths(model, init, sim, drift_extras=True)
+
+
+@pytest.mark.parametrize("label, greek", [
+    pytest.param(label, greek, id=f"{label}:{greek}",
+                 marks=_DEFECT_D if (label, greek) == ("fd", "reversion") else ())
+    for greek in _WEIGHTED for label in ("fd", "malliavin")])
+def test_digital_rate_and_variance_greeks_agree_with_the_discrete_oracle(label, greek):
+    """On the configuration of the oracle test above, the digital's CRN
+    central fd: and its malliavin: rho, vega_v0, rho_r0, kappa and
+    reversion agree with the oracle's, each a derivative of e^{-D} N(d2)
+    along the tangents of the call's gates, within 4 combined SE, at the
+    same seeds."""
+    model, init, sim, _, digital, oracle = _oracle_case()
+    if label == "fd":
+        est = _crn_fd(model, init, sim, digital, greek)
+    else:
+        est = _WEIGHTED[greek](_oracle_weighted_paths(), digital)
+    mean, se = fsum_mean_se(getattr(oracle, "digital_" + greek))
+    assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
 def test_reversion_counts_the_discount_shift_once():
     """With model.k=0.1, 262,144 paths, 104 steps and seed 5, a call's
     malliavin:reversion agrees with its CRN central fd:reversion within 4
