@@ -148,8 +148,7 @@ _SCHEMAS = {
         "model.rho12": ("-0.8", _number),
         "model.rho13": ("0.5", _number),
         "model.rho23": ("0.02", _number),
-        "model.positivity": ("strict", _choice("strict", "feller")),
-        "model.enforce_positivity": ("on", _switch),
+        "model.positivity": ("strict", _choice("strict", "feller", "off")),
     }, r0="0.02"),
     "black_scholes": _model_schema("black_scholes", {
         "model.sigma": ("0.2", _number),
@@ -286,8 +285,7 @@ def build_run_config(overrides=None) -> RunConfig:
             model = heston_vasicek_model(
                 _build(HestonVasicekParams, "model", values),
                 _build(CorrelationTriple, "model", values),
-                condition=values["model.positivity"],
-                enforce=values["model.enforce_positivity"])
+                condition=values["model.positivity"])
         else:
             model = black_scholes_degenerate(values["model.sigma"])
     except InvalidParams as exc:  # sigma, or conditions that join several keys

@@ -23,7 +23,6 @@ function that accepts numpy arrays and evaluates elementwise.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 import sys
@@ -44,8 +43,6 @@ __all__ = [
     "black_scholes_degenerate",
     "evaluate_payoff",
 ]
-
-logger = logging.getLogger(__name__)
 
 # What each argument check asks of a value, by the words of its message.  A
 # flag is True or False; anything else must first be a number, which a bool
@@ -227,7 +224,6 @@ def heston_vasicek_model(
     params: HestonVasicekParams,
     correlations: CorrelationTriple,
     condition: str = "strict",
-    enforce: bool = True,
 ) -> ModelSpec:
     """Build the Heston-variance / Vasicek-rate model instance.
 
@@ -245,33 +241,24 @@ def heston_vasicek_model(
     ----------
     params : HestonVasicekParams
     correlations : CorrelationTriple
-    condition : {"strict", "feller"}
-        Positivity condition applied to the variance parameters:
-        ``"strict"`` requires kappa*theta >= sigma_vol^2 and ``"feller"``
-        requires 2*kappa*theta >= sigma_vol^2 (the classic Feller bound).
-    enforce : bool
-        If True (default) a violated condition raises InvalidParams;
-        otherwise it only logs a warning.
+    condition : {"strict", "feller", "off"}
+        Positivity condition the variance parameters must meet:
+        ``"strict"`` requires kappa*theta >= sigma_vol^2, ``"feller"``
+        requires 2*kappa*theta >= sigma_vol^2 (the classic Feller bound)
+        and ``"off"`` requires neither.
 
     Raises
     ------
     InvalidParams
-        On a violated positivity condition (when ``enforce``), bad inputs,
-        or correlations that admit no mixing decomposition (``field`` is
-        ``"correlations"``).
+        On a violated positivity condition, bad inputs, or correlations
+        that admit no mixing decomposition (``field`` is ``"correlations"``).
     """
-    _require(locals(), "be True or False", "enforce")
-    _require(locals(), ("strict", "feller"), "condition")
+    _require(locals(), ("strict", "feller", "off"), "condition")
     kt = params.kappa * params.theta
     bound = params.sigma_vol**2 if condition == "strict" else 0.5 * params.sigma_vol**2
-    if kt < bound:
-        msg = (
-            f"variance positivity condition '{condition}' violated: "
-            f"kappa*theta = {kt!r} < required {bound!r}"
-        )
-        if enforce:
-            raise InvalidParams(msg)
-        logger.warning(msg)
+    if condition != "off" and kt < bound:
+        raise InvalidParams(f"variance positivity condition '{condition}' violated: "
+                            f"kappa*theta = {kt!r} < required {bound!r}")
 
     kappa, theta, sigma_vol = params.kappa, params.theta, params.sigma_vol
     a, b, k = params.a, params.b, params.k
@@ -309,10 +296,6 @@ def black_scholes_degenerate(sigma: float) -> ModelSpec:
     g(r_t) are refused downstream via the degeneracy flag.
     """
     _require(locals(), "be > 0", "sigma")
-    logger.warning(
-        "degenerate model 'black_scholes': diffusion matrix is singular in "
-        "the V and r directions; uniform ellipticity does not hold"
-    )
     return ModelSpec(
         sigma=sigma,
         u=0.0,

@@ -19,16 +19,19 @@ restates the stock-drift shift that ``fd:rho`` moved before every rate
 moved with it.  :func:`conditional_call` is an independent oracle for the
 call price, delta, ``rho``, ``rho_r0``, ``reversion``, ``vega``, ``vega_v0``
 and ``kappa`` and the digital price, delta and vega on the engine's own
-grid.
+grid; :func:`heston_vasicek_call` is the call's price and delta with no
+time step, when the rate is independent of the stock and the variance.
 :func:`check_derivative_consistency` probes a model's derivative fields,
 which the package takes as given, against its functions.
 """
 
+import cmath
 import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 import hsv_greeks as hg
@@ -319,6 +322,51 @@ def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed
         digital_rho_r0=dD_dr0 * digital_dD,
         digital_reversion=(maturity - dD_dr0) * digital_dD,
         **{"digital_" + token: digital_move(*move) for token, move in moves.items()})
+
+
+def heston_vasicek_call(params, rho, init, strike, maturity):
+    """Price and delta of the call under the continuous Heston–Vasicek
+    dynamics, no time step, as a namespace with ``price`` and ``delta``.
+
+    With rho13 = rho23 = 0 the rate is independent of (S, V), so the
+    discount integral D is Gaussian, with mean m and variance Sigma^2 of
+    the Vasicek integral, and the bond is P(0,T) = exp(-m + Sigma^2/2).
+    Under the T-forward measure log F_T = log F_0 + X_T + G, with
+    F_0 = s0/P(0,T), X_T the zero-rate Heston log-return and
+    G ~ N(-Sigma^2/2, Sigma^2) independent of it.  The price is
+    s0 P1 - K P(0,T) P2 and the delta P1, with P1 and P2 by Gil-Pelaez
+    inversion of the characteristic function of X_T + G: Heston's (Heston,
+    Rev. Financ. Stud. 6, 1993) in the "little trap" form of Albrecher et
+    al. (Wilmott Magazine, 2007), which keeps the logarithm on its
+    principal branch, times G's."""
+    if rho.rho13 != 0.0 or rho.rho23 != 0.0:
+        raise ValueError("the continuous oracle needs rho13 = rho23 = 0")
+    a, b, k, T = params.a, params.b, params.k, maturity
+    decay = math.exp(-a * T)
+    mean_d = b * T + (init.r0 - b) * (1.0 - decay) / a
+    var_d = (k / a) ** 2 * (T - 2.0 * (1.0 - decay) / a + (1.0 - decay * decay) / (2.0 * a))
+    bond = math.exp(-mean_d + 0.5 * var_d)
+    kappa, theta, xi = params.kappa, params.theta, params.sigma_vol
+    log_moneyness = math.log(strike * bond / init.s0)
+
+    def cf(u):
+        """E^T[exp(i u log(F_T/F_0))] at a complex u."""
+        beta = kappa - xi * rho.rho12 * 1j * u
+        d = cmath.sqrt(beta * beta + xi * xi * (u * u + 1j * u))
+        g = (beta - d) / (beta + d)
+        decay_d = cmath.exp(-d * T)
+        c = kappa * theta / xi**2 * ((beta - d) * T
+                                     - 2.0 * cmath.log((1.0 - g * decay_d) / (1.0 - g)))
+        dv = (beta - d) / xi**2 * (1.0 - decay_d) / (1.0 - g * decay_d)
+        return cmath.exp(c + dv * init.v0 - 0.5 * var_d * (1j * u + u * u))
+
+    def probability(shift):
+        def integrand(u):
+            return (cmath.exp(-1j * u * log_moneyness) * cf(u - shift) / (1j * u)).real
+        return 0.5 + quad(integrand, 0.0, math.inf, limit=200)[0] / math.pi
+
+    p1, p2 = probability(1j), probability(0.0)
+    return SimpleNamespace(price=init.s0 * p1 - strike * bond * p2, delta=p1)
 
 
 # The derivative probe: variance points are kept away from the sqrt kink at

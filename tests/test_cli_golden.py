@@ -3,7 +3,11 @@
 The expected text of the six cases that draw was recorded when the draws
 became ziggurat normals on per-block rows of step-major Philox counters;
 the ``compare`` table's ``clamps`` column is older, and the three
-``dump-config`` cases are older still and did not move.  The
+``dump-config`` cases are older still and moved only when the
+``model.enforce_positivity`` key went, which two of them printed.  The
+``hybrid_feller_small`` rows were recorded with that key off and
+``model.positivity=feller``, the pair whose behaviour ``off`` names now,
+so they pin ``off`` as that pair bit for bit.  The
 ``malliavin:reversion`` rows are newer: they were recorded again when the
 weight stopped subtracting a deterministic shift of the discount integral
 that its Girsanov term already carries.  Each weighted estimator keeps its own floating-point evaluation
@@ -80,13 +84,13 @@ BS_NON_DEFAULT = {
     "bump.delta.crn": "off",
 }
 
-# 2*kappa*theta = 0.15 < sigma_vol^2 = 0.25: only accepted with enforcement off.
+# 2*kappa*theta = 0.15 < sigma_vol^2 = 0.25: only accepted with the
+# positivity condition off.
 HYBRID_FELLER = {
     "model.kappa": "1.5",
     "model.theta": "0.05",
     "model.sigma_vol": "0.5",
-    "model.positivity": "feller",
-    "model.enforce_positivity": "off",
+    "model.positivity": "off",
     "model.rho13": "-0.25",
     "init.v0": "0.09",
     "sim.workers": "3",
@@ -152,6 +156,15 @@ EXPECTED = {
         "delta         16385 fd_central       0.5869787404    0.00454714 yes        0.000      2          0\n"
         ),
     ),
+    "hybrid_feller_small": (
+        "greeks", {**HYBRID_FELLER, "sim.n_paths": "512", "sim.n_steps": "16"},
+        (
+        "estimator,greek,n_paths,n_steps,seed,value,std_error,clamp_count,wall_time_ms\n"
+        "malliavin,kappa,512,16,12345,51.27501009871647,58.332971766265004,0,0.0\n"
+        "fd_central,kappa,512,16,12345,29.902692323591655,5.242470173591187,0,0.0\n"
+        "malliavin,rho_r0,512,16,12345,327.77473286784647,409.93860512745147,0,0.0\n"
+        ),
+    ),
     "greeks_two_blocks": (
         "greeks", TWO_BLOCKS,
         (
@@ -174,7 +187,6 @@ EXPECTED = {
         "model.rho13=0.5\n"
         "model.rho23=0.02\n"
         "model.positivity=strict\n"
-        "model.enforce_positivity=on\n"
         "init.s0=100.0\n"
         "init.v0=0.04\n"
         "init.r0=0.02\n"
@@ -251,8 +263,7 @@ EXPECTED = {
         "model.rho12=-0.8\n"
         "model.rho13=-0.25\n"
         "model.rho23=0.02\n"
-        "model.positivity=feller\n"
-        "model.enforce_positivity=off\n"
+        "model.positivity=off\n"
         "init.s0=100.0\n"
         "init.v0=0.09\n"
         "init.r0=0.02\n"

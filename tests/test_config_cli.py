@@ -6,7 +6,6 @@ and byte-level output stability.
 """
 
 import json
-import logging
 import math
 import subprocess
 import sys
@@ -386,13 +385,6 @@ def test_black_scholes_run_writes_nothing_to_stderr(tmp_path):
     assert proc.stderr == ""
 
 
-def test_degeneracy_warning_still_reaches_configured_logging(caplog):
-    with caplog.at_level(logging.WARNING, logger="hsv_greeks"):
-        hg.build_run_config({"model.name": "black_scholes"})
-    assert any(rec.name == "hsv_greeks.models" and "degenerate" in rec.message
-               for rec in caplog.records)
-
-
 def test_price_subcommand_ignores_estimator_list(tmp_path):
     cfg = write_cfg(tmp_path, HV_SMALL)
     proc = run_cli("price", "--config", cfg)
@@ -490,6 +482,27 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("hsv-greeks:")
     assert "bogus" in proc.stderr
+
+
+def test_positivity_off_is_the_one_unchecked_spelling(tmp_path):
+    """A Feller-violating model (2*kappa*theta = 0.15 < sigma_vol^2 = 0.25)
+    is refused under model by strict and feller and built by off.  The
+    model.enforce_positivity switch that off replaced is an unknown key."""
+    bad = "model.kappa=1.5\nmodel.theta=0.05\nmodel.sigma_vol=0.5\n"
+    for condition in ("strict", "feller"):
+        proc = run_cli("dump-config", "--config",
+                       write_cfg(tmp_path, f"{bad}model.positivity={condition}\n"))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert (f"config key 'model': variance positivity condition '{condition}' "
+                "violated") in proc.stderr
+    proc = run_cli("dump-config", "--config",
+                   write_cfg(tmp_path, f"{bad}model.positivity=off\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert "model.positivity=off\n" in proc.stdout
+    proc = run_cli("dump-config", "--config", write_cfg(
+        tmp_path, f"{bad}model.positivity=feller\nmodel.enforce_positivity=off\n"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "config key 'model.enforce_positivity': unknown key" in proc.stderr
 
 
 def test_compare_lets_the_weighted_paths_go_before_its_fd_rows(monkeypatch):

@@ -58,10 +58,6 @@ def _bs_closed_form(**kwargs):
                                 "maturity": 1.0, **kwargs})
 
 
-def _heston_vasicek_model(**kwargs):
-    return hg.heston_vasicek_model(HV_PARAMS, HV_CORR, **kwargs)
-
-
 def _greek_estimate(**kwargs):
     return hg.GreekEstimate(1.0, 0.1, 10, "malliavin", **kwargs)
 
@@ -90,7 +86,6 @@ def _greek_estimate(**kwargs):
     (_simulate_paths, {"drift_extras": "yes"}),
     (_bs_closed_form, {"s0": True}), (_bs_closed_form, {"level": math.nan}),
     (_bs_closed_form, {"strike": "100"}),
-    (_heston_vasicek_model, {"enforce": "no"}),
     *((_greek_estimate, {"clamp_count": bad}) for bad in (-1, True, "x", 2.5, None)),
 ])
 def test_bools_are_refused_as_numbers(cls, kwargs):
@@ -102,9 +97,8 @@ def test_bools_are_refused_as_numbers(cls, kwargs):
     True as workers, before simulate_paths checked the stream and SimConfig
     the rest; simulate_paths raised a bare TypeError for weights=1,
     read weights="I1" as the fields '1' and 'I', and took any truthy
-    drift_extras; bs_closed_form took True and never checked level;
-    heston_vasicek_model took any truthy enforce; and GreekEstimate took any
-    clamp_count."""
+    drift_extras; bs_closed_form took True and never checked level; and
+    GreekEstimate took any clamp_count."""
     field = next(name for name, value in kwargs.items()
                  if len(kwargs) == 1 or not isinstance(value, float) and name != "kind")
     with pytest.raises(hg.InvalidParams, match=f"^{field} must ") as info:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 import hsv_greeks as hg
 from conftest import (
@@ -20,7 +21,7 @@ from conftest import (
     SEED_HV,
     within_se,
 )
-from reference import conditional_call, fsum_mean_se
+from reference import conditional_call, fsum_mean_se, heston_vasicek_call
 
 CONST_1 = hg.Payoff("constant", level=1.0)
 IDENTITY = hg.Payoff("identity")
@@ -361,6 +362,58 @@ def test_reversion_counts_the_discount_shift_once():
     weighted = hg.drift_sensitivity(paths, rc.payoff, "reversion_speed")
     fd = _crn_fd(rc.model, rc.init, rc.sim, rc.payoff, "reversion")
     assert hg.agrees(weighted, fd, n_se=4.0), (weighted, fd)
+
+
+# ---------------------------------------------------------------------------
+# the continuous oracle (reference.heston_vasicek_call)
+
+# Defect C's configuration, where 130 clamped integrand evaluations carry
+# malliavin:delta: rho13 = rho23 = 0, so the continuous oracle applies.
+_DEFECT_C = {"model.sigma_vol": "0.25", "model.k": "0.02", "model.rho13": "0",
+             "model.rho23": "0", "sim.n_paths": "65536", "sim.n_steps": "252",
+             "sim.seed": "2024"}
+
+
+def test_the_continuous_oracle_is_black_s_formula_when_the_variance_stays_put():
+    """With v0 = theta and sigma_vol = 1e-5 the variance barely moves, and
+    the oracle's call is Black's with total variance theta T + Var D on the
+    forward s0/P(0,T): within 1e-4 on the price and 1e-5 on the delta,
+    tolerances fixed before the first run."""
+    rc = hg.build_run_config(_DEFECT_C)
+    p = dataclasses.replace(rc.model.hv_params, sigma_vol=1e-5)
+    init = dataclasses.replace(rc.init, v0=p.theta)
+    strike, t = rc.payoff.strike, rc.sim.maturity
+    got = heston_vasicek_call(p, rc.model.correlations, init, strike, t)
+    decay = math.exp(-p.a * t)
+    var_d = (p.k / p.a) ** 2 * (t - 2.0 * (1.0 - decay) / p.a
+                                + (1.0 - decay * decay) / (2.0 * p.a))
+    bond = math.exp(-p.b * t - (init.r0 - p.b) * (1.0 - decay) / p.a + 0.5 * var_d)
+    total = p.theta * t + var_d
+    d1 = (math.log(init.s0 / (bond * strike)) + 0.5 * total) / math.sqrt(total)
+    d2 = d1 - math.sqrt(total)
+    black = init.s0 * ndtr(d1) - strike * bond * ndtr(d2)
+    assert abs(got.price - black) <= 1e-4, (got.price, black)
+    assert abs(got.delta - ndtr(d1)) <= 1e-5, (got.delta, ndtr(d1))
+
+
+# The gate's time-step allowance on the delta: the discrete oracle's delta
+# on the 252-step grid minus the continuous one, -0.00006 +- 0.00014 over
+# 8,388,608 paths (seeds 1000 to 1127 of 65,536 paths each), at its size
+# plus two of its SE, rounded up.  The gap read -0.00020, -0.00003 and
+# -0.00002 at 52, 104 and 208 steps, each +- 0.00014.
+_STEP_ALLOWANCE = 4e-4
+
+
+def test_crn_fd_delta_agrees_with_the_continuous_oracle_on_the_defect_c_config():
+    """On defect C's configuration, 65,536 paths, 252 steps and seed 2024,
+    fixed before the first run, the call's CRN central fd:delta lies within
+    4 SE plus the time-step allowance of the continuous oracle's delta."""
+    rc = hg.build_run_config(_DEFECT_C)
+    oracle = heston_vasicek_call(rc.model.hv_params, rc.model.correlations, rc.init,
+                                 rc.payoff.strike, rc.sim.maturity)
+    est = _crn_fd(rc.model, rc.init, rc.sim, rc.payoff, "delta")
+    assert abs(est.value - oracle.delta) <= 4.0 * est.std_error + _STEP_ALLOWANCE, (
+        est, oracle.delta)
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,13 @@ def test_derivative_consistency_probe_accepts_a_non_constant_g(affine_g_model):
     check_derivative_consistency(affine_g_model)  # should not raise
 
 
-def test_positivity_condition_default_is_strict(caplog):
+def test_positivity_condition_default_is_strict():
     # kappa*theta = 1e-4 < sigma_vol^2 = 0.04: rejected by default...
     bad = hg.HestonVasicekParams(0.01, 0.01, 0.2, 0.02, 0.08, 0.002)
-    with pytest.raises(hg.InvalidParams):
+    with pytest.raises(hg.InvalidParams, match="positivity condition 'strict' violated"):
         hg.heston_vasicek_model(bad, HV_CORR)
-    # ...but only logged with enforcement off.
-    import logging
-    with caplog.at_level(logging.WARNING, logger="hsv_greeks.models"):
-        hg.heston_vasicek_model(bad, HV_CORR, enforce=False)
-    assert any("positivity" in rec.message for rec in caplog.records)
+    # ...and built with the condition off.
+    assert hg.heston_vasicek_model(bad, HV_CORR, condition="off").hv_params == bad
 
 
 def test_positivity_condition_feller_form_is_weaker():
@@ -252,7 +249,7 @@ _FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
      lambda v: hg.BumpSpec("delta", v)),
     ("kind", ("call", "put", "digital_call", "constant", "identity"), "swap",
      lambda v: hg.Payoff(v, strike=100.0)),
-    ("condition", ("strict", "feller"), None,
+    ("condition", ("strict", "feller", "off"), None,
      lambda v: hg.heston_vasicek_model(HV_PARAMS, HV_CORR, condition=v)),
 ])
 def test_choices_are_refused_in_one_wording_naming_the_field(name, choices, value, refuse):
