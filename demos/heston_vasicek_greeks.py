@@ -50,8 +50,7 @@ def main():
           f"{'combined se':>12} {'agree':>6} {'fd sims':>8}")
     print("-" * 62)
     for greek, est in weighted.items():
-        bump = hg.BumpSpec(greek, "central",
-                           h=hg.default_bump_size(greek, init), crn=True)
+        bump = hg.BumpSpec(greek, h=hg.default_bump_size(greek, init))
         fd = hg.fd_greek(model, init, cfg, call, bump)
         comb = (est.std_error ** 2 + fd.std_error ** 2) ** 0.5
         flag = "yes" if hg.agrees(est, fd) else "NO"

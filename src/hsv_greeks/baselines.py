@@ -17,12 +17,17 @@ each bump moves by eps, and any parameter scaling it, and
 
 A number field stays a number, so the engine carries it as one.
 
-With ``crn=True`` every evaluation reuses the identical draws (same seed,
-path, step, driver — the engine's counter-based streams make this exact)
-and the standard error comes from per-path differenced samples; without
-CRN each evaluation uses an independent sub-stream and the variances add.
-Each re-simulation steps the state only (``weights=False``): a price reads
-S_T and D, never a weight integral or a first variation.
+Every estimate is the central difference (p(x+h) - p(x-h))/(2h) on common
+random numbers: both prices reuse the identical draws (same seed, path,
+step, driver; the engine's counter-based draws make this exact), and the
+standard error comes from the per-path differences.  At the same two
+simulations, one-sided differences carry an O(h) bias and independent
+draws a far wider standard error (Glasserman, *Monte Carlo Methods in
+Financial Engineering*, 2004, section 7.1).  Each re-simulation steps the
+state only (``weights=False``): a price reads S_T and D, never a weight
+integral or a first variation.  A digital call's difference moves its
+payoff only on the paths whose S_T crosses the strike between the two
+runs; with none, it holds the discount term alone, and is refused.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .engine import SimConfig, simulate_paths, stable_mean_se
 from .errors import InvalidParams
-from .greeks import _FD_GREEKS, _FD_SCHEMES, _GREEKS, GreekEstimate, _finite_estimate, _refuse
+from .greeks import _FD_GREEKS, _GREEKS, GreekEstimate, _finite_estimate, _refuse
 from .models import InitialState, ModelSpec, Payoff, _require, _require_payoff, evaluate_payoff
 
 __all__ = [
@@ -61,19 +66,15 @@ def _bump_of(greek: str) -> str:
 
 @dataclass(frozen=True)
 class BumpSpec:
-    """One finite-difference request: the Greek whose bump it is, the
-    scheme, the size, and whether its prices share their draws."""
+    """One finite-difference request: the Greek whose bump it is and the
+    size h."""
 
     greek: str
-    scheme: str = "central"
     h: float = 1e-4
-    crn: bool = True
 
     def __post_init__(self):
         _bump_of(self.greek)
-        _require(vars(self), tuple(_FD_SCHEMES), "scheme")
         _require(vars(self), "be > 0", "h")
-        _require(vars(self), "be True or False", "crn")
 
 
 def default_bump_size(greek: str, init: InitialState) -> float:
@@ -97,11 +98,8 @@ def check_bump_size(bump: BumpSpec, init: InitialState) -> None:
 
 def _moved(model: ModelSpec, init: InitialState, greek: str,
            offset: float) -> tuple[ModelSpec, InitialState]:
-    """The (model, init) pair moved by ``offset`` along the bump of ``greek``;
-    at offset 0 the pair itself, which a one-sided scheme prices as is."""
+    """The (model, init) pair moved by ``offset`` along the bump of ``greek``."""
     bump, scale = _GREEKS[greek].bump, _GREEKS[greek].scale
-    if offset == 0.0:
-        return model, init
     if bump == "rate":
         # r0 + offset, stepped by fields read at r - offset, stays r + offset
         # to rounding: the stock drift and D both carry it.
@@ -120,23 +118,6 @@ def _moved(model: ModelSpec, init: InitialState, greek: str,
     return replace(model, **{bump: (lambda x: c(x) + shift) if callable(c) else c + shift}), init
 
 
-def _discounted_samples(
-    model: ModelSpec,
-    init: InitialState,
-    cfg: SimConfig,
-    payoff: Payoff,
-    bump: BumpSpec,
-    offset: float,
-    stream: int,
-) -> tuple[np.ndarray, int]:
-    """Per-path discounted payoff samples of the configuration moved by
-    ``offset`` along ``bump``.  Returns (samples, clamp_count)."""
-    model, init = _moved(model, init, bump.greek, offset)
-    paths = simulate_paths(model, init, cfg, stream=stream, weights=False)
-    samples = np.exp(-paths.D) * evaluate_payoff(payoff, paths.s_T)
-    return samples, paths.clamp_count
-
-
 def fd_greek(
     model: ModelSpec,
     init: InitialState,
@@ -144,11 +125,9 @@ def fd_greek(
     payoff: Payoff,
     bump: BumpSpec,
 ) -> GreekEstimate:
-    """Bump-and-revalue estimate ``fd:<greek>`` of ``bump.greek``.
-
-    forward (p(x+h)-p(x))/h, backward (p(x)-p(x-h))/h,
-    central (p(x+h)-p(x-h))/(2h), each price a full re-simulation of the
-    bumped dynamics.
+    """Bump-and-revalue estimate ``fd:<greek>`` of ``bump.greek``: the
+    central difference (p(x+h) - p(x-h))/(2h) of two re-simulations of the
+    bumped dynamics on the same draws, reduced path by path.
 
     Raises
     ------
@@ -161,7 +140,8 @@ def fd_greek(
         before any path is simulated.
     InvalidParams
         If a bump of s0 or v0 is not below half its base value, or the
-        bumped configuration is invalid.
+        bumped configuration is invalid; or, on field ``h``, if the payoff
+        is a digital call and h moves S_T but across the strike on no path.
     NonFiniteEstimate
         If a sample, the value or the standard error is not finite; it
         names the estimator as ``fd:<greek>``.
@@ -169,28 +149,24 @@ def fd_greek(
     _require_payoff(payoff)
     _refuse("fd", bump.greek, model)
     check_bump_size(bump, init)
-    offsets, denom = _FD_SCHEMES[bump.scheme]
-    denom *= bump.h
-
-    # CRN prices both on stream 0, independent ones on streams 1 and 2.
-    (hi, hi_clamps), (lo, lo_clamps) = (
-        _discounted_samples(model, init, cfg, payoff, bump, off * bump.h, 0 if bump.crn else 1 + k)
-        for k, off in enumerate(offsets))
-    samples = ((hi - lo) / denom,) if bump.crn else (hi, lo)
-
-    def estimate() -> tuple[float, float]:
-        if bump.crn:
-            return stable_mean_se(samples[0])
-        (m_hi, se_hi), (m_lo, se_lo) = map(stable_mean_se, samples)
-        return (m_hi - m_lo) / denom, math.sqrt(se_hi * se_hi + se_lo * se_lo) / denom
-
-    value, se = _finite_estimate(f"fd:{bump.greek}", estimate, *samples)
+    token = f"fd:{bump.greek}"
+    hi, lo = (simulate_paths(*_moved(model, init, bump.greek, offset), cfg, weights=False)
+              for offset in (bump.h, -bump.h))
+    phi_hi, phi_lo = (evaluate_payoff(payoff, paths.s_T) for paths in (hi, lo))
+    if (payoff.kind == "digital_call" and np.array_equal(phi_hi, phi_lo)
+            and not np.array_equal(hi.s_T, lo.s_T)):
+        raise InvalidParams(
+            f"h = {bump.h!r} moves S_T across the strike on 0 of {cfg.n_paths} paths, "
+            f"so {token} of the digital call holds the discount term alone; "
+            "take a larger h", field="h")
+    samples = (np.exp(-hi.D) * phi_hi - np.exp(-lo.D) * phi_lo) / (2.0 * bump.h)
+    value, se = _finite_estimate(token, lambda: stable_mean_se(samples), samples)
     return GreekEstimate(
         value=value,
         std_error=se,
         n_paths=cfg.n_paths,
-        estimator=f"fd_{bump.scheme}",
-        clamp_count=hi_clamps + lo_clamps,
+        estimator="fd_central",
+        clamp_count=hi.clamp_count + lo.clamp_count,
     )
 
 

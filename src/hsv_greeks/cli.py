@@ -30,7 +30,8 @@ from dataclasses import replace
 from .baselines import agrees, bs_closed_form, fd_greek
 from .config import RunConfig, build_run_config, effective_config_text, load_config_file
 from .engine import simulate_paths
-from .errors import HsvGreeksError, InvalidConfig, NonFiniteEstimate, NumericalBlowup
+from .errors import (HsvGreeksError, InvalidConfig, InvalidParams, NonFiniteEstimate,
+                     NumericalBlowup)
 from .greeks import (_GREEKS, GreekEstimate, bismut_vector, delta, drift_sensitivity, price,
                      rho, vega)
 
@@ -84,8 +85,13 @@ def _rows_for_size(rc: RunConfig, n_paths: int, tokens) -> list[dict]:
             else:
                 est = _ESTIMATORS[greek](paths, rc.payoff)
         elif method == "fd":
-            est = fd_greek(rc.model, rc.init, sim, rc.payoff, rc.bumps[greek])
-            n_sims = 2  # base/bumped pair, or the two one-sided bumps
+            try:
+                est = fd_greek(rc.model, rc.init, sim, rc.payoff, rc.bumps[greek])
+            except InvalidParams as exc:
+                if exc.field != "h":  # the config checked the rest
+                    raise
+                raise InvalidConfig(f"bump.{greek}.h", str(exc)) from exc
+            n_sims = 2  # the pair moved by +h and -h
         else:
             closed = bs_closed_form(rc.init.s0, rc.payoff.strike, rc.init.r0,
                                     rc.model.sigma, sim.maturity,

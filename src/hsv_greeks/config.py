@@ -66,10 +66,6 @@ def _choice(*choices: str):
     return parse
 
 
-def _switch(text: str) -> bool:
-    return _choice("on", "off")(text) == "on"
-
-
 def _estimators(text: str) -> tuple[tuple[str, str], ...]:
     tokens = [t.strip() for t in _text(text).split(",") if t.strip()]
     if not tokens:
@@ -102,8 +98,6 @@ def _canonical(value) -> str:
     """The one text form of a parsed value; parsing it gives the value back."""
     if value is None:
         return "auto"
-    if isinstance(value, bool):
-        return "on" if value else "off"
     if isinstance(value, tuple):
         return ",".join(":".join(v) if isinstance(v, tuple) else str(v)
                         for v in value)
@@ -154,11 +148,6 @@ _SCHEMAS = {
         "model.sigma": ("0.2", _number),
     }, r0="0.05"),
 }
-
-# bump.<greek>.<field> -> parser.  A missing scheme or crn takes the
-# BumpSpec default, a missing h the house size for the greek.
-_BUMP_PARSERS = {"scheme": _text, "h": _number, "crn": _switch}
-
 
 def defaults_for(model_name: str) -> dict[str, str]:
     """Default entry table for ``model_name`` (ordered canonically)."""
@@ -243,14 +232,14 @@ def _build(cls, section: str, values: dict, **renamed):
         raise InvalidConfig(keys.get(exc.field, section), str(exc)) from exc
 
 
-def _split_bump_key(key: str) -> tuple[str, str]:
-    # bump.<greek>.<field>; _refuse words a Greek without a bump.
+def _bump_greek(key: str) -> str:
+    # bump.<greek>.h, the one bump entry; _refuse words a Greek without a bump.
     parts = key.split(".")
-    if len(parts) != 3 or parts[2] not in _BUMP_PARSERS:
-        raise InvalidConfig(key, "expected bump.<greek>.scheme|h|crn")
+    if len(parts) != 3 or parts[2] != "h":
+        raise InvalidConfig(key, "unknown key; expected bump.<greek>.h")
     if parts[1] not in _GREEKS:
         raise InvalidConfig(key, f"unknown greek {parts[1]!r}; expected one of {tuple(_GREEKS)}")
-    return parts[1], parts[2]
+    return parts[1]
 
 
 def build_run_config(overrides=None) -> RunConfig:
@@ -269,12 +258,11 @@ def build_run_config(overrides=None) -> RunConfig:
     defaults = defaults_for(model_name)
     schema = _SCHEMAS[model_name]
 
-    values, bumped = {}, {}  # bumped: greek -> its first bump entry's key
+    values, bumped = {}, {}  # bumped: greek -> its bump entry's key
     for key, text in overrides.items():
         if key.startswith("bump."):
-            greek, field = _split_bump_key(key)
-            bumped.setdefault(greek, key)
-            values[key] = _parse(key, _BUMP_PARSERS[field], text)
+            bumped[_bump_greek(key)] = key
+            values[key] = _parse(key, _number, text)
         elif key not in schema:
             raise InvalidConfig(key, f"unknown key for model {model_name!r}")
     for key, (_, parse) in schema.items():
@@ -311,20 +299,16 @@ def build_run_config(overrides=None) -> RunConfig:
     bumps: dict[str, BumpSpec] = {}
     fd_greeks = [g for m, g in estimators if m == "fd"]
     for greek in dict.fromkeys(fd_greeks + sorted(bumped)):
-        section = f"bump.{greek}"
-        values.setdefault(f"{section}.h", default_bump_size(greek, init))
+        key = f"bump.{greek}.h"
         try:
-            bumps[greek] = BumpSpec(greek, **{
-                field: values[key] for field in _BUMP_PARSERS
-                if (key := f"{section}.{field}") in values})
+            bumps[greek] = BumpSpec(greek, values.get(key, default_bump_size(greek, init)))
             check_bump_size(bumps[greek], init)
         except InvalidParams as exc:
-            raise InvalidConfig(f"{section}.{exc.field}", str(exc)) from exc
+            raise InvalidConfig(key, str(exc)) from exc
 
     entries = {key: _canonical(values[key]) for key in schema}
     for greek in (g for g in _GREEKS if g in bumps):
-        for field in _BUMP_PARSERS:
-            entries[f"bump.{greek}.{field}"] = _canonical(getattr(bumps[greek], field))
+        entries[f"bump.{greek}.h"] = _canonical(bumps[greek].h)
 
     return RunConfig(model=model, init=init, payoff=payoff, sim=sim,
                      estimators=estimators, bumps=bumps, sweep=values["sweep"],

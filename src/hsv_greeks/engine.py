@@ -48,7 +48,7 @@ that the normal draw for (seed, path, step, driver) is a pure function of
 those four indices: path ``p`` lies in block ``b = p // _BLOCK_PATHS``,
 and its draw at step ``s`` and driver ``d`` is normal ``p % _BLOCK_PATHS``
 of numpy's ziggurat sampler (Marsaglia & Tsang, J. Stat. Softw. 5(8),
-2000) on the stream keyed by (seed, stream) that starts at counter
+2000) on the stream keyed by (seed, 0) that starts at counter
 ``((3*s + d) << 62) + (b << 128)``.  The ziggurat takes one Philox word
 for most normals and a few more for the rest, so a block's row is drawn
 from its start, and the first n paths of a block are an n-path draw of
@@ -200,7 +200,8 @@ class PathAccumulators:
     are, n_paths * n_steps of sigma(V), times 3 on a hybrid model, whose
     v(V) and g(r) are denominators too.  ``factors`` holds the
     payoff-independent per-path factors the estimators compute on first
-    use; a ``dataclasses.replace`` copy starts with none.
+    use, and the mark that its clamps were flagged; a
+    ``dataclasses.replace`` copy starts with neither.
     """
 
     model: ModelSpec
@@ -241,18 +242,17 @@ def standard_draws(
     n_paths: int,
     n_steps: int,
     block: int = 0,
-    stream: int = 0,
     workers: int | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield the standard-normal draws of the first ``n_paths`` paths of
     block ``block`` as (first_step, run) in step order, ``run`` being the
     (steps, 3, n_paths) draws of steps first_step, ...
 
-    The draw at (path, step, driver) is the pure function of (seed, stream,
+    The draw at (path, step, driver) is the pure function of (seed,
     block*_BLOCK_PATHS + path, step, driver) the module docstring defines,
     whichever thread draws it.  The arguments are unchecked: those of a
-    :class:`SimConfig` and a stream that :func:`simulate_paths` checked,
-    with 1 <= n_paths <= _BLOCK_PATHS.  Runs are min(n_steps,
+    :class:`SimConfig` that :func:`simulate_paths` checked, with
+    1 <= n_paths <= _BLOCK_PATHS.  Runs are min(n_steps,
     max(2, ceil(_BLOCK_PATHS / n_paths))) steps.  One helper thread draws
     beside the calling thread unless ``workers`` is 1, the block has fewer
     than ``_THREAD_PATHS`` paths, or the process may run on one CPU, and
@@ -296,7 +296,7 @@ def standard_draws(
         drawn[k].set()
 
     def draw_runs() -> None:
-        draw = _row_drawer(seed, stream, block)
+        draw = _row_drawer(seed, block)
         while (k := tickets.get()) is not None:
             fill(draw, k)
 
@@ -307,7 +307,7 @@ def standard_draws(
     try:
         if helper is not None:
             helper.start()
-        draw = _row_drawer(seed, stream, block)
+        draw = _row_drawer(seed, block)
         for k, start in enumerate(starts):
             # Run k's ticket is queued or taken: the calling thread draws
             # queued runs, run k's among them, until run k is drawn.
@@ -331,20 +331,20 @@ def standard_draws(
                 helper.join()
 
 
-def _row_drawer(seed: int, stream: int, block: int):
+def _row_drawer(seed: int, block: int):
     """A function ``draw(row, out)`` that fills ``out`` with the normals of
     the first len(out) paths of block ``block`` at counter row ``row`` =
     3*step + driver, from one Philox moved to each row through its state:
     the row's stream starts at counter ``(row << 62) + (block << 128)``.
     """
-    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bg = Philox(key=np.array([seed, 0], dtype=np.uint64))
     gen = Generator(bg)
     # Plain lists, which the state setter reads faster than arrays.  An
     # empty buffer makes the next word the first of the next tick, as from
     # a Philox constructed at the counter.
     counter = [0] * 4
     state = {"bit_generator": "Philox",
-             "state": {"counter": counter, "key": [seed, stream]},
+             "state": {"counter": counter, "key": [seed, 0]},
              "buffer": [0] * 4, "buffer_pos": _PHILOX_WORDS,
              "has_uint32": 0, "uinteger": 0}
     mask = (1 << 64) - 1
@@ -609,7 +609,6 @@ def simulate_paths(
     init: InitialState,
     cfg: SimConfig,
     drift_extras: bool = False,
-    stream: int = 0,
     weights: bool | Collection[str] = True,
 ) -> PathAccumulators:
     """Simulate ``cfg.n_paths`` paths and return their accumulator arrays.
@@ -622,10 +621,6 @@ def simulate_paths(
         Add the drift integrals ``j2`` = ∫(1/v)dW^2, ``j3`` = ∫(1/v)dW^3 and
         ``g3`` = ∫(1/g)dW^3 to ``weights``; with ``weights=False`` the run
         computes them alone, as ``weights=("j2", "j3", "g3")``.
-    stream : int
-        RNG sub-stream selector, an integer in [0, 2**64); distinct values
-        give independent draws for the same seed (used by FD without common
-        random numbers).
     weights : bool or collection of field names
         True for every weight field from ``I1`` to ``P3``, False for none
         (S_T and D only, as a bump-and-revalue price needs), or the names
@@ -640,7 +635,7 @@ def simulate_paths(
     Notes
     -----
     Results are bit-identical for a given (model, init, cfg, drift_extras,
-    stream, weights) regardless of ``worker_hint``.
+    weights) regardless of ``worker_hint``.
 
     Raises
     ------
@@ -648,12 +643,10 @@ def simulate_paths(
         If a state or a first variation exceeds 1e12 in magnitude or an
         accumulator turns non-finite (reports path and step index).
     InvalidParams
-        If ``drift_extras`` is no bool, ``stream`` is no integer in
-        [0, 2**64), or ``weights`` is neither a bool nor a collection of
-        weight field names.
+        If ``drift_extras`` is no bool, or ``weights`` is neither a bool nor
+        a collection of weight field names.
     """
     _require(locals(), "be True or False", "drift_extras")
-    _require(locals(), "be an integer in [0, 2**64)", "stream")
     if isinstance(weights, str) or not isinstance(weights, (bool, Collection)):
         raise InvalidParams("weights must be True, False or a collection of field names, "
                             f"got {weights!r}", "weights")
@@ -680,8 +673,7 @@ def simulate_paths(
         # drawn; closing the runs stops the helper thread before an error
         # leaves the block.
         with closing(standard_draws(cfg.seed, min(_BLOCK_PATHS, n - start), cfg.n_steps,
-                                    block=block, stream=stream,
-                                    workers=cfg.worker_hint)) as runs:
+                                    block=block, workers=cfg.worker_hint)) as runs:
             for first, run in runs:
                 step(first, run)
         clamps += finish()

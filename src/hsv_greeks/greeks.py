@@ -49,14 +49,9 @@ __all__ = [
     "drift_sensitivity",
 ]
 
-# Finite-difference scheme -> (its two prices' offsets, its denominator), in h.
-_FD_SCHEMES = {
-    "forward": ((1.0, 0.0), 1.0),
-    "backward": ((0.0, -1.0), 1.0),
-    "central": ((1.0, -1.0), 2.0),
-}
 ESTIMATOR_METHODS = ("malliavin", "fd", "analytic")
-ESTIMATOR_LABELS = ("malliavin", *(f"fd_{scheme}" for scheme in _FD_SCHEMES), "analytic")
+# A finite difference is central, on common random numbers (baselines.fd_greek).
+ESTIMATOR_LABELS = ("malliavin", "fd_central", "analytic")
 # drift_sensitivity's gamma_kind -> its Greek token.
 GAMMA_KINDS = {"kappa": "kappa", "reversion_speed": "reversion"}
 
@@ -227,9 +222,13 @@ def _check_paths(greek: str, paths: PathAccumulators) -> None:
 
 
 def _flag_clamps(paths: PathAccumulators) -> None:
-    if paths.n_integrand_evals > 0 and (
+    """Warn once per path set whose clamps pass the flag ratio: every
+    estimate from it shares the clamps, and the mark in ``paths.factors``
+    keeps the next estimator quiet."""
+    if "flagged" not in paths.factors and paths.n_integrand_evals > 0 and (
         paths.clamp_count > _CLAMP_FLAG_RATIO * paths.n_integrand_evals
     ):
+        paths.factors["flagged"] = True
         # stacklevel: _weighted, then the public estimator, then its caller.
         warnings.warn(
             f"{paths.clamp_count} of {paths.n_integrand_evals} integrand "

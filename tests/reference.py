@@ -171,42 +171,31 @@ def moved(model, init, greek, offset):
             replace(init, r0=init.r0 + offset))
 
 
-_SCHEMES = {"forward": ((1.0, 0.0), 1.0), "backward": ((0.0, -1.0), 1.0),
-            "central": ((1.0, -1.0), 2.0)}
-
-
-def fd_reference(model, init, cfg, payoff, greek, scheme, h, crn):
-    """(value, std_error, clamp_count) of the ``scheme`` finite difference
-    of ``greek`` with bump size ``h``: two state-only prices of the
-    :func:`moved` pairs on stream 0 (``crn``) or streams 1 and 2, reduced
-    by :func:`fsum_mean_se`."""
-    offsets, denom = _SCHEMES[scheme]
+def fd_reference(model, init, cfg, payoff, greek, h):
+    """(value, std_error, clamp_count) of the central finite difference of
+    ``greek`` with bump size ``h``: two state-only prices of the
+    :func:`moved` pairs at +h and -h on the same draws, differenced path
+    by path and reduced by :func:`fsum_mean_se`."""
     prices, clamps = [], 0
-    for k, offset in enumerate(offsets):
-        paths = hg.simulate_paths(*moved(model, init, greek, offset * h), cfg,
-                                  stream=0 if crn else 1 + k, weights=False)
+    for offset in (h, -h):
+        paths = hg.simulate_paths(*moved(model, init, greek, offset), cfg, weights=False)
         prices.append(np.exp(-paths.D) * hg.evaluate_payoff(payoff, paths.s_T))
         clamps += paths.clamp_count
     hi, lo = prices
-    if crn:
-        return (*fsum_mean_se((hi - lo) / (denom * h)), clamps)
-    (m_hi, se_hi), (m_lo, se_lo) = fsum_mean_se(hi), fsum_mean_se(lo)
-    return ((m_hi - m_lo) / (denom * h),
-            math.sqrt(se_hi * se_hi + se_lo * se_lo) / (denom * h), clamps)
+    return (*fsum_mean_se((hi - lo) / (2.0 * h)), clamps)
 
 
-def stock_drift_fd(model, init, cfg, payoff, scheme, h):
-    """(value, std_error) of the common-random-number ``scheme`` finite
+def stock_drift_fd(model, init, cfg, payoff, h):
+    """(value, std_error) of the common-random-number central finite
     difference of the stock-drift shift: S steps with drift r + eps, D
     integrates the unmoved r, and each price is discounted by
     e^{-D - eps T}.  fd:rho moved this way before it moved every rate."""
-    offsets, denom = _SCHEMES[scheme]
     prices = []
-    for offset in offsets:
-        x = reference_series(model, init, cfg, stock_drift=offset * h)
-        prices.append(np.exp(-x.integrals["D"] - offset * h * cfg.maturity)
+    for offset in (h, -h):
+        x = reference_series(model, init, cfg, stock_drift=offset)
+        prices.append(np.exp(-x.integrals["D"] - offset * cfg.maturity)
                       * hg.evaluate_payoff(payoff, x.s[:, -1]))
-    return fsum_mean_se((prices[0] - prices[1]) / (denom * h))
+    return fsum_mean_se((prices[0] - prices[1]) / (2.0 * h))
 
 
 def conditional_call(params, rho, init, strike, maturity, n_steps, n_paths, seed):

@@ -69,8 +69,7 @@ def test_criterion_03_estimators_agree_at_reference_params(
     }
     agree = {}
     for greek, weighted in pairs.items():
-        bump = hg.BumpSpec(greek, "central",
-                           h=hg.default_bump_size(greek, hv_init), crn=True)
+        bump = hg.BumpSpec(greek, h=hg.default_bump_size(greek, hv_init))
         fd = hg.fd_greek(hv_model, hv_init, hv_cfg_10k, call_100, bump)
         agree[greek] = hg.agrees(weighted, fd)
     elapsed = time.perf_counter() - started

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 import hsv_greeks as hg
 from hsv_greeks.baselines import norm_cdf
 from conftest import BS_DELTA, BS_PRICE, BS_RHO, BS_VEGA
-from reference import fd_reference, stock_drift_fd
+from reference import fd_reference, fsum_mean_se, moved, stock_drift_fd
 
 FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 
@@ -21,8 +21,8 @@ FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 def test_bump_spec_validation():
     with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("spot")  # not a Greek token
-    with pytest.raises(hg.InvalidParams):
-        hg.BumpSpec("delta", scheme="centered")
+    with pytest.raises(TypeError, match="scheme"):
+        hg.BumpSpec("delta", scheme="central")
     with pytest.raises(hg.InvalidParams):
         hg.BumpSpec("delta", h=0.0)
     with pytest.raises(hg.InvalidParams):
@@ -33,8 +33,14 @@ def test_bump_spec_validation():
     (dict(h=True), "h"), (dict(h="1"), "h"), (dict(h=None), "h"),
     (dict(crn="off"), "crn"), (dict(crn=1), "crn"), (dict(crn=None), "crn")])
 def test_bump_spec_refuses_bools_and_text(kwargs, field):
-    """h=True was taken as 1 and h="1" raised a bare TypeError; a crn of
-    "off" ran with common random numbers.  Each is refused by its field."""
+    """h=True was taken as 1 and h="1" raised a bare TypeError; each is
+    refused by its field.  A crn of "off" once ran with common random
+    numbers; crn went with the independent-stream form, and any value of
+    it is refused as an unexpected keyword, never ignored."""
+    if field == "crn":
+        with pytest.raises(TypeError, match=field):
+            hg.BumpSpec("delta", **kwargs)
+        return
     with pytest.raises(hg.InvalidParams, match=field) as info:
         hg.BumpSpec("delta", **kwargs)
     assert info.value.field == field
@@ -140,8 +146,7 @@ def test_normal_cdf_accuracy():
 
 def test_fd_delta_matches_closed_form(deg_model, deg_init, call_100):
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=41)
-    est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                      hg.BumpSpec("delta", "central", h=1.0, crn=True))
+    est = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec("delta", h=1.0))
     assert est.estimator == "fd_central"
     assert abs(est.value - BS_DELTA) <= 3 * est.std_error
 
@@ -150,39 +155,49 @@ def test_fd_shift_targets_match_closed_forms(deg_model, deg_init, call_100):
     """Under constant volatility the drift+discount shift is a rate bump and
     the diffusion-row shift is a sigma bump, so both have closed forms."""
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=43)
-    rho_est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("rho", "central", h=1e-4, crn=True))
-    vega_est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                           hg.BumpSpec("vega", "central", h=1e-4, crn=True))
+    rho_est = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec("rho", h=1e-4))
+    vega_est = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec("vega", h=1e-4))
     assert abs(rho_est.value - BS_RHO) <= 3 * rho_est.std_error
     assert abs(vega_est.value - BS_VEGA) <= 3 * vega_est.std_error
 
 
+def _prices(model, init, cfg, payoff, greek, offset):
+    """Per-path discounted payoffs of the pair moved by ``offset``."""
+    paths = hg.simulate_paths(*moved(model, init, greek, offset), cfg, weights=False)
+    return np.exp(-paths.D) * hg.evaluate_payoff(payoff, paths.s_T)
+
+
 def test_crn_reduces_standard_error(hv_model, hv_init, call_100):
+    """fd_greek differences its pair path by path on the same draws; the
+    same pair priced on independent draws, seeds 47 and 48, has a wider
+    standard error."""
     cfg = hg.SimConfig(n_paths=10_000, n_steps=64, maturity=1.0, seed=47)
-    crn = hg.fd_greek(hv_model, hv_init, cfg, call_100,
-                      hg.BumpSpec("delta", "central", h=1.0, crn=True))
-    indep = hg.fd_greek(hv_model, hv_init, cfg, call_100,
-                        hg.BumpSpec("delta", "central", h=1.0, crn=False))
-    assert crn.std_error < indep.std_error
+    crn = hg.fd_greek(hv_model, hv_init, cfg, call_100, hg.BumpSpec("delta", h=1.0))
+    (_, se_hi), (_, se_lo) = (
+        fsum_mean_se(_prices(hv_model, hv_init, dataclasses.replace(cfg, seed=seed),
+                             call_100, "delta", offset))
+        for offset, seed in ((1.0, 47), (-1.0, 48)))
+    assert crn.std_error < math.hypot(se_hi, se_lo) / 2.0
 
 
 def test_scheme_ordering_on_degenerate_delta(deg_model, deg_init, call_100):
+    """The central difference is no further from the closed form than the
+    forward difference of the same draws, restated here, which carries an
+    O(h) bias."""
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=53)
     h = 0.01 * deg_init.s0
-    central = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("delta", "central", h=h, crn=True))
-    forward = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("delta", "forward", h=h, crn=True))
-    combined = math.hypot(central.std_error, forward.std_error)
-    assert abs(central.value - BS_DELTA) <= \
-        abs(forward.value - BS_DELTA) + 3 * combined
+    central = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec("delta", h=h))
+    forward, forward_se = fsum_mean_se(
+        (_prices(deg_model, deg_init, cfg, call_100, "delta", h)
+         - _prices(deg_model, deg_init, cfg, call_100, "delta", 0.0)) / h)
+    combined = math.hypot(central.std_error, forward_se)
+    assert abs(central.value - BS_DELTA) <= abs(forward - BS_DELTA) + 3 * combined
 
 
 def test_fd_agrees_with_weighted_estimator_on_same_draws(
         deg_model, deg_init, call_100):
-    """CRN finite differences reuse stream 0, i.e. the exact draws behind the
-    weighted estimator at the same config, so both see the same noise."""
+    """Finite differences reuse the exact draws behind the weighted
+    estimator at the same config, so both see the same noise."""
     cfg = hg.SimConfig(n_paths=20_000, n_steps=64, maturity=1.0, seed=59)
     paths = hg.simulate_paths(deg_model, deg_init, cfg)
     mw = {
@@ -192,9 +207,7 @@ def test_fd_agrees_with_weighted_estimator_on_same_draws(
     }
     for greek, weighted in mw.items():
         fd = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                         hg.BumpSpec(greek, "central",
-                                     h=hg.default_bump_size(greek, deg_init),
-                                     crn=True))
+                         hg.BumpSpec(greek, h=hg.default_bump_size(greek, deg_init)))
         assert hg.agrees(weighted, fd), greek
 
 
@@ -221,16 +234,21 @@ def test_fd_greek_matches_the_reference_bumps(model_name, greek, scheme, crn,
                                               hv_model, hv_init, deg_model,
                                               deg_init, call_100):
     """What the Greek table says a bump moves gives, bit for bit, the
-    estimate of the moved (model, init) pair restated in the test."""
+    central estimate on common random numbers of the moved (model, init)
+    pairs restated in the test.  ``scheme`` and ``crn`` spelled the
+    one-sided and independent-stream forms, which are gone: each spelling
+    is refused as an unexpected keyword, never ignored."""
     model, init = ((hv_model, hv_init) if model_name == "hybrid"
                    else (deg_model, deg_init))
     cfg = hg.SimConfig(n_paths=200, n_steps=8, maturity=1.0, seed=67)
     h = hg.default_bump_size(greek, init)
-    est = hg.fd_greek(model, init, cfg, call_100,
-                      hg.BumpSpec(greek, scheme, h=h, crn=crn))
-    assert est.estimator == f"fd_{scheme}"
+    for removed in ({"scheme": scheme}, {"crn": crn}):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            hg.BumpSpec(greek, h=h, **removed)
+    est = hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec(greek, h=h))
+    assert est.estimator == "fd_central"
     assert (est.value, est.std_error, est.clamp_count) == fd_reference(
-        model, init, cfg, call_100, greek, scheme, h, crn)
+        model, init, cfg, call_100, greek, h)
 
 
 @pytest.mark.parametrize("scheme", ["forward", "central"])
@@ -239,12 +257,15 @@ def test_fd_rho_moving_every_rate_matches_the_stock_drift_shift(
         model_name, scheme, hv_model, hv_init, deg_model, deg_init, call_100):
     """Moving every rate by h, so that the stock drift and D both carry
     r + h, gives the CRN estimate of shifting the stock drift alone and
-    discounting by e^{-D - hT}, to rounding."""
+    discounting by e^{-D - hT}, to rounding.  The forward scheme is gone:
+    its spelling is refused, as is the central one."""
     model, init = ((hv_model, hv_init) if model_name == "hybrid"
                    else (deg_model, deg_init))
     cfg = hg.SimConfig(n_paths=2000, n_steps=16, maturity=1.0, seed=71)
-    est = hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec("rho", scheme, h=1e-4))
-    value, se = stock_drift_fd(model, init, cfg, call_100, scheme, 1e-4)
+    with pytest.raises(TypeError, match="scheme"):
+        hg.BumpSpec("rho", scheme=scheme, h=1e-4)
+    est = hg.fd_greek(model, init, cfg, call_100, hg.BumpSpec("rho", h=1e-4))
+    value, se = stock_drift_fd(model, init, cfg, call_100, 1e-4)
     assert est.value == pytest.approx(value, rel=1e-11, abs=0.0)
     assert est.std_error == pytest.approx(se, rel=1e-11, abs=0.0)
 
@@ -255,15 +276,17 @@ def test_unsupported_fd_bumps_are_refused_before_any_draw(
         greek, scheme, deg_model, deg_init, call_100, monkeypatch):
     """A bump scaled by a Heston–Vasicek parameter is refused on another
     model before the first block is drawn: the backward scheme once drew
-    its base price first."""
+    its base price first.  The schemes are gone, and a spelled one is
+    refused before a draw too."""
     calls = []
     draws = hg.engine.standard_draws
     monkeypatch.setattr(hg.engine, "standard_draws",
                         lambda *a, **k: calls.append(a) or draws(*a, **k))
     cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=0)
+    with pytest.raises(TypeError, match="scheme"):
+        hg.BumpSpec(greek, scheme=scheme)
     with pytest.raises(hg.UnsupportedModel, match=f"fd:{greek}"):
-        hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                    hg.BumpSpec(greek, scheme))
+        hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec(greek))
     assert calls == []
 
 
@@ -272,16 +295,17 @@ def test_initial_state_bumps_run_on_the_degenerate_model(
         greek, deg_model, deg_init, call_100):
     """A bump needs no ellipticity.  On Black–Scholes, where f = g = 0,
     moving r0 moves every rate, so CRN fd:rho_r0 is fd:rho bit for bit,
-    and V moves nothing, so CRN fd:vega_v0 is 0.0 +- 0.0.  Both were once
+    and V moves nothing, so CRN fd:vega_v0 is 0.0 +- 0.0, for a digital
+    call too: S_T does not move, so no crossing is missing.  Both were once
     refused on every degenerate model."""
     cfg = hg.SimConfig(n_paths=4096, n_steps=16, maturity=1.0, seed=0)
-    est = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                      hg.BumpSpec(greek, crn=True))
+    est = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec(greek))
     if greek == "vega_v0":
+        digital = hg.Payoff("digital_call", strike=100.0)
         assert (est.value, est.std_error) == (0.0, 0.0)
+        assert hg.fd_greek(deg_model, deg_init, cfg, digital, hg.BumpSpec(greek)).value == 0.0
     else:
-        rho = hg.fd_greek(deg_model, deg_init, cfg, call_100,
-                          hg.BumpSpec("rho", crn=True))
+        rho = hg.fd_greek(deg_model, deg_init, cfg, call_100, hg.BumpSpec("rho"))
         assert est == rho
         assert abs(rho.value - BS_RHO) <= 4 * rho.std_error
 

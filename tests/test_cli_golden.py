@@ -4,7 +4,9 @@ The expected text of the six cases that draw was recorded when the draws
 became ziggurat normals on per-block rows of step-major Philox counters;
 the ``compare`` table's ``clamps`` column is older, and the three
 ``dump-config`` cases are older still and moved only when the
-``model.enforce_positivity`` key went, which two of them printed.  The
+``model.enforce_positivity`` key went, which two of them printed, and
+when the ``bump.<greek>.scheme`` and ``crn`` keys went, whose lines all
+three printed.  The
 ``hybrid_feller_small`` rows were recorded with that key off and
 ``model.positivity=feller``, the pair whose behaviour ``off`` names now,
 so they pin ``off`` as that pair bit for bit.  The
@@ -15,10 +17,15 @@ order, so every digit must still match; a reordered product shows up here
 as a changed last digit.  The two non-default ``dump-config`` cases were
 recorded before the config keys moved into one schema; between them they
 pin the canonical text of every kind of value (numbers, integers,
-switches, ``auto``, lists and plain text).  The two-block ``compare`` and
+choices, ``auto``, lists and plain text); the switches went with the
+``crn`` key.  The two-block ``compare`` and
 ``greeks`` cases have 16,385 paths, which cross the engine's 16,384-path
 block edge.  The ``compare`` case with every finite-difference target pins
-the bumped prices, and their clamp counts, of the state-only runs.
+the bumped prices, and their clamp counts, of the state-only runs; its
+``fd:rho``, ``fd:vega_v0`` and ``fd:kappa`` rows were once an
+independent-stream, a forward and a backward difference, and were
+recorded again as central differences on common random numbers, by the
+code that still had the other forms, when those forms went.
 """
 
 import pytest
@@ -59,8 +66,8 @@ HYBRID_BUMPS = {
     "sim.n_steps": "16",
     "estimators": ALL_WEIGHTED + ",fd:delta,fd:vega",
     "bump.reversion.h": "0.0002",
-    "bump.vega_v0.scheme": "forward",
-    "bump.rho.crn": "off",
+    "bump.vega_v0.h": "0.0004",
+    "bump.rho.h": "0.0001",
 }
 
 BS_NON_DEFAULT = {
@@ -81,7 +88,6 @@ BS_NON_DEFAULT = {
     "output.path": "o.csv",
     "output.format": "json-lines",
     "output.timing": "clock",
-    "bump.delta.crn": "off",
 }
 
 # 2*kappa*theta = 0.15 < sigma_vol^2 = 0.25: only accepted with the
@@ -205,21 +211,11 @@ EXPECTED = {
         "output.path=\n"
         "output.format=csv\n"
         "output.timing=off\n"
-        "bump.delta.scheme=central\n"
         "bump.delta.h=1.0\n"
-        "bump.delta.crn=on\n"
-        "bump.rho.scheme=central\n"
         "bump.rho.h=0.0001\n"
-        "bump.rho.crn=off\n"
-        "bump.vega.scheme=central\n"
         "bump.vega.h=0.0001\n"
-        "bump.vega.crn=on\n"
-        "bump.vega_v0.scheme=forward\n"
         "bump.vega_v0.h=0.0004\n"
-        "bump.vega_v0.crn=on\n"
-        "bump.reversion.scheme=central\n"
         "bump.reversion.h=0.0002\n"
-        "bump.reversion.crn=on\n"
         ),
     ),
     "dump_config_black_scholes_non_default": (
@@ -245,9 +241,7 @@ EXPECTED = {
         "output.path=o.csv\n"
         "output.format=json-lines\n"
         "output.timing=clock\n"
-        "bump.delta.scheme=central\n"
         "bump.delta.h=0.9\n"
-        "bump.delta.crn=off\n"
         ),
     ),
     "dump_config_hybrid_feller": (
@@ -282,9 +276,7 @@ EXPECTED = {
         "output.path=\n"
         "output.format=csv\n"
         "output.timing=off\n"
-        "bump.kappa.scheme=central\n"
         "bump.kappa.h=0.0001\n"
-        "bump.kappa.crn=on\n"
         ),
     ),
 }
@@ -326,8 +318,7 @@ def test_each_token_alone_writes_its_row_of_the_all_token_run(greek, tmp_path, c
 
 # Every finite-difference target beside its weighted form, over two blocks,
 # with a sigma floor above every volatility so each run clamps: the CSV's
-# clamp column counts the clamps of both bumped re-simulations.  One bump
-# draws independent sub-streams (crn=off), one is forward and one backward.
+# clamp column counts the clamps of both bumped re-simulations.
 ALL_FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 ALL_FD = {
     "sim.n_paths": "16385",
@@ -335,9 +326,6 @@ ALL_FD = {
     "sim.sigma_floor": "0.5",
     "estimators": ",".join(f"{m}:{g}" for g in ALL_FD_GREEKS
                            for m in ("malliavin", "fd")),
-    "bump.rho.crn": "off",
-    "bump.vega_v0.scheme": "forward",
-    "bump.kappa.scheme": "backward",
 }
 
 ALL_FD_TABLE = (
@@ -346,15 +334,15 @@ ALL_FD_TABLE = (
     "delta         16385 malliavin        0.2166229298     0.0089973 -          0.000      1      98310\n"
     "delta         16385 fd_central       0.5869787404    0.00454714 NO         0.000      2     196620\n"
     "rho           16385 malliavin         12.66451866      0.861234 -          0.000      0      98310\n"
-    "rho           16385 fd_central        739.9737264       748.981 yes        0.000      2     196620\n"
+    "rho           16385 fd_central        49.70581282      0.382587 NO         0.000      2     196620\n"
     "vega          16385 malliavin         13.28062609       1.49062 -          0.000      0      98310\n"
     "vega          16385 fd_central        39.30780175      0.580078 NO         0.000      2     196620\n"
     "vega_v0       16385 malliavin         8.127461345       1.42574 -          0.000      0      98310\n"
-    "vega_v0       16385 fd_forward        49.12830242       1.05948 NO         0.000      2     196620\n"
+    "vega_v0       16385 fd_central        49.17208099       1.06188 NO         0.000      2     196620\n"
     "rho_r0        16385 malliavin         6.108505354      0.406077 -          0.000      0      98310\n"
     "rho_r0        16385 fd_central        49.45729834      0.380674 NO         0.000      2     196620\n"
     "kappa         16385 malliavin        -1.930519632       1.47236 -          0.000      0      98310\n"
-    "kappa         16385 fd_backward        49.2156593       1.14189 NO         0.000      2     196620\n"
+    "kappa         16385 fd_central        49.19840967       1.14112 NO         0.000      2     196620\n"
     "reversion     16385 malliavin       0.02170963042    0.00995861 -          0.000      0      98310\n"
     "reversion     16385 fd_central       0.2485593857    0.00191328 NO         0.000      2     196620\n"
 )
@@ -364,15 +352,15 @@ ALL_FD_CSV = (
     "malliavin,delta,16385,2,12345,0.21662292976623695,0.008997297204088966,98310,0.0\n"
     "fd_central,delta,16385,2,12345,0.5869787403517545,0.0045471397109051745,196620,0.0\n"
     "malliavin,rho,16385,2,12345,12.664518662832702,0.8612335676572032,98310,0.0\n"
-    "fd_central,rho,16385,2,12345,739.9737263594641,748.9810731383534,196620,0.0\n"
+    "fd_central,rho,16385,2,12345,49.705812822826864,0.3825867277079709,196620,0.0\n"
     "malliavin,vega,16385,2,12345,13.28062609336485,1.4906242809507617,98310,0.0\n"
     "fd_central,vega,16385,2,12345,39.30780174757583,0.58007842805305,196620,0.0\n"
     "malliavin,vega_v0,16385,2,12345,8.12746134452639,1.425741054489244,98310,0.0\n"
-    "fd_forward,vega_v0,16385,2,12345,49.128302422058155,1.0594790109317707,196620,0.0\n"
+    "fd_central,vega_v0,16385,2,12345,49.17208098892013,1.061879343703691,196620,0.0\n"
     "malliavin,rho_r0,16385,2,12345,6.10850535403044,0.4060767313889497,98310,0.0\n"
     "fd_central,rho_r0,16385,2,12345,49.45729834316218,0.3806741415554742,196620,0.0\n"
     "malliavin,kappa,16385,2,12345,-1.9305196319487774,1.4723620468748375,98310,0.0\n"
-    "fd_backward,kappa,16385,2,12345,49.21565929611328,1.1418935776641883,196620,0.0\n"
+    "fd_central,kappa,16385,2,12345,49.19840966653191,1.1411165796143066,196620,0.0\n"
     "malliavin,reversion,16385,2,12345,0.02170963042455508,0.009958605273931213,98310,0.0\n"
     "fd_central,reversion,16385,2,12345,0.2485593857310503,0.0019132823413071703,196620,0.0\n"
 )

@@ -166,21 +166,17 @@ def test_bump_entries_resolve_into_specs():
     rc = hg.build_run_config({
         "estimators": "malliavin:delta,fd:delta,fd:vega",
         "bump.delta.h": "0.5",
-        "bump.delta.scheme": "forward",
-        "bump.vega.crn": "off",
     })
-    assert rc.bumps["delta"].greek == "delta"
-    assert rc.bumps["delta"].scheme == "forward"
-    assert rc.bumps["delta"].h == 0.5
-    assert rc.bumps["vega"].greek == "vega"
-    assert rc.bumps["vega"].crn is False
-    assert rc.bumps["vega"].h == 1e-4  # default size
+    assert rc.bumps == {"delta": hg.BumpSpec("delta", 0.5),
+                        "vega": hg.BumpSpec("vega", 1e-4)}  # default size
 
 
 @pytest.mark.parametrize("key,value", [
     ("bump.delta.h", "-1"),
     ("bump.delta.h", "0"),
+    # h is the one bump entry: scheme and crn went with the forms they chose
     ("bump.delta.scheme", "five_point"),
+    ("bump.delta.crn", "on"),
     ("bump.gamma.h", "1"),
     ("bump.delta.width", "1"),
     ("bump.delta.h", "50"),        # h must stay below half of s0 = 100
@@ -204,13 +200,20 @@ def test_bump_entries_meet_their_greeks_model_rule(tmp_path, key, value):
     Heston–Vasicek parameter to scale the kappa and reversion bumps by, and
     Black–Scholes runs once accepted and dumped such entries.  A bump of v0
     or r0 needs no ellipticity, so Black–Scholes runs it and dumps the
-    entry; both were once refused."""
+    entry; both were once refused.  The scheme and crn entries are gone,
+    and refused under their own key on either model."""
     bs = hg.build_run_config({"model.name": "black_scholes",
                               "sim.n_paths": "64", "sim.n_steps": "4"})
     bump = hg.BumpSpec(key.split(".")[1])
     proc = run_cli("dump-config", "--config",
                    write_cfg(tmp_path, f"model.name=black_scholes\n{key}={value}\n"))
-    if bump.greek in ("kappa", "reversion"):
+    if not key.endswith(".h"):
+        for model_name in ("heston_vasicek", "black_scholes"):
+            with pytest.raises(hg.InvalidConfig, match="unknown key") as err:
+                hg.build_run_config({"model.name": model_name, key: value})
+            assert err.value.key == key
+        assert proc.returncode == 2 and f"config key '{key}'" in proc.stderr
+    elif bump.greek in ("kappa", "reversion"):
         with pytest.raises(hg.UnsupportedModel) as direct:
             hg.fd_greek(bs.model, bs.init, bs.sim, bs.payoff, bump)
         with pytest.raises(hg.InvalidConfig) as err:
@@ -279,8 +282,7 @@ def test_other_value_types_are_refused_under_their_key(key, value):
     {"model.name": "black_scholes",
      "estimators": "malliavin:delta,fd:delta,analytic:delta"},
     {"sim.n_paths": "500", "sim.workers": "3",
-     "estimators": "malliavin:delta,fd:delta", "bump.delta.h": "0.5",
-     "bump.delta.scheme": "forward"},
+     "estimators": "malliavin:delta,fd:delta", "bump.delta.h": "0.5"},
 ])
 def test_effective_config_round_trips(overrides):
     rc = hg.build_run_config(overrides)
@@ -294,8 +296,7 @@ def test_effective_config_round_trips(overrides):
 # value kind (valid for some keys, refused by others).
 _KEY_DEFAULTS = {
     **hg.config.defaults_for("black_scholes"), **hg.config.defaults_for("heston_vasicek"),
-    **{f"bump.{g}.{f}": v for g in ("delta", "vega_v0", "rho_r0", "kappa")
-       for f, v in (("scheme", "backward"), ("h", "0.001"), ("crn", "off"))},
+    **{f"bump.{g}.h": "0.001" for g in ("delta", "vega_v0", "rho_r0", "kappa")},
 }
 _TEXTS = ["0.5", "3", "+2", "1_0", "1e-3", "-0.0", "0.07", "64", "007", "on",
           "off", "auto", "black_scholes", "feller", "put", "digital_call",
@@ -484,6 +485,45 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "bogus" in proc.stderr
 
 
+@pytest.mark.parametrize("entry", ["bump.delta.scheme=forward", "bump.delta.crn=off"])
+def test_a_removed_bump_field_exits_2_naming_its_key(tmp_path, entry):
+    """A finite difference is central on common random numbers, and the
+    entries that chose a one-sided scheme or independent draws are
+    refused, never ignored."""
+    key = entry.partition("=")[0]
+    proc = run_cli("greeks", "--config", write_cfg(
+        tmp_path, f"sim.n_paths=64\nsim.n_steps=4\nestimators=fd:delta\n{entry}\n"))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"hsv-greeks: config key '{key}': unknown key; expected bump.<greek>.h\n"
+
+
+def test_a_digital_difference_no_path_crosses_exits_2_naming_its_bump(tmp_path):
+    """fd:reversion's default bump of 1e-4 moves S_T across the digital's
+    strike on none of 512 paths, so its difference would hold the discount
+    term alone: the run is refused under bump.reversion.h.  A bump of 0.1
+    crosses, and runs."""
+    text = ("payoff.kind=digital_call\nsim.n_paths=512\nsim.n_steps=16\n"
+            "estimators=fd:reversion\n")
+    proc = run_cli("greeks", "--config", write_cfg(tmp_path, text))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("hsv-greeks: config key 'bump.reversion.h': h = 0.0001 "
+                                  "moves S_T across the strike on 0 of 512 paths")
+    proc = run_cli("greeks", "--config", write_cfg(tmp_path, text + "bump.reversion.h=0.1\n"))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_a_shared_simulation_warns_once(tmp_path):
+    """The Feller-violating model with positivity off clamps on more than 1%
+    of its evaluations at 512 x 16: the default tokens malliavin:delta, rho
+    and vega share one simulation, and stderr holds one warning for it,
+    where each token once printed its own."""
+    proc = run_cli("greeks", "--config", write_cfg(
+        tmp_path, "model.kappa=1.5\nmodel.theta=0.05\nmodel.sigma_vol=0.5\n"
+                  "model.positivity=off\n"), "--paths", "512", "--steps", "16")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("DegenerateWeightWarning") == 1, proc.stderr
+
+
 def test_positivity_off_is_the_one_unchecked_spelling(tmp_path):
     """A Feller-violating model (2*kappa*theta = 0.15 < sigma_vol^2 = 0.25)
     is refused under model by strict and feller and built by off.  The
@@ -589,16 +629,14 @@ def test_non_finite_weighted_estimate_exits_3(tmp_path, level, detail):
     assert proc.stderr.count("\n") == 1  # no warning, no traceback
 
 
-@pytest.mark.parametrize("level,crn", [("1e160", "on"), ("1e307", "on"),
-                                       ("1e160", "off")])
-def test_non_finite_fd_estimate_exits_3(tmp_path, level, crn):
-    """A finite-difference estimate whose standard error overflows, from
-    differenced or from independent runs, is a numerical failure naming its
-    estimator token, not a usage error."""
+@pytest.mark.parametrize("level", ["1e160", "1e307"])
+def test_non_finite_fd_estimate_exits_3(tmp_path, level):
+    """A finite-difference estimate whose standard error overflows is a
+    numerical failure naming its estimator token, not a usage error."""
     cfg = write_cfg(tmp_path, "payoff.kind=digital_call\n"
                     f"payoff.level={level}\n"
                     "sim.n_paths=64\nsim.n_steps=4\n"
-                    f"estimators=fd:delta\nbump.delta.crn={crn}\n")
+                    "estimators=fd:delta\n")
     proc = run_cli("greeks", "--config", cfg)
     assert proc.returncode == 3
     assert proc.stderr.startswith(

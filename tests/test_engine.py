@@ -79,9 +79,9 @@ def _greek_estimate(**kwargs):
     (hg.Payoff, {"kind": "call", "strike": True}),
     (hg.Payoff, {"kind": "call", "strike": "100"}),
     (hg.Payoff, {"kind": "digital_call", "strike": 100.0, "level": "1"}),
-    (_simulate_paths, {"stream": True}), (_simulate_paths, {"stream": "0"}),
-    (_simulate_paths, {"stream": 1.5}), (_simulate_paths, {"stream": None}),
-    (_simulate_paths, {"stream": -1}),
+    (_simulate_paths, {"drift_extras": 1}), (_simulate_paths, {"drift_extras": None}),
+    (_simulate_paths, {"drift_extras": 0.0}), (_simulate_paths, {"weights": None}),
+    (_simulate_paths, {"weights": 0}),
     (_simulate_paths, {"weights": 1}), (_simulate_paths, {"weights": "I1"}),
     (_simulate_paths, {"drift_extras": "yes"}),
     (_bs_closed_form, {"s0": True}), (_bs_closed_form, {"level": math.nan}),
@@ -94,10 +94,9 @@ def test_bools_are_refused_as_numbers(cls, kwargs):
     argument, as the config does.  The dataclasses once took True as 1 and
     text raised a bare TypeError; SimConfig raised InvalidConfig; the draws
     raised a bare TypeError for a float or text size and took a float or
-    True as workers, before simulate_paths checked the stream and SimConfig
-    the rest; simulate_paths raised a bare TypeError for weights=1,
-    read weights="I1" as the fields '1' and 'I', and took any truthy
-    drift_extras; bs_closed_form took True and never checked level; and
+    True as workers, before SimConfig checked them; simulate_paths raised a
+    bare TypeError for weights=1, read weights="I1" as the fields '1' and
+    'I', and took any truthy drift_extras; bs_closed_form took True and never checked level; and
     GreekEstimate took any clamp_count."""
     field = next(name for name, value in kwargs.items()
                  if len(kwargs) == 1 or not isinstance(value, float) and name != "kind")
@@ -143,24 +142,25 @@ def test_draw_shape_and_normality():
 
 
 def test_draw_streams_are_distinct():
-    a = draws_array(5, 10, 8, stream=0)
-    b = draws_array(5, 10, 8, stream=1)
-    assert not np.array_equal(a, b)
+    """Each seed keys its own Philox stream, (seed, 0): the draws of
+    neighbouring seeds share no row."""
+    a, b = draws_array(5, 10, 8), draws_array(6, 10, 8)
+    assert not (a == b).all(axis=0).any()
 
 
 def test_draws_depend_on_seed():
     assert not np.array_equal(draws_array(1, 4, 8), draws_array(2, 4, 8))
 
 
-def _row_by_row_draws(seed, n_paths, n_steps, block=0, stream=0):
+def _row_by_row_draws(seed, n_paths, n_steps, block=0):
     """The draws by their definition: path p of block b at (step s, driver
     d) is normal p of the ziggurat sampler on the Philox stream keyed
-    (seed, stream) that starts at counter ((3*s + d) << 62) + (b << 128);
+    (seed, 0) that starts at counter ((3*s + d) << 62) + (b << 128);
     one fresh generator per row, drawn from the block's start."""
     z = np.empty((n_paths, n_steps, 3))
     for s in range(n_steps):
         for d in range(3):
-            bg = Philox(key=np.array([seed, stream], dtype=np.uint64),
+            bg = Philox(key=np.array([seed, 0], dtype=np.uint64),
                         counter=((3 * s + d) << 62) + (block << 128))
             z[:, s, d] = Generator(bg).standard_normal(n_paths)
     return z
@@ -168,20 +168,17 @@ def _row_by_row_draws(seed, n_paths, n_steps, block=0, stream=0):
 
 @pytest.mark.parametrize("n_steps", [1, 9, 17])
 def test_draws_are_the_step_major_philox_rows(monkeypatch, n_steps):
-    """The first paths of blocks 0 and 1, a whole block among them, on
-    every stream and at every worker count (17 steps make two runs of a
-    1,025-path block and nine of a whole one), give the rows of the
-    definition."""
+    """The first paths of blocks 0 and 1, a whole block among them, at
+    every worker count (17 steps make two runs of a 1,025-path block and
+    nine of a whole one), give the rows of the definition."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 4)
     for block in (0, 1):
-        for n_paths, streams in ((13, (0, 1, 2)), (_THREAD_PATHS + 1, (0,)), (_BLOCK, (2,))):
-            for stream in streams:
-                expected = _row_by_row_draws(11, n_paths, n_steps, block, stream)
-                for workers in (None, 1, 2, 3):
-                    z = draws_array(11, n_paths, n_steps, block=block, stream=stream,
-                                    workers=workers)
-                    assert z.shape == (n_paths, n_steps, 3)
-                    assert np.array_equal(z, expected), (block, n_paths, stream, workers)
+        for n_paths in (13, _THREAD_PATHS + 1, _BLOCK):
+            expected = _row_by_row_draws(11, n_paths, n_steps, block)
+            for workers in (None, 1, 2, 3):
+                z = draws_array(11, n_paths, n_steps, block=block, workers=workers)
+                assert z.shape == (n_paths, n_steps, 3)
+                assert np.array_equal(z, expected), (block, n_paths, workers)
 
 
 def test_adjacent_rows_of_draws_are_uncorrelated():
@@ -268,23 +265,25 @@ def test_draws_are_pure_under_any_split(n, block, n_steps, workers):
     (dict(stream=1.5), "stream"), (dict(stream=False), "stream")])
 def test_draws_refuse_negative_sizes_and_no_workers(monkeypatch, hv_model, hv_init,
                                                     kwargs, name):
-    """A negative size, fewer than one worker, or a seed or stream that is
-    no integer in [0, 2**64) is refused by name, before any run is drawn or
-    any thread started: SimConfig refuses its fields and simulate_paths the
-    stream, as standard_draws takes its arguments unchecked.  A seed or
-    stream of -1 once raised a bare OverflowError, and 1.5 and True were
-    taken."""
+    """A negative size, fewer than one worker, or a seed that is no
+    integer in [0, 2**64) is refused by name, before any run is drawn or
+    any thread started: SimConfig refuses its fields, as standard_draws
+    takes its arguments unchecked.  A seed of -1 once raised a bare
+    OverflowError, and 1.5 and True were taken.  The draws are keyed by
+    (seed, 0) alone: a stream, valid or not, is an unexpected keyword."""
     calls = []
     draws = hg.engine.standard_draws
     monkeypatch.setattr(hg.engine, "standard_draws",
                         lambda *a, **k: calls.append(a) or draws(*a, **k))
     kwargs = dict(kwargs)
-    stream = kwargs.pop("stream", 0)
     before = threading.active_count()
-    with pytest.raises(hg.InvalidParams, match=name) as info:
-        hg.simulate_paths(hv_model, hv_init, small_cfg(**{"n_paths": 4, "n_steps": 4, **kwargs}),
-                          stream=stream)
-    assert info.value.field == name
+    if name == "stream":
+        with pytest.raises(TypeError, match="stream"):
+            hg.simulate_paths(hv_model, hv_init, small_cfg(n_paths=4, n_steps=4), **kwargs)
+    else:
+        with pytest.raises(hg.InvalidParams, match=name) as info:
+            hg.simulate_paths(hv_model, hv_init, small_cfg(**{"n_paths": 4, "n_steps": 4, **kwargs}))
+        assert info.value.field == name
     assert calls == [] and threading.active_count() == before
 
 
@@ -1157,18 +1156,18 @@ def test_a_weighted_blowup_checks_the_first_variations_before_they_are_exponenti
 # determinism
 
 @pytest.mark.parametrize("weights", [True, False])
-@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1])
 def test_two_block_runs_are_bitwise_identical_across_worker_counts(
-        monkeypatch, hv_model, hv_init, stream, weights):
+        monkeypatch, hv_model, hv_init, seed, weights):
     """Two blocks (16,385 paths) on eight CPUs, each block's draws made by
     the calling thread alone or with a helper, at worker hints from 1 to 8:
     every array, clamp and evaluation count is the same."""
     monkeypatch.setattr(hg.engine, "_available_cpus", lambda: 8)
     runs = []
     for hint in (None, 1, 2, 3, 8):
-        cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=2, sigma_floor=0.2,
+        cfg = small_cfg(n_paths=_BLOCK + 1, n_steps=2, seed=seed, sigma_floor=0.2,
                         worker_hint=hint)
-        runs.append(hg.simulate_paths(hv_model, hv_init, cfg, stream=stream,
+        runs.append(hg.simulate_paths(hv_model, hv_init, cfg,
                                       drift_extras=weights, weights=weights))
     first = runs[0]
     names = (_STATE_ONLY_FIELDS + _WEIGHT_FIELDS + ("j2", "j3", "g3")
@@ -1439,7 +1438,7 @@ def test_zero_v_and_g_make_a_degenerate_model(hv_model, hv_init):
         with pytest.raises(hg.UnsupportedModel,
                            match=rf"^malliavin:{greek} divides by v\(V_t\) or g\(r_t\)"):
             estimate()
-        fd = hg.fd_greek(flat, hv_init, cfg, call, hg.BumpSpec(greek, crn=True))
+        fd = hg.fd_greek(flat, hv_init, cfg, call, hg.BumpSpec(greek))
         assert math.isfinite(fd.value) and fd.std_error > 0.0, (greek, fd)
     assert flat.degenerate
 

@@ -175,9 +175,7 @@ def test_estimators_are_linear_in_the_payoff(hv_paths_10k):
 # hybrid-model agreement with finite differences (common random numbers)
 
 def _crn_fd(hv_model, hv_init, cfg, payoff, greek, h=None):
-    spec = hg.BumpSpec(greek, scheme="central",
-                       h=h if h is not None else
-                       hg.default_bump_size(greek, hv_init), crn=True)
+    spec = hg.BumpSpec(greek, h if h is not None else hg.default_bump_size(greek, hv_init))
     return hg.fd_greek(hv_model, hv_init, cfg, payoff, spec)
 
 
@@ -317,11 +315,9 @@ _WEIGHTED = {
     "kappa": lambda paths, payoff: hg.drift_sensitivity(paths, payoff, "kappa"),
     "reversion": lambda paths, payoff: hg.drift_sensitivity(paths, payoff, "reversion_speed"),
 }
-_DEFECT_D = pytest.mark.xfail(strict=True, reason=(
-    "defect D: fd:reversion's default bump, 1e-4, moves S_T by about 1e-4 and crosses "
-    "the strike on none of the 65,536 paths, so the CRN central difference of the "
-    "digital keeps the discount term alone and an SE of it: -0.00486 +- 0.00002 "
-    "against the oracle's 0.01409 +- 0.00009"))
+# fd:reversion's default bump of 1e-4 crosses the digital's strike on no
+# path (see the refusal test below); a bump of 1e-2 crosses on 26.
+_DIGITAL_H = {"reversion": 1e-2}
 
 
 @functools.lru_cache(maxsize=1)
@@ -331,22 +327,36 @@ def _oracle_weighted_paths():
 
 
 @pytest.mark.parametrize("label, greek", [
-    pytest.param(label, greek, id=f"{label}:{greek}",
-                 marks=_DEFECT_D if (label, greek) == ("fd", "reversion") else ())
+    pytest.param(label, greek, id=f"{label}:{greek}")
     for greek in _WEIGHTED for label in ("fd", "malliavin")])
 def test_digital_rate_and_variance_greeks_agree_with_the_discrete_oracle(label, greek):
     """On the configuration of the oracle test above, the digital's CRN
     central fd: and its malliavin: rho, vega_v0, rho_r0, kappa and
     reversion agree with the oracle's, each a derivative of e^{-D} N(d2)
     along the tangents of the call's gates, within 4 combined SE, at the
-    same seeds."""
+    same seeds.  fd:reversion takes a bump of 1e-2, fixed before its run:
+    the default crosses the strike on no path and is refused."""
     model, init, sim, _, digital, oracle = _oracle_case()
     if label == "fd":
-        est = _crn_fd(model, init, sim, digital, greek)
+        est = _crn_fd(model, init, sim, digital, greek, _DIGITAL_H.get(greek))
     else:
         est = _WEIGHTED[greek](_oracle_weighted_paths(), digital)
     mean, se = fsum_mean_se(getattr(oracle, "digital_" + greek))
     assert abs(est.value - mean) <= 4.0 * math.hypot(est.std_error, se), (est, mean, se)
+
+
+def test_a_digital_difference_that_no_path_crosses_is_refused():
+    """Defect D: fd:reversion's default bump of 1e-4 moves S_T by about 1e-4
+    and crosses the digital's strike on none of the 65,536 paths of the
+    oracle case, so the difference held the discount term alone and read
+    -0.00486 +- 0.00002 against the oracle's 0.01409 +- 0.00009.  It is
+    refused on h, naming the token and the count."""
+    model, init, sim, _, digital, _ = _oracle_case()
+    with pytest.raises(hg.InvalidParams, match=(
+            r"^h = 0\.0001 moves S_T across the strike on 0 of 65536 paths, "
+            r"so fd:reversion of the digital call")) as info:
+        _crn_fd(model, init, sim, digital, "reversion")
+    assert info.value.field == "h"
 
 
 def test_reversion_counts_the_discount_shift_once():
@@ -740,16 +750,34 @@ def test_refusals_name_the_field_the_paths_lack(
 
 
 def test_clamp_warning_points_at_the_caller(hv_model, hv_init):
-    """Each weighted estimator warns once, at the line that called it (here,
-    its lambda in _WEIGHTED); the price's weight is 1, so it never warns."""
+    """Each weighted estimator warns once on a path set not yet flagged, at
+    the line that called it (here, its lambda in _WEIGHTED); the price's
+    weight is 1, so it never warns."""
     cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=2,
                        sigma_floor=0.5)
     paths = hg.simulate_paths(hv_model, hv_init, cfg, drift_extras=True)
     for greek, estimate in _WEIGHTED.items():
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            estimate(paths, hg.Payoff("call", strike=100.0))
+            # a copy, whose flag is not yet raised
+            estimate(dataclasses.replace(paths), hg.Payoff("call", strike=100.0))
         flagged = [w for w in record
                    if issubclass(w.category, hg.DegenerateWeightWarning)]
         assert len(flagged) == (0 if greek == "price" else 1), greek
         assert all(w.filename == __file__ for w in flagged), greek
+
+
+def test_a_path_set_is_flagged_once(hv_model, hv_init, call_100):
+    """Every estimate from one path set shares its clamps, so the first
+    weighted estimator warns and the next ones on the same paths do not; a
+    copy is a path set of its own.  Each once warned again, and the
+    command line printed one warning per weighted token of a size."""
+    cfg = hg.SimConfig(n_paths=64, n_steps=4, maturity=1.0, seed=2, sigma_floor=0.5)
+    paths = hg.simulate_paths(hv_model, hv_init, cfg)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        hg.delta(paths, call_100, paths.s0)
+        hg.vega(paths, call_100, paths.maturity)
+        hg.bismut_vector(paths, call_100)
+        hg.rho(dataclasses.replace(paths), call_100, paths.maturity)
+    assert [w.category for w in record] == [hg.DegenerateWeightWarning] * 2

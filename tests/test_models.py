@@ -238,15 +238,15 @@ _FD_GREEKS = ("delta", "rho", "vega", "vega_v0", "rho_r0", "kappa", "reversion")
 
 
 @pytest.mark.parametrize("name, choices, value, refuse", [
-    ("estimator", ("malliavin", "fd_forward", "fd_backward", "fd_central", "analytic"),
+    ("estimator", ("malliavin", "fd_central", "analytic"),
      "mc", lambda v: hg.GreekEstimate(0.0, 0.0, 1, v)),
     # refused before the paths are read
     ("gamma_kind", ("kappa", "reversion_speed"), "reversion",
      lambda v: hg.drift_sensitivity(None, None, v)),
     ("greek", _FD_GREEKS, "price", lambda v: hg.BumpSpec(v)),
-    ("scheme", ("forward", "backward", "central"), "upwind", lambda v: hg.BumpSpec("delta", v)),
-    ("scheme", ("forward", "backward", "central"), np.array(["central"]),
-     lambda v: hg.BumpSpec("delta", v)),
+    # scheme went with the one-sided forms: no choice is left.
+    ("scheme", (), "upwind", lambda v: hg.BumpSpec("delta", scheme=v)),
+    ("scheme", (), np.array(["central"]), lambda v: hg.BumpSpec("delta", scheme=v)),
     ("kind", ("call", "put", "digital_call", "constant", "identity"), "swap",
      lambda v: hg.Payoff(v, strike=100.0)),
     ("condition", ("strict", "feller", "off"), None,
@@ -257,7 +257,12 @@ def test_choices_are_refused_in_one_wording_naming_the_field(name, choices, valu
     one argument rule, naming its field.  estimator, gamma_kind and
     condition were once refused with no field, and condition and kind in
     words of their own; a one-element array, equal to its element, was
-    once taken as a scheme."""
+    once taken as a scheme.  A field with no choice left is gone, and
+    refused as an unexpected keyword."""
+    if not choices:
+        with pytest.raises(TypeError, match=name):
+            refuse(value)
+        return
     with pytest.raises(hg.InvalidParams) as info:
         refuse(value)
     assert str(info.value) == f"{name} must be one of {choices}, got {value!r}"
